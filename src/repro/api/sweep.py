@@ -213,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         stats = store.stats()
         print(
             f"store {args.store}: {stats['hits']} cached, {stats['misses']} computed, "
-            f"{stats['corrupt']} corrupt"
+            f"{stats['corrupt']} corrupt, {stats['stale']} stale"
         )
     if args.output:
         result.write_json(args.output)

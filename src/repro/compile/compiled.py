@@ -18,7 +18,7 @@ color-facing entry point is :func:`compile_protocol`.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 from typing import Generic, TypeVar
 from weakref import WeakKeyDictionary
 
@@ -27,6 +27,9 @@ from repro.protocols.base import PopulationProtocol, TransitionResult
 from repro.utils.multiset import Multiset
 
 State = TypeVar("State", bound=Hashable)
+T = TypeVar("T")
+#: One tuple of codes per code (see CompiledProtocol.active_lists).
+CodeLists = tuple[tuple[int, ...], ...]
 
 #: Default cap on the compiled state-space size.  The table is dense (``d²``
 #: packed entries), so the cap bounds table memory (~8 MiB at the default);
@@ -60,6 +63,7 @@ class CompiledProtocol(Generic[State]):
         "changed",
         "outputs",
         "_numpy_tables",
+        "_derived",
     )
 
     def __init__(
@@ -100,6 +104,8 @@ class CompiledProtocol(Generic[State]):
         self.table = array("l", packed)
         self.changed = bytes(changed)
         self._numpy_tables: tuple | None = None
+        #: Tables derived from this one, built once on first use (see derived()).
+        self._derived: dict[str, object] = {}
 
     # -- encoding ------------------------------------------------------------
 
@@ -171,6 +177,24 @@ class CompiledProtocol(Generic[State]):
                 )
         return self._numpy_tables or None
 
+    def derived(self, key: str, build: Callable[["CompiledProtocol[State]"], T]) -> T:
+        """``build(self)``, computed once per compiled protocol and cached under ``key``.
+
+        Engines and criteria keep their per-protocol tables here (the
+        active-pair lists, criterion masks), so every run of a sweep shares
+        one copy instead of re-deriving it from the ``d²`` table.
+        """
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
+
+    def active_lists(self) -> tuple[CodeLists, CodeLists]:
+        """Per-code ``(rows, cols)``: ``rows[p]`` lists every ``q`` whose ordered
+        pair ``(p, q)`` is changed, ``cols[q]`` every such ``p``."""
+        return self.derived("active-lists", _active_lists)
+
     def describe(self) -> dict[str, object]:
         """Metadata for reports: closure size vs. the declared state count."""
         return {
@@ -185,6 +209,14 @@ class CompiledProtocol(Generic[State]):
             f"CompiledProtocol({self.protocol.name!r}, "
             f"num_states={self.num_states}, table_entries={len(self.table)})"
         )
+
+
+def _active_lists(compiled: CompiledProtocol) -> tuple[CodeLists, CodeLists]:
+    d = compiled.num_states
+    changed = compiled.changed
+    rows = tuple(tuple(q for q in range(d) if changed[p * d + q]) for p in range(d))
+    cols = tuple(tuple(p for p in range(d) if changed[p * d + q]) for q in range(d))
+    return rows, cols
 
 
 #: protocol instance -> {frozenset(seed states) -> cache entry} for protocols

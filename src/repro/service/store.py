@@ -11,7 +11,7 @@ condition.
 
 Layout (all paths under the store root)::
 
-    shards/<sha-prefix>.jsonl   one line per record: {"sha", "checksum", "record"}
+    shards/<sha-prefix>.jsonl   one line per record: {"sha", "epoch", "checksum", "record"}
     manifests/<sweep-sha>.json  per-sweep checkpoint ledger (SweepManifest)
 
 Records are appended to JSONL shards named by the first two hex digits of
@@ -20,7 +20,10 @@ Appends are single ``write`` calls of one line; a crash can at worst tear
 the final line, and every line carries a SHA-256 checksum of its canonical
 record JSON — a torn or bit-rotted line fails to parse or fails its
 checksum, is counted as corrupt and treated as a miss, so corruption is
-*recomputed, never served*.
+*recomputed, never served*.  A line whose ``epoch`` is missing or differs
+from :data:`~repro.api.records.RECORD_EPOCH` was written by engines that
+sampled differently; it is counted as ``stale`` (not corrupt), treated as a
+miss and recomputed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
-from repro.api.records import RunRecord
+from repro.api.records import RECORD_EPOCH, RunRecord
 from repro.api.spec import RunSpec, SweepSpec, sha_of
 from repro.service.manifest import SweepManifest
 
@@ -59,6 +62,7 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
+        self.stale = 0
 
     # -- content addressing ------------------------------------------------------
 
@@ -73,7 +77,7 @@ class ResultStore:
     # -- shard loading -----------------------------------------------------------
 
     def _load_shard(self, prefix: str) -> dict[str, dict[str, Any]]:
-        """Parse one shard file, dropping (and counting) corrupt lines."""
+        """Parse one shard file, dropping (and counting) corrupt and stale lines."""
         index: dict[str, dict[str, Any]] = {}
         path = self.shards_dir / f"{prefix}.jsonl"
         if not path.exists():
@@ -88,6 +92,9 @@ class ResultStore:
                 checksum = entry["checksum"]
             except (json.JSONDecodeError, KeyError, TypeError):
                 self.corrupt += 1
+                continue
+            if entry.get("epoch") != RECORD_EPOCH:
+                self.stale += 1
                 continue
             if self.record_checksum(record_dict) != checksum:
                 self.corrupt += 1
@@ -135,7 +142,12 @@ class ResultStore:
         sha = spec.sha()
         record_dict = record.to_dict()
         line = json.dumps(
-            {"sha": sha, "checksum": self.record_checksum(record_dict), "record": record_dict}
+            {
+                "sha": sha,
+                "epoch": RECORD_EPOCH,
+                "checksum": self.record_checksum(record_dict),
+                "record": record_dict,
+            }
         )
         with self._lock:
             index = self._shard_index(sha)
@@ -210,6 +222,7 @@ class ResultStore:
             "hits": self.hits,
             "misses": self.misses,
             "corrupt": self.corrupt,
+            "stale": self.stale,
             "stored": self.stored,
             "hit_rate": self.hit_rate,
         }

@@ -312,6 +312,8 @@ class ConfigurationEngine(SimulationEngine[State]):
         self._counts: list[int] | None = None
         #: Lazily created incremental quiescence tracker (compiled path only).
         self._active_pairs: ActivePairTracker | None = None
+        #: ``(criterion, interactions_changed, verdict)`` of the last check.
+        self._verdict: tuple | None = None
         if compiled is None or compiled:
             self._try_compile()
         self._init_observers(transition_observer)
@@ -410,6 +412,25 @@ class ConfigurationEngine(SimulationEngine[State]):
         return self._active_pairs
 
     def _converged(self, criterion: ConvergenceCriterion[State]) -> bool:
+        """The criterion's verdict, re-evaluated only after a changed interaction.
+
+        Criteria are pure functions of the configuration, and the
+        configuration moves only through changed interactions, so the verdict
+        is cached per ``(criterion, interactions_changed)``: on a quiet tail
+        most checks cost one comparison.
+        """
+        cached = self._verdict
+        if (
+            cached is not None
+            and cached[0] is criterion
+            and cached[1] == self.interactions_changed
+        ):
+            return cached[2]
+        verdict = self._evaluate(criterion)
+        self._verdict = (criterion, self.interactions_changed, verdict)
+        return verdict
+
+    def _evaluate(self, criterion: ConvergenceCriterion[State]) -> bool:
         compiled = self._compiled
         if compiled is not None:
             if isinstance(criterion, SilentConfiguration) and criterion.incremental:

@@ -3,10 +3,9 @@
 :class:`~repro.simulation.config_engine.ConfigurationSimulation` already
 exploits anonymity to simulate the uniform random scheduler on state *counts*,
 but it still pays two ``O(d)`` linear scans plus one transition evaluation per
-interaction.  This engine amortizes all of that over *bursts* of interactions,
-in the spirit of Gillespie-style aggregation (see
-:mod:`repro.chemistry.gillespie`) and of the batched population-protocol
-simulators of Berenbrink et al.:
+interaction.  This engine samples the same chain in larger steps, in the
+spirit of Gillespie-style aggregation (see :mod:`repro.chemistry.gillespie`)
+and of the batched population-protocol simulators of Berenbrink et al.:
 
 - On the default *compiled* path (see :mod:`repro.compile`) with numpy
   available and ``n >= NUMPY_BURST_THRESHOLD``, the engine delegates to the
@@ -20,24 +19,50 @@ simulators of Berenbrink et al.:
   (:mod:`repro.simulation.vector_engine`) reproduce batch runs bit-for-bit
   row by row.  The count vector is kept in sync per round from the kernel's
   corrected pair codes.
-- Without numpy (or uncompiled, or at small ``n``), the engine falls back to
-  *bursts* in the spirit of Gillespie-style aggregation: interactions over
-  pairwise-distinct agents commute, the number of interactions until an
-  agent is re-drawn depends only on agent identities, so a maximal
-  collision-free burst is sampled directly from the birthday-process
-  distribution (``Θ(√n)`` interactions), its agents popped from a flat pool
-  in ``O(1)`` and applied per ordered pair type, and the burst-ending
-  collision interaction is applied exactly — matching the conditional
-  distribution of the sequential process.
+- Below that population size (or without numpy) the compiled engine runs in
+  one of two regimes over its count vector:
+
+  * **dense** — *bursts*: interactions over pairwise-distinct agents
+    commute, the number of interactions until an agent is re-drawn depends
+    only on agent identities, so a maximal collision-free burst is sampled
+    directly from the birthday-process distribution (``Θ(√n)``
+    interactions), its agents popped from a flat pool in ``O(1)`` and
+    applied per ordered pair type, and the burst-ending collision
+    interaction is applied exactly — matching the conditional distribution
+    of the sequential process.  Every interaction, null or not, costs one
+    pool draw, which is the right price while many of them change a state.
+  * **sparse** — only *active* interactions are drawn.  With ``W = Σ
+    c_p·(c_q - [p=q])`` over the ordered pairs ``(p, q)`` whose transition
+    changes a state, the number of null interactions before the next active
+    one is Geometric(``W / n(n-1)``) and the active pair is ``(p, q)`` with
+    probability ``c_p·(c_q - [p=q]) / W``, drawn by one integer target
+    against running sums of per-code masses.  Each event costs ``O(support)``
+    bookkeeping (the active row and column lists of the moved codes, cached
+    once per compiled protocol), so the cost of a run's tail scales with its
+    *changed* interactions: Circles' stabilization tail, where ket exchanges
+    have become rare (Theorem 3.4), is skipped in geometric strides, and a
+    silent configuration (``W = 0``) consumes any budget without a draw.
+
+  At most once per ``n`` interactions the engine re-decides the regime from
+  the counts alone — the active fraction ``W / n(n-1)`` weighted by the
+  support size, against the measured ``SPARSE_ENTER_LOAD`` /
+  ``SPARSE_LEAVE_LOAD`` — so decisions consume no randomness: a run is
+  identical to the dense-only engine until its first switch, and vector
+  groups below the kernel gate stay row-for-row identical to serial runs.
+  Going sparse drops the pool; going dense rebuilds it from the counts in
+  ``O(n)``.
+- Uncompiled engines (``compiled=False`` or a δ-closure over the compile
+  cap) run dense bursts over a pool of decoded states.
 
 The induced Markov chain over configurations is *identical* to
 :class:`ConfigurationSimulation`'s (and to the agent engine's under the
-uniform random scheduler) on every path — the kernel path reproduces the
-sequential process exactly, interaction by interaction;
-``tests/simulation/test_batch_engine.py`` checks the agreement
-distributionally and ``tests/integration/test_engine_agreement``
-checks that all engines settle in the configuration predicted by Lemma 3.6.
-Convergence checks are amortized per burst through the shared
+uniform random scheduler) on every path;
+``tests/simulation/test_batch_engine.py`` and
+``tests/simulation/test_sparse_regime.py`` check the agreement
+distributionally (the latter against the exact chain) and
+``tests/integration/test_engine_agreement`` checks that all engines settle
+in the configuration predicted by Lemma 3.6.  Convergence checks are
+amortized per window through the shared
 :meth:`~repro.simulation.base.SimulationEngine.run` loop, which makes
 E6-scale convergence sweeps tractable at ``n = 10^5``–``10^6``.
 
@@ -50,9 +75,12 @@ its bulk draws.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Hashable, Iterable
+from itertools import accumulate
+from math import log, log1p
+from operator import mul
 from typing import Generic, TypeVar
 
 from repro.protocols.base import PopulationProtocol, TransitionResult
@@ -78,6 +106,21 @@ SEQUENTIAL_FALLBACK_THRESHOLD = 16
 #: crossover is near n = 4096 for Circles-sized tables).
 NUMPY_BURST_THRESHOLD = 4096
 
+#: Regime switch of the compiled pool path.  The *load* is the active
+#: fraction ``W / n(n-1)`` times ``1 + support / SPARSE_SUPPORT_SCALE``: a
+#: sparse event costs roughly that many dense interactions, because its
+#: bookkeeping walks the active lists of the codes it moves, which grow with
+#: the support.  Measured on a 2-vCPU Xeon VM (Python 3.11), a dense
+#: interaction costs 3–4.5 µs and a sparse event 9.5 µs for circles k=3
+#: (support ≈ 18), 22 µs for tournament-plurality k=3 (≈ 60) and 31–36 µs for
+#: circles k=6 (≈ 90–136), so the two regimes break even at a load of
+#: 0.75–0.85 across all three.  A dense engine goes sparse below
+#: ``SPARSE_ENTER_LOAD`` and a sparse one returns to dense above
+#: ``SPARSE_LEAVE_LOAD``; the gap keeps the engine from flapping.
+SPARSE_SUPPORT_SCALE = 16
+SPARSE_ENTER_LOAD = 0.4
+SPARSE_LEAVE_LOAD = 0.8
+
 
 class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
     """Simulate the uniform random scheduler in exact batched bursts."""
@@ -102,6 +145,15 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         self._neg_survival: list[float] | None = None
         self._kernel = None
         self._pool: list | None = None
+        #: Sparse-regime state: ``_row_mass[p]`` is the number of agents ``p``
+        #: can change by meeting them (``Σ c_q`` over the active row of ``p``,
+        #: minus ``p`` itself when ``(p, p)`` is active), so ``c_p ·
+        #: _row_mass[p]`` is ``p``'s share of the active ordered-pair mass ``W``;
+        #: ``_cumulative`` caches the running sums of those shares (last entry
+        #: ``W``) until the next event.  None while dense.
+        self._row_mass: list[int] | None = None
+        self._cumulative: list[int] | None = None
+        self._next_decision: int | None = None
         use_numpy = (
             self._compiled is not None
             and _np is not None
@@ -125,10 +177,12 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             )
         elif self._compiled is not None:
             #: Flat pool of encoded agent states; random pops are O(1).
-            pool: list[int] = []
-            for code, count in enumerate(self._counts):
-                pool.extend([code] * count)
-            self._pool = pool
+            self._pool = self._pool_from_counts()
+            self._active_rows, self._active_cols = self._compiled.active_lists()
+            #: Step at which the regime is next re-decided (once per n), and
+            #: ``(steps_taken, interactions_changed)`` at the last decision.
+            self._next_decision = 0
+            self._last_decision = (0, 0)
         else:
             #: Flat pool of agent states; random pops are O(1) via swap-remove.
             self._pool = list(self._configuration.elements())
@@ -232,10 +286,13 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         exact in sequential order.  On the pool path it is a maximal run of
         interactions over pairwise-distinct agents, applied in bulk per
         ordered pair type, plus (when the cap allows) the collision
-        interaction that ends it.
+        interaction that ends it.  In the sparse regime it is a window of up
+        to ``n`` interactions of which only the active ones are drawn.
         """
         if self._kernel is not None:
             return self._run_round_kernel(max_interactions)
+        if self._row_mass is not None:
+            return self._run_sparse(max_interactions)
         return self._run_burst_pool(max_interactions)
 
     def _run_round_kernel(self, max_interactions: int | None) -> int:
@@ -409,13 +466,146 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         self.steps_taken += 1
 
     def _advance(self, max_interactions: int) -> int:
-        if self._num_agents < SEQUENTIAL_FALLBACK_THRESHOLD:
+        if self._next_decision is not None and self.steps_taken >= self._next_decision:
+            self._decide_regime()
+        if self._row_mass is None and self._num_agents < SEQUENTIAL_FALLBACK_THRESHOLD:
+            if self._next_decision is not None:
+                # Come back within n steps so the regime is re-decided on time.
+                max_interactions = min(max_interactions, self._num_agents)
             for _ in range(max_interactions):
                 self._sequential_step()
             return max_interactions
         return self.run_burst(max_interactions)
 
+    # -- the sparse regime --------------------------------------------------------------
+
+    def _decide_regime(self) -> None:
+        """Pick the dense or the sparse regime from the current counts.
+
+        Runs at most once per ``n`` interactions and consumes no randomness.
+        A dense engine first looks at the fraction of interactions that
+        changed a state since the last decision; only when that is low does
+        it pay the ``O(active pairs)`` computation of the exact mass ``W``.
+        """
+        n = self._num_agents
+        steps, changes = self.steps_taken, self.interactions_changed
+        last_steps, last_changes = self._last_decision
+        self._last_decision = (steps, changes)
+        self._next_decision = steps + n
+        sparse = self._row_mass is not None
+        counts = self._counts
+        present = [code for code, count in enumerate(counts) if count]
+        scale = 1.0 + len(present) / SPARSE_SUPPORT_SCALE
+        # The changed fraction estimates W / n(n-1) from one window; the 1.5
+        # margin keeps its noise from hiding a configuration worth checking.
+        if not sparse and (changes - last_changes) * scale > 1.5 * SPARSE_ENTER_LOAD * (
+            steps - last_steps
+        ):
+            return
+        changed = self._compiled.changed
+        d = len(counts)
+        if sparse:
+            mass = sum(map(mul, counts, self._row_mass))
+        else:
+            # W over the present codes only: O(support²), not O(d²).
+            mass = 0
+            for p in present:
+                base = p * d
+                row = sum(counts[q] for q in present if changed[base + q])
+                mass += counts[p] * (row - changed[base + p])
+        load = mass / (n * (n - 1)) * scale
+        if sparse and load > SPARSE_LEAVE_LOAD:
+            self._row_mass = self._cumulative = None
+            self._pool = self._pool_from_counts()
+        elif not sparse and load < SPARSE_ENTER_LOAD:
+            get = counts.__getitem__
+            self._row_mass = [
+                sum(map(get, row)) - changed[p * d + p] for p, row in enumerate(self._active_rows)
+            ]
+            self._pool = None
+
+    def _pool_from_counts(self) -> list[int]:
+        """The agent pool of the current counts, in code order (O(n))."""
+        pool: list[int] = []
+        for code, count in enumerate(self._counts):
+            pool.extend([code] * count)
+        return pool
+
+    def _run_sparse(self, max_interactions: int | None) -> int:
+        """Up to ``n`` interactions, drawing only the active ones (exact).
+
+        The number of null interactions before the next active one is
+        Geometric(``W / n(n-1)``), and the active pair is ``(p, q)`` with
+        probability ``c_p·(c_q - [p=q]) / W``.  A skip that overruns the
+        window consumes it and is redrawn on the next call, which is exact
+        because the geometric distribution is memoryless.  A silent
+        configuration (``W = 0``) consumes the whole cap without a draw.
+        """
+        n = self._num_agents
+        cap = n if max_interactions is None else max_interactions
+        if cap <= 0:
+            return 0
+        window = min(cap, n)
+        left = window
+        total = n * (n - 1)
+        rng_random = self._rng.random
+        while True:
+            cumulative = self._cumulative
+            if cumulative is None:
+                cumulative = self._cumulative = list(
+                    accumulate(map(mul, self._counts, self._row_mass))
+                )
+            mass = cumulative[-1]
+            if mass == 0:
+                self.steps_taken += left + cap - window
+                return cap
+            skip = 0 if mass >= total else int(log(1.0 - rng_random()) / log1p(-mass / total))
+            if skip >= left:
+                break
+            self.steps_taken += skip
+            left -= skip + 1
+            self._sparse_event(cumulative, mass)
+            self.steps_taken += 1
+        self.steps_taken += left
+        return window
+
+    def _sparse_event(self, cumulative: list[int], mass: int) -> None:
+        """Draw one active ordered pair by integer target and apply it."""
+        counts = self._counts
+        target = int(self._rng.random() * mass)
+        if target >= mass:
+            target = mass - 1
+        p = bisect_right(cumulative, target)
+        offset = (target - (cumulative[p - 1] if p else 0)) // counts[p]
+        for q in self._active_rows[p]:
+            weight = counts[q] - (q == p)
+            if offset < weight:
+                break
+            offset -= weight
+        compiled = self._compiled
+        d = compiled.num_states
+        a, b = divmod(compiled.table[p * d + q], d)
+        net = {p: -1}
+        net[q] = net.get(q, 0) - 1
+        net[a] = net.get(a, 0) + 1
+        net[b] = net.get(b, 0) + 1
+        row_mass = self._row_mass
+        cols = self._active_cols
+        for code, delta in net.items():
+            if delta:
+                for other in cols[code]:
+                    row_mass[other] += delta
+        self._cumulative = None
+        self._book_changed_codes(p, q, a, b, 1)
+
     # -- inspection -------------------------------------------------------------------
+
+    @property
+    def regime(self) -> str:
+        """How interactions are sampled now: ``"kernel"``, ``"dense"`` or ``"sparse"``."""
+        if self._kernel is not None:
+            return "kernel"
+        return "dense" if self._row_mass is None else "sparse"
 
     def states(self) -> list[State]:
         """The current agent states (anonymous, so order carries no meaning)."""

@@ -44,6 +44,7 @@ from repro.core.circles import CirclesProtocol
 from repro.core.invariants import diagonal_colors, is_stable_configuration, outputs_agree
 from repro.core.state import CirclesState
 from repro.protocols.base import PopulationProtocol
+from repro.simulation.observers import ket_exchange_occurred
 from repro.utils.multiset import Multiset
 
 try:  # numpy backs the row-wise tracker of the vector replicate engine only.
@@ -90,6 +91,14 @@ class ConvergenceCriterion(abc.ABC, Generic[State]):
         verdict, or ``None`` to defer to the configuration-level check (the
         default).  Implementations must agree with
         :meth:`is_converged_configuration` on the decoded configuration.
+        """
+        return None
+
+    def is_converged_rows(self, protocol: PopulationProtocol[State], compiled, counts):
+        """Row-wise fast path over an ``(R × d)`` numpy count matrix.
+
+        Return a boolean vector with one verdict per row, or ``None`` to
+        defer to :meth:`is_converged_counts` row by row (the default).
         """
         return None
 
@@ -212,16 +221,38 @@ class StableCircles(ConvergenceCriterion[CirclesState]):
     def is_converged_counts(
         self, protocol: PopulationProtocol[CirclesState], compiled, counts
     ) -> bool | None:
-        decode = compiled.decode
-        support = [decode(code) for code, count in enumerate(counts) if count]
-        return self._is_converged_support(protocol, support)
+        """The criterion from the present codes alone, through the compiled
+        :func:`stable_circles_tables` (no state is decoded)."""
+        _require_circles(protocol)
+        unstable, outputs, diagonal = stable_circles_tables(compiled)
+        present = [code for code, count in enumerate(counts) if count]
+        if not present:
+            return False
+        color = outputs[present[0]]
+        if any(outputs[code] != color for code in present):
+            return False
+        if not any(diagonal[code] == color for code in present):
+            return False
+        mask = 0
+        for code in present:
+            mask |= 1 << code
+        return not any(unstable[code] & mask for code in present)
+
+    def is_converged_rows(self, protocol, compiled, counts):
+        _require_circles(protocol)
+        unstable, outputs, diagonal = compiled.derived("stable-circles-numpy", _numpy_circles_tables)
+        present = counts > 0
+        color = _np.where(present, outputs, _np.iinfo(_np.int64).max).min(axis=1)
+        agreed = present.any(axis=1) & (_np.where(present, outputs, -1).max(axis=1) == color)
+        on_diagonal = (present & (diagonal == color[:, None])).any(axis=1)
+        exchanging = ((present.astype(_np.int32) @ unstable > 0) & present).any(axis=1)
+        return agreed & on_diagonal & ~exchanging
 
     def _is_converged_support(
         self, protocol: PopulationProtocol[CirclesState], support: list[CirclesState]
     ) -> bool:
         """The criterion on the set of present states (counts are irrelevant)."""
-        if not isinstance(protocol, CirclesProtocol):
-            raise TypeError("StableCircles only applies to CirclesProtocol runs")
+        _require_circles(protocol)
         if not support:
             return False
         if not is_stable_configuration(protocol, support):
@@ -230,6 +261,80 @@ class StableCircles(ConvergenceCriterion[CirclesState]):
         if len(outputs) != 1:
             return False
         return next(iter(outputs)) in diagonal_colors(support)
+
+
+def _require_circles(protocol) -> None:
+    if not isinstance(protocol, CirclesProtocol):
+        raise TypeError("StableCircles only applies to CirclesProtocol runs")
+
+
+# -- compiled Circles tables ------------------------------------------------------
+
+
+def stable_circles_tables(compiled) -> tuple[list[int], list[int], list[int]]:
+    """``(unstable, outputs, diagonal)`` per code of a compiled Circles protocol.
+
+    ``unstable[p]`` is a bitmask over codes: bit ``q`` is set when the two
+    bra-kets would exchange kets, judged by ``protocol.should_exchange`` in
+    the same ``first ≤ second`` orientation as
+    :func:`~repro.core.invariants.is_stable_configuration` (so the mask is
+    symmetric, and bit ``p`` of ``unstable[p]`` is the bra-ket against itself).
+    ``outputs[p]`` is the state's ``out`` and ``diagonal[p]`` its bra when
+    the bra-ket is diagonal, else -1.  Built once per compiled protocol.
+    """
+    return compiled.derived("stable-circles", _stable_circles_tables)
+
+
+def _stable_circles_tables(compiled) -> tuple[list[int], list[int], list[int]]:
+    protocol = compiled.protocol
+    brakets = [state.braket for state in compiled.states]
+    exchanges: dict = {}
+    unstable = []
+    for first in brakets:
+        mask = 0
+        for code, second in enumerate(brakets):
+            pair = (first, second) if first <= second else (second, first)
+            verdict = exchanges.get(pair)
+            if verdict is None:
+                verdict = exchanges[pair] = protocol.should_exchange(*pair)
+            if verdict:
+                mask |= 1 << code
+        unstable.append(mask)
+    outputs = [state.out for state in compiled.states]
+    diagonal = [state.bra if state.is_diagonal() else -1 for state in compiled.states]
+    return unstable, outputs, diagonal
+
+
+def _numpy_circles_tables(compiled):
+    unstable, outputs, diagonal = stable_circles_tables(compiled)
+    d = compiled.num_states
+    matrix = _np.array(
+        [[(row >> code) & 1 for code in range(d)] for row in unstable], dtype=_np.int32
+    )
+    return matrix, _np.array(outputs, dtype=_np.int64), _np.array(diagonal, dtype=_np.int64)
+
+
+def ket_exchange_mask(compiled):
+    """Per-pair-code numpy mask: does this changed transition exchange a ket?
+
+    Precomputing the predicate over the ``d²`` code space lets the kernel
+    path count ket exchanges with one vectorized gather per round — the same
+    verdicts :class:`~repro.simulation.observers.KetExchangeObserver` reaches
+    delta by delta on a serial run.  Built once per compiled protocol.
+    """
+    return compiled.derived("ket-exchange", _ket_exchange_mask)
+
+
+def _ket_exchange_mask(compiled):
+    table_np, changed_np, _ = compiled.numpy_tables()
+    d = compiled.num_states
+    states = compiled.states
+    mask = _np.zeros(d * d, dtype=bool)
+    for code in _np.nonzero(changed_np)[0].tolist():
+        p, q = divmod(code, d)
+        a, b = divmod(int(table_np[code]), d)
+        mask[code] = ket_exchange_occurred((states[p], states[q]), (states[a], states[b]))
+    return mask
 
 
 class ActivePairTracker:

@@ -47,8 +47,9 @@ from repro.simulation.convergence import (
     ConvergenceCriterion,
     RowwiseActivePairTracker,
     SilentConfiguration,
+    ket_exchange_mask,
 )
-from repro.simulation.observers import KetExchangeObserver, ket_exchange_occurred
+from repro.simulation.observers import KetExchangeObserver
 from repro.utils.multiset import Multiset
 from repro.utils.rng import make_rng
 
@@ -196,7 +197,7 @@ class ReplicateGroup(Generic[State]):
             )
             self._interactions_changed = _np.zeros(self.num_rows, dtype=_np.int64)
             self._ket_mask = (
-                _ket_exchange_mask(compiled_protocol) if count_ket_exchanges else None
+                ket_exchange_mask(compiled_protocol) if count_ket_exchanges else None
             )
             self._ket = (
                 _np.zeros(self.num_rows, dtype=_np.int64) if count_ket_exchanges else None
@@ -284,6 +285,10 @@ class ReplicateGroup(Generic[State]):
         counts = self._kernel.counts_matrix(active)
         if tracker is not None:
             verdicts = tracker.silent_rows(active, counts).tolist()
+        elif (
+            rows := criterion.is_converged_rows(self.protocol, self._compiled, counts)
+        ) is not None:
+            verdicts = rows.tolist()
         else:
             verdicts = []
             for j in range(len(active)):
@@ -317,21 +322,3 @@ class ReplicateGroup(Generic[State]):
             )
         self._outcomes = outcomes
 
-
-def _ket_exchange_mask(compiled):
-    """Per-pair-code mask: does this changed transition exchange a ket?
-
-    Precomputing the predicate over the ``d²`` code space lets the kernel
-    path count ket exchanges with one vectorized gather per round — the same
-    verdicts :class:`~repro.simulation.observers.KetExchangeObserver` reaches
-    delta by delta on a serial run.
-    """
-    table_np, changed_np, _ = compiled.numpy_tables()
-    d = compiled.num_states
-    states = compiled.states
-    mask = _np.zeros(d * d, dtype=bool)
-    for code in _np.nonzero(changed_np)[0].tolist():
-        p, q = divmod(code, d)
-        a, b = divmod(int(table_np[code]), d)
-        mask[code] = ket_exchange_occurred((states[p], states[q]), (states[a], states[b]))
-    return mask

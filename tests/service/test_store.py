@@ -5,12 +5,13 @@ The store's contract: identical specs are served from cache bit-identically,
 never served.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro.api.executor import SerialExecutor, SweepRunner, execute_run
-from repro.api.records import RunRecord
+from repro.api.records import RECORD_EPOCH, RunRecord
 from repro.api.spec import RunSpec, SweepSpec, canonical_json, sha_of
 from repro.service.store import ResultStore
 
@@ -179,3 +180,42 @@ class TestStoreStats:
         assert stats["hits"] == 1 and stats["misses"] == 1 and stats["stored"] == 1
         assert stats["hit_rate"] == 0.5
         assert spec in store
+
+
+class TestRecordEpoch:
+    """Lines of another engine generation are recomputed, never served."""
+
+    def _shard_entries(self, tmp_path):
+        [shard] = list((tmp_path / "shards").glob("*.jsonl"))
+        return [json.loads(line) for line in shard.read_text().splitlines()]
+
+    def test_current_epoch_line_is_served(self, tmp_path):
+        spec = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3, max_steps=2_000)
+        record = execute_run(spec)
+        ResultStore(tmp_path).put(spec, record)
+        [entry] = self._shard_entries(tmp_path)
+        assert entry["epoch"] == RECORD_EPOCH
+
+        fresh = ResultStore(tmp_path)
+        assert fresh.get(spec) == record
+        assert (fresh.stale, fresh.corrupt) == (0, 0)
+
+    @pytest.mark.parametrize("epoch", [None, RECORD_EPOCH - 1])
+    def test_epochless_or_foreign_line_is_recomputed(self, tmp_path, epoch):
+        sweep = small_sweep(trials=1)
+        SweepRunner(store=ResultStore(tmp_path)).run(sweep)
+        for shard in (tmp_path / "shards").glob("*.jsonl"):
+            entries = [json.loads(line) for line in shard.read_text().splitlines()]
+            for entry in entries:
+                if epoch is None:
+                    del entry["epoch"]
+                else:
+                    entry["epoch"] = epoch
+            shard.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+
+        fresh = ResultStore(tmp_path)
+        counting = CountingExecutor()
+        result = SweepRunner(store=fresh, executor=counting).run(sweep)
+        assert counting.executed == len(sweep)
+        assert fresh.stale == len(sweep) and fresh.corrupt == 0
+        assert result.records == [execute_run(spec) for spec in sweep.expand()]

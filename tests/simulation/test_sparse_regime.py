@@ -1,0 +1,179 @@
+"""Exactness of the batch engine's sparse regime and of the verdict cache.
+
+The sparse regime skips null interactions with a geometric draw and samples
+the next active ordered pair by its mass ``c_p·(c_q - [p=q])``; it must
+sample the same chain as the sequential process.  These tests check it
+against the exact chain, across forced regime switches, on a silent
+configuration, and check that convergence verdicts are re-evaluated only
+after a changed interaction while ``on_check`` still fires at every boundary.
+"""
+
+import math
+
+import pytest
+
+import repro.simulation.batch_engine as batch_engine
+from repro.core.circles import CirclesProtocol
+from repro.exact import ConfigurationChain
+from repro.simulation.batch_engine import BatchConfigurationSimulation
+from repro.simulation.convergence import OutputConsensus, StableCircles
+from repro.simulation.observers import Observer
+from repro.utils.multiset import Multiset
+
+ALWAYS = float("inf")
+NEVER = -1.0
+
+
+def force(monkeypatch, enter: float, leave: float) -> None:
+    monkeypatch.setattr(batch_engine, "SPARSE_ENTER_LOAD", enter)
+    monkeypatch.setattr(batch_engine, "SPARSE_LEAVE_LOAD", leave)
+
+
+def configuration_key(configuration: Multiset) -> tuple:
+    return tuple(sorted(configuration.items()))
+
+
+class TestAgainstTheExactChain:
+    COLORS = [0, 0, 0, 0, 1, 1, 2, 2]
+    HORIZON = 120
+    TRIALS = 400
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["measured-switch", "always-sparse"])
+    def test_configuration_distribution_matches(self, monkeypatch, one_sample_chi_squared, forced):
+        """Full-configuration histograms after a horizon spent mostly sparse."""
+        if forced:
+            force(monkeypatch, ALWAYS, ALWAYS)
+        protocol = CirclesProtocol(3)
+        chain = ConfigurationChain.from_colors(protocol, self.COLORS)
+        exact = {
+            configuration_key(chain.configuration(index)): probability
+            for index, probability in chain.distribution_after(self.HORIZON).items()
+        }
+        assert math.isclose(sum(exact.values()), 1.0, abs_tol=1e-9)
+
+        observed: dict = {}
+        sparse_steps = 0
+        for trial in range(self.TRIALS):
+            simulation = BatchConfigurationSimulation.from_colors(
+                protocol, self.COLORS, seed=30_000 + trial
+            )
+            for _ in range(self.HORIZON // len(self.COLORS)):
+                if simulation.regime == "sparse":
+                    sparse_steps += len(self.COLORS)
+                simulation.run(len(self.COLORS))
+            assert simulation.steps_taken == self.HORIZON
+            key = configuration_key(simulation.configuration())
+            observed[key] = observed.get(key, 0) + 1
+
+        assert sparse_steps > self.TRIALS * self.HORIZON / 2
+        statistic, critical = one_sample_chi_squared(observed, exact, self.TRIALS)
+        assert statistic < critical, (
+            f"sparse regime disagrees with the exact chain "
+            f"(chi-squared {statistic:.1f} > {critical:.1f})"
+        )
+
+
+class TestRegimeSwitches:
+    COLORS = [0] * 30 + [1] * 20 + [2] * 14
+
+    def assert_consistent(self, simulation, steps):
+        assert simulation.steps_taken == steps
+        assert Multiset(simulation.states()) == simulation.configuration()
+        assert len(simulation.configuration()) == len(self.COLORS)
+
+    def test_dense_sparse_dense_round_trip(self, monkeypatch):
+        simulation = BatchConfigurationSimulation.from_colors(
+            CirclesProtocol(3), self.COLORS, seed=5
+        )
+        steps = 0
+        for enter, leave, regime in [
+            (NEVER, NEVER, "dense"),
+            (ALWAYS, ALWAYS, "sparse"),
+            (NEVER, NEVER, "dense"),
+            (ALWAYS, ALWAYS, "sparse"),
+        ]:
+            force(monkeypatch, enter, leave)
+            # The regime is re-decided once per n interactions, so the switch
+            # lands within the phase's first n steps.
+            for budget in (1, 63, 64, 500, 777):
+                simulation.run(budget)
+                steps += budget
+                self.assert_consistent(simulation, steps)
+            assert simulation.regime == regime
+        assert simulation.interactions_changed > 0
+
+    def test_silent_configuration_consumes_the_window_without_draws(self, monkeypatch):
+        force(monkeypatch, ALWAYS, ALWAYS)
+        simulation = BatchConfigurationSimulation.from_colors(
+            CirclesProtocol(3), [0] * 20, seed=9
+        )
+        simulation.run(1)
+        assert simulation.regime == "sparse"
+        state = simulation._rng.getstate()
+        simulation.run(10**9)
+        assert simulation._rng.getstate() == state
+        assert simulation.steps_taken == 10**9 + 1
+        assert simulation.interactions_changed == 0
+        assert Multiset(simulation.states()) == simulation.configuration()
+
+    def test_regime_runs_reach_the_predicted_outcome(self):
+        """Measured thresholds: a run to StableCircles switches and converges."""
+        simulation = BatchConfigurationSimulation.from_colors(
+            CirclesProtocol(3), self.COLORS, seed=11
+        )
+        seen = set()
+        while not simulation.run(len(self.COLORS), criterion=StableCircles()):
+            seen.add(simulation.regime)
+        assert seen == {"dense", "sparse"}
+        assert simulation.unanimous_output() == 0
+        assert Multiset(simulation.states()) == simulation.configuration()
+
+
+class CountingConsensus(OutputConsensus):
+    def __init__(self, target: int | None = None) -> None:
+        super().__init__(target)
+        self.evaluations = 0
+
+    def is_converged_counts(self, protocol, compiled, counts):
+        self.evaluations += 1
+        return super().is_converged_counts(protocol, compiled, counts)
+
+
+class CheckCounter(Observer):
+    name = "check-counter"
+
+    def __init__(self) -> None:
+        self.checks = 0
+        self.changed_at_check: list[int] = []
+
+    def on_check(self, engine) -> None:
+        self.checks += 1
+        self.changed_at_check.append(engine.interactions_changed)
+
+
+class TestVerdictCache:
+    def test_evaluates_only_after_a_change(self):
+        criterion = CountingConsensus(target=1)  # never holds on a 0-majority
+        simulation = BatchConfigurationSimulation.from_colors(
+            CirclesProtocol(3), [0] * 6 + [1] * 5 + [2] * 5, seed=3
+        )
+        counter = simulation.add_observer(CheckCounter())
+        assert not simulation.run(4_000, criterion=criterion, check_interval=4)
+        boundaries = 1 + 4_000 // 4
+        assert counter.checks == boundaries
+        changes = 1 + sum(
+            1 for before, after in zip(counter.changed_at_check, counter.changed_at_check[1:])
+            if after != before
+        )
+        assert criterion.evaluations == changes < boundaries
+
+    def test_silent_configuration_is_evaluated_once(self):
+        criterion = CountingConsensus(target=1)
+        simulation = BatchConfigurationSimulation.from_colors(
+            CirclesProtocol(3), [0] * 20, seed=3
+        )
+        counter = simulation.add_observer(CheckCounter())
+        assert not simulation.run(2_000, criterion=criterion, check_interval=20)
+        assert simulation.interactions_changed == 0
+        assert criterion.evaluations == 1
+        assert counter.checks == 1 + 2_000 // 20
