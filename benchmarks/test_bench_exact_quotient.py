@@ -8,7 +8,8 @@ Checks:
 
 * the rational-arithmetic analysis of the tied circles ``k = 3`` input
   (560 configurations, 192 orbits) is at least **4× faster** quotiented
-  than unquotiented — in practice ~20×, the solve dominating;
+  than unquotiented (about 6× since the rational solve works block by block
+  over strongly connected components; chain enumeration now weighs as much);
 * the golden-suite regeneration (every case in
   :data:`repro.exact.golden.GOLDEN_CASES`, exact rationals) is recorded
   quotiented vs. unquotiented so the perf log tracks the end-to-end cost of

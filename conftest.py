@@ -15,9 +15,18 @@ Markers
 * ``perf`` — wall-clock performance comparisons with timing assertions.
   These are skipped unless ``--perf`` is passed, so an otherwise-loaded
   machine cannot flake the default suite: ``pytest --perf benchmarks/``.
+
+Fixtures
+--------
+
+* ``whole_matrix_solve`` — the reference rational solve of ``(I - Q)·x = b``:
+  one Gaussian elimination over the whole matrix.  The unit tests check the
+  block-triangular solve against it and the block-solve bench times it as
+  the baseline.
 """
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,3 +66,26 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.bench)
         if not run_perf and "perf" in item.keywords:
             item.add_marker(skip_perf)
+
+
+def _whole_matrix_solve(rows, transient, rhs_columns, *, exact=True, max_transient=None):
+    """``solve_transient_systems`` as one rational elimination over ``(I - Q)``."""
+    from repro.exact.solve import gaussian_solve
+
+    assert exact
+    local = {index: i for i, index in enumerate(transient)}
+    matrix = []
+    for index in transient:
+        row = [Fraction(0)] * len(transient)
+        row[local[index]] += 1
+        for target, probability in rows[index].items():
+            if target in local:
+                row[local[target]] -= probability
+        matrix.append(row)
+    return gaussian_solve(matrix, [list(column) for column in rhs_columns], exact=True)
+
+
+@pytest.fixture(scope="session")
+def whole_matrix_solve():
+    """The whole-matrix reference with ``solve_transient_systems``'s signature."""
+    return _whole_matrix_solve

@@ -22,9 +22,9 @@ it —
   ``python -m repro.exact.golden tests/golden``).
 
 The exact engine is ground truth, not a fast path: cost grows with the
-reachable configuration count (capped, :class:`ChainTooLarge`) and the
-fundamental-matrix solve is dense over the transient configurations
-(capped, :class:`SolveTooLarge`).
+reachable configuration count (capped, :class:`ChainTooLarge`) and with the
+transient configurations the fundamental-matrix solve runs over (capped,
+:class:`SolveTooLarge`).
 """
 
 from __future__ import annotations

@@ -26,71 +26,18 @@ available; see :mod:`repro.exact.solve`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.exact.chain import ConfigurationChain
-from repro.exact.solve import DEFAULT_MAX_TRANSIENT, solve_transient_systems
-
-Number = Fraction | float
-
-
-def strongly_connected_components(
-    rows: Sequence[dict[int, Number]],
-) -> list[list[int]]:
-    """Tarjan's SCC algorithm, iteratively (chains can be deep), over sparse rows.
-
-    Returns the components in reverse topological order (every edge goes from
-    a later component to an earlier one or stays inside its component), each
-    component sorted ascending.
-    """
-    size = len(rows)
-    index_of = [-1] * size
-    low_link = [0] * size
-    on_stack = [False] * size
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(size):
-        if index_of[root] != -1:
-            continue
-        work: list[tuple[int, list[int], int]] = [(root, list(rows[root]), 0)]
-        while work:
-            node, successors, position = work.pop()
-            if position == 0:
-                index_of[node] = low_link[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            else:
-                # Returning from a child: fold its low-link into ours.
-                child = successors[position - 1]
-                low_link[node] = min(low_link[node], low_link[child])
-            advanced = False
-            while position < len(successors):
-                successor = successors[position]
-                position += 1
-                if index_of[successor] == -1:
-                    work.append((node, successors, position))
-                    work.append((successor, list(rows[successor]), 0))
-                    advanced = True
-                    break
-                if on_stack[successor]:
-                    low_link[node] = min(low_link[node], index_of[successor])
-            if advanced:
-                continue
-            if low_link[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                component.sort()
-                components.append(component)
-    return components
+from repro.exact.solve import (
+    DEFAULT_MAX_TRANSIENT,
+    Number,
+    solve_transient_systems,
+    strongly_connected_components,
+)
 
 
 def closed_classes(rows: Sequence[dict[int, Number]]) -> list[list[int]]:
@@ -177,17 +124,12 @@ def analyze_absorption(
         )
     ones = [one] * len(transient)
     change = [chain.change_probability[index] for index in transient]
-    class_columns: list[list[Number]] = []
-    for class_index, members in enumerate(classes):
-        member_set = set(members)
-        column = []
-        for index in transient:
-            mass = zero
-            for target, probability in chain.rows[index].items():
-                if target in member_set:
-                    mass = mass + probability
-            column.append(mass)
-        class_columns.append(column)
+    class_columns: list[list[Number]] = [[zero] * len(transient) for _ in classes]
+    for i, index in enumerate(transient):
+        for target, probability in chain.rows[index].items():
+            class_index = in_class.get(target)
+            if class_index is not None:
+                class_columns[class_index][i] += probability
     solutions = solve_transient_systems(
         chain.rows,
         transient,
@@ -195,7 +137,7 @@ def analyze_absorption(
         exact=exact,
         max_transient=max_transient,
     )
-    position = transient.index(initial)
+    position = bisect_left(transient, initial)
     expected = solutions[0][position]
     expected_changed = solutions[1][position]
     probabilities = [solutions[2 + i][position] for i in range(len(classes))]
@@ -349,7 +291,7 @@ def hitting_analysis(
         exact=exact,
         max_transient=max_transient,
     )
-    position = system.index(chain.initial_index)
+    position = bisect_left(system, chain.initial_index)
     if almost_sure:
         return HittingAnalysis(
             target=target,

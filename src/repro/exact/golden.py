@@ -4,7 +4,7 @@ The files under ``tests/golden/`` pin exact absorption probabilities,
 expected interactions to convergence and correctness probabilities for the
 circles-family protocols at small ``(k, n)``, computed in exact rational
 arithmetic.  ``tests/integration/test_exact_golden.py`` recomputes them on
-every run (in fast float mode, plus one rational case) and fails on any
+every run, in float mode and in exact rationals, and fails on any
 drift — a regression net over the whole exact pipeline *and* the δ-tables
 underneath it.
 
@@ -16,9 +16,10 @@ Each golden file is the :meth:`~repro.exact.result.DistributionResult.to_dict`
 payload of one exact run, wrapped with the case description (protocol, k,
 colors) and the regeneration command.
 
-Cases are chosen so the transient systems stay small (≲200 configurations):
-the regression test re-solves them with the pure-python backend on
-numpy-less CI, where dense solves are cubic in pure Python.
+Cases are chosen so the reachable chains stay small (≲200 transient
+configurations).  Every case is re-solved in exact rationals on every run;
+the pure-python solve is block-triangular over the chain's strongly
+connected components, so the whole rational suite takes under a second.
 """
 
 from __future__ import annotations

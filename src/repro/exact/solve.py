@@ -18,13 +18,20 @@ Three backends:
 * **numpy** (float mode, when importable) — one ``numpy.linalg.solve`` call
   with all right-hand sides stacked, the fast path for the experiment
   columns;
-* **pure python** — Gaussian elimination, shared by the exact-rational mode
-  (``fractions.Fraction`` rows stay ``Fraction`` throughout, so golden
-  results are exact) and by float mode on machines without numpy.  Float
-  elimination pivots on the max-magnitude column entry (partial pivoting —
-  near-singular transient blocks amplify roundoff under naive pivoting);
-  rational elimination takes the first nonzero pivot, which is exact and
-  skips ``Fraction`` magnitude comparisons.
+* **pure python** — a block-triangular solve over the strongly connected
+  components of ``Q``, shared by the exact-rational mode
+  (``fractions.Fraction`` values stay ``Fraction`` throughout, so golden
+  results are exact) and by float mode on machines without numpy.  Every
+  state-changing Circles interaction strictly lowers the energy (Theorem
+  3.4), so the transient chain is nearly acyclic: its components are the
+  small energy-neutral plateaus.  Components are solved successors first —
+  a singleton is one division, a larger component one Gaussian elimination
+  over its own block — so the cost is cubic only in the largest component
+  (11 states on the tied circles ``k = 3`` input, against 156 in the
+  system).  Float elimination pivots on the max-magnitude column entry
+  (partial pivoting — near-singular blocks amplify roundoff under naive
+  pivoting); rational elimination takes the first nonzero pivot, which is
+  exact and skips ``Fraction`` magnitude comparisons.
 
 Systems here are diagonally dominated by construction (rows of ``Q`` are
 substochastic), so partial pivoting is ample; callers cap the system size
@@ -48,8 +55,13 @@ DEFAULT_MAX_TRANSIENT = 1500
 #: motivate it run ~10⁴ transient configurations in seconds).
 SPARSE_MAX_TRANSIENT = 12000
 
-#: The pure-python cap: cubic interpreted ``float`` elimination.
+#: The pure-python cap: interpreted ``float`` elimination, cubic in the
+#: largest strongly connected component, which can be the whole system on
+#: protocols without an energy argument.
 PURE_PYTHON_MAX_TRANSIENT = 300
+
+
+Number = Fraction | float
 
 
 class SolveTooLarge(RuntimeError):
@@ -79,9 +91,9 @@ def practical_max_transient() -> int:
 
     scipy's sparse LU pushes the cap to :data:`SPARSE_MAX_TRANSIENT`; plain
     numpy handles :data:`DEFAULT_MAX_TRANSIENT` densely; the pure-python
-    elimination is cubic interpreted code, so opportunistic callers (the E6
-    exact column) cap at :data:`PURE_PYTHON_MAX_TRANSIENT` and render "—"
-    instead of stalling.
+    solve is interpreted code, cubic in the largest strongly connected
+    component, so opportunistic callers (the E6 exact column) cap at
+    :data:`PURE_PYTHON_MAX_TRANSIENT` and render "—" instead of stalling.
     """
     if _numpy() is None:
         return PURE_PYTHON_MAX_TRANSIENT
@@ -221,6 +233,63 @@ def rational_nullspace(
     return basis
 
 
+def strongly_connected_components(
+    rows: Sequence[dict[int, Number]],
+) -> list[list[int]]:
+    """Tarjan's SCC algorithm, iteratively (chains can be deep), over sparse rows.
+
+    Returns the components in reverse topological order (every edge goes from
+    a later component to an earlier one or stays inside its component), each
+    component sorted ascending.
+    """
+    size = len(rows)
+    index_of = [-1] * size
+    low_link = [0] * size
+    on_stack = [False] * size
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(size):
+        if index_of[root] != -1:
+            continue
+        work: list[tuple[int, list[int], int]] = [(root, list(rows[root]), 0)]
+        while work:
+            node, successors, position = work.pop()
+            if position == 0:
+                index_of[node] = low_link[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            else:
+                # Returning from a child: fold its low-link into ours.
+                child = successors[position - 1]
+                low_link[node] = min(low_link[node], low_link[child])
+            advanced = False
+            while position < len(successors):
+                successor = successors[position]
+                position += 1
+                if index_of[successor] == -1:
+                    work.append((node, successors, position))
+                    work.append((successor, list(rows[successor]), 0))
+                    advanced = True
+                    break
+                if on_stack[successor]:
+                    low_link[node] = min(low_link[node], index_of[successor])
+            if advanced:
+                continue
+            if low_link[node] == index_of[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    component.append(member)
+                    if member == node:
+                        break
+                component.sort()
+                components.append(component)
+    return components
+
+
 def solve_transient_systems(
     rows: Sequence[dict[int, Fraction | float]],
     transient: Sequence[int],
@@ -253,8 +322,6 @@ def solve_transient_systems(
     if size == 0:
         return [[] for _ in rhs_columns]
     local = {global_index: i for i, global_index in enumerate(transient)}
-    zero: Fraction | float = Fraction(0) if exact else 0.0
-    one: Fraction | float = Fraction(1) if exact else 1.0
     numpy = None if exact else _numpy()
     if numpy is not None:
         b = numpy.array(
@@ -304,13 +371,65 @@ def solve_transient_systems(
                     a[i, j] -= float(probability)
         solved = numpy.linalg.solve(a, b)
         return [[float(solved[i, c]) for i in range(size)] for c in range(len(rhs_columns))]
-    matrix = []
+    return _block_triangular_solve(rows, transient, local, rhs_columns, exact=exact)
+
+
+def _block_triangular_solve(
+    rows: Sequence[dict[int, Number]],
+    transient: Sequence[int],
+    local: dict[int, int],
+    rhs_columns: Sequence[Sequence[Number]],
+    *,
+    exact: bool,
+) -> list[list[Number]]:
+    """The pure-python backend: solve ``(I - Q)·x = b`` one SCC at a time.
+
+    ``Q`` restricted to the system is block triangular once its strongly
+    connected components are ordered topologically, so each component's
+    unknowns depend only on its own block and on components it reaches.
+    :func:`strongly_connected_components` yields successors first; every
+    component is solved as soon as they are known, with the known terms
+    ``Σ q_ij·x_j`` folded into its right-hand side.  A singleton is one
+    division by ``1 - q_ii``; a larger component runs :func:`gaussian_solve`
+    on its own block only, so the cost is cubic in the largest component,
+    not in the system.
+    """
+    zero: Number = Fraction(0) if exact else 0.0
+    one: Number = Fraction(1) if exact else 1.0
+    restricted: list[dict[int, Number]] = []
     for global_index in transient:
-        row = [zero] * size
-        row[local[global_index]] = one
+        row: dict[int, Number] = {}
         for target, probability in rows[global_index].items():
             j = local.get(target)
             if j is not None:
-                row[j] -= probability
-        matrix.append(row)
-    return gaussian_solve(matrix, [list(column) for column in rhs_columns], exact=exact)
+                row[j] = probability
+        restricted.append(row)
+    # Each column starts as b and is overwritten with x component by component.
+    solutions = [list(column) for column in rhs_columns]
+    for component in strongly_connected_components(restricted):
+        position = {member: p for p, member in enumerate(component)}
+        matrix: list[list[Number]] = []
+        block_rhs: list[list[Number]] = [[] for _ in solutions]
+        for member in component:
+            block_row = [zero] * len(component)
+            block_row[position[member]] = one
+            known: list[tuple[int, Number]] = []
+            for j, probability in restricted[member].items():
+                p = position.get(j)
+                if p is None:
+                    known.append((j, probability))
+                else:
+                    block_row[p] -= probability
+            matrix.append(block_row)
+            for x, column in zip(solutions, block_rhs):
+                total = x[member]
+                for j, probability in known:
+                    # Skipping zeros pays: absorption into one class is zero
+                    # from most states, and Fraction products are costly.
+                    if x[j]:
+                        total += probability * x[j]
+                column.append(total)
+        for x, solved in zip(solutions, gaussian_solve(matrix, block_rhs, exact=exact)):
+            for member, value in zip(component, solved):
+                x[member] = value
+    return solutions

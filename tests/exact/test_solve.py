@@ -1,6 +1,7 @@
 """Tests for the linear-solve backends behind the exact analyses."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from repro.exact.solve import (
     gaussian_solve,
     practical_max_transient,
     solve_transient_systems,
+    strongly_connected_components,
 )
 
 
@@ -132,3 +134,87 @@ class TestPracticalCap:
 
     def test_caps_are_ordered(self):
         assert PURE_PYTHON_MAX_TRANSIENT < DEFAULT_MAX_TRANSIENT < SPARSE_MAX_TRANSIENT
+
+
+def _random_chain(rng, size):
+    """A random stochastic chain: transient states ``0..t-1``, absorbing the rest.
+
+    Every transient state has at least one edge to a higher index, so the
+    largest member of any strongly connected component leaves it and
+    ``(I - Q)`` over the transient states is nonsingular.  On top of that:
+    self-loops, backward edges and planted cycles through several states,
+    which make multi-state components.
+    """
+    num_transient = rng.randint(1, size - 1)
+    edges = [dict() for _ in range(size)]
+    for i in range(num_transient):
+        for _ in range(rng.randint(1, 3)):
+            edges[i][rng.randint(i + 1, size - 1)] = rng.randint(1, 9)
+        if rng.random() < 0.5:
+            edges[i][i] = rng.randint(1, 9)
+        if i and rng.random() < 0.2:
+            edges[i][rng.randrange(i)] = rng.randint(1, 9)
+    for _ in range(rng.randint(0, 3)):
+        cycle = rng.sample(range(num_transient), min(num_transient, rng.randint(2, 6)))
+        for source, target in zip(cycle, cycle[1:] + cycle[:1]):
+            edges[source][target] = rng.randint(1, 9)
+    for i in range(num_transient, size):
+        edges[i][i] = 1
+    rows = []
+    for weights in edges:
+        total = sum(weights.values())
+        rows.append({target: Fraction(w, total) for target, w in weights.items()})
+    system = list(range(num_transient))
+    rng.shuffle(system)
+    return rows, system
+
+
+def _random_rhs(rng, length):
+    return [
+        [Fraction(1)] * length,
+        [Fraction(rng.randint(0, 5), rng.randint(1, 7)) for _ in range(length)],
+        [Fraction(1 if rng.random() < 0.2 else 0) for _ in range(length)],
+    ]
+
+
+SEEDS = range(60)
+
+
+class TestBlockTriangularSolve:
+    def test_random_chains_plant_multi_state_components(self):
+        largest = 0
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            rows, system = _random_chain(rng, rng.randint(2, 40))
+            restricted = [
+                {target: p for target, p in rows[index].items() if target in system}
+                for index in range(len(rows))
+            ]
+            components = strongly_connected_components(restricted)
+            largest = max(largest, *(len(c) for c in components if c[0] in system))
+        assert largest >= 4
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_exact_block_solve_equals_the_whole_matrix_solve(self, seed, whole_matrix_solve):
+        rng = random.Random(seed)
+        rows, system = _random_chain(rng, rng.randint(2, 40))
+        rhs = _random_rhs(rng, len(system))
+        block = solve_transient_systems(rows, system, rhs, exact=True, max_transient=None)
+        assert block == whole_matrix_solve(rows, system, rhs)
+        assert all(isinstance(value, Fraction) for column in block for value in column)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_numpy_less_float_solve_agrees_with_numpy(self, seed, monkeypatch):
+        if solve_module._numpy() is None:
+            pytest.skip("numpy not available")
+        rng = random.Random(seed)
+        rows, system = _random_chain(rng, rng.randint(2, 40))
+        rows = [{target: float(p) for target, p in row.items()} for row in rows]
+        rhs = [[float(value) for value in column] for column in _random_rhs(rng, len(system))]
+        with_numpy = solve_transient_systems(rows, system, rhs, exact=False)
+        monkeypatch.setattr(solve_module, "_numpy", lambda: None)
+        pure = solve_transient_systems(rows, system, rhs, exact=False)
+        # abs_tol: where the exact solution is 0, LU leaves ~1e-18 residue.
+        for ours, theirs in zip(pure, with_numpy):
+            for a, b in zip(ours, theirs):
+                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15), (a, b)

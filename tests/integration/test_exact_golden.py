@@ -12,8 +12,8 @@ Two layers of ground truth, neither of which is engine-vs-engine:
 * **Golden files** — ``tests/golden/*.json`` pin exact absorption
   probabilities, expected interactions to convergence and correctness
   probabilities for the circles-family protocols at small ``(k, n)``,
-  generated in exact rational arithmetic.  Every run recomputes them (fast
-  float mode, plus one rational case) and compares against the pinned
+  generated in exact rational arithmetic.  Every run recomputes them, in
+  float mode and in exact rationals, and compares against the pinned
   values.  Regenerate after an intentional semantic change with::
 
       PYTHONPATH=src python -m repro.exact.golden tests/golden
@@ -189,16 +189,16 @@ def test_golden_values_have_not_drifted(case):
         assert _approx(new["probability"], old["probability"])
 
 
-def test_smallest_case_matches_in_exact_arithmetic():
-    """One case recomputed with Fractions: the rational strings are bit-identical."""
-    case = GOLDEN_CASES[0]
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda case: case_filename(*case))
+def test_golden_case_matches_in_exact_arithmetic(case):
+    """Every case recomputed with Fractions: the rational strings are byte-identical."""
     pinned = json.loads((GOLDEN_DIR / case_filename(*case)).read_text())
     recomputed = golden_payload(*case, arithmetic="exact")
-    for field in (
-        "correctness_probability_exact",
-        "expected_interactions_exact",
-    ):
-        assert recomputed[field] == pinned[field]
+    exact_fields = [field for field in pinned if field.endswith("_exact")]
+    assert exact_fields
+    for field in exact_fields:
+        assert recomputed[field] == pinned[field], field
+    assert len(recomputed["classes"]) == len(pinned["classes"])
     for new, old in zip(recomputed["classes"], pinned["classes"]):
         assert new["probability_exact"] == old["probability_exact"]
 
