@@ -10,7 +10,10 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import importlib.metadata
+import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -26,6 +29,51 @@ from repro.utils.perflog import append_perf_entry  # noqa: E402  (needs src on s
 #: Machine-readable perf log, appended to by ``--perf`` runs so the
 #: performance trajectory is tracked across PRs.
 BENCH_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
+
+
+def _git(*args: str) -> str | None:
+    try:
+        result = subprocess.run(
+            ["git", *args],
+            cwd=BENCH_RESULTS_PATH.parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return result.stdout.strip()
+
+
+def _version(package: str) -> str | None:
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def perf_provenance() -> dict:
+    """Where a perf entry was measured: commit, host and library versions."""
+    commit = _git("rev-parse", "HEAD")
+    status = _git("status", "--porcelain", "--untracked-files=no") if commit else None
+    return {
+        "git_sha": commit,
+        "git_dirty": None if status is None else bool(status),
+        "cpu": _cpu_model(),
+        "nproc": os.cpu_count(),
+        "numpy": _version("numpy"),
+        "scipy": _version("scipy"),
+    }
 
 
 @pytest.fixture
@@ -54,7 +102,8 @@ def record_perf(request):
     otherwise, so the fixture is effectively perf-gated); each entry carries
     the bench name, the population size, the engine, the measured seconds,
     the speedup over the bench's own baseline and enough provenance (python
-    version, timestamp) to chart the perf trajectory across PRs.
+    version, timestamp, commit, CPU and numpy/scipy versions) to chart the
+    perf trajectory across PRs.
     """
 
     def _record(
@@ -79,6 +128,7 @@ def record_perf(request):
             ),
             "python": platform.python_version(),
             "timestamp": int(time.time()),
+            "provenance": perf_provenance(),
         }
         # Atomic append (temp-then-rename): an interrupted run must not
         # destroy the accumulated perf history.

@@ -8,16 +8,31 @@ The ``--perf`` assertion pins that contract at **≥20×**: a warm run of the
 benchmark sweep must be at least twenty times faster than the cold run that
 populated the store.
 
+A second pair covers the warm path through the HTTP service, the shape of
+the repository benchmark's ``service-cache`` workload: one client POSTs a
+sweep cold, then the identical sweep warm.  The smoke checks that every warm
+envelope is served from the cache and carries the cold record byte for byte;
+the ``--perf`` test records the median warm POST as ``service-warm-post``.
+A warm POST hashes each spec once, serves records the store decoded when it
+loaded the shard, and leaves the unchanged manifest on disk alone.
+
 Marker-free smoke tests keep the store path exercised — correct and
 importable — in the default suite and in the CI bench-smoke job.
 """
 
+import contextlib
+import http.client
+import io
+import json
+import statistics
+import threading
 import time
 
 import pytest
 
 from repro.api.executor import SweepRunner
 from repro.api.spec import SweepSpec
+from repro.service.serve import SweepService, serve
 from repro.service.store import ResultStore
 
 #: Big enough that simulation dominates store overhead by a wide margin.
@@ -77,4 +92,106 @@ def test_warm_cache_is_20x_faster_than_cold(tmp_path, record_perf):
     assert warm_time * 20 <= cold_time, (
         f"warm cache only {speedup:.1f}x faster than cold "
         f"({warm_time:.3f}s vs {cold_time:.3f}s for {total} runs)"
+    )
+
+
+#: The ``service-cache`` benchmark's sweep: 64 circles runs on the vector engine.
+WARM_SWEEP = SweepSpec(
+    protocols=("circles",),
+    populations=(16, 32),
+    ks=(3,),
+    engines=("vector",),
+    trials=32,
+    seed=5,
+)
+
+#: Median warm POST of ``WARM_SWEEP`` before warm hits were served without
+#: re-hashing, re-decoding and re-writing (same test, 2-vCPU Xeon VM,
+#: Python 3.11.7); the baseline of the ``service-warm-post`` entry.
+BASELINE_WARM_POST_S = 0.0215
+
+_RECORD_KEY = b', "record": '
+
+
+@contextlib.contextmanager
+def running_service(root):
+    """A store-backed :class:`SweepService` behind ``serve()`` on a free port."""
+    httpd = serve(SweepService(ResultStore(root), workers=2), "127.0.0.1", 0)
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        # The handler logs every request to stderr.
+        with contextlib.redirect_stderr(io.StringIO()):
+            yield httpd.server_address[:2]
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+
+
+def post_sweep(address, sweep: SweepSpec) -> list[bytes]:
+    """One POST /sweep round trip; the streamed NDJSON lines."""
+    connection = http.client.HTTPConnection(*address, timeout=120)
+    try:
+        connection.request(
+            "POST",
+            "/sweep",
+            body=sweep.to_json().encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        return connection.getresponse().read().splitlines()
+    finally:
+        connection.close()
+
+
+def envelopes(lines: list[bytes], *, cached: bool) -> dict[int, bytes]:
+    """index -> the exact bytes of each envelope's record; checks ``cached``."""
+    records = {}
+    for line in lines:
+        head, record = line.split(_RECORD_KEY, 1)
+        envelope = json.loads(head + b"}")
+        assert envelope["cached"] is cached, line[:120]
+        records[envelope["index"]] = record
+    return records
+
+
+def test_service_warm_post_smoke(tmp_path):
+    """Smoke (default suite): a warm POST is all cache, byte-identical to cold."""
+    sweep = SweepSpec(**{**WARM_SWEEP.to_dict(), "populations": (8,), "trials": 3})
+    with running_service(tmp_path) as address:
+        cold = envelopes(post_sweep(address, sweep), cached=False)
+        assert sorted(cold) == list(range(len(sweep)))
+        for _ in range(2):
+            assert envelopes(post_sweep(address, sweep), cached=True) == cold
+
+
+@pytest.mark.perf
+def test_warm_post_latency_is_recorded(tmp_path, record_perf):
+    """Median warm POST of the 64-run sweep, against the recorded baseline."""
+    with running_service(tmp_path) as address:
+        start = time.perf_counter()
+        cold = envelopes(post_sweep(address, WARM_SWEEP), cached=False)
+        cold_time = time.perf_counter() - start
+        samples = []
+        for _ in range(40):
+            start = time.perf_counter()
+            warm = envelopes(post_sweep(address, WARM_SWEEP), cached=True)
+            samples.append(time.perf_counter() - start)
+            assert warm == cold
+    median = statistics.median(samples)
+    print(
+        f"\ncold POST: {cold_time:.3f}s, warm POST median: {1000 * median:.2f} ms "
+        f"({len(cold)} runs, {cold_time / median:.0f}x)"
+    )
+    record_perf(
+        "service-warm-post",
+        n=max(WARM_SWEEP.populations),
+        engine="vector",
+        seconds=median,
+        speedup=BASELINE_WARM_POST_S / median,
+        baseline_seconds=BASELINE_WARM_POST_S,
+    )
+    assert median * 20 <= cold_time, (
+        f"warm POST only {cold_time / median:.1f}x faster than the cold one "
+        f"({1000 * median:.2f} ms vs {cold_time:.3f}s for {len(cold)} runs)"
     )

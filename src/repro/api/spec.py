@@ -33,10 +33,11 @@ cache-shareable against) fixed-trial sweeps.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.api.stopping import StoppingRule
@@ -67,6 +68,11 @@ def derive_seed(root_seed: int, tag: str) -> int:
     """
     digest = hashlib.sha256(f"{root_seed}:{tag}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _copy_params(params: Mapping[str, Any]) -> dict[str, Any]:
+    """A deep copy of a params dict; most are empty, which skips ``deepcopy``."""
+    return copy.deepcopy(params) if params else {}
 
 
 def _normalize_axis(
@@ -170,12 +176,47 @@ class RunSpec:
         :class:`~repro.api.records.RunRecord` for a SHA instead of
         re-simulating, and any field change (a different seed, an extra
         observer) changes the SHA and misses the cache.
+
+        The value is computed on the first call and stored on the instance
+        (in ``__dict__``, not as a dataclass field, so equality, ``repr`` and
+        :meth:`to_dict` never see it); a warm sweep hashes each spec once.
+        That is sound because specs are immutable values: the dataclass is
+        frozen, :func:`dataclasses.replace` and :meth:`with_seed` build a new
+        instance with its own SHA, and the param dicts must not be mutated
+        after construction.
         """
-        return sha_of(self.to_dict())
+        stored = self.__dict__.get("_sha")
+        if stored is None:
+            stored = self.__dict__["_sha"] = sha_of(self.to_dict())
+        return stored
 
     def to_dict(self) -> dict[str, Any]:
-        """A JSON-ready dictionary (inverse of :meth:`from_dict`)."""
-        return asdict(self)
+        """A JSON-ready dictionary (inverse of :meth:`from_dict`).
+
+        Equal to ``dataclasses.asdict(self)`` — the same keys in field order,
+        deep copies of the param dicts, observers as a tuple of
+        ``(name, params)`` pairs — but built directly, because ``asdict``'s
+        generic recursion dominated the cost of a warm sweep request.
+        Mutating the result never reaches the spec.
+        """
+        return {
+            "protocol": self.protocol,
+            "n": self.n,
+            "k": self.k,
+            "workload": self.workload,
+            "protocol_params": _copy_params(self.protocol_params),
+            "workload_params": _copy_params(self.workload_params),
+            "engine": self.engine,
+            "compiled": self.compiled,
+            "scheduler": self.scheduler,
+            "scheduler_params": _copy_params(self.scheduler_params),
+            "criterion": self.criterion,
+            "max_steps": self.max_steps,
+            "runner": self.runner,
+            "seed": self.seed,
+            "workload_seed": self.workload_seed,
+            "observers": tuple((name, _copy_params(params)) for name, params in self.observers),
+        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> RunSpec:

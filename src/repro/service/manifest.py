@@ -13,6 +13,11 @@ the source of truth.  On resume every "done" run is still looked up by its
 spec SHA, so a manifest that overstates progress (e.g. its shard was
 corrupted after the checkpoint) degrades to recomputation, never to a wrong
 or missing record.
+
+Saving skips the write when nothing would change: a manifest that was
+loaded from (or last saved to) the same path and still holds the same
+ledger is not rewritten, so a fully cached resubmission costs no fsynced
+write.  New, stale-replaced and changed manifests are always written.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ class SweepManifest:
     run_shas: Sequence[str]
     #: Indices into ``run_shas`` whose records are persisted in the store.
     done: set[int] = field(default_factory=set)
+    #: ``(path, to_dict())`` as last read from or written to disk; ``None``
+    #: for a manifest that has never been on disk.
+    _on_disk: tuple[str, dict[str, Any]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.run_shas = tuple(self.run_shas)
@@ -108,10 +118,22 @@ class SweepManifest:
     def from_json(cls, text: str) -> SweepManifest:
         return cls.from_dict(json.loads(text))
 
-    def save(self, path: str | Path) -> None:
-        """Write the manifest atomically — a kill leaves the previous snapshot."""
+    def save(self, path: str | Path) -> bool:
+        """Write the manifest atomically — a kill leaves the previous snapshot.
+
+        Skips the write when the file at ``path`` already holds this ledger
+        (the manifest was loaded from or last saved to it and has not
+        changed since).  Returns whether it wrote.
+        """
+        state = (str(path), self.to_dict())
+        if state == self._on_disk and Path(path).exists():
+            return False
         atomic_write_text(path, self.to_json() + "\n")
+        self._on_disk = state
+        return True
 
     @classmethod
     def load(cls, path: str | Path) -> SweepManifest:
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        manifest = cls.from_json(Path(path).read_text(encoding="utf-8"))
+        manifest._on_disk = (str(path), manifest.to_dict())
+        return manifest

@@ -24,6 +24,15 @@ checksum, is counted as corrupt and treated as a miss, so corruption is
 from :data:`~repro.api.records.RECORD_EPOCH` was written by engines that
 sampled differently; it is counted as ``stale`` (not corrupt), treated as a
 miss and recomputed.
+
+The in-memory index holds decoded records
+(:class:`~repro.api.records.RunRecord` objects): each line is decoded once,
+when its shard is first loaded (or, for a ``put``, from the record dict the
+line was written from), and a hit returns that record without parsing
+anything.  A line that passes its checksum but does not decode to a record
+(say, a field this version does not know) is counted as corrupt like any
+other bad line and recomputed.  Served records are shared between callers;
+like specs, they are immutable values.
 """
 
 from __future__ import annotations
@@ -57,8 +66,8 @@ class ResultStore:
         self.shards_dir.mkdir(parents=True, exist_ok=True)
         self.manifests_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        #: shard prefix -> {spec sha -> record dict}, loaded lazily per shard.
-        self._shards: dict[str, dict[str, dict[str, Any]]] = {}
+        #: shard prefix -> {spec sha -> decoded record}, loaded lazily per shard.
+        self._shards: dict[str, dict[str, RunRecord]] = {}
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -76,9 +85,10 @@ class ResultStore:
 
     # -- shard loading -----------------------------------------------------------
 
-    def _load_shard(self, prefix: str) -> dict[str, dict[str, Any]]:
-        """Parse one shard file, dropping (and counting) corrupt and stale lines."""
-        index: dict[str, dict[str, Any]] = {}
+    def _load_shard(self, prefix: str) -> dict[str, RunRecord]:
+        """Parse and decode one shard file, dropping (and counting) corrupt
+        and stale lines."""
+        index: dict[str, RunRecord] = {}
         path = self.shards_dir / f"{prefix}.jsonl"
         if not path.exists():
             return index
@@ -99,10 +109,13 @@ class ResultStore:
             if self.record_checksum(record_dict) != checksum:
                 self.corrupt += 1
                 continue
-            index[sha] = record_dict
+            try:
+                index[sha] = RunRecord.from_dict(record_dict)
+            except (KeyError, TypeError, ValueError):
+                self.corrupt += 1
         return index
 
-    def _shard_index(self, sha: str) -> dict[str, dict[str, Any]]:
+    def _shard_index(self, sha: str) -> dict[str, RunRecord]:
         prefix = sha[:_SHARD_PREFIX]
         if prefix not in self._shards:
             self._shards[prefix] = self._load_shard(prefix)
@@ -118,11 +131,10 @@ class ResultStore:
         """
         sha = spec.sha()
         with self._lock:
-            record_dict = self._shard_index(sha).get(sha)
-            if record_dict is None:
+            record = self._shard_index(sha).get(sha)
+            if record is None:
                 self.misses += 1
                 return None
-            record = RunRecord.from_dict(record_dict)
             if record.spec != spec:
                 # A content-address collision would be required to get here;
                 # treat it as corruption and recompute rather than serve.
@@ -149,12 +161,13 @@ class ResultStore:
                 "record": record_dict,
             }
         )
+        decoded = RunRecord.from_dict(record_dict)
         with self._lock:
             index = self._shard_index(sha)
             with open(self._shard_path(sha), "a", encoding="utf-8") as handle:
                 handle.write(line + "\n")
                 handle.flush()
-            index[sha] = record_dict
+            index[sha] = decoded
         return sha
 
     def __contains__(self, spec: RunSpec) -> bool:
@@ -187,7 +200,11 @@ class ResultStore:
         return SweepManifest(sweep_sha=sweep_sha, name=sweep.name, run_shas=run_shas)
 
     def save_manifest(self, manifest: SweepManifest) -> None:
-        """Checkpoint the manifest atomically (see :mod:`repro.utils.atomic`)."""
+        """Checkpoint the manifest atomically (see :mod:`repro.utils.atomic`).
+
+        An unchanged manifest already on disk is not rewritten (see
+        :meth:`SweepManifest.save`).
+        """
         with self._lock:
             manifest.save(self.manifest_path(manifest.sweep_sha))
 

@@ -1,8 +1,11 @@
 """Tests for RunSpec/SweepSpec: expansion, seed derivation, JSON round trips."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.api.spec import RunSpec, SweepSpec, derive_seed
+from repro.api.spec import RunSpec, SweepSpec, derive_seed, sha_of
 
 
 class TestDeriveSeed:
@@ -183,3 +186,136 @@ class TestObserversKnob:
         assert len(runs) == 2
         assert all(run.observers == (("energy", {}),) for run in runs)
         assert SweepSpec.from_json(sweep.to_json()).to_dict() == sweep.to_dict()
+
+
+#: Specs whose content addresses are pinned below.  The literal SHAs are the
+#: ones every existing result store is keyed by: if one changes, stored
+#: records stop hitting.
+GOLDEN_SPECS = {
+    "defaults": RunSpec(protocol="circles", n=8, k=2),
+    "params": RunSpec(
+        protocol="circles-tie-report",
+        n=12,
+        k=3,
+        workload="zipf",
+        protocol_params={"report": "min"},
+        workload_params={"exponent": 1.5, "weights": [3, 2, 1]},
+        seed=11,
+        workload_seed=5,
+        observers=("energy", ("trace", {"every": 4})),
+    ),
+    "uncompiled": RunSpec(
+        protocol="tournament-plurality",
+        n=16,
+        k=3,
+        engine="batch",
+        compiled=False,
+        seed=3,
+        max_steps=2000,
+    ),
+    "scheduler": RunSpec(
+        protocol="circles",
+        n=10,
+        k=2,
+        scheduler="greedy-stall",
+        scheduler_params={"patience": 3},
+        criterion="stable-circles",
+        seed=7,
+    ),
+}
+
+GOLDEN_SHAS = {
+    "defaults": "2557981c266df903eb1d34b59dcc9c1122e43f9e7612c403f482f3bda4651b69",
+    "params": "7701e5d64cd66a99552d4192a8b86d1eea3d2a150867dda2e23db2bec50c1622",
+    "uncompiled": "920cbd5e4c326f34b5f9c88ebfca0af2e7dc8420d9e8b41a9f3c876c05fee6bd",
+    "scheduler": "ec19eff0f8512cb7d84c0456f97b919bac0dbb4f875c19bc404021400885602d",
+}
+
+GOLDEN_SWEEP = SweepSpec(
+    name="golden",
+    protocols=("circles", ("cancellation-plurality", {})),
+    populations=(8, 12),
+    ks=(2, 3),
+    engines=("batch",),
+    trials=2,
+    seed=97,
+    max_steps_quadratic=200,
+    observers=("energy",),
+)
+GOLDEN_SWEEP_SHA = "eb2fdef5990d537f70fb1598e79dbdc43fb7d51b61376d87ad63357087682610"
+
+
+class TestContentAddressGoldens:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_run_spec_sha_is_pinned(self, name):
+        assert GOLDEN_SPECS[name].sha() == GOLDEN_SHAS[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_fresh_and_json_loaded_specs_hash_the_same(self, name):
+        spec = GOLDEN_SPECS[name]
+        assert RunSpec.from_json(spec.to_json()).sha() == GOLDEN_SHAS[name]
+        assert RunSpec.from_dict(spec.to_dict()).sha() == GOLDEN_SHAS[name]
+
+    def test_sweep_spec_sha_is_pinned(self):
+        assert GOLDEN_SWEEP.sha() == GOLDEN_SWEEP_SHA
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_to_dict_equals_asdict(self, name):
+        spec = GOLDEN_SPECS[name]
+        expected = dataclasses.asdict(spec)
+        data = spec.to_dict()
+        assert data == expected
+        assert list(data) == list(expected)
+        assert type(data["observers"]) is tuple
+        assert all(type(pair) is tuple for pair in data["observers"])
+
+    def test_mutating_to_dict_reaches_neither_the_spec_nor_its_sha(self):
+        spec = dataclasses.replace(GOLDEN_SPECS["params"])
+        before = spec.sha()
+        data = spec.to_dict()
+        data["protocol_params"]["report"] = "max"
+        data["workload_params"]["weights"].append(4)
+        data["observers"][1][1]["every"] = 99
+        data["seed"] = 0
+        assert spec == GOLDEN_SPECS["params"]
+        assert spec.workload_params["weights"] == [3, 2, 1]
+        assert spec.observers[1][1] == {"every": 4}
+        assert spec.sha() == before == GOLDEN_SHAS["params"]
+        assert sha_of(spec.to_dict()) == before
+
+
+class TestStoredSha:
+    """The SHA is stored on first use; it must never go stale."""
+
+    def test_replace_and_with_seed_get_their_own_sha(self):
+        spec = RunSpec(protocol="circles", n=8, k=2, seed=3)
+        spec.sha()
+        for other in (dataclasses.replace(spec, seed=4), spec.with_seed(4)):
+            assert other.sha() != spec.sha()
+            assert other.sha() == sha_of(other.to_dict())
+            assert other.sha() == RunSpec(protocol="circles", n=8, k=2, seed=4).sha()
+
+    def test_pickle_round_trip_keeps_the_correct_sha(self):
+        spec = GOLDEN_SPECS["params"]
+        spec.sha()
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert clone.sha() == GOLDEN_SHAS["params"]
+        fresh = pickle.loads(pickle.dumps(RunSpec(protocol="circles", n=8, k=2)))
+        assert fresh.sha() == GOLDEN_SHAS["defaults"]
+
+    def test_equality_and_repr_ignore_the_stored_value(self):
+        hashed = RunSpec(protocol="circles", n=8, k=2, seed=3)
+        unhashed = RunSpec(protocol="circles", n=8, k=2, seed=3)
+        hashed.sha()
+        assert hashed == unhashed
+        assert repr(hashed) == repr(unhashed)
+        assert "_sha" not in repr(hashed)
+        assert hashed.to_dict() == unhashed.to_dict()
+        assert "_sha" not in [f.name for f in dataclasses.fields(hashed)]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_sha_always_matches_the_canonical_form(self, name):
+        spec = GOLDEN_SPECS[name]
+        for _ in range(2):
+            assert spec.sha() == sha_of(spec.to_dict())

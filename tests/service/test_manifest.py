@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.api.executor import SweepRunner
 from repro.api.spec import SweepSpec
+from repro.api.stopping import StoppingRule
 from repro.service.manifest import SweepManifest
 from repro.service.store import ResultStore
 
@@ -53,6 +55,22 @@ class TestManifestSemantics:
         assert SweepManifest.load(path).to_dict() == manifest.to_dict()
         # No temp droppings next to the target.
         assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+    def test_unchanged_manifest_is_not_rewritten(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        manifest = SweepManifest(sweep_sha="s" * 64, name="demo", run_shas=["a", "b"])
+        assert manifest.save(path)  # never on disk: written
+        assert not manifest.save(path)  # unchanged: skipped
+        loaded = SweepManifest.load(path)
+        assert not loaded.save(path)  # loaded and unchanged: skipped
+        assert loaded.save(tmp_path / "elsewhere.json")  # another path: written
+        loaded.mark_done(0)
+        assert loaded.save(path)  # changed: written
+        assert SweepManifest.load(path).done == {0}
+        path.unlink()
+        assert loaded.save(path)  # file gone: written again
+        assert SweepManifest.load(path).done == {0}
 
 
 class TestStoreManifests:
@@ -109,3 +127,56 @@ class TestStoreManifests:
         on_disk = json.loads(store.manifest_path(sweep.sha()).read_text())
         assert on_disk["sweep_sha"] == sweep.sha()
         assert on_disk["done"] == []
+
+
+def adaptive_sweep() -> SweepSpec:
+    return SweepSpec(
+        protocols=("circles",), populations=(8,), ks=(2,), engines=("batch",),
+        trials="auto", seed=23, max_steps_quadratic=200,
+        stopping=StoppingRule(
+            metric="correct", proportion=True, target_half_width=0.3,
+            min_trials=2, batch_size=2, max_trials=8,
+        ),
+    )
+
+
+def file_identity(path):
+    stat = path.stat()
+    return stat.st_ino, stat.st_mtime_ns
+
+
+class TestManifestRewrites:
+    """A fully cached resubmission leaves its manifest file alone."""
+
+    @pytest.mark.parametrize("make_sweep", [small_sweep, adaptive_sweep])
+    def test_cached_resubmission_leaves_the_manifest_untouched(self, tmp_path, make_sweep):
+        sweep = make_sweep()
+        cold = SweepRunner(store=ResultStore(tmp_path)).run(sweep)
+        path = ResultStore(tmp_path).manifest_path(sweep.sha())
+        before = file_identity(path)
+        text = path.read_text()
+
+        for store in (ResultStore(tmp_path), ResultStore(tmp_path)):
+            warm = SweepRunner(store=store).run(sweep)
+            assert warm.records == cold.records
+            assert store.hits == len(cold.records) and store.misses == 0
+            assert file_identity(path) == before
+            assert path.read_text() == text
+
+    def test_resubmission_after_a_corrupt_line_rewrites_the_manifest(self, tmp_path):
+        sweep = small_sweep()
+        SweepRunner(store=ResultStore(tmp_path)).run(sweep)
+        path = ResultStore(tmp_path).manifest_path(sweep.sha())
+        before = file_identity(path)
+        shard = sorted((tmp_path / "shards").glob("*.jsonl"))[0]
+        lines = shard.read_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace('"steps": ', '"steps": 9', 1)
+        shard.write_text("".join(lines))
+
+        store = ResultStore(tmp_path)
+        SweepRunner(store=store).run(sweep)
+        assert store.corrupt == 1 and store.misses == 1
+        assert file_identity(path) != before
+        manifest = SweepManifest.load(path)
+        assert manifest.complete
+        assert manifest.done == set(range(len(sweep)))

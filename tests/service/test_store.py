@@ -117,6 +117,24 @@ class TestCacheHits:
         assert isinstance(served, RunRecord)
 
 
+    def test_hits_are_decoded_once_at_shard_load(self, tmp_path, monkeypatch):
+        sweep = small_sweep()
+        SweepRunner(store=ResultStore(tmp_path)).run(sweep)
+        decoded = []
+        from_dict = RunRecord.from_dict.__func__
+        monkeypatch.setattr(
+            RunRecord,
+            "from_dict",
+            classmethod(lambda cls, data: decoded.append(1) or from_dict(cls, data)),
+        )
+        fresh = ResultStore(tmp_path)
+        for _ in range(3):
+            records = [fresh.get(spec) for spec in sweep.expand()]
+        assert all(record is not None for record in records)
+        assert len(decoded) == len(sweep)  # one decode per stored line
+        assert fresh.hits == 3 * len(sweep)
+
+
 class TestCorruptionDetection:
     def _store_one(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -157,6 +175,24 @@ class TestCorruptionDetection:
         fresh = ResultStore(tmp_path)
         assert fresh.get(spec) is None
         assert fresh.corrupt == 1
+
+    def test_undecodable_record_with_valid_checksum_is_recomputed(self, tmp_path):
+        """A line that passes its checksum but is not a record this version
+        can build (here: an unknown field) is corrupt, not a crash."""
+        sweep = small_sweep(trials=1)
+        SweepRunner(store=ResultStore(tmp_path)).run(sweep)
+        shard = sorted((tmp_path / "shards").glob("*.jsonl"))[0]
+        entries = [json.loads(line) for line in shard.read_text().splitlines()]
+        entries[0]["record"]["future_field"] = 1
+        entries[0]["checksum"] = ResultStore.record_checksum(entries[0]["record"])
+        shard.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+
+        fresh = ResultStore(tmp_path)
+        counting = CountingExecutor()
+        result = SweepRunner(store=fresh, executor=counting).run(sweep)
+        assert counting.executed == 1
+        assert fresh.corrupt == 1
+        assert result.records == [execute_run(spec) for spec in sweep.expand()]
 
     def test_garbage_shard_lines_are_counted_and_ignored(self, tmp_path):
         spec, record = self._store_one(tmp_path)
