@@ -1,24 +1,28 @@
-"""Block-solve benchmark — rational absorption systems one SCC at a time.
+"""Block-solve benchmark — absorption systems one SCC at a time.
 
 Every state-changing Circles interaction lowers the energy (Theorem 3.4), so
 the transient chain's strongly connected components are small plateaus and
-the pure-python backend of :func:`repro.exact.solve.solve_transient_systems`
-solves ``(I - Q)·x = b`` block by block over them.  The in-repo baseline is
-the whole-matrix solve it replaced: one :func:`~repro.exact.solve.gaussian_solve`
-over the full ``(I - Q)`` (the ``whole_matrix_solve`` fixture of the root
-``conftest.py``, shared with ``tests/exact/test_solve.py``).  Checks, over
-every golden case plus the tied circles ``k = 3`` input, all in exact
-rationals:
+:func:`repro.exact.solve.solve_transient_systems` solves ``(I - Q)·x = b``
+block by block over them, in both arithmetics.  The in-repo rational
+baseline is the whole-matrix solve it replaced: one
+:func:`~repro.exact.solve.gaussian_solve` over the full ``(I - Q)`` (the
+``whole_matrix_solve`` fixture of the root ``conftest.py``, shared with
+``tests/exact/test_solve.py``).  Checks:
 
-* smoke (default suite): on every system the tied input solves, the block
-  solve returns the same ``Fraction`` values as the whole-matrix solve (the
-  golden cases are pinned byte for byte by
-  ``tests/integration/test_exact_golden.py``);
-* ``--perf``: the suite runs at least **5× faster** with the block solve than
-  with the whole-matrix baseline (the whole-matrix solve dominates it at the
-  parent commit), recorded in ``BENCH_results.json``.
+* smoke (default suite): on every system the tied circles ``k = 3`` input
+  solves, the block solve returns the same ``Fraction`` values as the
+  whole-matrix solve (the golden cases are pinned byte for byte by
+  ``tests/integration/test_exact_golden.py``), and the float block solve
+  equals those rationals within ``rel_tol = 1e-12``;
+* ``--perf``: over every golden case plus the tied input, the rational suite
+  runs at least **5× faster** with the block solve than with the
+  whole-matrix baseline; and the float hitting analysis of the unquotiented
+  circles ``k = 3`` input ``(0⁴, 1³, 2³)`` (14635 transient states) finishes
+  in at most 15 s, against the ~97 s the whole-matrix float solves took.
+  Both are recorded in ``BENCH_results.json``.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -26,15 +30,26 @@ import pytest
 
 import repro  # noqa: F401  (populates the protocol registry)
 import repro.exact.absorption as absorption
-from repro.exact import ExactMarkovEngine
+from repro.exact import ExactMarkovEngine, exact_expected_convergence
 from repro.exact.golden import GOLDEN_CASES, case_criterion
 from repro.exact.solve import solve_transient_systems
 from repro.protocols.registry import get_protocol
+from repro.simulation.convergence import StableCircles
 
 #: The tied circles k=3 input: 192 orbits, a 156-state transient system
 #: whose largest component has 11 states.
 TIED_K3 = ("circles", 3, (0, 0, 1, 1, 2, 2))
 CASES = (*GOLDEN_CASES, TIED_K3)
+
+#: The float workload: circles k=3 ``(0⁴, 1³, 2³)`` without the quotient,
+#: whose hitting system has 14635 transient states.
+FLOAT_K3 = (0, 0, 0, 0, 1, 1, 1, 2, 2, 2)
+
+#: Seconds the float hitting analysis of :data:`FLOAT_K3` took with the
+#: whole-matrix float solves (numpy dense LU up to 1500 states, scipy sparse
+#: LU past it, size cap lifted) that the block solve replaced, measured on a
+#: 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6, scipy 1.17.1).
+WHOLE_MATRIX_FLOAT_SECONDS = 97.2
 
 
 def _suite_time(cases=CASES) -> float:
@@ -47,8 +62,8 @@ def _suite_time(cases=CASES) -> float:
     return time.perf_counter() - start
 
 
-def test_block_solve_matches_the_whole_matrix_solve(monkeypatch, whole_matrix_solve):
-    """Smoke (default suite): identical Fractions on every system of the tied input."""
+def _tied_systems(monkeypatch):
+    """Every ``(rows, transient, rhs_columns, solved)`` the tied input solves."""
     systems = []
 
     def recording(rows, transient, rhs_columns, **kwargs):
@@ -59,9 +74,25 @@ def test_block_solve_matches_the_whole_matrix_solve(monkeypatch, whole_matrix_so
     monkeypatch.setattr(absorption, "solve_transient_systems", recording)
     _suite_time([TIED_K3])
     assert systems
-    for rows, transient, rhs_columns, solved in systems:
+    return systems
+
+
+def test_block_solve_matches_the_whole_matrix_solve(monkeypatch, whole_matrix_solve):
+    """Smoke (default suite): identical Fractions on every system of the tied input."""
+    for rows, transient, rhs_columns, solved in _tied_systems(monkeypatch):
         assert all(isinstance(value, Fraction) for column in solved for value in column)
         assert solved == whole_matrix_solve(rows, transient, rhs_columns, exact=True)
+
+
+def test_float_block_solve_matches_the_rational_solve(monkeypatch):
+    """Smoke (default suite): float block solve ≈ rationals on every tied system."""
+    for rows, transient, rhs_columns, solved in _tied_systems(monkeypatch):
+        float_rows = [{target: float(p) for target, p in row.items()} for row in rows]
+        float_rhs = [[float(value) for value in column] for column in rhs_columns]
+        floats = solve_transient_systems(float_rows, transient, float_rhs, exact=False)
+        for float_column, exact_column in zip(floats, solved):
+            for a, b in zip(float_column, exact_column):
+                assert math.isclose(a, float(b), rel_tol=1e-12, abs_tol=1e-15), (a, b)
 
 
 @pytest.mark.perf
@@ -88,3 +119,28 @@ def test_block_solve_speeds_up_the_rational_suite(
         f"block solve only {whole_time / block_time:.1f}x faster "
         f"({block_time:.2f}s vs {whole_time:.2f}s)"
     )
+
+
+@pytest.mark.perf
+def test_float_block_solve_of_the_unquotiented_k3_input(record_perf):
+    """≤ 15 s for the float hitting analysis of circles k=3 ``(0⁴, 1³, 2³)``."""
+    start = time.perf_counter()
+    expected = exact_expected_convergence(
+        get_protocol("circles", 3), FLOAT_K3, StableCircles(), quotient=False
+    )
+    seconds = time.perf_counter() - start
+    assert expected is not None
+    print(
+        f"\nfloat hitting analysis, circles k=3 {FLOAT_K3}, quotient off: "
+        f"E = {expected:.6f} in {seconds:.2f}s "
+        f"(whole-matrix float solves: {WHOLE_MATRIX_FLOAT_SECONDS:.1f}s)"
+    )
+    record_perf(
+        "exact-float-block-solve",
+        n=len(FLOAT_K3),
+        engine="exact",
+        seconds=seconds,
+        speedup=WHOLE_MATRIX_FLOAT_SECONDS / seconds,
+        baseline_seconds=WHOLE_MATRIX_FLOAT_SECONDS,
+    )
+    assert seconds <= 15.0, f"float block solve took {seconds:.2f}s (> 15s)"

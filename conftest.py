@@ -68,7 +68,7 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip_perf)
 
 
-def _whole_matrix_solve(rows, transient, rhs_columns, *, exact=True, max_transient=None):
+def _whole_matrix_solve(rows, transient, rhs_columns, *, exact=True):
     """``solve_transient_systems`` as one rational elimination over ``(I - Q)``."""
     from repro.exact.solve import gaussian_solve
 

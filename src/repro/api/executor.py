@@ -287,7 +287,6 @@ def exact_anchor_value(spec: RunSpec, metric: str) -> float | None:
         exact_correctness_probability,
         exact_expected_convergence,
     )
-    from repro.exact.solve import practical_max_transient
 
     colors = resolve_workload(spec)
     protocol = get_protocol(spec.protocol, spec.k, **dict(spec.protocol_params))
@@ -307,7 +306,6 @@ def exact_anchor_value(spec: RunSpec, metric: str) -> float | None:
             colors,
             criterion,
             max_configurations=EXACT_ANCHOR_MAX_CONFIGURATIONS,
-            max_transient=practical_max_transient(),
         )
     except (ChainTooLarge, SolveTooLarge):
         return None

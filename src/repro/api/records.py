@@ -30,11 +30,13 @@ from repro.utils.atomic import atomic_write_text
 #: Which generation of the engines' sampling code produced a record.  A record
 #: is a pure function of its spec *and* of that code: a change that samples
 #: the same law through different draws (such as the batch engine's sparse
-#: regime) changes what :func:`~repro.api.executor.execute_run` returns for an
-#: unchanged spec.  The result store writes the epoch on every line and never
-#: serves a line of another epoch.  Bump it with every such change; spec SHAs
-#: and derived seeds stay as they are.
-RECORD_EPOCH = 1
+#: regime), or that solves the same system in a different float order (such
+#: as the exact engine's block-by-block solve, epoch 2), changes what
+#: :func:`~repro.api.executor.execute_run` returns for an unchanged spec.
+#: The result store writes the epoch on every line and never serves a line
+#: of another epoch.  Bump it with every such change; spec SHAs and derived
+#: seeds stay as they are.
+RECORD_EPOCH = 2
 
 
 @dataclass(frozen=True)

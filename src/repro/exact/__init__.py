@@ -11,8 +11,8 @@ it —
   distributions after ``t`` interactions;
 * :func:`analyze_absorption` / :func:`hitting_analysis` — stable (closed)
   classes, absorption probabilities, and exact expected interactions to
-  convergence via the fundamental-matrix solve (numpy-accelerated with a
-  pure-python fallback, see :mod:`repro.exact.solve`);
+  convergence via the fundamental-matrix solve, one strongly connected
+  component at a time (see :mod:`repro.exact.solve`);
 * :class:`ExactMarkovEngine` — the fourth registry engine
   (``get_engine("exact")``), producing a :class:`DistributionResult` that
   rides through ``RunSpec`` sweeps and ``RunRecord`` JSON;
@@ -23,8 +23,8 @@ it —
 
 The exact engine is ground truth, not a fast path: cost grows with the
 reachable configuration count (capped, :class:`ChainTooLarge`) and with the
-transient configurations the fundamental-matrix solve runs over (capped,
-:class:`SolveTooLarge`).
+largest strongly connected component of the transient chain the
+fundamental-matrix solve eliminates (capped, :class:`SolveTooLarge`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from repro.exact.chain import (
 from repro.exact.engine import ExactMarkovEngine
 from repro.exact.quotient import QuotientChain
 from repro.exact.result import DistributionResult, StableClassSummary
-from repro.exact.solve import DEFAULT_MAX_TRANSIENT, SolveTooLarge
+from repro.exact.solve import SolveTooLarge
 from repro.protocols.base import PopulationProtocol
 from repro.simulation.convergence import ConvergenceCriterion
 
@@ -56,7 +56,6 @@ __all__ = [
     "ChainTooLarge",
     "ConfigurationChain",
     "DEFAULT_MAX_CONFIGURATIONS",
-    "DEFAULT_MAX_TRANSIENT",
     "DistributionResult",
     "ExactMarkovEngine",
     "HittingAnalysis",
@@ -78,7 +77,6 @@ def exact_expected_convergence(
     criterion: ConvergenceCriterion | None = None,
     *,
     max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
-    max_transient: int | None = DEFAULT_MAX_TRANSIENT,
     quotient: bool = True,
 ) -> float | None:
     """Exact expected interactions until convergence, or ``None``.
@@ -107,14 +105,13 @@ def exact_expected_convergence(
         protocol, colors, max_configurations=max_configurations
     )
     if criterion is None:
-        absorption = analyze_absorption(chain, max_transient=max_transient)
+        absorption = analyze_absorption(chain)
         return float(absorption.expected_interactions)
     hit = hitting_analysis(
         chain,
         lambda index: criterion.is_converged_configuration(
             protocol, chain.configuration(index)
         ),
-        max_transient=max_transient,
         expectation_only=True,
     )
     if not hit.almost_sure:

@@ -20,8 +20,8 @@ module computes, exactly:
   first holds.
 
 All quantities come back in the chain's arithmetic: exact ``Fraction`` in
-``"exact"`` mode, float64 otherwise (numpy-accelerated solves when
-available; see :mod:`repro.exact.solve`).
+``"exact"`` mode, float64 otherwise (both through the block-triangular
+solve of :mod:`repro.exact.solve`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from fractions import Fraction
 
 from repro.exact.chain import ConfigurationChain
 from repro.exact.solve import (
-    DEFAULT_MAX_TRANSIENT,
     Number,
     solve_transient_systems,
     strongly_connected_components,
@@ -89,11 +88,7 @@ class AbsorptionAnalysis:
         return None
 
 
-def analyze_absorption(
-    chain: ConfigurationChain,
-    *,
-    max_transient: int | None = DEFAULT_MAX_TRANSIENT,
-) -> AbsorptionAnalysis:
+def analyze_absorption(chain: ConfigurationChain) -> AbsorptionAnalysis:
     """Compute the full absorption picture of a chain.
 
     One fundamental-matrix solve with ``2 + #classes`` right-hand sides:
@@ -135,7 +130,6 @@ def analyze_absorption(
         transient,
         [ones, change, *class_columns],
         exact=exact,
-        max_transient=max_transient,
     )
     position = bisect_left(transient, initial)
     expected = solutions[0][position]
@@ -185,7 +179,6 @@ def hitting_analysis(
     chain: ConfigurationChain,
     predicate: Callable[[int], bool],
     *,
-    max_transient: int | None = DEFAULT_MAX_TRANSIENT,
     expectation_only: bool = False,
 ) -> HittingAnalysis:
     """Exact first-hitting analysis of ``{configurations where predicate holds}``.
@@ -289,7 +282,6 @@ def hitting_analysis(
         system,
         [hit_columns, ones, change],
         exact=exact,
-        max_transient=max_transient,
     )
     position = bisect_left(system, chain.initial_index)
     if almost_sure:

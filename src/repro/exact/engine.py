@@ -29,9 +29,10 @@ deliberate differences (it is an analytical engine, not a sampler):
 State-space limits: the chain is enumerated exhaustively, so the engine is
 for *small* populations (the cap raises
 :class:`~repro.exact.chain.ChainTooLarge`, and the fundamental-matrix solve
-is guarded by :class:`~repro.exact.solve.SolveTooLarge`).  That is the point:
-at small ``n`` it is ground truth the stochastic engines are conformance-
-tested against, not a fast path.
+raises :class:`~repro.exact.solve.SolveTooLarge` when the largest strongly
+connected component of the transient chain is past its cap).  That is the
+point: at small ``n`` it is ground truth the stochastic engines are
+conformance-tested against, not a fast path.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from repro.exact.result import (
     as_probability,
     rational_string,
 )
-from repro.exact.solve import DEFAULT_MAX_TRANSIENT
 from repro.protocols.base import PopulationProtocol
 from repro.simulation.base import SimulationEngine, TransitionObserver
 from repro.simulation.convergence import ConvergenceCriterion
@@ -90,7 +90,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
         compiled: bool | None = None,
         arithmetic: str = "float",
         max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
-        max_transient: int | None = DEFAULT_MAX_TRANSIENT,
         quotient: bool = True,
     ) -> None:
         self.protocol = protocol
@@ -102,7 +101,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
         self._compiled_flag = compiled
         self.arithmetic = arithmetic
         self.max_configurations = max_configurations
-        self.max_transient = max_transient
         #: Fold the chain by the input's color-symmetry stabilizer
         #: (:class:`~repro.exact.quotient.QuotientChain`).  On by default:
         #: with a trivial stabilizer the chain is bit-identical to the
@@ -240,7 +238,7 @@ class ExactMarkovEngine(SimulationEngine[State]):
         """
         self._validate_run_arguments(max_steps, check_interval)
         chain = self._chain_for(criterion)
-        absorption = analyze_absorption(chain, max_transient=self.max_transient)
+        absorption = analyze_absorption(chain)
         hitting: HittingAnalysis | None = None
         if criterion is not None:
             protocol = self.protocol
@@ -249,7 +247,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
                 lambda index: criterion.is_converged_configuration(
                     protocol, chain.configuration(index)
                 ),
-                max_transient=self.max_transient,
             )
         lifted = self._lifted_classes(chain, absorption)
         self.distribution_result = self._build_result(

@@ -6,36 +6,36 @@ interactions — is the solution of one linear system ``(I - Q)·x = b`` over
 the transient (or non-target) configurations, with a handful of right-hand
 sides sharing the same matrix (the classic fundamental-matrix solve).
 
-Three backends:
+One algorithm solves all of them, in both arithmetics: a block-triangular
+solve over the strongly connected components of ``Q``.  Every
+state-changing Circles interaction strictly lowers the energy (Theorem
+3.4), so the transient chain is nearly acyclic: its components are the
+small energy-neutral plateaus.  Components are solved successors first,
+with the already-known terms folded into each block's right-hand side, so
+the cost is cubic only in the largest component (11 states on the tied
+circles ``k = 3`` input, against 156 in the system) and memory is linear in
+the nonzeros of ``Q`` plus one dense block.
 
-* **scipy sparse LU** (float mode, when importable) — ``(I - Q)`` is sparse
-  (a configuration has ``O(d²)`` successors, not ``O(size)``), so past the
-  dense cap the system goes through ``scipy.sparse.linalg.splu``; this is
-  what lets fundamental-matrix solves keep up with the symmetry-quotiented
-  chains (:mod:`repro.exact.quotient`), which reach transient sets far
-  beyond the dense range.  Engaged only *above* :data:`DEFAULT_MAX_TRANSIENT`
-  so every result in the dense range stays bit-identical to the numpy path;
-* **numpy** (float mode, when importable) — one ``numpy.linalg.solve`` call
-  with all right-hand sides stacked, the fast path for the experiment
-  columns;
-* **pure python** — a block-triangular solve over the strongly connected
-  components of ``Q``, shared by the exact-rational mode
-  (``fractions.Fraction`` values stay ``Fraction`` throughout, so golden
-  results are exact) and by float mode on machines without numpy.  Every
-  state-changing Circles interaction strictly lowers the energy (Theorem
-  3.4), so the transient chain is nearly acyclic: its components are the
-  small energy-neutral plateaus.  Components are solved successors first —
-  a singleton is one division, a larger component one Gaussian elimination
-  over its own block — so the cost is cubic only in the largest component
-  (11 states on the tied circles ``k = 3`` input, against 156 in the
-  system).  Float elimination pivots on the max-magnitude column entry
-  (partial pivoting — near-singular blocks amplify roundoff under naive
-  pivoting); rational elimination takes the first nonzero pivot, which is
-  exact and skips ``Fraction`` magnitude comparisons.
+Two block kernels:
 
-Systems here are diagonally dominated by construction (rows of ``Q`` are
-substochastic), so partial pivoting is ample; callers cap the system size
-(:func:`practical_max_transient` is backend-aware) and degrade gracefully.
+* a **singleton** is one division by ``1 - q_ii``, in either arithmetic;
+* a **larger block** goes through ``numpy.linalg.solve`` in float mode when
+  numpy is importable, and through :func:`gaussian_solve` otherwise — always
+  in rational mode (``fractions.Fraction`` values stay ``Fraction``
+  throughout, so golden results are exact).  Float elimination pivots on
+  the max-magnitude column entry (partial pivoting — near-singular blocks
+  amplify roundoff under naive pivoting); rational elimination takes the
+  first nonzero pivot, which is exact and skips ``Fraction`` magnitude
+  comparisons.
+
+One cap: the solve refuses, with :class:`SolveTooLarge`, any system whose
+largest component exceeds :data:`NUMPY_MAX_COMPONENT` (float mode with
+numpy) or :data:`PURE_PYTHON_MAX_COMPONENT` (rational mode, or float
+without numpy).  It is checked right after the SCC pass, before any
+elimination, and it is the only cap: the cost depends on the largest
+component, not on the system, and the chain's own configuration cap
+already bounds the system.  A protocol whose whole system is one component
+(no energy argument) still meets it.  Callers degrade gracefully.
 """
 
 from __future__ import annotations
@@ -43,29 +43,21 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-#: Guard on the dense ``(I - Q)`` solve: cubic cost makes larger systems
-#: impractical, especially on the pure-python backend.  Callers that can
-#: degrade (the E6 exact column) treat a larger transient set like a
-#: too-large chain.  Also the crossover point past which float solves route
-#: through sparse LU when scipy is importable.
-DEFAULT_MAX_TRANSIENT = 1500
+#: The largest component a float solve takes on with numpy: one LAPACK
+#: factorization of a block this size runs in a fraction of a second.
+NUMPY_MAX_COMPONENT = 1500
 
-#: The cap with scipy's sparse LU available: ``(I - Q)`` factorizations stay
-#: interactive well past the dense range (the quotiented circles chains that
-#: motivate it run ~10⁴ transient configurations in seconds).
-SPARSE_MAX_TRANSIENT = 12000
-
-#: The pure-python cap: interpreted ``float`` elimination, cubic in the
-#: largest strongly connected component, which can be the whole system on
-#: protocols without an energy argument.
-PURE_PYTHON_MAX_TRANSIENT = 300
+#: The largest component an interpreted elimination takes on — rational
+#: mode, or float mode without numpy.  The cost is cubic in the block (a
+#: 496-state float block already takes seconds).
+PURE_PYTHON_MAX_COMPONENT = 300
 
 
 Number = Fraction | float
 
 
 class SolveTooLarge(RuntimeError):
-    """The transient system exceeded the caller's dense-solve cap."""
+    """The system's largest strongly connected component exceeded the solve cap."""
 
 
 def _numpy():
@@ -74,32 +66,6 @@ def _numpy():
     except ImportError:  # pragma: no cover - exercised on numpy-less CI only
         return None
     return numpy
-
-
-def _scipy_splu():
-    """``scipy.sparse.linalg.splu`` plus the csc constructor, or ``None``."""
-    try:
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-    except ImportError:  # pragma: no cover - exercised on scipy-less CI only
-        return None
-    return csc_matrix, splu
-
-
-def practical_max_transient() -> int:
-    """A float-solve cap matched to the best available backend, three ways.
-
-    scipy's sparse LU pushes the cap to :data:`SPARSE_MAX_TRANSIENT`; plain
-    numpy handles :data:`DEFAULT_MAX_TRANSIENT` densely; the pure-python
-    solve is interpreted code, cubic in the largest strongly connected
-    component, so opportunistic callers (the E6 exact column) cap at
-    :data:`PURE_PYTHON_MAX_TRANSIENT` and render "—" instead of stalling.
-    """
-    if _numpy() is None:
-        return PURE_PYTHON_MAX_TRANSIENT
-    if _scipy_splu() is None:
-        return DEFAULT_MAX_TRANSIENT
-    return SPARSE_MAX_TRANSIENT
 
 
 def gaussian_solve(
@@ -291,14 +257,20 @@ def strongly_connected_components(
 
 
 def solve_transient_systems(
-    rows: Sequence[dict[int, Fraction | float]],
+    rows: Sequence[dict[int, Number]],
     transient: Sequence[int],
-    rhs_columns: Sequence[Sequence[Fraction | float]],
+    rhs_columns: Sequence[Sequence[Number]],
     *,
     exact: bool,
-    max_transient: int | None = DEFAULT_MAX_TRANSIENT,
-) -> list[list[Fraction | float]]:
+) -> list[list[Number]]:
     """Solve ``(I - Q)·x = b`` over the ``transient`` configuration indices.
+
+    ``Q`` restricted to the system is block triangular once its strongly
+    connected components are ordered topologically, so each component's
+    unknowns depend only on its own block and on components it reaches.
+    :func:`strongly_connected_components` yields successors first; every
+    component is solved as soon as they are known, with the known terms
+    ``Σ q_ij·x_j`` folded into its right-hand side.
 
     Args:
         rows: the chain's sparse transition rows (global indices).
@@ -306,96 +278,19 @@ def solve_transient_systems(
             ``rows`` restricted to ``transient × transient``.
         rhs_columns: right-hand sides, one vector per requested solve, each
             indexed like ``transient``.
-        exact: True for ``Fraction`` arithmetic (pure-python backend), False
-            for float64 (numpy-accelerated when available).
-        max_transient: dense-size guard; ``None`` disables it.
+        exact: True for ``Fraction`` arithmetic, False for float64.
 
     Returns:
         One solution vector per right-hand side, indexed like ``transient``.
-    """
-    size = len(transient)
-    if max_transient is not None and size > max_transient:
-        raise SolveTooLarge(
-            f"transient system of size {size} exceeds the dense-solve cap of "
-            f"{max_transient}"
-        )
-    if size == 0:
-        return [[] for _ in rhs_columns]
-    local = {global_index: i for i, global_index in enumerate(transient)}
-    numpy = None if exact else _numpy()
-    if numpy is not None:
-        b = numpy.array(
-            [[float(value) for value in column] for column in rhs_columns],
-            dtype=numpy.float64,
-        ).T
-        # Past the dense range, factor sparsely: the dense path would need
-        # O(size²) memory and O(size³) time where (I - Q) has only O(size·d²)
-        # nonzeros.  The crossover sits exactly at the dense cap so every
-        # result a dense solve used to produce is still produced by it,
-        # bit for bit.
-        sparse = _scipy_splu() if size > DEFAULT_MAX_TRANSIENT else None
-        if sparse is not None:
-            csc_matrix, splu = sparse
-            entry_rows: list[int] = []
-            entry_cols: list[int] = []
-            entries: list[float] = []
-            for i, global_index in enumerate(transient):
-                diagonal = 1.0
-                for target, probability in rows[global_index].items():
-                    j = local.get(target)
-                    if j is None:
-                        continue
-                    if j == i:
-                        diagonal -= float(probability)
-                    else:
-                        entry_rows.append(i)
-                        entry_cols.append(j)
-                        entries.append(-float(probability))
-                entry_rows.append(i)
-                entry_cols.append(i)
-                entries.append(diagonal)
-            a_sparse = csc_matrix(
-                (entries, (entry_rows, entry_cols)), shape=(size, size)
-            )
-            solved = splu(a_sparse).solve(b)
-            return [
-                [float(solved[i, c]) for i in range(size)]
-                for c in range(len(rhs_columns))
-            ]
-        a = numpy.zeros((size, size), dtype=numpy.float64)
-        for i, global_index in enumerate(transient):
-            a[i, i] = 1.0
-            for target, probability in rows[global_index].items():
-                j = local.get(target)
-                if j is not None:
-                    a[i, j] -= float(probability)
-        solved = numpy.linalg.solve(a, b)
-        return [[float(solved[i, c]) for i in range(size)] for c in range(len(rhs_columns))]
-    return _block_triangular_solve(rows, transient, local, rhs_columns, exact=exact)
 
-
-def _block_triangular_solve(
-    rows: Sequence[dict[int, Number]],
-    transient: Sequence[int],
-    local: dict[int, int],
-    rhs_columns: Sequence[Sequence[Number]],
-    *,
-    exact: bool,
-) -> list[list[Number]]:
-    """The pure-python backend: solve ``(I - Q)·x = b`` one SCC at a time.
-
-    ``Q`` restricted to the system is block triangular once its strongly
-    connected components are ordered topologically, so each component's
-    unknowns depend only on its own block and on components it reaches.
-    :func:`strongly_connected_components` yields successors first; every
-    component is solved as soon as they are known, with the known terms
-    ``Σ q_ij·x_j`` folded into its right-hand side.  A singleton is one
-    division by ``1 - q_ii``; a larger component runs :func:`gaussian_solve`
-    on its own block only, so the cost is cubic in the largest component,
-    not in the system.
+    Raises:
+        SolveTooLarge: when the largest component exceeds the cap of the
+            kernel that would eliminate it (see the module docstring).
     """
     zero: Number = Fraction(0) if exact else 0.0
     one: Number = Fraction(1) if exact else 1.0
+    numpy = None if exact else _numpy()
+    local = {global_index: i for i, global_index in enumerate(transient)}
     restricted: list[dict[int, Number]] = []
     for global_index in transient:
         row: dict[int, Number] = {}
@@ -404,23 +299,30 @@ def _block_triangular_solve(
             if j is not None:
                 row[j] = probability
         restricted.append(row)
+    components = strongly_connected_components(restricted)
+    cap = PURE_PYTHON_MAX_COMPONENT if numpy is None else NUMPY_MAX_COMPONENT
+    largest = max(map(len, components), default=0)
+    if largest > cap:
+        raise SolveTooLarge(
+            f"a strongly connected component of {largest} states (system of "
+            f"{len(transient)}) exceeds the solve cap of {cap}"
+        )
     # Each column starts as b and is overwritten with x component by component.
     solutions = [list(column) for column in rhs_columns]
-    for component in strongly_connected_components(restricted):
+    for component in components:
+        size = len(component)
         position = {member: p for p, member in enumerate(component)}
-        matrix: list[list[Number]] = []
+        # (row, column, q) for every transition inside the component.
+        inside: list[tuple[int, int, Number]] = []
         block_rhs: list[list[Number]] = [[] for _ in solutions]
-        for member in component:
-            block_row = [zero] * len(component)
-            block_row[position[member]] = one
+        for i, member in enumerate(component):
             known: list[tuple[int, Number]] = []
             for j, probability in restricted[member].items():
                 p = position.get(j)
                 if p is None:
                     known.append((j, probability))
                 else:
-                    block_row[p] -= probability
-            matrix.append(block_row)
+                    inside.append((i, p, probability))
             for x, column in zip(solutions, block_rhs):
                 total = x[member]
                 for j, probability in known:
@@ -429,7 +331,24 @@ def _block_triangular_solve(
                     if x[j]:
                         total += probability * x[j]
                 column.append(total)
-        for x, solved in zip(solutions, gaussian_solve(matrix, block_rhs, exact=exact)):
-            for member, value in zip(component, solved):
+        if size == 1:
+            diagonal = one - inside[0][2] if inside else one
+            solved = [[column[0] / diagonal] for column in block_rhs]
+        elif numpy is not None:
+            # Filled in place: a block near the cap is millions of entries,
+            # too many to build as Python lists first.
+            a = numpy.identity(size)
+            for i, p, probability in inside:
+                a[i, p] -= probability
+            solved = numpy.linalg.solve(a, numpy.array(block_rhs).T).T.tolist()
+        else:
+            matrix = [[zero] * size for _ in range(size)]
+            for i in range(size):
+                matrix[i][i] = one
+            for i, p, probability in inside:
+                matrix[i][p] -= probability
+            solved = gaussian_solve(matrix, block_rhs, exact=exact)
+        for x, values in zip(solutions, solved):
+            for member, value in zip(component, values):
                 x[member] = value
     return solutions

@@ -38,7 +38,6 @@ from repro.api.spec import SweepSpec
 from repro.api.stopping import StoppingRule
 from repro.core.circles import CirclesProtocol
 from repro.exact import ChainTooLarge, SolveTooLarge, exact_correctness_probability
-from repro.exact.solve import practical_max_transient
 from repro.experiments.harness import EXACT_INFEASIBLE, ExperimentResult
 
 
@@ -55,9 +54,7 @@ def model_check_rows(inputs: Iterable[tuple[int, ...]]) -> list[tuple[object, ..
         protocol = CirclesProtocol(k)
         verdict = verify_always_correct(protocol, colors)
         try:
-            probability = exact_correctness_probability(
-                protocol, colors, max_transient=practical_max_transient()
-            )
+            probability = exact_correctness_probability(protocol, colors)
         except (ChainTooLarge, SolveTooLarge):
             # The model checker tolerates larger inputs (its own cap merely
             # truncates); keep its verdict and degrade only the exact cell.

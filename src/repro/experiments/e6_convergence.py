@@ -53,7 +53,6 @@ from repro.api.executor import resolve_workload, run_sweep
 from repro.api.spec import SweepSpec, derive_seed
 from repro.api.stopping import StoppingRule
 from repro.exact import ChainTooLarge, SolveTooLarge, exact_expected_convergence
-from repro.exact.solve import practical_max_transient
 from repro.protocols.registry import get_protocol
 from repro.simulation.convergence import OutputConsensus, StableCircles
 from repro.experiments.harness import (
@@ -90,7 +89,6 @@ def exact_expected_cell(protocol_name: str, k: int, colors: list[int]) -> str:
             colors,
             criterion,
             max_configurations=EXACT_MAX_CONFIGURATIONS,
-            max_transient=practical_max_transient(),
         )
     except (ChainTooLarge, SolveTooLarge):
         return EXACT_INFEASIBLE

@@ -269,3 +269,28 @@ class TestExactAnchor:
         spec = RunSpec(protocol="circles", n=5, k=2, seed=1, workload_seed=3)
         expected = exact_anchor_value(spec, "steps")
         assert expected is not None and expected > 0.0
+
+    def test_both_anchors_share_one_solve_cap(self):
+        # E6's approximate-majority k=2 n=64 planted-majority cell: its
+        # transient system has 2142 states, and its largest strongly
+        # connected component 2016 — past the 1500-state component cap.
+        # Both metrics hit the same cap, so neither anchors (the expected
+        # steps once did, under a separate, larger whole-system cap).
+        from repro.api.executor import EXACT_ANCHOR_MAX_CONFIGURATIONS, resolve_workload
+        from repro.exact import SolveTooLarge, exact_expected_convergence
+        from repro.experiments.e6_convergence import sweep_specs
+        from repro.protocols.registry import get_protocol
+        from repro.simulation.convergence import OutputConsensus
+
+        [sweep] = sweep_specs(populations=(64,), ks=(2,))
+        [cell] = [c for c in sweep.expand_cells() if c.protocol == "approximate-majority"]
+        spec = cell.spec(0)
+        assert exact_anchor_value(spec, "correct") is None
+        assert exact_anchor_value(spec, "steps") is None
+        with pytest.raises(SolveTooLarge, match="2016 states"):
+            exact_expected_convergence(
+                get_protocol("approximate-majority", 2),
+                resolve_workload(spec),
+                OutputConsensus(),
+                max_configurations=EXACT_ANCHOR_MAX_CONFIGURATIONS,
+            )

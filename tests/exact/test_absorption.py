@@ -14,6 +14,7 @@ from repro.exact import (
     hitting_analysis,
     strongly_connected_components,
 )
+from repro.exact import solve as solve_module
 from repro.exact.solve import gaussian_solve, solve_transient_systems
 from repro.protocols.approximate_majority import ApproximateMajorityProtocol
 from repro.simulation.convergence import OutputConsensus, StableCircles
@@ -71,10 +72,13 @@ class TestSolvers:
         for a, b in zip(via_numpy[0], via_python[0]):
             assert math.isclose(a, float(b), rel_tol=1e-12)
 
-    def test_solve_cap_enforced(self):
-        rows = [{0: 1.0} for _ in range(5)]
+    def test_solve_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(solve_module, "NUMPY_MAX_COMPONENT", 1)
+        monkeypatch.setattr(solve_module, "PURE_PYTHON_MAX_COMPONENT", 1)
+        # States 0 and 1 form one two-state component.
+        rows = [{1: 0.5, 2: 0.5}, {0: 0.5, 2: 0.5}, {2: 1.0}]
         with pytest.raises(SolveTooLarge):
-            solve_transient_systems(rows, [0, 1, 2], [[1.0] * 3], exact=False, max_transient=2)
+            solve_transient_systems(rows, [0, 1], [[1.0] * 2], exact=False)
 
     def test_empty_system(self):
         assert solve_transient_systems([], [], [[], []], exact=False) == [[], []]

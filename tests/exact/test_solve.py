@@ -1,4 +1,4 @@
-"""Tests for the linear-solve backends behind the exact analyses."""
+"""Tests for the block-triangular linear solve behind the exact analyses."""
 
 import math
 import random
@@ -8,12 +8,10 @@ import pytest
 
 from repro.exact import solve as solve_module
 from repro.exact.solve import (
-    DEFAULT_MAX_TRANSIENT,
-    PURE_PYTHON_MAX_TRANSIENT,
-    SPARSE_MAX_TRANSIENT,
+    NUMPY_MAX_COMPONENT,
+    PURE_PYTHON_MAX_COMPONENT,
     SolveTooLarge,
     gaussian_solve,
-    practical_max_transient,
     solve_transient_systems,
     strongly_connected_components,
 )
@@ -86,21 +84,6 @@ class TestTransientSystems:
         assert math.isclose(solution[0], 3.0, rel_tol=1e-12)
         assert math.isclose(solution[1], 2.0, rel_tol=1e-12)
 
-    def test_sparse_backend_matches_the_dense_solution(self, monkeypatch):
-        if solve_module._scipy_splu() is None:
-            pytest.skip("scipy not available")
-        dense = solve_transient_systems(
-            HITTING_ROWS, [0, 1], [[1.0, 1.0]], exact=False
-        )
-        # Drop the crossover to zero so the same tiny system routes through
-        # the sparse LU factorization.
-        monkeypatch.setattr(solve_module, "DEFAULT_MAX_TRANSIENT", 0)
-        sparse = solve_transient_systems(
-            HITTING_ROWS, [0, 1], [[1.0, 1.0]], exact=False
-        )
-        for dense_value, sparse_value in zip(dense[0], sparse[0]):
-            assert math.isclose(dense_value, sparse_value, rel_tol=1e-12)
-
     def test_exact_solution_is_rational_and_matches(self):
         rows = [
             {key: Fraction(value).limit_denominator() for key, value in row.items()}
@@ -111,29 +94,64 @@ class TestTransientSystems:
         )
         assert solution == [Fraction(3), Fraction(2)]
 
-    def test_cap_raises_and_none_disables_it(self):
-        with pytest.raises(SolveTooLarge):
-            solve_transient_systems(
-                HITTING_ROWS, [0, 1], [[1.0, 1.0]], exact=False, max_transient=1
-            )
-        [solution] = solve_transient_systems(
-            HITTING_ROWS, [0, 1], [[1.0, 1.0]], exact=False, max_transient=None
+
+def _cycles(cycle_sizes, exact=False):
+    """Transient cycles over one absorbing state: each cycle is one component.
+
+    Every state steps to the next state of its cycle (itself, in a cycle of
+    one) with probability 1/2 and into the absorbing state otherwise.
+    """
+    half = Fraction(1, 2) if exact else 0.5
+    total = sum(cycle_sizes)
+    rows: list[dict] = []
+    start = 0
+    for size in cycle_sizes:
+        for offset in range(size):
+            rows.append({start + (offset + 1) % size: half, total: half})
+        start += size
+    rows.append({total: 2 * half})
+    return rows, list(range(total))
+
+
+class TestComponentCap:
+    """One cap, on the largest strongly connected component, not the system."""
+
+    @pytest.fixture
+    def caps(self, monkeypatch):
+        monkeypatch.setattr(solve_module, "NUMPY_MAX_COMPONENT", 4)
+        monkeypatch.setattr(solve_module, "PURE_PYTHON_MAX_COMPONENT", 3)
+
+    @staticmethod
+    def _solve(rows, system, mode, monkeypatch):
+        if mode == "numpy":
+            if solve_module._numpy() is None:
+                pytest.skip("numpy not available")
+        elif mode == "float":
+            monkeypatch.setattr(solve_module, "_numpy", lambda: None)
+        exact = mode == "exact"
+        return solve_transient_systems(
+            rows, system, [[Fraction(1) if exact else 1.0] * len(system)], exact=exact
         )
-        assert math.isclose(solution[0], 3.0, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["numpy", "float", "exact"])
+    def test_a_system_past_the_cap_of_small_components_solves(self, caps, monkeypatch, mode):
+        rows, system = _cycles([3, 1, 2, 3, 3, 1], exact=mode == "exact")
+        [solution] = self._solve(rows, system, mode, monkeypatch)
+        assert len(system) > 4
+        assert all(value > 0 for value in solution)
 
-class TestPracticalCap:
-    def test_three_way_backend_awareness(self, monkeypatch):
-        monkeypatch.setattr(solve_module, "_numpy", lambda: None)
-        assert practical_max_transient() == PURE_PYTHON_MAX_TRANSIENT
-        monkeypatch.setattr(solve_module, "_numpy", lambda: object())
-        monkeypatch.setattr(solve_module, "_scipy_splu", lambda: None)
-        assert practical_max_transient() == DEFAULT_MAX_TRANSIENT
-        monkeypatch.setattr(solve_module, "_scipy_splu", lambda: object())
-        assert practical_max_transient() == SPARSE_MAX_TRANSIENT
+    @pytest.mark.parametrize(
+        "mode, cap", [("numpy", 4), ("float", 3), ("exact", 3)]
+    )
+    def test_one_component_past_the_cap_raises(self, caps, monkeypatch, mode, cap):
+        rows, system = _cycles([1, cap, 2], exact=mode == "exact")
+        self._solve(rows, system, mode, monkeypatch)
+        rows, system = _cycles([1, cap + 1, 2], exact=mode == "exact")
+        with pytest.raises(SolveTooLarge, match=f"{cap + 1} states"):
+            self._solve(rows, system, mode, monkeypatch)
 
-    def test_caps_are_ordered(self):
-        assert PURE_PYTHON_MAX_TRANSIENT < DEFAULT_MAX_TRANSIENT < SPARSE_MAX_TRANSIENT
+    def test_cap_values(self):
+        assert (PURE_PYTHON_MAX_COMPONENT, NUMPY_MAX_COMPONENT) == (300, 1500)
 
 
 def _random_chain(rng, size):
@@ -199,22 +217,26 @@ class TestBlockTriangularSolve:
         rng = random.Random(seed)
         rows, system = _random_chain(rng, rng.randint(2, 40))
         rhs = _random_rhs(rng, len(system))
-        block = solve_transient_systems(rows, system, rhs, exact=True, max_transient=None)
+        block = solve_transient_systems(rows, system, rhs, exact=True)
         assert block == whole_matrix_solve(rows, system, rhs)
         assert all(isinstance(value, Fraction) for column in block for value in column)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_numpy_less_float_solve_agrees_with_numpy(self, seed, monkeypatch):
-        if solve_module._numpy() is None:
+    @pytest.mark.parametrize("kernel", ["numpy", "pure"])
+    def test_float_block_solve_equals_the_rational_solve(self, seed, kernel, monkeypatch):
+        if kernel == "numpy" and solve_module._numpy() is None:
             pytest.skip("numpy not available")
+        if kernel == "pure":
+            monkeypatch.setattr(solve_module, "_numpy", lambda: None)
         rng = random.Random(seed)
         rows, system = _random_chain(rng, rng.randint(2, 40))
-        rows = [{target: float(p) for target, p in row.items()} for row in rows]
-        rhs = [[float(value) for value in column] for column in _random_rhs(rng, len(system))]
-        with_numpy = solve_transient_systems(rows, system, rhs, exact=False)
-        monkeypatch.setattr(solve_module, "_numpy", lambda: None)
-        pure = solve_transient_systems(rows, system, rhs, exact=False)
-        # abs_tol: where the exact solution is 0, LU leaves ~1e-18 residue.
-        for ours, theirs in zip(pure, with_numpy):
-            for a, b in zip(ours, theirs):
-                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15), (a, b)
+        rhs = _random_rhs(rng, len(system))
+        rational = solve_transient_systems(rows, system, rhs, exact=True)
+        float_rows = [{target: float(p) for target, p in row.items()} for row in rows]
+        float_rhs = [[float(value) for value in column] for column in rhs]
+        floats = solve_transient_systems(float_rows, system, float_rhs, exact=False)
+        # abs_tol: where the exact solution is 0, elimination leaves ~1e-18.
+        for ours, exact_column in zip(floats, rational):
+            for a, b in zip(ours, exact_column):
+                assert isinstance(a, float)
+                assert math.isclose(a, float(b), rel_tol=1e-12, abs_tol=1e-15), (a, b)

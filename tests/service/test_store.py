@@ -255,3 +255,28 @@ class TestRecordEpoch:
         assert counting.executed == len(sweep)
         assert fresh.stale == len(sweep) and fresh.corrupt == 0
         assert result.records == [execute_run(spec) for spec in sweep.expand()]
+
+    def test_epoch_one_exact_record_is_stale_and_recomputed(self, tmp_path):
+        # Epoch 2 moved the exact engine's float solve to block-by-block
+        # order; an epoch-1 exact record may differ in the last bits.
+        sweep = SweepSpec(
+            protocols=("circles",), populations=(6,), ks=(3,), engines=("exact",),
+            trials=1, seed=5, max_steps_quadratic=200,
+        )
+        [spec] = sweep.expand()
+        record = execute_run(spec)
+        assert "exact" in record.extras
+        ResultStore(tmp_path).put(spec, record)
+        [shard] = list((tmp_path / "shards").glob("*.jsonl"))
+        [entry] = [json.loads(line) for line in shard.read_text().splitlines()]
+        entry["epoch"] = 1
+        shard.write_text(json.dumps(entry) + "\n")
+
+        fresh = ResultStore(tmp_path)
+        assert fresh.get(spec) is None
+        assert (fresh.stale, fresh.corrupt) == (1, 0)
+        counting = CountingExecutor()
+        result = SweepRunner(store=fresh, executor=counting).run(sweep)
+        assert counting.executed == 1
+        assert result.records == [record]
+        assert ResultStore(tmp_path).get(spec) == record
