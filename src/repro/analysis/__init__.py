@@ -2,11 +2,9 @@
 
 * :mod:`repro.analysis.state_complexity` — declared and reachable state
   counts of every protocol (experiment E1).
-* :mod:`repro.analysis.reachability` — exhaustive exploration of the
-  configuration space for small populations; the basis of the always-
-  correctness model checking (experiment E3).
-* :mod:`repro.analysis.verification` — the correctness verdicts built on
-  reachability: does every fair execution stabilize to the right output?
+* :mod:`repro.analysis.verification` — exhaustive always-correctness model
+  checking for small populations (experiment E3): a closed-class query on
+  the configuration graph of :class:`repro.exact.chain.ConfigurationChain`.
 * :mod:`repro.analysis.statistics` — the small statistics toolkit
   (means, quantiles, confidence intervals) used by the benchmark reports.
 """
@@ -18,7 +16,6 @@ from repro.analysis.state_complexity import (
     reachable_states,
     state_complexity_report,
 )
-from repro.analysis.reachability import ReachabilityResult, explore_configurations
 from repro.analysis.verification import VerificationResult, verify_always_correct
 from repro.analysis.statistics import SummaryStats, confidence_interval, summarize
 
@@ -28,8 +25,6 @@ __all__ = [
     "exact_reachable_count",
     "reachable_states",
     "state_complexity_report",
-    "ReachabilityResult",
-    "explore_configurations",
     "VerificationResult",
     "verify_always_correct",
     "SummaryStats",

@@ -5,17 +5,27 @@ with a unique relative majority and every weakly fair interaction sequence,
 all agents eventually output the majority color forever (Theorem 3.7).
 
 For small populations the claim can be checked mechanically on the
-configuration graph.  The check implemented here is the standard
-stabilization check used for population protocols under *global* fairness:
+configuration graph — the :class:`~repro.exact.chain.ConfigurationChain` of
+the input, whose edges are the configuration-changing interactions.  A
+configuration is **correct** when every agent outputs the majority color.
+The standard stabilization check under *global* fairness asks that from
+every reachable configuration some *correct-closed* configuration (one
+whose every successor is again correct) stays reachable.  On a finite graph
+that is a closed-class query:
 
-1. explore every configuration reachable from the input;
-2. call a configuration **correct** when every agent outputs the majority
-   color, and **correct-closed** when every configuration reachable from it
-   is correct (once entered, the answer can never be wrong again);
-3. the protocol *stabilizes correctly* when from **every** reachable
-   configuration some correct-closed configuration remains reachable, and no
-   reachable configuration is *incorrect-closed* (a trap from which no
-   correct configuration is reachable).
+1. every configuration reaches some closed class (a bottom strongly
+   connected component), and a closed class is all a run ever sees again
+   once it enters one;
+2. a member of a closed class reaches exactly its class, so it is
+   correct-closed iff the whole class is correct;
+3. hence the protocol *stabilizes correctly* iff every closed class is all
+   correct, and it has an *incorrect trap* (a configuration from which no
+   correct configuration is reachable) iff some closed class contains no
+   correct configuration.
+
+:func:`repro.exact.absorption.closed_classes` finds the classes in linear
+time.  A graph past the configuration cap proves nothing either way, so a
+truncated check reports neither stabilization nor a trap.
 
 Global fairness implies weak fairness for the schedules it admits, so this
 check is a strong mechanical corroboration rather than a literal proof of the
@@ -30,13 +40,9 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
-from repro.analysis.reachability import (
-    ConfigKey,
-    ReachabilityResult,
-    explore_configurations,
-    key_to_multiset,
-)
 from repro.core.greedy_sets import predicted_majority
+from repro.exact.absorption import closed_classes
+from repro.exact.chain import ChainTooLarge, ConfigurationChain
 from repro.protocols.base import PopulationProtocol
 
 State = TypeVar("State", bound=Hashable)
@@ -64,35 +70,6 @@ class VerificationResult:
         )
 
 
-def _all_outputs_correct(
-    protocol: PopulationProtocol[State], key: ConfigKey, majority: int
-) -> bool:
-    configuration = key_to_multiset(key)
-    return all(protocol.output(state) == majority for state in configuration.support())
-
-
-def _correct_closed_set(
-    protocol: PopulationProtocol[State], graph: ReachabilityResult, majority: int
-) -> set[ConfigKey]:
-    """Configurations from which every reachable configuration is correct.
-
-    Computed as a greatest fixed point: start from all correct configurations
-    and repeatedly remove any whose successors include a configuration outside
-    the set.
-    """
-    closed = {
-        key for key in graph.configurations if _all_outputs_correct(protocol, key, majority)
-    }
-    changed = True
-    while changed:
-        changed = False
-        for key in list(closed):
-            if any(successor not in closed for successor in graph.successors(key)):
-                closed.discard(key)
-                changed = True
-    return closed
-
-
 def verify_always_correct(
     protocol: PopulationProtocol[State],
     colors: Sequence[int],
@@ -103,34 +80,39 @@ def verify_always_correct(
     Args:
         protocol: the protocol to verify.
         colors: an input assignment with a unique relative majority.
-        max_configurations: exploration cap; a truncated exploration yields a
-            non-verified result rather than a wrong one.
+        max_configurations: exploration cap; past it the result is
+            ``truncated`` with ``num_configurations == max_configurations``
+            and neither flag set — non-verified rather than wrong.
 
     Raises:
         ValueError: when the input has no unique majority.
     """
     majority = predicted_majority(colors)
-    graph = explore_configurations(protocol, colors, max_configurations=max_configurations)
-    closed = _correct_closed_set(protocol, graph, majority)
-
-    always_reaches_correct = True
-    has_trap = False
-    for key in graph.configurations:
-        reachable = graph.reachable_from(key)
-        if not (reachable & closed):
-            always_reaches_correct = False
-            # A configuration from which no correct configuration is reachable
-            # at all is a hard trap (stronger failure than mere non-closure).
-            if not any(
-                _all_outputs_correct(protocol, other, majority) for other in reachable
-            ):
-                has_trap = True
+    try:
+        chain = ConfigurationChain.from_colors(
+            protocol, colors, max_configurations=max_configurations
+        )
+    except ChainTooLarge:
+        return VerificationResult(
+            protocol_name=protocol.name,
+            colors=tuple(colors),
+            majority=majority,
+            num_configurations=max_configurations,
+            always_stabilizes_correctly=False,
+            has_incorrect_trap=False,
+            truncated=True,
+        )
+    correct = ((majority, chain.num_agents),)
+    class_correct = [
+        [chain.output_key(member) == correct for member in members]
+        for members in closed_classes(chain.rows)
+    ]
     return VerificationResult(
         protocol_name=protocol.name,
         colors=tuple(colors),
         majority=majority,
-        num_configurations=graph.num_configurations,
-        always_stabilizes_correctly=always_reaches_correct,
-        has_incorrect_trap=has_trap,
-        truncated=graph.truncated,
+        num_configurations=chain.num_configurations,
+        always_stabilizes_correctly=all(all(flags) for flags in class_correct),
+        has_incorrect_trap=not all(any(flags) for flags in class_correct),
+        truncated=False,
     )

@@ -8,10 +8,11 @@ drawn uniformly among the ``n·(n-1)`` ordered pairs, so the pair of *states*
 ``C(p)·(C(p)-1) / (n·(n-1))`` for ``p = q``), after which ``δ`` rewrites the
 pair.  :class:`ConfigurationChain` materializes that chain exactly for one
 input: it enumerates every configuration reachable from the initial one
-(breadth-first, like :func:`repro.analysis.reachability.explore_configurations`,
-and sharing its canonical :data:`~repro.analysis.reachability.ConfigKey`
-representation) and stores one sparse row of transition probabilities per
-configuration.
+(breadth-first, interning each under its canonical :data:`ConfigKey`) and
+stores one sparse row of transition probabilities per configuration.  It is
+the repository's one configuration graph: the exact engine, the E3 model
+checker (:mod:`repro.analysis.verification`) and the verifier's lint probes
+all query it.
 
 Probabilities are either exact rationals (``fractions.Fraction``,
 ``arithmetic="exact"``) or float64 (``arithmetic="float"``, the default — it
@@ -33,18 +34,19 @@ from collections.abc import Hashable, Iterable
 from fractions import Fraction
 from typing import Generic, TypeVar
 
-from repro.analysis.reachability import ConfigKey, configuration_key, key_to_multiset
 from repro.compile import CompiledProtocol, StateSpaceCapExceeded, compile_from_states
 from repro.protocols.base import PopulationProtocol
 from repro.utils.multiset import Multiset
 
 State = TypeVar("State", bound=Hashable)
 
-#: Default cap on the number of enumerated configurations.  Unlike the
-#: explorer in :mod:`repro.analysis.reachability`, the chain cannot work with
-#: a truncated graph (probabilities out of missing rows would silently leak
-#: mass), so hitting the cap raises :class:`ChainTooLarge` instead of
-#: flagging partial results.
+#: A hashable snapshot of a configuration: its frozen ``(state, count)`` pairs.
+ConfigKey = frozenset
+
+#: Default cap on the number of enumerated configurations.  The chain cannot
+#: work with a truncated graph (probabilities out of missing rows would
+#: silently leak mass), so hitting the cap raises :class:`ChainTooLarge`
+#: instead of flagging partial results.
 DEFAULT_MAX_CONFIGURATIONS = 50_000
 
 #: The two probability representations a chain can carry.
@@ -53,6 +55,16 @@ ARITHMETICS = ("float", "exact")
 
 class ChainTooLarge(RuntimeError):
     """The reachable configuration space exceeded the caller's cap."""
+
+
+def configuration_key(configuration: Multiset[State]) -> ConfigKey:
+    """The canonical hashable form of a configuration."""
+    return configuration.frozen()
+
+
+def key_to_multiset(key: ConfigKey) -> Multiset[State]:
+    """Rebuild a configuration from its canonical form."""
+    return Multiset(dict(key))
 
 
 def expand_multiset(configuration: Multiset[State]) -> list[State]:

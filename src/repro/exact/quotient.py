@@ -62,13 +62,14 @@ from collections.abc import Hashable, Iterable
 from fractions import Fraction
 from typing import TYPE_CHECKING, Generic, TypeVar
 
-from repro.analysis.reachability import (
+from repro.compile import CompiledProtocol
+from repro.exact.chain import (
     ConfigKey,
+    ConfigurationChain,
     configuration_key,
     key_to_multiset,
-    successor_configurations,
 )
-from repro.exact.chain import ConfigurationChain
+from repro.protocols.base import PopulationProtocol
 from repro.utils.multiset import Multiset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoided at runtime
@@ -85,6 +86,45 @@ KeyRank = tuple[tuple[str, int], ...]
 def key_rank(key: ConfigKey) -> KeyRank:
     """The canonical sort rank of a configuration key."""
     return tuple(sorted((repr(state), count) for state, count in key))
+
+
+def successor_configurations(
+    protocol: PopulationProtocol[State],
+    configuration: Multiset[State],
+    compiled: CompiledProtocol[State] | None = None,
+) -> set[ConfigKey]:
+    """All configurations reachable in exactly one interaction (excluding self-loops).
+
+    The source transition relation :meth:`QuotientChain.lift_classes` walks.
+    When ``compiled`` is given (it must cover every state in the
+    configuration), transitions are flat-table lookups instead of Python
+    dispatch.
+    """
+    successors: set[ConfigKey] = set()
+    support = list(configuration.support())
+    for initiator in support:
+        for responder in support:
+            if initiator == responder and configuration.count(initiator) < 2:
+                continue
+            if compiled is not None:
+                a, b, changed = compiled.transition_codes(
+                    compiled.encode(initiator), compiled.encode(responder)
+                )
+                if not changed:
+                    continue
+                new_initiator, new_responder = compiled.decode(a), compiled.decode(b)
+            else:
+                result = protocol.transition(initiator, responder)
+                if not result.changed:
+                    continue
+                new_initiator, new_responder = result.initiator, result.responder
+            next_config = configuration.copy()
+            next_config.remove(initiator)
+            next_config.remove(responder)
+            next_config.add(new_initiator)
+            next_config.add(new_responder)
+            successors.add(configuration_key(next_config))
+    return successors
 
 
 class QuotientChain(ConfigurationChain[State], Generic[State]):

@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.analysis.reachability import explore_configurations
 from repro.exact.absorption import closed_classes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -165,24 +164,17 @@ def lint_compile_signature(protocol: "PopulationProtocol") -> list[Diagnostic]:
 
 
 def enabled_pairs(
-    protocol: "PopulationProtocol",
-    compiled: "CompiledProtocol",
-    colors: Sequence[int],
-    max_configurations: int,
-) -> set[tuple[int, int]] | None:
-    """Ordered state-code pairs co-realizable in some reachable configuration.
+    compiled: "CompiledProtocol", chain: "ConfigurationChain"
+) -> set[tuple[int, int]]:
+    """Ordered state-code pairs co-realizable in some configuration of a probe chain.
 
-    Returns None when exploration hit the configuration cap (the result
-    would under-approximate enabledness and poison the dead-transition
-    lint).
+    The chain holds the probe's whole reachable space (a space past the cap
+    raises :class:`~repro.exact.chain.ChainTooLarge` instead; the caller
+    then skips the lint, since a partial space would under-approximate
+    enabledness).
     """
-    result = explore_configurations(
-        protocol, colors, max_configurations=max_configurations
-    )
-    if result.truncated:
-        return None
     pairs: set[tuple[int, int]] = set()
-    for key in result.configurations:
+    for key in chain.keys:
         counts = {compiled.index[state]: count for state, count in key}
         codes = sorted(counts)
         for p in codes:

@@ -62,7 +62,6 @@ class VerifyOptions:
 
     max_states: int = DEFAULT_MAX_COMPILED_STATES
     max_chain_configurations: int = 30_000
-    max_reachability_configurations: int = 30_000
     max_symmetry_colors: int = DEFAULT_MAX_SYMMETRY_COLORS
     probe_agents: int = 5
     include_registry_workloads: bool = True
@@ -223,20 +222,7 @@ def verify_protocol(
     probe_summaries: list[dict] = []
     majority_verdicts: list[bool] = []
     enabled: set[tuple[int, int]] | None = set()
-    probes_used = 0
     for probe_name, colors in probes:
-        if enabled is not None:
-            probe_enabled = enabled_pairs(
-                protocol,
-                compiled,
-                colors,
-                options.max_reachability_configurations,
-            )
-            if probe_enabled is None:
-                enabled = None
-            else:
-                enabled |= probe_enabled
-                probes_used += 1
         try:
             chain = ConfigurationChain.from_colors(
                 protocol,
@@ -245,6 +231,7 @@ def verify_protocol(
                 max_configurations=options.max_chain_configurations,
             )
         except ChainTooLarge:
+            enabled = None
             probe_summaries.append(
                 {
                     "probe": probe_name,
@@ -253,6 +240,8 @@ def verify_protocol(
                 }
             )
             continue
+        if enabled is not None:
+            enabled |= enabled_pairs(compiled, chain)
         try:
             majority = predicted_majority(colors)
         except ValueError:
@@ -263,7 +252,7 @@ def verify_protocol(
         diagnostics.extend(lint_stable_classes(probe_name, summary))
         if summary["always_correct"] is not None:
             majority_verdicts.append(bool(summary["always_correct"]))
-    diagnostics.extend(lint_dead_transitions(compiled, enabled, probes_used))
+    diagnostics.extend(lint_dead_transitions(compiled, enabled, len(probes)))
 
     always_correct = all(majority_verdicts) if majority_verdicts else None
     if always_correct is False:

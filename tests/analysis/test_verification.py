@@ -37,6 +37,11 @@ class TestCirclesVerification:
         )
         assert verdict.truncated
         assert not verdict.verified
+        # A partial graph proves nothing either way: its unexplored frontier
+        # must not pass for a trap (Theorem 3.7 says none exists).
+        assert not verdict.always_stabilizes_correctly
+        assert not verdict.has_incorrect_trap
+        assert verdict.num_configurations == 2
 
 
 class TestBaselineVerification:

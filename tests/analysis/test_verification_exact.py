@@ -15,7 +15,10 @@ end up in, and a reachable non-correct closed class is precisely a
 configuration from which no correct-closed configuration is reachable.  The
 suite pins that equivalence on **every registry protocol** — including the
 heuristics where both sides must *fail* together — so neither analysis can
-silently drift.
+silently drift.  The checker's verdict is a closed-class query on the same
+chain, via the same :func:`repro.exact.absorption.closed_classes`; the
+independent oracle for it is the definition-literal reference checker of
+``test_verification_reference.py``.
 """
 
 import math
@@ -38,13 +41,6 @@ PROTOCOL_NAMES = DEFAULT_REGISTRY.names()
 #: configuration graph stays comfortably explorable.
 INPUTS = ((0, 0, 1), (0, 0, 0, 1, 1))
 
-#: Configuration cap on the exact analysis, which runs first.  The model
-#: checker's reachability pass is quadratic in the configuration count, so a
-#: graph past this cap is skipped rather than model-checked for minutes.
-#: Every registry case but one has at most ~100 configurations; the one is
-#: circles-unordered at n=5 (25136).
-MAX_CONFIGURATIONS = 5_000
-
 
 @pytest.mark.parametrize("protocol_name", PROTOCOL_NAMES)
 @pytest.mark.parametrize("colors", INPUTS, ids=lambda colors: f"n{len(colors)}")
@@ -56,12 +52,7 @@ def test_model_checker_agrees_with_exact_absorption(
     if max(colors) >= protocol.num_colors:
         pytest.skip(f"{protocol_name} instance has too few colors for {colors}")
     try:
-        # Exact analysis first: its caps fail fast on the one registry case
-        # (circles-unordered at n=5) whose configuration space is too large
-        # for the model checker, which would take minutes there.
-        probability = exact_correctness_probability(
-            protocol, colors, max_configurations=MAX_CONFIGURATIONS
-        )
+        probability = exact_correctness_probability(protocol, colors)
     except (ChainTooLarge, SolveTooLarge) as too_large:
         pytest.skip(f"{protocol_name} on {colors}: {too_large}")
     assert probability is not None

@@ -6,8 +6,18 @@ from fractions import Fraction
 import pytest
 
 from repro.core.circles import CirclesProtocol
+from repro.core.greedy_sets import predicted_stable_brakets
+from repro.core.invariants import braket_invariant_holds
 from repro.exact import ChainTooLarge, ConfigurationChain
+from repro.exact.chain import configuration_key, key_to_multiset
 from repro.protocols.exact_majority import ExactMajorityProtocol
+from repro.utils.multiset import Multiset
+
+
+class TestKeys:
+    def test_roundtrip(self):
+        config = Multiset(["a", "a", "b"])
+        assert key_to_multiset(configuration_key(config)) == config
 
 
 class TestConstruction:
@@ -99,6 +109,31 @@ class TestConstruction:
     def test_unknown_arithmetic_rejected(self):
         with pytest.raises(ValueError, match="arithmetic"):
             ConfigurationChain.from_colors(CirclesProtocol(2), (0, 1), arithmetic="decimal")
+
+
+class TestConfigurationGraph:
+    def test_every_configuration_keeps_the_braket_invariant(self):
+        """Lemma 3.3's conservation law holds across the whole reachable space."""
+        chain = ConfigurationChain.from_colors(CirclesProtocol(2), (0, 0, 1))
+        assert chain.num_configurations >= 2
+        for index in range(chain.num_configurations):
+            assert braket_invariant_holds(chain.states_of(index))
+
+    def test_terminal_configurations_are_silent(self):
+        chain = ConfigurationChain.from_colors(ExactMajorityProtocol(), (0, 0, 1))
+        terminals = [index for index, row in enumerate(chain.rows) if set(row) == {index}]
+        assert terminals
+        for index in terminals:
+            assert chain.change_probability[index] == 0
+
+    def test_stable_prediction_is_reachable(self):
+        colors = (0, 0, 1, 2)
+        chain = ConfigurationChain.from_colors(CirclesProtocol(3), colors)
+        predicted = predicted_stable_brakets(colors)
+        assert any(
+            Multiset(state.braket for state in chain.states_of(index)) == predicted
+            for index in range(chain.num_configurations)
+        ), "some reachable configuration realizes the Lemma 3.6 multiset"
 
 
 class TestDistributions:

@@ -21,8 +21,11 @@ from repro.exact import (
     SolveTooLarge,
     exact_expected_convergence,
 )
+from repro.exact.quotient import successor_configurations
+from repro.protocols.exact_majority import ExactMajorityProtocol
 from repro.protocols.registry import DEFAULT_REGISTRY, get_protocol
 from repro.simulation.convergence import OutputConsensus, StableCircles
+from repro.utils.multiset import Multiset
 
 #: A perfectly tied two-color input: its stabilizer contains the color swap.
 TIED = (0, 0, 1, 1)
@@ -31,6 +34,40 @@ TIED = (0, 0, 1, 1)
 #: huge reachable spaces (circles-unordered) skip fast instead of stalling
 #: the suite in rational arithmetic.
 MATRIX_CAP = 500
+
+
+class TestSuccessors:
+    """The source transition relation :meth:`QuotientChain.lift_classes` walks."""
+
+    def test_two_diagonals_have_one_successor(self):
+        protocol = CirclesProtocol(2)
+        config = Multiset([protocol.initial_state(0), protocol.initial_state(1)])
+        assert len(successor_configurations(protocol, config)) == 1
+
+    def test_same_state_pair_needs_two_copies(self):
+        protocol = ExactMajorityProtocol()
+        single = Multiset([protocol.initial_state(0), protocol.initial_state(1)])
+        # Only the cross pair can fire; the identical-state self pair must not be invented.
+        assert len(successor_configurations(protocol, single)) == 1
+
+    def test_silent_configuration_has_no_successors(self):
+        protocol = CirclesProtocol(2)
+        # Everyone identical: nothing can change.
+        config = Multiset([protocol.initial_state(1)] * 3)
+        assert successor_configurations(protocol, config) == set()
+
+    def test_compiled_and_dispatch_paths_agree(self):
+        chain = ConfigurationChain.from_colors(CirclesProtocol(3), (0, 0, 1, 2))
+        assert chain.compiled is not None
+        for index in range(chain.num_configurations):
+            configuration = chain.configuration(index)
+            successors = successor_configurations(
+                chain.protocol, configuration, compiled=chain.compiled
+            )
+            assert successors == successor_configurations(chain.protocol, configuration)
+            # The same edges the chain's rows carry, self-loops aside.
+            targets = {chain.index[key] for key in successors}
+            assert targets - {index} == set(chain.rows[index]) - {index}
 
 
 class TestStabilizer:

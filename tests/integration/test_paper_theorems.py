@@ -5,9 +5,10 @@ statement it checks, and the assertions follow the statement as literally as
 the simulation allows.
 """
 
+from collections import deque
+
 import pytest
 
-from repro.analysis.reachability import explore_configurations, key_to_multiset
 from repro.analysis.verification import verify_always_correct
 from repro.core.circles import CirclesProtocol
 from repro.core.greedy_sets import (
@@ -21,6 +22,7 @@ from repro.core.invariants import (
     is_stable_configuration,
 )
 from repro.core.potential import ordinal_potential
+from repro.exact.chain import ConfigurationChain
 from repro.simulation.runner import run_circles
 from repro.utils.multiset import Multiset
 from repro.workloads.distributions import planted_majority
@@ -37,25 +39,35 @@ class TestLemma32MajorityColor:
 
 class TestLemma33GlobalBraketInvariant:
     def test_invariant_holds_in_every_reachable_configuration(self):
-        protocol = CirclesProtocol(3)
-        graph = explore_configurations(protocol, (0, 0, 1, 2))
-        for key in graph.configurations:
-            assert braket_invariant_holds(list(key_to_multiset(key).elements()))
+        chain = ConfigurationChain.from_colors(CirclesProtocol(3), (0, 0, 1, 2))
+        for index in range(chain.num_configurations):
+            assert braket_invariant_holds(chain.states_of(index))
+
+
+def _reachable_from(chain: ConfigurationChain, start: int) -> set[int]:
+    """Every configuration index reachable from ``start`` along the chain's edges."""
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        for successor in chain.rows[frontier.popleft()]:
+            if successor not in seen:
+                seen.add(successor)
+                frontier.append(successor)
+    return seen
 
 
 class TestTheorem34Stabilization:
     def test_every_reachable_configuration_can_reach_stability(self):
         """Exchanges cannot go on forever: exchange-free configurations are reachable everywhere."""
         protocol = CirclesProtocol(3)
-        graph = explore_configurations(protocol, (0, 0, 1, 2))
-        for key in graph.configurations:
-            reachable = graph.reachable_from(key)
-            assert any(
-                is_stable_configuration(
-                    protocol, list(key_to_multiset(other).elements())
-                )
-                for other in reachable
-            )
+        chain = ConfigurationChain.from_colors(protocol, (0, 0, 1, 2))
+        stable = {
+            index
+            for index in range(chain.num_configurations)
+            if is_stable_configuration(protocol, chain.states_of(index))
+        }
+        for index in range(chain.num_configurations):
+            assert _reachable_from(chain, index) & stable
 
     def test_potential_bounds_the_number_of_exchanges(self):
         colors = planted_majority(20, 5, seed=3)
@@ -80,18 +92,15 @@ class TestLemma36StableStructure:
         protocol = CirclesProtocol(3)
         colors = (0, 0, 1, 2)
         prediction = predicted_stable_brakets(colors)
-        graph = explore_configurations(protocol, colors)
-        stable_keys = [
-            key
-            for key in graph.configurations
-            if is_stable_configuration(protocol, list(key_to_multiset(key).elements()))
+        chain = ConfigurationChain.from_colors(protocol, colors)
+        stable_configurations = [
+            chain.states_of(index)
+            for index in range(chain.num_configurations)
+            if is_stable_configuration(protocol, chain.states_of(index))
         ]
-        assert stable_keys, "stability must be reachable"
-        for key in stable_keys:
-            brakets = Multiset(
-                state.braket for state in key_to_multiset(key).elements()
-            )
-            assert brakets == prediction
+        assert stable_configurations, "stability must be reachable"
+        for states in stable_configurations:
+            assert Multiset(state.braket for state in states) == prediction
 
 
 class TestTheorem37Correctness:
