@@ -10,9 +10,9 @@ here, through registries:
   why scheduler construction is a registry of *builders* rather than bare
   classes;
 * **runners** — named run strategies.  The default ``"protocol"`` runner
-  resolves the protocol registry and dispatches to
-  :func:`~repro.simulation.runner.run_circles` /
-  :func:`~repro.simulation.runner.run_protocol`; experiments with bespoke
+  resolves the protocol registry and calls
+  :func:`~repro.simulation.runner.run_protocol`; a spec without a criterion
+  stops on the protocol's ``default_criterion()``.  Experiments with bespoke
   instrumentation (e.g. E2's per-exchange potential check) register their own
   runner so they stay spec-drivable.
 
@@ -39,8 +39,7 @@ from repro.api import aggregate as _aggregate
 from repro.api.records import RunRecord, SweepResult
 from repro.api.spec import RunSpec, SweepCell, SweepSpec, canonical_json, derive_seed
 from repro.api.stopping import StopDecision, StoppingRule
-from repro.core.circles import CirclesProtocol
-from repro.core.potential import configuration_energy, state_weights
+from repro.core.potential import configuration_energy
 from repro.protocols.base import PopulationProtocol
 from repro.protocols.registry import get_protocol
 from repro.scheduling.adversarial import GreedyStallScheduler, IsolationScheduler
@@ -56,13 +55,14 @@ from repro.simulation.convergence import (
 )
 from repro.simulation.registry import ENGINES
 from repro.simulation.runner import (
+    _input_energy,
     _true_majority,
     default_max_steps,
-    run_circles,
     run_protocol,
 )
 from repro.simulation.vector_engine import ReplicateOutcome, VectorReplicateSimulation
 from repro.utils.errors import unknown_name_error
+from repro.utils.multiset import Multiset
 from repro.workloads.registry import DEFAULT_WORKLOADS
 
 # --------------------------------------------------------------------------- #
@@ -184,10 +184,66 @@ def resolve_workload(spec: RunSpec) -> list[int]:
     )
 
 
-def _protocol_runner(spec: RunSpec) -> RunRecord:
-    """The default strategy: registry protocol + ``run_protocol``/``run_circles``."""
+def _plan(spec: RunSpec) -> tuple[list[int], PopulationProtocol, ConvergenceCriterion]:
+    """The colors, registry protocol and criterion (the spec's own, else the
+    protocol's ``default_criterion()``) every ``"protocol"``-runner path uses."""
     colors = resolve_workload(spec)
     protocol = get_protocol(spec.protocol, spec.k, **dict(spec.protocol_params))
+    criterion = (
+        build_criterion(spec.criterion)
+        if spec.criterion is not None
+        else protocol.default_criterion()
+    )
+    return colors, protocol, criterion
+
+
+def _record(
+    spec: RunSpec,
+    protocol: PopulationProtocol,
+    majority: int | None,
+    outcome: ReplicateOutcome,
+    initial_energy: int | None,
+    scheduler_name: str = "uniform-random",
+    correct: bool | None = None,
+    extras: dict | None = None,
+) -> RunRecord:
+    """The one :class:`RunRecord` assembler of the ``"protocol"`` runner and
+    of replicate groups, ``O(d)`` from the final configuration's counts.
+
+    ``correct`` overrides the verdict read off the final outputs: the exact
+    engine judges correctness on the whole distribution, not its modal outcome.
+    """
+    support_outputs = {protocol.output(state) for state in outcome.configuration.support()}
+    if correct is None:
+        correct = majority is not None and support_outputs == {majority}
+    return RunRecord(
+        spec=spec,
+        seed=spec.seed,
+        protocol_name=protocol.name,
+        num_agents=spec.n,
+        num_colors=protocol.num_colors,
+        engine=spec.engine,
+        scheduler_name=scheduler_name,
+        converged=outcome.converged,
+        correct=correct,
+        steps=outcome.steps,
+        interactions_changed=outcome.interactions_changed,
+        majority=majority,
+        unanimous=len(support_outputs) == 1,
+        ket_exchanges=outcome.ket_exchanges,
+        initial_energy=initial_energy,
+        final_energy=(
+            configuration_energy(outcome.configuration, protocol.num_colors)
+            if initial_energy is not None
+            else None
+        ),
+        extras=extras or {},
+    )
+
+
+def _protocol_runner(spec: RunSpec) -> RunRecord:
+    """The default strategy: the spec's run plan through ``run_protocol``."""
+    colors, protocol, criterion = _plan(spec)
     scheduler = None
     if spec.scheduler is not None:
         scheduler_seed = None if spec.seed is None else derive_seed(spec.seed, "scheduler")
@@ -198,31 +254,17 @@ def _protocol_runner(spec: RunSpec) -> RunRecord:
             protocol=protocol,
             **dict(spec.scheduler_params),
         )
-    if spec.protocol == "circles" and spec.criterion is None:
-        result = run_circles(
-            colors,
-            num_colors=spec.k,
-            scheduler=scheduler,
-            max_steps=spec.max_steps,
-            seed=spec.seed,
-            engine=spec.engine,
-            compiled=spec.compiled,
-            observers=spec.observers,
-            **{key: value for key, value in spec.protocol_params.items() if key == "variant"},
-        )
-    else:
-        criterion = build_criterion(spec.criterion) if spec.criterion is not None else None
-        result = run_protocol(
-            protocol,
-            colors,
-            scheduler=scheduler,
-            criterion=criterion,
-            max_steps=spec.max_steps,
-            seed=spec.seed,
-            engine=spec.engine,
-            compiled=spec.compiled,
-            observers=spec.observers,
-        )
+    result = run_protocol(
+        protocol,
+        colors,
+        scheduler=scheduler,
+        criterion=criterion,
+        max_steps=spec.max_steps,
+        seed=spec.seed,
+        engine=spec.engine,
+        compiled=spec.compiled,
+        observers=spec.observers,
+    )
     extras: dict[str, object] = {}
     if result.observer_summaries:
         extras["observers"] = result.observer_summaries
@@ -230,7 +272,23 @@ def _protocol_runner(spec: RunSpec) -> RunRecord:
         # The analytical engine's DistributionResult payload; JSON-native by
         # construction, so the record round trip stays lossless.
         extras["exact"] = result.exact
-    return RunRecord.from_result(spec, result, extras=extras)
+    outcome = ReplicateOutcome(
+        converged=result.converged,
+        steps=result.steps,
+        interactions_changed=result.interactions_changed,
+        ket_exchanges=result.ket_exchanges,
+        configuration=Multiset(result.final_states),
+    )
+    return _record(
+        spec,
+        protocol,
+        result.majority,
+        outcome,
+        result.initial_energy,
+        scheduler_name=result.scheduler_name,
+        correct=result.correct,
+        extras=extras,
+    )
 
 
 register_runner("protocol", _protocol_runner)
@@ -288,19 +346,12 @@ def exact_anchor_value(spec: RunSpec, metric: str) -> float | None:
         exact_expected_convergence,
     )
 
-    colors = resolve_workload(spec)
-    protocol = get_protocol(spec.protocol, spec.k, **dict(spec.protocol_params))
+    colors, protocol, criterion = _plan(spec)
     try:
         if metric == "correct":
             return exact_correctness_probability(
                 protocol, colors, max_configurations=EXACT_ANCHOR_MAX_CONFIGURATIONS
             )
-        if spec.criterion is not None:
-            criterion: ConvergenceCriterion = build_criterion(spec.criterion)
-        elif spec.protocol == "circles":
-            criterion = StableCircles()
-        else:
-            criterion = OutputConsensus()
         return exact_expected_convergence(
             protocol,
             colors,
@@ -353,56 +404,6 @@ def _replicate_groupable(spec: RunSpec) -> bool:
     )
 
 
-def _configuration_energy_counts(configuration, num_colors: int) -> int:
-    """``configuration_energy`` of a final configuration, ``O(d)`` not ``O(n)``."""
-    states = list(configuration.support())
-    weights = state_weights(states, num_colors)
-    return sum(configuration[state] * weight for state, weight in zip(states, weights))
-
-
-def _replicate_record(
-    spec: RunSpec,
-    outcome: ReplicateOutcome,
-    protocol: PopulationProtocol,
-    num_colors: int,
-    majority: int | None,
-    initial_energy: int | None,
-) -> RunRecord:
-    """One row's :class:`RunRecord`, matching :func:`execute_run` field by field.
-
-    Assembled from the row's final configuration (a multiset over ``d``
-    states) instead of a per-agent state list, so record assembly is
-    ``O(d)`` per row — per-row ``O(n)`` Python here would swallow the
-    group's vectorization win.
-    """
-    output = protocol.output
-    support_outputs = {output(state) for state in outcome.configuration.support()}
-    final_energy = (
-        _configuration_energy_counts(outcome.configuration, num_colors)
-        if initial_energy is not None
-        else None
-    )
-    return RunRecord(
-        spec=spec,
-        seed=spec.seed,
-        protocol_name=protocol.name,
-        num_agents=spec.n,
-        num_colors=num_colors,
-        engine=spec.engine,
-        scheduler_name="uniform-random",
-        converged=outcome.converged,
-        correct=majority is not None and support_outputs == {majority},
-        steps=outcome.steps,
-        interactions_changed=outcome.interactions_changed,
-        majority=majority,
-        unanimous=len(support_outputs) == 1,
-        ket_exchanges=outcome.ket_exchanges,
-        initial_energy=initial_energy,
-        final_energy=final_energy,
-        extras={},
-    )
-
-
 def execute_replicate_group(specs: Sequence[RunSpec]) -> list[RunRecord]:
     """Execute a replicate group in lockstep; records match serial execution.
 
@@ -440,46 +441,19 @@ def execute_replicate_group(specs: Sequence[RunSpec]) -> list[RunRecord]:
             "independent replicates"
         )
     spec = specs[0]
-    colors = resolve_workload(spec)
-    if spec.protocol == "circles" and spec.criterion is None:
-        # Mirrors the run_circles branch of _protocol_runner: StableCircles,
-        # ket-exchange counting, and the energy bookkeeping of Theorem 3.4.
-        num_colors = spec.k
-        protocol: PopulationProtocol = CirclesProtocol(
-            num_colors, variant=spec.protocol_params.get("variant")
-        )
-        criterion: ConvergenceCriterion = StableCircles()
-        count_ket = True
-        initial_energy = configuration_energy(
-            (protocol.initial_state(color) for color in colors), num_colors
-        )
-    else:
-        protocol = get_protocol(spec.protocol, spec.k, **dict(spec.protocol_params))
-        num_colors = protocol.num_colors
-        criterion = (
-            build_criterion(spec.criterion)
-            if spec.criterion is not None
-            else OutputConsensus()
-        )
-        count_ket = False
-        initial_energy = None
-    budget = (
-        spec.max_steps
-        if spec.max_steps is not None
-        else default_max_steps(len(colors), num_colors)
-    )
+    colors, protocol, criterion = _plan(spec)
+    budget = spec.max_steps
+    if budget is None:
+        budget = default_max_steps(len(colors), protocol.num_colors)
     group = VectorReplicateSimulation.replicate_group_from_colors(
-        protocol,
-        colors,
-        seeds,
-        compiled=spec.compiled,
-        count_ket_exchanges=count_ket,
+        protocol, colors, seeds, compiled=spec.compiled
     )
     outcomes = group.run(budget, criterion=criterion)
     majority = _true_majority(colors)
+    initial_energy = _input_energy(protocol, colors)
     return [
-        _replicate_record(s, outcome, protocol, num_colors, majority, initial_energy)
-        for s, outcome in zip(specs, outcomes)
+        _record(row, protocol, majority, outcome, initial_energy)
+        for row, outcome in zip(specs, outcomes)
     ]
 
 

@@ -24,19 +24,19 @@ from pathlib import Path
 
 from repro.api import aggregate as _aggregate
 from repro.api.spec import RunSpec, SweepSpec
-from repro.simulation.runner import RunResult
 from repro.utils.atomic import atomic_write_text
 
-#: Which generation of the engines' sampling code produced a record.  A record
-#: is a pure function of its spec *and* of that code: a change that samples
-#: the same law through different draws (such as the batch engine's sparse
-#: regime), or that solves the same system in a different float order (such
-#: as the exact engine's block-by-block solve, epoch 2), changes what
-#: :func:`~repro.api.executor.execute_run` returns for an unchanged spec.
-#: The result store writes the epoch on every line and never serves a line
-#: of another epoch.  Bump it with every such change; spec SHAs and derived
-#: seeds stay as they are.
-RECORD_EPOCH = 2
+#: Which generation of the run code produced a record.  A record is a pure
+#: function of its spec *and* of that code: a change that samples the same
+#: law through different draws (such as the batch engine's sparse regime),
+#: that solves the same system in a different float order (such as the exact
+#: engine's block-by-block solve, epoch 2), or that reports more of a run
+#: (Circles runs with an explicit criterion carry ket exchanges and energies,
+#: epoch 3) changes what :func:`~repro.api.executor.execute_run` returns for
+#: an unchanged spec.  The result store writes the epoch on every line and
+#: never serves a line of another epoch.  Bump it with every such change;
+#: spec SHAs and derived seeds stay as they are.
+RECORD_EPOCH = 3
 
 
 @dataclass(frozen=True)
@@ -64,34 +64,6 @@ class RunRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "extras", dict(self.extras))
-
-    @classmethod
-    def from_result(
-        cls,
-        spec: RunSpec,
-        result: RunResult,
-        extras: Mapping[str, Any] | None = None,
-    ) -> RunRecord:
-        """Snapshot a live :class:`RunResult` produced by executing ``spec``."""
-        return cls(
-            spec=spec,
-            seed=result.seed if result.seed is not None else spec.seed,
-            protocol_name=result.protocol_name,
-            num_agents=result.num_agents,
-            num_colors=result.num_colors,
-            engine=result.engine or spec.engine,
-            scheduler_name=result.scheduler_name,
-            converged=result.converged,
-            correct=result.correct,
-            steps=result.steps,
-            interactions_changed=result.interactions_changed,
-            majority=result.majority,
-            unanimous=result.unanimous,
-            ket_exchanges=result.ket_exchanges,
-            initial_energy=result.initial_energy,
-            final_energy=result.final_energy,
-            extras=dict(extras or {}),
-        )
 
     def exact_result(self):
         """The analytical :class:`~repro.exact.result.DistributionResult`.

@@ -127,8 +127,9 @@ class RunSpec:
     criterion: str | None = None
     max_steps: int | None = None
     #: Named run strategy (see ``repro.api.executor.register_runner``); the
-    #: default resolves the protocol registry and calls ``run_protocol`` /
-    #: ``run_circles``.
+    #: default resolves the protocol registry and calls ``run_protocol``,
+    #: which stops on the protocol's ``default_criterion()`` when
+    #: ``criterion`` is unset.
     runner: str = "protocol"
     #: Seed for the engine (and the scheduler, on the agent engine).
     seed: int | None = None

@@ -92,6 +92,12 @@ class CirclesProtocol(PopulationProtocol[CirclesState]):
             self.variant.output_rule,
         )
 
+    def default_criterion(self):
+        """``StableCircles``: the stable structure Theorem 3.7 reaches and keeps."""
+        from repro.simulation.convergence import StableCircles
+
+        return StableCircles()
+
     # -- protocol maps ---------------------------------------------------------
 
     def states(self) -> Iterator[CirclesState]:

@@ -20,6 +20,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from repro.core.braket import BraKet, braket_weight
 from repro.core.greedy_sets import predicted_stable_brakets
 from repro.core.state import CirclesState
+from repro.utils.multiset import Multiset
 from repro.utils.ordinal import Ordinal
 
 
@@ -51,8 +52,14 @@ def configuration_energy(brakets: Iterable[BraKet | CirclesState], num_colors: i
     This is the quantity the chemical analogy minimizes.  Unlike the ordinal
     potential it does not necessarily decrease at every single exchange under
     the MIN_WEIGHT rule, but it is minimized at the stable configurations
-    (experiment E5 measures this).
+    (experiment E5 measures this).  A :class:`Multiset` is summed from its
+    counts, in ``O(d)`` for ``d`` distinct states instead of ``O(n)``.
     """
+    if isinstance(brakets, Multiset):
+        return sum(
+            count * braket_weight(_as_braket(item), num_colors)
+            for item, count in brakets.items()
+        )
     return sum(braket_weight(_as_braket(item), num_colors) for item in brakets)
 
 

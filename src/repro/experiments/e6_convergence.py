@@ -54,7 +54,6 @@ from repro.api.spec import SweepSpec, derive_seed
 from repro.api.stopping import StoppingRule
 from repro.exact import ChainTooLarge, SolveTooLarge, exact_expected_convergence
 from repro.protocols.registry import get_protocol
-from repro.simulation.convergence import OutputConsensus, StableCircles
 from repro.experiments.harness import (
     EXACT_INFEASIBLE,
     EXACT_NOT_ALMOST_SURE,
@@ -73,21 +72,21 @@ EXACT_MAX_CONFIGURATIONS = 4_000
 def exact_expected_cell(protocol_name: str, k: int, colors: list[int]) -> str:
     """The exact-column cell for one sweep point, or a sentinel.
 
-    Uses the same stopping criterion the empirical runs measured
-    (:class:`StableCircles` for Circles via ``run_circles``,
-    :class:`OutputConsensus` otherwise) so the column is directly comparable
-    to the empirical mean next to it.  :data:`EXACT_INFEASIBLE` marks cells
-    whose chain or solve exceeds a cap; :data:`EXACT_NOT_ALMOST_SURE` marks
-    cells the analysis *solved* and proved the criterion is not almost
-    surely reached — the two must stay distinguishable.
+    Uses the same stopping criterion the empirical runs measured, the
+    protocol's :meth:`~repro.protocols.base.PopulationProtocol.default_criterion`
+    (:class:`StableCircles` for Circles, :class:`OutputConsensus` otherwise),
+    so the column is directly comparable to the empirical mean next to it.
+    :data:`EXACT_INFEASIBLE` marks cells whose chain or solve exceeds a cap;
+    :data:`EXACT_NOT_ALMOST_SURE` marks cells the analysis *solved* and
+    proved the criterion is not almost surely reached — the two must stay
+    distinguishable.
     """
     protocol = get_protocol(protocol_name, k)
-    criterion = StableCircles() if protocol_name == "circles" else OutputConsensus()
     try:
         expected = exact_expected_convergence(
             protocol,
             colors,
-            criterion,
+            protocol.default_criterion(),
             max_configurations=EXACT_MAX_CONFIGURATIONS,
         )
     except (ChainTooLarge, SolveTooLarge):
@@ -291,9 +290,9 @@ def run(
         "the failure mode the paper's problem statement predicts for naive cancellation."
     )
     result.add_note(
-        "Interaction counts are reported under the uniform random scheduler with the "
-        "protocol-specific convergence criterion (StableCircles for Circles, output consensus "
-        f"for the baselines), simulated by the {engine!r} engine."
+        "Interaction counts are reported under the uniform random scheduler with each "
+        "protocol's default criterion (StableCircles for Circles, output consensus for the "
+        f"baselines), simulated by the {engine!r} engine."
     )
     result.add_note(
         f"'exact E[interactions]' (n ≤ {exact_max_n}) is the analytical expected "

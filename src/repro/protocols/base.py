@@ -19,7 +19,10 @@ from __future__ import annotations
 import abc
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
-from typing import Generic, TypeVar
+from typing import TYPE_CHECKING, Generic, TypeVar
+
+if TYPE_CHECKING:
+    from repro.simulation.convergence import ConvergenceCriterion
 
 State = TypeVar("State", bound=Hashable)
 
@@ -88,6 +91,15 @@ class PopulationProtocol(abc.ABC, Generic[State]):
     @abc.abstractmethod
     def transition(self, initiator: State, responder: State) -> TransitionResult[State]:
         """The transition function ``δ`` applied to one ordered interaction."""
+
+    # -- run defaults ------------------------------------------------------------
+
+    def default_criterion(self) -> ConvergenceCriterion:
+        """The stopping criterion every run path uses when none is named:
+        output consensus unless the protocol knows better."""
+        from repro.simulation.convergence import OutputConsensus
+
+        return OutputConsensus()
 
     # -- derived helpers -------------------------------------------------------
 

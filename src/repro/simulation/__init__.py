@@ -49,9 +49,12 @@ more commonly, through the ``engine=`` parameter of the high-level API::
     result = run_circles([0, 0, 0, 1, 1, 2], seed=1, engine="batch")
 
 On top of the engines, :mod:`repro.simulation.runner` provides the high-level
-``run_protocol`` / ``run_circles`` API the examples and the experiment harness
-use, and :mod:`repro.simulation.convergence` the stabilization/convergence
-criteria.
+``run_protocol`` API the examples and the experiment harness use, and
+:mod:`repro.simulation.convergence` the stabilization/convergence criteria.
+A run without an explicit criterion stops on the protocol's own
+:meth:`~repro.protocols.base.PopulationProtocol.default_criterion`
+(``StableCircles`` for Circles), and Circles runs report their ket exchanges
+and energies; ``run_circles`` is ``run_protocol`` on a ``CirclesProtocol``.
 """
 
 from repro.simulation.population import Population, initial_states

@@ -29,7 +29,7 @@ recorder, agent engine only), :class:`EnergyObserver` and
 :class:`PotentialObserver` (count-level incremental energy/potential for
 Circles-shaped states, exact on every engine), and
 :class:`KetExchangeObserver` (the exchange counter behind
-``run_circles``/E2).  Incremental *convergence* detection — the quiescence
+every Circles run and E2).  Incremental *convergence* detection — the quiescence
 tracker that replaces the periodic ``O(d²)`` silence rescan — lives with the
 criteria in :mod:`repro.simulation.convergence`; it is the same streaming
 idea applied to the stopping rule.

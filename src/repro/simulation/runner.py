@@ -1,11 +1,14 @@
 """High-level run API.
 
-``run_protocol`` and ``run_circles`` wrap the engines, schedulers and
-convergence criteria into one call that the examples, the tests and the
-experiment harness all share.  The result is a :class:`RunResult` dataclass
-holding everything an experiment needs to report: whether the run converged,
-whether the final outputs are correct, how many interactions and ket
-exchanges it took, and the initial/final energies.
+``run_protocol`` wraps the engines, schedulers and convergence criteria into
+one call that the examples, the tests and the experiment harness all share;
+``run_circles`` is ``run_protocol`` on a ``CirclesProtocol``.  The protocol
+supplies the default criterion (:meth:`PopulationProtocol.default_criterion`),
+and Circles runs also count ket exchanges and energies.  The result is a
+:class:`RunResult` dataclass holding everything an experiment needs to
+report: whether the run converged, whether the final outputs are correct,
+how many interactions and ket exchanges it took, and the initial/final
+energies.
 
 Engine selection
 ----------------
@@ -46,7 +49,7 @@ from repro.core.potential import configuration_energy
 from repro.protocols.base import PopulationProtocol
 from repro.scheduling.base import Scheduler
 from repro.simulation.base import SimulationEngine
-from repro.simulation.convergence import ConvergenceCriterion, OutputConsensus, StableCircles
+from repro.simulation.convergence import ConvergenceCriterion
 from repro.simulation.engine import AgentSimulation
 from repro.simulation.observers import (
     KetExchangeObserver,
@@ -224,6 +227,16 @@ def _build_simulation(
     return simulation, trace, scheduler_name
 
 
+def _input_energy(protocol: PopulationProtocol, colors: Sequence[int]) -> int | None:
+    """The input's energy on Circles runs (whose runs also count ket
+    exchanges), ``None`` for protocols whose states carry no bra-ket weights."""
+    if not isinstance(protocol, CirclesProtocol):
+        return None
+    return configuration_energy(
+        (protocol.initial_state(color) for color in colors), protocol.num_colors
+    )
+
+
 def run_protocol(
     protocol: PopulationProtocol[State],
     colors: Sequence[int],
@@ -245,7 +258,7 @@ def run_protocol(
         scheduler: defaults to :class:`RandomPermutationScheduler` (weakly
             fair and randomized), seeded with ``seed``; only the ``"agent"``
             engine accepts one.
-        criterion: defaults to :class:`OutputConsensus`.
+        criterion: defaults to ``protocol.default_criterion()``.
         max_steps: interaction budget; defaults to
             :func:`default_max_steps`.
         seed: seed for the default scheduler (``"agent"`` engine) or the
@@ -274,17 +287,26 @@ def run_protocol(
     _validate_input_colors(colors)
     engine_cls = _resolve_engine(engine, scheduler, record_trace)
     if criterion is None:
-        criterion = OutputConsensus()
-    budget = max_steps if max_steps is not None else default_max_steps(
-        len(colors), protocol.num_colors
-    )
+        criterion = protocol.default_criterion()
+    k = protocol.num_colors
+    budget = max_steps if max_steps is not None else default_max_steps(len(colors), k)
 
+    initial_energy = _input_energy(protocol, colors)
+    # The analytical engine simulates no interactions, so a ket-exchange
+    # counter would misreport 0; Circles runs on it report None instead.
+    exchange_counter = (
+        KetExchangeObserver()
+        if initial_energy is not None and engine_cls.samples_trajectories
+        else None
+    )
     resolved = _resolve_observers(observers)
     simulation, trace, scheduler_name = _build_simulation(
         engine_cls, protocol, colors, scheduler, seed, record_trace,
-        observers=resolved, compiled=compiled,
+        observers=[exchange_counter, *resolved] if exchange_counter else resolved,
+        compiled=compiled,
     )
     converged = simulation.run(budget, criterion=criterion, check_interval=check_interval)
+    final_states = tuple(simulation.states())
     outputs = tuple(simulation.outputs())
     majority = _true_majority(colors)
     correct = majority is not None and all(output == majority for output in outputs)
@@ -297,7 +319,7 @@ def run_protocol(
     return RunResult(
         protocol_name=protocol.name,
         num_agents=len(colors),
-        num_colors=protocol.num_colors,
+        num_colors=k,
         input_colors=colors,
         scheduler_name=scheduler_name,
         converged=converged,
@@ -306,7 +328,12 @@ def run_protocol(
         outputs=outputs,
         majority=majority,
         correct=correct,
-        final_states=tuple(simulation.states()),
+        final_states=final_states,
+        ket_exchanges=exchange_counter.exchanges if exchange_counter else None,
+        initial_energy=initial_energy,
+        final_energy=(
+            configuration_energy(final_states, k) if initial_energy is not None else None
+        ),
         engine=engine,
         seed=seed if isinstance(seed, int) else None,
         observer_summaries={obs.name: obs.summary() for obs in resolved},
@@ -330,75 +357,28 @@ def run_circles(
 ) -> RunResult:
     """Run the Circles protocol on an input color assignment.
 
-    Uses the Circles-specific :class:`StableCircles` stopping criterion and
-    additionally reports the number of ket exchanges (counted by a
-    :class:`~repro.simulation.observers.KetExchangeObserver`, exact on every
-    engine) and the initial/final configuration energies.
+    :func:`run_protocol` on ``CirclesProtocol(num_colors, variant)``, which
+    stops on :class:`StableCircles` and reports ket exchanges and energies.
 
     Args:
         colors: one input color per agent (at least two agents).
         num_colors: the protocol's ``k``; defaults to ``max(colors) + 1``.
-        scheduler: defaults to a seeded :class:`RandomPermutationScheduler`;
-            only the ``"agent"`` engine accepts one.
         variant: ablation switches; defaults to the paper's protocol.
-        max_steps / seed / record_trace / check_interval / engine / compiled /
-            observers: as in :func:`run_protocol`.
+        scheduler / max_steps / seed / record_trace / check_interval /
+            engine / compiled / observers: as in :func:`run_protocol`.
     """
     colors = tuple(colors)
     _validate_input_colors(colors)
-    engine_cls = _resolve_engine(engine, scheduler, record_trace)
     k = num_colors if num_colors is not None else max(colors) + 1
-    protocol = CirclesProtocol(k, variant=variant)
-    budget = max_steps if max_steps is not None else default_max_steps(len(colors), k)
-    criterion = StableCircles()
-
-    initial_states = [protocol.initial_state(color) for color in colors]
-    initial_energy = configuration_energy(initial_states, k)
-
-    # The analytical engine simulates no interactions, so a ket-exchange
-    # counter would misreport 0; circles runs on it report None instead.
-    exchange_counter = (
-        KetExchangeObserver() if engine_cls.samples_trajectories else None
-    )
-    resolved = _resolve_observers(observers)
-    simulation, trace, scheduler_name = _build_simulation(
-        engine_cls,
-        protocol,
+    return run_protocol(
+        CirclesProtocol(k, variant=variant),
         colors,
-        scheduler,
-        seed,
-        record_trace,
-        observers=[exchange_counter, *resolved] if exchange_counter else resolved,
-        compiled=compiled,
-    )
-    converged = simulation.run(budget, criterion=criterion, check_interval=check_interval)
-
-    final_states = tuple(simulation.states())
-    outputs = tuple(simulation.outputs())
-    majority = _true_majority(colors)
-    correct = majority is not None and all(output == majority for output in outputs)
-    exact_result = getattr(simulation, "distribution_result", None)
-    if exact_result is not None:
-        correct = bool(exact_result.always_correct)
-    return RunResult(
-        protocol_name=protocol.name,
-        num_agents=len(colors),
-        num_colors=k,
-        input_colors=colors,
-        scheduler_name=scheduler_name,
-        converged=converged,
-        steps=simulation.steps_taken,
-        interactions_changed=simulation.interactions_changed,
-        outputs=outputs,
-        majority=majority,
-        correct=correct,
-        final_states=final_states,
-        ket_exchanges=exchange_counter.exchanges if exchange_counter else None,
-        initial_energy=initial_energy,
-        final_energy=configuration_energy(final_states, k),
+        scheduler=scheduler,
+        max_steps=max_steps,
+        seed=seed,
+        record_trace=record_trace,
+        check_interval=check_interval,
         engine=engine,
-        seed=seed if isinstance(seed, int) else None,
-        observer_summaries={obs.name: obs.summary() for obs in resolved},
-        exact=exact_result.to_dict() if exact_result is not None else None,
-        trace=trace,
+        compiled=compiled,
+        observers=observers,
     )

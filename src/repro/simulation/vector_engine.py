@@ -40,6 +40,7 @@ import dataclasses
 from collections.abc import Hashable, Iterable, Sequence
 from typing import Generic, TypeVar
 
+from repro.core.circles import CirclesProtocol
 from repro.protocols.base import PopulationProtocol
 from repro.simulation.base import SimulationEngine, default_check_interval
 from repro.simulation.batch_engine import BatchConfigurationSimulation
@@ -71,7 +72,7 @@ class ReplicateOutcome(Generic[State]):
     steps: int
     #: Interactions that changed at least one agent's state.
     interactions_changed: int
-    #: Ket exchanges counted along the row (None unless requested).
+    #: Ket exchanges counted along the row (None unless the protocol is Circles).
     ket_exchanges: int | None
     #: The row's final configuration.
     configuration: Multiset[State]
@@ -96,16 +97,9 @@ class VectorReplicateSimulation(BatchConfigurationSimulation[State], Generic[Sta
         initial: Iterable[State] | Multiset[State],
         seeds: Sequence[object],
         compiled: bool | None = None,
-        count_ket_exchanges: bool = False,
     ) -> ReplicateGroup[State]:
         """``len(seeds)`` replicates of one initial configuration, in lockstep."""
-        return ReplicateGroup(
-            protocol,
-            initial,
-            seeds,
-            compiled=compiled,
-            count_ket_exchanges=count_ket_exchanges,
-        )
+        return ReplicateGroup(protocol, initial, seeds, compiled=compiled)
 
     @classmethod
     def replicate_group_from_colors(
@@ -114,7 +108,6 @@ class VectorReplicateSimulation(BatchConfigurationSimulation[State], Generic[Sta
         colors: Iterable[int],
         seeds: Sequence[object],
         compiled: bool | None = None,
-        count_ket_exchanges: bool = False,
     ) -> ReplicateGroup[State]:
         """Like :meth:`replicate_group`, starting from input colors."""
         return cls.replicate_group(
@@ -122,7 +115,6 @@ class VectorReplicateSimulation(BatchConfigurationSimulation[State], Generic[Sta
             (protocol.initial_state(color) for color in colors),
             seeds,
             compiled=compiled,
-            count_ket_exchanges=count_ket_exchanges,
         )
 
 
@@ -135,7 +127,8 @@ class ReplicateGroup(Generic[State]):
     interaction, then every ``check_interval`` interactions), the same
     criterion semantics — and criterion checks consume no randomness, so a
     row's trajectory and retirement step match the serial batch engine's
-    exactly.
+    exactly.  Circles groups count every row's ket exchanges, as a serial
+    Circles run does.
     """
 
     def __init__(
@@ -144,7 +137,6 @@ class ReplicateGroup(Generic[State]):
         initial: Iterable[State] | Multiset[State],
         seeds: Sequence[object],
         compiled: bool | None = None,
-        count_ket_exchanges: bool = False,
     ) -> None:
         seeds = list(seeds)
         if not seeds:
@@ -160,7 +152,7 @@ class ReplicateGroup(Generic[State]):
         self.num_agents = probe.num_agents
         self.num_rows = len(seeds)
         self._compiled = probe._compiled
-        self._count_ket = count_ket_exchanges
+        count_ket = isinstance(protocol, CirclesProtocol)
         self._outcomes: list[ReplicateOutcome[State]] | None = None
         if probe._kernel is None:
             rows = [probe]
@@ -170,7 +162,7 @@ class ReplicateGroup(Generic[State]):
             )
             self._rows: list[BatchConfigurationSimulation[State]] | None = rows
             self._observers: list[KetExchangeObserver] | None = None
-            if count_ket_exchanges:
+            if count_ket:
                 self._observers = [KetExchangeObserver() for _ in rows]
                 for row, observer in zip(rows, self._observers):
                     row.add_observer(observer)
@@ -197,11 +189,9 @@ class ReplicateGroup(Generic[State]):
             )
             self._interactions_changed = _np.zeros(self.num_rows, dtype=_np.int64)
             self._ket_mask = (
-                ket_exchange_mask(compiled_protocol) if count_ket_exchanges else None
+                ket_exchange_mask(compiled_protocol) if count_ket else None
             )
-            self._ket = (
-                _np.zeros(self.num_rows, dtype=_np.int64) if count_ket_exchanges else None
-            )
+            self._ket = _np.zeros(self.num_rows, dtype=_np.int64) if count_ket else None
             self._row_steps = _np.zeros(self.num_rows, dtype=_np.int64)
 
     def run(

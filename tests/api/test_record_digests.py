@@ -1,0 +1,136 @@
+"""Record digests: default-criterion records are pinned byte for byte.
+
+Every run path of the ``"protocol"`` runner — serial ``execute_run`` on the
+agent, configuration and exact engines, replicate groups on the batch and
+vector engines (``trials=2`` routes them), and Circles under a non-default
+variant — must keep producing the very same records for specs that leave
+``criterion`` unset.  The sha256 of each sub-grid's canonical record JSON is
+pinned here.  The batch engine samples through numpy bursts when numpy is
+importable and through pure Python otherwise, so the sampled grids carry one
+digest per numpy availability.
+"""
+
+import hashlib
+import importlib.util
+import json
+
+import pytest
+
+from repro.api.executor import execute_run, run_sweep
+from repro.api.spec import RunSpec, SweepSpec
+from repro.core.circles import CirclesVariant, ExchangeRule
+
+HAS_NUMPY = importlib.util.find_spec("numpy") is not None
+
+PROTOCOLS = ("circles", "cancellation-plurality", "tournament-plurality")
+SAMPLED_ENGINES = ("agent", "configuration", "batch", "vector")
+GRIDS = (*SAMPLED_ENGINES, "kernel", "exact", "variant")
+
+
+def _rounded(value):
+    """``value`` with every float rounded to 12 significant digits.
+
+    The exact engine solves its larger blocks through LAPACK when numpy is
+    importable, and the last bit of those floats depends on the BLAS build;
+    rounding keeps the pin independent of the machine.
+    """
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    return value
+
+
+def _digest(records) -> str:
+    """sha256 of the records' canonical JSON, floats rounded by :func:`_rounded`.
+
+    The ``default=repr`` fallback only serializes the variant grid's
+    :class:`CirclesVariant` parameter; every other record is JSON-native, so
+    for them this is :func:`repro.api.spec.canonical_json`.
+    """
+    text = json.dumps(
+        _rounded([record.to_dict() for record in records]),
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=False,
+        default=repr,
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def grid_records(grid: str) -> list:
+    """The records of one pinned sub-grid."""
+    if grid in SAMPLED_ENGINES:
+        sweep = SweepSpec(
+            protocols=PROTOCOLS,
+            populations=(6, 9),
+            ks=(3,),
+            engines=(grid,),
+            trials=2,
+            seed=2025,
+        )
+        return run_sweep(sweep).records
+    if grid == "kernel":
+        # Past the numpy kernel's population gate, under a fixed budget.
+        sweep = SweepSpec(
+            protocols=PROTOCOLS[:2],
+            populations=(4096,),
+            ks=(3,),
+            engines=("batch", "vector"),
+            trials=2,
+            max_steps=20_000,
+            seed=2025,
+        )
+        return run_sweep(sweep).records
+    if grid == "exact":
+        sweep = SweepSpec(
+            protocols=PROTOCOLS,
+            populations=(5, 6),
+            ks=(2,),
+            engines=("exact",),
+            trials=1,
+            seed=2025,
+        )
+        return run_sweep(sweep).records
+    assert grid == "variant"
+    variant = CirclesVariant(exchange_rule=ExchangeRule.SUM_WEIGHT)
+    return [
+        execute_run(
+            RunSpec(
+                protocol="circles",
+                n=6 if engine == "exact" else 9,
+                k=3,
+                protocol_params={"variant": variant},
+                engine=engine,
+                seed=seed,
+                workload_seed=7,
+            )
+        )
+        for engine in (*SAMPLED_ENGINES, "exact")
+        for seed in (11, 12)
+    ]
+
+
+#: Digests computed at the commit before the run-plan refactor.  Only the
+#: kernel grid depends on numpy: without it the batch engine and the replicate
+#: groups sample through pure Python.
+DIGESTS = {
+    "agent": "cfca281f04e46de42ddf859f8470a9137d58830b39b726b6f11c12bd46dc6a80",
+    "configuration": "a57a8b27743f717fe2d160f1be86bdb3952fa74e9b0462a422ad874a9f5a3bd1",
+    "batch": "7830d61adb48b2b504c881a44baf755790e46b5d51826bbcd7c4dedf63322c2e",
+    "vector": "04f1bac7bb46812ce245fd09cde3100d8387c6991d1d29d199b17f8d01bc7cc7",
+    "exact": "d69179a0c48bdbff6fea8472db05b04805d8dd63bad02d9d5801fefd6ddc61c6",
+    "variant": "58e1c3aae841b3a9d54834db14700d1575296cbaa9e6ed8feec6906f5017b8dc",
+}
+KERNEL_DIGESTS = {
+    True: "00b6af052d7fa103679e3a959b3e1606b2e748be8f2a48cb9f5dcc3c4aeee3db",
+    False: "1a60ec14ecc69938684d8793269cfe457478257337efd7ac40d958c5c6322fbb",
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_default_criterion_records_are_pinned(grid):
+    expected = KERNEL_DIGESTS[HAS_NUMPY] if grid == "kernel" else DIGESTS[grid]
+    assert _digest(grid_records(grid)) == expected

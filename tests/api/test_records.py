@@ -1,22 +1,26 @@
 """Tests for RunRecord/SweepResult: snapshots and lossless persistence."""
 
-from repro.api.executor import execute_run, run_sweep
+from repro.api.executor import execute_run, resolve_workload, run_sweep
 from repro.api.records import RunRecord, SweepResult
 from repro.api.spec import RunSpec, SweepSpec
 from repro.simulation.runner import run_circles
 
 
 class TestRunRecord:
-    def test_from_result_snapshots_the_run(self):
+    def test_record_snapshots_the_run(self):
         spec = RunSpec(protocol="circles", n=8, k=2, seed=3, engine="batch")
-        result = run_circles([0, 0, 0, 1, 1, 0, 1, 0], seed=3, engine="batch")
-        record = RunRecord.from_result(spec, result)
+        record = execute_run(spec)
+        result = run_circles(resolve_workload(spec), num_colors=2, seed=3, engine="batch")
         assert record.spec is spec
         assert record.seed == 3
         assert record.engine == "batch"
         assert record.protocol_name == "circles"
-        assert record.steps == result.steps
-        assert record.converged == result.converged
+        assert (record.steps, record.converged, record.correct, record.unanimous) == (
+            result.steps, result.converged, result.correct, result.unanimous
+        )
+        assert (record.ket_exchanges, record.initial_energy, record.final_energy) == (
+            result.ket_exchanges, result.initial_energy, result.final_energy
+        )
 
     def test_record_is_json_native(self):
         record = execute_run(RunSpec(protocol="circles", n=8, k=2, seed=3, engine="batch"))

@@ -73,7 +73,22 @@ class TestExecuteReplicateGroup:
 
     def test_explicit_criterion_branch(self):
         specs = circles_sweep(criterion="silent", trials=3).expand()
-        assert execute_replicate_group(specs) == [execute_run(spec) for spec in specs]
+        records = execute_replicate_group(specs)
+        assert records == [execute_run(spec) for spec in specs]
+        # The Circles bookkeeping rides with the protocol, whatever the criterion.
+        assert all(record.ket_exchanges is not None for record in records)
+        assert all(record.final_energy is not None for record in records)
+
+    @pytest.mark.parametrize("vectorize", [True, False])
+    def test_invalid_protocol_params_rejected_like_execute_run(self, vectorize):
+        sweep = circles_sweep(protocols=(("circles", {"bogus": 1}),), trials=3)
+        specs = sweep.expand()
+        with pytest.raises(TypeError, match="bogus"):
+            execute_run(specs[0])
+        with pytest.raises(TypeError, match="bogus"):
+            execute_replicate_group(specs)
+        with pytest.raises(TypeError, match="bogus"):
+            run_sweep(sweep, vectorize=vectorize)
 
     def test_ineligible_specs_fall_back_per_spec(self):
         specs = circles_sweep(engines=("configuration",), trials=2).expand()

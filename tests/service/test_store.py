@@ -280,3 +280,30 @@ class TestRecordEpoch:
         assert counting.executed == 1
         assert result.records == [record]
         assert ResultStore(tmp_path).get(spec) == record
+
+    def test_epoch_two_circles_record_with_explicit_criterion_is_recomputed(self, tmp_path):
+        # Epoch 3 gave Circles runs with an explicit criterion the ket and
+        # energy bookkeeping; an epoch-2 line of such a spec lacks it.
+        sweep = SweepSpec(
+            protocols=("circles",), populations=(8,), ks=(2,), engines=("batch",),
+            criterion="silent", trials=1, seed=5, max_steps_quadratic=200,
+        )
+        [spec] = sweep.expand()
+        epoch_two = replace(
+            execute_run(spec), ket_exchanges=None, initial_energy=None, final_energy=None
+        )
+        ResultStore(tmp_path).put(spec, epoch_two)
+        [entry] = self._shard_entries(tmp_path)
+        entry["epoch"] = 2
+        [shard] = list((tmp_path / "shards").glob("*.jsonl"))
+        shard.write_text(json.dumps(entry) + "\n")
+
+        fresh = ResultStore(tmp_path)
+        assert fresh.get(spec) is None
+        assert (fresh.stale, fresh.corrupt) == (1, 0)
+        counting = CountingExecutor()
+        [record] = SweepRunner(store=fresh, executor=counting).run(sweep).records
+        assert counting.executed == 1
+        assert record.ket_exchanges is not None
+        assert record.initial_energy is not None and record.final_energy is not None
+        assert ResultStore(tmp_path).get(spec) == record

@@ -7,7 +7,7 @@ from repro.core.greedy_sets import predicted_stable_brakets
 from repro.core.state import CirclesState
 from repro.protocols.exact_majority import ExactMajorityProtocol
 from repro.scheduling.round_robin import RoundRobinScheduler
-from repro.simulation.convergence import OutputConsensus
+from repro.simulation.convergence import OutputConsensus, StableCircles
 from repro.simulation.runner import (
     RunResult,
     default_max_steps,
@@ -111,8 +111,14 @@ class TestRunProtocol:
         assert outcome.majority == 0
 
     def test_default_criterion_is_output_consensus(self):
-        outcome = run_protocol(CirclesProtocol(2), [0, 0, 1], seed=11)
+        protocol = ExactMajorityProtocol()
+        assert isinstance(protocol.default_criterion(), OutputConsensus)
+        outcome = run_protocol(protocol, [0, 0, 0, 1, 1], seed=9)
+        explicit = run_protocol(protocol, [0, 0, 0, 1, 1], criterion=OutputConsensus(), seed=9)
         assert outcome.converged
+        assert outcome.steps == explicit.steps
+        # Circles overrides the hook with its own stabilization criterion.
+        assert isinstance(CirclesProtocol(2).default_criterion(), StableCircles)
 
     def test_scheduler_mismatch_raises(self):
         with pytest.raises(ValueError):

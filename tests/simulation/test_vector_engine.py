@@ -106,9 +106,7 @@ class TestFallbackPath:
         protocol = CirclesProtocol(3)
         colors = [0] * 24 + [1] * 16 + [2] * 8
         seeds = [101, 202, 303, 404]
-        group = VectorReplicateSimulation.replicate_group_from_colors(
-            protocol, colors, seeds, count_ket_exchanges=True
-        )
+        group = VectorReplicateSimulation.replicate_group_from_colors(protocol, colors, seeds)
         outcomes = group.run(20_000, criterion=StableCircles())
         assert_rows_match(
             outcomes,
@@ -132,9 +130,7 @@ class TestKernelPath:
         colors = [0] * 2048 + [1] * 1024 + [2] * 512 + [3] * 512
         assert len(colors) == KERNEL_N
         seeds = [7, 8, 9]
-        group = VectorReplicateSimulation.replicate_group_from_colors(
-            protocol, colors, seeds, count_ket_exchanges=True
-        )
+        group = VectorReplicateSimulation.replicate_group_from_colors(protocol, colors, seeds)
         outcomes = group.run(30_000, criterion=StableCircles())
         assert_rows_match(
             outcomes,
