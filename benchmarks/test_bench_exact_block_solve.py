@@ -2,15 +2,15 @@
 
 Every state-changing Circles interaction lowers the energy (Theorem 3.4), so
 the transient chain's strongly connected components are small plateaus and
-:func:`repro.exact.solve.solve_transient_systems` solves ``(I - Q)·x = b``
-block by block over them, in both arithmetics.  The in-repo rational
-baseline is the whole-matrix solve it replaced: one
-:func:`~repro.exact.solve.gaussian_solve` over the full ``(I - Q)`` (the
+:func:`repro.exact.solve.solve_transient_systems` solves for the expected
+visits ``π = e_initᵀ (I - Q)⁻¹`` block by block over them, in both
+arithmetics.  The in-repo rational baseline is the whole-matrix solve: one
+:func:`~repro.exact.solve.gaussian_solve` over the full ``(I - Q)ᵀ`` (the
 ``whole_matrix_solve`` fixture of the root ``conftest.py``, shared with
 ``tests/exact/test_solve.py``).  Checks:
 
 * smoke (default suite): on every system the tied circles ``k = 3`` input
-  solves, the block solve returns the same ``Fraction`` values as the
+  solves, the block solve returns the same ``Fraction`` visits as the
   whole-matrix solve (the golden cases are pinned byte for byte by
   ``tests/integration/test_exact_golden.py``), and the float block solve
   equals those rationals within ``rel_tol = 1e-12``;
@@ -63,13 +63,13 @@ def _suite_time(cases=CASES) -> float:
 
 
 def _tied_systems(monkeypatch):
-    """Every ``(rows, transient, rhs_columns, solved)`` the tied input solves."""
+    """Every ``(rows, transient, start, visits)`` the tied input solves."""
     systems = []
 
-    def recording(rows, transient, rhs_columns, **kwargs):
-        solved = solve_transient_systems(rows, transient, rhs_columns, **kwargs)
-        systems.append((rows, transient, rhs_columns, solved))
-        return solved
+    def recording(rows, transient, start, **kwargs):
+        visits = solve_transient_systems(rows, transient, start, **kwargs)
+        systems.append((rows, transient, start, visits))
+        return visits
 
     monkeypatch.setattr(absorption, "solve_transient_systems", recording)
     _suite_time([TIED_K3])
@@ -79,20 +79,18 @@ def _tied_systems(monkeypatch):
 
 def test_block_solve_matches_the_whole_matrix_solve(monkeypatch, whole_matrix_solve):
     """Smoke (default suite): identical Fractions on every system of the tied input."""
-    for rows, transient, rhs_columns, solved in _tied_systems(monkeypatch):
-        assert all(isinstance(value, Fraction) for column in solved for value in column)
-        assert solved == whole_matrix_solve(rows, transient, rhs_columns, exact=True)
+    for rows, transient, start, visits in _tied_systems(monkeypatch):
+        assert all(isinstance(value, Fraction) for value in visits)
+        assert visits == whole_matrix_solve(rows, transient, start, exact=True)
 
 
 def test_float_block_solve_matches_the_rational_solve(monkeypatch):
     """Smoke (default suite): float block solve ≈ rationals on every tied system."""
-    for rows, transient, rhs_columns, solved in _tied_systems(monkeypatch):
+    for rows, transient, start, visits in _tied_systems(monkeypatch):
         float_rows = [{target: float(p) for target, p in row.items()} for row in rows]
-        float_rhs = [[float(value) for value in column] for column in rhs_columns]
-        floats = solve_transient_systems(float_rows, transient, float_rhs, exact=False)
-        for float_column, exact_column in zip(floats, solved):
-            for a, b in zip(float_column, exact_column):
-                assert math.isclose(a, float(b), rel_tol=1e-12, abs_tol=1e-15), (a, b)
+        floats = solve_transient_systems(float_rows, transient, start, exact=False)
+        for a, b in zip(floats, visits, strict=True):
+            assert math.isclose(a, float(b), rel_tol=1e-12, abs_tol=1e-15), (a, b)
 
 
 @pytest.mark.perf

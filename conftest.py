@@ -19,10 +19,10 @@ Markers
 Fixtures
 --------
 
-* ``whole_matrix_solve`` — the reference rational solve of ``(I - Q)·x = b``:
-  one Gaussian elimination over the whole matrix.  The unit tests check the
-  block-triangular solve against it and the block-solve bench times it as
-  the baseline.
+* ``whole_matrix_solve`` — the reference rational visit row
+  ``π = e_startᵀ (I - Q)⁻¹``: one Gaussian elimination over the whole
+  transposed matrix ``(I - Q)ᵀ``.  The unit tests check the block-triangular
+  solve against it and the block-solve bench times it as the baseline.
 """
 
 import sys
@@ -68,21 +68,23 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip_perf)
 
 
-def _whole_matrix_solve(rows, transient, rhs_columns, *, exact=True):
-    """``solve_transient_systems`` as one rational elimination over ``(I - Q)``."""
+def _whole_matrix_solve(rows, transient, start, *, exact=True):
+    """``solve_transient_systems`` as one rational elimination over ``(I - Q)ᵀ``."""
     from repro.exact.solve import gaussian_solve
 
     assert exact
     local = {index: i for i, index in enumerate(transient)}
-    matrix = []
+    size = len(transient)
+    matrix = [[Fraction(0)] * size for _ in range(size)]
     for index in transient:
-        row = [Fraction(0)] * len(transient)
-        row[local[index]] += 1
+        i = local[index]
+        matrix[i][i] += 1
         for target, probability in rows[index].items():
             if target in local:
-                row[local[target]] -= probability
-        matrix.append(row)
-    return gaussian_solve(matrix, [list(column) for column in rhs_columns], exact=True)
+                matrix[local[target]][i] -= probability
+    unit = [Fraction(0)] * size
+    unit[local[start]] = Fraction(1)
+    return gaussian_solve(matrix, unit, exact=True)
 
 
 @pytest.fixture(scope="session")

@@ -30,13 +30,13 @@ from repro.utils.atomic import atomic_write_text
 #: function of its spec *and* of that code: a change that samples the same
 #: law through different draws (such as the batch engine's sparse regime),
 #: that solves the same system in a different float order (such as the exact
-#: engine's block-by-block solve, epoch 2), or that reports more of a run
-#: (Circles runs with an explicit criterion carry ket exchanges and energies,
-#: epoch 3) changes what :func:`~repro.api.executor.execute_run` returns for
-#: an unchanged spec.  The result store writes the epoch on every line and
+#: engine's block-by-block solve, epoch 2, and its one visit-row solve,
+#: epoch 4), or that reports more of a run (Circles runs with an explicit
+#: criterion carry ket exchanges and energies, epoch 3) changes what
+#: :func:`~repro.api.executor.execute_run` returns for an unchanged spec.  The result store writes the epoch on every line and
 #: never serves a line of another epoch.  Bump it with every such change;
 #: spec SHAs and derived seeds stay as they are.
-RECORD_EPOCH = 3
+RECORD_EPOCH = 4
 
 
 @dataclass(frozen=True)

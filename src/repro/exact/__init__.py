@@ -11,7 +11,8 @@ it —
   distributions after ``t`` interactions;
 * :func:`analyze_absorption` / :func:`hitting_analysis` — stable (closed)
   classes, absorption probabilities, and exact expected interactions to
-  convergence via the fundamental-matrix solve, one strongly connected
+  convergence, all read off one row of the fundamental matrix (the expected
+  visits from the initial configuration), solved one strongly connected
   component at a time (see :mod:`repro.exact.solve`);
 * :class:`ExactMarkovEngine` — the fourth registry engine
   (``get_engine("exact")``), producing a :class:`DistributionResult` that
@@ -85,7 +86,7 @@ def exact_expected_convergence(
     stochastic engine's run length estimates); ``None`` when that event is
     not almost sure.  Without one, convergence means entering a stable class.
 
-    Runs exactly one fundamental-matrix solve (unlike a full
+    Runs exactly one visit-row solve (unlike a full
     :class:`ExactMarkovEngine` run, which also produces the absorption half
     a table cell would discard).  ``quotient`` (default on) folds the chain
     by the input's color-symmetry stabilizer — hitting times of

@@ -11,7 +11,7 @@ module computes, exactly:
 * the closed classes of a :class:`~repro.exact.chain.ConfigurationChain`
   (iterative Tarjan SCC over the sparse rows);
 * the **absorption probability** into each class from the initial
-  configuration (fundamental-matrix solve, one right-hand side per class);
+  configuration;
 * the **expected number of interactions** until absorption, and the expected
   number of *changing* interactions among them;
 * expected **hitting times of arbitrary configuration predicates**
@@ -19,14 +19,17 @@ module computes, exactly:
   engine until a :class:`~repro.simulation.convergence.ConvergenceCriterion`
   first holds.
 
-All quantities come back in the chain's arithmetic: exact ``Fraction`` in
-``"exact"`` mode, float64 otherwise (both through the block-triangular
-solve of :mod:`repro.exact.solve`).
+Each analysis solves one system, for the expected visits ``π`` to every
+transient configuration from the initial one (the block-triangular solve of
+:mod:`repro.exact.solve`), and reads every quantity off it as a π-weighted
+sum: ``Σπ`` interactions, ``Σπ·change`` changed interactions, ``Σπ·Q(→c)``
+for the probability of entering class (or target) ``c``.  All quantities
+come back in the chain's arithmetic: exact ``Fraction`` in ``"exact"`` mode,
+float64 otherwise.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,9 +94,10 @@ class AbsorptionAnalysis:
 def analyze_absorption(chain: ConfigurationChain) -> AbsorptionAnalysis:
     """Compute the full absorption picture of a chain.
 
-    One fundamental-matrix solve with ``2 + #classes`` right-hand sides:
-    expected interactions, expected changed interactions, and one absorption
-    column per closed class.
+    One solve, for the expected visits ``π`` from the initial configuration;
+    one pass over the transient rows then sums expected interactions
+    (``Σπ``), expected changed interactions (``Σπ·change``) and the
+    absorption probability of each closed class (``Σπ·Q(→class)``).
     """
     exact = chain.arithmetic == "exact"
     zero: Number = Fraction(0) if exact else 0.0
@@ -117,24 +121,18 @@ def analyze_absorption(chain: ConfigurationChain) -> AbsorptionAnalysis:
             expected_interactions=zero,
             expected_changed_interactions=zero,
         )
-    ones = [one] * len(transient)
-    change = [chain.change_probability[index] for index in transient]
-    class_columns: list[list[Number]] = [[zero] * len(transient) for _ in classes]
-    for i, index in enumerate(transient):
+    visits = solve_transient_systems(chain.rows, transient, initial, exact=exact)
+    expected = expected_changed = zero
+    probabilities = [zero] * len(classes)
+    for index, visit in zip(transient, visits):
+        if not visit:
+            continue
+        expected += visit
+        expected_changed += visit * chain.change_probability[index]
         for target, probability in chain.rows[index].items():
             class_index = in_class.get(target)
             if class_index is not None:
-                class_columns[class_index][i] += probability
-    solutions = solve_transient_systems(
-        chain.rows,
-        transient,
-        [ones, change, *class_columns],
-        exact=exact,
-    )
-    position = bisect_left(transient, initial)
-    expected = solutions[0][position]
-    expected_changed = solutions[1][position]
-    probabilities = [solutions[2 + i][position] for i in range(len(classes))]
+                probabilities[class_index] += visit * probability
     return AbsorptionAnalysis(
         classes=classes,
         transient=transient,
@@ -268,34 +266,31 @@ def hitting_analysis(
             expected_changed_interactions=None,
         )
     system = sorted(can_reach)
-    hit_columns: list[Number] = []
-    for index in system:
-        mass = zero
-        for successor, probability in chain.rows[index].items():
-            if successor in target_set:
-                mass = mass + probability
-        hit_columns.append(mass)
-    ones = [one] * len(system)
-    change = [chain.change_probability[index] for index in system]
-    solutions = solve_transient_systems(
-        chain.rows,
-        system,
-        [hit_columns, ones, change],
-        exact=exact,
+    visits = solve_transient_systems(
+        chain.rows, system, chain.initial_index, exact=exact
     )
-    position = bisect_left(system, chain.initial_index)
+    reached = [(index, visit) for index, visit in zip(system, visits) if visit]
     if almost_sure:
+        expected = expected_changed = zero
+        for index, visit in reached:
+            expected += visit
+            expected_changed += visit * chain.change_probability[index]
         return HittingAnalysis(
             target=target,
             almost_sure=True,
             probability=one,
-            expected_interactions=solutions[1][position],
-            expected_changed_interactions=solutions[2][position],
+            expected_interactions=expected,
+            expected_changed_interactions=expected_changed,
         )
+    probability = zero
+    for index, visit in reached:
+        for successor, q in chain.rows[index].items():
+            if successor in target_set:
+                probability += visit * q
     return HittingAnalysis(
         target=target,
         almost_sure=False,
-        probability=solutions[0][position],
+        probability=probability,
         expected_interactions=None,
         expected_changed_interactions=None,
     )

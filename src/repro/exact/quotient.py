@@ -261,8 +261,12 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
         under the *source* transition relation (closed classes are strongly
         connected and closed, so the BFS is confined).  Classes come back
         sorted by their minimal member's rank, members ranked within each —
-        deterministic, so golden files regenerate identically.
+        deterministic, so golden files regenerate identically.  With a
+        trivial stabilizer every class is its own preimage, so the base
+        chain's lift applies as is.
         """
+        if not self._stabilizer:
+            return super().lift_classes(members)
         pending: set[ConfigKey] = set()
         for member in members:
             pending.update(self.orbit_keys(member))

@@ -2,19 +2,23 @@
 
 Every quantity :mod:`repro.exact.absorption` computes — absorption
 probabilities, expected interactions to convergence, expected changed
-interactions — is the solution of one linear system ``(I - Q)·x = b`` over
-the transient (or non-target) configurations, with a handful of right-hand
-sides sharing the same matrix (the classic fundamental-matrix solve).
+interactions — is a weighted sum over one row of the fundamental matrix
+``(I - Q)⁻¹`` of the transient (or non-target) configurations: the row of
+the initial configuration, ``π = e_initᵀ (I - Q)⁻¹``, the expected number of
+visits to each configuration before the chain leaves the system (Kemeny &
+Snell, *Finite Markov Chains*).  So one linear system is solved per
+analysis, whatever the number of closed classes.
 
-One algorithm solves all of them, in both arithmetics: a block-triangular
-solve over the strongly connected components of ``Q``.  Every
-state-changing Circles interaction strictly lowers the energy (Theorem
-3.4), so the transient chain is nearly acyclic: its components are the
-small energy-neutral plateaus.  Components are solved successors first,
-with the already-known terms folded into each block's right-hand side, so
-the cost is cubic only in the largest component (11 states on the tied
-circles ``k = 3`` input, against 156 in the system) and memory is linear in
-the nonzeros of ``Q`` plus one dense block.
+One algorithm solves it, in both arithmetics: a block-triangular solve over
+the strongly connected components of ``Q``.  Every state-changing Circles
+interaction strictly lowers the energy (Theorem 3.4), so the transient chain
+is nearly acyclic: its components are the small energy-neutral plateaus.
+Components are solved sources first, each block transposed, with the mass
+its predecessors pushed into it as the right-hand side; components the
+initial configuration cannot reach carry no mass and are skipped.  The cost
+is cubic only in the largest component (11 states on the tied circles
+``k = 3`` input, against 156 in the system) and memory is linear in the
+nonzeros of ``Q`` plus one dense block.
 
 Two block kernels:
 
@@ -70,11 +74,11 @@ def _numpy():
 
 def gaussian_solve(
     matrix: list[list[Fraction | float]],
-    rhs_columns: list[list[Fraction | float]],
+    rhs: list[Fraction | float],
     *,
     exact: bool = False,
-) -> list[list[Fraction | float]]:
-    """Solve ``matrix · x = b`` for every column in ``rhs_columns``.
+) -> list[Fraction | float]:
+    """Solve ``matrix · x = rhs``.
 
     Plain Gaussian elimination, in place on copies.  Pivot selection is
     mode-dependent: float mode (``exact=False``) takes the max-magnitude
@@ -90,7 +94,7 @@ def gaussian_solve(
     """
     size = len(matrix)
     a = [list(row) for row in matrix]
-    b = [list(column) for column in rhs_columns]
+    x = list(rhs)
     for pivot_row in range(size):
         if exact:
             pivot = next(
@@ -100,8 +104,7 @@ def gaussian_solve(
             pivot = max(range(pivot_row, size), key=lambda r: abs(a[r][pivot_row]))
         if pivot != pivot_row:
             a[pivot_row], a[pivot] = a[pivot], a[pivot_row]
-            for column in b:
-                column[pivot_row], column[pivot] = column[pivot], column[pivot_row]
+            x[pivot_row], x[pivot] = x[pivot], x[pivot_row]
         head = a[pivot_row][pivot_row]
         for row in range(pivot_row + 1, size):
             factor = a[row][pivot_row] / head
@@ -111,19 +114,14 @@ def gaussian_solve(
             pivot_values = a[pivot_row]
             for column_index in range(pivot_row, size):
                 row_values[column_index] -= factor * pivot_values[column_index]
-            for column in b:
-                column[row] -= factor * column[pivot_row]
-    solutions = []
-    for column in b:
-        x = [column[i] for i in range(size)]
-        for row in range(size - 1, -1, -1):
-            total = x[row]
-            row_values = a[row]
-            for column_index in range(row + 1, size):
-                total -= row_values[column_index] * x[column_index]
-            x[row] = total / row_values[row]
-        solutions.append(x)
-    return solutions
+            x[row] -= factor * x[pivot_row]
+    for row in range(size - 1, -1, -1):
+        total = x[row]
+        row_values = a[row]
+        for column_index in range(row + 1, size):
+            total -= row_values[column_index] * x[column_index]
+        x[row] = total / row_values[row]
+    return x
 
 
 def rational_rref(
@@ -259,29 +257,31 @@ def strongly_connected_components(
 def solve_transient_systems(
     rows: Sequence[dict[int, Number]],
     transient: Sequence[int],
-    rhs_columns: Sequence[Sequence[Number]],
+    start: int,
     *,
     exact: bool,
-) -> list[list[Number]]:
-    """Solve ``(I - Q)·x = b`` over the ``transient`` configuration indices.
+) -> list[Number]:
+    """The expected visits ``π = e_startᵀ (I - Q)⁻¹`` to each ``transient`` index.
 
-    ``Q`` restricted to the system is block triangular once its strongly
-    connected components are ordered topologically, so each component's
-    unknowns depend only on its own block and on components it reaches.
-    :func:`strongly_connected_components` yields successors first; every
-    component is solved as soon as they are known, with the known terms
-    ``Σ q_ij·x_j`` folded into its right-hand side.
+    ``π_j`` is the expected number of steps the chain spends in ``j`` before
+    it leaves the system, counted from ``start``: row ``start`` of the
+    fundamental matrix.  It solves ``π·(I - Q) = e_start``, a block-triangular
+    system once the strongly connected components of ``Q`` are ordered
+    topologically.  :func:`strongly_connected_components` yields successors
+    first, so the sweep runs in reverse, sources first: a component's
+    incoming mass ``Σ π_i·q_ij`` is complete when its turn comes, its block
+    is solved transposed, and its own ``π_i·q_ij`` is pushed forward along
+    the edges leaving it.  Components that receive no mass are skipped.
 
     Args:
         rows: the chain's sparse transition rows (global indices).
         transient: the global indices forming the system, in order; ``Q`` is
             ``rows`` restricted to ``transient × transient``.
-        rhs_columns: right-hand sides, one vector per requested solve, each
-            indexed like ``transient``.
+        start: the global index the chain starts from; one of ``transient``.
         exact: True for ``Fraction`` arithmetic, False for float64.
 
     Returns:
-        One solution vector per right-hand side, indexed like ``transient``.
+        The expected visits, indexed like ``transient``.
 
     Raises:
         SolveTooLarge: when the largest component exceeds the cap of the
@@ -307,48 +307,43 @@ def solve_transient_systems(
             f"a strongly connected component of {largest} states (system of "
             f"{len(transient)}) exceeds the solve cap of {cap}"
         )
-    # Each column starts as b and is overwritten with x component by component.
-    solutions = [list(column) for column in rhs_columns]
-    for component in components:
+    # Starts as the incoming mass (e_start plus what was pushed forward) and
+    # is overwritten with π component by component.
+    visits: list[Number] = [zero] * len(transient)
+    visits[local[start]] = one
+    for component in reversed(components):
+        incoming = [visits[member] for member in component]
+        if not any(incoming):
+            continue
         size = len(component)
         position = {member: p for p, member in enumerate(component)}
         # (row, column, q) for every transition inside the component.
-        inside: list[tuple[int, int, Number]] = []
-        block_rhs: list[list[Number]] = [[] for _ in solutions]
-        for i, member in enumerate(component):
-            known: list[tuple[int, Number]] = []
-            for j, probability in restricted[member].items():
-                p = position.get(j)
-                if p is None:
-                    known.append((j, probability))
-                else:
-                    inside.append((i, p, probability))
-            for x, column in zip(solutions, block_rhs):
-                total = x[member]
-                for j, probability in known:
-                    # Skipping zeros pays: absorption into one class is zero
-                    # from most states, and Fraction products are costly.
-                    if x[j]:
-                        total += probability * x[j]
-                column.append(total)
+        inside = [
+            (i, position[j], probability)
+            for i, member in enumerate(component)
+            for j, probability in restricted[member].items()
+            if j in position
+        ]
         if size == 1:
             diagonal = one - inside[0][2] if inside else one
-            solved = [[column[0] / diagonal] for column in block_rhs]
+            solved = [incoming[0] / diagonal]
         elif numpy is not None:
-            # Filled in place: a block near the cap is millions of entries,
-            # too many to build as Python lists first.
+            # Filled in place, transposed: a block near the cap is millions
+            # of entries, too many to build as Python lists first.
             a = numpy.identity(size)
             for i, p, probability in inside:
-                a[i, p] -= probability
-            solved = numpy.linalg.solve(a, numpy.array(block_rhs).T).T.tolist()
+                a[p, i] -= probability
+            solved = numpy.linalg.solve(a, numpy.array(incoming)).tolist()
         else:
             matrix = [[zero] * size for _ in range(size)]
             for i in range(size):
                 matrix[i][i] = one
             for i, p, probability in inside:
-                matrix[i][p] -= probability
-            solved = gaussian_solve(matrix, block_rhs, exact=exact)
-        for x, values in zip(solutions, solved):
-            for member, value in zip(component, values):
-                x[member] = value
-    return solutions
+                matrix[p][i] -= probability
+            solved = gaussian_solve(matrix, incoming, exact=exact)
+        for member, value in zip(component, solved):
+            visits[member] = value
+            for j, probability in restricted[member].items():
+                if j not in position:
+                    visits[j] += value * probability
+    return visits

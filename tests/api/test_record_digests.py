@@ -7,7 +7,9 @@ variant — must keep producing the very same records for specs that leave
 ``criterion`` unset.  The sha256 of each sub-grid's canonical record JSON is
 pinned here.  The batch engine samples through numpy bursts when numpy is
 importable and through pure Python otherwise, so the sampled grids carry one
-digest per numpy availability.
+digest per numpy availability.  One float exact record is also pinned
+unrounded, so a solve that moves its last bits cannot slip past a
+:data:`~repro.api.records.RECORD_EPOCH` bump.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ import json
 import pytest
 
 from repro.api.executor import execute_run, run_sweep
-from repro.api.spec import RunSpec, SweepSpec
+from repro.api.spec import RunSpec, SweepSpec, canonical_json
 from repro.core.circles import CirclesVariant, ExchangeRule
 
 HAS_NUMPY = importlib.util.find_spec("numpy") is not None
@@ -128,9 +130,26 @@ KERNEL_DIGESTS = {
     True: "00b6af052d7fa103679e3a959b3e1606b2e748be8f2a48cb9f5dcc3c4aeee3db",
     False: "1a60ec14ecc69938684d8793269cfe457478257337efd7ac40d958c5c6322fbb",
 }
+#: The record of ``test_float_exact_record_is_pinned``, at record epoch 4.
+FLOAT_EXACT_DIGEST = "4ecabc0e2a3380b83ff25c03050fdf86c771a01c9ff147219c78a264f3c6a57e"
 
 
 @pytest.mark.parametrize("grid", GRIDS)
 def test_default_criterion_records_are_pinned(grid):
     expected = KERNEL_DIGESTS[HAS_NUMPY] if grid == "kernel" else DIGESTS[grid]
     assert _digest(grid_records(grid)) == expected
+
+
+def test_float_exact_record_is_pinned():
+    """One float ``engine="exact"`` record, unrounded, byte for byte.
+
+    Every transient component of this chain is a singleton, so the solve is
+    plain float division and the digest does not depend on numpy or the BLAS
+    build.  A change that moves it changes stored records: bump
+    :data:`~repro.api.records.RECORD_EPOCH` with it.
+    """
+    record = execute_run(RunSpec(protocol="circles", n=4, k=2, engine="exact", seed=1))
+    assert record.interactions_changed == 1.9999999999999998
+    assert record.extras["exact"]["arithmetic"] == "float"
+    digest = hashlib.sha256(canonical_json(record.to_dict()).encode("utf-8")).hexdigest()
+    assert digest == FLOAT_EXACT_DIGEST

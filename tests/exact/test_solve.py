@@ -3,10 +3,12 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from repro.exact import solve as solve_module
+from repro.exact.absorption import analyze_absorption, closed_classes, hitting_analysis
 from repro.exact.solve import (
     NUMPY_MAX_COMPONENT,
     PURE_PYTHON_MAX_COMPONENT,
@@ -25,7 +27,7 @@ class TestGaussianPivoting:
         # solution x ≈ (1, 1).  Regression for the float pivot rule.
         tiny = 1e-17
         matrix = [[tiny, 1.0], [1.0, 1.0]]
-        [solution] = gaussian_solve(matrix, [[1.0, 2.0]])
+        solution = gaussian_solve(matrix, [1.0, 2.0])
         assert math.isclose(solution[0], 1.0, rel_tol=1e-9)
         assert math.isclose(solution[1], 1.0, rel_tol=1e-9)
 
@@ -39,7 +41,7 @@ class TestGaussianPivoting:
             [7.0, 8.0, 10.0],
         ]
         rhs = [1.0, 2.0, 3.0]
-        [solution] = gaussian_solve([list(row) for row in matrix], [list(rhs)])
+        solution = gaussian_solve([list(row) for row in matrix], list(rhs))
         reference = numpy.linalg.solve(numpy.array(matrix), numpy.array(rhs))
         for ours, theirs in zip(solution, reference):
             assert math.isclose(ours, float(theirs), rel_tol=1e-9, abs_tol=1e-12)
@@ -48,7 +50,7 @@ class TestGaussianPivoting:
         # Rational elimination takes the first *nonzero* pivot: a zero head
         # must trigger a row swap, not a ZeroDivisionError.
         matrix = [[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]]
-        [solution] = gaussian_solve(matrix, [[Fraction(3), Fraction(4)]], exact=True)
+        solution = gaussian_solve(matrix, [Fraction(3), Fraction(4)], exact=True)
         assert solution == [Fraction(2), Fraction(3)]
         assert all(isinstance(value, Fraction) for value in solution)
 
@@ -57,18 +59,19 @@ class TestGaussianPivoting:
             [Fraction(2), Fraction(1)],
             [Fraction(1), Fraction(3)],
         ]
-        [solution] = gaussian_solve(matrix, [[Fraction(1), Fraction(1)]], exact=True)
+        solution = gaussian_solve(matrix, [Fraction(1), Fraction(1)], exact=True)
         assert solution == [Fraction(2, 5), Fraction(1, 5)]
 
     def test_singular_matrix_raises(self):
         matrix = [[1.0, 1.0], [1.0, 1.0]]
         with pytest.raises(ZeroDivisionError):
-            gaussian_solve(matrix, [[1.0, 2.0]])
+            gaussian_solve(matrix, [1.0, 2.0])
 
 
-#: A three-state absorbing chain with known hitting times: from state 0 the
-#: expected steps to absorption (state 2) solve to exactly 3.0, from state 1
-#: to exactly 2.0.
+#: A three-state absorbing chain with known visits: from state 0 the chain
+#: spends 2 steps in state 0 and 1 in state 1 before absorption (state 2),
+#: so the expected hitting time is exactly 3.0; from state 1 it spends 2
+#: steps in state 1.
 HITTING_ROWS = [
     {0: 0.5, 1: 0.25, 2: 0.25},
     {1: 0.5, 2: 0.5},
@@ -77,22 +80,23 @@ HITTING_ROWS = [
 
 
 class TestTransientSystems:
-    def test_dense_float_solution_is_the_analytic_hitting_time(self):
-        [solution] = solve_transient_systems(
-            HITTING_ROWS, [0, 1], [[1.0, 1.0]], exact=False
-        )
-        assert math.isclose(solution[0], 3.0, rel_tol=1e-12)
-        assert math.isclose(solution[1], 2.0, rel_tol=1e-12)
+    def test_float_visits_sum_to_the_analytic_hitting_time(self):
+        visits = solve_transient_systems(HITTING_ROWS, [0, 1], 0, exact=False)
+        assert visits == [2.0, 1.0]
+        assert math.isclose(sum(visits), 3.0, rel_tol=1e-12)
+        assert solve_transient_systems(HITTING_ROWS, [0, 1], 1, exact=False) == [
+            0.0,
+            2.0,
+        ]
 
-    def test_exact_solution_is_rational_and_matches(self):
+    def test_exact_visits_are_rational_and_match(self):
         rows = [
             {key: Fraction(value).limit_denominator() for key, value in row.items()}
             for row in HITTING_ROWS
         ]
-        [solution] = solve_transient_systems(
-            rows, [0, 1], [[Fraction(1), Fraction(1)]], exact=True
-        )
-        assert solution == [Fraction(3), Fraction(2)]
+        visits = solve_transient_systems(rows, [1, 0], 0, exact=True)
+        assert visits == [Fraction(1), Fraction(2)]
+        assert all(isinstance(value, Fraction) for value in visits)
 
 
 def _cycles(cycle_sizes, exact=False):
@@ -128,17 +132,19 @@ class TestComponentCap:
                 pytest.skip("numpy not available")
         elif mode == "float":
             monkeypatch.setattr(solve_module, "_numpy", lambda: None)
-        exact = mode == "exact"
-        return solve_transient_systems(
-            rows, system, [[Fraction(1) if exact else 1.0] * len(system)], exact=exact
-        )
+        return solve_transient_systems(rows, system, system[-1], exact=mode == "exact")
 
     @pytest.mark.parametrize("mode", ["numpy", "float", "exact"])
     def test_a_system_past_the_cap_of_small_components_solves(self, caps, monkeypatch, mode):
-        rows, system = _cycles([3, 1, 2, 3, 3, 1], exact=mode == "exact")
-        [solution] = self._solve(rows, system, mode, monkeypatch)
+        rows, system = _cycles([3, 1, 2, 3, 3, 3], exact=mode == "exact")
+        visits = self._solve(rows, system, mode, monkeypatch)
         assert len(system) > 4
-        assert all(value > 0 for value in solution)
+        # The start's 3-cycle holds all the mass: 8/7 visits to the start,
+        # 4/7 to its successor and 2/7 to the state after.
+        assert visits[:-3] == [0] * (len(system) - 3)
+        expected = [Fraction(4, 7), Fraction(2, 7), Fraction(8, 7)]
+        for value, exact in zip(visits[-3:], expected):
+            assert math.isclose(value, exact, rel_tol=1e-12)
 
     @pytest.mark.parametrize(
         "mode, cap", [("numpy", 4), ("float", 3), ("exact", 3)]
@@ -146,6 +152,8 @@ class TestComponentCap:
     def test_one_component_past_the_cap_raises(self, caps, monkeypatch, mode, cap):
         rows, system = _cycles([1, cap, 2], exact=mode == "exact")
         self._solve(rows, system, mode, monkeypatch)
+        # The oversized cycle is unreachable from the start: the cap covers
+        # every component, checked before any elimination.
         rows, system = _cycles([1, cap + 1, 2], exact=mode == "exact")
         with pytest.raises(SolveTooLarge, match=f"{cap + 1} states"):
             self._solve(rows, system, mode, monkeypatch)
@@ -187,12 +195,82 @@ def _random_chain(rng, size):
     return rows, system
 
 
-def _random_rhs(rng, length):
+def _random_analysis_chain(rng):
+    """A random chain as the analyses read it, starting from a transient state."""
+    rows, system = _random_chain(rng, rng.randint(2, 40))
+    return SimpleNamespace(
+        arithmetic="exact",
+        rows=rows,
+        num_configurations=len(rows),
+        initial_index=rng.choice(system),
+        change_probability=[Fraction(rng.randint(0, 5), rng.randint(5, 9)) for _ in rows],
+    )
+
+
+def _multi_column_solve(rows, system, columns, start):
+    """The multi-column reference: ``(I - Q)·x = b`` over the whole system for
+    every column ``b``, each read at ``start``."""
+    local = {index: i for i, index in enumerate(system)}
+    matrix = []
+    for index in system:
+        row = [Fraction(0)] * len(system)
+        row[local[index]] += 1
+        for target, probability in rows[index].items():
+            if target in local:
+                row[local[target]] -= probability
+        matrix.append(row)
+    return [gaussian_solve(matrix, column, exact=True)[local[start]] for column in columns]
+
+
+def _mass_into(chain, system, members):
+    """Per system state, the one-step probability of entering ``members``."""
     return [
-        [Fraction(1)] * length,
-        [Fraction(rng.randint(0, 5), rng.randint(1, 7)) for _ in range(length)],
-        [Fraction(1 if rng.random() < 0.2 else 0) for _ in range(length)],
+        sum((q for target, q in chain.rows[index].items() if target in members), Fraction(0))
+        for index in system
     ]
+
+
+def _reference_absorption(chain):
+    """``(E[interactions], E[changed], *class probabilities)``, one column each."""
+    classes = closed_classes(chain.rows)
+    absorbing = {member for members in classes for member in members}
+    transient = [i for i in range(chain.num_configurations) if i not in absorbing]
+    columns = [
+        [Fraction(1)] * len(transient),
+        [chain.change_probability[index] for index in transient],
+        *(_mass_into(chain, transient, set(members)) for members in classes),
+    ]
+    return _multi_column_solve(chain.rows, transient, columns, chain.initial_index)
+
+
+def _reference_hitting(chain, target):
+    """``(P(hit), E[interactions], E[changed])`` over the non-target states that
+    can reach ``target``, or None when the initial state cannot."""
+    can_reach = set()
+    frontier = list(target)
+    while frontier:
+        node = frontier.pop()
+        for index, row in enumerate(chain.rows):
+            if node in row and index not in target and index not in can_reach:
+                can_reach.add(index)
+                frontier.append(index)
+    if chain.initial_index not in can_reach:
+        return None
+    system = sorted(can_reach)
+    columns = [
+        _mass_into(chain, system, target),
+        [Fraction(1)] * len(system),
+        [chain.change_probability[index] for index in system],
+    ]
+    return _multi_column_solve(chain.rows, system, columns, chain.initial_index)
+
+
+def _random_target(rng, chain):
+    return {
+        index
+        for index in range(chain.num_configurations)
+        if index != chain.initial_index and rng.random() < 0.3
+    }
 
 
 SEEDS = range(60)
@@ -213,30 +291,75 @@ class TestBlockTriangularSolve:
         assert largest >= 4
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_exact_block_solve_equals_the_whole_matrix_solve(self, seed, whole_matrix_solve):
+    def test_exact_visit_row_equals_the_whole_matrix_solve(self, seed, whole_matrix_solve):
         rng = random.Random(seed)
         rows, system = _random_chain(rng, rng.randint(2, 40))
-        rhs = _random_rhs(rng, len(system))
-        block = solve_transient_systems(rows, system, rhs, exact=True)
-        assert block == whole_matrix_solve(rows, system, rhs)
-        assert all(isinstance(value, Fraction) for column in block for value in column)
+        start = rng.choice(system)
+        visits = solve_transient_systems(rows, system, start, exact=True)
+        assert visits == whole_matrix_solve(rows, system, start)
+        assert all(isinstance(value, Fraction) for value in visits)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kernel", ["numpy", "pure"])
-    def test_float_block_solve_equals_the_rational_solve(self, seed, kernel, monkeypatch):
+    def test_float_visit_row_equals_the_rational_one(self, seed, kernel, monkeypatch):
         if kernel == "numpy" and solve_module._numpy() is None:
             pytest.skip("numpy not available")
         if kernel == "pure":
             monkeypatch.setattr(solve_module, "_numpy", lambda: None)
         rng = random.Random(seed)
         rows, system = _random_chain(rng, rng.randint(2, 40))
-        rhs = _random_rhs(rng, len(system))
-        rational = solve_transient_systems(rows, system, rhs, exact=True)
+        start = rng.choice(system)
+        rational = solve_transient_systems(rows, system, start, exact=True)
         float_rows = [{target: float(p) for target, p in row.items()} for row in rows]
-        float_rhs = [[float(value) for value in column] for column in rhs]
-        floats = solve_transient_systems(float_rows, system, float_rhs, exact=False)
+        floats = solve_transient_systems(float_rows, system, start, exact=False)
         # abs_tol: where the exact solution is 0, elimination leaves ~1e-18.
-        for ours, exact_column in zip(floats, rational):
-            for a, b in zip(ours, exact_column):
-                assert isinstance(a, float)
-                assert math.isclose(a, float(b), rel_tol=1e-12, abs_tol=1e-15), (a, b)
+        for a, b in zip(floats, rational, strict=True):
+            assert isinstance(a, float)
+            assert math.isclose(a, float(b), rel_tol=1e-12, abs_tol=1e-15), (a, b)
+
+
+class TestAnalysesOnRandomChains:
+    """The one-row analyses equal the multi-column solve they replaced."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_absorption_equals_the_multi_column_reference(self, seed):
+        chain = _random_analysis_chain(random.Random(seed))
+        analysis = analyze_absorption(chain)
+        expected, changed, *probabilities = _reference_absorption(chain)
+        assert analysis.expected_interactions == expected
+        assert analysis.expected_changed_interactions == changed
+        assert analysis.class_probabilities == probabilities
+        assert sum(analysis.class_probabilities) == 1
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_hitting_equals_the_multi_column_reference(self, seed):
+        rng = random.Random(seed)
+        chain = _random_analysis_chain(rng)
+        target = _random_target(rng, chain)
+        analysis = hitting_analysis(chain, target.__contains__)
+        reference = _reference_hitting(chain, target)
+        if reference is None:
+            assert (analysis.almost_sure, analysis.probability) == (False, 0)
+            return
+        probability, expected, changed = reference
+        if analysis.almost_sure:
+            assert probability == 1
+            assert analysis.probability == 1
+            assert analysis.expected_interactions == expected
+            assert analysis.expected_changed_interactions == changed
+        else:
+            assert probability < 1
+            assert analysis.probability == probability
+            assert analysis.expected_interactions is None
+
+    def test_random_targets_cover_every_verdict(self):
+        verdicts = set()
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            chain = _random_analysis_chain(rng)
+            target = _random_target(rng, chain)
+            if _reference_hitting(chain, target) is None:
+                verdicts.add("unreachable")
+            else:
+                verdicts.add(hitting_analysis(chain, target.__contains__).almost_sure)
+        assert verdicts == {"unreachable", True, False}
