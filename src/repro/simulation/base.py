@@ -47,6 +47,7 @@ from repro.simulation.convergence import (
     SilentConfiguration,
 )
 from repro.simulation.observers import CallbackObserver, CountDelta, Observer
+from repro.simulation.population import initial_configuration
 from repro.utils.multiset import Multiset
 from repro.utils.rng import RngLike, make_rng
 
@@ -340,7 +341,7 @@ class ConfigurationEngine(SimulationEngine[State]):
         """Create the initial configuration from input colors."""
         return cls(
             protocol,
-            (protocol.initial_state(color) for color in colors),
+            initial_configuration(protocol, colors),
             seed,
             transition_observer=transition_observer,
             compiled=compiled,

@@ -8,6 +8,7 @@ between the two views.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable, Iterable, Sequence
 from typing import Generic, TypeVar
 
@@ -25,6 +26,21 @@ def initial_states(
     if len(states) < 2:
         raise ValueError("a population protocol needs at least two agents")
     return states
+
+
+def initial_configuration(
+    protocol: PopulationProtocol[State], colors: Iterable[int]
+) -> Multiset[State]:
+    """The input's configuration, built from its color counts.
+
+    Calls ``initial_state`` once per distinct color, in order of first
+    appearance, so the result equals ``Multiset(initial_states(...))`` item
+    order included.  The engines that take it check the population size.
+    """
+    configuration: Multiset[State] = Multiset()
+    for color, count in Counter(colors).items():
+        configuration.add(protocol.initial_state(color), count)
+    return configuration
 
 
 class Population(Generic[State]):

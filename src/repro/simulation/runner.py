@@ -57,6 +57,7 @@ from repro.simulation.observers import (
     build_observer,
     ket_exchange_occurred,
 )
+from repro.simulation.population import initial_configuration
 from repro.simulation.registry import get_engine
 from repro.simulation.trace import Trace
 from repro.utils.rng import RngLike
@@ -232,9 +233,7 @@ def _input_energy(protocol: PopulationProtocol, colors: Sequence[int]) -> int | 
     exchanges), ``None`` for protocols whose states carry no bra-ket weights."""
     if not isinstance(protocol, CirclesProtocol):
         return None
-    return configuration_energy(
-        (protocol.initial_state(color) for color in colors), protocol.num_colors
-    )
+    return configuration_energy(initial_configuration(protocol, colors), protocol.num_colors)
 
 
 def run_protocol(

@@ -51,6 +51,7 @@ from repro.simulation.convergence import (
     ket_exchange_mask,
 )
 from repro.simulation.observers import KetExchangeObserver
+from repro.simulation.population import initial_configuration
 from repro.utils.multiset import Multiset
 from repro.utils.rng import make_rng
 
@@ -111,10 +112,7 @@ class VectorReplicateSimulation(BatchConfigurationSimulation[State], Generic[Sta
     ) -> ReplicateGroup[State]:
         """Like :meth:`replicate_group`, starting from input colors."""
         return cls.replicate_group(
-            protocol,
-            (protocol.initial_state(color) for color in colors),
-            seeds,
-            compiled=compiled,
+            protocol, initial_configuration(protocol, colors), seeds, compiled=compiled
         )
 
 

@@ -24,10 +24,11 @@ that is sequential-equivalent by construction:
    dependency chains: a later interaction must see the *post*-state of the
    earlier one, not the stale gathered value.  The kernel detects the chained
    slots (an ``O(T/n)`` expected fraction at the engines' ``n >= 4096`` gate),
-   reconstructs each position's occurrence order, and replays the affected
-   interactions with a vectorized fixpoint iteration that resolves every
-   interaction whose two input states are known and propagates the fresh
-   post-states to the successors — reproducing the sequential order exactly.
+   links each to its predecessor — the previous slot at the same position —
+   and replays the affected interactions level by level: every level applies
+   δ to the pending interactions whose predecessors are all resolved, reading
+   their post-states, and shrinks the pending set to the rest — reproducing
+   the sequential order exactly.
 
 Because a row's trajectory depends only on the row's own generator stream,
 row ``r`` of an ``R``-row kernel is bit-identical to a single-row kernel
@@ -47,7 +48,7 @@ import numpy as np
 DEFAULT_ROUND = 2048
 
 #: Replicate rows advanced per kernel invocation; bounds the scratch buffer
-#: (``BLOCK_ROWS * n`` int64 slots) independently of the replicate count.
+#: (``BLOCK_ROWS * n`` int32 slot ids) independently of the replicate count.
 BLOCK_ROWS = 32
 
 
@@ -61,7 +62,9 @@ class PairCodeKernel:
     stop being passed in.
     """
 
-    __slots__ = ("num_agents", "num_states", "_ta", "_tb", "_states", "_generators", "_scratch")
+    __slots__ = (
+        "num_agents", "num_states", "_ta", "_tb", "_states", "_generators", "_scratch", "_slot_ids"
+    )
 
     def __init__(
         self,
@@ -84,7 +87,9 @@ class PairCodeKernel:
             raise ValueError(f"initial counts sum to {int(counts.sum())}, expected {n} agents")
         base_row = np.repeat(np.arange(d, dtype=np.int16), counts)
         self._states = np.tile(base_row, (len(self._generators), 1))
-        self._scratch = np.zeros(min(len(self._generators), BLOCK_ROWS) * n, dtype=np.int64)
+        block = min(len(self._generators), BLOCK_ROWS)
+        self._scratch = np.zeros(block * n, dtype=np.int32)
+        self._slot_ids = np.arange(block * 2 * DEFAULT_ROUND, dtype=np.int32)
 
     @property
     def num_rows(self) -> int:
@@ -107,13 +112,19 @@ class PairCodeKernel:
         Returns the ``(len(rows), length)`` int32 matrix of each interaction's
         *corrected* pre-transition pair code ``p·d + q`` — the ordered states
         the sequential process would have seen — in time order, which is what
-        the engines need for changed/count/observer bookkeeping.
+        the engines need for changed/count/observer bookkeeping.  A ``length``
+        above :data:`DEFAULT_ROUND` runs as several rounds, which changes
+        nothing: the trajectory does not depend on how a run is split.
         """
         rows = list(rows)
         codes = np.empty((len(rows), length), dtype=np.int32)
-        for start in range(0, len(rows), BLOCK_ROWS):
-            block = rows[start : start + BLOCK_ROWS]
-            codes[start : start + len(block)] = self._advance_block(block, length)
+        for begin in range(0, length, DEFAULT_ROUND):
+            end = min(begin + DEFAULT_ROUND, length)
+            for start in range(0, len(rows), BLOCK_ROWS):
+                block = rows[start : start + BLOCK_ROWS]
+                codes[start : start + len(block), begin:end] = self._advance_block(
+                    block, end - begin
+                )
         return codes
 
     def _advance_block(self, rows: list[int], length: int) -> np.ndarray:
@@ -127,21 +138,17 @@ class PairCodeKernel:
         # One pair code per interaction, decoded to ordered distinct positions
         # and offset into the block-flat state vector.  Interleaving initiator
         # and responder slots keeps the flat slot index in time order.
-        two_t = 2 * length
-        positions = np.empty((nb, two_t), dtype=np.int64)
-        init_pos = positions[:, 0::2]
-        resp_pos = positions[:, 1::2]
+        q = np.empty((nb, length), dtype=np.int64)
         span = n * (n - 1)
         for j, row in enumerate(rows):
-            q = self._generators[row].integers(0, span, length, dtype=np.int64)
-            i = q // (n - 1)
-            r = q - i * (n - 1)
-            r += r >= i
-            base = j * n
-            init_pos[j] = i
-            init_pos[j] += base
-            resp_pos[j] = r
-            resp_pos[j] += base
+            q[j] = self._generators[row].integers(0, span, length, dtype=np.int64)
+        i = q // (n - 1)
+        r = q - i * (n - 1)
+        r += r >= i
+        base = np.arange(0, nb * n, n, dtype=np.int64)[:, None]
+        positions = np.empty((nb, 2 * length), dtype=np.int64)
+        np.add(i, base, out=positions[:, 0::2])
+        np.add(r, base, out=positions[:, 1::2])
         fp = positions.reshape(-1)
 
         pre = np.take(sflat, fp)
@@ -150,97 +157,69 @@ class PairCodeKernel:
         # does not read its own id has a later occurrence.  Stale scratch
         # entries are never read — every gathered position was just written.
         scratch = self._scratch[: nb * n]
-        slots = np.arange(nb * two_t, dtype=np.int64)
+        slots = self._slot_ids[: fp.size]
         scratch[fp] = slots
         last = np.take(scratch, fp)
         codes = pre[0::2].astype(np.int32) * d + pre[1::2]
         post = np.empty_like(pre)
         post[0::2] = np.take(self._ta, codes)
         post[1::2] = np.take(self._tb, codes)
-        nonlast = np.nonzero(last != slots)[0]
+        chained = last != slots
+        nonlast = np.flatnonzero(chained)
         if nonlast.size:
-            self._resolve_chains(fp, pre, post, codes, nonlast, last)
+            chained[last[nonlast]] = True  # add each recurring position's final slot
+            self._resolve_chains(fp, pre, post, codes, np.flatnonzero(chained))
         sflat[fp] = post
         if not contiguous:
             self._states[rows] = sblock
         return codes.reshape(nb, length)
 
-    def _resolve_chains(self, fp, pre, post, codes, nonlast, last) -> None:
+    def _resolve_chains(self, fp, pre, post, codes, chain_slots) -> None:
         """Replay the round's chained interactions in exact sequential order.
 
-        ``nonlast`` holds every slot whose position recurs later in the round;
-        adding the final occurrences (``last[nonlast]``) yields all chain
-        slots.  A chain slot's true pre-state is its predecessor's post-state,
-        which may itself be chained, so the fixpoint loop resolves — per
-        iteration — every chained interaction whose two input states are
-        known, then propagates the fresh post-states down the chains.  The
-        earliest unresolved interaction always becomes resolvable, so the loop
-        terminates within chain-depth iterations.  ``pre``, ``post`` and
-        ``codes`` are corrected in place.
+        ``chain_slots`` (ascending) holds every slot whose position occurs
+        more than once in the round.  A chain slot's true pre-state is the
+        post-state of its predecessor — the previous slot at the same
+        position — which may itself be chained.  Sorting the chain slots by
+        ``(position, slot)`` links each slot to its predecessor; the chained
+        interactions are then resolved level by level: each level applies δ
+        to every pending interaction whose predecessors are all resolved,
+        and the next level works on the rest only.  The earliest pending
+        interaction is always ready, so the loop ends within chain-depth
+        levels.  ``pre``, ``post`` and ``codes`` are corrected in place.
         """
         d = self.num_states
-        chain_slots = np.unique(np.concatenate([nonlast, last[nonlast]]))
-        chain_pos = fp[chain_slots]
-        # Reconstruct occurrence order per position: sort by (position, slot)
-        # and link consecutive entries sharing a position.
-        order = np.lexsort((chain_slots, chain_pos))
-        by_pos_slots = chain_slots[order]
-        by_pos = chain_pos[order]
-        prev = np.full(len(by_pos_slots), -1, dtype=np.int64)
-        linked = np.nonzero(by_pos[1:] == by_pos[:-1])[0]
-        prev[linked + 1] = by_pos_slots[linked]
-        back = np.argsort(by_pos_slots, kind="stable")
-        cs = by_pos_slots[back]  # chain slots, ascending
-        cprev = prev[back]  # predecessor slot per chain slot, -1 for the first
+        m = fp.size
+        by_pos = chain_slots[np.argsort(fp[chain_slots] * m + chain_slots)]
+        linked = np.flatnonzero(fp[by_pos[1:]] == fp[by_pos[:-1]])
+        pred = np.full(m, -1, dtype=np.int32)
+        pred[by_pos[linked + 1]] = by_pos[linked]
 
-        inter = np.unique(cs >> 1)  # the interactions that touch a chain slot
-        sa = inter << 1
-        sb = sa + 1
-        limit = len(cs) - 1
-        ia = np.searchsorted(cs, sa)
-        ib = np.searchsorted(cs, sb)
-        in_a = (ia < len(cs)) & (cs[np.minimum(ia, limit)] == sa)
-        in_b = (ib < len(cs)) & (cs[np.minimum(ib, limit)] == sb)
-        ia = np.where(in_a, ia, -1)
-        ib = np.where(in_b, ib, -1)
-
-        slot_known = cprev < 0  # first occurrences keep their gathered pre
-        slot_pre = pre[cs].astype(np.int32)
-        slot_post = np.full(len(cs), -1, dtype=np.int32)
-        pred_index = np.where(cprev >= 0, np.searchsorted(cs, np.maximum(cprev, 0)), -1)
-        a_val = np.where(ia >= 0, slot_pre[np.maximum(ia, 0)], pre[sa].astype(np.int32))
-        b_val = np.where(ib >= 0, slot_pre[np.maximum(ib, 0)], pre[sb].astype(np.int32))
-        a_known = np.where(ia >= 0, slot_known[np.maximum(ia, 0)], True)
-        b_known = np.where(ib >= 0, slot_known[np.maximum(ib, 0)], True)
-        done = np.zeros(len(inter), dtype=bool)
-        while not done.all():
-            ready = ~done & a_known & b_known
+        halves = chain_slots >> 1
+        inter = halves[np.concatenate(([True], halves[1:] != halves[:-1]))]
+        pa = pred[inter << 1]
+        pb = pred[(inter << 1) + 1]
+        done = np.zeros(m >> 1, dtype=bool)
+        while inter.size:
+            # A missing predecessor (-1) reads done[-1]; ``pa < 0`` masks it.
+            ready = ((pa < 0) | done[pa >> 1]) & ((pb < 0) | done[pb >> 1])
             if not ready.any():
                 raise RuntimeError("chain resolution stalled: no resolvable interaction")
-            idx = np.nonzero(ready)[0]
-            av = a_val[idx]
-            bv = b_val[idx]
-            cc = av * d + bv
-            pa = np.take(self._ta, cc).astype(np.int32)
-            pb = np.take(self._tb, cc).astype(np.int32)
-            post[sa[idx]] = pa
-            post[sb[idx]] = pb
-            pre[sa[idx]] = av
-            pre[sb[idx]] = bv
-            codes[inter[idx]] = cc
-            hit = ia[idx] >= 0
-            slot_post[ia[idx][hit]] = pa[hit]
-            hit = ib[idx] >= 0
-            slot_post[ib[idx][hit]] = pb[hit]
-            done[idx] = True
-            unknown = np.nonzero(~slot_known)[0]
-            if unknown.size:
-                filled = slot_post[pred_index[unknown]] >= 0
-                grew = unknown[filled]
-                if grew.size:
-                    slot_pre[grew] = slot_post[pred_index[grew]]
-                    slot_known[grew] = True
-                    a_known = np.where(ia >= 0, slot_known[np.maximum(ia, 0)], True)
-                    b_known = np.where(ib >= 0, slot_known[np.maximum(ib, 0)], True)
-                    a_val = np.where(ia >= 0, slot_pre[np.maximum(ia, 0)], a_val)
-                    b_val = np.where(ib >= 0, slot_pre[np.maximum(ib, 0)], b_val)
+            t = inter[ready]
+            ra = pa[ready]
+            rb = pb[ready]
+            sa = t << 1
+            sb = sa + 1
+            av = np.where(ra < 0, pre[sa], post[ra])
+            bv = np.where(rb < 0, pre[sb], post[rb])
+            cc = av.astype(np.int32) * d + bv
+            post[sa] = np.take(self._ta, cc)
+            post[sb] = np.take(self._tb, cc)
+            pre[sa] = av
+            pre[sb] = bv
+            codes[t] = cc
+            done[t] = True
+            pending = ~ready
+            inter = inter[pending]
+            pa = pa[pending]
+            pb = pb[pending]

@@ -90,6 +90,25 @@ class TestExecuteReplicateGroup:
         with pytest.raises(TypeError, match="bogus"):
             run_sweep(sweep, vectorize=vectorize)
 
+    def test_invalid_color_rejected_like_execute_run(self, monkeypatch):
+        """Counts-first set-up raises the input map's error for the same color."""
+        monkeypatch.setattr(
+            "repro.api.executor.resolve_workload", lambda spec: [0, 1, 7, 1, 0, 9]
+        )
+        specs = circles_sweep(trials=3).expand()
+        with pytest.raises(ValueError, match="color 7 out of range"):
+            execute_run(specs[0])
+        with pytest.raises(ValueError, match="color 7 out of range"):
+            execute_replicate_group(specs)
+
+    def test_single_agent_errors_unchanged(self, monkeypatch):
+        monkeypatch.setattr("repro.api.executor.resolve_workload", lambda spec: [1])
+        specs = circles_sweep(trials=3).expand()
+        with pytest.raises(ValueError, match="at least two input colors"):
+            execute_run(specs[0])
+        with pytest.raises(ValueError, match="a population needs at least two agents"):
+            execute_replicate_group(specs)
+
     def test_ineligible_specs_fall_back_per_spec(self):
         specs = circles_sweep(engines=("configuration",), trials=2).expand()
         assert execute_replicate_group(specs) == [execute_run(spec) for spec in specs]

@@ -7,6 +7,7 @@ from repro.core.greedy_sets import predicted_stable_brakets
 from repro.core.invariants import braket_invariant_holds
 from repro.simulation.config_engine import ConfigurationSimulation
 from repro.simulation.convergence import StableCircles
+from repro.simulation.population import initial_states
 from repro.utils.multiset import Multiset
 
 
@@ -20,6 +21,17 @@ class TestConstruction:
         protocol = CirclesProtocol(2)
         with pytest.raises(ValueError):
             ConfigurationSimulation(protocol, [protocol.initial_state(0)])
+
+    def test_from_colors_single_agent_message(self):
+        with pytest.raises(ValueError, match="a population needs at least two agents"):
+            ConfigurationSimulation.from_colors(CirclesProtocol(2), [1])
+
+    def test_from_colors_keeps_first_appearance_order_uncompiled(self):
+        protocol = CirclesProtocol(4)
+        colors = [2, 3, 2, 0, 1, 3]
+        simulation = ConfigurationSimulation.from_colors(protocol, colors, compiled=False)
+        expected = Multiset(initial_states(protocol, colors))
+        assert list(simulation.configuration().items()) == list(expected.items())
 
 
 class TestDynamics:

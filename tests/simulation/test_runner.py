@@ -1,15 +1,19 @@
 """Tests for the high-level run API."""
 
+import random
+
 import pytest
 
 from repro.core.circles import CirclesProtocol
 from repro.core.greedy_sets import predicted_stable_brakets
+from repro.core.braket import braket_weight
 from repro.core.state import CirclesState
 from repro.protocols.exact_majority import ExactMajorityProtocol
 from repro.scheduling.round_robin import RoundRobinScheduler
 from repro.simulation.convergence import OutputConsensus, StableCircles
 from repro.simulation.runner import (
     RunResult,
+    _input_energy,
     default_max_steps,
     ket_exchange_occurred,
     run_circles,
@@ -200,3 +204,19 @@ class TestEngineSelection:
     def test_trace_requires_agent_engine(self):
         with pytest.raises(ValueError, match="trace"):
             run_protocol(CirclesProtocol(2), [0, 1], record_trace=True, engine="configuration")
+
+
+class TestInputEnergy:
+    def test_equals_the_per_agent_sum(self):
+        rng = random.Random(20)
+        for _ in range(50):
+            k = rng.randrange(2, 7)
+            protocol = CirclesProtocol(k)
+            colors = [rng.randrange(k) for _ in range(rng.randrange(2, 300))]
+            per_agent = sum(
+                braket_weight(protocol.initial_state(color).braket, k) for color in colors
+            )
+            assert _input_energy(protocol, colors) == per_agent
+
+    def test_none_for_protocols_without_braket_weights(self):
+        assert _input_energy(ExactMajorityProtocol(), [0, 1, 1]) is None

@@ -13,7 +13,11 @@ import pytest
 
 np = pytest.importorskip("numpy", reason="the position kernel is numpy-only")
 
-from repro.simulation.vector_kernel import BLOCK_ROWS, PairCodeKernel  # noqa: E402
+from repro.simulation.vector_kernel import (  # noqa: E402
+    BLOCK_ROWS,
+    DEFAULT_ROUND,
+    PairCodeKernel,
+)
 
 
 def mixing_table(d: int) -> np.ndarray:
@@ -22,6 +26,23 @@ def mixing_table(d: int) -> np.ndarray:
     for a in range(d):
         for b in range(d):
             table[a * d + b] = ((a + b) % d) * d + (a * b + 1) % d
+    return table
+
+
+def random_table(d: int, seed: int) -> np.ndarray:
+    """A seeded random δ-table with self-loop entries and an absorbing state.
+
+    State ``d - 1`` absorbs: any interaction with it sends both agents there.
+    About a quarter of the remaining entries are self-loops (no change).
+    """
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, d * d, d * d, dtype=np.int64)
+    codes = np.arange(d * d, dtype=np.int64)
+    loops = rng.random(d * d) < 0.25
+    table[loops] = codes[loops]
+    sink = d - 1
+    touches_sink = (codes // d == sink) | (codes % d == sink)
+    table[touches_sink] = sink * d + sink
     return table
 
 
@@ -83,6 +104,54 @@ class TestSequentialEquivalence:
             kernel.row_counts(0), np.bincount(ref_states, minlength=d)
         )
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_tables_match_reference(self, d):
+        """Random δ with absorbing and self-loop entries, chains included."""
+        n, length = 40, 1500
+        table = random_table(d, seed=100 + d)
+        kernel = make_kernel(d, n, seeds=[d], table=table)
+        codes = kernel.advance([0], length)[0]
+        ref_states, ref_codes = sequential_reference(d, n, d, length, table)
+        assert np.array_equal(codes, ref_codes)
+        assert np.array_equal(kernel.row_counts(0), np.bincount(ref_states, minlength=d))
+
+    def test_non_contiguous_subset_of_many_rows_matches_reference(self):
+        """Rows picked across block boundaries each follow their own reference."""
+        d, n, length = 6, 30, 700
+        table = random_table(d, seed=5)
+        seeds = [1000 + row for row in range(BLOCK_ROWS + 3)]
+        kernel = make_kernel(d, n, seeds=seeds, table=table)
+        rows = [0, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS + 1, BLOCK_ROWS + 2]
+        codes = kernel.advance(rows, length)
+        for j, row in enumerate(rows):
+            ref_states, ref_codes = sequential_reference(d, n, seeds[row], length, table)
+            assert np.array_equal(codes[j], ref_codes)
+            assert np.array_equal(
+                kernel.row_counts(row), np.bincount(ref_states, minlength=d)
+            )
+        untouched = np.bincount(np.repeat(np.arange(d), n // d), minlength=d)
+        assert np.array_equal(kernel.row_counts(1), untouched)
+
+    def test_engine_gate_population_in_full_rounds(self):
+        """n = 4096, the engines' kernel gate, advanced in DEFAULT_ROUND rounds."""
+        d, n, rounds = 7, 4096, 3
+        table = random_table(d, seed=41)
+        kernel = make_kernel(d, n, seeds=[41], table=table)
+        codes = np.concatenate([kernel.advance([0], DEFAULT_ROUND)[0] for _ in range(rounds)])
+        ref_states, ref_codes = sequential_reference(d, n, 41, rounds * DEFAULT_ROUND, table)
+        assert np.array_equal(codes, ref_codes)
+        assert np.array_equal(kernel.row_counts(0), np.bincount(ref_states, minlength=d))
+
+    def test_every_interaction_chains(self):
+        """n = 4: every slot recurs, so chains run hundreds of levels deep."""
+        d, n, length = 4, 4, 512
+        table = mixing_table(d)
+        kernel = make_kernel(d, n, seeds=[9], table=table)
+        codes = kernel.advance([0], length)[0]
+        ref_states, ref_codes = sequential_reference(d, n, 9, length, table)
+        assert np.array_equal(codes, ref_codes)
+        assert np.array_equal(kernel.row_counts(0), np.bincount(ref_states, minlength=d))
+
     def test_round_size_invariance(self):
         """The trajectory must not depend on how interactions are batched."""
         d, n, total = 4, 32, 1024
@@ -117,6 +186,23 @@ class TestSequentialEquivalence:
             solo = make_kernel(d, n, seeds=[seed])
             solo.advance([0], length)
             assert np.array_equal(solo.row_counts(0), kernel.row_counts(row))
+
+    def test_long_advance_splits_into_rounds(self):
+        """A length above DEFAULT_ROUND equals the same run in separate calls."""
+        d, n = 5, 256
+        length = 3 * DEFAULT_ROUND + 5
+        seeds = list(range(BLOCK_ROWS + 1))
+        whole = make_kernel(d, n, seeds=seeds)
+        codes_whole = whole.advance(range(len(seeds)), length)
+        split = make_kernel(d, n, seeds=seeds)
+        pieces = [
+            split.advance(range(len(seeds)), size)
+            for size in (DEFAULT_ROUND, DEFAULT_ROUND - 1, DEFAULT_ROUND + 1, 5)
+        ]
+        assert np.array_equal(codes_whole, np.concatenate(pieces, axis=1))
+        assert np.array_equal(
+            whole.counts_matrix(range(len(seeds))), split.counts_matrix(range(len(seeds)))
+        )
 
     def test_more_rows_than_block_size(self):
         """Advancing crosses block boundaries without mixing row streams."""
