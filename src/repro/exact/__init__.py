@@ -45,7 +45,7 @@ from repro.exact.chain import (
     ChainTooLarge,
     ConfigurationChain,
 )
-from repro.exact.engine import ExactMarkovEngine
+from repro.exact.engine import ExactMarkovEngine, criterion_predicate
 from repro.exact.quotient import QuotientChain
 from repro.exact.result import DistributionResult, StableClassSummary
 from repro.exact.solve import SolveTooLarge
@@ -109,11 +109,7 @@ def exact_expected_convergence(
         absorption = analyze_absorption(chain)
         return float(absorption.expected_interactions)
     hit = hitting_analysis(
-        chain,
-        lambda index: criterion.is_converged_configuration(
-            protocol, chain.configuration(index)
-        ),
-        expectation_only=True,
+        chain, criterion_predicate(chain, criterion), expectation_only=True
     )
     if not hit.almost_sure:
         return None

@@ -181,10 +181,9 @@ def hitting_analysis(
 ) -> HittingAnalysis:
     """Exact first-hitting analysis of ``{configurations where predicate holds}``.
 
-    ``predicate`` receives a configuration *index*; use
-    ``chain.configuration(index)`` to inspect the multiset (e.g. evaluate a
-    :class:`~repro.simulation.convergence.ConvergenceCriterion` through
-    ``is_converged_configuration``).
+    ``predicate`` receives a configuration *index*;
+    :func:`repro.exact.engine.criterion_predicate` builds one from a
+    :class:`~repro.simulation.convergence.ConvergenceCriterion`.
 
     ``expectation_only=True`` skips the linear solve when the structural walk
     already shows the hit is *not* almost sure (``probability`` comes back

@@ -8,19 +8,26 @@ drawn uniformly among the ``n·(n-1)`` ordered pairs, so the pair of *states*
 ``C(p)·(C(p)-1) / (n·(n-1))`` for ``p = q``), after which ``δ`` rewrites the
 pair.  :class:`ConfigurationChain` materializes that chain exactly for one
 input: it enumerates every configuration reachable from the initial one
-(breadth-first, interning each under its canonical :data:`ConfigKey`) and
-stores one sparse row of transition probabilities per configuration.  It is
-the repository's one configuration graph: the exact engine, the E3 model
-checker (:mod:`repro.analysis.verification`) and the verifier's lint probes
-all query it.
+(breadth-first) and stores one sparse row of transition probabilities per
+configuration.  It is the repository's one configuration graph: the exact
+engine, the E3 model checker (:mod:`repro.analysis.verification`) and the
+verifier's lint probes all query it.
+
+Each configuration is stored as a :data:`Counts` tuple — agents per state
+code, index-aligned with :attr:`ConfigurationChain.states`.  The codes are
+the compiled δ-table's (:mod:`repro.compile`) whenever the protocol's closure
+fits the compile cap; otherwise the chain numbers states itself on first
+sight and memoizes ``δ`` per code pair through ``protocol.transition``.
+Either way the one BFS expands present codes in ``repr`` order of their
+states, so discovery order and rows do not depend on the path taken, and
+each successor costs four integer updates on a list.  Multisets are decoded
+only at the API edge: :meth:`~ConfigurationChain.configuration`, class
+lifting, and the ``frozenset`` views ``keys`` / ``index``.
 
 Probabilities are either exact rationals (``fractions.Fraction``,
 ``arithmetic="exact"``) or float64 (``arithmetic="float"``, the default — it
 is what the golden conformance suite and the experiment columns use; the
-rational mode generates the golden files).  Transition evaluation reuses the
-compiled δ-tables of :mod:`repro.compile` whenever the protocol's closure
-fits the compile cap, with the same transparent fallback to Python dispatch
-as the stochastic engines.
+rational mode generates the golden files).
 
 The chain itself only knows probabilities; the derived quantities
 (absorption into stable classes, expected interactions to convergence,
@@ -29,9 +36,10 @@ correctness probability) live in :mod:`repro.exact.absorption`.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Hashable, Iterable
+from bisect import insort
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import cached_property
 from typing import Generic, TypeVar
 
 from repro.compile import CompiledProtocol, StateSpaceCapExceeded, compile_from_states
@@ -40,8 +48,8 @@ from repro.utils.multiset import Multiset
 
 State = TypeVar("State", bound=Hashable)
 
-#: A hashable snapshot of a configuration: its frozen ``(state, count)`` pairs.
-ConfigKey = frozenset
+#: A configuration as agents per state code (see :attr:`ConfigurationChain.states`).
+Counts = tuple[int, ...]
 
 #: Default cap on the number of enumerated configurations.  The chain cannot
 #: work with a truncated graph (probabilities out of missing rows would
@@ -55,16 +63,6 @@ ARITHMETICS = ("float", "exact")
 
 class ChainTooLarge(RuntimeError):
     """The reachable configuration space exceeded the caller's cap."""
-
-
-def configuration_key(configuration: Multiset[State]) -> ConfigKey:
-    """The canonical hashable form of a configuration."""
-    return configuration.frozen()
-
-
-def key_to_multiset(key: ConfigKey) -> Multiset[State]:
-    """Rebuild a configuration from its canonical form."""
-    return Multiset(dict(key))
 
 
 def expand_multiset(configuration: Multiset[State]) -> list[State]:
@@ -103,6 +101,14 @@ def _validate_arithmetic(arithmetic: str) -> str:
     return arithmetic
 
 
+def _trim(counts: Counts) -> Counts:
+    """Drop trailing zeros: the one form of a count tuple while codes are still being numbered."""
+    end = len(counts)
+    while end and not counts[end - 1]:
+        end -= 1
+    return counts[:end]
+
+
 class ConfigurationChain(Generic[State]):
     """The exact Markov chain of one protocol input under uniform scheduling.
 
@@ -110,9 +116,11 @@ class ConfigurationChain(Generic[State]):
         protocol: the protocol whose dynamics the chain encodes.
         arithmetic: ``"exact"`` (``Fraction``) or ``"float"`` (float64).
         num_agents: the (conserved) population size ``n``.
-        keys: index -> canonical configuration key, in BFS discovery order;
-            index 0 is the initial configuration.
-        index: configuration key -> index (inverse of ``keys``).
+        states: code -> state; ``compiled.states`` when compiled, else the
+            states in the order the BFS first met them.
+        counts: index -> configuration as a :data:`Counts` tuple, in BFS
+            discovery order; index 0 is the initial configuration.  Without
+            a compiled table the tuples carry no trailing zeros.
         rows: per configuration, the sparse transition row
             ``{successor index: probability}``.  Rows sum to one; the
             self-loop entry collects both no-op pairs and changing pairs that
@@ -120,8 +128,8 @@ class ConfigurationChain(Generic[State]):
         change_probability: per configuration, the probability that one
             interaction changes at least one agent's state (``δ``'s
             ``changed`` flag, regardless of whether the multiset moves).
-        compiled: the compiled δ-tables backing transition evaluation, or
-            ``None`` on the fallback path.
+        compiled: the compiled δ-tables the codes come from, or ``None``
+            when the closure exceeded the compile cap (or ``compiled=False``).
     """
 
     initial_index = 0
@@ -147,13 +155,24 @@ class ConfigurationChain(Generic[State]):
                 self.compiled = compile_from_states(protocol, configuration.support())
             except StateSpaceCapExceeded:
                 self.compiled = None
-        self.keys: list[ConfigKey] = []
-        self.index: dict[ConfigKey, int] = {}
+        self.states: Sequence[State] = []
+        self._codes: dict[State, int] = {}
+        #: Codes in ``repr`` order of their states: the order the BFS expands.
+        self._order: list[int] = []
+        if self.compiled is not None:
+            self.states, self._codes = self.compiled.states, self.compiled.index
+            self._order = sorted(range(len(self.states)), key=lambda c: repr(self.states[c]))
+        #: ``δ`` per ordered code pair: the codes it rewrites the pair to, or ``()``.
+        self._moves: dict[tuple[int, int], tuple[int, ...]] = {}
+        for state in configuration.support():
+            self._code(state)
+        initial_counts = tuple(configuration.count(state) for state in self.states)
+        self.counts: list[Counts] = []
+        self._lookup: dict[Counts, int] = {}
         self.rows: list[dict[int, Fraction | float]] = []
         self.change_probability: list[Fraction | float] = []
-        self._output_keys: list[tuple[tuple[int, int], ...]] = []
-        self._prepare(configuration)
-        self._explore(configuration, max_configurations)
+        self._prepare(initial_counts)
+        self._explore(initial_counts, max_configurations)
 
     @classmethod
     def from_colors(
@@ -169,122 +188,174 @@ class ConfigurationChain(Generic[State]):
 
     # -- construction ---------------------------------------------------------
 
-    def _prepare(self, configuration: Multiset[State]) -> None:
+    def _prepare(self, initial: Counts) -> None:
         """Hook run after compilation, before the BFS.
 
         The base chain needs no preparation; :class:`repro.exact.quotient.QuotientChain`
         overrides this to derive the symmetry group whose orbits it folds.
         """
 
-    def _canonical(self, key: ConfigKey) -> ConfigKey:
-        """Map a configuration key to the representative the BFS interns.
+    def _canonical(self) -> Callable[[Counts], Counts] | None:
+        """The map from a successor's counts to the form the BFS interns.
 
-        Identity here; the quotient chain overrides it with the orbit-minimal
-        key under the protocol's color-symmetry group.
+        ``None`` (the identity) here; the quotient chain returns the
+        orbit-minimal tuple under the input's color-symmetry stabilizer.
         """
-        return key
+        return None
 
-    def _transition(self, initiator: State, responder: State):
-        """``δ`` through the compiled table when available."""
+    def _code(self, state: State) -> int:
+        """The code of a state, numbering it on first sight when uncompiled."""
+        code = self._codes.get(state)
+        if code is None:
+            states = self.states
+            assert isinstance(states, list), "a compiled closure holds every state"
+            code = len(states)
+            self._codes[state] = code
+            states.append(state)
+            insort(self._order, code, key=lambda known: repr(states[known]))
+        return code
+
+    def _move(self, p: int, q: int) -> tuple[int, ...]:
+        """``δ`` on a code pair, read from the compiled table or evaluated once."""
         if self.compiled is not None:
-            a, b, changed = self.compiled.transition_codes(
-                self.compiled.encode(initiator), self.compiled.encode(responder)
-            )
-            return self.compiled.decode(a), self.compiled.decode(b), changed
-        result = self.protocol.transition(initiator, responder)
-        return result.initiator, result.responder, result.changed
+            a, b, changed = self.compiled.transition_codes(p, q)
+        else:
+            result = self.protocol.transition(self.states[p], self.states[q])
+            a, b = self._code(result.initiator), self._code(result.responder)
+            changed = result.changed
+        move = self._moves[p, q] = (a, b) if changed else ()
+        return move
 
-    def _intern(self, key: ConfigKey, cap: int) -> int:
+    def _pairs(self, counts: Counts) -> Iterator[tuple[int, Counts | None]]:
+        """``(weight, successor)`` per ordered pair of present codes, in repr order.
+
+        ``weight`` is the pair's number of ordered agent pairs; ``successor``
+        is ``None`` when ``δ`` leaves the pair unchanged.
+        """
+        moves = self._moves
+        trim = self.compiled is None
+        width = len(self.states)
+        if len(counts) < width:
+            counts += (0,) * (width - len(counts))
+        present = [code for code in self._order if counts[code]]
+        for p in present:
+            count_p = counts[p]
+            for q in present:
+                weight = count_p * (count_p - 1) if p == q else count_p * counts[q]
+                if not weight:
+                    continue
+                move = moves.get((p, q))
+                if move is None:
+                    move = self._move(p, q)
+                if not move:
+                    yield weight, None
+                    continue
+                a, b = move
+                successor = list(counts)
+                successor[p] -= 1
+                successor[q] -= 1
+                if a >= width or b >= width:  # codes first met in this expansion
+                    successor += [0] * (len(self.states) - width)
+                successor[a] += 1
+                successor[b] += 1
+                yield weight, _trim(tuple(successor)) if trim else tuple(successor)
+
+    def _intern(self, key: Counts, cap: int) -> int:
         # Cap-edge contract (pinned by tests/exact/test_chain.py): re-interning
         # a key that is already present must return its index without ever
         # consulting the cap — even when exactly ``cap`` configurations are
         # interned — and a reachable space of exactly ``cap`` configurations
         # must build successfully.  Only *discovering* configuration ``cap+1``
         # raises.
-        existing = self.index.get(key)
+        existing = self._lookup.get(key)
         if existing is not None:
             return existing
-        if len(self.keys) >= cap:
+        if len(self.counts) >= cap:
             raise ChainTooLarge(
                 f"configuration chain of {self.protocol.name!r} (n={self.num_agents}) "
                 f"exceeded the cap of {cap} configurations"
             )
-        index = len(self.keys)
-        self.index[key] = index
-        self.keys.append(key)
+        index = len(self.counts)
+        self._lookup[key] = index
+        self.counts.append(key)
         return index
 
-    def _explore(self, initial: Multiset[State], cap: int) -> None:
+    def _explore(self, initial: Counts, cap: int) -> None:
         """BFS over reachable configurations, building one exact row each."""
         n = self.num_agents
         denominator = n * (n - 1)
         exact = self.arithmetic == "exact"
-        self._intern(self._canonical(configuration_key(initial)), cap)
-        # Each index is interned (and enqueued) exactly once, in ascending
-        # order, so the BFS processes index i exactly when building row i.
-        frontier = deque([0])
-        while frontier:
-            current_index = frontier.popleft()
-            configuration = key_to_multiset(self.keys[current_index])
-            support = sorted(configuration.support(), key=repr)
+        canonical = self._canonical()
+        lookup = self._lookup
+        configurations = self.counts
+        self._intern(initial if canonical is None else canonical(initial), cap)
+        # Each index is interned exactly once, in ascending order, so the BFS
+        # processes index i exactly when building row i.
+        current = 0
+        while current < len(configurations):
             weights: dict[int, int] = {}
             change_weight = 0
             self_weight = 0
-            for initiator in support:
-                for responder in support:
-                    count_i = configuration.count(initiator)
-                    weight = (
-                        count_i * (count_i - 1)
-                        if initiator == responder
-                        else count_i * configuration.count(responder)
-                    )
-                    if weight == 0:
-                        continue
-                    new_initiator, new_responder, changed = self._transition(
-                        initiator, responder
-                    )
-                    if changed:
-                        change_weight += weight
-                    if not changed:
-                        self_weight += weight
-                        continue
-                    successor = configuration.copy()
-                    successor.remove(initiator)
-                    successor.remove(responder)
-                    successor.add(new_initiator)
-                    successor.add(new_responder)
-                    successor_key = self._canonical(configuration_key(successor))
-                    successor_index = self.index.get(successor_key)
-                    if successor_index is None:
-                        successor_index = self._intern(successor_key, cap)
-                        frontier.append(successor_index)
-                    weights[successor_index] = (
-                        weights.get(successor_index, 0) + weight
-                    )
+            for weight, successor in self._pairs(configurations[current]):
+                if successor is None:
+                    self_weight += weight
+                    continue
+                change_weight += weight
+                if canonical is not None:
+                    successor = canonical(successor)
+                target = lookup.get(successor)
+                if target is None:
+                    target = self._intern(successor, cap)
+                weights[target] = weights.get(target, 0) + weight
             if self_weight:
-                weights[current_index] = weights.get(current_index, 0) + self_weight
+                weights[current] = weights.get(current, 0) + self_weight
             if exact:
-                row = {
+                row: dict[int, Fraction | float] = {
                     target: Fraction(weight, denominator)
                     for target, weight in weights.items()
                 }
-                change = Fraction(change_weight, denominator)
+                change: Fraction | float = Fraction(change_weight, denominator)
             else:
-                row = {
-                    target: weight / denominator for target, weight in weights.items()
-                }
+                row = {target: weight / denominator for target, weight in weights.items()}
                 change = change_weight / denominator
-            assert len(self.rows) == current_index
             self.rows.append(row)
             self.change_probability.append(change)
-        assert len(self.rows) == len(self.keys)
+            current += 1
 
     # -- inspection -----------------------------------------------------------
 
     @property
     def num_configurations(self) -> int:
         """How many distinct configurations are reachable from the input."""
-        return len(self.keys)
+        return len(self.counts)
+
+    def decode(self, counts: Counts) -> Multiset[State]:
+        """The configuration multiset a count tuple stands for."""
+        states = self.states
+        return Multiset({states[code]: count for code, count in enumerate(counts) if count})
+
+    def configuration(self, index: int) -> Multiset[State]:
+        """The configuration multiset at a chain index."""
+        return self.decode(self.counts[index])
+
+    @cached_property
+    def keys(self) -> list[frozenset]:
+        """index -> frozen ``(state, count)`` pairs, decoded on first use."""
+        return [self.decode(counts).frozen() for counts in self.counts]
+
+    @cached_property
+    def index(self) -> dict[frozenset, int]:
+        """frozen ``(state, count)`` pairs -> index (the inverse of :attr:`keys`)."""
+        return {key: index for index, key in enumerate(self.keys)}
+
+    def successors(self, counts: Counts) -> set[Counts]:
+        """Every configuration one changing interaction leads to from ``counts``.
+
+        The source transition relation :meth:`QuotientChain.lift_classes`
+        walks; swaps and other changes that keep the multiset map back to
+        ``counts`` itself.
+        """
+        return {successor for _, successor in self._pairs(counts) if successor is not None}
 
     # -- lifting (identity here; the quotient chain overrides) -----------------
 
@@ -296,7 +367,7 @@ class ConfigurationChain(Generic[State]):
         chain sums its orbit sizes so exact reports keep unquotiented
         semantics.
         """
-        return len(self.keys)
+        return len(self.counts)
 
     def source_count(self, indices: Iterable[int]) -> int:
         """How many source configurations a set of chain indices stands for."""
@@ -314,40 +385,30 @@ class ConfigurationChain(Generic[State]):
         chain was quotiented.
         """
         return [
-            sorted(
-                (key_to_multiset(self.keys[member]) for member in members),
-                key=configuration_rank,
-            )
+            sorted((self.configuration(member) for member in members), key=configuration_rank)
         ]
-
-    def configuration(self, index: int) -> Multiset[State]:
-        """The configuration multiset at a chain index."""
-        return key_to_multiset(self.keys[index])
 
     def states_of(self, index: int) -> list[State]:
         """The configuration at ``index`` expanded to a deterministic state list."""
         return expand_multiset(self.configuration(index))
 
+    def output_histogram(self, counts: Counts) -> tuple[tuple[int, int], ...]:
+        """The sorted ``(color, agents)`` output histogram of a count tuple."""
+        output = self.protocol.output
+        histogram: dict[int, int] = {}
+        for code, count in enumerate(counts):
+            if count:
+                color = output(self.states[code])
+                histogram[color] = histogram.get(color, 0) + count
+        return tuple(sorted(histogram.items()))
+
     def output_key(self, index: int) -> tuple[tuple[int, int], ...]:
         """The sorted ``(color, agents)`` output histogram of a configuration.
 
         The same observable the engine conformance tests histogram
-        (``tuple(sorted(engine.output_counts().items()))``), cached per
-        configuration.
+        (``tuple(sorted(engine.output_counts().items()))``).
         """
-        while len(self._output_keys) < len(self.keys):
-            self._output_keys.append(None)  # type: ignore[arg-type]
-        cached = self._output_keys[index]
-        if cached is None:
-            output = self.protocol.output
-            counts: dict[int, int] = {}
-            for state, count in self.configuration(index).items():
-                color = output(state)
-                counts[color] = counts.get(color, 0) + count
-            cached = tuple(sorted(counts.items()))
-            self._output_keys[index] = cached
-        return cached
-
+        return self.output_histogram(self.counts[index])
     # -- distributions --------------------------------------------------------
 
     def distribution_after(self, interactions: int) -> dict[int, Fraction | float]:

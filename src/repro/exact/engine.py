@@ -37,7 +37,7 @@ conformance-tested against, not a fast path.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 from fractions import Fraction
 from typing import ClassVar, TypeVar
 
@@ -64,11 +64,37 @@ from repro.exact.result import (
 )
 from repro.protocols.base import PopulationProtocol
 from repro.simulation.base import SimulationEngine, TransitionObserver
-from repro.simulation.convergence import ConvergenceCriterion
+from repro.simulation.convergence import ConvergenceCriterion, SilentConfiguration
 from repro.utils.multiset import Multiset
 from repro.utils.rng import RngLike
 
 State = TypeVar("State", bound=Hashable)
+
+
+def criterion_predicate(
+    chain: ConfigurationChain[State], criterion: ConvergenceCriterion[State]
+) -> Callable[[int], bool]:
+    """The criterion's verdict on a chain index, answered on count tuples first.
+
+    Mirrors :meth:`repro.simulation.base.ConfigurationEngine._evaluate`:
+    incremental silence is "no interaction changes anything", which is
+    exactly ``change_probability == 0``; other criteria try their
+    count-level fast path over the compiled codes and fall back to the
+    decoded multiset.
+    """
+    if isinstance(criterion, SilentConfiguration) and criterion.incremental:
+        return lambda index: not chain.change_probability[index]
+    protocol = chain.protocol
+    compiled = chain.compiled
+
+    def holds(index: int) -> bool:
+        if compiled is not None:
+            verdict = criterion.is_converged_counts(protocol, compiled, chain.counts[index])
+            if verdict is not None:
+                return verdict
+        return criterion.is_converged_configuration(protocol, chain.configuration(index))
+
+    return holds
 
 
 class ExactMarkovEngine(SimulationEngine[State]):
@@ -241,13 +267,7 @@ class ExactMarkovEngine(SimulationEngine[State]):
         absorption = analyze_absorption(chain)
         hitting: HittingAnalysis | None = None
         if criterion is not None:
-            protocol = self.protocol
-            hitting = hitting_analysis(
-                chain,
-                lambda index: criterion.is_converged_configuration(
-                    protocol, chain.configuration(index)
-                ),
-            )
+            hitting = hitting_analysis(chain, criterion_predicate(chain, criterion))
         lifted = self._lifted_classes(chain, absorption)
         self.distribution_result = self._build_result(
             chain, absorption, hitting, criterion, lifted

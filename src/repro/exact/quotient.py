@@ -14,9 +14,11 @@ the DTMC and the lumped (quotient) chain is again Markov, with
 independent of the representative ``C``.
 
 :class:`QuotientChain` materializes that lumped chain: during the BFS every
-discovered configuration is canonicalized to the minimal key of its orbit,
-and transition mass is aggregated per orbit.  The group it folds by is the
-**stabilizer** of the initial configuration — the subgroup whose elements
+discovered configuration is canonicalized to the smallest count tuple of its
+orbit, and transition mass is aggregated per orbit.  Each stabilizer element
+acts as one permutation of the compiled state codes, computed once per chain
+and applied to count tuples — no state is decoded while folding.  The group
+it folds by is the **stabilizer** of the initial configuration — the subgroup whose elements
 fix the input multiset — because that is exactly the subgroup under which
 the trajectory measure from the input is invariant: every orbit member is
 equally probable at every time, which is what makes the results *liftable*
@@ -33,7 +35,7 @@ back to unquotiented semantics:
   lumped mass ``m`` (:meth:`output_distribution_after` applies this lift).
 
 With a trivial stabilizer (the common unique-majority case where no color
-counts tie) canonicalization is the identity and the chain is *bit-identical*
+counts tie) there is nothing to canonicalize and the chain is *bit-identical*
 to :class:`~repro.exact.chain.ConfigurationChain` — same BFS order, same
 rows — so the quotient path is safe to leave on by default
 (``ExactMarkovEngine(quotient=True)``).  The win appears exactly where exact
@@ -58,18 +60,12 @@ matrices pay for it once per protocol.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING, Generic, TypeVar
 
-from repro.compile import CompiledProtocol
-from repro.exact.chain import (
-    ConfigKey,
-    ConfigurationChain,
-    configuration_key,
-    key_to_multiset,
-)
-from repro.protocols.base import PopulationProtocol
+from repro.exact.chain import ConfigurationChain, Counts, configuration_rank
 from repro.utils.multiset import Multiset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoided at runtime
@@ -77,61 +73,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoided at runtime
 
 State = TypeVar("State", bound=Hashable)
 
-#: A deterministic total order on configuration keys: the sorted
-#: ``(repr(state), count)`` tuple.  ``repr`` ordering is the convention every
-#: exact consumer already uses (:func:`repro.exact.chain.expand_multiset`).
-KeyRank = tuple[tuple[str, int], ...]
-
-
-def key_rank(key: ConfigKey) -> KeyRank:
-    """The canonical sort rank of a configuration key."""
-    return tuple(sorted((repr(state), count) for state, count in key))
-
-
-def successor_configurations(
-    protocol: PopulationProtocol[State],
-    configuration: Multiset[State],
-    compiled: CompiledProtocol[State] | None = None,
-) -> set[ConfigKey]:
-    """All configurations reachable in exactly one interaction (excluding self-loops).
-
-    The source transition relation :meth:`QuotientChain.lift_classes` walks.
-    When ``compiled`` is given (it must cover every state in the
-    configuration), transitions are flat-table lookups instead of Python
-    dispatch.
-    """
-    successors: set[ConfigKey] = set()
-    support = list(configuration.support())
-    for initiator in support:
-        for responder in support:
-            if initiator == responder and configuration.count(initiator) < 2:
-                continue
-            if compiled is not None:
-                a, b, changed = compiled.transition_codes(
-                    compiled.encode(initiator), compiled.encode(responder)
-                )
-                if not changed:
-                    continue
-                new_initiator, new_responder = compiled.decode(a), compiled.decode(b)
-            else:
-                result = protocol.transition(initiator, responder)
-                if not result.changed:
-                    continue
-                new_initiator, new_responder = result.initiator, result.responder
-            next_config = configuration.copy()
-            next_config.remove(initiator)
-            next_config.remove(responder)
-            next_config.add(new_initiator)
-            next_config.add(new_responder)
-            successors.add(configuration_key(next_config))
-    return successors
-
 
 class QuotientChain(ConfigurationChain[State], Generic[State]):
     """The configuration chain folded by the input's color-symmetry stabilizer.
 
     A drop-in :class:`~repro.exact.chain.ConfigurationChain`: ``rows`` /
-    ``change_probability`` / ``keys`` describe the lumped chain over orbit
+    ``change_probability`` / ``counts`` describe the lumped chain over orbit
     representatives, and every derived analysis
     (:func:`repro.exact.absorption.analyze_absorption`,
     :func:`repro.exact.absorption.hitting_analysis`) runs on it unchanged.
@@ -158,13 +105,11 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
 
     # -- group derivation ------------------------------------------------------
 
-    def _prepare(self, configuration: Multiset[State]) -> None:
+    def _prepare(self, initial: Counts) -> None:
         """Derive the stabilizer of the input before the BFS starts."""
         self.symmetry: SymmetryCertificate | None = None
-        #: Nonidentity stabilizer elements as state -> state maps.
-        self._stabilizer: list[dict[State, State]] = []
-        self._canonical_cache: dict[ConfigKey, ConfigKey] = {}
-        self._orbit_sizes: dict[int, int] = {}
+        #: Nonidentity stabilizer elements, each mapping a count tuple to its image.
+        self._stabilizer: list[Callable[[Counts], Counts]] = []
         if self.compiled is None:
             return  # no δ-table to certify symmetries against: trivial group
         # Imported lazily: repro.verify pulls the whole verifier package
@@ -179,17 +124,17 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
         )
         actions = symmetry_actions(self.compiled, max_colors)
         self.symmetry = actions.certificate
-        states = self.compiled.states
-        initial_key = configuration_key(configuration)
         for action in actions.actions:
             if action.is_identity:
                 continue
-            mapping = {
-                states[code]: states[image]
-                for code, image in enumerate(action.state_map)
-            }
-            if self._apply(mapping, initial_key) == initial_key:
-                self._stabilizer.append(mapping)
+            # σ moves the agents of code c to σ(c), so the image tuple reads
+            # position σ(c) from position c: a gather by the inverse map.
+            inverse = [0] * len(action.state_map)
+            for code, image in enumerate(action.state_map):
+                inverse[image] = code
+            apply = itemgetter(*inverse)
+            if apply(initial) == initial:
+                self._stabilizer.append(apply)
 
     @property
     def stabilizer_order(self) -> int:
@@ -203,50 +148,37 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
 
     # -- canonicalization ------------------------------------------------------
 
-    @staticmethod
-    def _apply(mapping: dict[State, State], key: ConfigKey) -> ConfigKey:
-        """The image of a configuration key under one state bijection."""
-        return frozenset((mapping[state], count) for state, count in key)
+    def _canonical(self) -> Callable[[Counts], Counts] | None:
+        stabilizer = self._stabilizer
+        if not stabilizer:
+            return super()._canonical()
 
-    def _canonical(self, key: ConfigKey) -> ConfigKey:
-        if not self._stabilizer:
-            return key
-        cached = self._canonical_cache.get(key)
-        if cached is not None:
-            return cached
-        best = key
-        best_rank = key_rank(key)
-        for mapping in self._stabilizer:
-            image = self._apply(mapping, key)
-            rank = key_rank(image)
-            if rank < best_rank:
-                best, best_rank = image, rank
-        self._canonical_cache[key] = best
-        return best
+        def orbit_minimum(counts: Counts) -> Counts:
+            best = counts
+            for apply in stabilizer:
+                image = apply(counts)
+                if image < best:
+                    best = image
+            return best
+
+        return orbit_minimum
 
     # -- orbits ----------------------------------------------------------------
 
-    def orbit_keys(self, index: int) -> list[ConfigKey]:
-        """Every source configuration in the orbit of a representative, ranked."""
-        key = self.keys[index]
-        members = {key}
-        for mapping in self._stabilizer:
-            members.add(self._apply(mapping, key))
-        return sorted(members, key=key_rank)
+    def orbit_keys(self, index: int) -> set[Counts]:
+        """Every source configuration in the orbit of a representative."""
+        counts = self.counts[index]
+        return {counts, *(apply(counts) for apply in self._stabilizer)}
 
     def orbit_size(self, index: int) -> int:
         """How many source configurations a representative stands for."""
-        cached = self._orbit_sizes.get(index)
-        if cached is None:
-            cached = len(self.orbit_keys(index))
-            self._orbit_sizes[index] = cached
-        return cached
+        return len(self.orbit_keys(index))
 
     # -- lifting ---------------------------------------------------------------
 
     @property
     def num_source_configurations(self) -> int:
-        return sum(self.orbit_size(index) for index in range(len(self.keys)))
+        return sum(self.orbit_size(index) for index in range(len(self.counts)))
 
     def source_count(self, indices: Iterable[int]) -> int:
         return sum(self.orbit_size(index) for index in indices)
@@ -258,29 +190,25 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
         unquotiented closed classes.  Rather than reasoning group-theoretically
         about how orbits split, the classes are reconstructed directly: the
         source class containing a configuration is its forward-reachable set
-        under the *source* transition relation (closed classes are strongly
-        connected and closed, so the BFS is confined).  Classes come back
-        sorted by their minimal member's rank, members ranked within each —
-        deterministic, so golden files regenerate identically.  With a
-        trivial stabilizer every class is its own preimage, so the base
-        chain's lift applies as is.
+        under the *source* transition relation (:meth:`successors`; closed
+        classes are strongly connected and closed, so the BFS is confined).
+        Classes come back sorted by their minimal member's rank, members
+        ranked within each — deterministic, so golden files regenerate
+        identically.  With a trivial stabilizer every class is its own
+        preimage, so the base chain's lift applies as is.
         """
         if not self._stabilizer:
             return super().lift_classes(members)
-        pending: set[ConfigKey] = set()
+        pending: set[Counts] = set()
         for member in members:
             pending.update(self.orbit_keys(member))
         classes: list[list[Multiset[State]]] = []
         while pending:
-            seed = min(pending, key=key_rank)
+            seed = min(pending)
             component = {seed}
             frontier = [seed]
             while frontier:
-                key = frontier.pop()
-                successors = successor_configurations(
-                    self.protocol, key_to_multiset(key), compiled=self.compiled
-                )
-                for successor in successors:
+                for successor in self.successors(frontier.pop()):
                     if successor not in component:
                         component.add(successor)
                         frontier.append(successor)
@@ -292,9 +220,9 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
                 )
             pending -= component
             classes.append(
-                [key_to_multiset(key) for key in sorted(component, key=key_rank)]
+                sorted((self.decode(counts) for counts in component), key=configuration_rank)
             )
-        classes.sort(key=lambda conf_class: key_rank(configuration_key(conf_class[0])))
+        classes.sort(key=lambda conf_class: configuration_rank(conf_class[0]))
         return classes
 
     def output_distribution_after(
@@ -310,17 +238,12 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
         """
         if not self._stabilizer:
             return super().output_distribution_after(interactions)
-        output = self.protocol.output
         projected: dict[tuple[tuple[int, int], ...], Fraction | float] = {}
         for index, mass in self.distribution_after(interactions).items():
-            members = self.orbit_keys(index)
+            members = sorted(self.orbit_keys(index))
             share = mass / len(members)
             for member in members:
-                counts: dict[int, int] = {}
-                for state, count in member:
-                    color = output(state)
-                    counts[color] = counts.get(color, 0) + count
-                histogram = tuple(sorted(counts.items()))
+                histogram = self.output_histogram(member)
                 if histogram in projected:
                     projected[histogram] += share
                 else:

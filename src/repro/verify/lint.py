@@ -173,15 +173,11 @@ def enabled_pairs(
     then skips the lint, since a partial space would under-approximate
     enabledness).
     """
+    recode = [compiled.index[state] for state in chain.states]  # probe codes -> ours
     pairs: set[tuple[int, int]] = set()
-    for key in chain.keys:
-        counts = {compiled.index[state]: count for state, count in key}
-        codes = sorted(counts)
-        for p in codes:
-            for q in codes:
-                if p == q and counts[p] < 2:
-                    continue
-                pairs.add((p, q))
+    for counts in chain.counts:
+        present = [(recode[code], count) for code, count in enumerate(counts) if count]
+        pairs.update((p, q) for p, count in present for q, _ in present if p != q or count > 1)
     return pairs
 
 

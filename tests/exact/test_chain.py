@@ -9,15 +9,31 @@ from repro.core.circles import CirclesProtocol
 from repro.core.greedy_sets import predicted_stable_brakets
 from repro.core.invariants import braket_invariant_holds
 from repro.exact import ChainTooLarge, ConfigurationChain
-from repro.exact.chain import configuration_key, key_to_multiset
 from repro.protocols.exact_majority import ExactMajorityProtocol
 from repro.utils.multiset import Multiset
 
 
 class TestKeys:
-    def test_roundtrip(self):
-        config = Multiset(["a", "a", "b"])
-        assert key_to_multiset(configuration_key(config)) == config
+    def test_counts_decode_to_the_frozen_keys(self):
+        chain = ConfigurationChain.from_colors(CirclesProtocol(2), (0, 0, 1))
+        assert len(chain.counts) == len(chain.keys) == chain.num_configurations
+        for counts, key in zip(chain.counts, chain.keys):
+            assert sum(counts) == 3
+            assert chain.decode(counts).frozen() == key
+
+    def test_counts_index_the_compiled_codes(self):
+        chain = ConfigurationChain.from_colors(CirclesProtocol(2), (0, 0, 1))
+        assert chain.states == chain.compiled.states
+        assert all(len(counts) == chain.compiled.num_states for counts in chain.counts)
+
+    def test_uncompiled_counts_carry_no_trailing_zeros(self):
+        chain = ConfigurationChain.from_colors(
+            CirclesProtocol(2), (0, 0, 0, 1, 1), compiled=False
+        )
+        assert all(counts[-1] for counts in chain.counts)
+        assert set(chain.states) == {
+            state for key in chain.keys for state, _ in key
+        }
 
 
 class TestConstruction:
@@ -98,8 +114,8 @@ class TestConstruction:
         )
         # The chain is full: every key is interned.  Re-interning any of
         # them must return the existing index, never consult the cap.
-        for index, key in enumerate(chain.keys):
-            assert chain._intern(key, cap) == index
+        for index, counts in enumerate(chain.counts):
+            assert chain._intern(counts, cap) == index
         assert chain.num_configurations == cap
 
     def test_too_small_population_rejected(self):

@@ -21,11 +21,9 @@ from repro.exact import (
     SolveTooLarge,
     exact_expected_convergence,
 )
-from repro.exact.quotient import successor_configurations
 from repro.protocols.exact_majority import ExactMajorityProtocol
 from repro.protocols.registry import DEFAULT_REGISTRY, get_protocol
 from repro.simulation.convergence import OutputConsensus, StableCircles
-from repro.utils.multiset import Multiset
 
 #: A perfectly tied two-color input: its stabilizer contains the color swap.
 TIED = (0, 0, 1, 1)
@@ -40,33 +38,35 @@ class TestSuccessors:
     """The source transition relation :meth:`QuotientChain.lift_classes` walks."""
 
     def test_two_diagonals_have_one_successor(self):
-        protocol = CirclesProtocol(2)
-        config = Multiset([protocol.initial_state(0), protocol.initial_state(1)])
-        assert len(successor_configurations(protocol, config)) == 1
+        chain = ConfigurationChain.from_colors(CirclesProtocol(2), (0, 1))
+        assert len(chain.successors(chain.counts[0])) == 1
 
     def test_same_state_pair_needs_two_copies(self):
-        protocol = ExactMajorityProtocol()
-        single = Multiset([protocol.initial_state(0), protocol.initial_state(1)])
+        chain = ConfigurationChain.from_colors(ExactMajorityProtocol(), (0, 1))
         # Only the cross pair can fire; the identical-state self pair must not be invented.
-        assert len(successor_configurations(protocol, single)) == 1
+        assert len(chain.successors(chain.counts[0])) == 1
 
     def test_silent_configuration_has_no_successors(self):
-        protocol = CirclesProtocol(2)
         # Everyone identical: nothing can change.
-        config = Multiset([protocol.initial_state(1)] * 3)
-        assert successor_configurations(protocol, config) == set()
+        chain = ConfigurationChain.from_colors(CirclesProtocol(2), (1, 1, 1))
+        assert chain.successors(chain.counts[0]) == set()
 
     def test_compiled_and_dispatch_paths_agree(self):
         chain = ConfigurationChain.from_colors(CirclesProtocol(3), (0, 0, 1, 2))
-        assert chain.compiled is not None
+        fallback = ConfigurationChain.from_colors(
+            CirclesProtocol(3), (0, 0, 1, 2), compiled=False
+        )
+        assert chain.compiled is not None and fallback.compiled is None
+        assert chain.keys == fallback.keys
+        position = {counts: index for index, counts in enumerate(chain.counts)}
         for index in range(chain.num_configurations):
-            configuration = chain.configuration(index)
-            successors = successor_configurations(
-                chain.protocol, configuration, compiled=chain.compiled
-            )
-            assert successors == successor_configurations(chain.protocol, configuration)
+            successors = chain.successors(chain.counts[index])
+            assert {chain.decode(counts).frozen() for counts in successors} == {
+                fallback.decode(counts).frozen()
+                for counts in fallback.successors(fallback.counts[index])
+            }
             # The same edges the chain's rows carry, self-loops aside.
-            targets = {chain.index[key] for key in successors}
+            targets = {position[counts] for counts in successors}
             assert targets - {index} == set(chain.rows[index]) - {index}
 
 
@@ -126,7 +126,7 @@ class TestOrbits:
     def test_orbit_keys_are_closed_under_the_stabilizer(self):
         quotient = QuotientChain.from_colors(CirclesProtocol(2), TIED)
         plain = ConfigurationChain.from_colors(CirclesProtocol(2), TIED)
-        source_keys = set(plain.keys)
+        source_keys = set(plain.counts)
         seen = set()
         for index in range(quotient.num_configurations):
             members = quotient.orbit_keys(index)
