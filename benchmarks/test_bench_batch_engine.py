@@ -57,8 +57,8 @@ def test_batch_engine_is_5x_faster_than_configuration_engine(record_perf):
 
     batch = BatchConfigurationSimulation.from_colors(protocol, colors, seed=6)
     sequential = ConfigurationSimulation.from_colors(protocol, colors, seed=6)
-    # Warm both engines (first burst builds the survival table / touches the
-    # multiset) so the timed region is steady-state.
+    # Warm both engines (the first round allocates the kernel's buffers) so
+    # the timed region is steady-state.
     batch.run(5_000)
     sequential.run(5_000)
 

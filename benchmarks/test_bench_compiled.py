@@ -4,7 +4,7 @@ Checks on an E6-style Circles workload (planted majority, uniform random
 scheduler) at ``n = 10^5``:
 
 * the compiled batch engine (integer count vectors + flat transition tables,
-  vectorized burst sampling) simulates a fixed interaction budget at least
+  vectorized kernel rounds) simulates a fixed interaction budget at least
   **2× faster** than the PR 1 uncompiled batch engine (``compiled=False``:
   hashable-state pool + memoized transition dict).  The engines sample the
   *same* Markov chain, so equal budgets are equal work;
@@ -95,8 +95,8 @@ def test_compiled_batch_is_2x_faster_than_uncompiled_batch(record_perf):
     )
     assert compiled.compiled_protocol is not None
     assert uncompiled.compiled_protocol is None
-    # Warm both engines (first burst builds the survival table / transition
-    # caches) so the timed region is steady-state.
+    # Warm both engines (the first window fills the transition caches) so the
+    # timed region is steady-state.
     compiled.run(5_000)
     uncompiled.run(5_000)
 

@@ -45,8 +45,9 @@ def main() -> None:
 
     # For large populations under the uniform random scheduler, select the
     # batched configuration-level engine: it simulates the same Markov chain
-    # (agents are anonymous) in exact bursts, orders of magnitude faster than
-    # stepping agents one interaction at a time.
+    # (agents are anonymous) on state counts and skips null interactions once
+    # few of them change a state, orders of magnitude faster than stepping
+    # individual agents through a scheduler.
     big_colors = [0] * 600 + [1] * 250 + [2] * 150
     fast = run_circles(big_colors, seed=2025, engine="batch")
     print(f"\nn={len(big_colors)} via engine='batch':")

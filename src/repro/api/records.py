@@ -28,7 +28,9 @@ from repro.utils.atomic import atomic_write_text
 
 #: Which generation of the run code produced a record.  A record is a pure
 #: function of its spec *and* of that code: a change that samples the same
-#: law through different draws (such as the batch engine's sparse regime),
+#: law through different draws (such as the batch engine's sparse regime, or
+#: its dense regime drawing one interaction at a time below the kernel gate
+#: and its re-measured regime thresholds, epoch 5),
 #: that solves the same system in a different float order (such as the exact
 #: engine's block-by-block solve, epoch 2, and its one visit-row solve,
 #: epoch 4), or that reports more of a run (Circles runs with an explicit
@@ -36,7 +38,7 @@ from repro.utils.atomic import atomic_write_text
 #: :func:`~repro.api.executor.execute_run` returns for an unchanged spec.  The result store writes the epoch on every line and
 #: never serves a line of another epoch.  Bump it with every such change;
 #: spec SHAs and derived seeds stay as they are.
-RECORD_EPOCH = 4
+RECORD_EPOCH = 5
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ an :class:`~repro.simulation.observers.EnergyObserver`, on **any** engine:
   (including non-changing ones), the classic dense curve EXPERIMENTS.md
   reports;
 * ``engine="configuration"`` — one sample per changed interaction;
-* ``engine="batch"`` — one sample per changed pair-type aggregate per burst,
-  which is what makes relaxation curves at ``n = 10^5`` tractable.
+* ``engine="batch"`` — one sample per changed interaction below the kernel
+  gate, and one per changed pair-type aggregate per kernel round from
+  ``n = 4096``, which is what makes relaxation curves at ``n = 10^5``
+  tractable.
 
 Whatever the granularity, every sample is exact: the observer maintains the
 energy incrementally from the engine's deltas, and the final sample equals
@@ -47,8 +49,8 @@ class EnergyTrajectory:
     #: Interactions completed at each energy sample (same length as
     #: ``energies``).  For the agent engine this is exactly ``0..budget``;
     #: the configuration-level engines sample at change boundaries only, and
-    #: on the batch engine a sample's step lies within the bounds of the
-    #: burst whose aggregate produced it.
+    #: on the batch engine's position kernel a sample's step lies within the
+    #: bounds of the round whose aggregate produced it.
     steps: tuple[int, ...] = field(default=())
     #: Registry name of the engine that produced the curve.
     engine: str = "agent"

@@ -15,8 +15,9 @@ itself is the observer pipeline (:mod:`repro.simulation.observers`): a
 :class:`~repro.simulation.observers.KetExchangeObserver` counts exchanges and
 a :class:`~repro.simulation.observers.PotentialObserver` verifies the strict
 potential decrease — identically on *every* engine, at each engine's exact
-delta granularity (per interaction on the agent engine, per burst aggregate
-on the batched engine), which is what scales the measurement to large ``n``.
+delta granularity (per interaction on the agent engine, per kernel-round
+aggregate on the batched engine from ``n = 4096``), which is what scales the
+measurement to large ``n``.
 
 The sweep defaults to adaptive sequential sampling (``trials="auto"``,
 :mod:`repro.api.stopping`): each (n, k) cell repeats its instrumented run
@@ -62,10 +63,10 @@ def _measure_on_colors(
     :class:`KetExchangeObserver` counts exchanges exactly, and a
     :class:`PotentialObserver` checks that the ordinal potential strictly
     decreases at every delta that moves weight — per ket exchange on the
-    agent engine, per exact burst aggregate on the batched engine (a
-    composition of strictly decreasing exchanges, so strictness carries
-    over), which is the per-exchange claim of Theorem 3.4 at each engine's
-    native granularity.
+    agent engine, per exact kernel-round aggregate on the batched engine's
+    position kernel (a composition of strictly decreasing exchanges, so
+    strictness carries over), which is the per-exchange claim of Theorem 3.4
+    at each engine's native granularity.
     """
     num_agents = len(colors)
     protocol = CirclesProtocol(num_colors)

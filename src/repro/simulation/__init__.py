@@ -14,11 +14,13 @@ behind the shared :class:`repro.simulation.base.SimulationEngine` interface:
   scheduler and scales to large populations.
 * :class:`repro.simulation.batch_engine.BatchConfigurationSimulation`
   (``engine="batch"``) — the same Markov chain as the configuration engine,
-  sampled in bulk: exact vectorized rounds through the position kernel of
-  :mod:`repro.simulation.vector_kernel` when numpy is available, exact
-  ``Θ(√n)``-interaction bursts with a collision-aware correction otherwise.
-  This is the fast path behind the convergence-time benchmarks (experiment
-  E6) at ``n = 10^5``–``10^6``.
+  sampled in windows: exact vectorized rounds through the position kernel of
+  :mod:`repro.simulation.vector_kernel` from ``n = 4096`` when numpy is
+  available; below that, one interaction at a time from an agent pool while
+  many interactions change a state, and only the state-changing ones (with
+  geometric skips over the null ones) once few do.  This is the fast path
+  behind the convergence-time benchmarks (experiment E6) at
+  ``n = 10^5``–``10^6``.
 * :class:`repro.simulation.vector_engine.VectorReplicateSimulation`
   (``engine="vector"``) — the batch engine plus a many-replicate driver
   (:meth:`~repro.simulation.vector_engine.VectorReplicateSimulation.replicate_group`)
@@ -30,7 +32,7 @@ behind the shared :class:`repro.simulation.base.SimulationEngine` interface:
 The configuration-level engines run on *compiled* transition tables by
 default (:mod:`repro.compile`): the configuration is an integer count vector
 over the protocol's reachable state space and every transition is a flat
-table lookup; the batch engine's bursts are vectorized when numpy is
+table lookup; the batch engine's kernel rounds are vectorized when numpy is
 available.  ``compiled=False`` (on the constructors, ``run_protocol`` /
 ``run_circles`` or ``RunSpec``) forces the original uncompiled paths.
 

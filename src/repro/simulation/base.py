@@ -1,7 +1,7 @@
 """The shared engine interface.
 
 Three engines simulate the same population-protocol dynamics at different
-granularities (per agent, per configuration, per batched burst); this module
+granularities (per agent, per configuration, per sampled window); this module
 holds what they share:
 
 * :class:`SimulationEngine` — the abstract base class every engine
@@ -83,7 +83,7 @@ class SimulationEngine(abc.ABC, Generic[State]):
     """Abstract base class of all simulation engines.
 
     Concrete engines provide the stepping strategy via :meth:`_advance` (one
-    interaction for the exact sequential engines, a whole burst for the
+    interaction for the exact sequential engines, a whole window for the
     batched engine) and the criterion hook :meth:`_converged`; the budgeted
     :meth:`run` loop is shared so every engine stops under exactly the same
     rules.
@@ -317,7 +317,20 @@ class ConfigurationEngine(SimulationEngine[State]):
         self._verdict: tuple | None = None
         if compiled is None or compiled:
             self._try_compile()
+        #: The attached observers, split by what they consume on the compiled
+        #: path: ``(code, count)`` hooks, or decoded :class:`CountDelta`\ s.
+        self._code_hooks: list[Callable[[int, int], None]] = []
+        self._delta_observers: list[Observer[State]] = []
         self._init_observers(transition_observer)
+
+    def add_observer(self, observer: Observer[State]) -> Observer[State]:
+        super().add_observer(observer)
+        hook = None if self._compiled is None else observer.code_hook(self._compiled)
+        if hook is None:
+            self._delta_observers.append(observer)
+        else:
+            self._code_hooks.append(hook)
+        return observer
 
     def _try_compile(self) -> None:
         """Switch to the count-vector representation when compilation fits."""
@@ -373,13 +386,19 @@ class ConfigurationEngine(SimulationEngine[State]):
                 observer.on_delta(delta)
 
     def _record_changed_codes(self, p: int, q: int, a: int, b: int, count: int) -> None:
-        """Book a changed compiled transition: counter + (decoded) delta.
+        """Book a changed compiled transition: counter, code hooks, decoded delta.
 
-        Count-vector bookkeeping stays with the caller — the engines update
-        counts differently (per pair type, or wholesale per burst).
+        States are decoded only when an attached observer needs a
+        :class:`CountDelta`.  Count-vector bookkeeping stays with the caller —
+        the engines update counts differently (per interaction, or wholesale
+        per kernel round).
         """
         self.interactions_changed += count
-        if self._observers:
+        if self._code_hooks:
+            code = p * self._compiled.num_states + q
+            for hook in self._code_hooks:
+                hook(code, count)
+        if self._delta_observers:
             decode = self._compiled.decode
             delta = CountDelta(
                 step=self.steps_taken,
@@ -388,7 +407,7 @@ class ConfigurationEngine(SimulationEngine[State]):
                 result=TransitionResult(decode(a), decode(b), True),
                 count=count,
             )
-            for observer in self._observers:
+            for observer in self._delta_observers:
                 observer.on_delta(delta)
 
     def _book_changed_codes(self, p: int, q: int, a: int, b: int, count: int) -> None:

@@ -3,9 +3,10 @@
 :class:`~repro.simulation.config_engine.ConfigurationSimulation` already
 exploits anonymity to simulate the uniform random scheduler on state *counts*,
 but it still pays two ``O(d)`` linear scans plus one transition evaluation per
-interaction.  This engine samples the same chain in larger steps, in the
-spirit of Gillespie-style aggregation (see :mod:`repro.chemistry.gillespie`)
-and of the batched population-protocol simulators of Berenbrink et al.:
+interaction.  This engine samples the same chain through cheaper windows of
+interactions, in the spirit of Gillespie-style aggregation (see
+:mod:`repro.chemistry.gillespie`) and of the batched population-protocol
+simulators of Berenbrink et al.:
 
 - On the default *compiled* path (see :mod:`repro.compile`) with numpy
   available and ``n >= NUMPY_BURST_THRESHOLD``, the engine delegates to the
@@ -22,15 +23,11 @@ and of the batched population-protocol simulators of Berenbrink et al.:
 - Below that population size (or without numpy) the compiled engine runs in
   one of two regimes over its count vector:
 
-  * **dense** — *bursts*: interactions over pairwise-distinct agents
-    commute, the number of interactions until an agent is re-drawn depends
-    only on agent identities, so a maximal collision-free burst is sampled
-    directly from the birthday-process distribution (``Θ(√n)``
-    interactions), its agents popped from a flat pool in ``O(1)`` and
-    applied per ordered pair type, and the burst-ending collision
-    interaction is applied exactly — matching the conditional distribution
-    of the sequential process.  Every interaction, null or not, costs one
-    pool draw, which is the right price while many of them change a state.
+  * **dense** — one interaction at a time from a flat pool of agent codes:
+    two index draws pick an ordered pair of distinct agents, one table
+    lookup applies the transition, and a changed interaction is booked on
+    the count vector and on codes.  Every interaction, null or not, costs
+    two draws, which is the right price while many of them change a state.
   * **sparse** — only *active* interactions are drawn.  With ``W = Σ
     c_p·(c_q - [p=q])`` over the ordered pairs ``(p, q)`` whose transition
     changes a state, the number of null interactions before the next active
@@ -52,7 +49,8 @@ and of the batched population-protocol simulators of Berenbrink et al.:
   Going sparse drops the pool; going dense rebuilds it from the counts in
   ``O(n)``.
 - Uncompiled engines (``compiled=False`` or a δ-closure over the compile
-  cap) run dense bursts over a pool of decoded states.
+  cap) run the same dense step over a pool of decoded states, with the
+  transition memoized per ordered state pair.
 
 The induced Markov chain over configurations is *identical* to
 :class:`ConfigurationSimulation`'s (and to the agent engine's under the
@@ -75,10 +73,9 @@ its bulk draws.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import Counter
+from bisect import bisect_right
 from collections.abc import Hashable, Iterable
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import log, log1p
 from operator import mul
 from typing import Generic, TypeVar
@@ -88,42 +85,49 @@ from repro.simulation.base import ConfigurationEngine, TransitionObserver
 from repro.utils.multiset import Multiset
 from repro.utils.rng import RngLike
 
-try:  # numpy accelerates the compiled burst path; everything works without it.
+try:  # numpy runs the position kernel; everything works without it.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised only on numpy-free installs
     _np = None
 
 State = TypeVar("State", bound=Hashable)
 
-#: Below this population size a burst is shorter than its bookkeeping, so the
-#: engine samples interactions one at a time (still exactly, still through the
-#: pool and the transition table).
-SEQUENTIAL_FALLBACK_THRESHOLD = 16
-
 #: Population size from which the vectorized position-kernel path beats the
 #: pool path: numpy call overhead is per round, so it amortizes only once
-#: rounds are long relative to their chained-position fraction (measured
-#: crossover is near n = 4096 for Circles-sized tables).
+#: rounds are long relative to their chained-position fraction.  Measured
+#: against the one-at-a-time pool on a dense phase (20·n interactions from
+#: near-tied k=3 inputs, circles and tournament-plurality, two passes on a
+#: 2-vCPU Xeon VM), in µs per interaction, pool / kernel:
+#:
+#: - n = 2048: serial 0.50–0.84 / 0.71–0.89, 32 replicates 0.67–0.84 / 0.35–0.51;
+#: - n = 4096: serial 0.65–0.89 / 0.44–0.64, 32 replicates 0.49–0.88 / 0.35–0.39;
+#: - n = 8192: serial 0.86–0.96 / 0.32–0.51, 32 replicates 0.85–0.88 / 0.22–0.28;
+#: - n = 16384: serial 0.64–0.90 / 0.20–0.36, 32 replicates 0.65–0.79 / 0.14–0.18.
+#:
+#: Serial runs cross over between n = 2048 and 4096; replicate groups
+#: already favour the kernel at 2048.
 NUMPY_BURST_THRESHOLD = 4096
 
 #: Regime switch of the compiled pool path.  The *load* is the active
 #: fraction ``W / n(n-1)`` times ``1 + support / SPARSE_SUPPORT_SCALE``: a
 #: sparse event costs roughly that many dense interactions, because its
 #: bookkeeping walks the active lists of the codes it moves, which grow with
-#: the support.  Measured on a 2-vCPU Xeon VM (Python 3.11), a dense
-#: interaction costs 3–4.5 µs and a sparse event 9.5 µs for circles k=3
-#: (support ≈ 18), 22 µs for tournament-plurality k=3 (≈ 60) and 31–36 µs for
-#: circles k=6 (≈ 90–136), so the two regimes break even at a load of
-#: 0.75–0.85 across all three.  A dense engine goes sparse below
+#: the support.  Measured on a 2-vCPU Xeon VM (Python 3.11) over runs to the
+#: default criterion at n = 256 (and 1024 for the k=3 protocols), a dense
+#: interaction costs 0.4–0.55 µs on all four protocols below, and a sparse
+#: event 4.3–6.5 µs for circles k=3 (support ≈ 15), 11–14 µs for
+#: tournament-plurality k=3 (≈ 45), 21 µs for circles k=6 (≈ 56) and 4.6 µs
+#: for exact-majority (≈ 4), so the two regimes break even at a load of
+#: 0.10–0.18 across all four.  A dense engine goes sparse below
 #: ``SPARSE_ENTER_LOAD`` and a sparse one returns to dense above
 #: ``SPARSE_LEAVE_LOAD``; the gap keeps the engine from flapping.
 SPARSE_SUPPORT_SCALE = 16
-SPARSE_ENTER_LOAD = 0.4
-SPARSE_LEAVE_LOAD = 0.8
+SPARSE_ENTER_LOAD = 0.1
+SPARSE_LEAVE_LOAD = 0.2
 
 
 class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
-    """Simulate the uniform random scheduler in exact batched bursts."""
+    """Simulate the uniform random scheduler exactly, window by window."""
 
     engine_name = "batch"
     #: Batch trajectories are a pure function of the engine seed's streams,
@@ -142,7 +146,6 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             protocol, initial, seed, transition_observer=transition_observer, compiled=compiled
         )
         self._transition_cache: dict[tuple[State, State], TransitionResult[State]] = {}
-        self._neg_survival: list[float] | None = None
         self._kernel = None
         self._pool: list | None = None
         #: Sparse-regime state: ``_row_mass[p]`` is the number of agents ``p``
@@ -176,7 +179,7 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
                 self._counts,
             )
         elif self._compiled is not None:
-            #: Flat pool of encoded agent states; random pops are O(1).
+            #: Flat pool of encoded agent states, one entry per agent.
             self._pool = self._pool_from_counts()
             self._active_rows, self._active_cols = self._compiled.active_lists()
             #: Step at which the regime is next re-decided (once per n), and
@@ -184,7 +187,7 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             self._next_decision = 0
             self._last_decision = (0, 0)
         else:
-            #: Flat pool of agent states; random pops are O(1) via swap-remove.
+            #: Flat pool of decoded agent states, one entry per agent.
             self._pool = list(self._configuration.elements())
 
     # -- transition evaluation ---------------------------------------------------
@@ -198,102 +201,23 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             self._transition_cache[key] = result
         return result
 
-    def _apply_pair(self, initiator, responder, count: int):
-        """Transition one ordered pool pair type, book it, return the results."""
-        if self._compiled is not None:
-            a, b, changed = self._compiled.transition_codes(initiator, responder)
-            if changed:
-                self._book_changed_codes(initiator, responder, a, b, count)
-            return a, b
-        result = self._transition(initiator, responder)
-        if result.changed:
-            self._apply_changed_transition(initiator, responder, result, count)
-        return result.initiator, result.responder
-
-    # -- sampling primitives ------------------------------------------------------
-
-    def _random_index(self, size: int) -> int:
-        index = int(self._rng.random() * size)
-        return size - 1 if index >= size else index
-
-    def _pop_random(self):
-        """Remove and return a uniformly random pool entry in O(1)."""
-        pool = self._pool
-        index = self._random_index(len(pool))
-        last = pool.pop()
-        if index < len(pool):
-            state = pool[index]
-            pool[index] = last
-            return state
-        return last
-
-    def _sample_burst_length(self, cap: int) -> tuple[int, tuple[bool, bool] | None]:
-        """Sample how many interactions precede the burst's first collision.
-
-        Returns ``(length, collision)``: ``length`` non-colliding interactions
-        (capped at ``cap``, in which case ``collision`` is None) followed by
-        one interaction whose ``(initiator_is_touched, responder_is_touched)``
-        pattern is ``collision``.  The pattern depends only on agent
-        identities, so it is sampled before any state is drawn: with ``m``
-        agents touched, an interaction's ordered slot pair is fresh/fresh,
-        fresh/touched, touched/fresh or touched/touched with probabilities
-        proportional to ``(n-m)(n-m-1)``, ``(n-m)·m``, ``m·(n-m)`` and
-        ``m·(m-1)``.  The length is drawn by inverse transform on the
-        birthday-process survival function (one uniform draw per burst); the
-        collision pattern by one more draw over the three colliding masses.
-        """
-        n = self._num_agents
-        total_pairs = float(n * (n - 1))
-        rng_random = self._rng.random
-        if self._neg_survival is None:
-            # Precompute the survival function S_t = P(first t interactions
-            # touch 2t distinct agents); it depends only on n.  Stored negated
-            # so bisect can search the (ascending) sequence.  S_t underflows
-            # to exactly 0.0 after O(√(n·log n)) entries, which bounds both
-            # the table size and every later lookup.
-            negated: list[float] = [-1.0]
-            survival = 1.0
-            step = 0
-            while survival > 0.0:
-                fresh = n - 2 * step
-                survival *= max(fresh * (fresh - 1), 0) / total_pairs
-                negated.append(-survival)
-                step += 1
-            self._neg_survival = negated
-        u = rng_random()
-        # The burst length is the largest t with S_t > u (inverse transform).
-        length = bisect_left(self._neg_survival, -u) - 1
-        if length >= cap:
-            return cap, None
-        m = 2 * length
-        fresh = n - m
-        collision_mass = total_pairs - fresh * (fresh - 1)
-        target = rng_random() * collision_mass
-        if target < fresh * m:
-            return length, (False, True)
-        target -= fresh * m
-        if target < m * fresh:
-            return length, (True, False)
-        return length, (True, True)
-
     # -- stepping ------------------------------------------------------------------
 
     def run_burst(self, max_interactions: int | None = None) -> int:
-        """Execute one batch of interactions and return how many it contained.
+        """Execute one window of interactions and return how many it contained.
 
         On the position-kernel path that is one vectorized round of up to
         :data:`~repro.simulation.vector_kernel.DEFAULT_ROUND` interactions,
-        exact in sequential order.  On the pool path it is a maximal run of
-        interactions over pairwise-distinct agents, applied in bulk per
-        ordered pair type, plus (when the cap allows) the collision
-        interaction that ends it.  In the sparse regime it is a window of up
-        to ``n`` interactions of which only the active ones are drawn.
+        exact in sequential order.  In the dense regime it is up to ``n``
+        interactions drawn one at a time from the agent pool, and in the
+        sparse regime up to ``n`` interactions of which only the active ones
+        are drawn.
         """
         if self._kernel is not None:
             return self._run_round_kernel(max_interactions)
         if self._row_mass is not None:
             return self._run_sparse(max_interactions)
-        return self._run_burst_pool(max_interactions)
+        return self._run_dense(max_interactions)
 
     def _run_round_kernel(self, max_interactions: int | None) -> int:
         """One vectorized round through the position kernel (exact, in order)."""
@@ -345,136 +269,88 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         if not self._observers:
             self.interactions_changed += int(changed_codes.size)
         else:
-            # The observer contract wants one decoded delta per pair type.
+            # Observers get one booking per changed pair type per round.
             unique, pair_counts = _np.unique(changed_codes, return_counts=True)
             for code, count in zip(unique.tolist(), pair_counts.tolist()):
                 p, q = divmod(code, d)
                 a, b = divmod(int(table_np[code]), d)
                 self._record_changed_codes(p, q, a, b, count)
 
-    def _run_burst_pool(self, max_interactions: int | None) -> int:
-        """The pool burst: O(1) random pops, pair-type aggregation, bulk apply."""
-        cap = self._num_agents if max_interactions is None else max_interactions
-        if cap <= 0:
-            return 0
-        length, collision = self._sample_burst_length(cap)
+    def _run_dense(self, max_interactions: int | None) -> int:
+        """Up to ``n`` interactions, each an ordered pair of distinct pool agents.
 
-        # Draw the fresh agents' states without replacement.  The pool pops
-        # are inlined (swap-remove) — this loop dominates the engine's
-        # per-interaction cost — and the drawn ordered pairs are aggregated
-        # into per-pair-type counts by Counter's C-level counting loop.
+        The initiator is a uniform pool index and the responder a uniform
+        index among the other ``n - 1`` agents.  ``random() < 1`` and ``n``
+        is far below ``2**53``, so ``int(random() * n)`` is always below
+        ``n``.  Deltas carry the step of the interaction that produced them.
+        """
+        n = self._num_agents
+        window = n if max_interactions is None else min(max_interactions, n)
+        if window <= 0:
+            return 0
         pool = self._pool
         rng_random = self._rng.random
-        pairs: list[tuple] = []
-        append_pair = pairs.append
-        size = len(pool)
-        for _ in range(length):
-            index = int(rng_random() * size)
-            size -= 1
-            last = pool.pop()
-            if index < size:
-                initiator = pool[index]
-                pool[index] = last
-            else:
-                initiator = last
-            index = int(rng_random() * size)
-            size -= 1
-            last = pool.pop()
-            if index < size:
-                responder = pool[index]
-                pool[index] = last
-            else:
-                responder = last
-            append_pair((initiator, responder))
-        pair_counts = Counter(pairs)
-
-        #: Current states of the agents touched by this burst (one entry per
-        #: distinct agent, updated as transitions apply).
-        touched: list = []
-        for (initiator, responder), count in pair_counts.items():
-            new_initiator, new_responder = self._apply_pair(initiator, responder, count)
-            touched.extend([new_initiator] * count)
-            touched.extend([new_responder] * count)
-
-        executed = length
-        if collision is not None:
-            executed += self._collision_step_pool(touched, collision)
-        self._pool.extend(touched)
-        self.steps_taken += executed
-        return executed
-
-    def _collision_step_pool(self, touched: list, collision: tuple[bool, bool]) -> int:
-        """Apply the interaction that ends the burst by re-using an agent.
-
-        A touched slot resolves to a uniformly random already-touched agent
-        (its state reflecting the burst's bulk updates); a fresh slot to a
-        pool draw — exactly the conditional distribution of the sequential
-        process given the sampled collision pattern.
-        """
-        initiator_touched, responder_touched = collision
-        initiator_index: int | None = None
-        responder_index: int | None = None
-        if initiator_touched:
-            initiator_index = self._random_index(len(touched))
-            initiator = touched[initiator_index]
-        else:
-            initiator = self._pop_random()
-        if responder_touched:
-            if initiator_touched:
-                # The responder is any *other* touched agent.
-                responder_index = self._random_index(len(touched) - 1)
-                if responder_index >= initiator_index:
-                    responder_index += 1
-            else:
-                responder_index = self._random_index(len(touched))
-            responder = touched[responder_index]
-        else:
-            responder = self._pop_random()
-
-        new_initiator, new_responder = self._apply_pair(initiator, responder, 1)
-        if initiator_index is not None:
-            touched[initiator_index] = new_initiator
-        else:
-            touched.append(new_initiator)
-        if responder_index is not None:
-            touched[responder_index] = new_responder
-        else:
-            touched.append(new_responder)
-        return 1
-
-    def _sequential_step(self) -> None:
-        """One exact interaction straight from the pool (small-``n`` fallback)."""
-        pool = self._pool
-        n = self._num_agents
-        first = self._random_index(n)
-        second = self._random_index(n - 1)
-        if second >= first:
-            second += 1
-        initiator, responder = pool[first], pool[second]
-        if self._compiled is not None:
-            a, b, changed = self._compiled.transition_codes(initiator, responder)
-            if changed:
+        others = n - 1
+        start = self.steps_taken
+        compiled = self._compiled
+        if compiled is None:
+            transition = self._transition
+            book = self._apply_changed_transition
+            for step in range(start, start + window):
+                first = int(rng_random() * n)
+                second = int(rng_random() * others)
+                if second >= first:
+                    second += 1
+                initiator = pool[first]
+                responder = pool[second]
+                result = transition(initiator, responder)
+                if result.changed:
+                    pool[first] = result.initiator
+                    pool[second] = result.responder
+                    self.steps_taken = step
+                    book(initiator, responder, result, 1)
+            self.steps_taken = start + window
+            return window
+        d = compiled.num_states
+        table = compiled.table
+        changed = compiled.changed
+        counts = self._counts
+        tracker = self._active_pairs
+        record = self._record_changed_codes if self._observers else None
+        changes = 0
+        for step in range(start, start + window):
+            first = int(rng_random() * n)
+            second = int(rng_random() * others)
+            if second >= first:
+                second += 1
+            p = pool[first]
+            q = pool[second]
+            code = p * d + q
+            if changed[code]:
+                a, b = divmod(table[code], d)
                 pool[first] = a
                 pool[second] = b
-                self._book_changed_codes(initiator, responder, a, b, 1)
-        else:
-            result = self._transition(initiator, responder)
-            if result.changed:
-                pool[first] = result.initiator
-                pool[second] = result.responder
-                self._apply_changed_transition(initiator, responder, result, 1)
-        self.steps_taken += 1
+                counts[p] -= 1
+                counts[q] -= 1
+                counts[a] += 1
+                counts[b] += 1
+                if tracker is not None:
+                    tracker.update(p)
+                    tracker.update(q)
+                    tracker.update(a)
+                    tracker.update(b)
+                if record is None:
+                    changes += 1
+                else:
+                    self.steps_taken = step
+                    record(p, q, a, b, 1)
+        self.interactions_changed += changes
+        self.steps_taken = start + window
+        return window
 
     def _advance(self, max_interactions: int) -> int:
         if self._next_decision is not None and self.steps_taken >= self._next_decision:
             self._decide_regime()
-        if self._row_mass is None and self._num_agents < SEQUENTIAL_FALLBACK_THRESHOLD:
-            if self._next_decision is not None:
-                # Come back within n steps so the regime is re-decided on time.
-                max_interactions = min(max_interactions, self._num_agents)
-            for _ in range(max_interactions):
-                self._sequential_step()
-            return max_interactions
         return self.run_burst(max_interactions)
 
     # -- the sparse regime --------------------------------------------------------------
@@ -485,7 +361,8 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         Runs at most once per ``n`` interactions and consumes no randomness.
         A dense engine first looks at the fraction of interactions that
         changed a state since the last decision; only when that is low does
-        it pay the ``O(active pairs)`` computation of the exact mass ``W``.
+        it compute the exact mass ``W``, over the active rows of the present
+        codes.
         """
         n = self._num_agents
         steps, changes = self.steps_taken, self.interactions_changed
@@ -494,8 +371,8 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         self._next_decision = steps + n
         sparse = self._row_mass is not None
         counts = self._counts
-        present = [code for code, count in enumerate(counts) if count]
-        scale = 1.0 + len(present) / SPARSE_SUPPORT_SCALE
+        d = len(counts)
+        scale = 1.0 + (d - counts.count(0)) / SPARSE_SUPPORT_SCALE
         # The changed fraction estimates W / n(n-1) from one window; the 1.5
         # margin keeps its noise from hiding a configuration worth checking.
         if not sparse and (changes - last_changes) * scale > 1.5 * SPARSE_ENTER_LOAD * (
@@ -503,24 +380,22 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         ):
             return
         changed = self._compiled.changed
-        d = len(counts)
+        rows = self._active_rows
+        get = counts.__getitem__
         if sparse:
             mass = sum(map(mul, counts, self._row_mass))
         else:
-            # W over the present codes only: O(support²), not O(d²).
-            mass = 0
-            for p in present:
-                base = p * d
-                row = sum(counts[q] for q in present if changed[base + q])
-                mass += counts[p] * (row - changed[base + p])
+            mass = sum(
+                counts[p] * (sum(map(get, rows[p])) - changed[p * d + p])
+                for p in compress(range(d), counts)
+            )
         load = mass / (n * (n - 1)) * scale
         if sparse and load > SPARSE_LEAVE_LOAD:
             self._row_mass = self._cumulative = None
             self._pool = self._pool_from_counts()
         elif not sparse and load < SPARSE_ENTER_LOAD:
-            get = counts.__getitem__
             self._row_mass = [
-                sum(map(get, row)) - changed[p * d + p] for p, row in enumerate(self._active_rows)
+                sum(map(get, row)) - changed[p * d + p] for p, row in enumerate(rows)
             ]
             self._pool = None
 

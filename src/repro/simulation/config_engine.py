@@ -8,7 +8,8 @@ states from the counts.  The per-step cost is ``O(d)`` in the number of
 distinct states (at most ``k^3`` for Circles and usually far fewer), which
 makes populations of 10^5–10^6 agents cheap to simulate; for still larger
 budgets see the batched engine in :mod:`repro.simulation.batch_engine`,
-which samples the same chain in bursts.
+which samples the same chain from an agent pool, by skipping null
+interactions, or in vectorized rounds.
 
 By default the engine runs *compiled* (see :mod:`repro.compile`): the
 configuration is an integer count vector indexed by the protocol's reachable

@@ -44,7 +44,6 @@ from repro.core.circles import CirclesProtocol
 from repro.core.invariants import diagonal_colors, is_stable_configuration, outputs_agree
 from repro.core.state import CirclesState
 from repro.protocols.base import PopulationProtocol
-from repro.simulation.observers import ket_exchange_occurred
 from repro.utils.multiset import Multiset
 
 try:  # numpy backs the row-wise tracker of the vector replicate engine only.
@@ -314,29 +313,6 @@ def _numpy_circles_tables(compiled):
     return matrix, _np.array(outputs, dtype=_np.int64), _np.array(diagonal, dtype=_np.int64)
 
 
-def ket_exchange_mask(compiled):
-    """Per-pair-code numpy mask: does this changed transition exchange a ket?
-
-    Precomputing the predicate over the ``d²`` code space lets the kernel
-    path count ket exchanges with one vectorized gather per round — the same
-    verdicts :class:`~repro.simulation.observers.KetExchangeObserver` reaches
-    delta by delta on a serial run.  Built once per compiled protocol.
-    """
-    return compiled.derived("ket-exchange", _ket_exchange_mask)
-
-
-def _ket_exchange_mask(compiled):
-    table_np, changed_np, _ = compiled.numpy_tables()
-    d = compiled.num_states
-    states = compiled.states
-    mask = _np.zeros(d * d, dtype=bool)
-    for code in _np.nonzero(changed_np)[0].tolist():
-        p, q = divmod(code, d)
-        a, b = divmod(int(table_np[code]), d)
-        mask[code] = ket_exchange_occurred((states[p], states[q]), (states[a], states[b]))
-    return mask
-
-
 class ActivePairTracker:
     """Incremental quiescence detection over a compiled count vector.
 
@@ -378,7 +354,7 @@ class ActivePairTracker:
     def classes_view(self) -> bytearray:
         """The per-code class bytes (0 absent / 1 singleton / 2 plural).
 
-        Exposed so vectorized callers (the numpy burst path) can diff the
+        Exposed so vectorized callers (the position-kernel path) can diff the
         classification against the live counts and call :meth:`update` only
         for codes whose class actually moved.  Treat as read-only.
         """

@@ -16,10 +16,17 @@ gives all of them one streaming contract:
   delta per interaction (``count == 1``, with agent indices, and — for
   observers that ask via ``wants_unchanged`` — including interactions that
   changed nothing).  The **configuration engine** emits one delta per changed
-  interaction, and the **batch engine** one *exact aggregate* per changed
-  ordered pair type per burst (``count`` = how many identical interactions
-  the delta covers).  Aggregation never approximates: summing ``count`` over
-  deltas equals the engine's ``interactions_changed`` on every engine.
+  interaction, and so does the **batch engine** in its dense and sparse
+  regimes (``count == 1``); its position kernel emits one *exact aggregate*
+  per changed ordered pair type per round (``count`` = how many identical
+  interactions the delta covers).  Aggregation never approximates: summing
+  ``count`` over deltas equals the engine's ``interactions_changed`` on every
+  engine.
+* **code hooks** (:meth:`Observer.code_hook`) — on a compiled configuration
+  engine an observer may follow changed interactions by their ordered pair
+  code instead, so the engine decodes no state for it.
+  :class:`KetExchangeObserver` counts this way through
+  :func:`ket_exchange_mask`.
 * a **registry** (:func:`register_observer` / :func:`build_observer`)
   mirroring the protocol, engine, workload and runner registries, so
   observers travel through declarative specs by name.
@@ -61,11 +68,11 @@ class CountDelta(Generic[State]):
 
     ``count`` interactions took the ordered state pair ``(initiator,
     responder)`` to ``result``.  ``step`` is the engine's ``steps_taken`` at
-    the start of the step (agent engine) or burst (batch engine) that
-    produced the delta — deltas within one burst share it, because burst
-    members commute and carry no internal order.  The agent indices are only
-    set by the agent engine (``count == 1``); the configuration-level engines
-    are anonymous.
+    the start of the interaction that produced the delta, or of the kernel
+    round on the batch engine's position kernel — deltas within one round
+    share it, because they aggregate interactions over the whole round.  The
+    agent indices are only set by the agent engine (``count == 1``); the
+    configuration-level engines are anonymous.
     """
 
     step: int
@@ -102,6 +109,17 @@ class Observer(Generic[State]):
 
     def on_start(self, engine) -> None:
         """Called once, when the observer is attached to ``engine``."""
+
+    def code_hook(self, compiled) -> Callable[[int, int], None] | None:
+        """A callable that follows changed interactions on pair codes, or None.
+
+        Compiled configuration engines ask once, right after :meth:`on_start`.
+        When the observer returns a callable, the engine calls it with
+        ``(code, count)`` — the ordered pair code ``p·d + q`` of ``count``
+        changed interactions — *instead of* :meth:`on_delta`, and decodes no
+        state for it.  The default keeps decoded deltas.
+        """
+        return None
 
     def on_delta(self, delta: CountDelta[State]) -> None:
         """Called for every emitted delta (see :class:`CountDelta`)."""
@@ -197,13 +215,50 @@ def ket_exchange_occurred(
     )
 
 
+def ket_exchange_mask(compiled) -> list[bool]:
+    """Per-pair-code mask: does this changed transition exchange a ket?
+
+    Entry ``p·d + q`` applies :func:`ket_exchange_occurred` to the compiled
+    transition of ``(p, q)`` (False for unchanged pairs), so counting through
+    the mask reaches the same verdicts as counting decoded deltas.  A plain
+    list, built once per compiled protocol.
+    """
+    return compiled.derived("ket-exchange", _ket_exchange_mask)
+
+
+def _ket_exchange_mask(compiled) -> list[bool]:
+    d = compiled.num_states
+    states = compiled.states
+    table = compiled.table
+    mask = [False] * (d * d)
+    for code, changed in enumerate(compiled.changed):
+        if changed:
+            p, q = divmod(code, d)
+            a, b = divmod(table[code], d)
+            mask[code] = ket_exchange_occurred((states[p], states[q]), (states[a], states[b]))
+    return mask
+
+
 class KetExchangeObserver(Observer[CirclesState]):
-    """Counts ket exchanges exactly, on any engine (Circles-shaped states)."""
+    """Counts ket exchanges exactly, on any engine (Circles-shaped states).
+
+    On a compiled configuration engine it counts on pair codes through
+    :func:`ket_exchange_mask`; elsewhere it judges each decoded delta.
+    """
 
     name = "ket-exchanges"
 
     def __init__(self) -> None:
         self.exchanges = 0
+
+    def code_hook(self, compiled) -> Callable[[int, int], None]:
+        mask = ket_exchange_mask(compiled)
+
+        def count(code: int, interactions: int) -> None:
+            if mask[code]:
+                self.exchanges += interactions
+
+        return count
 
     def on_delta(self, delta: CountDelta[CirclesState]) -> None:
         result = delta.result
@@ -223,7 +278,7 @@ class _WeightedObserver(Observer[CirclesState]):
     compiled count vector when the engine has one (``O(d)``), else through
     the configuration multiset or the state list — and thereafter maintains
     its statistic incrementally from deltas: ``O(1)`` per delta, independent
-    of both the population size and the burst length.
+    of both the population size and the delta's ``count``.
     """
 
     def __init__(self) -> None:
@@ -279,13 +334,15 @@ class EnergyObserver(_WeightedObserver):
     ``O(d)`` over the distinct states, through the count vector on the
     compiled engines — and then updated in ``O(1)`` per delta.  Samples are
     ``(step, energy)`` pairs, where ``step`` counts the interactions
-    completed once the sample's delta has applied (exact on the sequential
-    engines; within the producing burst's bounds on the batch engine, whose
-    members commute and carry no internal order):
+    completed once the sample's delta has applied (exact per interaction,
+    except on the batch engine's position kernel, whose per-round aggregates
+    carry no internal order):
 
     * ``record="delta"`` (default) appends one sample per delta (plus the
       initial configuration) — the exact per-step trajectory on the agent
-      engine, the exact per-burst-aggregate trajectory on the batch engine;
+      engine, one sample per changed interaction on the configuration engine
+      and the batch engine's pool regimes, one per changed pair type per
+      round on the position kernel;
     * ``record="check"`` samples only at convergence-check boundaries and at
       the end of each run — the cheap setting for long sweeps.
 

@@ -13,8 +13,9 @@ sweeps) instead of through imports:
   scheduler; ``O(d)`` per interaction.
 * ``"batch"`` — :class:`~repro.simulation.batch_engine.BatchConfigurationSimulation`:
   the same chain as ``"configuration"`` but sampled in exact vectorized
-  rounds (position kernel) or bursts; the fast path for large-population
-  convergence sweeps.
+  rounds (position kernel) or, below the kernel gate, from an agent pool
+  one interaction at a time or by skipping the null interactions; the fast
+  path for large-population convergence sweeps.
 * ``"vector"`` — :class:`~repro.simulation.vector_engine.VectorReplicateSimulation`:
   the batch engine plus a many-replicate driver that advances ``R``
   independent replicates of one compiled protocol in lockstep, each row

@@ -48,9 +48,8 @@ from repro.simulation.convergence import (
     ConvergenceCriterion,
     RowwiseActivePairTracker,
     SilentConfiguration,
-    ket_exchange_mask,
 )
-from repro.simulation.observers import KetExchangeObserver
+from repro.simulation.observers import KetExchangeObserver, ket_exchange_mask
 from repro.simulation.population import initial_configuration
 from repro.utils.multiset import Multiset
 from repro.utils.rng import make_rng
@@ -187,7 +186,7 @@ class ReplicateGroup(Generic[State]):
             )
             self._interactions_changed = _np.zeros(self.num_rows, dtype=_np.int64)
             self._ket_mask = (
-                ket_exchange_mask(compiled_protocol) if count_ket else None
+                _np.array(ket_exchange_mask(compiled_protocol), dtype=bool) if count_ket else None
             )
             self._ket = _np.zeros(self.num_rows, dtype=_np.int64) if count_ket else None
             self._row_steps = _np.zeros(self.num_rows, dtype=_np.int64)

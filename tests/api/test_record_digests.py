@@ -5,9 +5,10 @@ agent, configuration and exact engines, replicate groups on the batch and
 vector engines (``trials=2`` routes them), and Circles under a non-default
 variant — must keep producing the very same records for specs that leave
 ``criterion`` unset.  The sha256 of each sub-grid's canonical record JSON is
-pinned here.  The batch engine samples through numpy bursts when numpy is
-importable and through pure Python otherwise, so the sampled grids carry one
-digest per numpy availability.  One float exact record is also pinned
+pinned here.  The batch engine runs its numpy position kernel from
+``n = 4096`` when numpy is importable and its pure-Python pool otherwise, so
+only the kernel grid carries one digest per numpy availability.  One float
+exact record is also pinned
 unrounded, so a solve that moves its last bits cannot slip past a
 :data:`~repro.api.records.RECORD_EPOCH` bump.
 """
@@ -115,22 +116,27 @@ def grid_records(grid: str) -> list:
     ]
 
 
-#: Digests computed at the commit before the run-plan refactor.  Only the
-#: kernel grid depends on numpy: without it the batch engine and the replicate
-#: groups sample through pure Python.
+#: Digests computed at the commit before the run-plan refactor, except
+#: ``batch`` and ``vector``: their grids run the pool regimes, re-pinned at
+#: record epoch 5 for the re-measured regime thresholds.  Only the kernel grid
+#: depends on numpy: without it the batch engine and the replicate groups
+#: sample through pure Python.
 DIGESTS = {
     "agent": "cfca281f04e46de42ddf859f8470a9137d58830b39b726b6f11c12bd46dc6a80",
     "configuration": "a57a8b27743f717fe2d160f1be86bdb3952fa74e9b0462a422ad874a9f5a3bd1",
-    "batch": "7830d61adb48b2b504c881a44baf755790e46b5d51826bbcd7c4dedf63322c2e",
-    "vector": "04f1bac7bb46812ce245fd09cde3100d8387c6991d1d29d199b17f8d01bc7cc7",
+    "batch": "588b5c7567d1b3d8821b33872820c7fc88dd330110be4d4c235620e61385fd9c",
+    "vector": "621dbd6cc7b0430677fa3dca6efbac99d56bed8fc9ae6b81a4c0f1458f4de204",
     "exact": "d69179a0c48bdbff6fea8472db05b04805d8dd63bad02d9d5801fefd6ddc61c6",
     "variant": "58e1c3aae841b3a9d54834db14700d1575296cbaa9e6ed8feec6906f5017b8dc",
 }
+#: Without numpy the kernel grid runs the pool regimes, so its digest was
+#: re-pinned with ``batch`` and ``vector`` at record epoch 5.
 KERNEL_DIGESTS = {
     True: "00b6af052d7fa103679e3a959b3e1606b2e748be8f2a48cb9f5dcc3c4aeee3db",
-    False: "1a60ec14ecc69938684d8793269cfe457478257337efd7ac40d958c5c6322fbb",
+    False: "693e5a11ce3f5bcf2d6c5ea66f37cee97b9eedc536545558b73ce1873be5bfd9",
 }
-#: The record of ``test_float_exact_record_is_pinned``, at record epoch 4.
+#: The record of ``test_float_exact_record_is_pinned``, pinned at record epoch 4
+#: and unchanged at 5.
 FLOAT_EXACT_DIGEST = "4ecabc0e2a3380b83ff25c03050fdf86c771a01c9ff147219c78a264f3c6a57e"
 
 

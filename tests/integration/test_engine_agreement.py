@@ -25,8 +25,8 @@ from repro.utils.multiset import Multiset
 
 COLORS = [0, 0, 0, 0, 1, 1, 2, 3]
 K = 4
-#: A population large enough that the batched engine's burst path (not its
-#: small-n sequential fallback) is what gets exercised.
+#: A population large enough that the batched engine switches between its
+#: dense and sparse regimes on the way to stabilization.
 BATCH_COLORS = [0] * 10 + [1] * 7 + [2] * 3 + [3] * 2
 
 
@@ -85,7 +85,7 @@ def test_all_engines_reach_the_same_minimum_energy():
 
 @pytest.mark.parametrize("seed", [4, 5])
 def test_batched_bursts_reach_the_predicted_configuration(seed):
-    """Same agreement with the burst machinery active (n above the fallback)."""
+    """Same agreement on a larger population, across regime switches."""
     assert _final_brakets_batch_engine(seed, BATCH_COLORS) == predicted_stable_brakets(
         BATCH_COLORS
     )

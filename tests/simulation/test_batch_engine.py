@@ -1,12 +1,12 @@
 """Tests for the batched configuration-level simulation engine.
 
 The engine's claim is *exactness*: it samples the same Markov chain over
-configurations as :class:`ConfigurationSimulation`, just in bursts.  Besides
-the usual unit checks, this module therefore carries a distributional
-agreement test (two-sample chi-squared on output-count histograms across
-hundreds of seeded runs) and invariant checks on the burst machinery
-(population conservation, pool/configuration consistency, exact budget
-accounting across collision corrections).
+configurations as :class:`ConfigurationSimulation`, just in cheaper windows.
+Besides the usual unit checks, this module therefore carries a
+distributional agreement test (two-sample chi-squared on output-count
+histograms across hundreds of seeded runs) and invariant checks on the
+window machinery (population conservation, pool/configuration consistency,
+exact budget accounting across windows).
 """
 
 import pytest
@@ -14,10 +14,7 @@ import pytest
 from repro.core.circles import CirclesProtocol
 from repro.core.greedy_sets import predicted_stable_brakets
 from repro.core.invariants import braket_invariant_holds
-from repro.simulation.batch_engine import (
-    SEQUENTIAL_FALLBACK_THRESHOLD,
-    BatchConfigurationSimulation,
-)
+from repro.simulation.batch_engine import BatchConfigurationSimulation
 from repro.simulation.config_engine import ConfigurationSimulation
 from repro.simulation.convergence import StableCircles
 from repro.utils.multiset import Multiset
@@ -40,9 +37,9 @@ class TestConstruction:
         assert BatchConfigurationSimulation.engine_name == "batch"
 
 
-class TestBurstMachinery:
+class TestWindowMachinery:
     def test_exact_budget_accounting(self):
-        """run(T) executes exactly T interactions, collision corrections included."""
+        """run(T) executes exactly T interactions, whatever the window split."""
         colors = [0] * 30 + [1] * 20 + [2] * 10
         simulation = BatchConfigurationSimulation.from_colors(
             CirclesProtocol(3), colors, seed=3
@@ -72,14 +69,18 @@ class TestBurstMachinery:
             simulation.run_burst()
             assert braket_invariant_holds(simulation.states())
 
-    def test_small_populations_use_sequential_fallback(self):
-        colors = [0, 0, 1] * 4  # n = 12 < threshold
-        assert len(colors) < SEQUENTIAL_FALLBACK_THRESHOLD
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "uncompiled"])
+    def test_small_populations_keep_budget_and_pool(self, compiled):
+        """A window is at most n interactions; any budget is met exactly."""
+        colors = [0, 0, 1] * 4  # n = 12
         simulation = BatchConfigurationSimulation.from_colors(
-            CirclesProtocol(2), colors, seed=7
+            CirclesProtocol(2), colors, seed=7, compiled=compiled
         )
+        assert simulation.run_burst() == len(colors)
+        assert simulation.run_burst(5) == 5
         simulation.run(500)
-        assert simulation.steps_taken == 500
+        assert simulation.steps_taken == len(colors) + 5 + 500
+        assert Multiset(simulation.states()) == simulation.configuration()
         assert len(simulation.configuration()) == len(colors)
 
     def test_same_seed_same_trajectory(self):
@@ -110,7 +111,7 @@ class TestBurstMachinery:
 
 class TestConvergence:
     def test_reaches_predicted_stable_configuration(self):
-        colors = [0] * 8 + [1] * 6 + [2] * 4  # n = 18: the burst path is active
+        colors = [0] * 8 + [1] * 6 + [2] * 4  # n = 18
         simulation = BatchConfigurationSimulation.from_colors(
             CirclesProtocol(3), colors, seed=17
         )
@@ -133,7 +134,7 @@ class TestDistributionalAgreement:
 
     TRIALS = 300
     HORIZON = 60
-    COLORS = [0] * 12 + [1] * 8  # n = 20: several bursts per run
+    COLORS = [0] * 12 + [1] * 8  # n = 20: three windows per run
 
     def _majority_count_histogram(self, engine_cls, seed_base: int) -> dict[int, int]:
         histogram: dict[int, int] = {}

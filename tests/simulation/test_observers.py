@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.circles import CirclesProtocol
+from repro.core.circles import CirclesProtocol, CirclesVariant, ExchangeRule, OutputRule
 from repro.core.potential import configuration_energy, weight_histogram
 from repro.simulation import (
     AgentSimulation,
@@ -20,7 +20,7 @@ from repro.simulation import (
     register_observer,
     run_circles,
 )
-from repro.simulation.observers import OBSERVERS
+from repro.simulation.observers import OBSERVERS, CallbackObserver, ket_exchange_occurred
 
 ENGINE_CLASSES = (AgentSimulation, ConfigurationSimulation, BatchConfigurationSimulation)
 
@@ -173,6 +173,58 @@ class TestMetricObservers:
     def test_energy_rejects_unknown_record_mode(self):
         with pytest.raises(ValueError, match="record"):
             EnergyObserver(record="sometimes")
+
+
+class DecodedKetCounter(CallbackObserver):
+    """The reference count: every decoded changed delta through the predicate."""
+
+    def __init__(self):
+        super().__init__(self._observe)
+        self.exchanges = 0
+        self.changed = 0
+
+    def _observe(self, initiator, responder, result, count):
+        self.changed += count
+        if ket_exchange_occurred((initiator, responder), (result.initiator, result.responder)):
+            self.exchanges += count
+
+
+KET_CASES = [
+    pytest.param(CirclesProtocol(3), [0] * 9 + [1] * 5 + [2] * 4, id="circles-k3"),
+    pytest.param(CirclesProtocol(4), [0] * 8 + [1] * 6 + [2] * 4 + [3] * 2, id="circles-k4"),
+    pytest.param(
+        CirclesProtocol(
+            3,
+            CirclesVariant(exchange_rule=ExchangeRule.SUM_WEIGHT, output_rule=OutputRule.EPIDEMIC),
+        ),
+        [0] * 9 + [1] * 5 + [2] * 4,
+        id="circles-k3-sum-weight-epidemic",
+    ),
+]
+
+
+class TestKetExchangesOnCodes:
+    """Compiled engines count ket exchanges on pair codes, without decoding."""
+
+    @pytest.mark.parametrize("engine_cls", [ConfigurationSimulation, BatchConfigurationSimulation])
+    @pytest.mark.parametrize("protocol, colors", KET_CASES)
+    def test_code_count_equals_decoded_count(self, engine_cls, protocol, colors):
+        alone = engine_cls.from_colors(protocol, colors, seed=5)
+        assert alone.compiled_protocol is not None
+        ket_alone = alone.add_observer(KetExchangeObserver())
+        assert ket_alone.code_hook(alone.compiled_protocol) is not None
+        alone.run(8_000)
+
+        observed = engine_cls.from_colors(protocol, colors, seed=5)
+        ket = observed.add_observer(KetExchangeObserver())
+        reference = observed.add_observer(DecodedKetCounter())
+        observed.run(8_000)
+
+        assert ket.exchanges == reference.exchanges > 0
+        assert reference.changed == observed.interactions_changed
+        # Observers consume no randomness: the same seed, the same run.
+        assert ket_alone.exchanges == ket.exchanges
+        assert alone.configuration() == observed.configuration()
 
 
 class TestRegistry:

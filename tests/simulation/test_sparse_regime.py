@@ -1,8 +1,9 @@
-"""Exactness of the batch engine's sparse regime and of the verdict cache.
+"""Exactness of the batch engine's pool regimes and of the verdict cache.
 
-The sparse regime skips null interactions with a geometric draw and samples
-the next active ordered pair by its mass ``c_p·(c_q - [p=q])``; it must
-sample the same chain as the sequential process.  These tests check it
+The dense regime draws one interaction at a time from the agent pool; the
+sparse regime skips null interactions with a geometric draw and samples the
+next active ordered pair by its mass ``c_p·(c_q - [p=q])``.  Both must
+sample the same chain as the sequential process.  These tests check them
 against the exact chain, across forced regime switches, on a silent
 configuration, and check that convergence verdicts are re-evaluated only
 after a changed interaction while ``on_check`` still fires at every boundary.
@@ -38,18 +39,27 @@ class TestAgainstTheExactChain:
     HORIZON = 120
     TRIALS = 400
 
-    @pytest.mark.parametrize("forced", [False, True], ids=["measured-switch", "always-sparse"])
-    def test_configuration_distribution_matches(self, monkeypatch, one_sample_chi_squared, forced):
-        """Full-configuration histograms after a horizon spent mostly sparse."""
-        if forced:
-            force(monkeypatch, ALWAYS, ALWAYS)
-        protocol = CirclesProtocol(3)
-        chain = ConfigurationChain.from_colors(protocol, self.COLORS)
+    @staticmethod
+    def exact_distribution(protocol, colors, horizon) -> dict:
+        chain = ConfigurationChain.from_colors(protocol, colors)
         exact = {
             configuration_key(chain.configuration(index)): probability
-            for index, probability in chain.distribution_after(self.HORIZON).items()
+            for index, probability in chain.distribution_after(horizon).items()
         }
         assert math.isclose(sum(exact.values()), 1.0, abs_tol=1e-9)
+        return exact
+
+    @pytest.mark.parametrize(
+        "forced",
+        [None, (ALWAYS, ALWAYS), (NEVER, NEVER)],
+        ids=["measured-switch", "always-sparse", "always-dense"],
+    )
+    def test_configuration_distribution_matches(self, monkeypatch, one_sample_chi_squared, forced):
+        """Full-configuration histograms after a horizon, per regime policy."""
+        if forced is not None:
+            force(monkeypatch, *forced)
+        protocol = CirclesProtocol(3)
+        exact = self.exact_distribution(protocol, self.COLORS, self.HORIZON)
 
         observed: dict = {}
         sparse_steps = 0
@@ -65,10 +75,38 @@ class TestAgainstTheExactChain:
             key = configuration_key(simulation.configuration())
             observed[key] = observed.get(key, 0) + 1
 
-        assert sparse_steps > self.TRIALS * self.HORIZON / 2
+        if forced == (NEVER, NEVER):
+            assert sparse_steps == 0
+        else:
+            assert sparse_steps > self.TRIALS * self.HORIZON / 2
         statistic, critical = one_sample_chi_squared(observed, exact, self.TRIALS)
         assert statistic < critical, (
-            f"sparse regime disagrees with the exact chain "
+            f"pool regimes disagree with the exact chain "
+            f"(chi-squared {statistic:.1f} > {critical:.1f})"
+        )
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "uncompiled"])
+    def test_dense_regime_matches_at_sixteen_agents(
+        self, monkeypatch, one_sample_chi_squared, compiled
+    ):
+        """Always dense at n = 16, over a horizon that ends inside a window."""
+        force(monkeypatch, NEVER, NEVER)
+        protocol = CirclesProtocol(2)
+        colors = [0] * 10 + [1] * 6
+        horizon = 72
+        exact = self.exact_distribution(protocol, colors, horizon)
+        observed: dict = {}
+        for trial in range(self.TRIALS):
+            simulation = BatchConfigurationSimulation.from_colors(
+                protocol, colors, seed=40_000 + trial, compiled=compiled
+            )
+            simulation.run(horizon)
+            assert simulation.regime == "dense"
+            key = configuration_key(simulation.configuration())
+            observed[key] = observed.get(key, 0) + 1
+        statistic, critical = one_sample_chi_squared(observed, exact, self.TRIALS)
+        assert statistic < critical, (
+            f"dense regime disagrees with the exact chain "
             f"(chi-squared {statistic:.1f} > {critical:.1f})"
         )
 
