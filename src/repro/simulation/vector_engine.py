@@ -200,7 +200,8 @@ class ReplicateGroup(Generic[State]):
         """Run every row until its criterion holds or the budget elapses.
 
         Returns one :class:`ReplicateOutcome` per row, in seed order.  A
-        group can only run once — the rows' generator streams are stateful.
+        group can only run once — the rows' generator streams are stateful —
+        and the kernel's worker threads stop when the run ends.
         """
         if self._outcomes is not None:
             raise RuntimeError("a replicate group can only run once")
@@ -220,7 +221,10 @@ class ReplicateGroup(Generic[State]):
                 )
             self._outcomes = outcomes
             return outcomes
-        self._run_kernel(max_steps, criterion, check_interval)
+        try:
+            self._run_kernel(max_steps, criterion, check_interval)
+        finally:
+            self._kernel.close()
         return self._outcomes
 
     def _run_kernel(

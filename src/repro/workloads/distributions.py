@@ -62,16 +62,11 @@ def planted_majority(
             f"cannot plant a majority with margin {margin}: {num_agents} agents, "
             f"{num_colors} colors"
         )
-    colors = [majority_color] * majority_count
-    index = 0
-    counts = {color: 0 for color in others}
-    while rest > 0:
-        color = others[index % len(others)]
-        if counts[color] < cap:
-            colors.append(color)
-            counts[color] += 1
-            rest -= 1
-        index += 1
+    # Deal the rest round-robin over the other colors; no color exceeds
+    # ceil(rest / len(others)) <= cap agents, so the cap never binds.
+    rounds = rest // len(others)
+    colors = [majority_color] * majority_count + others * rounds
+    colors += others[: rest - rounds * len(others)]
     return _shuffled(colors, seed)
 
 

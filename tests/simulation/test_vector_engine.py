@@ -8,8 +8,12 @@ representations: the looped-batch fallback (small populations, or numpy-free
 installs) and the shared-state-matrix kernel path (``n >= 4096`` with numpy).
 """
 
+import threading
+
 import pytest
 
+from repro.api.executor import MultiprocessingExecutor, SerialExecutor, replicate_group_key
+from repro.api.spec import SweepSpec
 from repro.core.circles import CirclesProtocol
 from repro.protocols.base import PopulationProtocol, TransitionResult
 from repro.simulation.batch_engine import BatchConfigurationSimulation
@@ -179,6 +183,49 @@ class TestKernelPath:
             outcome.interactions_changed,
             outcome.configuration,
         ) == (reference[0], reference[1], reference[2], reference[4])
+
+
+class TestWorkerThreads:
+    """The kernel's worker threads live for one run, in the running process."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """Split rows over two workers even on a one-CPU host."""
+        vector_kernel = pytest.importorskip("repro.simulation.vector_kernel")
+        monkeypatch.setattr(vector_kernel, "available_cpus", lambda: 2)
+
+    def test_run_leaves_no_threads_behind(self):
+        protocol = CirclesProtocol(3)
+        colors = [0] * 2048 + [1] * 1024 + [2] * 1024
+        seeds = [21, 22, 23]
+        threads_before = threading.active_count()
+        group = VectorReplicateSimulation.replicate_group_from_colors(protocol, colors, seeds)
+        outcomes = group.run(6_000, criterion=StableCircles())
+        assert threading.active_count() == threads_before
+        assert_rows_match(
+            outcomes,
+            serial_batch_rows(protocol, colors, seeds, StableCircles(), 6_000, count_ket=True),
+        )
+
+    def test_multiprocessing_groups_equal_serial(self):
+        """Worker processes start their own threads: records match serial ones."""
+        specs = SweepSpec(
+            protocols=("circles",),
+            populations=(KERNEL_N,),
+            ks=(2, 3),
+            engines=("vector",),
+            trials=3,
+            max_steps=5_000,
+            seed=4,
+        ).expand()
+        groups: dict[str, list] = {}
+        for spec in specs:
+            groups.setdefault(replicate_group_key(spec), []).append(spec)
+        groups = list(groups.values())
+        assert len(groups) == 2
+        # The serial pass starts and stops threads in this process before the fork.
+        serial = SerialExecutor().map_groups(groups)
+        assert MultiprocessingExecutor(2).map_groups(groups) == serial
 
 
 class TestGroupLifecycle:

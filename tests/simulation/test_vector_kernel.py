@@ -9,10 +9,14 @@ behaviors the construction leans on (fancy-assignment write order and
 ``Generator.integers`` call-split invariance).
 """
 
+import sys
+import threading
+
 import pytest
 
 np = pytest.importorskip("numpy", reason="the position kernel is numpy-only")
 
+from repro.simulation import vector_kernel  # noqa: E402
 from repro.simulation.vector_kernel import (  # noqa: E402
     BLOCK_ROWS,
     DEFAULT_ROUND,
@@ -213,6 +217,66 @@ class TestSequentialEquivalence:
         for row in (0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 2):
             solo = make_kernel(d, n, seeds=[seeds[row]])
             assert np.array_equal(solo.advance([0], length)[0], codes[row])
+
+
+class TestWorkerThreads:
+    """Splitting rows over worker threads must not change a single row."""
+
+    @staticmethod
+    def drive(monkeypatch, cpus, seeds):
+        """Advance all rows, retire every third, advance the rest; return all."""
+        monkeypatch.setattr(vector_kernel, "available_cpus", lambda: cpus)
+        d, n = 6, 64
+        kernel = make_kernel(d, n, seeds=seeds, table=random_table(d, seed=17))
+        try:
+            first = kernel.advance(range(len(seeds)), DEFAULT_ROUND + 7)
+            survivors = [row for row in range(len(seeds)) if row % 3 != 1]
+            second = kernel.advance(survivors, 300)
+            return first, second, kernel._states.copy()
+        finally:
+            kernel.close()
+
+    @pytest.mark.parametrize("num_rows", [1, 2, BLOCK_ROWS + 3])
+    def test_one_worker_equals_many(self, monkeypatch, num_rows):
+        seeds = [500 + row for row in range(num_rows)]
+        threads_before = threading.active_count()
+        alone = self.drive(monkeypatch, 1, seeds)
+        # More workers than cores, switching threads as often as possible.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = self.drive(monkeypatch, 8, seeds)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads_before
+        for one, many in zip(alone, shared):
+            assert np.array_equal(one, many)
+
+    def test_single_block_starts_no_threads(self, monkeypatch):
+        monkeypatch.setattr(vector_kernel, "available_cpus", lambda: 4)
+        kernel = make_kernel(4, 64, seeds=[3])
+        threads_before = threading.active_count()
+        kernel.advance([0], 2 * DEFAULT_ROUND)
+        assert threading.active_count() == threads_before
+        assert kernel._pool is None
+
+    def test_close_stops_workers_and_advance_restarts_them(self, monkeypatch):
+        monkeypatch.setattr(vector_kernel, "available_cpus", lambda: 3)
+        seeds = [1, 2, 3]
+        kernel = make_kernel(4, 64, seeds=seeds)
+        threads_before = threading.active_count()
+        first = kernel.advance(range(3), 100)
+        assert threading.active_count() > threads_before
+        kernel.close()
+        assert threading.active_count() == threads_before
+        second = kernel.advance(range(3), 100)
+        kernel.close()
+        solo = make_kernel(4, 64, seeds=seeds)
+        solo_codes = np.concatenate(
+            [solo.advance(range(3), 100), solo.advance(range(3), 100)], axis=1
+        )
+        solo.close()
+        assert np.array_equal(np.concatenate([first, second], axis=1), solo_codes)
 
 
 class TestBookkeeping:

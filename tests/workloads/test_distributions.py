@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.greedy_sets import has_unique_majority, predicted_majority
+from repro.utils.rng import make_rng
 from repro.workloads.distributions import (
     adversarial_two_block,
     exact_tie,
@@ -17,7 +18,47 @@ from repro.workloads.distributions import (
 )
 
 
+def planted_majority_loop(num_agents, num_colors, majority_color, margin, seed):
+    """The per-agent reference: hand out the rest one agent at a time."""
+    others = [color for color in range(num_colors) if color != majority_color]
+    majority_count = max(margin, -(-(num_agents + margin * (num_colors - 1)) // num_colors))
+    majority_count = min(majority_count, num_agents)
+    rest = num_agents - majority_count
+    cap = majority_count - margin
+    if cap * len(others) < rest:
+        return None
+    colors = [majority_color] * majority_count
+    index = 0
+    counts = {color: 0 for color in others}
+    while rest > 0:
+        color = others[index % len(others)]
+        if counts[color] < cap:
+            colors.append(color)
+            counts[color] += 1
+            rest -= 1
+        index += 1
+    make_rng(seed).shuffle(colors)
+    return colors
+
+
 class TestPlantedMajority:
+    def test_matches_per_agent_loop(self):
+        """Same colors in the same shuffled order as the one-at-a-time loop."""
+        checked = 0
+        for n in (2, 3, 7, 16, 33, 100, 1001):
+            for k in range(2, 7):
+                for majority_color in (0, k // 2, k - 1):
+                    for margin in (1, 2, 5, n // 2, n):
+                        expected = planted_majority_loop(n, k, majority_color, margin, seed=n + k)
+                        if expected is None:
+                            with pytest.raises(ValueError, match="cannot plant"):
+                                planted_majority(n, k, majority_color, margin, seed=n + k)
+                            continue
+                        colors = planted_majority(n, k, majority_color, margin, seed=n + k)
+                        assert colors == expected, (n, k, majority_color, margin)
+                        checked += 1
+        assert checked > 200
+
     def test_planted_color_wins(self):
         colors = planted_majority(20, 4, majority_color=2, seed=1)
         assert len(colors) == 20
