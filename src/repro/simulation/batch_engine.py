@@ -18,8 +18,9 @@ simulators of Berenbrink et al.:
   numpy stream — independent of how the budget is split into rounds — which
   is what lets the ``vector`` replicate engine
   (:mod:`repro.simulation.vector_engine`) reproduce batch runs bit-for-bit
-  row by row.  The count vector is kept in sync per round from the kernel's
-  corrected pair codes.
+  row by row.  The engine's count vector and changed-interaction count are
+  the kernel row's own booking; corrected pair codes are drawn out of the
+  kernel only for attached observers.
 - Below that population size (or without numpy) the compiled engine runs in
   one of two regimes over its count vector:
 
@@ -165,11 +166,10 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         )
         if use_numpy:
             # Position-kernel representation: the kernel owns a (1 × n) state
-            # row and the engine keeps the count vector in sync per round, so
-            # no agent pool is materialized at all.
+            # row and books its count vector, which the engine shares, so no
+            # agent pool is materialized at all.
             from repro.simulation.vector_kernel import PairCodeKernel
 
-            self._counts = _np.array(self._counts, dtype=_np.int64)
             table_np, _, _ = self._compiled.numpy_tables()
             self._kernel = PairCodeKernel(
                 table_np,
@@ -178,6 +178,7 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
                 [_np.random.default_rng(self._rng.getrandbits(63))],
                 self._counts,
             )
+            self._counts = self._kernel.counts[0]
         elif self._compiled is not None:
             #: Flat pool of encoded agent states, one entry per agent.
             self._pool = self._pool_from_counts()
@@ -220,61 +221,39 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         return self._run_dense(max_interactions)
 
     def _run_round_kernel(self, max_interactions: int | None) -> int:
-        """One vectorized round through the position kernel (exact, in order)."""
+        """One vectorized round through the position kernel, booked on its row."""
         from repro.simulation.vector_kernel import DEFAULT_ROUND
 
         cap = self._num_agents if max_interactions is None else max_interactions
         if cap <= 0:
             return 0
         length = min(cap, DEFAULT_ROUND)
-        codes = self._kernel.advance((0,), length)[0]
-        self._book_round_codes(codes)
-        self.steps_taken += length
-        return length
-
-    def _book_round_codes(self, codes) -> None:
-        """Fold one round of corrected pair codes into counts and bookkeeping.
-
-        The count-vector delta telescopes exactly through chained positions —
-        each agent's successive pre-state equals its previous post-state — so
-        binning the changed interactions' pre and post codes reproduces the
-        kernel's state matrix on the count vector.
-        """
-        compiled = self._compiled
-        d = compiled.num_states
-        table_np, changed_np, _ = compiled.numpy_tables()
-        packed = table_np[codes]
-        moved = codes[packed != codes]
-        if moved.size:
-            results = table_np[moved]
-            counts = self._counts
-            delta = _np.bincount(results // d, minlength=d)
-            delta += _np.bincount(results % d, minlength=d)
-            delta -= _np.bincount(moved // d, minlength=d)
-            delta -= _np.bincount(moved % d, minlength=d)
-            counts += delta
-            tracker = self._active_pairs
-            if tracker is not None:
-                # The round changed counts wholesale: diff the tracker's
-                # classification against the live vector in one vectorized
-                # pass and reclassify only the codes whose class actually
-                # moved (usually none on a near-quiescent run).
-                classes = _np.frombuffer(tracker.classes_view(), dtype=_np.uint8)
-                stale = _np.nonzero(_np.minimum(counts, 2) != classes)[0]
-                if stale.size:
-                    tracker.update_codes(stale.tolist())
-        changed_codes = codes[changed_np[codes]]
-        if not changed_codes.size:
-            return
-        if not self._observers:
-            self.interactions_changed += int(changed_codes.size)
-        else:
+        kernel = self._kernel
+        codes = _np.empty((1, length), dtype=_np.int32) if self._observers else None
+        kernel.advance((0,), length, out=codes)
+        changed = int(kernel.changed[0])
+        tracker = self._active_pairs
+        if tracker is not None and changed > self.interactions_changed:
+            # The round changed counts wholesale: diff the tracker's
+            # classification against the live vector in one vectorized pass
+            # and reclassify only the codes whose class actually moved
+            # (usually none on a near-quiescent run).
+            classes = _np.frombuffer(tracker.classes_view(), dtype=_np.uint8)
+            stale = _np.nonzero(_np.minimum(self._counts, 2) != classes)[0]
+            if stale.size:
+                tracker.update_codes(stale.tolist())
+        if codes is not None:
             # Observers get one booking per changed pair type per round.
-            unique, pair_counts = _np.unique(changed_codes, return_counts=True)
+            d = self._compiled.num_states
+            table_np, changed_np, _ = self._compiled.numpy_tables()
+            unique, pair_counts = _np.unique(codes[changed_np[codes]], return_counts=True)
             for code, count in zip(unique.tolist(), pair_counts.tolist()):
                 p, q = divmod(code, d)
                 a, b = divmod(int(table_np[code]), d)
                 self._record_changed_codes(p, q, a, b, count)
+        self.interactions_changed = changed
+        self.steps_taken += length
+        return length
 
     def _run_dense(self, max_interactions: int | None) -> int:
         """Up to ``n`` interactions, each an ordered pair of distinct pool agents.

@@ -13,6 +13,10 @@ through the position kernel of :mod:`repro.simulation.vector_kernel`, with
   engine under the same seed (``tests/simulation/test_vector_engine`` pins
   this, and the replicate-group routing in :mod:`repro.api.executor` relies
   on it for record-identical sweep results);
+* **booking in the kernel** — each row's counts, changed interactions and
+  (for Circles) ket exchanges are booked by the kernel's worker threads, so
+  the group hands the kernel one call per check window and reads the
+  booked counts at each check;
 * **per-row incremental quiescence** — silence checks are answered for all
   active rows at once by a
   :class:`~repro.simulation.convergence.RowwiseActivePairTracker`;
@@ -170,8 +174,7 @@ class ReplicateGroup(Generic[State]):
             self._rows = None
             self._observers = None
             compiled_protocol = probe._compiled
-            table_np, self._changed_np, _ = compiled_protocol.numpy_tables()
-            self._table_np = table_np
+            table_np, _, _ = compiled_protocol.numpy_tables()
             # Per-row generators derived exactly like the batch engine's:
             # seed -> random.Random -> getrandbits(63) -> default_rng.
             generators = [
@@ -183,12 +186,8 @@ class ReplicateGroup(Generic[State]):
                 self.num_agents,
                 generators,
                 probe._counts,
+                tally=ket_exchange_mask(compiled_protocol) if count_ket else None,
             )
-            self._interactions_changed = _np.zeros(self.num_rows, dtype=_np.int64)
-            self._ket_mask = (
-                _np.array(ket_exchange_mask(compiled_protocol), dtype=bool) if count_ket else None
-            )
-            self._ket = _np.zeros(self.num_rows, dtype=_np.int64) if count_ket else None
             self._row_steps = _np.zeros(self.num_rows, dtype=_np.int64)
 
     def run(
@@ -235,7 +234,7 @@ class ReplicateGroup(Generic[State]):
     ) -> None:
         converged = [False] * self.num_rows
         if criterion is None:
-            self._advance_rows(list(range(self.num_rows)), max_steps)
+            self._kernel.advance(range(self.num_rows), max_steps)
             self._row_steps[:] = max_steps
             self._collect(converged)
             return
@@ -252,28 +251,15 @@ class ReplicateGroup(Generic[State]):
         executed = 0
         while executed < max_steps and active:
             window = min(interval, max_steps - executed)
-            self._advance_rows(active, window)
+            self._kernel.advance(active, window)
             executed += window
             self._row_steps[active] = executed
             active = self._retire(active, converged, criterion, tracker)
         self._collect(converged)
 
-    def _advance_rows(self, active: list[int], amount: int) -> None:
-        """Advance every active row by ``amount`` interactions, in rounds."""
-        from repro.simulation.vector_kernel import DEFAULT_ROUND
-
-        done = 0
-        while done < amount:
-            length = min(DEFAULT_ROUND, amount - done)
-            codes = self._kernel.advance(active, length)
-            self._interactions_changed[active] += self._changed_np[codes].sum(axis=1)
-            if self._ket is not None:
-                self._ket[active] += self._ket_mask[codes].sum(axis=1)
-            done += length
-
     def _retire(self, active, converged, criterion, tracker) -> list[int]:
         """Check every active row; mark and drop the rows whose criterion holds."""
-        counts = self._kernel.counts_matrix(active)
+        counts = self._kernel.counts[active]
         if tracker is not None:
             verdicts = tracker.silent_rows(active, counts).tolist()
         elif (
@@ -299,15 +285,16 @@ class ReplicateGroup(Generic[State]):
         return still_active
 
     def _collect(self, converged: list[bool]) -> None:
+        kernel = self._kernel
         outcomes = []
         for row in range(self.num_rows):
-            counts = self._kernel.row_counts(row)
+            counts = kernel.counts[row]
             outcomes.append(
                 ReplicateOutcome(
                     converged=converged[row],
                     steps=int(self._row_steps[row]),
-                    interactions_changed=int(self._interactions_changed[row]),
-                    ket_exchanges=int(self._ket[row]) if self._ket is not None else None,
+                    interactions_changed=int(kernel.changed[row]),
+                    ket_exchanges=None if kernel.tallies is None else int(kernel.tallies[row]),
                     configuration=self._compiled.counts_to_multiset(counts.tolist()),
                 )
             )

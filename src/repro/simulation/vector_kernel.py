@@ -17,9 +17,9 @@ that is sequential-equivalent by construction:
    pins both invariances.
 2. **Round application.**  A round of ``T`` interactions gathers the
    pre-states of all drawn positions at once, applies the compiled δ-table to
-   every interaction in one shot, and scatters the post-states back — NumPy
-   fancy assignment applies duplicate indices in order, so the last write
-   wins, which is exactly the final state of a position touched repeatedly.
+   every interaction in one shot, and scatters the moved slots' post-states
+   back — NumPy fancy assignment applies duplicate indices in order, so the
+   last write wins: the final state of a position touched repeatedly.
 3. **Chain resolution.**  Positions drawn more than once inside a round form
    dependency chains: a later interaction must see the *post*-state of the
    earlier one, not the stale gathered value.  The kernel detects the chained
@@ -28,8 +28,8 @@ that is sequential-equivalent by construction:
    and replays the affected interactions level by level: every level applies
    δ to the pending interactions whose predecessors are all resolved, reading
    their post-states, and shrinks the pending set to the rest — reproducing
-   the sequential order exactly.
-
+   the sequential order exactly.  Chain heads, whose gathered pre-states are
+   already exact, never enter the level loop.
 4. **Rows in parallel.**  :meth:`PairCodeKernel.advance` splits its rows into
    blocks of at most :data:`BLOCK_ROWS` — at least one block per CPU when
    there are enough rows — and runs the blocks on one worker thread per CPU
@@ -41,6 +41,12 @@ that is sequential-equivalent by construction:
    generators and output slices, so no thread reads what another writes
    and the records do not change.  A single block runs in the calling
    thread with no pool at all — the batch engine's one-row kernel included.
+5. **Booking in the workers, one handoff per call.**  The worker that owns
+   a row books its count vector (the moved slots' pre- and post-states
+   telescope through chains), changed interactions and tally hits (Circles:
+   ket exchanges) right after each round's scatter.  So
+   :meth:`PairCodeKernel.advance` runs a whole check window in one
+   submit/wait, and corrected pair codes leave it only on request (``out``).
 
 Because a row's trajectory depends only on the row's own generator stream,
 row ``r`` of an ``R``-row kernel is bit-identical to a single-row kernel
@@ -80,15 +86,15 @@ class PairCodeKernel:
 
     Every row starts from the same configuration (``initial_counts``) and owns
     one ``numpy.random.Generator``; the kernel holds the ``(R, n)`` per-agent
-    state matrix and the split transition tables.  Rows advance independently
-    — :meth:`advance` takes an explicit row subset, so converged rows simply
-    stop being passed in.  A kernel that advances more than one block of rows
+    state matrix, the split transition tables and each row's booking.  Rows
+    advance independently — :meth:`advance` takes an explicit row subset, so
+    converged rows simply stop being passed in.  A kernel that advances more than one block of rows
     starts its worker threads on first use; :meth:`close` stops them.
     """
 
     __slots__ = (
-        "num_agents", "num_states", "_ta", "_tb", "_states", "_generators", "_slot_ids",
-        "_cpus", "_scratches", "_pool",
+        "num_agents", "num_states", "_ta", "_tb", "_tally", "_states", "counts", "changed",
+        "tallies", "_generators", "_slot_ids", "_cpus", "_scratches", "_pool",
     )
 
     def __init__(
@@ -98,21 +104,30 @@ class PairCodeKernel:
         num_agents: int,
         generators: Sequence[np.random.Generator],
         initial_counts,
+        tally=None,
     ) -> None:
         d = int(num_states)
         n = int(num_agents)
         packed = np.asarray(table, dtype=np.int64)
         self._ta = (packed // d).astype(np.int16)
         self._tb = (packed % d).astype(np.int16)
+        self._tally = None if tally is None else np.asarray(tally, dtype=bool)
         self.num_states = d
         self.num_agents = n
         self._generators = list(generators)
+        rows = len(self._generators)
         counts = np.asarray(initial_counts, dtype=np.int64)
         if int(counts.sum()) != n:
             raise ValueError(f"initial counts sum to {int(counts.sum())}, expected {n} agents")
         base_row = np.repeat(np.arange(d, dtype=np.int16), counts)
-        self._states = np.tile(base_row, (len(self._generators), 1))
-        block = min(len(self._generators), BLOCK_ROWS)
+        self._states = np.tile(base_row, (rows, 1))
+        #: The booking, read-only outside the kernel: per row its count vector,
+        #: its interactions that moved a state (a truthful δ's ``changed``
+        #: flag) and its hits on the per-pair-code ``tally`` mask, if any.
+        self.counts = np.tile(counts, (rows, 1))
+        self.changed = np.zeros(rows, dtype=np.int64)
+        self.tallies = None if tally is None else np.zeros(rows, dtype=np.int64)
+        block = min(rows, BLOCK_ROWS)
         self._slot_ids = np.arange(block * 2 * DEFAULT_ROUND, dtype=np.int32)
         self._cpus = available_cpus()
         #: One ``n``-entry last-occurrence scratch per worker, made on demand.
@@ -123,31 +138,21 @@ class PairCodeKernel:
     def num_rows(self) -> int:
         return len(self._generators)
 
-    def row_counts(self, row: int) -> np.ndarray:
-        """The row's current configuration as a length-``d`` count vector."""
-        return np.bincount(self._states[row], minlength=self.num_states).astype(np.int64)
-
-    def counts_matrix(self, rows: Sequence[int]) -> np.ndarray:
-        """Count vectors for ``rows`` stacked into a ``(len(rows), d)`` matrix."""
-        out = np.empty((len(rows), self.num_states), dtype=np.int64)
-        for j, row in enumerate(rows):
-            out[j] = np.bincount(self._states[row], minlength=self.num_states)
-        return out
-
-    def advance(self, rows: Sequence[int], length: int) -> np.ndarray:
+    def advance(self, rows: Sequence[int], length: int, out: np.ndarray | None = None) -> None:
         """Advance every row in ``rows`` by ``length`` interactions.
 
-        Returns the ``(len(rows), length)`` int32 matrix of each interaction's
-        *corrected* pre-transition pair code ``p·d + q`` — the ordered states
-        the sequential process would have seen — in time order, which is what
-        the engines need for changed/count/observer bookkeeping.  A ``length``
-        above :data:`DEFAULT_ROUND` runs as several rounds, which changes
-        nothing: the trajectory does not depend on how a run is split.
+        The rows' counts, changed interactions and tallies are booked as they
+        go.  With ``out``, a ``(len(rows), length)`` int32 matrix, it also
+        receives each interaction's *corrected* pre-transition pair code
+        ``p·d + q`` — the ordered states the sequential process would have
+        seen — in time order.  The trajectory does not depend on how a run
+        is split into calls or rounds.
         """
         rows = list(rows)
-        codes = np.empty((len(rows), length), dtype=np.int32)
+        if len(set(rows)) != len(rows) or any(not 0 <= row < self.num_rows for row in rows):
+            raise ValueError(f"rows must be distinct and in range({self.num_rows}): {rows}")
         if not rows:
-            return codes
+            return
         blocks = max(-(-len(rows) // BLOCK_ROWS), min(self._cpus, len(rows)))
         bounds = [len(rows) * b // blocks for b in range(blocks + 1)]
         spans = list(zip(bounds[:-1], bounds[1:]))
@@ -155,20 +160,19 @@ class PairCodeKernel:
         while len(self._scratches) < workers:
             self._scratches.append(np.empty(self.num_agents, dtype=np.int32))
         if workers == 1:
-            self._advance_spans(rows, spans, length, codes, self._scratches[0])
-            return codes
+            self._advance_spans(rows, spans, length, out, self._scratches[0])
+            return
         if self._pool is None:
             self._pool = ThreadPoolExecutor(self._cpus, thread_name_prefix="pair-code-kernel")
         futures = [
             self._pool.submit(
-                self._advance_spans, rows, spans[w::workers], length, codes, self._scratches[w]
+                self._advance_spans, rows, spans[w::workers], length, out, self._scratches[w]
             )
             for w in range(workers)
         ]
         wait(futures)  # every block finishes before any error propagates
         for future in futures:
             future.result()
-        return codes
 
     def close(self) -> None:
         """Stop the worker threads, if any; a later :meth:`advance` restarts them."""
@@ -176,36 +180,36 @@ class PairCodeKernel:
             self._pool.shutdown()
             self._pool = None
 
-    def _advance_spans(self, rows, spans, length, codes, scratch) -> None:
+    def _advance_spans(self, rows, spans, length, out, scratch) -> None:
         """Advance the row blocks ``rows[start:stop]`` of ``spans`` in rounds."""
         for begin in range(0, length, DEFAULT_ROUND):
             end = min(begin + DEFAULT_ROUND, length)
             for start, stop in spans:
-                codes[start:stop, begin:end] = self._advance_block(
-                    rows[start:stop], end - begin, scratch
-                )
+                codes = self._advance_block(rows[start:stop], end - begin, scratch)
+                if out is not None:
+                    out[start:stop, begin:end] = codes
 
     def _advance_block(self, rows: list[int], length: int, scratch: np.ndarray) -> np.ndarray:
         n = self.num_agents
         d = self.num_states
         nb = len(rows)
         contiguous = rows == list(range(rows[0], rows[0] + nb))
-        sblock = self._states[rows[0] : rows[0] + nb] if contiguous else self._states[rows]
+        index = slice(rows[0], rows[0] + nb) if contiguous else rows
+        sblock = self._states[index]
         sflat = sblock.reshape(-1)
 
-        # One pair code per interaction, decoded to ordered distinct positions.
-        # Interleaving initiator and responder slots keeps the slot index in
-        # time order.
-        q = np.empty((nb, length), dtype=np.int64)
+        # One pair code per interaction, decoded in place to ordered distinct
+        # positions.  Interleaving initiator and responder slots keeps the
+        # slot index in time order.
+        positions = np.empty((nb, 2 * length), dtype=np.int64)
+        i = positions[:, 0::2]
+        r = positions[:, 1::2]
         span = n * (n - 1)
         for j, row in enumerate(rows):
-            q[j] = self._generators[row].integers(0, span, length, dtype=np.int64)
-        i = q // (n - 1)
-        r = q - i * (n - 1)
+            r[j] = self._generators[row].integers(0, span, length, dtype=np.int64)
+        np.floor_divide(r, n - 1, out=i)
+        r -= i * (n - 1)
         r += r >= i
-        positions = np.empty((nb, 2 * length), dtype=np.int64)
-        positions[:, 0::2] = i
-        positions[:, 1::2] = r
         # Last-occurrence detection, row by row: scatter each in-row slot id
         # to its position (duplicates resolve last-write-wins), gather back,
         # and a slot that does not read its own id has a later occurrence.
@@ -230,12 +234,30 @@ class PairCodeKernel:
         post[1::2] = np.take(self._tb, codes)
         chained = last != slots
         nonlast = np.flatnonzero(chained)
+        chained[last[nonlast]] = True  # add each recurring position's final slot
+        del last  # freed before the booking's temporaries
         if nonlast.size:
-            chained[last[nonlast]] = True  # add each recurring position's final slot
             self._resolve_chains(fp, pre, post, codes, np.flatnonzero(chained))
-        sflat[fp] = post
+
+        # Book the round.  Only slots that moved write back: the last moved
+        # slot of a position holds its final state, because every later slot
+        # there leaves it unchanged.  Their pre and post states telescope
+        # through chains into the count delta of each row.
+        moved = pre != post
+        moves = np.flatnonzero(moved)
+        sflat[fp[moves]] = post[moves]
         if not contiguous:
             self._states[rows] = sblock
+        keys = moves // (2 * length)
+        keys *= d
+        delta = np.bincount(keys + post[moves], minlength=nb * d)
+        delta -= np.bincount(keys + pre[moves], minlength=nb * d)
+        self.counts[index] += delta.reshape(nb, d)
+        changed = moved[0::2] | moved[1::2]
+        self.changed[index] += np.count_nonzero(changed.reshape(nb, length), axis=1)
+        if self._tally is not None:
+            hits = np.take(self._tally, codes).reshape(nb, length)
+            self.tallies[index] += np.count_nonzero(hits, axis=1)
         return codes.reshape(nb, length)
 
     def _resolve_chains(self, fp, pre, post, codes, chain_slots) -> None:
@@ -248,9 +270,10 @@ class PairCodeKernel:
         ``(position, slot)`` links each slot to its predecessor; the chained
         interactions are then resolved level by level: each level applies δ
         to every pending interaction whose predecessors are all resolved,
-        and the next level works on the rest only.  The earliest pending
-        interaction is always ready, so the loop ends within chain-depth
-        levels.  ``pre``, ``post`` and ``codes`` are corrected in place.
+        and the next level works on the rest only.  Chain heads are resolved
+        before the first level, and the earliest pending interaction is
+        always ready, so the loop ends within chain-depth levels.  ``pre``,
+        ``post`` and ``codes`` are corrected in place.
         """
         d = self.num_states
         m = fp.size
@@ -264,6 +287,14 @@ class PairCodeKernel:
         pa = pred[inter << 1]
         pb = pred[(inter << 1) + 1]
         done = np.zeros(m >> 1, dtype=bool)
+        # Chain heads — no chained predecessor on either side — read exact
+        # gathered pre-states, so the first pass already applied them.
+        heads = (pa < 0) & (pb < 0)
+        done[inter[heads]] = True
+        tails = ~heads
+        inter = inter[tails]
+        pa = pa[tails]
+        pb = pb[tails]
         while inter.size:
             # A missing predecessor (-1) reads done[-1]; ``pa < 0`` masks it.
             ready = ((pa < 0) | done[pa >> 1]) & ((pb < 0) | done[pb >> 1])

@@ -58,6 +58,13 @@ class TestEveryRegisteredProtocol:
                 assert compiled.decode(b) == expected.responder, name
                 assert changed == expected.changed, name
 
+    def test_changed_flag_means_a_state_moved(self, compiled_protocols):
+        """The position kernel counts an interaction as changed when it moves
+        a state, so the flag must say exactly that."""
+        for name, _protocol, compiled in compiled_protocols:
+            for code, packed in enumerate(compiled.table):
+                assert bool(compiled.changed[code]) == (packed != code), name
+
     def test_transition_states_matches_delta(self, compiled_protocols):
         rng = random.Random(7)
         for name, protocol, compiled in compiled_protocols:

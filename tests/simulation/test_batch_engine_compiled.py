@@ -16,10 +16,12 @@ from repro.simulation.batch_engine import (
     NUMPY_BURST_THRESHOLD,
     BatchConfigurationSimulation,
 )
+from repro.simulation.observers import KetExchangeObserver, Observer
+from repro.simulation.vector_engine import VectorReplicateSimulation
 from repro.utils.multiset import Multiset
 from repro.workloads.distributions import planted_majority
 
-pytest.importorskip("numpy", reason="the counts-vector burst path needs numpy")
+np = pytest.importorskip("numpy", reason="the counts-vector burst path needs numpy")
 
 #: Smallest population on the vectorized path.
 N = NUMPY_BURST_THRESHOLD
@@ -90,6 +92,57 @@ class TestCountsVectorPath:
         )
         simulation.run(8_000)
         assert observed == simulation.interactions_changed > 0
+
+
+class DeltaCounter(Observer):
+    """A decoded-delta observer: counts the changed interactions it is shown."""
+
+    def __init__(self) -> None:
+        self.changed = 0
+
+    def on_delta(self, delta) -> None:
+        self.changed += delta.count
+
+
+class TestKernelRowBooking:
+    """The engine's counts and changed count are its kernel row's booking."""
+
+    BURSTS = (None, 1, 2_000, 2_048, 3, None, 4_095)
+
+    def _drive(self, observer):
+        simulation = BatchConfigurationSimulation.from_colors(
+            CirclesProtocol(K), _colors(), seed=17
+        )
+        if observer is not None:
+            simulation.add_observer(observer)
+        kernel = simulation._kernel
+        d = simulation.compiled_protocol.num_states
+        for cap in self.BURSTS:
+            simulation.run_burst(cap)
+            assert np.array_equal(
+                simulation.count_vector(), np.bincount(kernel._states[0], minlength=d)
+            )
+            assert simulation.interactions_changed == kernel.changed[0]
+        return simulation
+
+    def test_observers_do_not_change_the_run(self):
+        bare = self._drive(None)
+        ket = KetExchangeObserver()
+        deltas = DeltaCounter()
+        for observer in (ket, deltas):
+            observed = self._drive(observer)
+            assert observed.steps_taken == bare.steps_taken
+            assert observed.interactions_changed == bare.interactions_changed
+            assert observed.configuration() == bare.configuration()
+        assert deltas.changed == bare.interactions_changed > 0
+        # The ket-exchange observer on codes equals the kernel's tally mask.
+        group = VectorReplicateSimulation.replicate_group_from_colors(
+            CirclesProtocol(K), _colors(), seeds=[17]
+        )
+        (outcome,) = group.run(bare.steps_taken)
+        assert outcome.ket_exchanges == ket.exchanges > 0
+        assert outcome.interactions_changed == bare.interactions_changed
+        assert outcome.configuration == bare.configuration()
 
 
 class TestDistributionalAgreementWithThePoolPath:

@@ -49,7 +49,9 @@ class MinEpidemic(PopulationProtocol[int]):
         return TransitionResult(low, low, changed=low != a or low != b)
 
 
-def serial_batch_rows(protocol, colors, seeds, criterion, max_steps, count_ket=False):
+def serial_batch_rows(
+    protocol, colors, seeds, criterion, max_steps, count_ket=False, check_interval=None
+):
     """The reference: one looped batch engine per seed."""
     outcomes = []
     for seed in seeds:
@@ -58,7 +60,7 @@ def serial_batch_rows(protocol, colors, seeds, criterion, max_steps, count_ket=F
         if count_ket:
             observer = KetExchangeObserver()
             row.add_observer(observer)
-        converged = row.run(max_steps, criterion=criterion)
+        converged = row.run(max_steps, criterion=criterion, check_interval=check_interval)
         outcomes.append(
             (
                 converged,
@@ -183,6 +185,43 @@ class TestKernelPath:
             outcome.interactions_changed,
             outcome.configuration,
         ) == (reference[0], reference[1], reference[2], reference[4])
+
+
+class TestKernelHandoffs:
+    """A group hands the kernel one call per check window, not one per round."""
+
+    def test_one_advance_per_check_window(self, monkeypatch):
+        vector_kernel = pytest.importorskip("repro.simulation.vector_kernel")
+        calls = []
+        advance = vector_kernel.PairCodeKernel.advance
+
+        def counted(kernel, rows, length, out=None):
+            calls.append((list(rows), length))
+            return advance(kernel, rows, length, out=out)
+
+        monkeypatch.setattr(vector_kernel.PairCodeKernel, "advance", counted)
+        protocol = MinEpidemic(3)
+        colors = [0] + [1] * 2047 + [2] * 2048
+        seeds = [31, 32, 33, 34, 35]
+        interval = 3 * vector_kernel.DEFAULT_ROUND + 100
+        group = VectorReplicateSimulation.replicate_group_from_colors(protocol, colors, seeds)
+        outcomes = group.run(400_000, criterion=SilentConfiguration(), check_interval=interval)
+        group_calls = list(calls)
+        assert_rows_match(
+            outcomes,
+            serial_batch_rows(
+                protocol, colors, seeds, SilentConfiguration(), 400_000, check_interval=interval
+            ),
+        )
+        # Rows retire at different checks; every call advances exactly the
+        # rows still active at its window's start, by one whole window.
+        steps = [outcome.steps for outcome in outcomes]
+        assert len(set(steps)) > 1
+        windows = max(steps) // interval
+        assert group_calls == [
+            ([row for row, last in enumerate(steps) if last > window * interval], interval)
+            for window in range(windows)
+        ]
 
 
 class TestWorkerThreads:
