@@ -48,8 +48,10 @@ class CompiledProtocol(Generic[State]):
         num_states: the closure size ``d``.
         table: flat ``array('l')`` of ``d²`` entries; ``table[p·d + q]`` is
             the packed result ``a·d + b`` of ``δ`` on the pair ``(p, q)``.
-        changed: ``bytes`` bitmask parallel to ``table`` holding the
-            protocol's ``changed`` flag per ordered pair.
+        changed: ``bytes`` bitmask parallel to ``table``, set where the
+            ordered pair moves a state (``table[p·d + q] != p·d + q``).  It
+            is read off the table, not off ``TransitionResult.changed``, so
+            every engine applies the same δ whatever a protocol reports.
         outputs: ``array('l')`` mapping state index -> output color.
     """
 
@@ -99,7 +101,7 @@ class CompiledProtocol(Generic[State]):
                         f"unenumerated state {exc.args[0]!r}"
                     ) from None
                 packed[base + q] = a * d + b
-                if result.changed:
+                if a * d + b != base + q:
                     changed[base + q] = 1
         self.table = array("l", packed)
         self.changed = bytes(changed)

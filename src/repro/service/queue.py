@@ -1,24 +1,33 @@
 """The ``asyncio`` work-stealing executor: the service's job queue.
 
-A pool of worker coroutines pulls run indices from one shared deque — the
-coroutine form of work stealing: there is no up-front partition of specs to
-workers, so a worker that drew short runs keeps stealing the remaining work
-from the common pool while a long run occupies another.  Each run executes
-in a thread (:func:`asyncio.to_thread`), so the event loop stays responsive
-for timeout enforcement and cancellation while the simulation computes.
+A pool of worker coroutines pulls execution units from one shared deque —
+the coroutine form of work stealing: there is no up-front partition of units
+to workers, so a worker that drew short units keeps stealing the remaining
+work from the common pool while a long unit occupies another.  A unit is one
+run (:meth:`AsyncExecutor.map`, through
+:func:`~repro.api.executor.execute_run`) or one replicate group
+(:meth:`AsyncExecutor.map_groups`, through
+:func:`~repro.api.executor.execute_replicate_group`); both go through the
+same retry loop.  Each unit executes in a thread (:func:`asyncio.to_thread`),
+so the event loop stays responsive for timeout enforcement and cancellation
+while the simulation computes.  Below the vector kernel's population gate the
+GIL serializes that work; kernel groups release it inside their numpy rounds
+and run their row blocks on threads of their own.
 
-Robustness contract (per run):
+Robustness contract (per unit):
 
 * **timeout** — a run exceeding ``timeout`` seconds is abandoned and counts
-  as a failed attempt;
+  as a failed attempt; a replicate group's budget is ``timeout × rows``, the
+  sum of its rows' per-run budgets;
 * **bounded retry with backoff** — a failed attempt is retried up to
   ``retries`` times, sleeping ``backoff * 2**attempt`` seconds in between;
-* **graceful cancellation** — when any run exhausts its retries (or the
+* **graceful cancellation** — when any unit exhausts its retries (or the
   caller cancels), every in-flight worker is cancelled and awaited before
-  :meth:`AsyncExecutor.map` raises, so no stray tasks outlive the call.
+  ``map``/``map_groups`` raises :class:`RunFailed`, so no stray tasks
+  outlive the call.  A failed group names its first spec and row count.
 
-Determinism: :func:`~repro.api.executor.execute_run` is a pure function of
-the spec, and results are collected into spec order, so ``map`` is
+Determinism: both unit functions are pure functions of their specs, and
+results are collected into input order, so ``map`` and ``map_groups`` are
 record-for-record identical to the serial and multiprocessing executors —
 the property the parametrized executor-agreement tests pin.
 """
@@ -27,31 +36,36 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
-from repro.api.executor import execute_run, register_executor
+from repro.api.executor import execute_replicate_group, execute_run, register_executor
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec
 
-#: Default coroutine-pool width (runs execute in threads; the GIL serializes
-#: the CPU work, so the width mostly bounds queued thread-pool jobs).
+#: Default coroutine-pool width.  Units execute in threads: below the kernel
+#: gate the GIL serializes their CPU work, so the width mostly bounds queued
+#: thread-pool jobs; kernel groups release the GIL in their numpy rounds.
 DEFAULT_WORKERS = 4
 
 
 class RunFailed(RuntimeError):
-    """A run kept failing after every retry.
+    """A run (or a replicate group) kept failing after every retry.
 
-    Carries the failing spec and the attempt count; the original exception
-    (or :class:`TimeoutError` for a timed-out run) is chained as
-    ``__cause__``.
+    Carries the failing spec — a group's first spec — the group's row count
+    (1 for a single run) and the attempt count; the original exception (or
+    :class:`TimeoutError` for a timed-out unit) is chained as ``__cause__``.
     """
 
-    def __init__(self, spec: RunSpec, attempts: int, cause: BaseException) -> None:
+    def __init__(
+        self, spec: RunSpec, attempts: int, cause: BaseException, rows: int = 1
+    ) -> None:
+        unit = "run" if rows == 1 else f"replicate group of {rows} runs from"
         super().__init__(
-            f"run {spec.sha()[:12]} ({spec.protocol}, n={spec.n}, k={spec.k}) "
+            f"{unit} {spec.sha()[:12]} ({spec.protocol}, n={spec.n}, k={spec.k}) "
             f"failed after {attempts} attempt(s): {cause!r}"
         )
         self.spec = spec
+        self.rows = rows
         self.attempts = attempts
 
 
@@ -59,8 +73,8 @@ class AsyncExecutor:
     """Run specs through an ``asyncio`` worker pool over one shared queue.
 
     Registered as executor ``"asyncio"``; drop-in compatible with
-    :class:`~repro.api.executor.SerialExecutor` (same ``map`` contract, same
-    records).
+    :class:`~repro.api.executor.SerialExecutor` (same ``map`` and
+    ``map_groups`` contracts, same records).
     """
 
     name = "asyncio"
@@ -99,14 +113,27 @@ class AsyncExecutor:
         specs = list(specs)
         if not specs:
             return []
-        return asyncio.run(self._run_all(specs))
+        return asyncio.run(self._run_all(specs, execute_run))
 
-    async def _run_all(self, specs: list[RunSpec]) -> list[RunRecord]:
-        queue: deque[int] = deque(range(len(specs)))
-        results: list[RunRecord | None] = [None] * len(specs)
+    def map_groups(self, groups: Sequence[Sequence[RunSpec]]) -> list[list[RunRecord]]:
+        """Execute replicate groups (see :func:`execute_replicate_group`) in order.
+
+        Each group is one unit of the queue, with a timeout of ``timeout ×
+        rows``.  Raises :class:`RunFailed` naming the group when it exhausts
+        its retries; all other in-flight work is cancelled and awaited first.
+        """
+        units = [list(group) for group in groups]
+        if not units:
+            return []
+        return asyncio.run(self._run_all(units, execute_replicate_group))
+
+    async def _run_all(self, units: list, function: Callable) -> list:
+        """Run ``function`` on every unit (a spec or a group); input order."""
+        queue: deque[int] = deque(range(len(units)))
+        results: list = [None] * len(units)
         workers = [
-            asyncio.create_task(self._worker(queue, specs, results))
-            for _ in range(min(self.workers, len(specs)))
+            asyncio.create_task(self._worker(queue, units, results, function))
+            for _ in range(min(self.workers, len(units)))
         ]
         try:
             await asyncio.gather(*workers)
@@ -116,26 +143,25 @@ class AsyncExecutor:
             for task in workers:
                 task.cancel()
             await asyncio.gather(*workers, return_exceptions=True)
-        assert all(record is not None for record in results)
-        return list(results)  # type: ignore[arg-type]
+        assert all(result is not None for result in results)
+        return results
 
     async def _worker(
-        self,
-        queue: deque[int],
-        specs: list[RunSpec],
-        results: list[RunRecord | None],
+        self, queue: deque[int], units: list, results: list, function: Callable
     ) -> None:
         while queue:
             index = queue.popleft()
-            results[index] = await self._execute_with_retry(specs[index])
+            results[index] = await self._execute_with_retry(units[index], function)
 
-    async def _execute_with_retry(self, spec: RunSpec) -> RunRecord:
+    async def _execute_with_retry(self, unit, function: Callable):
+        first, rows = (unit, 1) if isinstance(unit, RunSpec) else (unit[0], len(unit))
+        timeout = None if self.timeout is None else self.timeout * rows
         attempts = self.retries + 1
         for attempt in range(attempts):
             try:
-                job = asyncio.to_thread(execute_run, spec)
-                if self.timeout is not None:
-                    return await asyncio.wait_for(job, timeout=self.timeout)
+                job = asyncio.to_thread(function, unit)
+                if timeout is not None:
+                    return await asyncio.wait_for(job, timeout=timeout)
                 return await job
             except asyncio.CancelledError:
                 raise
@@ -143,7 +169,7 @@ class AsyncExecutor:
                 if isinstance(error, (KeyboardInterrupt, SystemExit)):
                     raise
                 if attempt + 1 >= attempts:
-                    raise RunFailed(spec, attempts, error) from error
+                    raise RunFailed(first, attempts, error, rows) from error
                 await asyncio.sleep(self.backoff * (2**attempt))
         raise AssertionError("unreachable: the retry loop returns or raises")
 

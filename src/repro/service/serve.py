@@ -8,11 +8,14 @@ and the whole repository becomes a durable simulation backend on stdlib
 alone (``http.server`` + the ``asyncio`` executor — no new dependencies):
 
 * ``POST /sweep`` — body: :class:`~repro.api.spec.SweepSpec` JSON.  Streams
-  newline-delimited JSON, one envelope per run **as it finishes**::
+  newline-delimited JSON, one envelope per run::
 
       {"index": 3, "cached": false, "sha": "…", "record": {…RunRecord…}}
 
-  With a store attached, runs whose spec SHA is already stored stream back
+  Executed runs go to the executor in chunks of units — single runs and
+  replicate groups, one executor round each — and their envelopes arrive
+  together when their chunk finishes, not run by run.  With a store
+  attached, runs whose spec SHA is already stored stream back
   immediately from cache and fresh records are persisted + checkpointed in
   the sweep's manifest — resubmitting an identical sweep is pure cache, and
   resubmitting after a crash finishes only the remainder.  Adaptive sweeps
@@ -277,10 +280,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--workers", type=int, default=None, help="executor worker count")
     parser.add_argument(
-        "--timeout", type=float, default=None, help="per-run timeout in seconds"
+        "--timeout",
+        type=float,
+        default=None,
+        help="per-run timeout in seconds (a replicate group gets timeout × rows)",
     )
     parser.add_argument(
-        "--retries", type=int, default=2, help="retry budget per failed run (default: 2)"
+        "--retries", type=int, default=2, help="retry budget per failed run or group (default: 2)"
     )
     args = parser.parse_args(argv)
 

@@ -2,12 +2,13 @@
 
 Each check returns :class:`Diagnostic` values at one of three severities:
 
-* **ERROR** — the protocol violates a soundness contract every engine relies
+* **ERROR** — the protocol violates a soundness contract the engines rely
   on (a non-deterministic ``transition``, or ``changed=False`` on a pair
-  that actually changes states, which makes the configuration engines skip
-  real work).  ``protolint`` exits non-zero on these.
+  that actually changes states, which makes the uncompiled engines skip
+  real work; compiled tables read the flag off the result states).
+  ``protolint`` exits non-zero on these.
 * **WARNING** — suspicious but not unsound: ``changed=True`` on an identity
-  pair (silence detection can never fire), a stable class whose members
+  pair (uncompiled silence detection can never fire), a stable class whose members
   disagree on outputs, a missing ``compile_signature`` override (per-instance
   compile caches silently defeat registry-driven sweeps).
 * **INFO** — observations: transitions never enabled from the probed
@@ -78,28 +79,30 @@ def max_severity(diagnostics: Sequence[Diagnostic]) -> Severity | None:
 
 
 def lint_changed_flags(compiled: "CompiledProtocol") -> list[Diagnostic]:
-    """Cross-check the ``changed`` flag against the stored result states."""
+    """Cross-check each reported ``changed`` flag against its result states.
+
+    The compiled ``changed`` mask is read off the table, so this evaluates
+    the protocol's own ``transition`` once per pair.
+    """
     diagnostics: list[Diagnostic] = []
-    d = compiled.num_states
+    transition = compiled.protocol.transition
     unsound: list[list[str]] = []
     spurious: list[list[str]] = []
-    for p in range(d):
-        base = p * d
-        for q in range(d):
-            code = base + q
-            a, b = divmod(compiled.table[code], d)
-            identical = a == p and b == q
-            if compiled.changed[code] and identical:
-                spurious.append([str(compiled.states[p]), str(compiled.states[q])])
-            elif not compiled.changed[code] and not identical:
-                unsound.append([str(compiled.states[p]), str(compiled.states[q])])
+    for initiator in compiled.states:
+        for responder in compiled.states:
+            result = transition(initiator, responder)
+            identical = result.initiator == initiator and result.responder == responder
+            if result.changed and identical:
+                spurious.append([str(initiator), str(responder)])
+            elif not result.changed and not identical:
+                unsound.append([str(initiator), str(responder)])
     if unsound:
         diagnostics.append(
             Diagnostic(
                 Severity.ERROR,
                 "unsound-unchanged-flag",
                 f"{len(unsound)} pair(s) report changed=False but alter states; "
-                "configuration engines would skip applying them",
+                "uncompiled engines would skip applying them",
                 {"count": len(unsound), "examples": unsound[:5]},
             )
         )
@@ -109,7 +112,7 @@ def lint_changed_flags(compiled: "CompiledProtocol") -> list[Diagnostic]:
                 Severity.WARNING,
                 "spurious-changed-flag",
                 f"{len(spurious)} identity pair(s) report changed=True; "
-                "silence detection can never fire",
+                "uncompiled silence detection can never fire",
                 {"count": len(spurious), "examples": spurious[:5]},
             )
         )
@@ -119,7 +122,7 @@ def lint_changed_flags(compiled: "CompiledProtocol") -> list[Diagnostic]:
 def lint_determinism(
     protocol: "PopulationProtocol", compiled: "CompiledProtocol"
 ) -> list[Diagnostic]:
-    """Re-evaluate ``transition`` on every pair and diff against the table."""
+    """Re-evaluate ``transition`` on every pair and diff its states against the table."""
     mismatches: list[list[str]] = []
     states = compiled.states
     index = compiled.index
@@ -129,8 +132,7 @@ def lint_determinism(
             result = protocol.transition(states[p], states[q])
             a = index.get(result.initiator)
             b = index.get(result.responder)
-            stored_a, stored_b, stored_changed = compiled.transition_codes(p, q)
-            if (a, b, result.changed) != (stored_a, stored_b, stored_changed):
+            if (a, b) != compiled.transition_codes(p, q)[:2]:
                 mismatches.append([str(states[p]), str(states[q])])
     if not mismatches:
         return []

@@ -160,8 +160,10 @@ def verify_protocol(
 
     diagnostics: list[Diagnostic] = []
     diagnostics.extend(lint_compile_signature(protocol))
-    diagnostics.extend(lint_changed_flags(compiled))
+    # Determinism first: its re-evaluation must be the first call after the
+    # table's, or a δ that alternates between calls could match it again.
     diagnostics.extend(lint_determinism(protocol, compiled))
+    diagnostics.extend(lint_changed_flags(compiled))
 
     effects = transition_effects(compiled)
     num_changed_pairs = sum(len(effect.pairs) for effect in effects)

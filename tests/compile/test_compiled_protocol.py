@@ -18,7 +18,12 @@ from repro.compile import (
     compile_protocol,
 )
 from repro.core.circles import CirclesProtocol
+from repro.protocols.base import PopulationProtocol, TransitionResult
 from repro.protocols.registry import DEFAULT_REGISTRY
+from repro.simulation.batch_engine import (
+    NUMPY_BURST_THRESHOLD,
+    BatchConfigurationSimulation,
+)
 
 PROTOCOL_NAMES = DEFAULT_REGISTRY.names()
 
@@ -89,6 +94,50 @@ class TestEveryRegisteredProtocol:
             for color in range(protocol.num_colors):
                 index = compiled.initial_index(color)
                 assert compiled.decode(index) == protocol.initial_state(color), name
+
+
+class MisflaggedSpread(PopulationProtocol[int]):
+    """``(0, 1) → (1, 1)``, but δ reports every interaction as unchanged."""
+
+    name = "misflagged-spread"
+
+    def states(self):
+        return [0, 1]
+
+    def initial_state(self, color: int) -> int:
+        return color
+
+    def output(self, state: int) -> int:
+        return state
+
+    def transition(self, a: int, b: int) -> TransitionResult[int]:
+        if (a, b) == (0, 1):
+            return TransitionResult(1, 1, changed=False)
+        return TransitionResult(a, b, changed=False)
+
+
+class TestChangedFlagComesFromTheTable:
+    """A wrong ``TransitionResult.changed`` cannot split the engines' chains."""
+
+    def test_flag_is_read_off_the_table(self):
+        compiled = compile_protocol(MisflaggedSpread(2))
+        zero, one = compiled.encode(0), compiled.encode(1)
+        assert compiled.transition_codes(zero, one) == (one, one, True)
+        assert compiled.transition_codes(one, zero)[2] is False
+
+    # Regression: the pool regimes below the kernel gate trusted the flag
+    # and never moved, while the kernel at the gate applied δ to every pair.
+    @pytest.mark.parametrize("n", [NUMPY_BURST_THRESHOLD - 2, NUMPY_BURST_THRESHOLD])
+    def test_both_sides_of_the_kernel_gate_move(self, n):
+        colors = [0] * (n // 2) + [1] * (n // 2)
+        simulation = BatchConfigurationSimulation.from_colors(
+            MisflaggedSpread(2), colors, seed=11
+        )
+        simulation.run(20_000)
+        counts = simulation.output_counts()
+        assert simulation.interactions_changed > 0
+        assert counts[1] > n // 2
+        assert counts.get(0, 0) + counts[1] == n
 
 
 class TestCompileCache:

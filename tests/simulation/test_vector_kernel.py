@@ -57,12 +57,30 @@ def tally_mask(d: int) -> np.ndarray:
     return np.arange(d * d) % 3 == 1
 
 
+#: Kernels made by :func:`make_kernel` during the running test.
+_KERNELS: list[PairCodeKernel] = []
+
+
+@pytest.fixture(autouse=True)
+def close_kernels():
+    """Join every kernel's worker threads when its test ends.
+
+    An unclosed kernel's threads exit only after it is collected, which can
+    fall inside a later test that counts threads.
+    """
+    yield
+    while _KERNELS:
+        _KERNELS.pop().close()
+
+
 def make_kernel(d: int, n: int, seeds, table: np.ndarray | None = None) -> PairCodeKernel:
     table = mixing_table(d) if table is None else table
     counts = np.full(d, n // d, dtype=np.int64)
     counts[0] += n - int(counts.sum())
     generators = [np.random.default_rng(seed) for seed in seeds]
-    return PairCodeKernel(table, d, n, generators, counts, tally=tally_mask(d))
+    kernel = PairCodeKernel(table, d, n, generators, counts, tally=tally_mask(d))
+    _KERNELS.append(kernel)
+    return kernel
 
 
 def advance(kernel: PairCodeKernel, rows, length: int) -> np.ndarray:

@@ -105,6 +105,12 @@ def test_nondeterministic_delta_is_an_error():
     assert diagnostics[0].severity is Severity.ERROR
 
 
+def test_nondeterministic_delta_is_an_error_in_the_full_report():
+    """The flag lint re-evaluates δ too; it must not hide an alternating δ."""
+    report = verify_protocol(_Nondeterministic())
+    assert "nondeterministic-delta" in {d.code for d in report.diagnostics}
+
+
 def test_missing_compile_signature_is_a_warning():
     protocol = _SpuriousChangedFlag(2)
     diagnostics = lint_compile_signature(protocol)
