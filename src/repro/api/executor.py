@@ -107,7 +107,7 @@ SCHEDULERS: dict[str, SchedulerBuilder] = {
     ),
     GreedyStallScheduler.name: lambda n, seed, protocol, **params: GreedyStallScheduler(
         n,
-        transition_changes=lambda a, b: protocol.transition(a, b).changed,
+        transition_changes=lambda a, b: protocol.transition(a, b).as_pair() != (a, b),
         seed=seed,
         **params,
     ),

@@ -94,7 +94,7 @@ def protocol_to_crn(
     for initiator in species:
         for responder in species:
             result = protocol.transition(initiator, responder)
-            if result.changed:
+            if result.as_pair() != (initiator, responder):
                 crn.reactions.append(
                     Reaction(reactants=(initiator, responder), products=result.as_pair())
                 )

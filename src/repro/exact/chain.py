@@ -126,8 +126,8 @@ class ConfigurationChain(Generic[State]):
             self-loop entry collects both no-op pairs and changing pairs that
             leave the multiset unchanged (e.g. swaps).
         change_probability: per configuration, the probability that one
-            interaction changes at least one agent's state (``δ``'s
-            ``changed`` flag, regardless of whether the multiset moves).
+            interaction changes at least one agent's state (judged by the
+            states δ returns, regardless of whether the multiset moves).
         compiled: the compiled δ-tables the codes come from, or ``None``
             when the closure exceeded the compile cap (or ``compiled=False``).
     """
@@ -222,7 +222,7 @@ class ConfigurationChain(Generic[State]):
         else:
             result = self.protocol.transition(self.states[p], self.states[q])
             a, b = self._code(result.initiator), self._code(result.responder)
-            changed = result.changed
+            changed = (a, b) != (p, q)
         move = self._moves[p, q] = (a, b) if changed else ()
         return move
 

@@ -46,6 +46,19 @@ class TransitionResult(Generic[State]):
         """The ``(initiator, responder)`` state pair."""
         return (self.initiator, self.responder)
 
+    def judged_from(self, initiator: State, responder: State) -> "TransitionResult[State]":
+        """This result with ``changed`` read off the states, not off the flag.
+
+        ``initiator`` and ``responder`` are the states before the
+        interaction.  Engines apply δ through this, so a protocol that
+        misreports its flag still moves exactly as its states say, the way
+        the compiled tables do.
+        """
+        changed = self.initiator != initiator or self.responder != responder
+        if changed == self.changed:
+            return self
+        return TransitionResult(self.initiator, self.responder, changed)
+
 
 class PopulationProtocol(abc.ABC, Generic[State]):
     """Abstract base class for population protocols.

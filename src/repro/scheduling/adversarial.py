@@ -51,7 +51,9 @@ class GreedyStallScheduler(Scheduler):
             num_agents: population size.
             transition_changes: a callable ``(state_a, state_b) -> bool`` that
                 tells the adversary whether the interaction would change
-                anything.  For Circles this is derived from
+                anything.  It must be deterministic: the adversary calls it
+                once per distinct ordered pair of states and remembers the
+                answer.  For Circles this is derived from
                 :meth:`CirclesProtocol.transition`.
             seed: RNG seed used to pick among stalling pairs.
             patience: how many stalling steps are allowed between two forced
@@ -61,6 +63,8 @@ class GreedyStallScheduler(Scheduler):
         if patience < 1:
             raise ValueError(f"patience must be positive, got {patience}")
         self._transition_changes = transition_changes
+        #: ``transition_changes`` per ordered state pair seen so far.
+        self._changes: dict[tuple[Any, Any], bool] = {}
         self._patience = patience
         self._backlog = all_ordered_pairs(num_agents)
         self._backlog_position = 0
@@ -75,12 +79,18 @@ class GreedyStallScheduler(Scheduler):
     def next_pair(self, step: int, states: Sequence[Any]) -> tuple[int, int]:
         if self._stall_streak >= self._patience:
             return self._backlog_pair()
+        changes = self._changes
         candidates = []
         for initiator in range(self._num_agents):
+            first = states[initiator]
             for responder in range(self._num_agents):
                 if initiator == responder:
                     continue
-                if not self._transition_changes(states[initiator], states[responder]):
+                pair = (first, states[responder])
+                changed = changes.get(pair)
+                if changed is None:
+                    changed = changes[pair] = self._transition_changes(*pair)
+                if not changed:
                     candidates.append((initiator, responder))
         if candidates:
             self._stall_streak += 1

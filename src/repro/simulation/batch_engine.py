@@ -47,11 +47,25 @@ simulators of Berenbrink et al.:
   ``SPARSE_LEAVE_LOAD`` — so decisions consume no randomness: a run is
   identical to the dense-only engine until its first switch, and vector
   groups below the kernel gate stay row-for-row identical to serial runs.
-  Going sparse drops the pool; going dense rebuilds it from the counts in
-  ``O(n)``.
+  A decision is paid per change, not per window: one that follows a
+  window without a changed interaction compares the previous load again
+  (0.3–0.5 µs on a 2-vCPU Xeon VM), a sparse one reads ``W`` off the cached
+  running sums, and a dense one sums ``W`` over the present codes' active
+  rows through cached ``itemgetter`` objects, stopping once the partial sum
+  keeps it dense.  Going sparse drops the pool and builds the row masses
+  from the present codes' active columns; going dense rebuilds the pool
+  from the counts in ``O(n)``.
+
+  Most sparse windows of a stabilization tail draw no event at all.  The
+  shared run loop hands them to :meth:`_run_idle_windows`, which runs
+  consecutive idle windows back to back at one uniform draw each (none
+  on a silent configuration), with their regime decisions and cached
+  convergence checks, and leaves the first draw that lands an event as
+  the skip the next :meth:`_run_sparse` call starts from.
 - Uncompiled engines (``compiled=False`` or a δ-closure over the compile
   cap) run the same dense step over a pool of decoded states, with the
-  transition memoized per ordered state pair.
+  transition memoized per ordered state pair and judged by the states it
+  returns, not by its ``changed`` flag.
 
 The induced Markov chain over configurations is *identical* to
 :class:`ConfigurationSimulation`'s (and to the agent engine's under the
@@ -78,11 +92,12 @@ from bisect import bisect_right
 from collections.abc import Hashable, Iterable
 from itertools import accumulate, compress
 from math import log, log1p
-from operator import mul
+from operator import itemgetter, mul
 from typing import Generic, TypeVar
 
 from repro.protocols.base import PopulationProtocol, TransitionResult
 from repro.simulation.base import ConfigurationEngine, TransitionObserver
+from repro.simulation.convergence import ConvergenceCriterion
 from repro.utils.multiset import Multiset
 from repro.utils.rng import RngLike
 
@@ -127,6 +142,17 @@ SPARSE_ENTER_LOAD = 0.1
 SPARSE_LEAVE_LOAD = 0.2
 
 
+def _active_row_getters(compiled) -> list[itemgetter]:
+    """Per code ``p``, a getter of the counts on ``p``'s active row, as a sequence."""
+    getters = []
+    for row in compiled.active_lists()[0]:
+        if len(row) > 1:
+            getters.append(itemgetter(*row))
+        else:  # a single index would get a bare count, so slice
+            getters.append(itemgetter(slice(row[0], row[0] + 1) if row else slice(0)))
+    return getters
+
+
 class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
     """Simulate the uniform random scheduler exactly, window by window."""
 
@@ -157,6 +183,10 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         #: ``W``) until the next event.  None while dense.
         self._row_mass: list[int] | None = None
         self._cumulative: list[int] | None = None
+        #: A geometric skip drawn by :meth:`_run_idle_windows` for a window it
+        #: found an event in; the next :meth:`_run_sparse` call uses it as
+        #: its first skip instead of drawing one.
+        self._pending_skip: int | None = None
         self._next_decision: int | None = None
         use_numpy = (
             self._compiled is not None
@@ -183,10 +213,13 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             #: Flat pool of encoded agent states, one entry per agent.
             self._pool = self._pool_from_counts()
             self._active_rows, self._active_cols = self._compiled.active_lists()
-            #: Step at which the regime is next re-decided (once per n), and
-            #: ``(steps_taken, interactions_changed)`` at the last decision.
+            self._row_getters = self._compiled.derived("active-row-getters", _active_row_getters)
+            #: Step at which the regime is next re-decided (once per n),
+            #: ``(steps_taken, interactions_changed)`` at the last decision,
+            #: and the load it measured (None when it measured none).
             self._next_decision = 0
             self._last_decision = (0, 0)
+            self._load: float | None = None
         else:
             #: Flat pool of decoded agent states, one entry per agent.
             self._pool = list(self._configuration.elements())
@@ -194,11 +227,11 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
     # -- transition evaluation ---------------------------------------------------
 
     def _transition(self, initiator: State, responder: State) -> TransitionResult[State]:
-        """Memoized Python-dispatch transition (uncompiled path only)."""
+        """Memoized Python-dispatch transition, judged by its states (uncompiled path only)."""
         key = (initiator, responder)
         result = self._transition_cache.get(key)
         if result is None:
-            result = self.protocol.transition(initiator, responder)
+            result = self.protocol.transition(initiator, responder).judged_from(*key)
             self._transition_cache[key] = result
         return result
 
@@ -338,10 +371,9 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         """Pick the dense or the sparse regime from the current counts.
 
         Runs at most once per ``n`` interactions and consumes no randomness.
-        A dense engine first looks at the fraction of interactions that
-        changed a state since the last decision; only when that is low does
-        it compute the exact mass ``W``, over the active rows of the present
-        codes.
+        The load depends on the counts alone, so when no interaction changed
+        a state since the last decision, that decision's load is compared
+        again, against the thresholds as they are now.
         """
         n = self._num_agents
         steps, changes = self.steps_taken, self.interactions_changed
@@ -349,34 +381,60 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         self._last_decision = (steps, changes)
         self._next_decision = steps + n
         sparse = self._row_mass is not None
-        counts = self._counts
-        d = len(counts)
-        scale = 1.0 + (d - counts.count(0)) / SPARSE_SUPPORT_SCALE
-        # The changed fraction estimates W / n(n-1) from one window; the 1.5
-        # margin keeps its noise from hiding a configuration worth checking.
-        if not sparse and (changes - last_changes) * scale > 1.5 * SPARSE_ENTER_LOAD * (
-            steps - last_steps
-        ):
-            return
-        changed = self._compiled.changed
-        rows = self._active_rows
-        get = counts.__getitem__
-        if sparse:
-            mass = sum(map(mul, counts, self._row_mass))
-        else:
-            mass = sum(
-                counts[p] * (sum(map(get, rows[p])) - changed[p * d + p])
-                for p in compress(range(d), counts)
+        load = self._load
+        if load is None or changes != last_changes:
+            load = self._load = self._measure_load(
+                sparse, changes - last_changes, steps - last_steps
             )
-        load = mass / (n * (n - 1)) * scale
+            if load is None:
+                return
         if sparse and load > SPARSE_LEAVE_LOAD:
             self._row_mass = self._cumulative = None
             self._pool = self._pool_from_counts()
         elif not sparse and load < SPARSE_ENTER_LOAD:
-            self._row_mass = [
-                sum(map(get, row)) - changed[p * d + p] for p, row in enumerate(rows)
-            ]
+            # Only present codes add to a row mass, so walk their active
+            # columns rather than every code's active row.
+            counts = self._counts
+            changed = self._compiled.changed
+            d = len(counts)
+            row_mass = [-changed[p * d + p] for p in range(d)]
+            cols = self._active_cols
+            for q in compress(range(d), counts):
+                count = counts[q]
+                for p in cols[q]:
+                    row_mass[p] += count
+            self._row_mass = row_mass
             self._pool = None
+
+    def _measure_load(self, sparse: bool, changes: int, steps: int) -> float | None:
+        """The load of the current counts, or None where they keep a dense engine dense.
+
+        A sparse engine reads ``W`` off its running sums.  A dense engine
+        first looks at the fraction of its last ``steps`` interactions that
+        changed a state; only when that is low does it sum ``W`` over the
+        active rows of the present codes, and it stops once the partial sum
+        alone reaches ``SPARSE_ENTER_LOAD``: the remaining terms are
+        non-negative, so the full sum would too.
+        """
+        n = self._num_agents
+        total = n * (n - 1)
+        counts = self._counts
+        d = len(counts)
+        scale = 1.0 + (d - counts.count(0)) / SPARSE_SUPPORT_SCALE
+        if sparse:
+            return self._sparse_sums()[-1] / total * scale
+        # The changed fraction estimates W / n(n-1) from one window; the 1.5
+        # margin keeps its noise from hiding a configuration worth checking.
+        if changes * scale > 1.5 * SPARSE_ENTER_LOAD * steps:
+            return None
+        changed = self._compiled.changed
+        getters = self._row_getters
+        mass = 0
+        for p in compress(range(d), counts):
+            mass += counts[p] * (sum(getters[p](counts)) - changed[p * d + p])
+            if mass / total * scale >= SPARSE_ENTER_LOAD:
+                return None
+        return mass / total * scale
 
     def _pool_from_counts(self) -> list[int]:
         """The agent pool of the current counts, in code order (O(n))."""
@@ -385,6 +443,13 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             pool.extend([code] * count)
         return pool
 
+    def _sparse_sums(self) -> list[int]:
+        """Running sums of the codes' shares of ``W``, rebuilt after an event."""
+        cumulative = self._cumulative
+        if cumulative is None:
+            cumulative = self._cumulative = list(accumulate(map(mul, self._counts, self._row_mass)))
+        return cumulative
+
     def _run_sparse(self, max_interactions: int | None) -> int:
         """Up to ``n`` interactions, drawing only the active ones (exact).
 
@@ -392,8 +457,10 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         Geometric(``W / n(n-1)``), and the active pair is ``(p, q)`` with
         probability ``c_p·(c_q - [p=q]) / W``.  A skip that overruns the
         window consumes it and is redrawn on the next call, which is exact
-        because the geometric distribution is memoryless.  A silent
-        configuration (``W = 0``) consumes the whole cap without a draw.
+        because the geometric distribution is memoryless.  The first skip is
+        the pending one when :meth:`_run_idle_windows` drew it for this
+        window.  A silent configuration (``W = 0``) consumes the whole cap
+        without a draw.
         """
         n = self._num_agents
         cap = n if max_interactions is None else max_interactions
@@ -404,16 +471,18 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         total = n * (n - 1)
         rng_random = self._rng.random
         while True:
-            cumulative = self._cumulative
-            if cumulative is None:
-                cumulative = self._cumulative = list(
-                    accumulate(map(mul, self._counts, self._row_mass))
-                )
+            cumulative = self._sparse_sums()
             mass = cumulative[-1]
             if mass == 0:
                 self.steps_taken += left + cap - window
                 return cap
-            skip = 0 if mass >= total else int(log(1.0 - rng_random()) / log1p(-mass / total))
+            skip = self._pending_skip
+            if skip is not None:
+                self._pending_skip = None
+            elif mass < total:
+                skip = int(log(1.0 - rng_random()) / log1p(-mass / total))
+            else:
+                skip = 0
             if skip >= left:
                 break
             self.steps_taken += skip
@@ -422,6 +491,62 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             self.steps_taken += 1
         self.steps_taken += left
         return window
+
+    def _run_idle_windows(
+        self,
+        executed: int,
+        max_steps: int,
+        interval: int,
+        criterion: ConvergenceCriterion[State] | None,
+    ) -> int:
+        """Run consecutive sparse windows that draw no event, one draw each.
+
+        Each window is the ``min(left, n)`` interactions a :meth:`_run_sparse`
+        call would take at this point of the run, with the regime decisions
+        that fall due between them.  A window is idle when its one uniform
+        draw gives a geometric skip that overruns it, exactly the test of
+        :meth:`_run_sparse`; a silent configuration makes every window idle
+        without a draw.  The first draw that lands an event inside its
+        window is kept as the pending skip, and :meth:`run` then runs that
+        window through :meth:`_run_sparse`.  Checks at the boundaries crossed
+        find the configuration unchanged, so their verdicts come from the
+        cache, and observers see ``on_check`` at the same steps as before.
+        """
+        if self._next_decision is None:
+            return 0
+        if self.steps_taken >= self._next_decision:
+            self._decide_regime()
+        if self._row_mass is None:
+            return 0
+        n = self._num_agents
+        total = n * (n - 1)
+        mass = self._sparse_sums()[-1]
+        if mass >= total:
+            return 0
+        null_rate = log1p(-mass / total)
+        rng_random = self._rng.random
+        start = executed
+        while True:
+            end = min(executed - executed % interval + interval, max_steps)
+            if mass:
+                window = min(end - executed, n)
+                skip = int(log(1.0 - rng_random()) / null_rate)
+                if skip < window:
+                    self._pending_skip = skip
+                    break
+            else:
+                window = end - executed
+            self.steps_taken += window
+            executed += window
+            if executed == end and criterion is not None:
+                self._check(criterion)
+            if executed == max_steps:
+                break
+            if self.steps_taken >= self._next_decision:
+                self._decide_regime()
+                if self._row_mass is None:
+                    break
+        return executed - start
 
     def _sparse_event(self, cumulative: list[int], mass: int) -> None:
         """Draw one active ordered pair by integer target and apply it."""

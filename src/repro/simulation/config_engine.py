@@ -87,7 +87,9 @@ class ConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         if compiled is None:
             initiator = self._sample_state()
             responder = self._sample_state(exclude=initiator)
-            result = self.protocol.transition(initiator, responder)
+            result = self.protocol.transition(initiator, responder).judged_from(
+                initiator, responder
+            )
             if result.changed:
                 self._apply_changed_transition(initiator, responder, result, 1)
             self.steps_taken += 1

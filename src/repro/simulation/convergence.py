@@ -159,7 +159,8 @@ class SilentConfiguration(ConvergenceCriterion[State]):
     :class:`ActivePairTracker` in ``O(1)`` per check unless ``incremental``
     is False, which forces the classic from-scratch ``O(d²)`` rescan through
     ``protocol.transition`` (the baseline the incremental-detection benchmark
-    measures against; also the path taken by uncompiled engines).
+    measures against; also the path taken by uncompiled engines).  The rescan
+    judges a pair by the states δ returns, not by its ``changed`` flag.
     """
 
     name = "silent"
@@ -180,9 +181,9 @@ class SilentConfiguration(ConvergenceCriterion[State]):
             for second in distinct[index:]:
                 if first == second and configuration.count(first) < 2:
                     continue
-                if protocol.transition(first, second).changed:
+                if protocol.transition(first, second).as_pair() != (first, second):
                     return False
-                if protocol.transition(second, first).changed:
+                if protocol.transition(second, first).as_pair() != (second, first):
                     return False
         return True
 

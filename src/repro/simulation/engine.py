@@ -158,7 +158,7 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         if self._compiled is not None:
             result = self._compiled.transition_states(*before)
         else:
-            result = self.protocol.transition(*before)
+            result = self.protocol.transition(*before).judged_from(*before)
         after = result.as_pair()
         if result.changed:
             states[initiator_index] = result.initiator

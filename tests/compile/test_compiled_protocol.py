@@ -20,10 +20,17 @@ from repro.compile import (
 from repro.core.circles import CirclesProtocol
 from repro.protocols.base import PopulationProtocol, TransitionResult
 from repro.protocols.registry import DEFAULT_REGISTRY
+from repro.api.executor import build_scheduler
+from repro.exact import ConfigurationChain
 from repro.simulation.batch_engine import (
     NUMPY_BURST_THRESHOLD,
     BatchConfigurationSimulation,
 )
+from repro.simulation.config_engine import ConfigurationSimulation
+from repro.simulation.convergence import SilentConfiguration
+from repro.simulation.engine import AgentSimulation
+from repro.simulation.observers import Observer
+from repro.utils.multiset import Multiset
 
 PROTOCOL_NAMES = DEFAULT_REGISTRY.names()
 
@@ -138,6 +145,72 @@ class TestChangedFlagComesFromTheTable:
         assert simulation.interactions_changed > 0
         assert counts[1] > n // 2
         assert counts.get(0, 0) + counts[1] == n
+
+
+class DeltaRecorder(Observer):
+    name = "delta-recorder"
+
+    def __init__(self) -> None:
+        self.deltas = []
+
+    def on_delta(self, delta) -> None:
+        self.deltas.append(delta)
+
+
+class TestUncompiledPathsJudgeByStates:
+    """Without a table, engines, the silent check, the chain and the
+    greedy-stall adversary judge a transition by the states δ returns."""
+
+    COLORS = [0] * 8 + [1] * 8
+
+    def assert_moved(self, simulation) -> None:
+        assert simulation.compiled_protocol is None
+        counts = simulation.output_counts()
+        assert simulation.interactions_changed > 0
+        assert counts[1] > len(self.COLORS) // 2
+        assert counts.get(0, 0) + counts[1] == len(self.COLORS)
+
+    def test_batch_engine_moves(self):
+        simulation = BatchConfigurationSimulation.from_colors(
+            MisflaggedSpread(2), self.COLORS, seed=11, compiled=False
+        )
+        simulation.run(2_000)
+        self.assert_moved(simulation)
+
+    @pytest.mark.parametrize("engine", ["configuration", "agent"])
+    def test_sequential_engines_move_and_report_the_move(self, engine):
+        if engine == "configuration":
+            simulation = ConfigurationSimulation.from_colors(
+                MisflaggedSpread(2), self.COLORS, seed=11, compiled=False
+            )
+        else:
+            simulation = AgentSimulation.from_colors(MisflaggedSpread(2), self.COLORS, seed=11)
+        recorder = simulation.add_observer(DeltaRecorder())
+        simulation.run(2_000)
+        self.assert_moved(simulation)
+        assert len(recorder.deltas) == simulation.interactions_changed
+        assert all(delta.result.changed for delta in recorder.deltas)
+
+    def test_silent_check_sees_the_move(self):
+        silent = SilentConfiguration()
+        protocol = MisflaggedSpread(2)
+        assert not silent.is_converged_configuration(protocol, Multiset([0, 1]))
+        assert silent.is_converged_configuration(protocol, Multiset([1, 1]))
+        simulation = BatchConfigurationSimulation.from_colors(
+            protocol, [0, 1], seed=1, compiled=False
+        )
+        assert not simulation.run(0, criterion=SilentConfiguration(incremental=False))
+
+    def test_chain_moves(self):
+        chain = ConfigurationChain.from_colors(MisflaggedSpread(2), [0, 1], compiled=False)
+        assert chain.compiled is None
+        assert len(chain.counts) == 2
+        assert chain.change_probability[0] == 0.5
+
+    def test_greedy_stall_adversary_avoids_the_move(self):
+        scheduler = build_scheduler("greedy-stall", 2, seed=0, protocol=MisflaggedSpread(2))
+        # (0, 1) moves a state, so every stalling step must pick (1, 0).
+        assert [scheduler.next_pair(step, [0, 1]) for step in range(8)] == [(1, 0)] * 8
 
 
 class TestCompileCache:

@@ -5,6 +5,10 @@ only assert that each experiment produces a well-formed result and that the
 headline qualitative claims hold at toy scale.
 """
 
+import hashlib
+
+from repro.api.executor import run_sweep
+from repro.api.spec import canonical_json
 from repro.experiments import e1_state_complexity, e2_stabilization, e3_correctness
 from repro.experiments import e4_stable_structure, e5_energy, e6_convergence
 from repro.experiments import e7_extensions, e8_scheduler_sensitivity
@@ -46,6 +50,21 @@ class TestE3:
             seed=3,
         )
         assert all(result.column("correct"))
+
+    def test_default_table_is_pinned(self):
+        """The greedy-stall adversary memoizes its predicate per state pair;
+        the scan order and the draws are the same, so the table is too."""
+        text = e3_correctness.run().to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "05b04ed93c51d53e10b165ec7239f439980b1a0badadbf8600dfba07c3a566f2"
+        )
+
+    def test_greedy_stall_records_are_pinned(self):
+        records = run_sweep(e3_correctness.empirical_sweep(("greedy-stall",), 18, 4, 2, 11))
+        payload = canonical_json([record.to_dict() for record in records.records])
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "26b0e202ab1b14430872dcc090d22ab11ade231a608dab0843403664ae6ea48d"
+        )
 
     def test_exact_correctness_column_is_one_on_model_checked_inputs(self):
         result = e3_correctness.run(

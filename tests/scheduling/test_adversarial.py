@@ -49,6 +49,23 @@ class TestGreedyStall:
         pairs = collect_pairs(scheduler, 200, states=[CirclesProtocol(3).initial_state(0)] * 4)
         assert covers_all_pairs(pairs, 4)
 
+    def test_predicate_runs_once_per_ordered_state_pair(self):
+        protocol = CirclesProtocol(3)
+        calls = []
+
+        def changes(a, b):
+            calls.append((a, b))
+            return protocol.transition(a, b).changed
+
+        scheduler = GreedyStallScheduler(6, transition_changes=changes, seed=1, patience=3)
+        states = Population.from_colors(protocol, [0, 0, 0, 1, 1, 2]).states()
+        for step in range(40):
+            scheduler.next_pair(step, states)
+        # Color 2 has a single agent, so its state never meets itself.
+        expected = {(a, b) for i, a in enumerate(states) for j, b in enumerate(states) if i != j}
+        assert len(expected) == 8
+        assert sorted(calls, key=repr) == sorted(expected, key=repr)
+
     def test_declared_fairness_flags(self):
         assert self._scheduler(4).is_weakly_fair
         assert not IsolationScheduler(4, [0]).is_weakly_fair
