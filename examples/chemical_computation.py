@@ -6,7 +6,8 @@ chemical system: agents are molecules, interactions are bimolecular reactions,
 and the sum of bra-ket weights is the free energy the system relaxes toward
 its minimum.  This example makes that reading concrete:
 
-1. translate the Circles protocol into a chemical reaction network (CRN);
+1. read the Circles protocol as a chemical reaction network (CRN): its
+   compiled states are the species, its changing ordered pairs the reactions;
 2. run an exact stochastic (Gillespie) simulation of a well-mixed solution;
 3. plot (as text) the energy relaxation of the discrete simulation against the
    minimum predicted by the greedy-independent-set construction.
@@ -15,9 +16,9 @@ Run with:  python examples/chemical_computation.py
 """
 
 from repro import CirclesProtocol, minimum_energy, predicted_majority
-from repro.chemistry.crn import protocol_to_crn
 from repro.chemistry.energy import energy_trajectory
 from repro.chemistry.gillespie import simulate_crn
+from repro.compile import compile_from_states
 from repro.core.potential import configuration_energy
 from repro.utils.multiset import Multiset
 from repro.workloads.distributions import planted_majority
@@ -46,11 +47,11 @@ def main() -> None:
 
     # 1. The induced chemical reaction network (restricted to reachable species).
     initial = Multiset(protocol.initial_state(color) for color in colors)
-    crn = protocol_to_crn(protocol, initial.support())
-    print(f"CRN: {crn.num_species} species, {crn.num_reactions} reactions (all unit rate)")
+    compiled = compile_from_states(protocol, initial.support())
+    print(f"CRN: {compiled.num_states} species, {sum(compiled.changed)} reactions (all unit rate)")
 
     # 2. Exact stochastic simulation in continuous (chemical) time.
-    ssa = simulate_crn(crn, initial, max_reactions=200_000, seed=SEED)
+    ssa = simulate_crn(protocol, initial, max_reactions=200_000, seed=SEED)
     ssa_energy = configuration_energy(
         (state.braket for state in ssa.final_multiset().elements()), k
     )

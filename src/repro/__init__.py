@@ -36,7 +36,8 @@ The most common entry points are re-exported here:
 * :mod:`repro.scheduling` — fair and adversarial schedulers.
 * :mod:`repro.analysis` — state-complexity accounting and exhaustive
   verification.
-* :mod:`repro.chemistry` — the CRN / energy-minimization view.
+* :mod:`repro.chemistry` — the reaction-network view: a Gillespie SSA on the
+  compiled δ-table and the energy-minimization trajectories.
 * :mod:`repro.experiments` — the E1–E8 experiment harness behind
   EXPERIMENTS.md.
 

@@ -9,8 +9,9 @@ then simulate through table lookups instead of Python dispatch:
 * the configuration-level engines keep integer-indexed count vectors instead
   of hashable-state multisets (pair-type aggregation is index arithmetic);
 * the agent engine can optionally evaluate ``δ`` through the table;
-* :mod:`repro.chemistry.crn` and :mod:`repro.analysis` reuse the same
-  enumeration instead of rediscovering states ad hoc.
+* the Gillespie SSA (:mod:`repro.chemistry.gillespie`) reads the protocol's
+  reaction network off the same table, and :mod:`repro.analysis` reuses the
+  same enumeration instead of rediscovering states ad hoc.
 
 :func:`compile_protocol` is cached per ``(protocol, colors)`` pair; engines
 auto-compile and silently fall back to their uncompiled paths when a closure

@@ -8,8 +8,8 @@ states under ``δ`` is ever populated.  :func:`enumerate_states` computes that
 closure exactly — the least set containing the seed states and closed under
 ``δ`` applied to every ordered pair — in a deterministic order, which is what
 :mod:`repro.compile.compiled` indexes to build flat transition tables and
-what the CRN translation (:mod:`repro.chemistry.crn`) and the E1
-state-complexity accounting reuse instead of rediscovering states ad hoc.
+what the E1 state-complexity accounting reuses instead of rediscovering
+states ad hoc.
 
 The closure is a fixpoint over pairs: when the ``i``-th discovered state is
 processed it is paired (in both orders) with every state discovered up to and
@@ -51,8 +51,7 @@ def enumerate_states(
             colors (mutually exclusive with ``input_colors``); used by engines
             constructed from an arbitrary configuration.
         max_states: optional cap on the closure size.  Seed states never
-            count against the cap (matching the CRN translation's historical
-            behavior); discovering a state beyond it raises
+            count against the cap; discovering a state beyond it raises
             :class:`StateSpaceCapExceeded`.
 
     Returns:

@@ -7,7 +7,8 @@ chemical sense.  The experiment quantifies that reading:
   maximum ``n·k`` (every agent diagonal) to exactly the minimum predicted by
   the greedy-independent-set construction;
 * the same relaxation is visible in the continuous-time Gillespie simulation
-  of the protocol's chemical reaction network;
+  of the protocol's chemical reaction network
+  (:func:`repro.chemistry.gillespie.simulate_crn`);
 * the ablation variant that exchanges kets when the *sum* (rather than the
   minimum) of the two weights decreases is also reported — it relaxes the
   energy too, but it does not reach the circle structure predicted by
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.chemistry.crn import protocol_to_crn
 from repro.chemistry.energy import energy_trajectory
 from repro.chemistry.gillespie import simulate_crn
 from repro.core.braket import BraKet
@@ -35,11 +35,9 @@ from repro.workloads.distributions import planted_majority
 def gillespie_energy(colors: list[int], num_colors: int, seed: int) -> tuple[int, bool]:
     """Final energy of a Gillespie run of the Circles CRN and whether it hit the minimum."""
     protocol = CirclesProtocol(num_colors)
-    initial = [protocol.initial_state(color) for color in colors]
-    crn = protocol_to_crn(protocol, initial)
     outcome = simulate_crn(
-        crn,
-        Multiset(initial),
+        protocol,
+        Multiset(protocol.initial_state(color) for color in colors),
         max_reactions=200 * len(colors) * len(colors),
         seed=seed,
     )

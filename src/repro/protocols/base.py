@@ -11,7 +11,7 @@ Every protocol in this library implements :class:`PopulationProtocol`.  The
 interface is deliberately *pure*: ``transition`` returns the new pair of
 states and never mutates anything, which is what lets the same protocol run
 under the agent-level engine, the configuration-level engine, the exhaustive
-model checker and the chemistry (CRN) translation without adaptation.
+model checker and the Gillespie SSA without adaptation.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@
 exploits anonymity to simulate the uniform random scheduler on state *counts*,
 but it still pays two ``O(d)`` linear scans plus one transition evaluation per
 interaction.  This engine samples the same chain through cheaper windows of
-interactions, in the spirit of Gillespie-style aggregation (see
-:mod:`repro.chemistry.gillespie`) and of the batched population-protocol
-simulators of Berenbrink et al.:
+interactions, in the spirit of the batched population-protocol simulators of
+Berenbrink et al.:
 
 - On the default *compiled* path (see :mod:`repro.compile`) with numpy
   available and ``n >= NUMPY_BURST_THRESHOLD``, the engine delegates to the
@@ -34,7 +33,9 @@ simulators of Berenbrink et al.:
     changes a state, the number of null interactions before the next active
     one is Geometric(``W / n(n-1)``) and the active pair is ``(p, q)`` with
     probability ``c_p·(c_q - [p=q]) / W``, drawn by one integer target
-    against running sums of per-code masses.  Each event costs ``O(support)``
+    against running sums of per-code masses (:class:`ActivePairMass`, which
+    is also the event chain of the Gillespie SSA in
+    :mod:`repro.chemistry.gillespie`).  Each event costs ``O(support)``
     bookkeeping (the active row and column lists of the moved codes, cached
     once per compiled protocol), so the cost of a run's tail scales with its
     *changed* interactions: Circles' stabilization tail, where ket exchanges
@@ -80,10 +81,9 @@ amortized per window through the shared
 E6-scale convergence sweeps tractable at ``n = 10^5``–``10^6``.
 
 Like every stochastic component of the library, Bernoulli and index draws are
-resolved through ``random.Random.random()`` (53-bit resolution, the same
-convention as :func:`repro.utils.rng.weighted_choice`); the numpy path
-additionally derives a ``numpy.random.Generator`` from the engine seed for
-its bulk draws.
+resolved through ``random.Random.random()`` (53-bit resolution); the numpy
+path additionally derives a ``numpy.random.Generator`` from the engine seed
+for its bulk draws.
 """
 
 from __future__ import annotations
@@ -153,6 +153,86 @@ def _active_row_getters(compiled) -> list[itemgetter]:
     return getters
 
 
+class ActivePairMass:
+    """The active ordered-pair mass ``W`` of a count vector, and its event draw.
+
+    ``W = Σ c_p·(c_q - [p=q])`` over the ordered pairs ``(p, q)`` whose
+    transition changes a state, kept split by initiator code:
+    ``row_mass[p]`` is the number of agents ``p`` can change by meeting them
+    (``Σ c_q`` over the active row of ``p``, minus ``p`` itself when
+    ``(p, p)`` is active), so ``c_p · row_mass[p]`` is ``p``'s share of
+    ``W``.  The running sums of those shares (last entry ``W``) are cached
+    until the next event.  This is the event chain of the sparse regime and
+    of the Gillespie SSA (:func:`repro.chemistry.gillespie.simulate_crn`).
+
+    The count vector is the caller's: it books each drawn event on it before
+    the next :meth:`sums` or :meth:`draw`.
+    """
+
+    __slots__ = ("_counts", "_table", "_d", "_rows", "_cols", "_row_mass", "_cumulative")
+
+    def __init__(self, compiled, counts: list[int]) -> None:
+        self._counts = counts
+        self._table = compiled.table
+        d = self._d = compiled.num_states
+        self._rows, cols = compiled.active_lists()
+        self._cols = cols
+        changed = compiled.changed
+        # Only present codes add to a row mass, so walk their active columns
+        # rather than every code's active row.
+        row_mass = [-changed[p * d + p] for p in range(d)]
+        for q in compress(range(d), counts):
+            count = counts[q]
+            for p in cols[q]:
+                row_mass[p] += count
+        self._row_mass = row_mass
+        self._cumulative: list[int] | None = None
+
+    def sums(self) -> list[int]:
+        """Running sums of the codes' shares of ``W``, rebuilt after an event."""
+        cumulative = self._cumulative
+        if cumulative is None:
+            cumulative = self._cumulative = list(accumulate(map(mul, self._counts, self._row_mass)))
+        return cumulative
+
+    def draw(self, uniform: float) -> tuple[int, int, int, int]:
+        """The active pair ``(p, q)`` at ``uniform`` in ``[0, 1)``, and its result ``(a, b)``.
+
+        The pair has probability ``c_p·(c_q - [p=q]) / W``: one integer
+        target against :meth:`sums` picks ``p``, and a walk over ``p``'s
+        active row picks ``q``.  The row masses move to the configuration
+        after the event; the counts are left to the caller.  Needs ``W > 0``,
+        read off :meth:`sums` since the last event.
+        """
+        counts = self._counts
+        cumulative = self._cumulative
+        mass = cumulative[-1]
+        target = int(uniform * mass)
+        if target >= mass:
+            target = mass - 1
+        p = bisect_right(cumulative, target)
+        offset = (target - (cumulative[p - 1] if p else 0)) // counts[p]
+        for q in self._rows[p]:
+            weight = counts[q] - (q == p)
+            if offset < weight:
+                break
+            offset -= weight
+        d = self._d
+        a, b = divmod(self._table[p * d + q], d)
+        net = {p: -1}
+        net[q] = net.get(q, 0) - 1
+        net[a] = net.get(a, 0) + 1
+        net[b] = net.get(b, 0) + 1
+        row_mass = self._row_mass
+        cols = self._cols
+        for code, delta in net.items():
+            if delta:
+                for other in cols[code]:
+                    row_mass[other] += delta
+        self._cumulative = None
+        return p, q, a, b
+
+
 class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
     """Simulate the uniform random scheduler exactly, window by window."""
 
@@ -175,14 +255,8 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         self._transition_cache: dict[tuple[State, State], TransitionResult[State]] = {}
         self._kernel = None
         self._pool: list | None = None
-        #: Sparse-regime state: ``_row_mass[p]`` is the number of agents ``p``
-        #: can change by meeting them (``Σ c_q`` over the active row of ``p``,
-        #: minus ``p`` itself when ``(p, p)`` is active), so ``c_p ·
-        #: _row_mass[p]`` is ``p``'s share of the active ordered-pair mass ``W``;
-        #: ``_cumulative`` caches the running sums of those shares (last entry
-        #: ``W``) until the next event.  None while dense.
-        self._row_mass: list[int] | None = None
-        self._cumulative: list[int] | None = None
+        #: The sparse regime's event chain over the count vector; None while dense.
+        self._event_chain: ActivePairMass | None = None
         #: A geometric skip drawn by :meth:`_run_idle_windows` for a window it
         #: found an event in; the next :meth:`_run_sparse` call uses it as
         #: its first skip instead of drawing one.
@@ -212,7 +286,6 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         elif self._compiled is not None:
             #: Flat pool of encoded agent states, one entry per agent.
             self._pool = self._pool_from_counts()
-            self._active_rows, self._active_cols = self._compiled.active_lists()
             self._row_getters = self._compiled.derived("active-row-getters", _active_row_getters)
             #: Step at which the regime is next re-decided (once per n),
             #: ``(steps_taken, interactions_changed)`` at the last decision,
@@ -249,7 +322,7 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         """
         if self._kernel is not None:
             return self._run_round_kernel(max_interactions)
-        if self._row_mass is not None:
+        if self._event_chain is not None:
             return self._run_sparse(max_interactions)
         return self._run_dense(max_interactions)
 
@@ -380,7 +453,7 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         last_steps, last_changes = self._last_decision
         self._last_decision = (steps, changes)
         self._next_decision = steps + n
-        sparse = self._row_mass is not None
+        sparse = self._event_chain is not None
         load = self._load
         if load is None or changes != last_changes:
             load = self._load = self._measure_load(
@@ -389,21 +462,10 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             if load is None:
                 return
         if sparse and load > SPARSE_LEAVE_LOAD:
-            self._row_mass = self._cumulative = None
+            self._event_chain = None
             self._pool = self._pool_from_counts()
         elif not sparse and load < SPARSE_ENTER_LOAD:
-            # Only present codes add to a row mass, so walk their active
-            # columns rather than every code's active row.
-            counts = self._counts
-            changed = self._compiled.changed
-            d = len(counts)
-            row_mass = [-changed[p * d + p] for p in range(d)]
-            cols = self._active_cols
-            for q in compress(range(d), counts):
-                count = counts[q]
-                for p in cols[q]:
-                    row_mass[p] += count
-            self._row_mass = row_mass
+            self._event_chain = ActivePairMass(self._compiled, self._counts)
             self._pool = None
 
     def _measure_load(self, sparse: bool, changes: int, steps: int) -> float | None:
@@ -422,7 +484,7 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         d = len(counts)
         scale = 1.0 + (d - counts.count(0)) / SPARSE_SUPPORT_SCALE
         if sparse:
-            return self._sparse_sums()[-1] / total * scale
+            return self._event_chain.sums()[-1] / total * scale
         # The changed fraction estimates W / n(n-1) from one window; the 1.5
         # margin keeps its noise from hiding a configuration worth checking.
         if changes * scale > 1.5 * SPARSE_ENTER_LOAD * steps:
@@ -442,13 +504,6 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         for code, count in enumerate(self._counts):
             pool.extend([code] * count)
         return pool
-
-    def _sparse_sums(self) -> list[int]:
-        """Running sums of the codes' shares of ``W``, rebuilt after an event."""
-        cumulative = self._cumulative
-        if cumulative is None:
-            cumulative = self._cumulative = list(accumulate(map(mul, self._counts, self._row_mass)))
-        return cumulative
 
     def _run_sparse(self, max_interactions: int | None) -> int:
         """Up to ``n`` interactions, drawing only the active ones (exact).
@@ -470,9 +525,9 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         left = window
         total = n * (n - 1)
         rng_random = self._rng.random
+        chain = self._event_chain
         while True:
-            cumulative = self._sparse_sums()
-            mass = cumulative[-1]
+            mass = chain.sums()[-1]
             if mass == 0:
                 self.steps_taken += left + cap - window
                 return cap
@@ -487,7 +542,8 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
                 break
             self.steps_taken += skip
             left -= skip + 1
-            self._sparse_event(cumulative, mass)
+            p, q, a, b = chain.draw(rng_random())
+            self._book_changed_codes(p, q, a, b, 1)
             self.steps_taken += 1
         self.steps_taken += left
         return window
@@ -516,11 +572,11 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             return 0
         if self.steps_taken >= self._next_decision:
             self._decide_regime()
-        if self._row_mass is None:
+        if self._event_chain is None:
             return 0
         n = self._num_agents
         total = n * (n - 1)
-        mass = self._sparse_sums()[-1]
+        mass = self._event_chain.sums()[-1]
         if mass >= total:
             return 0
         null_rate = log1p(-mass / total)
@@ -544,38 +600,9 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
                 break
             if self.steps_taken >= self._next_decision:
                 self._decide_regime()
-                if self._row_mass is None:
+                if self._event_chain is None:
                     break
         return executed - start
-
-    def _sparse_event(self, cumulative: list[int], mass: int) -> None:
-        """Draw one active ordered pair by integer target and apply it."""
-        counts = self._counts
-        target = int(self._rng.random() * mass)
-        if target >= mass:
-            target = mass - 1
-        p = bisect_right(cumulative, target)
-        offset = (target - (cumulative[p - 1] if p else 0)) // counts[p]
-        for q in self._active_rows[p]:
-            weight = counts[q] - (q == p)
-            if offset < weight:
-                break
-            offset -= weight
-        compiled = self._compiled
-        d = compiled.num_states
-        a, b = divmod(compiled.table[p * d + q], d)
-        net = {p: -1}
-        net[q] = net.get(q, 0) - 1
-        net[a] = net.get(a, 0) + 1
-        net[b] = net.get(b, 0) + 1
-        row_mass = self._row_mass
-        cols = self._active_cols
-        for code, delta in net.items():
-            if delta:
-                for other in cols[code]:
-                    row_mass[other] += delta
-        self._cumulative = None
-        self._book_changed_codes(p, q, a, b, 1)
 
     # -- inspection -------------------------------------------------------------------
 
@@ -584,7 +611,7 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         """How interactions are sampled now: ``"kernel"``, ``"dense"`` or ``"sparse"``."""
         if self._kernel is not None:
             return "kernel"
-        return "dense" if self._row_mass is None else "sparse"
+        return "dense" if self._event_chain is None else "sparse"
 
     def states(self) -> list[State]:
         """The current agent states (anonymous, so order carries no meaning)."""

@@ -10,7 +10,6 @@ same inputs and the same trajectories.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 
 RngLike = random.Random | int | None
 
@@ -47,20 +46,3 @@ def choose_distinct_pair(rng: random.Random, n: int) -> tuple[int, int]:
     if second >= first:
         second += 1
     return first, second
-
-
-def weighted_choice(rng: random.Random, weights: Sequence[float]) -> int:
-    """Return an index sampled proportionally to ``weights``.
-
-    Used by the Gillespie simulator to select the next reaction.
-    """
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    target = rng.random() * total
-    cumulative = 0.0
-    for index, weight in enumerate(weights):
-        cumulative += weight
-        if target < cumulative:
-            return index
-    return len(weights) - 1

@@ -18,7 +18,9 @@ from repro.compile import (
     compile_protocol,
 )
 from repro.core.circles import CirclesProtocol
+from repro.protocols.approximate_majority import ApproximateMajorityProtocol
 from repro.protocols.base import PopulationProtocol, TransitionResult
+from repro.protocols.exact_majority import ExactMajorityProtocol
 from repro.protocols.registry import DEFAULT_REGISTRY
 from repro.api.executor import build_scheduler
 from repro.exact import ConfigurationChain
@@ -252,8 +254,6 @@ class TestCompileCache:
         call but raise on the identical warm call, flipping engine selection
         between runs.
         """
-        from repro.protocols.approximate_majority import ApproximateMajorityProtocol
-
         protocol = ApproximateMajorityProtocol()
         seeds = list(protocol.states())
         first = compile_from_states(protocol, seeds, max_states=1)
@@ -293,3 +293,21 @@ class TestConversions:
         compiled = compile_from_states(protocol, seeds)
         assert seeds <= set(compiled.states)
         assert compiled.num_states == len(set(compiled.states))
+
+
+class TestReactionNetworkSizes:
+    """Read as a reaction network, the states are species and the changing pairs reactions."""
+
+    def test_approximate_majority(self):
+        compiled = compile_protocol(ApproximateMajorityProtocol())
+        assert compiled.num_states == 3  # 0, 1, blank
+        # 0+1 -> 0+blank, 1+0 -> 1+blank, 0+blank -> 0+0, blank+0 -> 0+0,
+        # 1+blank -> 1+1, blank+1 -> 1+1.
+        assert sum(compiled.changed) == 6
+
+    def test_exact_majority(self):
+        assert compile_protocol(ExactMajorityProtocol()).num_states == 4
+
+    def test_circles_keeps_only_reachable_states(self):
+        protocol = CirclesProtocol(3)
+        assert compile_protocol(protocol).num_states < protocol.state_count()

@@ -77,9 +77,8 @@ class TestCap:
             enumerate_states(protocol, max_states=4)
 
     def test_seeds_never_count_against_the_cap(self):
-        # Four seed species with a cap of 2: the seeds themselves must not
-        # raise (mirroring the CRN translation's historical behavior) —
-        # only states *discovered* past the cap do.
+        # Three seed states with a cap of 1: the seeds themselves must not
+        # raise — only states *discovered* past the cap do.
         protocol = ApproximateMajorityProtocol()
         states = enumerate_states(protocol, seed_states=list(protocol.states()), max_states=1)
         assert len(states) == 3

@@ -10,7 +10,6 @@ minimum energy.
 
 import pytest
 
-from repro.chemistry.crn import protocol_to_crn
 from repro.chemistry.gillespie import simulate_crn
 from repro.core.circles import CirclesProtocol
 from repro.core.greedy_sets import predicted_stable_brakets
@@ -61,8 +60,7 @@ def _final_brakets_batch_engine(seed: int, colors=None) -> Multiset:
 def _final_brakets_gillespie(seed: int) -> Multiset:
     protocol = CirclesProtocol(K)
     initial = Multiset(protocol.initial_state(color) for color in COLORS)
-    crn = protocol_to_crn(protocol, initial.support())
-    result = simulate_crn(crn, initial, max_reactions=100_000, seed=seed)
+    result = simulate_crn(protocol, initial, max_reactions=100_000, seed=seed)
     return Multiset(state.braket for state in result.final_multiset().elements())
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.rng import choose_distinct_pair, make_rng, spawn_rngs, weighted_choice
+from repro.utils.rng import choose_distinct_pair, make_rng, spawn_rngs
 
 
 class TestMakeRng:
@@ -56,21 +56,3 @@ class TestChooseDistinctPair:
         rng = make_rng(3)
         seen = {choose_distinct_pair(rng, 3) for _ in range(500)}
         assert seen == {(a, b) for a in range(3) for b in range(3) if a != b}
-
-
-class TestWeightedChoice:
-    def test_rejects_non_positive_total(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(0), [0.0, 0.0])
-
-    def test_zero_weight_entries_never_chosen(self):
-        rng = make_rng(5)
-        picks = {weighted_choice(rng, [0.0, 1.0, 0.0, 2.0]) for _ in range(200)}
-        assert picks <= {1, 3}
-
-    def test_distribution_roughly_proportional(self):
-        rng = make_rng(11)
-        counts = [0, 0]
-        for _ in range(4000):
-            counts[weighted_choice(rng, [1.0, 3.0])] += 1
-        assert 0.6 < counts[1] / sum(counts) < 0.9
