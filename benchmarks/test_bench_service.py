@@ -13,8 +13,12 @@ the repository benchmark's ``service-cache`` workload: one client POSTs a
 sweep cold, then the identical sweep warm.  The smoke checks that every warm
 envelope is served from the cache and carries the cold record byte for byte;
 the ``--perf`` test records the median warm POST as ``service-warm-post``.
-A warm POST hashes each spec once, serves records the store decoded when it
-loaded the shard, and leaves the unchanged manifest on disk alone.
+A warm POST of a sweep the store has seen neither expands nor hashes it: it
+walks the run SHAs of the manifest the store holds, takes each record from
+the index by SHA, and copies the record's kept JSON text into its envelope —
+one write and one flush for all of them.  The manifest file is neither
+re-read nor, unchanged, rewritten.  A third smoke sends two identical POSTs
+at once, cold and then warm, through the shared held manifest.
 
 Marker-free smoke tests keep the store path exercised — correct and
 importable — in the default suite and in the CI bench-smoke job.
@@ -114,9 +118,9 @@ _RECORD_KEY = b', "record": '
 
 
 @contextlib.contextmanager
-def running_service(root):
-    """A store-backed :class:`SweepService` behind ``serve()`` on a free port."""
-    httpd = serve(SweepService(ResultStore(root), workers=2), "127.0.0.1", 0)
+def running_service(store: ResultStore):
+    """A :class:`SweepService` over ``store`` behind ``serve()`` on a free port."""
+    httpd = serve(SweepService(store, workers=2), "127.0.0.1", 0)
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05})
     thread.start()
     try:
@@ -158,17 +162,59 @@ def envelopes(lines: list[bytes], *, cached: bool) -> dict[int, bytes]:
 def test_service_warm_post_smoke(tmp_path):
     """Smoke (default suite): a warm POST is all cache, byte-identical to cold."""
     sweep = SweepSpec(**{**WARM_SWEEP.to_dict(), "populations": (8,), "trials": 3})
-    with running_service(tmp_path) as address:
+    with running_service(ResultStore(tmp_path)) as address:
         cold = envelopes(post_sweep(address, sweep), cached=False)
         assert sorted(cold) == list(range(len(sweep)))
         for _ in range(2):
             assert envelopes(post_sweep(address, sweep), cached=True) == cold
 
 
+class MeetingStore(ResultStore):
+    """A store whose cache scans wait for each other, two at a time, so two
+    requests for one sweep are sure to be in flight together."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.meet = threading.Barrier(2, timeout=60)
+
+    def scan(self, manifest):
+        self.meet.wait()
+        return super().scan(manifest)
+
+
+def test_service_overlapping_posts_smoke(tmp_path):
+    """Smoke (default suite): two identical POSTs in flight at once, cold and
+    then warm, each stream every run once, byte-identical to the cold pass,
+    while sharing the store's held manifest."""
+    sweep = SweepSpec(**{**WARM_SWEEP.to_dict(), "populations": (8,), "trials": 4})
+    store = MeetingStore(tmp_path)
+    with running_service(store) as address:
+        reference = None
+        for cached in (False, True):
+            streams: list[list[bytes]] = []
+            threads = [
+                threading.Thread(target=lambda: streams.append(post_sweep(address, sweep)))
+                for _ in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert len(streams) == 2
+            for lines in streams:
+                records = envelopes(lines, cached=cached)
+                assert len(lines) == len(records) == len(sweep)
+                reference = reference or records
+                assert records == reference
+    assert store.corrupt == 0
+    assert store.hits == 2 * len(sweep)
+    assert store.held_manifest(sweep).complete
+
+
 @pytest.mark.perf
 def test_warm_post_latency_is_recorded(tmp_path, record_perf):
     """Median warm POST of the 64-run sweep, against the recorded baseline."""
-    with running_service(tmp_path) as address:
+    with running_service(ResultStore(tmp_path)) as address:
         start = time.perf_counter()
         cold = envelopes(post_sweep(address, WARM_SWEEP), cached=False)
         cold_time = time.perf_counter() - start

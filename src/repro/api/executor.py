@@ -625,24 +625,26 @@ class SweepRunner:
         """
         if sweep.is_adaptive:
             by_index = {
-                index: record for index, record, _cached in self._iter_adaptive(sweep)
+                index: record
+                for batch in self._iter_adaptive(sweep)
+                for index, record, _cached in batch
             }
             return SweepResult(
                 spec=sweep,
                 records=[by_index[index] for index in sorted(by_index)],
                 extras={"stopping": list(self.last_stopping)},
             )
-        specs = sweep.expand()
-        if self.store is None:
-            units = self._units(specs, list(range(len(specs))))
-            if all(len(unit) == 1 for unit in units):
-                return SweepResult(spec=sweep, records=self.executor.map(specs))
-            records: list[RunRecord | None] = [None] * len(specs)
-            for index, record in self._execute_units(specs, units):
-                records[index] = record
+        records: list[RunRecord | None] = [None] * len(sweep)
+        if self.store is not None:
+            for batch in self._iter_with_store(sweep):
+                for index, record, _cached in batch:
+                    records[index] = record
             return SweepResult(spec=sweep, records=list(records))
-        records = [None] * len(specs)
-        for index, record, _cached in self._iter_with_store(sweep, specs):
+        specs = sweep.expand()
+        units = self._units(specs, list(range(len(specs))))
+        if all(len(unit) == 1 for unit in units):
+            return SweepResult(spec=sweep, records=self.executor.map(specs))
+        for index, record in self._execute_units(specs, units):
             records[index] = record
         return SweepResult(spec=sweep, records=list(records))
 
@@ -651,10 +653,7 @@ class SweepRunner:
 
         ``index`` is the run's position in ``sweep.expand()`` and ``cached``
         is True when the record came from the store instead of an execution.
-        This is the streaming entry point behind the sweep service: records
-        are yielded (and, with a store, persisted) chunk by chunk, so a
-        consumer sees results while the sweep is still running and a crash
-        loses at most the chunk in flight.
+        This is :meth:`run_batches` one run at a time.
 
         For adaptive sweeps ``index`` is the run's position in the
         ``max_trials`` expansion (``cell_index · max_trials + trial``) and
@@ -662,16 +661,29 @@ class SweepRunner:
         are available as ``runner.last_stopping`` once the generator is
         exhausted.
         """
+        for batch in self.run_batches(sweep):
+            yield from batch
+
+    def run_batches(self, sweep: SweepSpec):
+        """Execute the sweep, yielding lists of ``(index, record, cached)``.
+
+        This is the streaming entry point behind the sweep service.  Each
+        list holds the runs that became ready together: with a store, first
+        every stored run (``cached`` True), then each executed chunk
+        (``cached`` False), persisted and checkpointed before it is yielded;
+        without one, each executed chunk.  A consumer sees results while the
+        sweep is still running, and a crash loses at most the chunk in
+        flight.  Adaptive sweeps yield the same shape per round.
+        """
         if sweep.is_adaptive:
             yield from self._iter_adaptive(sweep)
             return
-        specs = sweep.expand()
         if self.store is not None:
-            yield from self._iter_with_store(sweep, specs)
+            yield from self._iter_with_store(sweep)
             return
+        specs = sweep.expand()
         for chunk in self._chunks(self._units(specs, list(range(len(specs))))):
-            for index, record in self._execute_units(specs, chunk):
-                yield index, record, False
+            yield [(index, record, False) for index, record in self._execute_units(specs, chunk)]
 
     # -- adaptive (trials="auto") execution ---------------------------------------
 
@@ -717,27 +729,27 @@ class SweepRunner:
                 )
                 done_trials[cell_index] = target
             pending: list[int] = []
+            hits: list[tuple[int, RunRecord, bool]] = []
             for index in batch:
                 record = self.store.get(specs[index]) if self.store is not None else None
                 if record is not None:
-                    assert manifest is not None
-                    manifest.mark_done(index)
                     self._note_metric(rule, cells, values, index, max_trials, record)
-                    yield index, record, True
+                    hits.append((index, record, True))
                 else:
                     pending.append(index)
             if self.store is not None:
-                self.store.save_manifest(manifest)
+                self.store.save_manifest(manifest, [index for index, _r, _c in hits])
+            if hits:
+                yield hits
             for chunk in self._chunks(self._units(specs, pending)):
-                for index, record in self._execute_units(specs, chunk):
+                executed = self._execute_units(specs, chunk)
+                for index, record in executed:
                     if self.store is not None:
                         self.store.put(specs[index], record)
-                        assert manifest is not None
-                        manifest.mark_done(index)
                     self._note_metric(rule, cells, values, index, max_trials, record)
-                    yield index, record, False
                 if self.store is not None:
-                    self.store.save_manifest(manifest)
+                    self.store.save_manifest(manifest, [index for index, _record in executed])
+                yield [(index, record, False) for index, record in executed]
             still_active: list[int] = []
             for cell_index in active:
                 if rule.exact_anchor and cell_index not in anchors:
@@ -847,24 +859,33 @@ class SweepRunner:
         except (TypeError, ValueError):
             return 1
 
-    def _iter_with_store(self, sweep: SweepSpec, specs: Sequence[RunSpec]):
-        manifest = self.store.open_manifest(sweep, specs)
-        pending: list[int] = []
-        for index, spec in enumerate(specs):
-            record = self.store.get(spec)
-            if record is not None:
-                manifest.mark_done(index)
-                yield index, record, True
-            else:
-                manifest.mark_pending(index)
-                pending.append(index)
-        self.store.save_manifest(manifest)
+    def _iter_with_store(self, sweep: SweepSpec):
+        """Serve the stored runs by their SHAs, then execute the rest.
+
+        A sweep whose manifest the store already holds is walked by the
+        manifest's run SHAs; the sweep is expanded only when it is new to
+        the store or some run is pending.
+        """
+        store = self.store
+        specs = None
+        manifest = store.held_manifest(sweep)
+        if manifest is None:
+            specs = sweep.expand()
+            manifest = store.open_manifest(sweep, specs)
+        hits, pending = store.scan(manifest)
+        store.save_manifest(manifest)
+        if hits:
+            yield [(index, record, True) for index, record in hits]
+        if not pending:
+            return
+        if specs is None:
+            specs = sweep.expand()
         for chunk in self._chunks(self._units(specs, pending)):
-            for index, record in self._execute_units(specs, chunk):
-                self.store.put(specs[index], record)
-                manifest.mark_done(index)
-                yield index, record, False
-            self.store.save_manifest(manifest)
+            executed = self._execute_units(specs, chunk)
+            for index, record in executed:
+                store.put(specs[index], record)
+            store.save_manifest(manifest, [index for index, _record in executed])
+            yield [(index, record, False) for index, record in executed]
 
 
 def run_sweep(

@@ -179,16 +179,19 @@ class RunSpec:
         observer) changes the SHA and misses the cache.
 
         The value is computed on the first call and stored on the instance
-        (in ``__dict__``, not as a dataclass field, so equality, ``repr`` and
-        :meth:`to_dict` never see it); a warm sweep hashes each spec once.
+        (as a plain attribute, not a dataclass field, so equality, ``repr``
+        and :meth:`to_dict` never see it; set and read without touching
+        ``__dict__``, which would materialize a dict per instance); a warm
+        sweep hashes each spec once.
         That is sound because specs are immutable values: the dataclass is
         frozen, :func:`dataclasses.replace` and :meth:`with_seed` build a new
         instance with its own SHA, and the param dicts must not be mutated
         after construction.
         """
-        stored = self.__dict__.get("_sha")
+        stored = getattr(self, "_sha", None)
         if stored is None:
-            stored = self.__dict__["_sha"] = sha_of(self.to_dict())
+            stored = sha_of(self.to_dict())
+            object.__setattr__(self, "_sha", stored)
         return stored
 
     def to_dict(self) -> dict[str, Any]:
@@ -510,8 +513,13 @@ class SweepSpec:
 
         Names the sweep's manifest in the result store; a restarted
         half-finished sweep finds its own manifest by recomputing this.
+        Kept on the instance after the first call, like :meth:`RunSpec.sha`.
         """
-        return sha_of(self.to_dict())
+        stored = getattr(self, "_sha", None)
+        if stored is None:
+            stored = sha_of(self.to_dict())
+            object.__setattr__(self, "_sha", stored)
+        return stored
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)

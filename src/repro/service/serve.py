@@ -18,7 +18,10 @@ alone (``http.server`` + the ``asyncio`` executor — no new dependencies):
   attached, runs whose spec SHA is already stored stream back
   immediately from cache and fresh records are persisted + checkpointed in
   the sweep's manifest — resubmitting an identical sweep is pure cache, and
-  resubmitting after a crash finishes only the remainder.  Adaptive sweeps
+  resubmitting after a crash finishes only the remainder.  Each batch of
+  ready envelopes (the cached runs, then each executed chunk) goes out in
+  one write and one flush; a cached envelope is the record's stored JSON
+  text, copied.  Adaptive sweeps
   (``trials="auto"``) additionally stream one trailing envelope
   ``{"stopping": [...]}`` with the per-cell stopping diagnostics; fixed
   sweeps stream record envelopes only.
@@ -34,6 +37,7 @@ stdlib client (``urllib``) and ``curl`` consumes incrementally.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import threading
@@ -69,8 +73,9 @@ class SweepService:
         self.timeout = timeout
         self.retries = retries
         self._lock = threading.Lock()
-        #: sweep sha -> live progress counters for in-flight submissions.
-        self._active: dict[str, dict[str, Any]] = {}
+        #: submission number -> live progress counters of an in-flight sweep.
+        self._active: dict[int, dict[str, Any]] = {}
+        self._submissions = itertools.count()
         self._completed_sweeps = 0
         self._completed_runs = 0
 
@@ -85,6 +90,20 @@ class SweepService:
     def stream_sweep(self, sweep: SweepSpec, diagnostics: list[dict[str, Any]] | None = None):
         """Execute ``sweep``, yielding ``(index, record, cached)`` as runs finish.
 
+        :meth:`stream_batches` one run at a time.
+        """
+        for batch in self.stream_batches(sweep, diagnostics):
+            yield from batch
+
+    def stream_batches(
+        self, sweep: SweepSpec, diagnostics: list[dict[str, Any]] | None = None
+    ):
+        """Execute ``sweep``, yielding lists of ``(index, record, cached)``.
+
+        Each list holds the runs that became ready together (see
+        :meth:`SweepRunner.run_batches`).  Progress is kept per submission,
+        so identical sweeps submitted concurrently count separately.
+
         For adaptive sweeps (``trials="auto"``) the progress ``total`` is the
         ``max_trials`` upper bound (cells that stop early never ship their
         remaining trials), and the per-cell stopping diagnostics are appended
@@ -95,28 +114,28 @@ class SweepService:
         runner = SweepRunner(
             workers=self.workers, executor=self._make_executor(), store=self.store
         )
-        sweep_sha = sweep.sha()
-        total = len(sweep)
+        progress = {
+            "sweep_sha": sweep.sha(),
+            "name": sweep.name,
+            "total": len(sweep),
+            "done": 0,
+            "cached": 0,
+        }
         with self._lock:
-            self._active[sweep_sha] = {
-                "name": sweep.name,
-                "total": total,
-                "done": 0,
-                "cached": 0,
-            }
+            submission = next(self._submissions)
+            self._active[submission] = progress
         try:
-            for index, record, cached in runner.run_iter(sweep):
+            for batch in runner.run_batches(sweep):
                 with self._lock:
-                    progress = self._active[sweep_sha]
-                    progress["done"] += 1
-                    progress["cached"] += bool(cached)
-                    self._completed_runs += 1
-                yield index, record, cached
+                    progress["done"] += len(batch)
+                    progress["cached"] += sum(cached for _index, _record, cached in batch)
+                    self._completed_runs += len(batch)
+                yield batch
             if diagnostics is not None and runner.last_stopping:
                 diagnostics.extend(runner.last_stopping)
         finally:
             with self._lock:
-                self._active.pop(sweep_sha, None)
+                del self._active[submission]
                 self._completed_sweeps += 1
 
     def execute_single(self, spec: RunSpec) -> tuple[RunRecord, bool]:
@@ -143,8 +162,18 @@ class SweepService:
             return sum(entry["total"] - entry["done"] for entry in self._active.values())
 
     def status(self) -> dict[str, Any]:
+        """The ``/status`` payload; ``active_sweeps`` sums the in-flight
+        submissions of each sweep under its SHA."""
+        active: dict[str, dict[str, Any]] = {}
         with self._lock:
-            active = {sha: dict(entry) for sha, entry in self._active.items()}
+            for entry in self._active.values():
+                summed = active.setdefault(
+                    entry["sweep_sha"],
+                    {"name": entry["name"], "total": 0, "done": 0, "cached": 0, "submissions": 0},
+                )
+                for key in ("total", "done", "cached"):
+                    summed[key] += entry[key]
+                summed["submissions"] += 1
             completed_sweeps = self._completed_sweeps
             completed_runs = self._completed_runs
         payload: dict[str, Any] = {
@@ -161,6 +190,15 @@ class SweepService:
             payload["cache"] = self.store.stats()
             payload["sweeps"] = [manifest.progress() for manifest in self.store.manifests()]
         return payload
+
+
+def envelope_line(index: int, record: RunRecord, cached: bool) -> str:
+    """One NDJSON envelope: ``json.dumps({"index", "cached", "sha", "record"})``
+    and a newline, spelled out around the record's kept JSON text."""
+    return (
+        f'{{"index": {index}, "cached": {"true" if cached else "false"}, '
+        f'"sha": "{record.spec.sha()}", "record": {record.to_json()}}}\n'
+    )
 
 
 def make_handler(service: SweepService) -> type[BaseHTTPRequestHandler]:
@@ -193,14 +231,10 @@ def make_handler(service: SweepService) -> type[BaseHTTPRequestHandler]:
         def _send_error_json(self, status: int, message: str) -> None:
             self._send_json({"error": message}, status=status)
 
-        def _write_envelope(self, index: int, record: RunRecord, cached: bool) -> None:
-            envelope = {
-                "index": index,
-                "cached": bool(cached),
-                "sha": record.spec.sha(),
-                "record": record.to_dict(),
-            }
-            self.wfile.write((json.dumps(envelope) + "\n").encode("utf-8"))
+        def _write_envelopes(self, batch: list[tuple[int, RunRecord, bool]]) -> None:
+            """Write a batch of envelopes with one write and one flush."""
+            text = "".join(envelope_line(index, record, cached) for index, record, cached in batch)
+            self.wfile.write(text.encode("utf-8"))
             self.wfile.flush()
 
         # -- routes --------------------------------------------------------------
@@ -231,17 +265,15 @@ def make_handler(service: SweepService) -> type[BaseHTTPRequestHandler]:
             try:
                 if isinstance(submission, SweepSpec):
                     diagnostics: list[dict[str, Any]] = []
-                    for index, record, cached in service.stream_sweep(
-                        submission, diagnostics
-                    ):
-                        self._write_envelope(index, record, cached)
+                    for batch in service.stream_batches(submission, diagnostics):
+                        self._write_envelopes(batch)
                     if diagnostics:
                         line = json.dumps({"stopping": diagnostics}) + "\n"
                         self.wfile.write(line.encode("utf-8"))
                         self.wfile.flush()
                 else:
                     record, cached = service.execute_single(submission)
-                    self._write_envelope(0, record, cached)
+                    self._write_envelopes([(0, record, cached)])
             except BrokenPipeError:
                 pass  # client went away mid-stream; the store keeps the progress
             except Exception as error:  # noqa: BLE001 - headers already sent

@@ -25,21 +25,37 @@ from :data:`~repro.api.records.RECORD_EPOCH` was written by engines that
 sampled differently; it is counted as ``stale`` (not corrupt), treated as a
 miss and recomputed.
 
-The in-memory index holds decoded records
-(:class:`~repro.api.records.RunRecord` objects): each line is decoded once,
-when its shard is first loaded (or, for a ``put``, from the record dict the
-line was written from), and a hit returns that record without parsing
-anything.  A line that passes its checksum but does not decode to a record
-(say, a field this version does not know) is counted as corrupt like any
-other bad line and recomputed.  Served records are shared between callers;
-like specs, they are immutable values.
+The in-memory index maps a spec SHA to a decoded
+:class:`~repro.api.records.RunRecord` that carries its own JSON text (see
+:meth:`RunRecord.to_json() <repro.api.records.RunRecord.to_json>`): each line
+is decoded once, when its shard is first loaded, and the record keeps the
+exact record text of that line; a ``put`` indexes a copy of the record that
+keeps the text it just wrote.  A hit is therefore one dict lookup, and serving it
+copies text the store already holds — nothing is parsed, hashed or encoded
+again.  Every entry is checked where it enters the index, never per hit: a
+loaded line must decode to a record whose own spec hashes to the line's
+``sha``, and ``put`` refuses a record whose spec is not the spec it is filed
+under.  A line that passes its checksum but fails either check (a field this
+version does not know, a ``sha`` that names another spec) is counted as
+corrupt like any other bad line and recomputed.  Served records are shared
+between callers; like specs, they are immutable values.
+
+The store also holds every :class:`~repro.service.manifest.SweepManifest` it
+opened in this process, keyed by sweep SHA.  A held manifest's run
+SHAs came from an in-process expansion, so they are trusted as they are: a
+resubmitted sweep is served by walking those SHAs, without expanding the
+sweep, hashing its runs or re-reading the manifest file.  Held manifests are
+shared by concurrent requests, so they are only marked and saved under the
+store lock (:meth:`ResultStore.scan`, :meth:`ResultStore.save_manifest`).
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -50,13 +66,22 @@ from repro.service.manifest import SweepManifest
 #: Hex digits of the spec SHA used as the shard name.
 _SHARD_PREFIX = 2
 
+#: A shard line exactly as :meth:`ResultStore.put` writes it (``json.dumps``
+#: of ``{"sha", "epoch", "checksum", "record"}``); the last group is the
+#: record's JSON text.  Lines of any other spelling are parsed whole.
+_LINE = re.compile(
+    r'\{"sha": "([0-9a-f]{64})", "epoch": (-?[0-9]+), '
+    r'"checksum": "([0-9a-f]{64})", "record": (\{.*\})\}'
+)
+
 
 class ResultStore:
     """A directory of content-addressed :class:`RunRecord`\\ s.
 
     Safe for concurrent use from multiple threads (one lock around the in-memory
-    shard index and the shard appends); multiple *processes* may share a
-    store directory read-only, but should not append to it concurrently.
+    shard index, the shard appends and the held manifests); multiple
+    *processes* may share a store directory read-only, but should not append
+    to it concurrently.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -68,6 +93,8 @@ class ResultStore:
         self._lock = threading.RLock()
         #: shard prefix -> {spec sha -> decoded record}, loaded lazily per shard.
         self._shards: dict[str, dict[str, RunRecord]] = {}
+        #: sweep sha -> the manifest this store opened for it (held manifests).
+        self._manifests: dict[str, SweepManifest] = {}
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -95,24 +122,35 @@ class ResultStore:
         for line in path.read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue
+            match = _LINE.fullmatch(line)
             try:
-                entry = json.loads(line)
-                sha = entry["sha"]
-                record_dict = entry["record"]
-                checksum = entry["checksum"]
-            except (json.JSONDecodeError, KeyError, TypeError):
+                if match is not None:
+                    sha, epoch, checksum, text = match.groups()
+                    record_dict = json.loads(text)
+                    epoch = int(epoch)
+                else:
+                    entry = json.loads(line)
+                    sha, epoch, checksum = entry["sha"], entry.get("epoch"), entry["checksum"]
+                    record_dict, text = entry["record"], None
+            except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
                 self.corrupt += 1
                 continue
-            if entry.get("epoch") != RECORD_EPOCH:
+            if epoch != RECORD_EPOCH:
                 self.stale += 1
                 continue
             if self.record_checksum(record_dict) != checksum:
                 self.corrupt += 1
                 continue
             try:
-                index[sha] = RunRecord.from_dict(record_dict)
-            except (KeyError, TypeError, ValueError):
+                record = RunRecord.from_dict(record_dict)
+            except (KeyError, TypeError, ValueError, AttributeError):
                 self.corrupt += 1
+                continue
+            if record.spec.sha() != sha:
+                # A well-formed line filed under another spec's address.
+                self.corrupt += 1
+                continue
+            index[sha] = record if text is None else record.keep_json(text)
         return index
 
     def _shard_index(self, sha: str) -> dict[str, RunRecord]:
@@ -123,25 +161,20 @@ class ResultStore:
 
     # -- the cache API -----------------------------------------------------------
 
-    def get(self, spec: RunSpec) -> RunRecord | None:
-        """The stored record for ``spec``, or ``None`` (a miss).
+    def get(self, spec: RunSpec | str) -> RunRecord | None:
+        """The stored record for ``spec`` (a spec or its SHA), or ``None`` (a miss).
 
-        Verifies that the stored record's own spec equals the requested one
-        (defense in depth beyond the SHA) before serving it.
+        One index lookup: every indexed record's own spec hashes to its key
+        (checked when the entry entered the index), so a hit is the record of
+        exactly the requested spec.
         """
-        sha = spec.sha()
+        sha = spec if isinstance(spec, str) else spec.sha()
         with self._lock:
             record = self._shard_index(sha).get(sha)
             if record is None:
                 self.misses += 1
-                return None
-            if record.spec != spec:
-                # A content-address collision would be required to get here;
-                # treat it as corruption and recompute rather than serve.
-                self.corrupt += 1
-                self.misses += 1
-                return None
-            self.hits += 1
+            else:
+                self.hits += 1
             return record
 
     def put(self, spec: RunSpec, record: RunRecord) -> str:
@@ -150,24 +183,31 @@ class ResultStore:
         Appends one self-checking JSONL line.  Re-putting the same spec is
         idempotent in effect: the newest line wins in the index, and both
         lines decode to the identical record (execution is deterministic).
+        Raises :class:`ValueError` when ``record`` is not a record of
+        ``spec``.  Both ``record`` and its indexed copy keep the JSON text
+        the line was written with.
         """
+        if record.spec != spec:
+            raise ValueError(
+                f"record of spec {record.spec.sha()} cannot be stored under spec {spec.sha()}"
+            )
         sha = spec.sha()
         record_dict = record.to_dict()
-        line = json.dumps(
-            {
-                "sha": sha,
-                "epoch": RECORD_EPOCH,
-                "checksum": self.record_checksum(record_dict),
-                "record": record_dict,
-            }
+        text = json.dumps(record_dict)
+        checksum = self.record_checksum(record_dict)
+        # Byte for byte json.dumps({"sha", "epoch", "checksum", "record"}).
+        line = (
+            f'{{"sha": "{sha}", "epoch": {RECORD_EPOCH}, '
+            f'"checksum": "{checksum}", "record": {text}}}\n'
         )
-        decoded = RunRecord.from_dict(record_dict)
+        record.keep_json(text)
+        indexed = replace(record).keep_json(text)
         with self._lock:
             index = self._shard_index(sha)
             with open(self._shard_path(sha), "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+                handle.write(line)
                 handle.flush()
-            index[sha] = decoded
+            index[sha] = indexed
         return sha
 
     def __contains__(self, spec: RunSpec) -> bool:
@@ -180,32 +220,70 @@ class ResultStore:
     def manifest_path(self, sweep_sha: str) -> Path:
         return self.manifests_dir / f"{sweep_sha}.json"
 
-    def open_manifest(self, sweep: SweepSpec, specs: Sequence[RunSpec]) -> SweepManifest:
-        """Load the sweep's manifest, or create a fresh one.
+    def held_manifest(self, sweep: SweepSpec) -> SweepManifest | None:
+        """The manifest this store opened for ``sweep``, if any."""
+        with self._lock:
+            return self._manifests.get(sweep.sha())
 
-        A stale manifest (same path but different run SHAs — e.g. the sweep
-        definition of an old library version expanded differently) is
-        discarded rather than trusted.
+    def open_manifest(self, sweep: SweepSpec, specs: Sequence[RunSpec]) -> SweepManifest:
+        """The sweep's manifest: held, loaded from disk, or fresh.
+
+        ``specs`` is the sweep's expansion.  A held manifest with the same
+        run SHAs is returned as it is, without touching disk.  A manifest
+        file with different run SHAs (e.g. the sweep definition of an old
+        library version expanded differently) is discarded rather than
+        trusted.  The result is held from now on.
         """
         sweep_sha = sweep.sha()
-        run_shas = [spec.sha() for spec in specs]
-        path = self.manifest_path(sweep_sha)
-        if path.exists():
-            try:
-                manifest = SweepManifest.load(path)
-            except (json.JSONDecodeError, KeyError):
-                manifest = None
-            if manifest is not None and list(manifest.run_shas) == run_shas:
-                return manifest
-        return SweepManifest(sweep_sha=sweep_sha, name=sweep.name, run_shas=run_shas)
+        run_shas = tuple(spec.sha() for spec in specs)
+        with self._lock:
+            held = self._manifests.get(sweep_sha)
+            if held is not None and held.run_shas == run_shas:
+                return held
+            path = self.manifest_path(sweep_sha)
+            manifest = None
+            if path.exists():
+                try:
+                    manifest = SweepManifest.load(path)
+                except (json.JSONDecodeError, KeyError):
+                    manifest = None
+            if manifest is None or manifest.run_shas != run_shas:
+                manifest = SweepManifest(sweep_sha=sweep_sha, name=sweep.name, run_shas=run_shas)
+            self._manifests[sweep_sha] = manifest
+            return manifest
 
-    def save_manifest(self, manifest: SweepManifest) -> None:
-        """Checkpoint the manifest atomically (see :mod:`repro.utils.atomic`).
+    def scan(self, manifest: SweepManifest) -> tuple[list[tuple[int, RunRecord]], list[int]]:
+        """Look up every run of ``manifest``: ``(hits, pending)``.
 
-        An unchanged manifest already on disk is not rewritten (see
+        ``hits`` pairs each stored run's index with its record, ``pending``
+        lists the indices to execute; both in run order.  Marks the ledger
+        to match (under the lock — a held manifest is shared) without
+        saving it.
+        """
+        hits: list[tuple[int, RunRecord]] = []
+        pending: list[int] = []
+        with self._lock:
+            for index, sha in enumerate(manifest.run_shas):
+                record = self.get(sha)
+                if record is None:
+                    manifest.mark_pending(index)
+                    pending.append(index)
+                else:
+                    manifest.mark_done(index)
+                    hits.append((index, record))
+        return hits, pending
+
+    def save_manifest(self, manifest: SweepManifest, done: Iterable[int] = ()) -> None:
+        """Mark ``done`` runs and checkpoint the manifest atomically.
+
+        Runs under the lock, since held manifests are shared between
+        requests (see :mod:`repro.utils.atomic` for the atomic write).  An
+        unchanged manifest already on disk is not rewritten (see
         :meth:`SweepManifest.save`).
         """
         with self._lock:
+            for index in done:
+                manifest.mark_done(index)
             manifest.save(self.manifest_path(manifest.sweep_sha))
 
     def manifests(self) -> list[SweepManifest]:

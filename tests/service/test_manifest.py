@@ -1,12 +1,16 @@
 """SweepManifest: progress ledger semantics and atomic persistence."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.api.executor import SweepRunner
 from repro.api.spec import SweepSpec
 from repro.api.stopping import StoppingRule
+import repro.service.manifest as manifest_module
 from repro.service.manifest import SweepManifest
 from repro.service.store import ResultStore
 
@@ -127,6 +131,107 @@ class TestStoreManifests:
         on_disk = json.loads(store.manifest_path(sweep.sha()).read_text())
         assert on_disk["sweep_sha"] == sweep.sha()
         assert on_disk["done"] == []
+
+
+class TestHeldManifests:
+    """A store serves a sweep it has seen from the manifest it holds."""
+
+    def test_open_manifest_reads_disk_once_per_store(self, tmp_path, monkeypatch):
+        sweep = small_sweep()
+        SweepRunner(store=ResultStore(tmp_path)).run(sweep)
+        loads = []
+        load = SweepManifest.load.__func__
+        monkeypatch.setattr(
+            SweepManifest, "load", classmethod(lambda cls, path: loads.append(1) or load(cls, path))
+        )
+        store = ResultStore(tmp_path)
+        first = store.open_manifest(sweep, sweep.expand())
+        assert first.complete and len(loads) == 1
+        assert store.open_manifest(sweep, sweep.expand()) is first
+        assert store.held_manifest(sweep) is first
+        assert len(loads) == 1
+
+    def test_warm_sweep_is_walked_by_run_shas_not_expanded(self, tmp_path, monkeypatch):
+        sweep = small_sweep()
+        store = ResultStore(tmp_path)
+        cold = SweepRunner(store=store).run(sweep)
+        expansions = []
+        expand = SweepSpec.expand
+        monkeypatch.setattr(
+            SweepSpec, "expand", lambda self: expansions.append(1) or expand(self)
+        )
+        warm = SweepRunner(store=store).run(SweepSpec.from_json(sweep.to_json()))
+        assert warm.records == cold.records
+        assert expansions == []
+        # A store new to the sweep expands it once.
+        fresh = ResultStore(tmp_path)
+        assert SweepRunner(store=fresh).run(sweep).records == cold.records
+        assert len(expansions) == 1
+
+    def test_concurrent_checkpoints_of_a_held_manifest_lose_no_update(
+        self, tmp_path, monkeypatch
+    ):
+        """Threads marking and saving one shared manifest: whenever the store
+        lock is free, the file holds the snapshot a later save compares
+        against, so no save is skipped against a stale snapshot."""
+        sweep = SweepSpec(**{**small_sweep().to_dict(), "trials": 24})
+        store = ResultStore(tmp_path)
+        manifest = store.open_manifest(sweep, sweep.expand())
+        path = store.manifest_path(sweep.sha())
+        workers = 4
+        errors = []
+        mismatches = []
+        write = manifest_module.atomic_write_text
+
+        def slow_write(target, text):
+            # Yield between the rename and the snapshot bookkeeping, where an
+            # unlocked save lets other threads see (and write) in between.
+            write(target, text)
+            time.sleep(0.0005)
+
+        monkeypatch.setattr(manifest_module, "atomic_write_text", slow_write)
+
+        def checkpoint(first):
+            try:
+                for index in range(first, manifest.total, workers):
+                    store.save_manifest(manifest, [index])
+                    store.scan(manifest)  # nothing is stored: demotes every run
+                    store.save_manifest(manifest, range(first, index + 1, workers))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=checkpoint, args=(w,)) for w in range(workers)]
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                with store._lock:
+                    if manifest._on_disk is not None:
+                        on_disk = (str(path), SweepManifest.load(path).to_dict())
+                        if manifest._on_disk != on_disk:
+                            mismatches.append(on_disk)
+                time.sleep(0.0002)
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+        store.save_manifest(manifest)
+        assert SweepManifest.load(path).to_dict() == manifest.to_dict()
+
+    def test_held_manifest_with_foreign_run_shas_is_not_trusted_by_open(self, tmp_path):
+        store = ResultStore(tmp_path)
+        sweep = small_sweep()
+        specs = sweep.expand()
+        held = store.open_manifest(sweep, specs)
+        held.run_shas = ("x", "y", "z")
+        fresh = store.open_manifest(sweep, specs)
+        assert fresh is not held
+        assert list(fresh.run_shas) == [spec.sha() for spec in specs]
+        assert store.held_manifest(sweep) is fresh
 
 
 def adaptive_sweep() -> SweepSpec:

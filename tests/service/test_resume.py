@@ -147,6 +147,29 @@ class TestKillAndResume:
         assert sorted(index for index, _r, _c in events) == list(range(len(sweep)))
 
 
+    def test_resume_on_the_same_store_streams_cached_then_fresh(self, tmp_path):
+        """The store holds the killed sweep's manifest; the resume walks its
+        run SHAs, then expands the sweep once for the pending runs."""
+        sweep = sweep_spec()
+        store = ResultStore(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            SweepRunner(store=store, executor=KillAfter(survive=3), chunk_size=1).run(sweep)
+        assert store.held_manifest(sweep) is not None
+        hits = store.hits
+
+        counting = CountingExecutor()
+        batches = list(SweepRunner(store=store, executor=counting).run_batches(sweep))
+        cached = [(index, flag) for batch in batches for index, _record, flag in batch]
+        assert all(flag for _index, _record, flag in batches[0])
+        assert [index for index, flag in cached if flag] == [0, 1, 2]
+        assert sorted(index for index, flag in cached if not flag) == [3, 4, 5]
+        assert counting.executed == 3
+        assert store.hits - hits == 3
+        assert store.held_manifest(sweep).complete
+        records = {index: record for batch in batches for index, record, _ in batch}
+        assert [records[i] for i in range(len(sweep))] == SweepRunner().run(sweep).records
+
+
 class TestAdaptiveKillAndResume:
     """The sequential-sampling layer composes with the store/manifest
     checkpointing: a killed adaptive sweep resumes from the checkpointed

@@ -15,7 +15,7 @@ import pytest
 from repro.api.executor import execute_run
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec, SweepSpec
-from repro.service.serve import SweepService, serve
+from repro.service.serve import SweepService, envelope_line, serve
 from repro.service.store import ResultStore
 from repro.service.submit import main as submit_main
 
@@ -113,6 +113,77 @@ class TestSweepStreaming:
         [again] = post_lines(server, "/run", spec.to_dict())
         assert again["cached"]
         assert again["record"] == envelope["record"]
+
+
+    def test_warm_post_counts_every_hit(self, server, service):
+        sweep = small_sweep()
+        post_lines(server, "/sweep", sweep.to_dict())
+        store = service.store
+        assert (store.hits, store.misses) == (0, len(sweep))
+        post_lines(server, "/sweep", sweep.to_dict())
+        assert (store.hits, store.misses) == (len(sweep), len(sweep))
+        assert get_json(server, "/status")["cache"]["hit_rate"] == 0.5
+
+    def test_warm_sweep_streams_in_one_batch(self, service):
+        """A fully cached sweep is one batch of envelopes (one write, one
+        flush); a cold one arrives chunk by chunk."""
+        sweep = small_sweep()
+        cold = list(service.stream_batches(sweep))
+        assert sum(len(batch) for batch in cold) == len(sweep)
+        [warm] = list(service.stream_batches(sweep))
+        assert sorted(index for index, _record, _cached in warm) == list(range(len(sweep)))
+        assert all(cached for _index, _record, cached in warm)
+
+    def test_partially_warm_sweep_streams_correct_cached_flags(self, server, service):
+        # The first two trials of each cell are spec-identical to a
+        # trials=2 sweep, so they are stored; the other two are not.
+        post_lines(server, "/sweep", small_sweep().to_dict())
+        wider = SweepSpec(**{**small_sweep().to_dict(), "trials": 4})
+        lines = post_lines(server, "/sweep", wider.to_dict())
+        assert sorted(envelope["index"] for envelope in lines) == list(range(len(wider)))
+        stored = {spec.sha() for spec in small_sweep().expand()}
+        for envelope in lines:
+            assert envelope["cached"] is (envelope["sha"] in stored)
+        assert sum(envelope["cached"] for envelope in lines) == len(small_sweep())
+        specs = wider.expand()
+        for envelope in lines:
+            assert envelope["sha"] == specs[envelope["index"]].sha()
+            assert RunRecord.from_dict(envelope["record"]) == execute_run(specs[envelope["index"]])
+
+    def test_envelope_is_json_dumps_of_the_envelope_dict(self):
+        spec = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3, max_steps=2_000)
+        record = execute_run(spec)
+        for index, cached in ((0, False), (17, True)):
+            envelope = {"index": index, "cached": cached, "sha": spec.sha(),
+                        "record": record.to_dict()}
+            assert envelope_line(index, record, cached) == json.dumps(envelope) + "\n"
+
+
+class TestConcurrentSubmissions:
+    def test_overlapping_identical_streams_keep_their_own_progress(self):
+        """Two submissions of one sweep in flight at once: the first to
+        finish must not take the other's progress with it."""
+        service = SweepService(None, workers=1, executor="serial")
+        sweep = small_sweep()
+        first = service.stream_sweep(sweep)
+        second = service.stream_sweep(sweep)
+        events = [next(first), next(second)]
+        status = service.status()
+        [(sha, active)] = status["active_sweeps"].items()
+        assert sha == sweep.sha() and active["name"] == sweep.name
+        assert (active["total"], active["submissions"], active["cached"]) == (
+            2 * len(sweep), 2, 0
+        )
+        assert 2 <= active["done"] < 2 * len(sweep)
+        assert status["queue_depth"] == active["total"] - active["done"]
+        events += list(first)
+        assert service.status()["active_sweeps"][sweep.sha()]["submissions"] == 1
+        events += list(second)
+        assert len(events) == 2 * len(sweep)
+        status = service.status()
+        assert status["active_sweeps"] == {} and status["queue_depth"] == 0
+        assert status["completed_sweeps"] == 2
+        assert status["completed_runs"] == 2 * len(sweep)
 
 
 class TestErrorHandling:

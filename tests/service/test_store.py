@@ -134,6 +134,53 @@ class TestCacheHits:
         assert len(decoded) == len(sweep)  # one decode per stored line
         assert fresh.hits == 3 * len(sweep)
 
+    def test_shard_lines_keep_their_format_and_records_their_text(self, tmp_path):
+        """A shard line is json.dumps of {sha, epoch, checksum, record}, and a
+        served record's JSON text is that line's record, as written."""
+        sweep = small_sweep()
+        cold = SweepRunner(store=ResultStore(tmp_path)).run(sweep)
+        lines = [
+            line
+            for shard in sorted((tmp_path / "shards").glob("*.jsonl"))
+            for line in shard.read_text().splitlines()
+        ]
+        assert len(lines) == len(sweep)
+        for line in lines:
+            entry = json.loads(line)
+            assert list(entry) == ["sha", "epoch", "checksum", "record"]
+            assert json.dumps(entry) == line
+        fresh = ResultStore(tmp_path)
+        for spec, record in zip(sweep.expand(), cold.records):
+            served = fresh.get(spec)
+            assert served.to_json() == json.dumps(record.to_dict())
+            assert f'"record": {served.to_json()}}}' in "\n".join(lines)
+
+    def test_lines_written_by_json_dumps_serve_without_recomputation(self, tmp_path):
+        """A store whose lines were written as json.dumps of the entry dict
+        (every earlier version's writer) is served as it is."""
+        sweep = small_sweep()
+        records = [execute_run(spec) for spec in sweep.expand()]
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        for spec, record in zip(sweep.expand(), records):
+            entry = {
+                "sha": spec.sha(),
+                "epoch": RECORD_EPOCH,
+                "checksum": ResultStore.record_checksum(record.to_dict()),
+                "record": record.to_dict(),
+            }
+            with open(shards / f"{spec.sha()[:2]}.jsonl", "a") as handle:
+                handle.write(json.dumps(entry) + "\n")
+        store = ResultStore(tmp_path)
+        counting = CountingExecutor()
+        warm = SweepRunner(store=store, executor=counting).run(sweep)
+        assert counting.executed == 0
+        assert warm.records == records
+        assert [r.to_json() for r in warm.records] == [
+            json.dumps(r.to_dict()) for r in records
+        ]
+        assert (store.hits, store.misses, store.corrupt) == (len(sweep), 0, 0)
+
 
 class TestCorruptionDetection:
     def _store_one(self, tmp_path):
@@ -193,6 +240,51 @@ class TestCorruptionDetection:
         assert counting.executed == 1
         assert fresh.corrupt == 1
         assert result.records == [execute_run(spec) for spec in sweep.expand()]
+
+    def test_line_filed_under_another_specs_sha_is_corrupt(self, tmp_path):
+        """A line whose checksum holds but whose sha names another spec is
+        never served — not by get, not by a warm sweep — and is recomputed."""
+        sweep = small_sweep()
+        reference = SweepRunner(store=ResultStore(tmp_path)).run(sweep).records
+        first, second = sweep.expand()[:2]
+        # Replace the second run's line with the first run's record filed
+        # under the second run's sha: a valid checksum, the wrong spec.
+        source = tmp_path / "shards" / f"{first.sha()[:2]}.jsonl"
+        [line] = [
+            line for line in source.read_text().splitlines()
+            if json.loads(line)["sha"] == first.sha()
+        ]
+        misfiled = json.loads(line)
+        misfiled["sha"] = second.sha()
+        shard = tmp_path / "shards" / f"{second.sha()[:2]}.jsonl"
+        kept = [
+            line for line in shard.read_text().splitlines()
+            if json.loads(line)["sha"] != second.sha()
+        ]
+        shard.write_text("".join(line + "\n" for line in [*kept, json.dumps(misfiled)]))
+
+        fresh = ResultStore(tmp_path)
+        assert fresh.get(second) is None
+        assert fresh.corrupt == 1
+
+        fresh = ResultStore(tmp_path)
+        counting = CountingExecutor()
+        events = list(SweepRunner(store=fresh, executor=counting).run_iter(sweep))
+        assert counting.executed == 1
+        assert fresh.corrupt == 1
+        assert {index for index, _record, cached in events if not cached} == {1}
+        assert [record for _index, record, _cached in sorted(events, key=lambda e: e[0])] == (
+            reference
+        )
+
+    def test_put_refuses_a_record_of_another_spec(self, tmp_path):
+        store = ResultStore(tmp_path)
+        spec = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3, max_steps=2_000)
+        record = execute_run(spec)
+        with pytest.raises(ValueError, match="cannot be stored"):
+            store.put(replace(spec, seed=4), record)
+        assert list((tmp_path / "shards").glob("*.jsonl")) == []
+        assert store.stored == 0
 
     def test_garbage_shard_lines_are_counted_and_ignored(self, tmp_path):
         spec, record = self._store_one(tmp_path)
