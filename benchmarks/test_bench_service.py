@@ -15,8 +15,9 @@ envelope is served from the cache and carries the cold record byte for byte;
 the ``--perf`` test records the median warm POST as ``service-warm-post``.
 A warm POST of a sweep the store has seen neither expands nor hashes it: it
 walks the run SHAs of the manifest the store holds, takes each record from
-the index by SHA, and copies the record's kept JSON text into its envelope —
-one write and one flush for all of them.  The manifest file is neither
+the index by SHA, and copies the JSON text the service kept for that record
+(the last 512 served records keep theirs) into its envelope — one write and
+one flush for all of them.  The manifest file is neither
 re-read nor, unchanged, rewritten.  A third smoke sends two identical POSTs
 at once, cold and then warm, through the shared held manifest.
 

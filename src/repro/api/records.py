@@ -23,7 +23,7 @@ from typing import Any
 from pathlib import Path
 
 from repro.api import aggregate as _aggregate
-from repro.api.spec import RunSpec, SweepSpec
+from repro.api.spec import RunSpec, SweepSpec, own_params
 from repro.utils.atomic import atomic_write_text
 
 #: Which generation of the run code produced a record.  A record is a pure
@@ -65,7 +65,7 @@ class RunRecord:
     extras: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "extras", dict(self.extras))
+        object.__setattr__(self, "extras", own_params(self.extras))
 
     def exact_result(self):
         """The analytical :class:`~repro.exact.result.DistributionResult`.
@@ -129,34 +129,7 @@ class RunRecord:
         return cls(**payload)
 
     def to_json(self, indent: int | None = None) -> str:
-        """The record as JSON text: ``json.dumps(self.to_dict(), indent=indent)``.
-
-        The compact text (``indent=None``) is computed on the first call and
-        stored on the instance (as a plain attribute, not a dataclass field,
-        so equality, ``repr`` and :meth:`to_dict` never see it), the way
-        :meth:`RunSpec.sha() <repro.api.spec.RunSpec.sha>` keeps its hash: a
-        warm sweep service encodes each stored record once, not once per
-        request.  Like specs, records are immutable values — ``extras`` must
-        not be mutated after construction.
-        """
-        if indent is not None:
-            return json.dumps(self.to_dict(), indent=indent)
-        text = getattr(self, "_json", None)
-        if text is None:
-            text = json.dumps(self.to_dict())
-            object.__setattr__(self, "_json", text)
-        return text
-
-    def keep_json(self, text: str) -> RunRecord:
-        """Adopt ``text`` as this record's compact :meth:`to_json`; returns ``self``.
-
-        For callers that already hold the record's compact JSON — the result
-        store, which wrote or read it as part of a shard line — so the text
-        is never encoded again.  ``text`` must be ``json.dumps`` of a record
-        dict equal to :meth:`to_dict`.
-        """
-        object.__setattr__(self, "_json", text)
-        return self
+        return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> RunRecord:

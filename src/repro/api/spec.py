@@ -75,6 +75,28 @@ def _copy_params(params: Mapping[str, Any]) -> dict[str, Any]:
     return copy.deepcopy(params) if params else {}
 
 
+class _ReadOnlyEmpty(dict):
+    """An empty dict that refuses every mutation."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("an empty spec params or record extras dict is shared and read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+
+_EMPTY = _ReadOnlyEmpty()
+
+
+def own_params(params: Mapping[str, Any]) -> dict[str, Any]:
+    """An immutable value's own copy of ``params`` (spec params, record extras).
+
+    Every empty one is the same read-only dict, so the records a result
+    store holds do not each keep four empty dicts.
+    """
+    return dict(params) if params else _EMPTY
+
+
 def _normalize_axis(
     entries: Sequence[object], *, allow_none: bool = False
 ) -> tuple[tuple[str | None, dict[str, Any]], ...]:
@@ -143,9 +165,9 @@ class RunSpec:
     observers: Sequence[object] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "protocol_params", dict(self.protocol_params))
-        object.__setattr__(self, "workload_params", dict(self.workload_params))
-        object.__setattr__(self, "scheduler_params", dict(self.scheduler_params))
+        object.__setattr__(self, "protocol_params", own_params(self.protocol_params))
+        object.__setattr__(self, "workload_params", own_params(self.workload_params))
+        object.__setattr__(self, "scheduler_params", own_params(self.scheduler_params))
         object.__setattr__(self, "observers", _normalize_axis(self.observers))
         if self.n < 2:
             raise ValueError(f"a population needs at least two agents, got n={self.n}")

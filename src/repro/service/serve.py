@@ -20,9 +20,10 @@ alone (``http.server`` + the ``asyncio`` executor — no new dependencies):
   the sweep's manifest — resubmitting an identical sweep is pure cache, and
   resubmitting after a crash finishes only the remainder.  Each batch of
   ready envelopes (the cached runs, then each executed chunk) goes out in
-  one write and one flush; a cached envelope is the record's stored JSON
-  text, copied.  Adaptive sweeps
-  (``trials="auto"``) additionally stream one trailing envelope
+  one write and one flush.  The service keeps the JSON texts of the records
+  it served last (:meth:`SweepService.record_json`), so a hot sweep's
+  envelopes copy text instead of encoding each record again.  Adaptive
+  sweeps (``trials="auto"``) additionally stream one trailing envelope
   ``{"stopping": [...]}`` with the per-cell stopping diagnostics; fixed
   sweeps stream record envelopes only.
 * ``POST /run`` — body: :class:`~repro.api.spec.RunSpec` JSON; one envelope.
@@ -41,6 +42,7 @@ import itertools
 import json
 import sys
 import threading
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -48,6 +50,11 @@ from repro.api.executor import SweepRunner, build_executor
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec, SweepSpec
 from repro.service.store import ResultStore
+
+
+#: How many records' JSON texts a service keeps for their envelopes (about
+#: 0.7 KB each for a circles run).
+KEPT_TEXTS = 512
 
 
 class SweepService:
@@ -78,6 +85,8 @@ class SweepService:
         self._submissions = itertools.count()
         self._completed_sweeps = 0
         self._completed_runs = 0
+        #: spec sha -> (record, its JSON text), least recently served first.
+        self._texts: OrderedDict[str, tuple[RunRecord, str]] = OrderedDict()
 
     def _make_executor(self):
         params: dict[str, Any] = {}
@@ -86,14 +95,6 @@ class SweepService:
         return build_executor(self.executor_name, workers=self.workers, **params)
 
     # -- submissions -------------------------------------------------------------
-
-    def stream_sweep(self, sweep: SweepSpec, diagnostics: list[dict[str, Any]] | None = None):
-        """Execute ``sweep``, yielding ``(index, record, cached)`` as runs finish.
-
-        :meth:`stream_batches` one run at a time.
-        """
-        for batch in self.stream_batches(sweep, diagnostics):
-            yield from batch
 
     def stream_batches(
         self, sweep: SweepSpec, diagnostics: list[dict[str, Any]] | None = None
@@ -153,6 +154,28 @@ class SweepService:
             self._completed_runs += 1
         return record, False
 
+    def record_json(self, record: RunRecord) -> str:
+        """``record.to_json()``, kept for the most recently served records.
+
+        A hot sweep is posted again and again; its records come from the
+        store as the same objects each time, so their texts are encoded
+        once, not once per request.  Only the last :data:`KEPT_TEXTS`
+        records keep theirs, which bounds the memory the texts take.
+        """
+        sha = record.spec.sha()
+        with self._lock:
+            kept = self._texts.get(sha)
+            if kept is not None and kept[0] is record:
+                self._texts.move_to_end(sha)
+                return kept[1]
+        text = record.to_json()
+        with self._lock:
+            self._texts[sha] = (record, text)
+            self._texts.move_to_end(sha)
+            if len(self._texts) > KEPT_TEXTS:
+                self._texts.popitem(last=False)
+        return text
+
     # -- status ------------------------------------------------------------------
 
     @property
@@ -192,12 +215,12 @@ class SweepService:
         return payload
 
 
-def envelope_line(index: int, record: RunRecord, cached: bool) -> str:
-    """One NDJSON envelope: ``json.dumps({"index", "cached", "sha", "record"})``
-    and a newline, spelled out around the record's kept JSON text."""
+def envelope_line(index: int, cached: bool, sha: str, record_json: str) -> str:
+    """One NDJSON envelope, ``json.dumps({"index", "cached", "sha", "record"})``
+    and a newline, spelled out around the record's JSON text."""
     return (
         f'{{"index": {index}, "cached": {"true" if cached else "false"}, '
-        f'"sha": "{record.spec.sha()}", "record": {record.to_json()}}}\n'
+        f'"sha": "{sha}", "record": {record_json}}}\n'
     )
 
 
@@ -233,7 +256,10 @@ def make_handler(service: SweepService) -> type[BaseHTTPRequestHandler]:
 
         def _write_envelopes(self, batch: list[tuple[int, RunRecord, bool]]) -> None:
             """Write a batch of envelopes with one write and one flush."""
-            text = "".join(envelope_line(index, record, cached) for index, record, cached in batch)
+            text = "".join(
+                envelope_line(index, cached, record.spec.sha(), service.record_json(record))
+                for index, record, cached in batch
+            )
             self.wfile.write(text.encode("utf-8"))
             self.wfile.flush()
 

@@ -26,16 +26,13 @@ sampled differently; it is counted as ``stale`` (not corrupt), treated as a
 miss and recomputed.
 
 The in-memory index maps a spec SHA to a decoded
-:class:`~repro.api.records.RunRecord` that carries its own JSON text (see
-:meth:`RunRecord.to_json() <repro.api.records.RunRecord.to_json>`): each line
-is decoded once, when its shard is first loaded, and the record keeps the
-exact record text of that line; a ``put`` indexes a copy of the record that
-keeps the text it just wrote.  A hit is therefore one dict lookup, and serving it
-copies text the store already holds — nothing is parsed, hashed or encoded
-again.  Every entry is checked where it enters the index, never per hit: a
-loaded line must decode to a record whose own spec hashes to the line's
-``sha``, and ``put`` refuses a record whose spec is not the spec it is filed
-under.  A line that passes its checksum but fails either check (a field this
+:class:`~repro.api.records.RunRecord`: each line is decoded once, when its
+shard is first loaded, and a ``put`` indexes the record it was given.  A
+hit is therefore one dict lookup that returns the same record object every
+time — nothing is parsed or hashed again.  Every entry is checked where it
+enters the index, never per hit: a loaded line must decode to a record whose
+own spec hashes to the line's ``sha``, and ``put`` refuses a record whose
+spec is not the spec it is filed under.  A line that passes its checksum but fails either check (a field this
 version does not know, a ``sha`` that names another spec) is counted as
 corrupt like any other bad line and recomputed.  Served records are shared
 between callers; like specs, they are immutable values.
@@ -52,10 +49,8 @@ store lock (:meth:`ResultStore.scan`, :meth:`ResultStore.save_manifest`).
 from __future__ import annotations
 
 import json
-import re
 import threading
 from collections.abc import Iterable, Sequence
-from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -65,14 +60,6 @@ from repro.service.manifest import SweepManifest
 
 #: Hex digits of the spec SHA used as the shard name.
 _SHARD_PREFIX = 2
-
-#: A shard line exactly as :meth:`ResultStore.put` writes it (``json.dumps``
-#: of ``{"sha", "epoch", "checksum", "record"}``); the last group is the
-#: record's JSON text.  Lines of any other spelling are parsed whole.
-_LINE = re.compile(
-    r'\{"sha": "([0-9a-f]{64})", "epoch": (-?[0-9]+), '
-    r'"checksum": "([0-9a-f]{64})", "record": (\{.*\})\}'
-)
 
 
 class ResultStore:
@@ -122,16 +109,10 @@ class ResultStore:
         for line in path.read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue
-            match = _LINE.fullmatch(line)
             try:
-                if match is not None:
-                    sha, epoch, checksum, text = match.groups()
-                    record_dict = json.loads(text)
-                    epoch = int(epoch)
-                else:
-                    entry = json.loads(line)
-                    sha, epoch, checksum = entry["sha"], entry.get("epoch"), entry["checksum"]
-                    record_dict, text = entry["record"], None
+                entry = json.loads(line)
+                sha, epoch, checksum = entry["sha"], entry.get("epoch"), entry["checksum"]
+                record_dict = entry["record"]
             except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
                 self.corrupt += 1
                 continue
@@ -150,7 +131,7 @@ class ResultStore:
                 # A well-formed line filed under another spec's address.
                 self.corrupt += 1
                 continue
-            index[sha] = record if text is None else record.keep_json(text)
+            index[sha] = record
         return index
 
     def _shard_index(self, sha: str) -> dict[str, RunRecord]:
@@ -184,8 +165,7 @@ class ResultStore:
         idempotent in effect: the newest line wins in the index, and both
         lines decode to the identical record (execution is deterministic).
         Raises :class:`ValueError` when ``record`` is not a record of
-        ``spec``.  Both ``record`` and its indexed copy keep the JSON text
-        the line was written with.
+        ``spec``.
         """
         if record.spec != spec:
             raise ValueError(
@@ -193,21 +173,20 @@ class ResultStore:
             )
         sha = spec.sha()
         record_dict = record.to_dict()
-        text = json.dumps(record_dict)
-        checksum = self.record_checksum(record_dict)
-        # Byte for byte json.dumps({"sha", "epoch", "checksum", "record"}).
-        line = (
-            f'{{"sha": "{sha}", "epoch": {RECORD_EPOCH}, '
-            f'"checksum": "{checksum}", "record": {text}}}\n'
+        line = json.dumps(
+            {
+                "sha": sha,
+                "epoch": RECORD_EPOCH,
+                "checksum": self.record_checksum(record_dict),
+                "record": record_dict,
+            }
         )
-        record.keep_json(text)
-        indexed = replace(record).keep_json(text)
         with self._lock:
             index = self._shard_index(sha)
             with open(self._shard_path(sha), "a", encoding="utf-8") as handle:
-                handle.write(line)
+                handle.write(line + "\n")
                 handle.flush()
-            index[sha] = indexed
+            index[sha] = record
         return sha
 
     def __contains__(self, spec: RunSpec) -> bool:

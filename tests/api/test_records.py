@@ -1,5 +1,7 @@
 """Tests for RunRecord/SweepResult: snapshots and lossless persistence."""
 
+import pytest
+
 from repro.api.executor import execute_run, resolve_workload, run_sweep
 from repro.api.records import RunRecord, SweepResult
 from repro.api.spec import RunSpec, SweepSpec
@@ -33,6 +35,17 @@ class TestRunRecord:
         assert summary["workload"] == "planted-majority"
         assert summary["engine"] == "agent"
         assert summary["seed"] == 3
+
+
+    def test_empty_extras_are_one_shared_read_only_dict(self):
+        first = execute_run(RunSpec(protocol="circles", n=8, k=2, seed=3))
+        second = RunRecord.from_dict(first.to_dict())
+        assert first.extras == {} and first.extras is second.extras
+        with pytest.raises(TypeError):
+            first.extras["key"] = 1
+        assert second.to_dict()["extras"] == {}
+        second.to_dict()["extras"]["key"] = 1
+        assert first.extras == {}
 
 
 class TestSweepResultPersistence:

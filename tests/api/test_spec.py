@@ -1,6 +1,7 @@
 """Tests for RunSpec/SweepSpec: expansion, seed derivation, JSON round trips."""
 
 import dataclasses
+import json
 import pickle
 
 import pytest
@@ -282,6 +283,44 @@ class TestContentAddressGoldens:
         assert spec.observers[1][1] == {"every": 4}
         assert spec.sha() == before == GOLDEN_SHAS["params"]
         assert sha_of(spec.to_dict()) == before
+
+
+class TestEmptyParams:
+    """Empty param dicts are one shared dict that refuses every mutation."""
+
+    def test_empty_params_are_shared_and_read_only(self):
+        first = RunSpec(protocol="circles", n=8, k=2, seed=3)
+        second = RunSpec(protocol="circles", n=16, k=3, seed=4, protocol_params={})
+        empty = first.protocol_params
+        assert empty == {} and not empty
+        assert {id(first.workload_params), id(second.protocol_params)} == {id(empty)}
+        for mutate in (
+            lambda: empty.__setitem__("report", "max"),
+            lambda: empty.update(report="max"),
+            lambda: empty.setdefault("report", "max"),
+            lambda: empty.pop("report"),
+            lambda: empty.clear(),
+        ):
+            with pytest.raises(TypeError):
+                mutate()
+        assert empty == {}
+
+    def test_non_empty_params_are_the_specs_own_copy(self):
+        params = {"report": "max"}
+        spec = RunSpec(protocol="circles", n=8, k=2, protocol_params=params)
+        params["report"] = "min"
+        assert spec.protocol_params == {"report": "max"}
+        assert spec.protocol_params is not params
+
+    def test_shared_empty_params_survive_pickle_and_to_dict(self):
+        spec = RunSpec(protocol="circles", n=8, k=2, seed=3)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and clone.sha() == spec.sha()
+        data = spec.to_dict()
+        assert type(data["protocol_params"]) is dict
+        data["protocol_params"]["report"] = "max"
+        assert spec.protocol_params == {}
+        assert json.loads(spec.to_json())["scheduler_params"] == {}
 
 
 class TestStoredSha:

@@ -15,6 +15,7 @@ import pytest
 from repro.api.executor import execute_run
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec, SweepSpec
+from repro.service import serve as serve_module
 from repro.service.serve import SweepService, envelope_line, serve
 from repro.service.store import ResultStore
 from repro.service.submit import main as submit_main
@@ -156,7 +157,8 @@ class TestSweepStreaming:
         for index, cached in ((0, False), (17, True)):
             envelope = {"index": index, "cached": cached, "sha": spec.sha(),
                         "record": record.to_dict()}
-            assert envelope_line(index, record, cached) == json.dumps(envelope) + "\n"
+            line = envelope_line(index, cached, spec.sha(), record.to_json())
+            assert line == json.dumps(envelope) + "\n"
 
 
 class TestConcurrentSubmissions:
@@ -165,9 +167,9 @@ class TestConcurrentSubmissions:
         finish must not take the other's progress with it."""
         service = SweepService(None, workers=1, executor="serial")
         sweep = small_sweep()
-        first = service.stream_sweep(sweep)
-        second = service.stream_sweep(sweep)
-        events = [next(first), next(second)]
+        first = service.stream_batches(sweep)
+        second = service.stream_batches(sweep)
+        events = [*next(first), *next(second)]
         status = service.status()
         [(sha, active)] = status["active_sweeps"].items()
         assert sha == sweep.sha() and active["name"] == sweep.name
@@ -176,14 +178,62 @@ class TestConcurrentSubmissions:
         )
         assert 2 <= active["done"] < 2 * len(sweep)
         assert status["queue_depth"] == active["total"] - active["done"]
-        events += list(first)
+        events += [event for batch in first for event in batch]
         assert service.status()["active_sweeps"][sweep.sha()]["submissions"] == 1
-        events += list(second)
+        events += [event for batch in second for event in batch]
         assert len(events) == 2 * len(sweep)
         status = service.status()
         assert status["active_sweeps"] == {} and status["queue_depth"] == 0
         assert status["completed_sweeps"] == 2
         assert status["completed_runs"] == 2 * len(sweep)
+
+
+class TestRecordTexts:
+    """The service keeps the JSON texts of the records it served last."""
+
+    @staticmethod
+    def records(count: int) -> list[RunRecord]:
+        return [
+            execute_run(RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=seed,
+                                max_steps=2_000))
+            for seed in range(count)
+        ]
+
+    def test_a_served_record_is_encoded_once(self):
+        service = SweepService(None, executor="serial")
+        [record] = self.records(1)
+        text = service.record_json(record)
+        assert text == record.to_json() == json.dumps(record.to_dict())
+        assert service.record_json(record) is text
+        # Another record object of the same spec gets its own text.
+        twin = RunRecord.from_dict(record.to_dict())
+        assert service.record_json(twin) == text
+        assert service.record_json(twin) is service.record_json(twin)
+        assert service.record_json(record) is not text
+
+    def test_kept_texts_are_bounded_least_recently_served_first(self, monkeypatch):
+        monkeypatch.setattr(serve_module, "KEPT_TEXTS", 2)
+        service = SweepService(None, executor="serial")
+        first, second, third = self.records(3)
+        kept = {id(record): service.record_json(record) for record in (first, second)}
+        assert service.record_json(first) is kept[id(first)]
+        service.record_json(third)  # evicts second, the least recently served
+        assert service.record_json(first) is kept[id(first)]
+        assert service.record_json(second) is not kept[id(second)]
+
+    def test_warm_post_encodes_no_record(self, server, service, monkeypatch):
+        sweep = small_sweep()
+        cold = post_lines(server, "/sweep", sweep.to_dict())
+        encoded = []
+        to_json = RunRecord.to_json
+        monkeypatch.setattr(
+            RunRecord, "to_json", lambda self, indent=None: encoded.append(1) or to_json(self, indent)
+        )
+        warm = post_lines(server, "/sweep", sweep.to_dict())
+        assert encoded == []
+        assert sorted((e["index"], e["record"]) for e in warm) == sorted(
+            (e["index"], e["record"]) for e in cold
+        )
 
 
 class TestErrorHandling:
@@ -254,7 +304,7 @@ class TestServiceWithoutStore:
     def test_storeless_service_recomputes(self):
         service = SweepService(None, workers=1, executor="serial")
         sweep = small_sweep()
-        events = list(service.stream_sweep(sweep))
+        events = [event for batch in service.stream_batches(sweep) for event in batch]
         assert len(events) == len(sweep)
         assert all(not cached for _i, _r, cached in events)
         status = service.status()
