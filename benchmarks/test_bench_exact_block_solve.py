@@ -5,9 +5,10 @@ the transient chain's strongly connected components are small plateaus and
 :func:`repro.exact.solve.solve_transient_systems` solves for the expected
 visits ``π = e_initᵀ (I - Q)⁻¹`` block by block over them, in both
 arithmetics.  The in-repo rational baseline is the whole-matrix solve: one
-:func:`~repro.exact.solve.gaussian_solve` over the full ``(I - Q)ᵀ`` (the
+``Fraction`` Gaussian elimination over the full ``(I - Q)ᵀ`` (the
 ``whole_matrix_solve`` fixture of the root ``conftest.py``, shared with
-``tests/exact/test_solve.py``).  Checks:
+``tests/exact/test_solve.py``).  It stands in for every real solve, so a
+solve the analyses share is shared by the baseline too.  Checks:
 
 * smoke (default suite): on every system the tied circles ``k = 3`` input
   solves, the block solve returns the same ``Fraction`` visits as the

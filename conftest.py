@@ -20,9 +20,11 @@ Fixtures
 --------
 
 * ``whole_matrix_solve`` — the reference rational visit row
-  ``π = e_startᵀ (I - Q)⁻¹``: one Gaussian elimination over the whole
-  transposed matrix ``(I - Q)ᵀ``.  The unit tests check the block-triangular
-  solve against it and the block-solve bench times it as the baseline.
+  ``π = e_startᵀ (I - Q)⁻¹``: one ``Fraction`` Gaussian elimination over the
+  whole transposed matrix ``(I - Q)ᵀ``.  The unit tests check the
+  block-triangular solve against it and the block-solve bench times it as
+  the baseline.  Its elimination is its own (:func:`_fraction_gaussian_solve`),
+  so the oracle shares no code with the integer kernel it checks.
 """
 
 import sys
@@ -68,10 +70,44 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip_perf)
 
 
+def _fraction_gaussian_solve(matrix, rhs):
+    """Solve ``matrix · x = rhs`` by Gaussian elimination over ``Fraction``.
+
+    In place on copies, taking the first nonzero pivot of each column (exact
+    over ``Fraction``, so no magnitude pivoting); raises
+    ``ZeroDivisionError`` on a singular matrix.
+    """
+    size = len(matrix)
+    a = [list(row) for row in matrix]
+    x = list(rhs)
+    for pivot_row in range(size):
+        pivot = next(
+            (r for r in range(pivot_row, size) if a[r][pivot_row]), pivot_row
+        )
+        if pivot != pivot_row:
+            a[pivot_row], a[pivot] = a[pivot], a[pivot_row]
+            x[pivot_row], x[pivot] = x[pivot], x[pivot_row]
+        head = a[pivot_row][pivot_row]
+        for row in range(pivot_row + 1, size):
+            factor = a[row][pivot_row] / head
+            if not factor:
+                continue
+            row_values = a[row]
+            pivot_values = a[pivot_row]
+            for column_index in range(pivot_row, size):
+                row_values[column_index] -= factor * pivot_values[column_index]
+            x[row] -= factor * x[pivot_row]
+    for row in range(size - 1, -1, -1):
+        total = x[row]
+        row_values = a[row]
+        for column_index in range(row + 1, size):
+            total -= row_values[column_index] * x[column_index]
+        x[row] = total / row_values[row]
+    return x
+
+
 def _whole_matrix_solve(rows, transient, start, *, exact=True):
     """``solve_transient_systems`` as one rational elimination over ``(I - Q)ᵀ``."""
-    from repro.exact.solve import gaussian_solve
-
     assert exact
     local = {index: i for i, index in enumerate(transient)}
     size = len(transient)
@@ -84,7 +120,13 @@ def _whole_matrix_solve(rows, transient, start, *, exact=True):
                 matrix[local[target]][i] -= probability
     unit = [Fraction(0)] * size
     unit[local[start]] = Fraction(1)
-    return gaussian_solve(matrix, unit, exact=True)
+    return _fraction_gaussian_solve(matrix, unit)
+
+
+@pytest.fixture(scope="session")
+def fraction_gaussian_solve():
+    """The reference ``Fraction`` elimination ``whole_matrix_solve`` runs on."""
+    return _fraction_gaussian_solve
 
 
 @pytest.fixture(scope="session")

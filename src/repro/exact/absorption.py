@@ -23,9 +23,12 @@ Each analysis solves one system, for the expected visits ``π`` to every
 transient configuration from the initial one (the block-triangular solve of
 :mod:`repro.exact.solve`), and reads every quantity off it as a π-weighted
 sum: ``Σπ`` interactions, ``Σπ·change`` changed interactions, ``Σπ·Q(→c)``
-for the probability of entering class (or target) ``c``.  All quantities
-come back in the chain's arithmetic: exact ``Fraction`` in ``"exact"`` mode,
-float64 otherwise.
+for the probability of entering class (or target) ``c``.  A chain keeps the
+systems solved on it (:attr:`~repro.exact.chain.ConfigurationChain.solved_visits`),
+so a hitting analysis whose system is the absorption analysis's transient
+set — a criterion that holds exactly on the stable classes — pays no second
+solve.  All quantities come back in the chain's arithmetic: exact
+``Fraction`` in ``"exact"`` mode, float64 otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +59,33 @@ def closed_classes(rows: Sequence[dict[int, Number]]) -> list[list[int]]:
             closed.append(component)
     closed.sort(key=lambda component: component[0])
     return closed
+
+
+def _solved_visits(
+    chain: ConfigurationChain, system: list[int]
+) -> tuple[list[Number], Number, Number]:
+    """``(π, Σπ, Σπ·change)`` over ``system`` from the initial configuration.
+
+    Solved once per chain and system: the result is kept in the chain's
+    :attr:`~repro.exact.chain.ConfigurationChain.solved_visits` (a chain-like
+    object without that dict solves every time).  The sums skip zero
+    visits, in ``system`` order, so they are the same floats whichever
+    analysis asks first.
+    """
+    start = chain.initial_index
+    key = (tuple(system), start)
+    memo = getattr(chain, "solved_visits", {})
+    solved = memo.get(key)
+    if solved is None:
+        exact = chain.arithmetic == "exact"
+        expected = expected_changed = Fraction(0) if exact else 0.0
+        visits = solve_transient_systems(chain.rows, system, start, exact=exact)
+        for index, visit in zip(system, visits):
+            if visit:
+                expected += visit
+                expected_changed += visit * chain.change_probability[index]
+        solved = memo[key] = (visits, expected, expected_changed)
+    return solved
 
 
 @dataclass(frozen=True)
@@ -121,14 +151,11 @@ def analyze_absorption(chain: ConfigurationChain) -> AbsorptionAnalysis:
             expected_interactions=zero,
             expected_changed_interactions=zero,
         )
-    visits = solve_transient_systems(chain.rows, transient, initial, exact=exact)
-    expected = expected_changed = zero
+    visits, expected, expected_changed = _solved_visits(chain, transient)
     probabilities = [zero] * len(classes)
     for index, visit in zip(transient, visits):
         if not visit:
             continue
-        expected += visit
-        expected_changed += visit * chain.change_probability[index]
         for target, probability in chain.rows[index].items():
             class_index = in_class.get(target)
             if class_index is not None:
@@ -265,15 +292,8 @@ def hitting_analysis(
             expected_changed_interactions=None,
         )
     system = sorted(can_reach)
-    visits = solve_transient_systems(
-        chain.rows, system, chain.initial_index, exact=exact
-    )
-    reached = [(index, visit) for index, visit in zip(system, visits) if visit]
+    visits, expected, expected_changed = _solved_visits(chain, system)
     if almost_sure:
-        expected = expected_changed = zero
-        for index, visit in reached:
-            expected += visit
-            expected_changed += visit * chain.change_probability[index]
         return HittingAnalysis(
             target=target,
             almost_sure=True,
@@ -282,7 +302,9 @@ def hitting_analysis(
             expected_changed_interactions=expected_changed,
         )
     probability = zero
-    for index, visit in reached:
+    for index, visit in zip(system, visits):
+        if not visit:
+            continue
         for successor, q in chain.rows[index].items():
             if successor in target_set:
                 probability += visit * q

@@ -21,8 +21,9 @@ sight and memoizes ``δ`` per code pair through ``protocol.transition``.
 Either way the one BFS expands present codes in ``repr`` order of their
 states, so discovery order and rows do not depend on the path taken, and
 each successor costs four integer updates on a list.  Multisets are decoded
-only at the API edge: :meth:`~ConfigurationChain.configuration`, class
-lifting, and the ``frozenset`` views ``keys`` / ``index``.
+only at the API edge: :meth:`~ConfigurationChain.configuration` /
+:meth:`~ConfigurationChain.decode` and the ``frozenset`` views ``keys`` /
+``index``; class lifting and ranking stay on count tuples.
 
 Probabilities are either exact rationals (``fractions.Fraction``,
 ``arithmetic="exact"``) or float64 (``arithmetic="float"``, the default — it
@@ -40,6 +41,7 @@ from bisect import insort
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Generic, TypeVar
 
 from repro.compile import CompiledProtocol, StateSpaceCapExceeded, compile_from_states
@@ -76,21 +78,6 @@ def expand_multiset(configuration: Multiset[State]) -> list[State]:
     for state in sorted(configuration.support(), key=repr):
         states.extend([state] * configuration.count(state))
     return states
-
-
-def configuration_rank(
-    configuration: Multiset[State],
-) -> tuple[tuple[str, int], ...]:
-    """A deterministic total order on configurations: sorted (repr, count) pairs.
-
-    The same repr convention as :func:`expand_multiset`.  Exact reports sort
-    stable classes by this rank (not by BFS discovery index, which a
-    quotiented chain cannot reproduce), so class numbering agrees between
-    quotiented and unquotiented analyses of the same input.
-    """
-    return tuple(
-        sorted((repr(state), count) for state, count in configuration.items())
-    )
 
 
 def _validate_arithmetic(arithmetic: str) -> str:
@@ -130,6 +117,11 @@ class ConfigurationChain(Generic[State]):
             states δ returns, regardless of whether the multiset moves).
         compiled: the compiled δ-tables the codes come from, or ``None``
             when the closure exceeded the compile cap (or ``compiled=False``).
+        solved_visits: the linear systems solved on this chain by
+            :mod:`repro.exact.absorption`, keyed by ``(system indices, start)``:
+            the expected visits ``π`` and their expected-interaction sums.
+            Each system is solved once per chain, and the results live and
+            die with it.
     """
 
     initial_index = 0
@@ -171,6 +163,10 @@ class ConfigurationChain(Generic[State]):
         self._lookup: dict[Counts, int] = {}
         self.rows: list[dict[int, Fraction | float]] = []
         self.change_probability: list[Fraction | float] = []
+        self.solved_visits: dict[
+            tuple[tuple[int, ...], int],
+            tuple[list[Fraction | float], Fraction | float, Fraction | float],
+        ] = {}
         self._prepare(initial_counts)
         self._explore(initial_counts, max_configurations)
 
@@ -339,6 +335,21 @@ class ConfigurationChain(Generic[State]):
         return self.decode(self.counts[index])
 
     @cached_property
+    def state_reprs(self) -> list[str]:
+        """code -> ``repr`` of its state, computed once per chain."""
+        return [repr(state) for state in self.states]
+
+    def rank(self, counts: Counts) -> tuple[tuple[str, int], ...]:
+        """A deterministic total order on configurations: sorted ``(repr, count)`` pairs.
+
+        The same repr convention as :func:`expand_multiset`.  Exact reports
+        sort stable classes by this rank (not by BFS discovery index, which a
+        quotiented chain cannot reproduce), so class numbering agrees between
+        quotiented and unquotiented analyses of the same input.
+        """
+        return tuple(sorted(zip(compress(self.state_reprs, counts), filter(None, counts))))
+
+    @cached_property
     def keys(self) -> list[frozenset]:
         """index -> frozen ``(state, count)`` pairs, decoded on first use."""
         return [self.decode(counts).frozen() for counts in self.counts]
@@ -351,7 +362,7 @@ class ConfigurationChain(Generic[State]):
     def successors(self, counts: Counts) -> set[Counts]:
         """Every configuration one changing interaction leads to from ``counts``.
 
-        The source transition relation :meth:`QuotientChain.lift_classes`
+        The source transition relation :meth:`QuotientChain.lift_class_counts`
         walks; swaps and other changes that keep the multiset map back to
         ``counts`` itself.
         """
@@ -373,20 +384,17 @@ class ConfigurationChain(Generic[State]):
         """How many source configurations a set of chain indices stands for."""
         return sum(1 for _ in indices)
 
-    def lift_classes(self, members: list[int]) -> list[list[Multiset[State]]]:
-        """The source-chain closed classes one chain class stands for.
+    def lift_class_counts(self, members: list[int]) -> list[list[Counts]]:
+        """The source-chain closed classes one chain class stands for, as count tuples.
 
         The base chain is its own source chain, so a closed class lifts to
         itself: a single class.  The quotient chain expands a class of orbit
         representatives back into the unquotiented closed classes covering
-        it.  Members come back in canonical rank order
-        (:func:`configuration_rank`) on every chain, so class summaries —
-        example configuration included — are identical whether or not the
-        chain was quotiented.
+        it.  Members come back in canonical rank order (:meth:`rank`) on
+        every chain, so class summaries — example configuration included —
+        are identical whether or not the chain was quotiented.
         """
-        return [
-            sorted((self.configuration(member) for member in members), key=configuration_rank)
-        ]
+        return [sorted((self.counts[member] for member in members), key=self.rank)]
 
     def states_of(self, index: int) -> list[State]:
         """The configuration at ``index`` expanded to a deterministic state list."""

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 from typing import ClassVar, TypeVar
 
 from repro.core.greedy_sets import has_unique_majority, predicted_majority
@@ -51,7 +53,7 @@ from repro.exact.absorption import (
 from repro.exact.chain import (
     DEFAULT_MAX_CONFIGURATIONS,
     ConfigurationChain,
-    configuration_rank,
+    Counts,
     expand_multiset,
 )
 from repro.exact.quotient import QuotientChain
@@ -272,7 +274,7 @@ class ExactMarkovEngine(SimulationEngine[State]):
         self.distribution_result = self._build_result(
             chain, absorption, hitting, criterion, lifted
         )
-        self._final = self._modal_outcome(lifted)
+        self._final = self._modal_outcome(chain, lifted)
         if hitting is not None:
             converged = hitting.almost_sure
             if converged:
@@ -293,7 +295,7 @@ class ExactMarkovEngine(SimulationEngine[State]):
 
     def _lifted_classes(
         self, chain: ConfigurationChain[State], absorption: AbsorptionAnalysis
-    ) -> list[tuple[Fraction | float, list[Multiset[State]]]]:
+    ) -> list[tuple[Fraction | float, list[Counts]]]:
         """``(probability, configurations)`` per *source-chain* stable class.
 
         On a quotiented chain each closed class stands for an orbit of
@@ -303,27 +305,30 @@ class ExactMarkovEngine(SimulationEngine[State]):
         Classes come back in canonical rank order of their smallest member —
         an order both chains can produce (BFS discovery order cannot survive
         the quotient), so quotiented and unquotiented reports are identical
-        class for class, modal tie-breaks included.
+        class for class, modal tie-breaks included.  Configurations stay
+        count tuples; only the modal outcome is decoded.
         """
-        lifted: list[tuple[Fraction | float, list[Multiset[State]]]] = []
+        lifted: list[tuple[Fraction | float, list[Counts]]] = []
         for class_index, members in enumerate(absorption.classes):
             probability = absorption.class_probabilities[class_index]
-            source_classes = chain.lift_classes(members)
+            source_classes = chain.lift_class_counts(members)
             share = probability / len(source_classes)
             for configurations in source_classes:
                 lifted.append((share, configurations))
-        lifted.sort(key=lambda entry: configuration_rank(entry[1][0]))
+        lifted.sort(key=lambda entry: chain.rank(entry[1][0]))
         return lifted
 
     def _modal_outcome(
-        self, lifted: list[tuple[Fraction | float, list[Multiset[State]]]]
+        self,
+        chain: ConfigurationChain[State],
+        lifted: list[tuple[Fraction | float, list[Counts]]],
     ) -> Multiset[State]:
         """A representative configuration of the most probable stable class."""
         best = max(
             range(len(lifted)),
             key=lambda i: (lifted[i][0], -i),
         )
-        return lifted[best][1][0].copy()
+        return chain.decode(lifted[best][1][0])
 
     def _build_result(
         self,
@@ -331,7 +336,7 @@ class ExactMarkovEngine(SimulationEngine[State]):
         absorption: AbsorptionAnalysis,
         hitting: HittingAnalysis | None,
         criterion: ConvergenceCriterion[State] | None,
-        lifted: list[tuple[Fraction | float, list[Multiset[State]]]],
+        lifted: list[tuple[Fraction | float, list[Counts]]],
     ) -> DistributionResult:
         protocol = self.protocol
         colors = self._input_colors()
@@ -342,18 +347,17 @@ class ExactMarkovEngine(SimulationEngine[State]):
         )
         classes: list[StableClassSummary] = []
         correctness: Fraction | float | None = None
+        reprs = chain.state_reprs
+        outputs = [protocol.output(state) for state in chain.states]
         for class_index, (probability, configurations) in enumerate(lifted):
-            unanimous = self._unanimous_output(configurations)
+            unanimous = _unanimous_output(outputs, configurations)
             correct = None if majority is None else unanimous == majority
             if correct:
                 correctness = probability if correctness is None else correctness + probability
-            example_config = configurations[0]
-            example = [
-                [repr(state), count]
-                for state, count in sorted(
-                    example_config.items(), key=lambda item: repr(item[0])
-                )
-            ]
+            counts = configurations[0]
+            example = sorted(
+                map(list, zip(compress(reprs, counts), filter(None, counts))), key=itemgetter(0)
+            )
             classes.append(
                 StableClassSummary(
                     index=class_index,
@@ -404,21 +408,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
             classes=classes,
         )
 
-    def _unanimous_output(
-        self, configurations: list[Multiset[State]]
-    ) -> int | None:
-        """The single output color all agents report across a whole class."""
-        common: int | None = None
-        output = self.protocol.output
-        for configuration in configurations:
-            for state in configuration.support():
-                color = output(state)
-                if common is None:
-                    common = color
-                elif color != common:
-                    return None
-        return common
-
     def _input_colors(self) -> list[int] | None:
         """Recover input colors when the initial states are initial states.
 
@@ -436,3 +425,20 @@ class ExactMarkovEngine(SimulationEngine[State]):
                 return None
             colors.extend([color] * count)
         return colors
+
+
+def _unanimous_output(outputs: list[int], configurations: list[Counts]) -> int | None:
+    """The single output color all agents report across a whole class.
+
+    ``outputs`` maps each state code to its state's output color.
+    """
+    common: int | None = None
+    for counts in configurations:
+        for code, count in enumerate(counts):
+            if count:
+                color = outputs[code]
+                if common is None:
+                    common = color
+                elif color != common:
+                    return None
+    return common

@@ -29,7 +29,7 @@ back to unquotiented semantics:
   lumping alone;
 * a quotient closed class stands for an orbit of unquotiented closed
   classes, each absorbed into with probability ``p̂ / r`` (``r`` classes in
-  the orbit) — :meth:`lift_classes` reconstructs them explicitly;
+  the orbit) — :meth:`lift_class_counts` reconstructs them explicitly;
 * the exact distribution over *source* configurations after ``t``
   interactions puts mass ``m/|orbit|`` on every member of an orbit carrying
   lumped mass ``m`` (:meth:`output_distribution_after` applies this lift).
@@ -62,11 +62,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import TYPE_CHECKING, Generic, TypeVar
 
-from repro.exact.chain import ConfigurationChain, Counts, configuration_rank
-from repro.utils.multiset import Multiset
+from repro.exact.chain import ConfigurationChain, Counts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoided at runtime
     from repro.verify.symmetry import SymmetryCertificate
@@ -83,7 +83,7 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
     (:func:`repro.exact.absorption.analyze_absorption`,
     :func:`repro.exact.absorption.hitting_analysis`) runs on it unchanged.
     The lifting surface (:attr:`num_source_configurations`,
-    :meth:`source_count`, :meth:`lift_classes`,
+    :meth:`source_count`, :meth:`lift_class_counts`,
     :meth:`output_distribution_after`) restores unquotiented semantics.
 
     Extra attributes:
@@ -170,20 +170,26 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
         counts = self.counts[index]
         return {counts, *(apply(counts) for apply in self._stabilizer)}
 
+    @cached_property
+    def _orbit_sizes(self) -> list[int]:
+        """index -> orbit size, computed once per chain on first use."""
+        return [len(self.orbit_keys(index)) for index in range(len(self.counts))]
+
     def orbit_size(self, index: int) -> int:
         """How many source configurations a representative stands for."""
-        return len(self.orbit_keys(index))
+        return self._orbit_sizes[index]
 
     # -- lifting ---------------------------------------------------------------
 
     @property
     def num_source_configurations(self) -> int:
-        return sum(self.orbit_size(index) for index in range(len(self.counts)))
+        return sum(self._orbit_sizes)
 
     def source_count(self, indices: Iterable[int]) -> int:
-        return sum(self.orbit_size(index) for index in indices)
+        sizes = self._orbit_sizes
+        return sum(sizes[index] for index in indices)
 
-    def lift_classes(self, members: list[int]) -> list[list[Multiset[State]]]:
+    def lift_class_counts(self, members: list[int]) -> list[list[Counts]]:
         """Expand one quotient closed class into the source classes it covers.
 
         The preimage of a quotient closed class is a stabilizer-orbit of
@@ -198,11 +204,11 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
         preimage, so the base chain's lift applies as is.
         """
         if not self._stabilizer:
-            return super().lift_classes(members)
+            return super().lift_class_counts(members)
         pending: set[Counts] = set()
         for member in members:
             pending.update(self.orbit_keys(member))
-        classes: list[list[Multiset[State]]] = []
+        classes: list[list[Counts]] = []
         while pending:
             seed = min(pending)
             component = {seed}
@@ -215,14 +221,12 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
             missing = component - pending
             if missing:  # pragma: no cover - guards lift misuse on non-closed input
                 raise ValueError(
-                    "lift_classes was given indices that do not form a closed class: "
+                    "lift_class_counts was given indices that do not form a closed class: "
                     f"{len(missing)} reachable configurations fall outside the preimage"
                 )
             pending -= component
-            classes.append(
-                sorted((self.decode(counts) for counts in component), key=configuration_rank)
-            )
-        classes.sort(key=lambda conf_class: configuration_rank(conf_class[0]))
+            classes.append(sorted(component, key=self.rank))
+        classes.sort(key=lambda conf_class: self.rank(conf_class[0]))
         return classes
 
     def output_distribution_after(

@@ -25,12 +25,13 @@ Two block kernels:
 * a **singleton** is one division by ``1 - q_ii``, in either arithmetic;
 * a **larger block** goes through ``numpy.linalg.solve`` in float mode when
   numpy is importable, and through :func:`gaussian_solve` otherwise — always
-  in rational mode (``fractions.Fraction`` values stay ``Fraction``
-  throughout, so golden results are exact).  Float elimination pivots on
-  the max-magnitude column entry (partial pivoting — near-singular blocks
-  amplify roundoff under naive pivoting); rational elimination takes the
-  first nonzero pivot, which is exact and skips ``Fraction`` magnitude
-  comparisons.
+  in rational mode.  Float elimination pivots on the max-magnitude column
+  entry (partial pivoting — near-singular blocks amplify roundoff under
+  naive pivoting).  Rational elimination is fraction-free (Bareiss): the
+  block is scaled to integers, eliminated with exact integer divisions on
+  the first nonzero pivot, and turned back into one ``Fraction`` per
+  unknown, so golden results are exact without a ``Fraction`` per
+  arithmetic step.
 
 One cap: the solve refuses, with :class:`SolveTooLarge`, any system whose
 largest component exceeds :data:`NUMPY_MAX_COMPONENT` (float mode with
@@ -46,14 +47,18 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
 
 #: The largest component a float solve takes on with numpy: one LAPACK
 #: factorization of a block this size runs in a fraction of a second.
 NUMPY_MAX_COMPONENT = 1500
 
 #: The largest component an interpreted elimination takes on — rational
-#: mode, or float mode without numpy.  The cost is cubic in the block (a
-#: 496-state float block already takes seconds).
+#: mode, or float mode without numpy.  The cost grows at least cubically in
+#: the block: on a 2-vCPU Xeon VM (Python 3.11), a dense 300-state chain
+#: block took 16 s in integer elimination (0.7 s at 150 states, 0.13 s at
+#: 100, where ``Fraction`` elimination took 1.1 s), and a 496-state float
+#: block about 1 s.
 PURE_PYTHON_MAX_COMPONENT = 300
 
 
@@ -80,28 +85,34 @@ def gaussian_solve(
 ) -> list[Fraction | float]:
     """Solve ``matrix · x = rhs``.
 
-    Plain Gaussian elimination, in place on copies.  Pivot selection is
-    mode-dependent: float mode (``exact=False``) takes the max-magnitude
-    entry of the column — partial pivoting, which keeps near-singular
-    transient blocks from amplifying roundoff; rational mode takes the first
-    nonzero entry, which is exact over ``Fraction`` and skips the magnitude
-    comparisons (``abs`` on ``Fraction`` allocates).
+    Float mode (``exact=False``): Gaussian elimination in place on copies,
+    pivoting on the max-magnitude entry of each column — partial pivoting,
+    which keeps near-singular transient blocks from amplifying roundoff.
+
+    Rational mode (``exact=True``): fraction-free elimination on integers
+    (Bareiss 1968).  The matrix is scaled by the lcm of its entry
+    denominators (on chain rows they all divide ``n(n-1)``) and the
+    right-hand side by the lcm of its own; each column takes the first
+    nonzero pivot, swapping rows when needed, and every update
+    ``(head·a_ij - a_ik·a_kj) / previous head`` divides exactly (Sylvester's
+    identity), so every entry stays an integer: a minor of the scaled block.
+    Back-substitution runs on the solution scaled by the determinant (an
+    integer vector, by Cramer's rule), and one ``Fraction`` per unknown is
+    built at the end.  The result equals rational Gaussian elimination's,
+    without a gcd per arithmetic step.
 
     Raises:
         ZeroDivisionError: when the matrix is singular (callers prevent this
             structurally: every transient configuration leaves the transient
             set with positive probability).
     """
+    if exact:
+        return _bareiss_solve(matrix, rhs)  # type: ignore[arg-type]  # no floats in rational mode
     size = len(matrix)
     a = [list(row) for row in matrix]
     x = list(rhs)
     for pivot_row in range(size):
-        if exact:
-            pivot = next(
-                (r for r in range(pivot_row, size) if a[r][pivot_row]), pivot_row
-            )
-        else:
-            pivot = max(range(pivot_row, size), key=lambda r: abs(a[r][pivot_row]))
+        pivot = max(range(pivot_row, size), key=lambda r: abs(a[r][pivot_row]))
         if pivot != pivot_row:
             a[pivot_row], a[pivot] = a[pivot], a[pivot_row]
             x[pivot_row], x[pivot] = x[pivot], x[pivot_row]
@@ -122,6 +133,52 @@ def gaussian_solve(
             total -= row_values[column_index] * x[column_index]
         x[row] = total / row_values[row]
     return x
+
+
+def _bareiss_solve(
+    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+) -> list[Fraction | float]:
+    """The rational branch of :func:`gaussian_solve`: fraction-free elimination."""
+    size = len(matrix)
+    scale = lcm(*(value.denominator for row in matrix for value in row))
+    rhs_scale = lcm(*(value.denominator for value in rhs))
+    # Augmented rows: the scaled right-hand side is column ``size``.
+    a = [
+        [value.numerator * (scale // value.denominator) for value in row]
+        + [value.numerator * (rhs_scale // value.denominator)]
+        for row, value in zip(matrix, rhs)
+    ]
+    previous = 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if a[r][k]), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+        head = a[k][k]
+        top = a[k][k + 1 :]
+        for row in a[k + 1 :]:
+            factor = row[k]
+            if factor:
+                row[k + 1 :] = [
+                    (head * value - factor * above) // previous
+                    for value, above in zip(row[k + 1 :], top)
+                ]
+            else:
+                row[k + 1 :] = [head * value // previous for value in row[k + 1 :]]
+        previous = head
+    # ``previous`` is now the determinant of the row-swapped scaled matrix;
+    # ``scaled[i]`` is the determinant times unknown i, an integer.
+    determinant = previous
+    scaled = [0] * size
+    for i in range(size - 1, -1, -1):
+        row = a[i]
+        total = determinant * row[size]
+        for j in range(i + 1, size):
+            total -= row[j] * scaled[j]
+        scaled[i] = total // row[i]
+    denominator = rhs_scale * determinant
+    return [Fraction(scale * value, denominator) for value in scaled]
 
 
 def rational_rref(

@@ -1,6 +1,7 @@
 """Unit tests for SCCs, absorption and hitting analyses, and the solvers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from repro.exact import (
     hitting_analysis,
     strongly_connected_components,
 )
+import repro.exact.absorption as absorption_module
 from repro.exact import solve as solve_module
 from repro.exact.solve import gaussian_solve, solve_transient_systems
 from repro.protocols.approximate_majority import ApproximateMajorityProtocol
@@ -203,3 +205,68 @@ class TestHitting:
         )
         assert analysis.probability == 0
         assert analysis.expected_interactions is None
+
+
+class TestSharedSolves:
+    """A chain solves each system once; sharing never changes an analysis."""
+
+    CASES = [
+        (CirclesProtocol(2), (0, 0, 0, 1, 1)),
+        (CirclesProtocol(3), (0, 1, 1, 2, 2)),
+        (ApproximateMajorityProtocol(2), (0, 0, 0, 1, 1)),
+    ]
+
+    @staticmethod
+    def _targets(protocol, chain):
+        criterion = StableCircles() if isinstance(protocol, CirclesProtocol) else OutputConsensus()
+        stable = {
+            index
+            for index in range(chain.num_configurations)
+            if criterion.is_converged_configuration(protocol, chain.configuration(index))
+        }
+        rng = random.Random(chain.num_configurations)
+        drawn = [
+            {index for index in range(1, chain.num_configurations) if rng.random() < 0.3}
+            for _ in range(6)
+        ]
+        return [stable, *drawn]
+
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_either_order_equals_fresh_chains(self, case, arithmetic):
+        protocol, colors = self.CASES[case]
+
+        def chain():
+            return ConfigurationChain.from_colors(protocol, colors, arithmetic=arithmetic)
+
+        reference = chain()
+        absorption = analyze_absorption(reference)
+        for target in self._targets(protocol, reference):
+            fresh_hit = hitting_analysis(chain(), target.__contains__)
+            shared = chain()
+            assert analyze_absorption(shared) == absorption
+            assert hitting_analysis(shared, target.__contains__) == fresh_hit
+            reversed_order = chain()
+            assert hitting_analysis(reversed_order, target.__contains__) == fresh_hit
+            assert analyze_absorption(reversed_order) == absorption
+            assert len(shared.solved_visits) <= 2
+
+    def test_matching_systems_share_one_solve(self, monkeypatch):
+        protocol, colors = self.CASES[0]
+        chain = ConfigurationChain.from_colors(protocol, colors, arithmetic="exact")
+        stable = self._targets(protocol, chain)[0]
+        solves = []
+        solve = absorption_module.solve_transient_systems
+
+        def counting(rows, system, start, **kwargs):
+            solves.append(tuple(system))
+            return solve(rows, system, start, **kwargs)
+
+        monkeypatch.setattr(absorption_module, "solve_transient_systems", counting)
+        absorbed = analyze_absorption(chain)
+        hit = hitting_analysis(chain, stable.__contains__)
+        assert solves == [tuple(absorbed.transient)]
+        assert hit.expected_interactions == absorbed.expected_interactions
+        other = {index for index in range(1, chain.num_configurations) if index % 2}
+        hitting_analysis(chain, other.__contains__)
+        assert len(solves) == len(chain.solved_visits) == 2

@@ -144,9 +144,9 @@ def test_quotient_equals_the_plain_chain_after_lifting(name, k, colors):
             assert plain.change_probability[source] == quotient.change_probability[index]
     # Lifting the quotient's closed classes gives back the plain closed classes.
     lifted = {
-        frozenset(configuration.frozen() for configuration in source_class)
+        frozenset(quotient.decode(counts).frozen() for counts in source_class)
         for members in closed_classes(quotient.rows)
-        for source_class in quotient.lift_classes(members)
+        for source_class in quotient.lift_class_counts(members)
     }
     assert lifted == {
         frozenset(plain.keys[member] for member in members)

@@ -10,7 +10,9 @@ from repro.api.executor import execute_run
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec
 from repro.core.circles import CirclesProtocol
+import repro.exact.absorption as absorption
 from repro.exact import DistributionResult, ExactMarkovEngine
+from repro.exact.golden import case_criterion
 from repro.protocols.approximate_majority import ApproximateMajorityProtocol
 from repro.simulation import get_engine
 from repro.simulation.convergence import StableCircles
@@ -95,6 +97,59 @@ class TestEngineSurface:
     def test_too_small_population_rejected(self):
         with pytest.raises(ValueError, match="two agents"):
             ExactMarkovEngine.from_colors(CirclesProtocol(2), (0,))
+
+
+class _Forgetful(dict):
+    """A ``solved_visits`` memo that never keeps anything: every analysis solves."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestSharedSolve:
+    """A hitting analysis over the absorption analysis's system reuses its solve."""
+
+    @staticmethod
+    def _run(monkeypatch, colors, *, share=True):
+        solves = []
+
+        def counting(rows, system, start, **kwargs):
+            solves.append(len(system))
+            return solve(rows, system, start, **kwargs)
+
+        solve = absorption.solve_transient_systems
+        monkeypatch.setattr(absorption, "solve_transient_systems", counting)
+        k = max(colors) + 1
+        engine = ExactMarkovEngine.from_colors(CirclesProtocol(k), colors, arithmetic="exact")
+        if not share:
+            engine.chain.solved_visits = _Forgetful()
+        engine.run(0, criterion=case_criterion("circles"))
+        monkeypatch.setattr(absorption, "solve_transient_systems", solve)
+        return solves, engine.distribution_result.to_dict()
+
+    def test_golden_case_solves_once(self, monkeypatch):
+        colors = (0, 0, 0, 1, 1)
+        solves, result = self._run(monkeypatch, colors)
+        assert solves == [10]
+        unshared, unshared_result = self._run(monkeypatch, colors, share=False)
+        assert unshared == [10, 10]
+        assert result == unshared_result
+
+    def test_tied_case_stays_at_one_solve(self, monkeypatch):
+        colors = (0, 0, 1, 1, 2, 2)
+        solves, result = self._run(monkeypatch, colors)
+        assert solves == [156]
+        assert result == self._run(monkeypatch, colors, share=False)[1]
+        assert result["expected_interactions_exact"] == "335/14"
+        assert (result["num_configurations"], result["num_orbits"]) == (560, 192)
+
+    def test_memo_lives_on_the_chain(self):
+        engine = ExactMarkovEngine.from_colors(CirclesProtocol(2), (0, 0, 0, 1, 1))
+        engine.run(0, criterion=StableCircles())
+        [(system, start)] = engine.chain.solved_visits
+        assert start == engine.chain.initial_index and len(system) == 10
+        other = ExactMarkovEngine.from_colors(CirclesProtocol(2), (0, 0, 0, 1, 1))
+        assert other.chain.solved_visits == {}
 
 
 class TestRunnerIntegration:

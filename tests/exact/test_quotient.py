@@ -35,7 +35,7 @@ MATRIX_CAP = 500
 
 
 class TestSuccessors:
-    """The source transition relation :meth:`QuotientChain.lift_classes` walks."""
+    """The source transition relation :meth:`QuotientChain.lift_class_counts` walks."""
 
     def test_two_diagonals_have_one_successor(self):
         chain = ConfigurationChain.from_colors(CirclesProtocol(2), (0, 1))
@@ -331,7 +331,7 @@ class TestAbsorptionLift:
         ]
         lifted = []
         for index in quotient_absorbing:
-            lifted.extend(chain.lift_classes([index]))
+            lifted.extend(chain.lift_class_counts([index]))
         source_absorbing = {
             plain.keys[index]
             for index, row in enumerate(plain.rows)

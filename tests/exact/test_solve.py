@@ -68,6 +68,69 @@ class TestGaussianPivoting:
             gaussian_solve(matrix, [1.0, 2.0])
 
 
+def _random_rational_system(rng, size, reference):
+    """A random nonsingular rational system: ``(matrix, rhs, reference solution)``.
+
+    Entries are signed, with unrelated denominators and about a third zeros;
+    every other system has a zero leading pivot, and a zero diagonal entry
+    further down, so elimination must swap rows.  Singular draws (on which
+    ``reference`` raises) are redrawn.
+    """
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 60))
+
+    while True:
+        matrix = [[entry() for _ in range(size)] for _ in range(size)]
+        if rng.random() < 0.5:
+            matrix[0][0] = Fraction(0)
+            if size > 2:
+                matrix[size // 2][size // 2] = Fraction(0)
+        rhs = [entry() for _ in range(size)]
+        try:
+            return matrix, rhs, reference(matrix, rhs)
+        except ZeroDivisionError:
+            continue
+
+
+class TestIntegerElimination:
+    """Rational ``gaussian_solve`` (integer elimination) against the ``Fraction`` reference."""
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_equals_the_fraction_elimination(self, size, fraction_gaussian_solve):
+        for seed in range(8):
+            rng = random.Random(size * 100 + seed)
+            matrix, rhs, expected = _random_rational_system(rng, size, fraction_gaussian_solve)
+            solution = gaussian_solve(matrix, rhs, exact=True)
+            assert solution == expected
+            assert all(isinstance(value, Fraction) for value in solution)
+
+    def test_random_systems_force_row_swaps(self, fraction_gaussian_solve):
+        swaps = 0
+        for size in range(2, 13):
+            for seed in range(8):
+                rng = random.Random(size * 100 + seed)
+                matrix, _, _ = _random_rational_system(rng, size, fraction_gaussian_solve)
+                swaps += not matrix[0][0]
+        assert swaps >= 20
+
+    def test_integer_entries_and_zero_right_hand_side(self):
+        matrix = [[0, 3, -1], [2, 0, 0], [1, 1, 1]]
+        assert gaussian_solve(matrix, [0, 0, 0], exact=True) == [0, 0, 0]
+        assert gaussian_solve(matrix, [1, 2, 3], exact=True) == [
+            Fraction(1),
+            Fraction(3, 4),
+            Fraction(5, 4),
+        ]
+
+    def test_singular_matrix_raises(self):
+        matrix = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
+        with pytest.raises(ZeroDivisionError):
+            gaussian_solve(matrix, [Fraction(1), Fraction(2)], exact=True)
+
+
 #: A three-state absorbing chain with known visits: from state 0 the chain
 #: spends 2 steps in state 0 and 1 in state 1 before absorption (state 2),
 #: so the expected hitting time is exactly 3.0; from state 1 it spends 2
