@@ -50,9 +50,9 @@ class CountingExecutor:
     def __init__(self) -> None:
         self.executed = 0
 
-    def map(self, specs):
-        self.executed += len(specs)
-        return SerialExecutor().map(specs)
+    def map_groups(self, groups):
+        self.executed += sum(len(group) for group in groups)
+        return SerialExecutor().map_groups(groups)
 
 
 def main() -> None:
@@ -78,25 +78,28 @@ def main() -> None:
         crash_sweep = SweepSpec(**{**sweep.to_dict(), "name": "crashy", "seed": 77})
 
         class DieAfter:
-            def __init__(self, survive):
-                self.survive, self.calls = survive, 0
+            """Crashes after ``survive`` checkpointed units (replicate groups)."""
 
-            def map(self, specs):
+            def __init__(self, survive):
+                self.survive, self.calls, self.runs = survive, 0, 0
+
+            def map_groups(self, groups):
                 if self.calls >= self.survive:
                     raise KeyboardInterrupt("simulated kill")
                 self.calls += 1
-                return SerialExecutor().map(specs)
+                self.runs += sum(len(group) for group in groups)
+                return SerialExecutor().map_groups(groups)
 
+        crashing = DieAfter(2)
         try:
-            SweepRunner(store=ResultStore(root), executor=DieAfter(2),
-                        chunk_size=1).run(crash_sweep)
+            SweepRunner(store=ResultStore(root), executor=crashing).run(crash_sweep)
         except KeyboardInterrupt:
             pass
         resumed_store = ResultStore(root)
         counting = CountingExecutor()
         SweepRunner(store=resumed_store, executor=counting).run(crash_sweep)
-        print(f"resume     : crash after 2 runs; restart simulated only "
-              f"{counting.executed} of {len(crash_sweep)}")
+        print(f"resume     : crash after {crashing.runs} runs; restart "
+              f"simulated only {counting.executed} of {len(crash_sweep)}")
 
         # --- 4. the same thing over HTTP --------------------------------------
         service = SweepService(ResultStore(root), executor="serial")

@@ -26,14 +26,15 @@ function of a *list* of specs that are identical up to the run seed (a
 ``trials > 1``).  It routes the whole group through the vector engine's
 lockstep driver (:mod:`repro.simulation.vector_engine`) and assembles the
 same :class:`RunRecord` per row that :func:`execute_run` would have
-produced — bit-identical seeds, bit-identical trajectories — so the sweep
-runner can swap it in transparently whenever a group is eligible.
+produced — bit-identical seeds, bit-identical trajectories.  It is the one
+execution unit of every executor's ``map_groups``: a group of one, or specs
+the lockstep driver cannot reproduce, run through :func:`execute_run`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 from repro.api import aggregate as _aggregate
 from repro.api.records import RunRecord, SweepResult
@@ -463,22 +464,20 @@ def execute_replicate_group(specs: Sequence[RunSpec]) -> list[RunRecord]:
 
 
 class SerialExecutor:
-    """Run every spec in the calling process, in order."""
-
-    def map(self, specs: Sequence[RunSpec]) -> list[RunRecord]:
-        return [execute_run(spec) for spec in specs]
+    """Run every unit in the calling process, in order."""
 
     def map_groups(self, groups: Sequence[Sequence[RunSpec]]) -> list[list[RunRecord]]:
-        """Execute replicate groups in order (see :func:`execute_replicate_group`)."""
+        """Execute units in order (see :func:`execute_replicate_group`)."""
         return [execute_replicate_group(group) for group in groups]
 
 
 class MultiprocessingExecutor:
-    """Fan specs out over a ``multiprocessing`` pool.
+    """Fan units out over a ``multiprocessing`` pool, one task per unit.
 
-    Records come back in spec order (``Pool.map`` preserves ordering), and
-    because :func:`execute_run` derives all randomness from the spec, the
-    result is record-for-record identical to :class:`SerialExecutor`.
+    Records come back in unit order (``Pool.map`` preserves ordering), and
+    because :func:`execute_replicate_group` derives all randomness from the
+    specs, the result is record-for-record identical to
+    :class:`SerialExecutor`.
     """
 
     def __init__(self, workers: int) -> None:
@@ -486,15 +485,7 @@ class MultiprocessingExecutor:
             raise ValueError("workers must be at least 1")
         self.workers = workers
 
-    def map(self, specs: Sequence[RunSpec]) -> list[RunRecord]:
-        if self.workers == 1 or len(specs) <= 1:
-            return SerialExecutor().map(specs)
-        context = multiprocessing.get_context()
-        with context.Pool(processes=min(self.workers, len(specs))) as pool:
-            return pool.map(execute_run, specs)
-
     def map_groups(self, groups: Sequence[Sequence[RunSpec]]) -> list[list[RunRecord]]:
-        """One pool task per replicate group; group order is preserved."""
         if self.workers == 1 or len(groups) <= 1:
             return SerialExecutor().map_groups(groups)
         context = multiprocessing.get_context()
@@ -503,8 +494,8 @@ class MultiprocessingExecutor:
 
 
 #: ``builder(workers, **params) -> executor`` (an object with
-#: ``map(specs) -> list[RunRecord]``).  ``workers`` may be ``None`` for the
-#: builder's own default.
+#: ``map_groups(groups) -> list[list[RunRecord]]``).  ``workers`` may be
+#: ``None`` for the builder's own default.
 ExecutorBuilder = Callable[..., object]
 
 EXECUTORS: dict[str, ExecutorBuilder] = {
@@ -540,13 +531,23 @@ def _import_service_executors() -> None:
         import repro.service  # noqa: F401  (registers service executors)
 
 
+def _check_workers(workers: int | None) -> None:
+    if workers is not None and workers < 1:
+        raise ValueError(
+            f"workers must be a positive number of workers, got {workers}; "
+            f"omit it (or pass None) for the default (serial for SweepRunner)"
+        )
+
+
 def build_executor(name: str, workers: int | None = None, **params: object):
     """Instantiate an executor by registry name.
 
     Raises:
         KeyError: for unknown names, listing the available ones (the shared
             registry error contract of :mod:`repro.utils.errors`).
+        ValueError: for a non-positive ``workers``, whatever the executor.
     """
+    _check_workers(workers)
     _import_service_executors()
     try:
         builder = EXECUTORS[name]
@@ -562,27 +563,24 @@ class SweepRunner:
     ``multiprocessing`` pool of N processes.  Pass ``executor=`` to pick an
     executor from the registry by name (``"serial"``, ``"multiprocessing"``,
     the service layer's ``"asyncio"``) or to supply any object with a
-    ``map(specs) -> list[RunRecord]`` method directly.
+    ``map_groups(groups) -> list[list[RunRecord]]`` method directly.
+
+    Every pending run executes as part of a unit: a replicate group — pending
+    runs identical up to the run seed, the shape ``trials > 1`` expands to —
+    goes to the vector engine's lockstep driver whole, and any other run is
+    a unit of one (see :func:`execute_replicate_group`).  Records are
+    identical to executing each spec alone, so the store, the manifest and
+    every consumer are oblivious to the routing; a partially cached group
+    simply shrinks to its pending rows.
 
     ``store=`` plugs in a result cache (duck-typed; canonically a
     :class:`repro.service.store.ResultStore`).  With a store attached the
     runner serves every spec whose SHA is already stored instead of
     re-executing it, persists fresh records as they complete, and checkpoints
-    progress in the store's sweep manifest — so a killed sweep restarted on
-    the same store executes only the remainder.  ``chunk_size`` bounds how
-    many execution units are in flight between checkpoints (default: one
-    executor round's worth).
-
-    ``vectorize=True`` (the default) detects replicate groups — pending runs
-    identical up to the run seed, the shape ``trials > 1`` expands to — and
-    dispatches each whole group to the vector engine's lockstep driver
-    through the executor's ``map_groups``.  Records are identical to serial
-    execution (see :func:`execute_replicate_group`), so the store, the
-    manifest, and every consumer are oblivious to the routing; a partially
-    cached group simply shrinks to its pending rows.  Executors without a
-    ``map_groups`` method (any pre-existing custom executor) transparently
-    keep the one-spec-at-a-time path.  For chunking purposes a replicate
-    group counts as one unit.
+    progress in the store's sweep manifest after each executor round
+    (``executor.workers`` units, else one) — so a killed sweep restarted on
+    the same store executes only the remainder.  Without a store every
+    pending unit goes to the executor in one call.
     """
 
     def __init__(
@@ -590,16 +588,8 @@ class SweepRunner:
         workers: int | None = None,
         executor: object | str | None = None,
         store=None,
-        chunk_size: int | None = None,
-        vectorize: bool = True,
     ) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(
-                f"workers must be a positive number of worker processes, got "
-                f"{workers}; omit it (or pass None) to run serially"
-            )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+        _check_workers(workers)
         if isinstance(executor, str):
             self.executor = build_executor(executor, workers=workers)
         elif executor is not None:
@@ -609,8 +599,6 @@ class SweepRunner:
         else:
             self.executor = SerialExecutor()
         self.store = store
-        self.chunk_size = chunk_size
-        self.vectorize = vectorize
         #: Per-cell stopping diagnostics of the most recent adaptive sweep
         #: (cell coordinates + :meth:`StopDecision.to_dict`), in cell order;
         #: empty after fixed sweeps.
@@ -623,30 +611,16 @@ class SweepRunner:
         order (each cell's executed trials in trial order) with the per-cell
         stopping diagnostics under ``result.extras["stopping"]``.
         """
-        if sweep.is_adaptive:
-            by_index = {
-                index: record
-                for batch in self._iter_adaptive(sweep)
-                for index, record, _cached in batch
-            }
-            return SweepResult(
-                spec=sweep,
-                records=[by_index[index] for index in sorted(by_index)],
-                extras={"stopping": list(self.last_stopping)},
-            )
-        records: list[RunRecord | None] = [None] * len(sweep)
-        if self.store is not None:
-            for batch in self._iter_with_store(sweep):
-                for index, record, _cached in batch:
-                    records[index] = record
-            return SweepResult(spec=sweep, records=list(records))
-        specs = sweep.expand()
-        units = self._units(specs, list(range(len(specs))))
-        if all(len(unit) == 1 for unit in units):
-            return SweepResult(spec=sweep, records=self.executor.map(specs))
-        for index, record in self._execute_units(specs, units):
-            records[index] = record
-        return SweepResult(spec=sweep, records=list(records))
+        by_index = {
+            index: record
+            for batch in self.run_batches(sweep)
+            for index, record, _cached in batch
+        }
+        return SweepResult(
+            spec=sweep,
+            records=[by_index[index] for index in sorted(by_index)],
+            extras={"stopping": list(self.last_stopping)} if sweep.is_adaptive else {},
+        )
 
     def run_iter(self, sweep: SweepSpec):
         """Execute the sweep, yielding ``(index, record, cached)`` as runs finish.
@@ -669,21 +643,20 @@ class SweepRunner:
 
         This is the streaming entry point behind the sweep service.  Each
         list holds the runs that became ready together: with a store, first
-        every stored run (``cached`` True), then each executed chunk
+        every stored run (``cached`` True), then each executed round
         (``cached`` False), persisted and checkpointed before it is yielded;
-        without one, each executed chunk.  A consumer sees results while the
-        sweep is still running, and a crash loses at most the chunk in
-        flight.  Adaptive sweeps yield the same shape per round.
+        without one, every executed run in one list.  A consumer sees
+        results while the sweep is still running, and a crash loses at most
+        the round in flight.  Adaptive sweeps yield the same shape per round
+        of their stopping rule.
         """
         if sweep.is_adaptive:
             yield from self._iter_adaptive(sweep)
-            return
-        if self.store is not None:
+        elif self.store is not None:
             yield from self._iter_with_store(sweep)
-            return
-        specs = sweep.expand()
-        for chunk in self._chunks(self._units(specs, list(range(len(specs))))):
-            yield [(index, record, False) for index, record in self._execute_units(specs, chunk)]
+        else:
+            specs = sweep.expand()
+            yield from self._execute(specs, list(range(len(specs))))
 
     # -- adaptive (trials="auto") execution ---------------------------------------
 
@@ -741,15 +714,10 @@ class SweepRunner:
                 self.store.save_manifest(manifest, [index for index, _r, _c in hits])
             if hits:
                 yield hits
-            for chunk in self._chunks(self._units(specs, pending)):
-                executed = self._execute_units(specs, chunk)
-                for index, record in executed:
-                    if self.store is not None:
-                        self.store.put(specs[index], record)
+            for executed in self._execute(specs, pending, manifest):
+                for index, record, _cached in executed:
                     self._note_metric(rule, cells, values, index, max_trials, record)
-                if self.store is not None:
-                    self.store.save_manifest(manifest, [index for index, _record in executed])
-                yield [(index, record, False) for index, record in executed]
+                yield executed
             still_active: list[int] = []
             for cell_index in active:
                 if rule.exact_anchor and cell_index not in anchors:
@@ -792,20 +760,17 @@ class SweepRunner:
             )
         values[cell_index][trial] = float(value)
 
-    # -- replicate-group routing ------------------------------------------------
+    # -- execution units ----------------------------------------------------------
 
     def _units(self, specs: Sequence[RunSpec], indices: list[int]) -> list[list[int]]:
         """Partition pending run indices into execution units.
 
-        A unit is either a singleton (executed through ``executor.map``) or a
-        replicate group (executed through ``executor.map_groups``).  Groups
-        preserve first-seen order, and a seed that repeats within a group is
-        split off into its own singleton — a duplicated spec is a legitimate
-        sweep (with a store it is simply a cache hit), not the hard error
+        A unit is a replicate group or a single run.  Groups preserve
+        first-seen order, and a seed that repeats within a group is split
+        off into its own unit — a duplicated spec is a legitimate sweep
+        (with a store it is simply a cache hit), not the hard error
         :func:`execute_replicate_group` reserves for hand-built groups.
         """
-        if not self.vectorize or not hasattr(self.executor, "map_groups"):
-            return [[index] for index in indices]
         units: list[list[int]] = []
         groups: dict[str, tuple[list[int], set[int | None]]] = {}
         for index in indices:
@@ -826,38 +791,30 @@ class SweepRunner:
                 units.append(unit)
         return units
 
-    def _execute_units(
-        self, specs: Sequence[RunSpec], units: list[list[int]]
-    ) -> list[tuple[int, RunRecord]]:
-        """Execute a batch of units; returns ``(index, record)`` in index order."""
-        singles = [unit[0] for unit in units if len(unit) == 1]
-        groups = [unit for unit in units if len(unit) > 1]
-        pairs: list[tuple[int, RunRecord]] = []
-        if singles:
-            pairs.extend(zip(singles, self.executor.map([specs[i] for i in singles])))
-        if groups:
-            group_records = self.executor.map_groups(
-                [[specs[i] for i in unit] for unit in groups]
-            )
-            for unit, records in zip(groups, group_records):
-                pairs.extend(zip(unit, records))
-        pairs.sort(key=lambda pair: pair[0])
-        return pairs
+    def _execute(self, specs: Sequence[RunSpec], pending: list[int], manifest=None):
+        """Execute the pending runs, yielding ``(index, record, False)`` lists.
 
-    # -- store-backed execution -------------------------------------------------
-
-    def _chunks(self, units: list) -> Iterator[list]:
-        size = self.chunk_size if self.chunk_size is not None else self._default_chunk_size()
+        With a store, each executor round's records are put and the
+        ``manifest`` saved before the round is yielded; without one, every
+        unit goes to the executor in one call and one list.
+        """
+        units = self._units(specs, pending)
+        size = len(units) or 1
+        if self.store is not None:
+            # One executor round per checkpoint: every worker busy once.
+            size = getattr(self.executor, "workers", None) or 1
         for start in range(0, len(units), size):
-            yield units[start : start + size]
-
-    def _default_chunk_size(self) -> int:
-        """One executor round: every worker busy, checkpoint after each round."""
-        workers = getattr(self.executor, "workers", 1)
-        try:
-            return max(1, int(workers))
-        except (TypeError, ValueError):
-            return 1
+            chunk = units[start : start + size]
+            records = self.executor.map_groups([[specs[i] for i in unit] for unit in chunk])
+            executed = sorted(
+                (pair for unit, rows in zip(chunk, records) for pair in zip(unit, rows)),
+                key=lambda pair: pair[0],
+            )
+            if self.store is not None:
+                for index, record in executed:
+                    self.store.put(specs[index], record)
+                self.store.save_manifest(manifest, [index for index, _record in executed])
+            yield [(index, record, False) for index, record in executed]
 
     def _iter_with_store(self, sweep: SweepSpec):
         """Serve the stored runs by their SHAs, then execute the rest.
@@ -880,12 +837,7 @@ class SweepRunner:
             return
         if specs is None:
             specs = sweep.expand()
-        for chunk in self._chunks(self._units(specs, pending)):
-            executed = self._execute_units(specs, chunk)
-            for index, record in executed:
-                store.put(specs[index], record)
-            store.save_manifest(manifest, [index for index, _record in executed])
-            yield [(index, record, False) for index, record in executed]
+        yield from self._execute(specs, pending, manifest)
 
 
 def run_sweep(
@@ -893,17 +845,12 @@ def run_sweep(
     workers: int | None = None,
     store=None,
     executor: object | str | None = None,
-    vectorize: bool = True,
 ) -> SweepResult:
     """Execute a sweep; ``workers`` defaults to the spec's own ``workers`` field.
 
     ``store=`` enables the content-addressed result cache (runs already in
     the store are served, fresh ones persisted); ``executor=`` picks an
-    executor by registry name or instance; ``vectorize=False`` disables the
-    replicate-group routing through the vector engine (the records are
-    identical either way — the flag exists for A/B timing and debugging).
+    executor by registry name or instance.
     """
     effective = workers if workers is not None else sweep.workers
-    return SweepRunner(
-        workers=effective, executor=executor, store=store, vectorize=vectorize
-    ).run(sweep)
+    return SweepRunner(workers=effective, executor=executor, store=store).run(sweep)

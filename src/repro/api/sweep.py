@@ -13,10 +13,15 @@ With ``--store`` the sweep runs through the content-addressed result cache
 re-simulated, fresh records are persisted, and progress is checkpointed so a
 killed invocation resumes where it stopped.
 
-Replicate groups (``trials > 1`` on an eligible engine) are routed through
-the vector engine's lockstep driver by default — same records, one
-vectorized pass instead of ``trials`` serial runs.  ``--no-vectorize``
-forces one-spec-at-a-time execution, e.g. for A/B timing.
+Every run executes as part of a unit through the executor's
+``map_groups``: replicate groups (``trials > 1`` on an eligible engine) go
+to the vector engine's lockstep driver whole — same records as one spec at
+a time, one vectorized pass instead of ``trials`` serial runs — and any
+other run is a unit of one.  With a store, progress is checkpointed after
+each executor round (``--workers`` units).
+
+Bad arguments (``--trials 0``, ``--workers 0``, an unknown ``--executor``)
+are usage errors: exit code 2 with the usage line, before any run starts.
 
 ``--trials auto`` switches any spec to adaptive sequential sampling
 (:mod:`repro.api.stopping`): each grid cell runs in batches until its
@@ -50,10 +55,24 @@ import argparse
 import dataclasses
 import sys
 
-from repro.api.executor import run_sweep
+from repro.api.executor import available_executors, run_sweep
 from repro.api.spec import SweepSpec
 from repro.api.stopping import StoppingRule
 from repro.utils.tables import format_table
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _trials(text: str) -> int | str:
+    return "auto" if text == "auto" else _positive_int(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "-w",
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker processes (overrides the spec's own 'workers' field)",
     )
@@ -87,13 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         "checkpoint progress for resume (repro.service)",
     )
     parser.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="disable replicate-group routing through the vector engine "
-        "(records are identical either way)",
-    )
-    parser.add_argument(
         "--trials",
+        type=_trials,
         default=None,
         help="override the spec's trials: a positive integer, or 'auto' for "
         "adaptive sequential sampling",
@@ -129,6 +143,11 @@ def main(argv: list[str] | None = None) -> int:
         help="statistics of --value per group: mean/median/min/max/sum/count/qNN",
     )
     args = parser.parse_args(argv)
+    if args.executor is not None and args.executor not in available_executors():
+        parser.error(
+            f"unknown executor {args.executor!r}; available: "
+            f"{', '.join(available_executors())}"
+        )
 
     with open(args.spec, "r", encoding="utf-8") as handle:
         sweep = SweepSpec.from_json(handle.read())
@@ -147,9 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if value is not None
     }
-    trials: int | str = sweep.trials
-    if args.trials is not None:
-        trials = "auto" if args.trials == "auto" else int(args.trials)
+    trials: int | str = sweep.trials if args.trials is None else args.trials
     if trials != "auto" and rule_overrides:
         parser.error("stopping-rule flags require --trials auto (or an adaptive spec)")
     if trials != sweep.trials or rule_overrides:
@@ -166,13 +183,7 @@ def main(argv: list[str] | None = None) -> int:
 
         store = ResultStore(args.store)
 
-    result = run_sweep(
-        sweep,
-        workers=args.workers,
-        store=store,
-        executor=args.executor,
-        vectorize=not args.no_vectorize,
-    )
+    result = run_sweep(sweep, workers=args.workers, store=store, executor=args.executor)
 
     rows = result.aggregate(value=args.value, by=tuple(args.group), stats=tuple(args.stats))
     if rows:

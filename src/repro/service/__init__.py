@@ -10,16 +10,17 @@ execution *durable* and turns it into a backend:
   never re-simulated; corrupted entries are detected by checksum and
   recomputed.
 * :class:`~repro.service.queue.AsyncExecutor` — an ``asyncio`` work-stealing
-  executor (registry name ``"asyncio"``) for single runs and replicate
-  groups, with a per-unit timeout, bounded retry-with-backoff and graceful
-  cancellation; record-identical to the serial and multiprocessing
-  executors.
+  executor (registry name ``"asyncio"``) whose one method, ``map_groups``,
+  runs units — replicate groups and single runs — with a per-unit timeout,
+  bounded retry-with-backoff and graceful cancellation; record-identical to
+  the serial and multiprocessing executors.
 * :class:`~repro.service.manifest.SweepManifest` — the atomically-written
-  checkpoint ledger that lets a killed sweep resume and finish only the
-  remainder.
+  checkpoint ledger, saved after every executor round (``workers`` units),
+  that lets a killed sweep resume and finish only the remainder.
 * :class:`~repro.service.serve.SweepService` + the ``serve``/``submit``
   CLIs — an HTTP front end (stdlib only) that accepts spec JSON and streams
-  record JSONL as each executed chunk finishes, with a ``/status`` endpoint.
+  record JSONL as each executed round finishes, with a ``/status`` endpoint;
+  it builds its executor once and shares it across submissions.
 
 Quickstart
 ----------

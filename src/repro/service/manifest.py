@@ -3,10 +3,10 @@
 A :class:`SweepManifest` records what a sweep *is* (its SHA and the SHA of
 every expanded run) and how far it has gotten (which run indices are done).
 The :class:`~repro.api.executor.SweepRunner` saves it atomically after the
-initial cache scan and after every completed chunk, so the file on disk is
-always a consistent snapshot: a sweep killed mid-flight restarts by reopening
-its manifest (found by recomputing the sweep SHA), re-serving the done runs
-from the store and executing only the remainder.
+initial cache scan and after every completed executor round, so the file on
+disk is always a consistent snapshot: a sweep killed mid-flight restarts by
+reopening its manifest (found by recomputing the sweep SHA), re-serving the
+done runs from the store and executing only the remainder.
 
 The manifest is advisory metadata — the store's content-addressed records are
 the source of truth.  On resume every "done" run is still looked up by its

@@ -3,12 +3,11 @@
 A pool of worker coroutines pulls execution units from one shared deque —
 the coroutine form of work stealing: there is no up-front partition of units
 to workers, so a worker that drew short units keeps stealing the remaining
-work from the common pool while a long unit occupies another.  A unit is one
-run (:meth:`AsyncExecutor.map`, through
-:func:`~repro.api.executor.execute_run`) or one replicate group
-(:meth:`AsyncExecutor.map_groups`, through
-:func:`~repro.api.executor.execute_replicate_group`); both go through the
-same retry loop.  Each unit executes in a thread (:func:`asyncio.to_thread`),
+work from the common pool while a long unit occupies another.  A unit is a
+replicate group (:meth:`AsyncExecutor.map_groups`, through
+:func:`~repro.api.executor.execute_replicate_group`) or a unit of one run
+(through :func:`~repro.api.executor.execute_run`); both go through the same
+retry loop.  Each unit executes in a thread (:func:`asyncio.to_thread`),
 so the event loop stays responsive for timeout enforcement and cancellation
 while the simulation computes.  Below the vector kernel's population gate the
 GIL serializes that work; kernel groups release it inside their numpy rounds
@@ -23,20 +22,22 @@ Robustness contract (per unit):
   ``retries`` times, sleeping ``backoff * 2**attempt`` seconds in between;
 * **graceful cancellation** — when any unit exhausts its retries (or the
   caller cancels), every in-flight worker is cancelled and awaited before
-  ``map``/``map_groups`` raises :class:`RunFailed`, so no stray tasks
-  outlive the call.  A failed group names its first spec and row count.
+  ``map_groups`` raises :class:`RunFailed`, so no stray tasks outlive the
+  call.  A failed group names its first spec and row count.
 
 Determinism: both unit functions are pure functions of their specs, and
-results are collected into input order, so ``map`` and ``map_groups`` are
+results are collected into input order, so ``map_groups`` is
 record-for-record identical to the serial and multiprocessing executors —
-the property the parametrized executor-agreement tests pin.
+the property the parametrized executor-agreement tests pin.  An executor
+holds only its settings between calls, so one instance can serve concurrent
+callers.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.api.executor import execute_replicate_group, execute_run, register_executor
 from repro.api.records import RunRecord
@@ -73,8 +74,8 @@ class AsyncExecutor:
     """Run specs through an ``asyncio`` worker pool over one shared queue.
 
     Registered as executor ``"asyncio"``; drop-in compatible with
-    :class:`~repro.api.executor.SerialExecutor` (same ``map`` and
-    ``map_groups`` contracts, same records).
+    :class:`~repro.api.executor.SerialExecutor` (same ``map_groups``
+    contract, same records).
     """
 
     name = "asyncio"
@@ -104,35 +105,24 @@ class AsyncExecutor:
         self.retries = retries
         self.backoff = backoff
 
-    def map(self, specs: Sequence[RunSpec]) -> list[RunRecord]:
-        """Execute every spec; records return in spec order.
-
-        Raises :class:`RunFailed` when a spec exhausts its retries; all other
-        in-flight work is cancelled and awaited first.
-        """
-        specs = list(specs)
-        if not specs:
-            return []
-        return asyncio.run(self._run_all(specs, execute_run))
-
     def map_groups(self, groups: Sequence[Sequence[RunSpec]]) -> list[list[RunRecord]]:
-        """Execute replicate groups (see :func:`execute_replicate_group`) in order.
+        """Execute units (see :func:`execute_replicate_group`) in order.
 
-        Each group is one unit of the queue, with a timeout of ``timeout ×
-        rows``.  Raises :class:`RunFailed` naming the group when it exhausts
+        Each unit is one entry of the queue, with a timeout of ``timeout ×
+        rows``.  Raises :class:`RunFailed` naming the unit when it exhausts
         its retries; all other in-flight work is cancelled and awaited first.
         """
         units = [list(group) for group in groups]
         if not units:
             return []
-        return asyncio.run(self._run_all(units, execute_replicate_group))
+        return asyncio.run(self._run_all(units))
 
-    async def _run_all(self, units: list, function: Callable) -> list:
-        """Run ``function`` on every unit (a spec or a group); input order."""
+    async def _run_all(self, units: list[list[RunSpec]]) -> list[list[RunRecord]]:
+        """Execute every unit; results in input order."""
         queue: deque[int] = deque(range(len(units)))
         results: list = [None] * len(units)
         workers = [
-            asyncio.create_task(self._worker(queue, units, results, function))
+            asyncio.create_task(self._worker(queue, units, results))
             for _ in range(min(self.workers, len(units)))
         ]
         try:
@@ -146,20 +136,18 @@ class AsyncExecutor:
         assert all(result is not None for result in results)
         return results
 
-    async def _worker(
-        self, queue: deque[int], units: list, results: list, function: Callable
-    ) -> None:
+    async def _worker(self, queue: deque[int], units: list, results: list) -> None:
         while queue:
             index = queue.popleft()
-            results[index] = await self._execute_with_retry(units[index], function)
+            results[index] = await self._execute_with_retry(units[index])
 
-    async def _execute_with_retry(self, unit, function: Callable):
-        first, rows = (unit, 1) if isinstance(unit, RunSpec) else (unit[0], len(unit))
+    async def _execute_with_retry(self, unit: list[RunSpec]) -> list[RunRecord]:
+        rows = len(unit)
         timeout = None if self.timeout is None else self.timeout * rows
         attempts = self.retries + 1
         for attempt in range(attempts):
             try:
-                job = asyncio.to_thread(function, unit)
+                job = asyncio.to_thread(_execute_unit, unit)
                 if timeout is not None:
                     return await asyncio.wait_for(job, timeout=timeout)
                 return await job
@@ -169,9 +157,18 @@ class AsyncExecutor:
                 if isinstance(error, (KeyboardInterrupt, SystemExit)):
                     raise
                 if attempt + 1 >= attempts:
-                    raise RunFailed(first, attempts, error, rows) from error
+                    raise RunFailed(unit[0], attempts, error, rows) from error
                 await asyncio.sleep(self.backoff * (2**attempt))
         raise AssertionError("unreachable: the retry loop returns or raises")
+
+
+def _execute_unit(unit: list[RunSpec]) -> list[RunRecord]:
+    """A unit of one through this module's ``execute_run``, a group through
+    ``execute_replicate_group``; ``perfbench/layers.py`` times attempts by
+    wrapping the ``execute_run`` name this module looks up."""
+    if len(unit) == 1:
+        return [execute_run(unit[0])]
+    return execute_replicate_group(unit)
 
 
 register_executor(

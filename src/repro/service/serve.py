@@ -12,17 +12,19 @@ alone (``http.server`` + the ``asyncio`` executor — no new dependencies):
 
       {"index": 3, "cached": false, "sha": "…", "record": {…RunRecord…}}
 
-  Executed runs go to the executor in chunks of units — single runs and
-  replicate groups, one executor round each — and their envelopes arrive
-  together when their chunk finishes, not run by run.  With a store
-  attached, runs whose spec SHA is already stored stream back
-  immediately from cache and fresh records are persisted + checkpointed in
-  the sweep's manifest — resubmitting an identical sweep is pure cache, and
-  resubmitting after a crash finishes only the remainder.  Each batch of
-  ready envelopes (the cached runs, then each executed chunk) goes out in
-  one write and one flush.  The service keeps the JSON texts of the records
-  it served last (:meth:`SweepService.record_json`), so a hot sweep's
-  envelopes copy text instead of encoding each record again.  Adaptive
+  Executed runs go to the executor's ``map_groups`` as units — replicate
+  groups and single runs.  With a store attached, runs whose spec SHA is
+  already stored stream back immediately from cache, fresh units run one
+  executor round (``workers`` units) at a time, and each round's records
+  are persisted + checkpointed in the sweep's manifest and streamed
+  together when the round finishes — resubmitting an identical sweep is
+  pure cache, and resubmitting after a crash finishes only the remainder.
+  Without a store the whole sweep is one executor call, streamed when it
+  finishes.  Each batch of ready envelopes (the cached runs, then each
+  executed round) goes out in one write and one flush.  The service keeps
+  the JSON texts of the records it served last
+  (:meth:`SweepService.record_json`), so a hot sweep's envelopes copy text
+  instead of encoding each record again.  Adaptive
   sweeps (``trials="auto"``) additionally stream one trailing envelope
   ``{"stopping": [...]}`` with the per-cell stopping diagnostics; fixed
   sweeps stream record envelopes only.
@@ -58,11 +60,13 @@ KEPT_TEXTS = 512
 
 
 class SweepService:
-    """The state behind the HTTP handlers: store, executor policy, progress.
+    """The state behind the HTTP handlers: store, executor, progress.
 
     Thread-safe: ``ThreadingHTTPServer`` dispatches each request on its own
     thread, so sweep submissions run (and stream) concurrently while
-    ``/status`` reads a locked snapshot.
+    ``/status`` reads a locked snapshot.  The executor is built once, here,
+    so bad settings fail construction; it holds only those settings between
+    calls, so every submission shares it.
     """
 
     def __init__(
@@ -74,11 +78,13 @@ class SweepService:
         timeout: float | None = None,
         retries: int = 2,
     ) -> None:
+        params: dict[str, Any] = {}
+        if executor == "asyncio":
+            params = {"timeout": timeout, "retries": retries}
+        self.executor = build_executor(executor, workers=workers, **params)
         self.store = store
         self.executor_name = executor
         self.workers = workers
-        self.timeout = timeout
-        self.retries = retries
         self._lock = threading.Lock()
         #: submission number -> live progress counters of an in-flight sweep.
         self._active: dict[int, dict[str, Any]] = {}
@@ -87,12 +93,6 @@ class SweepService:
         self._completed_runs = 0
         #: spec sha -> (record, its JSON text), least recently served first.
         self._texts: OrderedDict[str, tuple[RunRecord, str]] = OrderedDict()
-
-    def _make_executor(self):
-        params: dict[str, Any] = {}
-        if self.executor_name == "asyncio":
-            params = {"timeout": self.timeout, "retries": self.retries}
-        return build_executor(self.executor_name, workers=self.workers, **params)
 
     # -- submissions -------------------------------------------------------------
 
@@ -112,9 +112,7 @@ class SweepService:
         the handler turns them into a trailing ``{"stopping": [...]}``
         envelope on the NDJSON stream.
         """
-        runner = SweepRunner(
-            workers=self.workers, executor=self._make_executor(), store=self.store
-        )
+        runner = SweepRunner(executor=self.executor, store=self.store)
         progress = {
             "sweep_sha": sweep.sha(),
             "name": sweep.name,
@@ -147,7 +145,7 @@ class SweepService:
                 with self._lock:
                     self._completed_runs += 1
                 return cached, True
-        [record] = self._make_executor().map([spec])
+        [[record]] = self.executor.map_groups([[spec]])
         if self.store is not None:
             self.store.put(spec, record)
         with self._lock:
@@ -241,6 +239,8 @@ def make_handler(service: SweepService) -> type[BaseHTTPRequestHandler]:
 
         def _read_body(self) -> bytes:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                raise ValueError(f"Content-Length must be non-negative, got {length}")
             return self.rfile.read(length) if length else b""
 
         def _send_json(self, payload: dict[str, Any], status: int = 200) -> None:
@@ -349,13 +349,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     store = ResultStore(args.store) if args.store else None
-    service = SweepService(
-        store,
-        executor=args.executor,
-        workers=args.workers,
-        timeout=args.timeout,
-        retries=args.retries,
-    )
+    try:
+        service = SweepService(
+            store,
+            executor=args.executor,
+            workers=args.workers,
+            timeout=args.timeout,
+            retries=args.retries,
+        )
+    except (KeyError, ValueError) as error:
+        parser.error(error.args[0])
     server = serve(service, args.host, args.port)
     location = f"http://{args.host}:{server.server_address[1]}"
     print(f"sweep service listening on {location} "

@@ -221,12 +221,9 @@ class TestAdaptiveExecution:
         assert other.records == serial.records
         assert other.extras == serial.extras
 
-    def test_vectorize_off_is_record_identical(self):
+    def test_per_spec_execution_is_record_identical(self, per_spec_sweep):
         sweep = adaptive_sweep()
-        assert (
-            SweepRunner(vectorize=False).run(sweep).to_dict()
-            == SweepRunner(vectorize=True).run(sweep).to_dict()
-        )
+        assert SweepRunner().run(sweep).to_dict() == per_spec_sweep(sweep).to_dict()
 
     def test_unknown_metric_fails_loudly(self):
         sweep = adaptive_sweep(stopping=adaptive_rule(metric="no-such-field"))

@@ -81,9 +81,10 @@ class TestParallelEquivalence:
         class ReversingExecutor:
             """Executes out of order — results must still come back in order."""
 
-            def map(self, specs):
-                records = {id(spec): execute_run(spec) for spec in reversed(specs)}
-                return [records[id(spec)] for spec in specs]
+            def map_groups(self, groups):
+                records = {id(group): SerialExecutor().map_groups([group])[0]
+                           for group in reversed(groups)}
+                return [records[id(group)] for group in groups]
 
         sweep = SweepSpec(protocols=("circles",), populations=(8,), ks=(2,), trials=2,
                           seed=5, engines=("batch",), max_steps_quadratic=200)
@@ -93,7 +94,7 @@ class TestParallelEquivalence:
     def test_executor_classes_validate(self):
         with pytest.raises(ValueError):
             MultiprocessingExecutor(0)
-        assert MultiprocessingExecutor(1).map([]) == SerialExecutor().map([])
+        assert MultiprocessingExecutor(1).map_groups([]) == SerialExecutor().map_groups([])
 
 
 class TestSweepRunnerValidation:
@@ -105,6 +106,8 @@ class TestSweepRunnerValidation:
         with pytest.raises(ValueError, match="workers must be a positive"):
             SweepRunner(workers=bad)
         with pytest.raises(ValueError, match="workers must be a positive"):
+            build_executor("serial", workers=bad)
+        with pytest.raises(ValueError, match="workers must be a positive"):
             run_sweep(SweepSpec(protocols=("circles",), populations=(8,), ks=(2,)),
                       workers=bad)
 
@@ -115,10 +118,6 @@ class TestSweepRunnerValidation:
     def test_none_and_one_still_run_serially(self):
         assert isinstance(SweepRunner(workers=None).executor, SerialExecutor)
         assert isinstance(SweepRunner(workers=1).executor, SerialExecutor)
-
-    def test_chunk_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            SweepRunner(chunk_size=0)
 
 
 class TestExecutorRegistry:
@@ -157,7 +156,7 @@ class TestRunIter:
     def test_streaming_matches_run_in_order_and_content(self):
         sweep = SweepSpec(protocols=("circles",), populations=(8, 10), ks=(2,), trials=2,
                           seed=11, engines=("batch",), max_steps_quadratic=200)
-        runner = SweepRunner(chunk_size=3)
+        runner = SweepRunner()
         events = list(runner.run_iter(sweep))
         assert [index for index, _record, _cached in events] == list(range(len(sweep)))
         assert all(not cached for _i, _r, cached in events)

@@ -1,7 +1,8 @@
 """Replicate-group routing: sweep trials through the vector engine, unchanged.
 
-The promise the routing makes: a sweep executed with ``vectorize=True`` is
-*record-for-record identical* to the same sweep executed one spec at a time —
+The promise the routing makes: a sweep executed in units — replicate groups
+and single runs — is *record-for-record identical* to the same sweep
+executed one spec at a time through ``execute_run`` —
 same seeds, same trajectories, same JSON — so the result store, the manifest,
 and every downstream consumer cannot tell the difference.  These tests pin
 the grouping key, the eligibility gate, the identity across executors and
@@ -13,7 +14,6 @@ from dataclasses import replace
 import pytest
 
 from repro.api.executor import (
-    SerialExecutor,
     SweepRunner,
     _replicate_groupable,
     execute_replicate_group,
@@ -22,6 +22,8 @@ from repro.api.executor import (
     run_sweep,
 )
 from repro.api.spec import SweepSpec
+from repro.api.stopping import StoppingRule
+from repro.service.store import ResultStore
 
 
 def circles_sweep(**overrides) -> SweepSpec:
@@ -79,8 +81,7 @@ class TestExecuteReplicateGroup:
         assert all(record.ket_exchanges is not None for record in records)
         assert all(record.final_energy is not None for record in records)
 
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_invalid_protocol_params_rejected_like_execute_run(self, vectorize):
+    def test_invalid_protocol_params_rejected_like_execute_run(self):
         sweep = circles_sweep(protocols=(("circles", {"bogus": 1}),), trials=3)
         specs = sweep.expand()
         with pytest.raises(TypeError, match="bogus"):
@@ -88,7 +89,7 @@ class TestExecuteReplicateGroup:
         with pytest.raises(TypeError, match="bogus"):
             execute_replicate_group(specs)
         with pytest.raises(TypeError, match="bogus"):
-            run_sweep(sweep, vectorize=vectorize)
+            run_sweep(sweep)
 
     def test_invalid_color_rejected_like_execute_run(self, monkeypatch):
         """Counts-first set-up raises the input map's error for the same color."""
@@ -129,54 +130,35 @@ class TestExecuteReplicateGroup:
 
 
 class TestSweepRunnerRouting:
-    def test_vectorized_sweep_equals_per_spec_sweep(self):
+    def test_vectorized_sweep_equals_per_spec_sweep(self, per_spec_sweep):
         sweep = circles_sweep()
-        vectorized = run_sweep(sweep, vectorize=True)
-        serial = run_sweep(sweep, vectorize=False)
-        assert vectorized.records == serial.records
+        assert run_sweep(sweep).records == per_spec_sweep(sweep).records
 
-    def test_multiprocessing_executor_routes_groups(self):
+    def test_multiprocessing_executor_routes_groups(self, per_spec_sweep):
         sweep = circles_sweep(trials=4)
-        assert (
-            run_sweep(sweep, workers=2).records
-            == run_sweep(sweep, vectorize=False).records
-        )
+        assert run_sweep(sweep, workers=2).records == per_spec_sweep(sweep).records
 
     def test_run_iter_yields_every_index_once(self):
         sweep = circles_sweep(trials=4, populations=(32, 48))
-        runner = SweepRunner(vectorize=True)
+        runner = SweepRunner()
         seen = sorted(index for index, _record, _cached in runner.run_iter(sweep))
         assert seen == list(range(len(sweep.expand())))
-
-    def test_executor_without_map_groups_keeps_spec_path(self):
-        calls = []
-
-        class PlainExecutor:
-            def map(self, specs):
-                calls.append(len(specs))
-                return SerialExecutor().map(specs)
-
-        sweep = circles_sweep(trials=3)
-        result = SweepRunner(executor=PlainExecutor()).run(sweep)
-        assert calls == [3]
-        assert result.records == run_sweep(sweep, vectorize=False).records
 
     def test_duplicate_specs_become_singletons_not_errors(self):
         """A sweep hand-built with repeated identical specs must still run."""
         spec = circles_sweep().expand()[0]
-        runner = SweepRunner(vectorize=True)
+        runner = SweepRunner()
         units = runner._units([spec, spec, spec], [0, 1, 2])
         assert sorted(len(unit) for unit in units) == [1, 1, 1]
 
     def test_partially_cached_group_executes_only_the_remainder(self, tmp_path):
-        store = pytest.importorskip("repro.service.store")
         sweep = circles_sweep(trials=5)
         specs = sweep.expand()
         reference = [execute_run(spec) for spec in specs]
-        cache = store.ResultStore(tmp_path)
+        cache = ResultStore(tmp_path)
         cache.put(specs[1], reference[1])
         cache.put(specs[3], reference[3])
-        runner = SweepRunner(store=cache, vectorize=True)
+        runner = SweepRunner(store=cache)
         cached_flags = {}
         records = [None] * len(specs)
         for index, record, cached in runner.run_iter(sweep):
@@ -184,3 +166,53 @@ class TestSweepRunnerRouting:
             records[index] = record
         assert records == reference
         assert cached_flags == {0: False, 1: True, 2: False, 3: True, 4: False}
+
+
+def mixed_sweep(adaptive: bool) -> SweepSpec:
+    """Groupable cells (batch and vector engines, several trials) beside
+    ungroupable ones (the agent engine), fixed or adaptive."""
+    stopping = StoppingRule(metric="correct", proportion=True, target_half_width=0.3,
+                            min_trials=2, batch_size=2, max_trials=6)
+    return SweepSpec(
+        protocols=("circles",),
+        populations=(8, 12),
+        ks=(2,),
+        engines=("batch", "vector", "agent"),
+        trials="auto" if adaptive else 3,
+        stopping=stopping if adaptive else None,
+        seed=59,
+        max_steps_quadratic=200,
+    )
+
+
+class TestMixedUnits:
+    """One execution unit: groups and units of one through every executor,
+    with and without a store, equal per-spec ``execute_run``."""
+
+    @pytest.fixture(scope="class")
+    def references(self, per_spec_sweep):
+        return {adaptive: per_spec_sweep(mixed_sweep(adaptive)) for adaptive in (False, True)}
+
+    def test_the_sweep_mixes_groups_and_single_runs(self):
+        specs = mixed_sweep(False).expand()
+        sizes = sorted(len(unit) for unit in SweepRunner()._units(specs, list(range(len(specs)))))
+        assert sizes == [1] * 6 + [3] * 4
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "auto"])
+    @pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
+    @pytest.mark.parametrize(
+        "executor, workers",
+        [("serial", None), ("multiprocessing", 2), ("asyncio", 2)],
+        ids=["serial", "multiprocessing", "asyncio"],
+    )
+    def test_records_equal_per_spec_execution(
+        self, references, tmp_path, executor, workers, stored, adaptive
+    ):
+        sweep = mixed_sweep(adaptive)
+        store = ResultStore(tmp_path) if stored else None
+        result = SweepRunner(workers=workers, executor=executor, store=store).run(sweep)
+        reference = references[adaptive]
+        assert result.records == reference.records
+        assert result.extras == reference.extras
+        if stored:
+            assert store.stored == len(reference.records)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.api.records import SweepResult
 from repro.api.spec import SweepSpec
 from repro.api.sweep import main
@@ -79,3 +81,21 @@ class TestSweepCli:
         )
         assert main([str(path)]) == 0
         assert "circles" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trials", "x"], "expected a positive integer, got 'x'"),
+            (["--trials", "0"], "expected a positive integer, got '0'"),
+            (["--workers", "0"], "expected a positive integer, got '0'"),
+            (["--executor", "nope"], "unknown executor 'nope'"),
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, argv, message):
+        path, _ = _write_spec(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(path), *argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage:") and message in captured.err
+        assert captured.out == ""

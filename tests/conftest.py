@@ -121,6 +121,42 @@ def make_registry_protocol():
     return _registry_protocol
 
 
+def _per_spec_sweep(sweep):
+    """The :class:`SweepResult` a sweep must produce, every run through
+    :func:`execute_run` alone — no units, no executor, no store.
+
+    An adaptive sweep grows each cell to the stopping rule's checkpoints in
+    turn and stops it where the rule does; its diagnostics land in
+    ``extras["stopping"]`` as :meth:`SweepRunner.run` reports them.
+    """
+    from repro.api.aggregate import record_value
+    from repro.api.executor import exact_anchor_value, execute_run
+    from repro.api.records import SweepResult
+
+    if not sweep.is_adaptive:
+        return SweepResult(spec=sweep, records=[execute_run(spec) for spec in sweep.expand()])
+    rule = sweep.stopping_rule
+    records, stopping = [], []
+    for cell in sweep.expand_cells():
+        anchor = exact_anchor_value(cell.spec(0), rule.metric) if rule.exact_anchor else None
+        cell_records = []
+        decision = None
+        while decision is None:
+            target = rule.next_target(len(cell_records))
+            cell_records += [execute_run(cell.spec(t)) for t in range(len(cell_records), target)]
+            values = [float(record_value(record, rule.metric)) for record in cell_records]
+            decision = rule.evaluate(values, anchor=anchor)
+        records += cell_records
+        stopping.append({**cell.describe(), **decision.to_dict()})
+    return SweepResult(spec=sweep, records=records, extras={"stopping": stopping})
+
+
+@pytest.fixture(scope="session")
+def per_spec_sweep():
+    """``sweep -> SweepResult`` executed one spec at a time (the reference)."""
+    return _per_spec_sweep
+
+
 @pytest.fixture
 def circles_k3() -> CirclesProtocol:
     """A Circles protocol instance with three colors."""

@@ -10,8 +10,8 @@ from repro.api.executor import (
     SweepRunner,
     available_executors,
     build_executor,
+    execute_run,
     register_runner,
-    run_sweep,
 )
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec, SweepSpec
@@ -86,31 +86,42 @@ class TestRecordIdentity:
 
     @pytest.fixture(scope="class")
     def serial_records(self, sweep):
-        return SerialExecutor().map(sweep.expand())
+        return [execute_run(spec) for spec in sweep.expand()]
 
     @pytest.mark.parametrize("executor", ["serial", "multiprocessing", "asyncio"])
     def test_executor_agreement(self, executor, sweep, serial_records):
-        records = build_executor(executor, workers=3).map(sweep.expand())
-        assert records == serial_records
+        units = [[spec] for spec in sweep.expand()]
+        records = build_executor(executor, workers=3).map_groups(units)
+        assert [record for [record] in records] == serial_records
 
     def test_asyncio_through_sweep_runner_by_name(self, sweep, serial_records):
         result = SweepRunner(executor="asyncio", workers=2).run(sweep)
         assert result.records == serial_records
 
     def test_single_worker_and_empty_input(self):
-        assert AsyncExecutor(1).map([]) == []
+        assert AsyncExecutor(1).map_groups([]) == []
         spec = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3,
                        max_steps=2_000)
-        assert AsyncExecutor(1).map([spec]) == SerialExecutor().map([spec])
+        assert AsyncExecutor(1).map_groups([[spec]]) == [[execute_run(spec)]]
 
     def test_more_workers_than_specs(self):
         spec = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3,
                        max_steps=2_000)
-        assert AsyncExecutor(16).map([spec, spec]) == SerialExecutor().map([spec, spec])
+        assert AsyncExecutor(16).map_groups([[spec], [spec]]) == [[execute_run(spec)]] * 2
+
+    def test_a_unit_of_one_runs_through_execute_run(self, monkeypatch):
+        """The benchmark's attempt span wraps this module's ``execute_run``."""
+        from repro.service import queue
+
+        seen = []
+        monkeypatch.setattr(queue, "execute_run", lambda spec: seen.append(spec) or "record")
+        spec = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3)
+        assert AsyncExecutor(1).map_groups([[spec]]) == [["record"]]
+        assert seen == [spec]
 
 
 class TestReplicateGroups:
-    """``map_groups``: lockstep groups through the same queue as ``map``."""
+    """``map_groups``: lockstep groups through the same queue as single runs."""
 
     @pytest.mark.parametrize("n", [16, NUMPY_BURST_THRESHOLD])
     def test_map_groups_equals_serial(self, n):
@@ -147,7 +158,9 @@ class TestReplicateGroups:
         ],
         ids=["fixed", "auto"],
     )
-    def test_store_backed_sweep_equals_per_spec_sweep(self, tmp_path, trials, stopping):
+    def test_store_backed_sweep_equals_per_spec_sweep(
+        self, tmp_path, per_spec_sweep, trials, stopping
+    ):
         sweep = SweepSpec(
             protocols=("circles",), populations=(8, 12), ks=(2,), engines=("vector",),
             trials=trials, stopping=stopping, seed=47, max_steps_quadratic=200,
@@ -162,7 +175,7 @@ class TestReplicateGroups:
 
         executor.map_groups = counting_map_groups
         result = SweepRunner(executor=executor, store=ResultStore(tmp_path)).run(sweep)
-        reference = run_sweep(sweep, vectorize=False)
+        reference = per_spec_sweep(sweep)
         assert grouped and all(rows > 1 for rows in grouped)
         assert result.records == reference.records
         assert result.extras == reference.extras
@@ -220,8 +233,8 @@ class TestRetryAndBackoff:
             _FLAKY["attempts"] = 0
         # retries=3: even if one unlucky spec absorbs all three failures it
         # still has an attempt left, so the test is schedule-independent.
-        records = AsyncExecutor(2, retries=3, backoff=0.001).map(specs)
-        assert [record.spec for record in records] == specs
+        records = AsyncExecutor(2, retries=3, backoff=0.001).map_groups([[s] for s in specs])
+        assert [record.spec for [record] in records] == specs
         assert _FLAKY["attempts"] == len(specs) + 3  # each failure retried
 
     def test_retry_budget_is_bounded(self):
@@ -230,7 +243,7 @@ class TestRetryAndBackoff:
             _FLAKY["failures_left"] = 10**9
             _FLAKY["attempts"] = 0
         with pytest.raises(RunFailed) as excinfo:
-            AsyncExecutor(2, retries=2, backoff=0.001).map([spec])
+            AsyncExecutor(2, retries=2, backoff=0.001).map_groups([[spec]])
         with _FLAKY["lock"]:
             _FLAKY["failures_left"] = 0
         assert excinfo.value.attempts == 3  # 1 attempt + 2 retries
@@ -238,7 +251,7 @@ class TestRetryAndBackoff:
         assert isinstance(excinfo.value.__cause__, RuntimeError)
 
     def test_failure_cancels_the_rest_gracefully(self):
-        """A terminal failure surfaces promptly; map never hangs."""
+        """A terminal failure surfaces promptly; map_groups never hangs."""
         bad = RunSpec(protocol="circles", n=8, k=2, seed=1, runner="service-test-flaky")
         slow = [RunSpec(protocol="circles", n=8, k=2, seed=i,
                         runner="service-test-sleepy") for i in range(2, 6)]
@@ -246,7 +259,7 @@ class TestRetryAndBackoff:
             _FLAKY["failures_left"] = 10**9
         try:
             with pytest.raises(RunFailed):
-                AsyncExecutor(2, retries=0, backoff=0.0).map([bad] + slow)
+                AsyncExecutor(2, retries=0, backoff=0.0).map_groups([[s] for s in [bad] + slow])
         finally:
             with _FLAKY["lock"]:
                 _FLAKY["failures_left"] = 0
@@ -257,7 +270,7 @@ class TestTimeout:
         spec = RunSpec(protocol="circles", n=8, k=2, seed=1, runner="service-test-sleepy")
         start = time.perf_counter()
         with pytest.raises(RunFailed) as excinfo:
-            AsyncExecutor(1, timeout=0.05, retries=1, backoff=0.001).map([spec])
+            AsyncExecutor(1, timeout=0.05, retries=1, backoff=0.001).map_groups([[spec]])
         elapsed = time.perf_counter() - start
         assert isinstance(excinfo.value.__cause__, TimeoutError)
         assert excinfo.value.attempts == 2
@@ -266,8 +279,8 @@ class TestTimeout:
     def test_fast_run_is_unaffected_by_timeout(self):
         spec = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3,
                        max_steps=2_000)
-        records = AsyncExecutor(1, timeout=30.0).map([spec])
-        assert records == SerialExecutor().map([spec])
+        records = AsyncExecutor(1, timeout=30.0).map_groups([[spec]])
+        assert records == [[execute_run(spec)]]
 
 
 class TestValidationAndRegistry:

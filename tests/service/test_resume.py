@@ -49,26 +49,32 @@ def adaptive_sweep_spec() -> SweepSpec:
 
 
 class CountingExecutor:
+    """Serial execution that counts the runs it simulated."""
+
     def __init__(self) -> None:
         self.executed = 0
 
-    def map(self, specs):
-        self.executed += len(specs)
-        return SerialExecutor().map(specs)
+    def map_groups(self, groups):
+        self.executed += sum(len(group) for group in groups)
+        return SerialExecutor().map_groups(groups)
 
 
 class KillAfter:
-    """Executor that simulates a crash after ``survive`` completed chunks."""
+    """Executor that simulates a crash after ``survive`` completed rounds.
+
+    It has no ``workers``, so each round is one unit: a replicate group of
+    the sweep's two (or, adaptive, a batch's two) trials.
+    """
 
     def __init__(self, survive: int) -> None:
         self.survive = survive
         self.calls = 0
 
-    def map(self, specs):
+    def map_groups(self, groups):
         if self.calls >= self.survive:
             raise KeyboardInterrupt("simulated kill mid-sweep")
         self.calls += 1
-        return SerialExecutor().map(specs)
+        return SerialExecutor().map_groups(groups)
 
 
 class TestKillAndResume:
@@ -80,16 +86,16 @@ class TestKillAndResume:
         # The uninterrupted reference run, no store involved.
         reference = SweepRunner().run(sweep)
 
-        # First attempt: chunk_size=1 -> a checkpoint after every run; the
-        # executor dies after 2 completed runs, mid-sweep.
+        # First attempt: a checkpoint after every unit of 2 runs; the
+        # executor dies after 2 completed units (4 runs), mid-sweep.
         store = ResultStore(tmp_path)
-        runner = SweepRunner(store=store, executor=KillAfter(survive=2), chunk_size=1)
+        runner = SweepRunner(store=store, executor=KillAfter(survive=2))
         with pytest.raises(KeyboardInterrupt):
             runner.run(sweep)
 
         # The manifest checkpoint recorded exactly the completed prefix.
         manifest = store.open_manifest(sweep, sweep.expand())
-        assert len(manifest.done) == 2
+        assert len(manifest.done) == 4
         assert not manifest.complete
 
         # Restart on a fresh store object over the same directory (a new
@@ -97,8 +103,8 @@ class TestKillAndResume:
         store2 = ResultStore(tmp_path)
         counting = CountingExecutor()
         resumed = SweepRunner(store=store2, executor=counting).run(sweep)
-        assert counting.executed == total - 2  # only the remainder ran
-        assert store2.hits == 2  # the completed prefix came from the cache
+        assert counting.executed == total - 4  # only the remainder ran
+        assert store2.hits == 4  # the completed prefix came from the cache
 
         # The merged result is record-identical to the uninterrupted run.
         assert resumed.records == reference.records
@@ -115,7 +121,7 @@ class TestKillAndResume:
         still matching the reference."""
         sweep = sweep_spec()
         store = ResultStore(tmp_path)
-        runner = SweepRunner(store=store, executor=KillAfter(survive=0), chunk_size=2)
+        runner = SweepRunner(store=store, executor=KillAfter(survive=0))
         with pytest.raises(KeyboardInterrupt):
             runner.run(sweep)
         assert store.stored == 0
@@ -138,12 +144,12 @@ class TestKillAndResume:
         sweep = sweep_spec()
         store = ResultStore(tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            SweepRunner(store=store, executor=KillAfter(survive=3), chunk_size=1).run(sweep)
+            SweepRunner(store=store, executor=KillAfter(survive=1)).run(sweep)
 
         events = list(SweepRunner(store=ResultStore(tmp_path)).run_iter(sweep))
         assert len(events) == len(sweep)
         cached_flags = [cached for _index, _record, cached in events]
-        assert cached_flags.count(True) == 3
+        assert cached_flags.count(True) == 2
         assert sorted(index for index, _r, _c in events) == list(range(len(sweep)))
 
 
@@ -153,7 +159,7 @@ class TestKillAndResume:
         sweep = sweep_spec()
         store = ResultStore(tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            SweepRunner(store=store, executor=KillAfter(survive=3), chunk_size=1).run(sweep)
+            SweepRunner(store=store, executor=KillAfter(survive=1)).run(sweep)
         assert store.held_manifest(sweep) is not None
         hits = store.hits
 
@@ -161,10 +167,10 @@ class TestKillAndResume:
         batches = list(SweepRunner(store=store, executor=counting).run_batches(sweep))
         cached = [(index, flag) for batch in batches for index, _record, flag in batch]
         assert all(flag for _index, _record, flag in batches[0])
-        assert [index for index, flag in cached if flag] == [0, 1, 2]
-        assert sorted(index for index, flag in cached if not flag) == [3, 4, 5]
-        assert counting.executed == 3
-        assert store.hits - hits == 3
+        assert [index for index, flag in cached if flag] == [0, 1]
+        assert sorted(index for index, flag in cached if not flag) == [2, 3, 4, 5]
+        assert counting.executed == 4
+        assert store.hits - hits == 2
         assert store.held_manifest(sweep).complete
         records = {index: record for batch in batches for index, record, _ in batch}
         assert [records[i] for i in range(len(sweep))] == SweepRunner().run(sweep).records
@@ -181,20 +187,20 @@ class TestAdaptiveKillAndResume:
         total = len(reference.records)
         assert total == 8  # 2 cells x 4 trials, well under the 16-trial budget
 
-        # chunk_size=1 with a map-only executor -> a store checkpoint after
-        # every trial; the crash lands mid-way through the first round.
+        # A store checkpoint after every unit (a cell's batch of 2 trials);
+        # the crash lands mid-way through the first round.
         store = ResultStore(tmp_path)
-        killed = SweepRunner(store=store, executor=KillAfter(survive=3), chunk_size=1)
+        killed = SweepRunner(store=store, executor=KillAfter(survive=1))
         with pytest.raises(KeyboardInterrupt):
             killed.run(sweep)
-        assert store.stored == 3
+        assert store.stored == 2
 
         store2 = ResultStore(tmp_path)
         counting = CountingExecutor()
         resumed = SweepRunner(store=store2, executor=counting).run(sweep)
         # Only the remaining trials ran; the checkpointed prefix was served.
-        assert counting.executed == total - 3
-        assert store2.hits == 3
+        assert counting.executed == total - 2
+        assert store2.hits == 2
         assert resumed.records == reference.records
         assert resumed.extras["stopping"] == reference.extras["stopping"]
 

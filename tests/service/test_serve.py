@@ -5,7 +5,10 @@ a daemon thread and talks to it with ``urllib`` — the same stack the submit
 CLI uses — so the close-delimited streaming behavior is exercised for real.
 """
 
+import dataclasses
 import json
+import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -176,16 +179,50 @@ class TestConcurrentSubmissions:
         assert (active["total"], active["submissions"], active["cached"]) == (
             2 * len(sweep), 2, 0
         )
-        assert 2 <= active["done"] < 2 * len(sweep)
+        # Without a store each submission streams all its runs in one batch;
+        # both generators are still open, so both submissions stay active.
+        assert active["done"] == 2 * len(sweep)
         assert status["queue_depth"] == active["total"] - active["done"]
         events += [event for batch in first for event in batch]
-        assert service.status()["active_sweeps"][sweep.sha()]["submissions"] == 1
+        remaining = service.status()["active_sweeps"][sweep.sha()]
+        assert (remaining["submissions"], remaining["done"]) == (1, len(sweep))
         events += [event for batch in second for event in batch]
         assert len(events) == 2 * len(sweep)
         status = service.status()
         assert status["active_sweeps"] == {} and status["queue_depth"] == 0
         assert status["completed_sweeps"] == 2
         assert status["completed_runs"] == 2 * len(sweep)
+
+
+    def test_one_executor_serves_concurrent_submissions(self):
+        """More submitting threads than cores share the service's executor;
+        each stream must still carry exactly its sweep's records."""
+        service = SweepService(None, workers=2)
+        sweeps = [dataclasses.replace(small_sweep(), seed=seed) for seed in range(4)]
+        streamed: dict[int, dict[int, RunRecord]] = {}
+
+        def submit(number: int) -> None:
+            streamed[number] = {
+                index: record
+                for batch in service.stream_batches(sweeps[number])
+                for index, record, _cached in batch
+            }
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submit, args=(n,)) for n in range(len(sweeps))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for number, sweep in enumerate(sweeps):
+            expected = [execute_run(spec) for spec in sweep.expand()]
+            assert [streamed[number][i] for i in range(len(sweep))] == expected
+        assert service.status()["completed_runs"] == 4 * len(small_sweep())
 
 
 class TestRecordTexts:
@@ -251,12 +288,72 @@ class TestErrorHandling:
             post_lines(server, "/nope", {})
         assert excinfo.value.code == 404
 
+    def test_negative_content_length_is_a_400_before_reading(self, server):
+        """``rfile.read(-1)`` would block until the client hangs up."""
+        host, port = server.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=3) as connection:
+            connection.sendall(b"POST /run HTTP/1.0\r\nContent-Length: -1\r\n\r\n{}")
+            with connection.makefile("rb") as stream:
+                response = stream.read()
+        status_line, _, body = response.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        assert b"Content-Length must be non-negative" in body
+
     def test_runtime_failure_is_reported_in_band(self, server):
         """An unknown protocol passes spec parsing but fails at execution;
         the error arrives as a JSON line inside the 200 stream."""
         spec = RunSpec(protocol="no-such-protocol", n=8, k=2, seed=3)
         lines = post_lines(server, "/run", spec.to_dict())
         assert any("error" in line for line in lines)
+
+
+class TestBadSettings:
+    """The executor is built with the service: bad settings fail at once."""
+
+    @pytest.mark.parametrize(
+        "settings, error",
+        [
+            ({"workers": 0}, ValueError),
+            ({"workers": 0, "executor": "serial"}, ValueError),
+            ({"executor": "nope"}, KeyError),
+            ({"timeout": -1.0}, ValueError),
+            ({"retries": -1}, ValueError),
+        ],
+    )
+    def test_construction_raises(self, settings, error):
+        with pytest.raises(error):
+            SweepService(None, **settings)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--workers", "0"], "workers must be a positive"),
+            (["--executor", "nope"], "unknown executor 'nope'"),
+            (["--timeout", "-1"], "timeout must be positive"),
+        ],
+    )
+    def test_serve_reports_a_usage_error(self, monkeypatch, capsys, argv, message):
+        monkeypatch.setattr(
+            serve_module, "serve", lambda *args: pytest.fail("the server must not start")
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            serve_module.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and message in err
+
+    def test_one_executor_serves_every_submission(self, monkeypatch):
+        service = SweepService(None, workers=2)
+        calls = []
+        map_groups = service.executor.map_groups
+        monkeypatch.setattr(
+            service.executor, "map_groups", lambda groups: calls.append(1) or map_groups(groups)
+        )
+        sweep = small_sweep()
+        assert [e for batch in service.stream_batches(sweep) for e in batch]
+        spec = sweep.expand()[0]
+        assert service.execute_single(spec) == (execute_run(spec), False)
+        assert len(calls) == 2
 
 
 class TestSubmitCLI:

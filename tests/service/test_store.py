@@ -34,9 +34,9 @@ class CountingExecutor:
     def __init__(self) -> None:
         self.executed = 0
 
-    def map(self, specs):
-        self.executed += len(specs)
-        return SerialExecutor().map(specs)
+    def map_groups(self, groups):
+        self.executed += sum(len(group) for group in groups)
+        return SerialExecutor().map_groups(groups)
 
 
 class TestContentAddressing:
