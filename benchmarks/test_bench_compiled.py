@@ -1,4 +1,4 @@
-"""Compiled-engine benchmark — the table-lookup hot path behind every engine.
+"""Compiled-engine benchmark — the table-lookup hot path of the batch engine.
 
 Checks on an E6-style Circles workload (planted majority, uniform random
 scheduler) at ``n = 10^5``:
@@ -8,9 +8,6 @@ scheduler) at ``n = 10^5``:
   **2× faster** than the PR 1 uncompiled batch engine (``compiled=False``:
   hashable-state pool + memoized transition dict).  The engines sample the
   *same* Markov chain, so equal budgets are equal work;
-* the compiled sequential configuration engine beats its uncompiled self on
-  the same budget (the ``O(d)`` scan stays, the per-step Python dispatch and
-  multiset hashing go);
 * compilation itself is cheap and cached per ``(protocol, colors)`` pair.
 
 Wall-clock assertions carry the ``perf`` marker (opt-in via
@@ -27,7 +24,6 @@ from repro.compile import compile_protocol
 from repro.core.circles import CirclesProtocol
 from repro.simulation import (
     BatchConfigurationSimulation,
-    ConfigurationSimulation,
     OutputConsensus,
 )
 from repro.utils.multiset import Multiset
@@ -121,34 +117,6 @@ def test_compiled_batch_is_2x_faster_than_uncompiled_batch(record_perf):
         f"compiled batch engine only {rate_compiled / rate_uncompiled:.1f}x faster "
         f"({compiled_time:.2f}s vs {uncompiled_time:.2f}s for {budget} interactions)"
     )
-
-
-@pytest.mark.perf
-def test_compiled_configuration_engine_beats_uncompiled(record_perf):
-    protocol = CirclesProtocol(K)
-    colors = planted_majority(N, K, seed=5)
-    budget = 50_000
-
-    compiled = ConfigurationSimulation.from_colors(protocol, colors, seed=6)
-    uncompiled = ConfigurationSimulation.from_colors(protocol, colors, seed=6, compiled=False)
-    compiled.run(2_000)
-    uncompiled.run(2_000)
-
-    compiled_time = _elapsed(compiled, budget)
-    uncompiled_time = _elapsed(uncompiled, budget)
-    print(
-        f"\ncompiled configuration: {budget / compiled_time:,.0f} interactions/s, "
-        f"uncompiled: {budget / uncompiled_time:,.0f} interactions/s"
-    )
-    record_perf(
-        "compiled-vs-uncompiled-configuration",
-        n=N,
-        engine="configuration",
-        seconds=compiled_time,
-        speedup=uncompiled_time / compiled_time,
-        baseline_seconds=uncompiled_time,
-    )
-    assert compiled_time < uncompiled_time
 
 
 @pytest.mark.perf

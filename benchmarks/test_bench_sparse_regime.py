@@ -5,9 +5,11 @@ null, so the batch engine's compiled pool path switches to its sparse regime:
 it draws the number of null interactions geometrically and applies only the
 active ones (:mod:`repro.simulation.batch_engine`).  The perf test pins the
 claim on a convergence workload: circles k=3 at ``n = 256``, run to
-``StableCircles`` over 8 seeds, must finish at least **5× faster** on the
-batch engine than on :class:`ConfigurationSimulation`, which pays for every
-interaction.  The smoke test keeps the replicate-group record identity
+``StableCircles`` over 8 seeds, must finish at least **2× faster** than the
+same engine with the sparse regime held off, which draws every interaction
+from the dense pool.  Ten runs on a 2-vCPU Xeon VM measured 3.1–4.6×
+(sparse 0.03–0.06 s, dense 0.14–0.22 s), so the bound sits about a third
+below the slowest of them.  The smoke test keeps the replicate-group record identity
 exercised across a regime switch in the default suite.
 
 Wall-clock assertions are opt-in via ``pytest --perf benchmarks/``; timings
@@ -21,13 +23,16 @@ import pytest
 from repro.api.executor import execute_replicate_group, execute_run
 from repro.api.spec import SweepSpec
 from repro.core.circles import CirclesProtocol
+from repro.simulation import batch_engine
 from repro.simulation.batch_engine import BatchConfigurationSimulation
-from repro.simulation.config_engine import ConfigurationSimulation
 from repro.simulation.convergence import StableCircles
 
 N = 256
 SEEDS = range(8)
 COLORS = [0] * 90 + [1] * 84 + [2] * 82
+#: A regime threshold no load falls below: the engine never goes sparse.
+NEVER = -1.0
+SPEEDUP_BOUND = 2
 
 
 def test_replicate_group_matches_serial_across_a_regime_switch(monkeypatch):
@@ -55,38 +60,47 @@ def test_replicate_group_matches_serial_across_a_regime_switch(monkeypatch):
     assert all(record.converged and record.correct for record in grouped)
 
 
-def _time_to_convergence(engine_cls) -> tuple[float, int]:
+def _time_to_convergence() -> tuple[float, int, int]:
+    """Seconds, interactions and runs that finished sparse, over SEEDS."""
     protocol = CirclesProtocol(3)
-    steps = 0
+    steps = sparse_finishes = 0
     start = time.perf_counter()
     for seed in SEEDS:
-        simulation = engine_cls.from_colors(protocol, COLORS, seed=seed)
+        simulation = BatchConfigurationSimulation.from_colors(protocol, COLORS, seed=seed)
         assert simulation.run(10**9, criterion=StableCircles())
         steps += simulation.steps_taken
-    return time.perf_counter() - start, steps
+        sparse_finishes += simulation.regime == "sparse"
+    return time.perf_counter() - start, steps, sparse_finishes
 
 
 @pytest.mark.perf
-def test_batch_is_5x_faster_than_configuration_to_convergence(record_perf):
-    _time_to_convergence(BatchConfigurationSimulation)  # compile outside the timing
-    batch_seconds, batch_steps = _time_to_convergence(BatchConfigurationSimulation)
-    baseline_seconds, baseline_steps = _time_to_convergence(ConfigurationSimulation)
-    speedup = baseline_seconds / batch_seconds
+def test_sparse_regime_is_2x_faster_than_the_dense_pool_to_convergence(
+    record_perf, monkeypatch
+):
+    _time_to_convergence()  # compile outside the timing
+    sparse_seconds, sparse_steps, sparse_finishes = _time_to_convergence()
+    # The baseline is the code path the sparse regime replaces: the same
+    # engine with the sparse regime held off, drawing every interaction
+    # from the dense pool.
+    monkeypatch.setattr(batch_engine, "SPARSE_ENTER_LOAD", NEVER)
+    monkeypatch.setattr(batch_engine, "SPARSE_LEAVE_LOAD", NEVER)
+    dense_seconds, dense_steps, dense_finishes = _time_to_convergence()
+    assert sparse_finishes > 0 and dense_finishes == 0
+    speedup = dense_seconds / sparse_seconds
     print(
-        f"\nsparse regime: batch {batch_seconds:.2f}s for {batch_steps:,} interactions "
-        f"({batch_steps / batch_seconds:,.0f}/s), configuration {baseline_seconds:.2f}s "
-        f"for {baseline_steps:,} ({baseline_steps / baseline_seconds:,.0f}/s), "
-        f"speedup {speedup:.1f}x"
+        f"\nsparse regime: {sparse_seconds:.3f}s for {sparse_steps:,} interactions "
+        f"({sparse_steps / sparse_seconds:,.0f}/s), dense pool only {dense_seconds:.3f}s "
+        f"for {dense_steps:,} ({dense_steps / dense_seconds:,.0f}/s), speedup {speedup:.1f}x"
     )
     record_perf(
-        "sparse-regime-vs-configuration",
+        "sparse-regime-vs-dense-pool",
         n=N,
         engine="batch",
-        seconds=batch_seconds,
+        seconds=sparse_seconds,
         speedup=speedup,
-        baseline_seconds=baseline_seconds,
+        baseline_seconds=dense_seconds,
     )
-    assert batch_seconds * 5 <= baseline_seconds, (
-        f"batch only {speedup:.1f}x faster than the configuration engine "
-        f"({batch_seconds:.2f}s vs {baseline_seconds:.2f}s over {len(SEEDS)} runs to convergence)"
+    assert sparse_seconds * SPEEDUP_BOUND <= dense_seconds, (
+        f"sparse regime only {speedup:.1f}x faster than the dense pool "
+        f"({sparse_seconds:.3f}s vs {dense_seconds:.3f}s over {len(SEEDS)} runs to convergence)"
     )

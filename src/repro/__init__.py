@@ -14,7 +14,7 @@ The most common entry points are re-exported here:
 * :class:`CirclesProtocol` — the paper's protocol (``k^3`` states).
 * :func:`run_circles` / :func:`run_protocol` — simulate a protocol on an
   input color assignment under a (weakly fair) scheduler.  Both accept
-  ``engine="agent" | "configuration" | "batch" | "exact"`` (see
+  ``engine="agent" | "batch" | "vector" | "exact"`` (see
   :func:`get_engine`); the batched engine is the fast path for large
   populations, and the analytical ``"exact"`` engine (:mod:`repro.exact`)
   solves the small-``n`` Markov chain instead of sampling it.  The

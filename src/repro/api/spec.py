@@ -135,8 +135,8 @@ class RunSpec:
     workload: str = "planted-majority"
     protocol_params: Mapping[str, Any] = field(default_factory=dict)
     workload_params: Mapping[str, Any] = field(default_factory=dict)
-    #: Engine registry name (``"agent"``, ``"configuration"``, ``"batch"``,
-    #: or the analytical ``"exact"`` engine — small n only; its
+    #: Engine registry name (``"agent"``, ``"batch"``, ``"vector"``, or the
+    #: analytical ``"exact"`` engine — small n only; its
     #: DistributionResult lands in the record's ``extras["exact"]``).
     engine: str = "agent"
     #: Whether the engine runs on compiled transition tables

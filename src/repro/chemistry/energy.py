@@ -11,7 +11,6 @@ an :class:`~repro.simulation.observers.EnergyObserver`, on **any** engine:
 * ``engine="agent"`` (default) — one energy sample per interaction
   (including non-changing ones), the classic dense curve EXPERIMENTS.md
   reports;
-* ``engine="configuration"`` — one sample per changed interaction;
 * ``engine="batch"`` — one sample per changed interaction below the kernel
   gate, and one per changed pair-type aggregate per kernel round from
   ``n = 4096``, which is what makes relaxation curves at ``n = 10^5``

@@ -65,7 +65,7 @@ from repro.exact.result import (
     rational_string,
 )
 from repro.protocols.base import PopulationProtocol
-from repro.simulation.base import SimulationEngine, TransitionObserver
+from repro.simulation.base import SimulationEngine
 from repro.simulation.convergence import ConvergenceCriterion, SilentConfiguration
 from repro.utils.multiset import Multiset
 from repro.utils.rng import RngLike
@@ -114,7 +114,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
         protocol: PopulationProtocol[State],
         initial: Iterable[State] | Multiset[State],
         seed: RngLike = None,
-        transition_observer: TransitionObserver | None = None,
         compiled: bool | None = None,
         arithmetic: str = "float",
         max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
@@ -143,7 +142,7 @@ class ExactMarkovEngine(SimulationEngine[State]):
         self._final: Multiset[State] | None = None
         #: The :class:`DistributionResult` of the last ``run`` (None before).
         self.distribution_result: DistributionResult | None = None
-        self._init_observers(transition_observer)
+        self._init_observers()
 
     @classmethod
     def from_colors(
@@ -151,7 +150,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
         protocol: PopulationProtocol[State],
         colors: Iterable[int],
         seed: RngLike = None,
-        transition_observer: TransitionObserver | None = None,
         compiled: bool | None = None,
         **kwargs: object,
     ) -> "ExactMarkovEngine[State]":
@@ -160,7 +158,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
             protocol,
             (protocol.initial_state(color) for color in colors),
             seed,
-            transition_observer=transition_observer,
             compiled=compiled,
             **kwargs,
         )

@@ -186,8 +186,8 @@ def run(
             a fixed integer restores the classic fixed-budget sweep.
         stopping: optional :class:`~repro.api.stopping.StoppingRule`
             override for the adaptive path.
-        engine: simulation engine (``"agent"``, ``"configuration"``,
-            ``"batch"`` or ``"vector"``).  All of them simulate the uniform
+        engine: simulation engine (``"agent"``, ``"batch"`` or
+            ``"vector"``).  All of them simulate the uniform
             random scheduler — exactly for the configuration-level engines,
             via explicit pair draws for the agent engine — so the measured
             distributions agree; the default is the batched fast path, which

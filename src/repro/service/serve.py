@@ -52,6 +52,7 @@ from repro.api.executor import SweepRunner, build_executor
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec, SweepSpec
 from repro.service.store import ResultStore
+from repro.simulation.registry import get_engine
 
 
 #: How many records' JSON texts a service keeps for their envelopes (about
@@ -280,8 +281,12 @@ def make_handler(service: SweepService) -> type[BaseHTTPRequestHandler]:
                 payload = json.loads(self._read_body().decode("utf-8"))
                 if path == "/sweep":
                     submission = SweepSpec.from_dict(payload)
+                    engines = submission.engines
                 else:
                     submission = RunSpec.from_dict(payload)
+                    engines = (submission.engine,)
+                for engine in engines:
+                    get_engine(engine)
             except (json.JSONDecodeError, TypeError, KeyError, ValueError) as error:
                 self._send_error_json(400, f"bad spec: {error}")
                 return

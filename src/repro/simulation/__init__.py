@@ -1,26 +1,23 @@
 """Simulation engines for population protocols.
 
-Three engines implement the same dynamics at different granularities, all
+Three engines sample the same dynamics at different granularities, all
 behind the shared :class:`repro.simulation.base.SimulationEngine` interface:
 
 * :class:`repro.simulation.engine.AgentSimulation` (``engine="agent"``) —
   tracks every agent individually and works with *any* scheduler, including
   adversarial and adaptive ones.  This is the engine used for correctness
   experiments and the only one that records interaction traces.
-* :class:`repro.simulation.config_engine.ConfigurationSimulation`
-  (``engine="configuration"``) — tracks only the configuration (the multiset
-  of states) and samples interactions as the uniform random scheduler would.
-  Because agents are anonymous (Definition 1.1), this is exact for the random
-  scheduler and scales to large populations.
 * :class:`repro.simulation.batch_engine.BatchConfigurationSimulation`
-  (``engine="batch"``) — the same Markov chain as the configuration engine,
-  sampled in windows: exact vectorized rounds through the position kernel of
-  :mod:`repro.simulation.vector_kernel` from ``n = 4096`` when numpy is
-  available; below that, one interaction at a time from an agent pool while
-  many interactions change a state, and only the state-changing ones (with
-  geometric skips over the null ones) once few do.  This is the fast path
-  behind the convergence-time benchmarks (experiment E6) at
-  ``n = 10^5``–``10^6``.
+  (``engine="batch"``) — tracks only the configuration (the multiset of
+  states) and samples the chain the uniform random scheduler induces on it.
+  Because agents are anonymous (Definition 1.1), this is exact for the
+  random scheduler.  It samples in windows: exact vectorized rounds through
+  the position kernel of :mod:`repro.simulation.vector_kernel` from
+  ``n = 4096`` when numpy is available; below that, one interaction at a
+  time from an agent pool while many interactions change a state, and only
+  the state-changing ones (with geometric skips over the null ones) once few
+  do.  This is the fast path behind the convergence-time benchmarks
+  (experiment E6) at ``n = 10^5``–``10^6``.
 * :class:`repro.simulation.vector_engine.VectorReplicateSimulation`
   (``engine="vector"``) — the batch engine plus a many-replicate driver
   (:meth:`~repro.simulation.vector_engine.VectorReplicateSimulation.replicate_group`)
@@ -62,7 +59,6 @@ and energies; ``run_circles`` is ``run_protocol`` on a ``CirclesProtocol``.
 from repro.simulation.population import Population, initial_states
 from repro.simulation.base import ConfigurationEngine, SimulationEngine, default_check_interval
 from repro.simulation.engine import AgentSimulation, StepRecord
-from repro.simulation.config_engine import ConfigurationSimulation
 from repro.simulation.batch_engine import BatchConfigurationSimulation
 from repro.simulation.vector_engine import (
     ReplicateGroup,
@@ -123,7 +119,6 @@ __all__ = [
     "ConfigurationEngine",
     "default_check_interval",
     "AgentSimulation",
-    "ConfigurationSimulation",
     "BatchConfigurationSimulation",
     "VectorReplicateSimulation",
     "ReplicateGroup",

@@ -1,8 +1,8 @@
 """The shared engine interface.
 
-Three engines simulate the same population-protocol dynamics at different
-granularities (per agent, per configuration, per sampled window); this module
-holds what they share:
+The engines simulate the same population-protocol dynamics at different
+granularities (per agent, per sampled window of the configuration chain, or
+analytically); this module holds what they share:
 
 * :class:`SimulationEngine` — the abstract base class every engine
   implements.  It fixes the public contract (``run``, ``states``,
@@ -13,10 +13,11 @@ holds what they share:
   budget/convergence loop as a template method, so the stopping semantics
   are identical across engines: the criterion is evaluated before the first
   interaction and then every ``check_interval`` interactions.
-* :class:`ConfigurationEngine` — the common machinery of the engines that
-  track only the configuration (construction and validation, delta emission
-  for applied transitions, configuration bookkeeping, count-weighted output
-  tallies).  It also owns the *compiled* representation
+* :class:`ConfigurationEngine` — the configuration-level half of the batch
+  engine (:mod:`repro.simulation.batch_engine`, and through it the vector
+  replicate engine): construction and validation, delta emission for
+  applied transitions, configuration bookkeeping, count-weighted output
+  tallies.  It also owns the *compiled* representation
   (:mod:`repro.compile`): by default the configuration lives in an
   integer-indexed count vector over the protocol's reachable state space
   and transitions are flat-table lookups, with a transparent fallback to
@@ -29,8 +30,8 @@ holds what they share:
 * :func:`default_check_interval` — the single default policy for how often
   convergence is checked.
 
-Engine *selection* (the ``"agent"`` / ``"configuration"`` / ``"batch"``
-registry) lives in :mod:`repro.simulation.registry`.
+Engine *selection* (the ``"agent"`` / ``"batch"`` / ``"vector"`` /
+``"exact"`` registry) lives in :mod:`repro.simulation.registry`.
 """
 
 from __future__ import annotations
@@ -46,19 +47,12 @@ from repro.simulation.convergence import (
     ConvergenceCriterion,
     SilentConfiguration,
 )
-from repro.simulation.observers import CallbackObserver, CountDelta, Observer
+from repro.simulation.observers import CountDelta, Observer
 from repro.simulation.population import initial_configuration
 from repro.utils.multiset import Multiset
 from repro.utils.rng import RngLike, make_rng
 
 State = TypeVar("State", bound=Hashable)
-
-#: Legacy observer hook ``(initiator_before, responder_before, result,
-#: count)``, invoked for every applied transition that changed at least one
-#: state; ``count`` is how many interactions of that pair type the call
-#: covers.  Engines accept one as the ``transition_observer=`` keyword and
-#: wrap it in a :class:`~repro.simulation.observers.CallbackObserver`.
-TransitionObserver = Callable[..., None]
 
 
 def default_check_interval(num_agents: int) -> int:
@@ -69,12 +63,8 @@ def default_check_interval(num_agents: int) -> int:
     number of distinct states present, typically far below ``n``), so checking
     every ``n`` interactions keeps the amortized check cost per interaction
     vanishing as the population grows, while stabilization is still detected
-    within one parallel-time unit of when it happens.
-
-    Historically the agent engine checked once per scheduler cycle
-    (``n·(n-1)`` interactions) and the configuration engine every ``n``; the
-    cycle-based default made detection latency quadratic in ``n`` for no
-    gain in soundness, so all engines now share this single helper.
+    within one parallel-time unit of when it happens.  Every engine uses
+    this one helper.
     """
     return max(1, num_agents)
 
@@ -83,7 +73,7 @@ class SimulationEngine(abc.ABC, Generic[State]):
     """Abstract base class of all simulation engines.
 
     Concrete engines provide the stepping strategy via :meth:`_advance` (one
-    interaction for the exact sequential engines, a whole window for the
+    scheduled interaction for the agent engine, a whole window for the
     batched engine) and the criterion hook :meth:`_converged`; the budgeted
     :meth:`run` loop is shared so every engine stops under exactly the same
     rules.
@@ -112,12 +102,10 @@ class SimulationEngine(abc.ABC, Generic[State]):
 
     # -- observers ---------------------------------------------------------------
 
-    def _init_observers(self, transition_observer: TransitionObserver | None) -> None:
+    def _init_observers(self) -> None:
         """Set up the observer pipeline (call once, from ``__init__``)."""
         self._observers: list[Observer] = []
         self._wants_unchanged = False
-        if transition_observer is not None:
-            self.add_observer(CallbackObserver(transition_observer))
 
     def add_observer(self, observer: Observer[State]) -> Observer[State]:
         """Attach an observer and fire its ``on_start`` hook.
@@ -292,13 +280,15 @@ class SimulationEngine(abc.ABC, Generic[State]):
 
 
 class ConfigurationEngine(SimulationEngine[State]):
-    """Shared machinery of the engines that track only the configuration.
+    """The configuration-level state of the batch engine.
 
     Agents are anonymous (Definition 1.1), so under the uniform random
-    scheduler only the multiset of states matters.  Subclasses supply the
-    sampling strategy (:meth:`_advance`); construction, validation, the
-    transition-observer contract and the configuration bookkeeping live
-    here so the sequential and the batched engine cannot drift apart.
+    scheduler only the multiset of states matters.  This class holds that
+    multiset and everything that does not depend on how it is sampled:
+    construction and validation, delta emission to observers, the
+    configuration bookkeeping and the cached convergence verdict.  The
+    batch engine (:mod:`repro.simulation.batch_engine`) supplies the
+    sampling strategy (:meth:`_advance`).
 
     Compilation
     -----------
@@ -319,7 +309,6 @@ class ConfigurationEngine(SimulationEngine[State]):
         protocol: PopulationProtocol[State],
         initial: Iterable[State] | Multiset[State],
         seed: RngLike = None,
-        transition_observer: TransitionObserver | None = None,
         compiled: bool | None = None,
     ) -> None:
         self.protocol = protocol
@@ -343,7 +332,7 @@ class ConfigurationEngine(SimulationEngine[State]):
         #: path: ``(code, count)`` hooks, or decoded :class:`CountDelta`\ s.
         self._code_hooks: list[Callable[[int, int], None]] = []
         self._delta_observers: list[Observer[State]] = []
-        self._init_observers(transition_observer)
+        self._init_observers()
 
     def add_observer(self, observer: Observer[State]) -> Observer[State]:
         super().add_observer(observer)
@@ -370,17 +359,10 @@ class ConfigurationEngine(SimulationEngine[State]):
         protocol: PopulationProtocol[State],
         colors: Iterable[int],
         seed: RngLike = None,
-        transition_observer: TransitionObserver | None = None,
         compiled: bool | None = None,
     ):
         """Create the initial configuration from input colors."""
-        return cls(
-            protocol,
-            initial_configuration(protocol, colors),
-            seed,
-            transition_observer=transition_observer,
-            compiled=compiled,
-        )
+        return cls(protocol, initial_configuration(protocol, colors), seed, compiled=compiled)
 
     def _apply_changed_transition(
         self,

@@ -1,11 +1,9 @@
 """The batched configuration-level simulation engine.
 
-:class:`~repro.simulation.config_engine.ConfigurationSimulation` already
-exploits anonymity to simulate the uniform random scheduler on state *counts*,
-but it still pays two ``O(d)`` linear scans plus one transition evaluation per
-interaction.  This engine samples the same chain through cheaper windows of
-interactions, in the spirit of the batched population-protocol simulators of
-Berenbrink et al.:
+Agents are anonymous (Definition 1.1), so the uniform random scheduler
+induces a Markov chain on state *counts*.  This engine samples that chain
+through windows of interactions, in the spirit of the batched
+population-protocol simulators of Berenbrink et al.:
 
 - On the default *compiled* path (see :mod:`repro.compile`) with numpy
   available and ``n >= NUMPY_BURST_THRESHOLD``, the engine delegates to the
@@ -68,9 +66,8 @@ Berenbrink et al.:
   transition memoized per ordered state pair and judged by the states it
   returns, not by its ``changed`` flag.
 
-The induced Markov chain over configurations is *identical* to
-:class:`ConfigurationSimulation`'s (and to the agent engine's under the
-uniform random scheduler) on every path;
+The induced Markov chain over configurations is *identical* to the agent
+engine's under the uniform random scheduler on every path;
 ``tests/simulation/test_batch_engine.py`` and
 ``tests/simulation/test_sparse_regime.py`` check the agreement
 distributionally (the latter against the exact chain) and
@@ -96,7 +93,7 @@ from operator import itemgetter, mul
 from typing import Generic, TypeVar
 
 from repro.protocols.base import PopulationProtocol, TransitionResult
-from repro.simulation.base import ConfigurationEngine, TransitionObserver
+from repro.simulation.base import ConfigurationEngine
 from repro.simulation.convergence import ConvergenceCriterion
 from repro.utils.multiset import Multiset
 from repro.utils.rng import RngLike
@@ -246,12 +243,9 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         protocol: PopulationProtocol[State],
         initial: Iterable[State] | Multiset[State],
         seed: RngLike = None,
-        transition_observer: TransitionObserver | None = None,
         compiled: bool | None = None,
     ) -> None:
-        super().__init__(
-            protocol, initial, seed, transition_observer=transition_observer, compiled=compiled
-        )
+        super().__init__(protocol, initial, seed, compiled=compiled)
         self._transition_cache: dict[tuple[State, State], TransitionResult[State]] = {}
         self._kernel = None
         self._pool: list | None = None

@@ -58,7 +58,6 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         scheduler: Scheduler,
         trace: Trace | None = None,
         metrics: Mapping[str, MetricFn] | None = None,
-        transition_observer=None,
         compiled: bool = False,
     ) -> None:
         """Create the simulation.
@@ -73,13 +72,6 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
                 attaching a :class:`~repro.simulation.observers.TraceObserver`).
             metrics: optional named metric functions evaluated on the state
                 list at every recorded step.
-            transition_observer: optional legacy hook ``(initiator_before,
-                responder_before, result, count)`` invoked for every
-                interaction that changed at least one state (``count`` is
-                always 1 for this engine) — wrapped in a
-                :class:`~repro.simulation.observers.CallbackObserver`; new
-                code should pass :class:`Observer` instances to
-                :meth:`~repro.simulation.base.SimulationEngine.add_observer`.
             compiled: when True, evaluate ``δ`` through the protocol's
                 compiled transition table (:mod:`repro.compile`) instead of
                 Python dispatch.  Off by default — the agent engine exists
@@ -109,7 +101,7 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
                 )
             except StateSpaceCapExceeded:
                 self._compiled = None
-        self._init_observers(transition_observer)
+        self._init_observers()
         if trace is not None:
             self.add_observer(TraceObserver(trace=trace, metrics=self.metrics))
 
@@ -122,7 +114,6 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         scheduler: Scheduler | None = None,
         trace: Trace | None = None,
         metrics: Mapping[str, MetricFn] | None = None,
-        transition_observer=None,
         compiled: bool = False,
     ) -> "AgentSimulation[State]":
         """Create the initial population from input colors.
@@ -143,7 +134,6 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
             scheduler,
             trace=trace,
             metrics=metrics,
-            transition_observer=transition_observer,
             compiled=compiled,
         )
 

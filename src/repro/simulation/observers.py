@@ -15,9 +15,9 @@ gives all of them one streaming contract:
 * :class:`CountDelta` — the event payload.  The **agent engine** emits one
   delta per interaction (``count == 1``, with agent indices, and — for
   observers that ask via ``wants_unchanged`` — including interactions that
-  changed nothing).  The **configuration engine** emits one delta per changed
-  interaction, and so does the **batch engine** in its dense and sparse
-  regimes (``count == 1``); its position kernel emits one *exact aggregate*
+  changed nothing).  The **batch engine** emits one delta per changed
+  interaction in its dense and sparse regimes (``count == 1``); its
+  position kernel emits one *exact aggregate*
   per changed ordered pair type per round (``count`` = how many identical
   interactions the delta covers).  Aggregation never approximates: summing
   ``count`` over deltas equals the engine's ``interactions_changed`` on every
@@ -136,12 +136,11 @@ class Observer(Generic[State]):
 
 
 class CallbackObserver(Observer[State]):
-    """Adapts a legacy ``transition_observer`` callable to the pipeline.
+    """Adapts a plain callable to the pipeline.
 
     The callable receives ``(initiator_before, responder_before, result,
-    count)`` for every *changed* delta — exactly the pre-observer-pipeline
-    contract, which is why the engines' ``transition_observer=`` keyword is
-    now sugar for attaching one of these.
+    count)`` for every *changed* delta; ``count`` is how many interactions
+    of that pair type the delta covers.
     """
 
     name = "callback"
@@ -340,8 +339,8 @@ class EnergyObserver(_WeightedObserver):
 
     * ``record="delta"`` (default) appends one sample per delta (plus the
       initial configuration) — the exact per-step trajectory on the agent
-      engine, one sample per changed interaction on the configuration engine
-      and the batch engine's pool regimes, one per changed pair type per
+      engine, one sample per changed interaction in the batch engine's pool
+      regimes, one per changed pair type per
       round on the position kernel;
     * ``record="check"`` samples only at convergence-check boundaries and at
       the end of each run — the cheap setting for long sweeps.

@@ -8,14 +8,11 @@ sweeps) instead of through imports:
 * ``"agent"`` — :class:`~repro.simulation.engine.AgentSimulation`: tracks
   every agent individually; the only engine that supports arbitrary (e.g.
   adversarial) schedulers and interaction traces.
-* ``"configuration"`` — :class:`~repro.simulation.config_engine.ConfigurationSimulation`:
-  exact sequential sampling from the configuration under the uniform random
-  scheduler; ``O(d)`` per interaction.
 * ``"batch"`` — :class:`~repro.simulation.batch_engine.BatchConfigurationSimulation`:
-  the same chain as ``"configuration"`` but sampled in exact vectorized
-  rounds (position kernel) or, below the kernel gate, from an agent pool
-  one interaction at a time or by skipping the null interactions; the fast
-  path for large-population convergence sweeps.
+  exact sampling of the configuration chain the uniform random scheduler
+  induces, in vectorized rounds (position kernel) or, below the kernel
+  gate, from an agent pool one interaction at a time or by skipping the
+  null interactions.
 * ``"vector"`` — :class:`~repro.simulation.vector_engine.VectorReplicateSimulation`:
   the batch engine plus a many-replicate driver that advances ``R``
   independent replicates of one compiled protocol in lockstep, each row
@@ -43,7 +40,6 @@ from __future__ import annotations
 
 from repro.simulation.base import SimulationEngine
 from repro.simulation.batch_engine import BatchConfigurationSimulation
-from repro.simulation.config_engine import ConfigurationSimulation
 from repro.simulation.engine import AgentSimulation
 from repro.simulation.vector_engine import VectorReplicateSimulation
 from repro.utils.errors import unknown_name_error
@@ -54,7 +50,6 @@ from repro.utils.errors import unknown_name_error
 #: through :mod:`repro.simulation.base`.
 ENGINES: dict[str, type[SimulationEngine]] = {
     AgentSimulation.engine_name: AgentSimulation,
-    ConfigurationSimulation.engine_name: ConfigurationSimulation,
     BatchConfigurationSimulation.engine_name: BatchConfigurationSimulation,
     VectorReplicateSimulation.engine_name: VectorReplicateSimulation,
 }

@@ -19,10 +19,10 @@ Both entry points accept ``engine=`` with a registry name from
 * ``"agent"`` (default) — per-agent simulation; the only engine that
   supports custom schedulers (``scheduler=``) and trace recording
   (``record_trace=True``).
-* ``"configuration"`` — exact sequential configuration-level sampling of the
-  uniform random scheduler.
-* ``"batch"`` — the batched configuration-level engine; the fast path for
-  large populations (E6-scale convergence sweeps).
+* ``"batch"`` — the configuration-level engine: exact sampling of the
+  uniform random scheduler in windows; the fast path for large populations
+  (E6-scale convergence sweeps).  ``"vector"`` is the batch engine plus a
+  lockstep replicate driver.
 * ``"exact"`` — the analytical engine (:mod:`repro.exact`): solves the
   uniform-random-scheduler Markov chain instead of sampling it.  The
   result's ``steps`` / ``interactions_changed`` are exact *expected* values,
@@ -266,8 +266,8 @@ def run_protocol(
             (``"agent"`` engine only).
         check_interval: how often (in interactions) the criterion is checked;
             defaults to :func:`~repro.simulation.base.default_check_interval`.
-        engine: engine registry name — ``"agent"``, ``"configuration"``,
-            ``"batch"``, or the analytical ``"exact"`` (see the module
+        engine: engine registry name — ``"agent"``, ``"batch"``,
+            ``"vector"``, or the analytical ``"exact"`` (see the module
             docstring for its distribution-level result semantics).
         compiled: whether the engine runs on compiled transition tables
             (:mod:`repro.compile`).  ``None`` keeps each engine's default

@@ -51,7 +51,7 @@ def test_every_path_uses_the_protocol_default(recorded, name):
     protocol = get_protocol(name, 2)
     expected = type(protocol.default_criterion())
 
-    run_protocol(protocol, COLORS, engine="configuration", seed=1, max_steps=50)
+    run_protocol(protocol, COLORS, engine="batch", seed=1, max_steps=50)
     spec = RunSpec(protocol=name, n=len(COLORS), k=2, seed=1, workload_seed=1)
     assert exact_anchor_value(spec, "steps") == 1.0
     assert e6_convergence.exact_expected_cell(name, 2, COLORS) == "1.0"

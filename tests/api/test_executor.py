@@ -26,7 +26,7 @@ from repro.simulation.convergence import OutputConsensus, StableCircles
 class TestSeedDeterminism:
     """Same RunSpec seed -> identical record, for every engine (satellite)."""
 
-    @pytest.mark.parametrize("engine", ["agent", "configuration", "batch"])
+    @pytest.mark.parametrize("engine", ["agent", "batch"])
     def test_repeat_runs_are_identical(self, engine):
         spec = RunSpec(
             protocol="circles", n=10, k=3, engine=engine, seed=123, max_steps=20_000
@@ -38,7 +38,7 @@ class TestSeedDeterminism:
         assert first.engine == engine
         assert first.seed == 123
 
-    @pytest.mark.parametrize("engine", ["agent", "configuration", "batch"])
+    @pytest.mark.parametrize("engine", ["agent", "batch"])
     def test_different_seeds_reach_the_same_answer_differently(self, engine):
         base = RunSpec(protocol="circles", n=10, k=3, engine=engine, seed=1, max_steps=20_000)
         other = base.with_seed(2)
@@ -251,7 +251,7 @@ class TestCompiledKnob:
         record = execute_run(spec)
         assert record.steps <= 2_000
 
-    @pytest.mark.parametrize("engine", ["agent", "configuration", "batch"])
+    @pytest.mark.parametrize("engine", ["agent", "batch"])
     def test_compiled_false_still_produces_a_correct_record(self, engine):
         spec = RunSpec(protocol="circles", n=10, k=2, engine=engine, seed=7,
                        max_steps=50_000, compiled=False)
@@ -259,7 +259,7 @@ class TestCompiledKnob:
         assert record.correct
 
     def test_compiled_runs_match_uncompiled_runs_in_outcome(self):
-        base = RunSpec(protocol="exact-majority", n=12, k=2, engine="configuration",
+        base = RunSpec(protocol="exact-majority", n=12, k=2, engine="batch",
                        seed=5, criterion="output-consensus", max_steps=50_000)
         compiled_record = execute_run(base)
         uncompiled_record = execute_run(
@@ -296,7 +296,7 @@ class TestObserverSummaries:
 
     def test_circles_shaped_observer_on_foreign_protocol_fails_clearly(self):
         spec = RunSpec(
-            protocol="exact-majority", n=10, k=2, engine="configuration", seed=4,
+            protocol="exact-majority", n=10, k=2, engine="batch", seed=4,
             max_steps=20_000, observers=(("energy", {"record": "check"}),),
         )
         with pytest.raises(TypeError, match="Circles-shaped states"):

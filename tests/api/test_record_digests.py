@@ -26,7 +26,7 @@ from repro.core.circles import CirclesVariant, ExchangeRule
 HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 PROTOCOLS = ("circles", "cancellation-plurality", "tournament-plurality")
-SAMPLED_ENGINES = ("agent", "configuration", "batch", "vector")
+SAMPLED_ENGINES = ("agent", "batch", "vector")
 GRIDS = (*SAMPLED_ENGINES, "kernel", "exact", "variant")
 
 
@@ -118,16 +118,18 @@ def grid_records(grid: str) -> list:
 
 #: Digests computed at the commit before the run-plan refactor, except
 #: ``batch`` and ``vector``: their grids run the pool regimes, re-pinned at
-#: record epoch 5 for the re-measured regime thresholds.  Only the kernel grid
+#: record epoch 5 for the re-measured regime thresholds.  ``variant`` was
+#: re-pinned when the configuration engine was deleted: it is the digest of
+#: the same grid's remaining records, computed on the code before the
+#: deletion.  Only the kernel grid
 #: depends on numpy: without it the batch engine and the replicate groups
 #: sample through pure Python.
 DIGESTS = {
     "agent": "cfca281f04e46de42ddf859f8470a9137d58830b39b726b6f11c12bd46dc6a80",
-    "configuration": "a57a8b27743f717fe2d160f1be86bdb3952fa74e9b0462a422ad874a9f5a3bd1",
     "batch": "588b5c7567d1b3d8821b33872820c7fc88dd330110be4d4c235620e61385fd9c",
     "vector": "621dbd6cc7b0430677fa3dca6efbac99d56bed8fc9ae6b81a4c0f1458f4de204",
     "exact": "d69179a0c48bdbff6fea8472db05b04805d8dd63bad02d9d5801fefd6ddc61c6",
-    "variant": "58e1c3aae841b3a9d54834db14700d1575296cbaa9e6ed8feec6906f5017b8dc",
+    "variant": "c34409cf68ce44ca46b1138b9f72c9a0c2ec55bd2818cbee0de2450c87d84a65",
 }
 #: Without numpy the kernel grid runs the pool regimes, so its digest was
 #: re-pinned with ``batch`` and ``vector`` at record epoch 5.

@@ -66,7 +66,7 @@ class TestSweepResultPersistence:
 
     def test_round_trip_through_indented_json(self):
         sweep = SweepSpec(protocols=("circles",), populations=(8,), ks=(2,), seed=1,
-                          engines=("configuration",), max_steps_quadratic=200)
+                          engines=("batch",), max_steps_quadratic=200)
         result = run_sweep(sweep)
         assert SweepResult.from_json(result.to_json(indent=2)).records == result.records
 

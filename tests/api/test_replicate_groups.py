@@ -60,7 +60,6 @@ class TestGroupingKey:
         # Engines without lockstep support, schedulers, observers, missing
         # seeds and floating workloads all fall back to per-spec execution.
         assert not _replicate_groupable(replace(base, engine="agent"))
-        assert not _replicate_groupable(replace(base, engine="configuration"))
         assert not _replicate_groupable(replace(base, engine="exact"))
         assert not _replicate_groupable(replace(base, scheduler="round-robin"))
         assert not _replicate_groupable(replace(base, observers=("energy",)))
@@ -111,7 +110,7 @@ class TestExecuteReplicateGroup:
             execute_replicate_group(specs)
 
     def test_ineligible_specs_fall_back_per_spec(self):
-        specs = circles_sweep(engines=("configuration",), trials=2).expand()
+        specs = circles_sweep(engines=("agent",), trials=2).expand()
         assert execute_replicate_group(specs) == [execute_run(spec) for spec in specs]
 
     def test_mixed_groups_rejected(self):

@@ -28,7 +28,6 @@ from repro.simulation.batch_engine import (
     NUMPY_BURST_THRESHOLD,
     BatchConfigurationSimulation,
 )
-from repro.simulation.config_engine import ConfigurationSimulation
 from repro.simulation.convergence import SilentConfiguration
 from repro.simulation.engine import AgentSimulation
 from repro.simulation.observers import Observer
@@ -179,10 +178,10 @@ class TestUncompiledPathsJudgeByStates:
         simulation.run(2_000)
         self.assert_moved(simulation)
 
-    @pytest.mark.parametrize("engine", ["configuration", "agent"])
-    def test_sequential_engines_move_and_report_the_move(self, engine):
-        if engine == "configuration":
-            simulation = ConfigurationSimulation.from_colors(
+    @pytest.mark.parametrize("engine", ["batch", "agent"])
+    def test_engines_report_the_move_to_observers(self, engine):
+        if engine == "batch":
+            simulation = BatchConfigurationSimulation.from_colors(
                 MisflaggedSpread(2), self.COLORS, seed=11, compiled=False
             )
         else:

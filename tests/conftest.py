@@ -121,6 +121,31 @@ def make_registry_protocol():
     return _registry_protocol
 
 
+def _pin_batch_path(monkeypatch, name: str) -> tuple[str, dict]:
+    """``(engine name, from_colors keywords)`` for an engine name or a batch path.
+
+    ``batch-dense`` and ``batch-sparse`` hold the batch engine in one pool
+    regime for the whole run; ``batch-uncompiled`` runs its pool of decoded
+    states.  Any other name is a registry engine name, passed through.
+    """
+    import repro.simulation.batch_engine as batch_engine
+
+    if name in ("batch-dense", "batch-sparse"):
+        load = -1.0 if name == "batch-dense" else float("inf")
+        monkeypatch.setattr(batch_engine, "SPARSE_ENTER_LOAD", load)
+        monkeypatch.setattr(batch_engine, "SPARSE_LEAVE_LOAD", load)
+        return "batch", {}
+    if name == "batch-uncompiled":
+        return "batch", {"compiled": False}
+    return name, {}
+
+
+@pytest.fixture
+def pin_batch_path(monkeypatch):
+    """``name -> (engine name, from_colors keywords)``, pinning a batch path."""
+    return lambda name: _pin_batch_path(monkeypatch, name)
+
+
 def _per_spec_sweep(sweep):
     """The :class:`SweepResult` a sweep must produce, every run through
     :func:`execute_run` alone — no units, no executor, no store.

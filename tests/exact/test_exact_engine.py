@@ -204,7 +204,7 @@ class TestSpecIntegration:
         assert restored.exact_result() == record.exact_result()
 
     def test_sampled_records_have_no_exact_result(self):
-        spec = RunSpec(protocol="circles", n=5, k=2, engine="configuration", seed=7)
+        spec = RunSpec(protocol="circles", n=5, k=2, engine="batch", seed=7)
         record = execute_run(spec)
         assert record.exact_result() is None
 

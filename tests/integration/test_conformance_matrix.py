@@ -13,8 +13,9 @@ registration alone.  Per cell the matrix checks:
   a silent population keeps reporting convergence;
 * **small-n distributional agreement** — under the uniform random scheduler
   every engine samples the same Markov chain, checked by a two-sample
-  chi-squared test on output-count histograms against the exact sequential
-  configuration engine;
+  chi-squared test on output-count histograms against the agent engine
+  driven by :class:`UniformRandomScheduler` (the independent, per-agent
+  implementation of that chain);
 * **static verification** — the ``repro.verify`` analyzer runs over the
   compiled δ-table (no simulation): no ERROR diagnostics, certificates
   re-verify, and the static stable-class analysis agrees with a fresh
@@ -32,7 +33,6 @@ from repro.scheduling.random_uniform import UniformRandomScheduler
 from repro.simulation import (
     ENGINES,
     AgentSimulation,
-    ConfigurationSimulation,
     stochastic_engines,
 )
 from repro.simulation.convergence import SilentConfiguration
@@ -46,10 +46,15 @@ PROTOCOL_NAMES = DEFAULT_REGISTRY.names()
 # "exact" engine is itself the reference the golden suite
 # (test_exact_golden.py) checks these engines against.
 ENGINE_NAMES = list(stochastic_engines())
+# The batch engine's sampler paths, each pinned (see the ``pin_batch_path``
+# fixture): at these small n its measured regime switch mostly stays dense,
+# so the pins are what puts the sparse event chain and the uncompiled pool
+# through every registry protocol.
+BATCH_PATHS = ["batch-dense", "batch-sparse", "batch-uncompiled"]
 MATRIX = [
     (protocol_name, engine_name)
     for protocol_name in PROTOCOL_NAMES
-    for engine_name in ENGINE_NAMES
+    for engine_name in ENGINE_NAMES + BATCH_PATHS
 ]
 
 
@@ -61,35 +66,39 @@ def make_colors(protocol, num_agents):
     return [0] * (num_agents - len(minority)) + minority
 
 
-def build_engine(engine_cls, protocol, colors, seed):
+def build_engine(engine_cls, protocol, colors, seed, **options):
     """Construct any registry engine on the uniform random scheduler chain."""
     if issubclass(engine_cls, AgentSimulation):
         scheduler = UniformRandomScheduler(len(colors), seed=seed)
         return engine_cls.from_colors(protocol, colors, seed=seed, scheduler=scheduler)
-    return engine_cls.from_colors(protocol, colors, seed=seed)
+    return engine_cls.from_colors(protocol, colors, seed=seed, **options)
 
 
 @pytest.mark.parametrize("protocol_name,engine_name", MATRIX)
 class TestConformanceCell:
     def test_population_size_is_conserved(
-        self, protocol_name, engine_name, make_registry_protocol
+        self, protocol_name, engine_name, make_registry_protocol, pin_batch_path
     ):
         protocol = make_registry_protocol(protocol_name)
         colors = make_colors(protocol, 12)
-        simulation = build_engine(ENGINES[engine_name], protocol, colors, seed=11)
+        engine, options = pin_batch_path(engine_name)
+        simulation = build_engine(ENGINES[engine], protocol, colors, seed=11, **options)
         simulation.run(400)
+        if engine_name in ("batch-dense", "batch-sparse"):
+            assert f"batch-{simulation.regime}" == engine_name
         assert simulation.steps_taken == 400
         assert simulation.num_agents == 12
         assert len(simulation.states()) == 12
         assert sum(simulation.output_counts().values()) == 12
 
     def test_outputs_stay_in_the_output_maps_image(
-        self, protocol_name, engine_name, make_registry_protocol
+        self, protocol_name, engine_name, make_registry_protocol, pin_batch_path
     ):
         protocol = make_registry_protocol(protocol_name)
         colors = make_colors(protocol, 18)
         allowed = compile_protocol(protocol, colors).output_colors()
-        simulation = build_engine(ENGINES[engine_name], protocol, colors, seed=13)
+        engine_name, options = pin_batch_path(engine_name)
+        simulation = build_engine(ENGINES[engine_name], protocol, colors, seed=13, **options)
         simulation.run(2_000)
         outputs = simulation.outputs()
         assert len(outputs) == 18
@@ -97,11 +106,12 @@ class TestConformanceCell:
         assert set(simulation.output_counts()) <= allowed
 
     def test_quiescence_detection_is_sound(
-        self, protocol_name, engine_name, make_registry_protocol
+        self, protocol_name, engine_name, make_registry_protocol, pin_batch_path
     ):
         protocol = make_registry_protocol(protocol_name)
         colors = make_colors(protocol, 8)
-        simulation = build_engine(ENGINES[engine_name], protocol, colors, seed=17)
+        engine_name, options = pin_batch_path(engine_name)
+        simulation = build_engine(ENGINES[engine_name], protocol, colors, seed=17, **options)
         converged = simulation.run(
             20_000, criterion=SilentConfiguration(), check_interval=64
         )
@@ -131,7 +141,7 @@ class TestConformanceCell:
 def test_engines_agree_distributionally_at_small_n(
     protocol_name, make_registry_protocol, two_sample_chi_squared
 ):
-    """Every engine samples the exact chain of the sequential config engine."""
+    """Every configuration-level engine samples the agent engine's chain."""
     protocol = make_registry_protocol(protocol_name)
     colors = make_colors(protocol, 6)
     trials = 150
@@ -148,15 +158,15 @@ def test_engines_agree_distributionally_at_small_n(
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    reference = histogram(ConfigurationSimulation.engine_name, 50_000)
+    reference = histogram(AgentSimulation.engine_name, 50_000)
     for engine_name in ENGINE_NAMES:
-        if engine_name == ConfigurationSimulation.engine_name:
+        if engine_name == AgentSimulation.engine_name:
             continue
         observed = histogram(engine_name, 90_000)
         statistic, critical = two_sample_chi_squared(observed, reference)
         assert statistic < critical, (
-            f"{protocol_name}: engine {engine_name!r} disagrees with the exact "
-            f"configuration engine (chi-squared {statistic:.1f} > {critical:.1f})"
+            f"{protocol_name}: engine {engine_name!r} disagrees with the agent "
+            f"engine (chi-squared {statistic:.1f} > {critical:.1f})"
         )
 
 

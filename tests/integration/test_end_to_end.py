@@ -62,12 +62,12 @@ class TestAdversarialEndToEnd:
 
 
 class TestScalability:
-    def test_large_population_through_configuration_engine(self):
-        from repro.simulation.config_engine import ConfigurationSimulation
+    def test_large_population_through_batch_engine(self):
+        from repro.simulation.batch_engine import BatchConfigurationSimulation
         from repro.simulation.convergence import StableCircles
 
         colors = [0] * 150 + [1] * 100 + [2] * 50
-        simulation = ConfigurationSimulation.from_colors(CirclesProtocol(3), colors, seed=9)
+        simulation = BatchConfigurationSimulation.from_colors(CirclesProtocol(3), colors, seed=9)
         converged = simulation.run(600_000, criterion=StableCircles(), check_interval=2_000)
         assert converged
         assert simulation.unanimous_output() == 0

@@ -1,9 +1,9 @@
-"""The two engines and the Gillespie SSA must agree on where Circles settles.
+"""The engines and the Gillespie SSA must agree on where Circles settles.
 
 Agents are anonymous, so the agent-level engine (under the uniform random
-scheduler), the configuration-level engine and the CRN/Gillespie simulation
+scheduler), the batch and vector engines and the CRN/Gillespie simulation
 all induce the same Markov chain over configurations up to time
-parameterization.  These tests check the observable agreement: all three
+parameterization.  These tests check the observable agreement: all of them
 settle in the configuration predicted by Lemma 3.6 and report the same
 minimum energy.
 """
@@ -16,7 +16,6 @@ from repro.core.greedy_sets import predicted_stable_brakets
 from repro.core.potential import configuration_energy, minimum_energy
 from repro.scheduling.random_uniform import UniformRandomScheduler
 from repro.simulation.batch_engine import BatchConfigurationSimulation
-from repro.simulation.config_engine import ConfigurationSimulation
 from repro.simulation.convergence import StableCircles
 from repro.simulation.engine import AgentSimulation
 from repro.simulation.population import Population
@@ -37,14 +36,6 @@ def _final_brakets_agent_engine(seed: int) -> Multiset:
     converged = simulation.run(100_000, criterion=StableCircles(), check_interval=32)
     assert converged
     return Multiset(state.braket for state in simulation.states())
-
-
-def _final_brakets_config_engine(seed: int) -> Multiset:
-    protocol = CirclesProtocol(K)
-    simulation = ConfigurationSimulation.from_colors(protocol, COLORS, seed=seed)
-    converged = simulation.run(100_000, criterion=StableCircles(), check_interval=32)
-    assert converged
-    return Multiset(state.braket for state in simulation.configuration().elements())
 
 
 def _final_brakets_batch_engine(seed: int, colors=None) -> Multiset:
@@ -68,7 +59,6 @@ def _final_brakets_gillespie(seed: int) -> Multiset:
 def test_all_engines_reach_the_predicted_configuration(seed):
     prediction = predicted_stable_brakets(COLORS)
     assert _final_brakets_agent_engine(seed) == prediction
-    assert _final_brakets_config_engine(seed) == prediction
     assert _final_brakets_batch_engine(seed) == prediction
     assert _final_brakets_gillespie(seed) == prediction
 
@@ -76,7 +66,6 @@ def test_all_engines_reach_the_predicted_configuration(seed):
 def test_all_engines_reach_the_same_minimum_energy():
     expected = minimum_energy(COLORS, K)
     assert configuration_energy(_final_brakets_agent_engine(7).elements(), K) == expected
-    assert configuration_energy(_final_brakets_config_engine(7).elements(), K) == expected
     assert configuration_energy(_final_brakets_batch_engine(7).elements(), K) == expected
     assert configuration_energy(_final_brakets_gillespie(7).elements(), K) == expected
 

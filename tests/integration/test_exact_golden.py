@@ -4,7 +4,7 @@ Two layers of ground truth, neither of which is engine-vs-engine:
 
 * **Distributional conformance** — for every protocol in the registry at
   small ``n``, the empirical distribution of output histograms produced by
-  the agent, configuration and batch engines after a fixed number of
+  the agent, batch and vector engines after a fixed number of
   interactions is chi-squared-tested against the *exact* distribution
   computed by the Markov-chain engine (:mod:`repro.exact`).  A bias shared
   by all stochastic engines — which the engine-vs-engine agreement suites
@@ -37,10 +37,15 @@ from repro.simulation import ENGINES, AgentSimulation, stochastic_engines
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 PROTOCOL_NAMES = DEFAULT_REGISTRY.names()
+# The batch engine's sampler paths, each pinned (see the ``pin_batch_path``
+# fixture): at n = 5 its measured regime switch mostly stays dense, so the
+# pins are what checks the sparse event chain and the uncompiled pool
+# against the exact chain on every registry protocol.
+SAMPLERS = [*stochastic_engines(), "batch-dense", "batch-sparse", "batch-uncompiled"]
 MATRIX = [
     (protocol_name, engine_name)
     for protocol_name in PROTOCOL_NAMES
-    for engine_name in stochastic_engines()
+    for engine_name in SAMPLERS
 ]
 
 TRIALS = 200
@@ -56,19 +61,20 @@ def make_colors(protocol, num_agents):
     return [0] * (num_agents - len(minority)) + minority
 
 
-def build_engine(engine_cls, protocol, colors, seed):
+def build_engine(engine_cls, protocol, colors, seed, **options):
     """Construct a stochastic engine on the uniform random scheduler chain."""
     if issubclass(engine_cls, AgentSimulation):
         scheduler = UniformRandomScheduler(len(colors), seed=seed)
         return engine_cls.from_colors(protocol, colors, seed=seed, scheduler=scheduler)
-    return engine_cls.from_colors(protocol, colors, seed=seed)
+    return engine_cls.from_colors(protocol, colors, seed=seed, **options)
 
 
 @pytest.mark.parametrize("protocol_name,engine_name", MATRIX)
 def test_engine_matches_the_exact_distribution(
-    protocol_name, engine_name, make_registry_protocol, one_sample_chi_squared
+    protocol_name, engine_name, make_registry_protocol, one_sample_chi_squared, pin_batch_path
 ):
     """Empirical output histograms match the exactly computed distribution."""
+    sampler, options = pin_batch_path(engine_name)
     protocol = make_registry_protocol(protocol_name)
     colors = make_colors(protocol, NUM_AGENTS)
     chain = ConfigurationChain.from_colors(protocol, colors)
@@ -78,7 +84,7 @@ def test_engine_matches_the_exact_distribution(
     observed: dict = {}
     for trial in range(TRIALS):
         simulation = build_engine(
-            ENGINES[engine_name], protocol, colors, seed=70_000 + trial
+            ENGINES[sampler], protocol, colors, seed=70_000 + trial, **options
         )
         simulation.run(HORIZON)
         key = tuple(sorted(simulation.output_counts().items()))
@@ -97,9 +103,9 @@ def test_engine_matches_the_exact_distribution(
 TIE_COLORS = [0, 0, 1, 1]
 
 
-@pytest.mark.parametrize("engine_name", stochastic_engines())
+@pytest.mark.parametrize("engine_name", SAMPLERS)
 def test_engines_match_the_quotiented_exact_distribution(
-    engine_name, make_registry_protocol, one_sample_chi_squared
+    engine_name, make_registry_protocol, one_sample_chi_squared, pin_batch_path
 ):
     """The quotient chain's *lifted* distribution is what the samplers sample.
 
@@ -107,6 +113,7 @@ def test_engines_match_the_quotiented_exact_distribution(
     from :class:`QuotientChain` on a tied input — conformance coverage for
     the orbit lift itself, not just the lumped chain.
     """
+    sampler, options = pin_batch_path(engine_name)
     protocol = make_registry_protocol("circles")
     chain = QuotientChain.from_colors(protocol, TIE_COLORS)
     assert chain.is_quotiented
@@ -116,7 +123,7 @@ def test_engines_match_the_quotiented_exact_distribution(
     observed: dict = {}
     for trial in range(TRIALS):
         simulation = build_engine(
-            ENGINES[engine_name], protocol, TIE_COLORS, seed=90_000 + trial
+            ENGINES[sampler], protocol, TIE_COLORS, seed=90_000 + trial, **options
         )
         simulation.run(HORIZON)
         key = tuple(sorted(simulation.output_counts().items()))
@@ -229,7 +236,7 @@ def test_stochastic_engines_respect_the_golden_absorption_times(case):
     """Sampled convergence agrees with the pinned expectation (coarse guard).
 
     The distributional test above is the sharp check; this one closes the
-    loop on the *absorption-time* golden values: the configuration engine's
+    loop on the *absorption-time* golden values: the batch engine's
     mean interactions to the pinned criterion must land within a generous
     band around the exact expectation (or the criterion must be non-a.s.,
     matching a pinned ``null``).
@@ -244,7 +251,7 @@ def test_stochastic_engines_respect_the_golden_absorption_times(case):
     trials = 120
     total = 0
     for trial in range(trials):
-        simulation = ENGINES["configuration"].from_colors(
+        simulation = ENGINES["batch"].from_colors(
             protocol, colors, seed=40_000 + trial
         )
         assert simulation.run(100_000, criterion=criterion, check_interval=1)

@@ -26,7 +26,6 @@ from repro.protocols.registry import DEFAULT_REGISTRY
 from repro.simulation import (
     AgentSimulation,
     BatchConfigurationSimulation,
-    ConfigurationSimulation,
     EnergyObserver,
     Observer,
     OutputConsensus,
@@ -36,7 +35,7 @@ from repro.simulation import (
 from repro.utils.multiset import Multiset
 from repro.workloads.distributions import planted_majority
 
-ENGINE_CLASSES = (AgentSimulation, ConfigurationSimulation, BatchConfigurationSimulation)
+ENGINE_CLASSES = (AgentSimulation, BatchConfigurationSimulation)
 
 COLORS = [0] * 14 + [1] * 9 + [2] * 5 + [3] * 4
 K = 4
@@ -86,10 +85,10 @@ class TestEnergyAndPotentialAgreement:
         simulation.run(40_000, criterion=OutputConsensus(target=-1), check_interval=200)
         assert observer.boundaries_verified > 100
 
-    def test_seeded_trajectories_agree_between_agent_and_configuration_engines(self):
+    def test_seeded_trajectories_agree_between_agent_and_batch_engines(self):
         trajectories = {
             engine: energy_trajectory(COLORS, num_colors=K, max_steps=60_000, seed=7, engine=engine)
-            for engine in ("agent", "configuration", "batch")
+            for engine in ("agent", "batch")
         }
         initial = {t.initial_energy for t in trajectories.values()}
         final = {t.final_energy for t in trajectories.values()}

@@ -280,6 +280,22 @@ class TestErrorHandling:
         assert excinfo.value.code == 400
         assert "bad spec" in json.loads(excinfo.value.read().decode("utf-8"))["error"]
 
+    @pytest.mark.parametrize("engine", ["configuration", "nope"])
+    @pytest.mark.parametrize("route", ["/sweep", "/run"])
+    def test_unknown_engine_is_a_400_before_the_stream(self, server, service, route, engine):
+        """An unknown engine name is a bad spec, not a run that fails after retries."""
+        if route == "/sweep":
+            payload = dataclasses.replace(small_sweep(), engines=("batch", engine)).to_dict()
+        else:
+            payload = RunSpec(protocol="circles", n=8, k=2, engine=engine, seed=3).to_dict()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_lines(server, route, payload)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
+        assert error.startswith("bad spec") and repr(engine) in error and "batch" in error
+        status = service.status()
+        assert status["cache"]["misses"] == 0 and status["sweeps"] == []
+
     def test_unknown_routes_are_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(server, "/nope")

@@ -58,7 +58,7 @@ class TestContentAddressing:
             {"workload_seed": 999},
             {"observers": ("energy",)},
             {"compiled": False},
-            {"engine": "configuration"},
+            {"engine": "batch"},
             {"n": 10},
             {"max_steps": 123},
         ],

@@ -1,7 +1,8 @@
 """Tests for the batched configuration-level simulation engine.
 
 The engine's claim is *exactness*: it samples the same Markov chain over
-configurations as :class:`ConfigurationSimulation`, just in cheaper windows.
+configurations as the agent engine under the uniform random scheduler, just
+in cheaper windows.
 Besides the usual unit checks, this module therefore carries a
 distributional agreement test (two-sample chi-squared on output-count
 histograms across hundreds of seeded runs) and invariant checks on the
@@ -15,8 +16,11 @@ from repro.core.circles import CirclesProtocol
 from repro.core.greedy_sets import predicted_stable_brakets
 from repro.core.invariants import braket_invariant_holds
 from repro.simulation.batch_engine import BatchConfigurationSimulation
-from repro.simulation.config_engine import ConfigurationSimulation
+from repro.scheduling.random_uniform import UniformRandomScheduler
 from repro.simulation.convergence import StableCircles
+from repro.simulation.engine import AgentSimulation
+from repro.simulation.observers import CallbackObserver
+from repro.simulation.population import initial_states
 from repro.utils.multiset import Multiset
 
 
@@ -32,6 +36,24 @@ class TestConstruction:
         protocol = CirclesProtocol(2)
         with pytest.raises(ValueError):
             BatchConfigurationSimulation(protocol, [protocol.initial_state(0)])
+
+    def test_from_colors_single_agent_message(self):
+        with pytest.raises(ValueError, match="a population needs at least two agents"):
+            BatchConfigurationSimulation.from_colors(CirclesProtocol(2), [1])
+
+    def test_from_colors_keeps_first_appearance_order_uncompiled(self):
+        protocol = CirclesProtocol(4)
+        colors = [2, 3, 2, 0, 1, 3]
+        simulation = BatchConfigurationSimulation.from_colors(protocol, colors, compiled=False)
+        expected = Multiset(initial_states(protocol, colors))
+        assert list(simulation.configuration().items()) == list(expected.items())
+
+    def test_output_counts(self):
+        simulation = BatchConfigurationSimulation.from_colors(
+            CirclesProtocol(3), [0, 0, 1], seed=13
+        )
+        assert simulation.output_counts() == {0: 2, 1: 1}
+        assert simulation.unanimous_output() is None
 
     def test_engine_name(self):
         assert BatchConfigurationSimulation.engine_name == "batch"
@@ -70,6 +92,24 @@ class TestWindowMachinery:
             assert braket_invariant_holds(simulation.states())
 
     @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "uncompiled"])
+    def test_braket_invariant_holds_after_every_interaction(self, compiled):
+        simulation = BatchConfigurationSimulation.from_colors(
+            CirclesProtocol(4), [0, 0, 1, 2, 3, 3], seed=5, compiled=compiled
+        )
+        for _ in range(300):
+            simulation.run(1)
+            assert braket_invariant_holds(simulation.states())
+        assert len(simulation.configuration()) == 6
+
+    def test_counters(self):
+        simulation = BatchConfigurationSimulation.from_colors(
+            CirclesProtocol(3), [0, 1, 2], seed=7
+        )
+        simulation.run(50)
+        assert simulation.steps_taken == 50
+        assert 0 < simulation.interactions_changed <= 50
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "uncompiled"])
     def test_small_populations_keep_budget_and_pool(self, compiled):
         """A window is at most n interactions; any budget is met exactly."""
         colors = [0, 0, 1] * 4  # n = 12
@@ -103,8 +143,9 @@ class TestWindowMachinery:
 
         colors = [0] * 25 + [1] * 15 + [2] * 10
         simulation = BatchConfigurationSimulation.from_colors(
-            CirclesProtocol(3), colors, seed=13, transition_observer=observe
+            CirclesProtocol(3), colors, seed=13
         )
+        simulation.add_observer(CallbackObserver(observe))
         simulation.run(5_000)
         assert observed == simulation.interactions_changed > 0
 
@@ -130,7 +171,7 @@ class TestConvergence:
 
 
 class TestDistributionalAgreement:
-    """The batched and the sequential engine sample the same chain."""
+    """The batch engine samples the agent engine's uniform-scheduler chain."""
 
     TRIALS = 300
     HORIZON = 60
@@ -140,9 +181,14 @@ class TestDistributionalAgreement:
         histogram: dict[int, int] = {}
         protocol = CirclesProtocol(2)
         for trial in range(self.TRIALS):
-            simulation = engine_cls.from_colors(
-                protocol, self.COLORS, seed=seed_base + trial
-            )
+            seed = seed_base + trial
+            if engine_cls is AgentSimulation:
+                scheduler = UniformRandomScheduler(len(self.COLORS), seed=seed)
+                simulation = AgentSimulation.from_colors(
+                    protocol, self.COLORS, scheduler=scheduler
+                )
+            else:
+                simulation = engine_cls.from_colors(protocol, self.COLORS, seed=seed)
             simulation.run(self.HORIZON)
             count = simulation.output_counts().get(0, 0)
             histogram[count] = histogram.get(count, 0) + 1
@@ -150,9 +196,9 @@ class TestDistributionalAgreement:
 
     def test_output_count_distributions_agree(self, two_sample_chi_squared):
         batched = self._majority_count_histogram(BatchConfigurationSimulation, 40_000)
-        sequential = self._majority_count_histogram(ConfigurationSimulation, 80_000)
-        statistic, critical = two_sample_chi_squared(batched, sequential)
+        agent = self._majority_count_histogram(AgentSimulation, 80_000)
+        statistic, critical = two_sample_chi_squared(batched, agent)
         assert statistic < critical, (
             f"chi-squared {statistic:.1f} exceeds the 99.9% critical value {critical:.1f}: "
-            f"batched {batched} vs sequential {sequential}"
+            f"batched {batched} vs agent {agent}"
         )

@@ -16,7 +16,7 @@ from repro.simulation.batch_engine import (
     NUMPY_BURST_THRESHOLD,
     BatchConfigurationSimulation,
 )
-from repro.simulation.observers import KetExchangeObserver, Observer
+from repro.simulation.observers import CallbackObserver, KetExchangeObserver, Observer
 from repro.simulation.vector_engine import VectorReplicateSimulation
 from repro.utils.multiset import Multiset
 from repro.workloads.distributions import planted_majority
@@ -87,9 +87,8 @@ class TestCountsVectorPath:
             observed += count
             assert result.changed
 
-        simulation = BatchConfigurationSimulation.from_colors(
-            CirclesProtocol(K), _colors(), seed=13, transition_observer=observe
-        )
+        simulation = BatchConfigurationSimulation.from_colors(CirclesProtocol(K), _colors(), seed=13)
+        simulation.add_observer(CallbackObserver(observe))
         simulation.run(8_000)
         assert observed == simulation.interactions_changed > 0
 

@@ -17,13 +17,12 @@ from repro.simulation import (
     ActivePairTracker,
     AgentSimulation,
     BatchConfigurationSimulation,
-    ConfigurationSimulation,
     OutputConsensus,
     SilentConfiguration,
 )
 from repro.workloads.distributions import planted_majority
 
-ENGINE_CLASSES = (AgentSimulation, ConfigurationSimulation, BatchConfigurationSimulation)
+ENGINE_CLASSES = (AgentSimulation, BatchConfigurationSimulation)
 
 
 class TestActivePairTracker:
@@ -66,11 +65,10 @@ class TestIncrementalMatchesRescanOverTheRegistry:
     """Fuzz: incremental and rescan verdicts agree along seeded executions."""
 
     @pytest.mark.parametrize("name", DEFAULT_REGISTRY.names())
-    @pytest.mark.parametrize("engine_cls", (ConfigurationSimulation, BatchConfigurationSimulation))
-    def test_agreement_along_a_run(self, name, engine_cls, make_registry_protocol):
+    def test_agreement_along_a_run(self, name, make_registry_protocol):
         protocol = make_registry_protocol(name)
         colors = planted_majority(24, protocol.num_colors, seed=11)
-        simulation = engine_cls.from_colors(protocol, colors, seed=7)
+        simulation = BatchConfigurationSimulation.from_colors(protocol, colors, seed=7)
         if simulation.compiled_protocol is None:
             pytest.skip(f"{name} exceeds the compile cap at k={protocol.num_colors}")
         incremental = SilentConfiguration()
@@ -87,7 +85,7 @@ class TestIncrementalMatchesRescanOverTheRegistry:
         colors = [0] * 30 + [1] * 10
         outcomes = []
         for criterion in (SilentConfiguration(), SilentConfiguration(incremental=False)):
-            simulation = ConfigurationSimulation.from_colors(protocol, colors, seed=5)
+            simulation = BatchConfigurationSimulation.from_colors(protocol, colors, seed=5)
             converged = simulation.run(100_000, criterion=criterion, check_interval=40)
             outcomes.append((converged, simulation.steps_taken))
         assert outcomes[0] == outcomes[1]
@@ -96,7 +94,7 @@ class TestIncrementalMatchesRescanOverTheRegistry:
     def test_uncompiled_engines_fall_back_to_the_rescan(self):
         protocol = CirclesProtocol(3)
         colors = [0] * 6 + [1] * 3
-        simulation = ConfigurationSimulation.from_colors(
+        simulation = BatchConfigurationSimulation.from_colors(
             protocol, colors, seed=5, compiled=False
         )
         assert simulation.compiled_protocol is None
@@ -115,16 +113,16 @@ class TestCheckIntervalValidation:
             simulation.run(100, criterion=OutputConsensus(), check_interval=0)
 
     def test_negative_check_interval_is_rejected(self):
-        simulation = ConfigurationSimulation.from_colors(CirclesProtocol(3), [0, 1, 2] * 4)
+        simulation = BatchConfigurationSimulation.from_colors(CirclesProtocol(3), [0, 1, 2] * 4)
         with pytest.raises(ValueError, match="check_interval"):
             simulation.run(100, criterion=OutputConsensus(), check_interval=-5)
 
     def test_zero_is_rejected_even_without_criterion(self):
-        simulation = ConfigurationSimulation.from_colors(CirclesProtocol(3), [0, 1, 2] * 4)
+        simulation = BatchConfigurationSimulation.from_colors(CirclesProtocol(3), [0, 1, 2] * 4)
         with pytest.raises(ValueError, match="check_interval"):
             simulation.run(100, check_interval=0)
 
     def test_interval_of_one_checks_every_interaction(self):
-        simulation = ConfigurationSimulation.from_colors(CirclesProtocol(2), [0] * 5 + [1] * 3, seed=2)
+        simulation = BatchConfigurationSimulation.from_colors(CirclesProtocol(2), [0] * 5 + [1] * 3, seed=2)
         converged = simulation.run(20_000, criterion=OutputConsensus(), check_interval=1)
         assert converged

@@ -7,7 +7,6 @@ from repro.core.potential import configuration_energy, weight_histogram
 from repro.simulation import (
     AgentSimulation,
     BatchConfigurationSimulation,
-    ConfigurationSimulation,
     EnergyObserver,
     KetExchangeObserver,
     Observer,
@@ -22,7 +21,7 @@ from repro.simulation import (
 )
 from repro.simulation.observers import OBSERVERS, CallbackObserver, ket_exchange_occurred
 
-ENGINE_CLASSES = (AgentSimulation, ConfigurationSimulation, BatchConfigurationSimulation)
+ENGINE_CLASSES = (AgentSimulation, BatchConfigurationSimulation)
 
 COLORS = [0] * 9 + [1] * 5 + [2] * 2
 
@@ -74,7 +73,7 @@ class TestHooks:
         assert recording.checks >= 1
 
     def test_finish_fires_for_budget_only_runs(self):
-        simulation = _build(ConfigurationSimulation)
+        simulation = _build(BatchConfigurationSimulation)
         recording = simulation.add_observer(RecordingObserver())
         simulation.run(100)
         assert recording.finishes == [False]
@@ -99,18 +98,6 @@ class TestHooks:
         simulation = _build(BatchConfigurationSimulation)
         with pytest.raises(ValueError, match="does not track individual agents"):
             simulation.add_observer(TraceObserver())
-
-    def test_legacy_transition_observer_still_works(self):
-        calls = []
-
-        def legacy(initiator, responder, result, count):
-            calls.append(count)
-
-        simulation = ConfigurationSimulation.from_colors(
-            CirclesProtocol(3), COLORS, seed=3, transition_observer=legacy
-        )
-        simulation.run(2_000)
-        assert sum(calls) == simulation.interactions_changed
 
 
 class TestTraceObserver:
@@ -163,7 +150,7 @@ class TestMetricObservers:
         assert exchanges.summary() == {"ket_exchanges": exchanges.exchanges}
 
     def test_energy_check_mode_samples_at_boundaries(self):
-        simulation = _build(ConfigurationSimulation)
+        simulation = _build(BatchConfigurationSimulation)
         energy = simulation.add_observer(EnergyObserver(record="check"))
         simulation.run(3_200, criterion=OutputConsensus(), check_interval=400)
         steps = [step for step, _ in energy.samples]
@@ -206,16 +193,15 @@ KET_CASES = [
 class TestKetExchangesOnCodes:
     """Compiled engines count ket exchanges on pair codes, without decoding."""
 
-    @pytest.mark.parametrize("engine_cls", [ConfigurationSimulation, BatchConfigurationSimulation])
     @pytest.mark.parametrize("protocol, colors", KET_CASES)
-    def test_code_count_equals_decoded_count(self, engine_cls, protocol, colors):
-        alone = engine_cls.from_colors(protocol, colors, seed=5)
+    def test_code_count_equals_decoded_count(self, protocol, colors):
+        alone = BatchConfigurationSimulation.from_colors(protocol, colors, seed=5)
         assert alone.compiled_protocol is not None
         ket_alone = alone.add_observer(KetExchangeObserver())
         assert ket_alone.code_hook(alone.compiled_protocol) is not None
         alone.run(8_000)
 
-        observed = engine_cls.from_colors(protocol, colors, seed=5)
+        observed = BatchConfigurationSimulation.from_colors(protocol, colors, seed=5)
         ket = observed.add_observer(KetExchangeObserver())
         reference = observed.add_observer(DecodedKetCounter())
         observed.run(8_000)
@@ -260,7 +246,7 @@ class TestRunApi:
 
     def test_run_circles_accepts_observer_instances(self):
         energy = EnergyObserver()
-        result = run_circles(COLORS, seed=2, engine="configuration", observers=[energy])
+        result = run_circles(COLORS, seed=2, engine="batch", observers=[energy])
         assert energy.energy == configuration_energy(list(result.final_states), 3)
 
 

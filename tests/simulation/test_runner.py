@@ -87,7 +87,7 @@ class TestRunCircles:
 
     def test_results_are_self_describing(self):
         """Engine and seed are recorded on the result and in its summary."""
-        for engine in ("agent", "configuration", "batch"):
+        for engine in ("agent", "batch"):
             outcome = run_circles([0, 0, 0, 1], seed=5, engine=engine)
             assert outcome.engine == engine
             assert outcome.seed == 5
@@ -170,7 +170,7 @@ class TestKetExchangeCounting:
 class TestEngineSelection:
     COLORS = [0] * 10 + [1] * 6 + [2] * 4
 
-    @pytest.mark.parametrize("engine", ["agent", "configuration", "batch"])
+    @pytest.mark.parametrize("engine", ["agent", "batch"])
     def test_run_circles_converges_on_every_engine(self, engine):
         outcome = run_circles(self.COLORS, seed=21, engine=engine)
         assert outcome.converged and outcome.correct
@@ -181,14 +181,12 @@ class TestEngineSelection:
             self.COLORS
         )
 
-    @pytest.mark.parametrize("engine", ["configuration", "batch"])
-    def test_configuration_engines_report_the_uniform_scheduler(self, engine):
-        outcome = run_circles([0, 0, 0, 1], seed=2, engine=engine)
+    def test_batch_engine_reports_the_uniform_scheduler(self):
+        outcome = run_circles([0, 0, 0, 1], seed=2, engine="batch")
         assert outcome.scheduler_name == "uniform-random"
 
-    @pytest.mark.parametrize("engine", ["configuration", "batch"])
-    def test_run_protocol_supports_configuration_engines(self, engine):
-        outcome = run_protocol(ExactMajorityProtocol(), [0, 0, 0, 1, 1], seed=9, engine=engine)
+    def test_run_protocol_supports_the_batch_engine(self):
+        outcome = run_protocol(ExactMajorityProtocol(), [0, 0, 0, 1, 1], seed=9, engine="batch")
         assert outcome.correct
         assert outcome.num_agents == 5
         assert len(outcome.outputs) == 5
@@ -203,7 +201,7 @@ class TestEngineSelection:
 
     def test_trace_requires_agent_engine(self):
         with pytest.raises(ValueError, match="trace"):
-            run_protocol(CirclesProtocol(2), [0, 1], record_trace=True, engine="configuration")
+            run_protocol(CirclesProtocol(2), [0, 1], record_trace=True, engine="batch")
 
 
 class TestInputEnergy:
