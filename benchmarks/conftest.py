@@ -1,11 +1,10 @@
 """Benchmark-suite configuration.
 
-Each benchmark wraps one experiment from :mod:`repro.experiments` (the E1–E8
-index of DESIGN.md §4) with pytest-benchmark, runs it exactly once
-(experiments are seconds-long, deterministic table builders — not
-micro-benchmarks) and prints the resulting table so that
-``pytest benchmarks/ --benchmark-only -s`` regenerates every row recorded in
-EXPERIMENTS.md.
+Each benchmark wraps one experiment from :mod:`repro.experiments` (E1–E8)
+with pytest-benchmark, runs it exactly once (experiments are seconds-long,
+deterministic table builders — not micro-benchmarks) and prints the
+resulting table so that ``pytest benchmarks/ --benchmark-only -s``
+regenerates every row of ``python -m repro.experiments.report``.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ def run_experiment_once(benchmark):
 
     Experiments are seconds-long deterministic table builders, so one round is
     the meaningful measurement; the resulting table is printed so the bench
-    output contains the same rows EXPERIMENTS.md records.
+    output contains the same rows as the experiment report.
     """
 
     def _run(runner, **params):

@@ -5,8 +5,9 @@ scheduler) at ``n = 10^5``:
 
 * the compiled batch engine (integer count vectors + flat transition tables,
   vectorized kernel rounds) simulates a fixed interaction budget at least
-  **2× faster** than the PR 1 uncompiled batch engine (``compiled=False``:
-  hashable-state pool + memoized transition dict).  The engines sample the
+  **2× faster** than the uncompiled batch engine (the path past the compile
+  cap, forced here by the ``force_uncompiled`` fixture: hashable-state pool
+  + memoized transition dict).  The engines sample the
   *same* Markov chain, so equal budgets are equal work;
 * compilation itself is cheap and cached per ``(protocol, colors)`` pair.
 
@@ -51,14 +52,13 @@ def test_compiled_batch_engine_smoke():
     assert sum(simulation.output_counts().values()) == N
 
 
-def test_compiled_and_uncompiled_run_the_same_chain():
+def test_compiled_and_uncompiled_run_the_same_chain(request):
     """Smoke (default suite): both paths expose identical engine semantics."""
     colors = planted_majority(2_000, K, seed=7)
     protocol = CirclesProtocol(K)
     compiled = BatchConfigurationSimulation.from_colors(protocol, colors, seed=8)
-    uncompiled = BatchConfigurationSimulation.from_colors(
-        protocol, colors, seed=8, compiled=False
-    )
+    request.getfixturevalue("force_uncompiled")
+    uncompiled = BatchConfigurationSimulation.from_colors(protocol, colors, seed=8)
     assert compiled.compiled_protocol is not None
     assert uncompiled.compiled_protocol is None
     for simulation in (compiled, uncompiled):
@@ -79,16 +79,15 @@ def test_compilation_is_cached_per_protocol_and_colors():
 
 
 @pytest.mark.perf
-def test_compiled_batch_is_2x_faster_than_uncompiled_batch(record_perf):
-    """The issue's acceptance bar: ≥2× over the PR 1 batch engine at n=10^5."""
+def test_compiled_batch_is_2x_faster_than_uncompiled_batch(record_perf, request):
+    """The acceptance bar: ≥2× over the uncompiled batch engine at n=10^5."""
     protocol = CirclesProtocol(K)
     colors = planted_majority(N, K, seed=5)
     budget = 200_000
 
     compiled = BatchConfigurationSimulation.from_colors(protocol, colors, seed=6)
-    uncompiled = BatchConfigurationSimulation.from_colors(
-        protocol, colors, seed=6, compiled=False
-    )
+    request.getfixturevalue("force_uncompiled")
+    uncompiled = BatchConfigurationSimulation.from_colors(protocol, colors, seed=6)
     assert compiled.compiled_protocol is not None
     assert uncompiled.compiled_protocol is None
     # Warm both engines (the first window fills the transition caches) so the

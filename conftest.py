@@ -25,6 +25,12 @@ Fixtures
   block-triangular solve against it and the block-solve bench times it as
   the baseline.  Its elimination is its own (:func:`_fraction_gaussian_solve`),
   so the oracle shares no code with the integer kernel it checks.
+* ``force_uncompiled`` — every engine and exact chain built while the
+  fixture is active runs its uncompiled path (a multiset of states and
+  Python dispatch), exactly as for a protocol whose δ-closure exceeds the
+  compile cap.  Tests and benches use it as the reference and baseline of
+  the compiled paths; it lives here so that both ``tests/`` and
+  ``benchmarks/`` see it.
 """
 
 import sys
@@ -133,3 +139,24 @@ def fraction_gaussian_solve():
 def whole_matrix_solve():
     """The whole-matrix reference with ``solve_transient_systems``'s signature."""
     return _whole_matrix_solve
+
+
+def _refuse_compilation(protocol, seed_states, max_states=None):
+    from repro.compile import StateSpaceCapExceeded
+
+    raise StateSpaceCapExceeded(f"compilation of {protocol.name!r} refused by force_uncompiled")
+
+
+@pytest.fixture
+def force_uncompiled(monkeypatch):
+    """Make the compile cap refuse every protocol for the rest of the test.
+
+    Engines and chains catch :class:`~repro.compile.StateSpaceCapExceeded`
+    and fall back to their uncompiled paths, so objects built after this
+    fixture is requested run those paths; objects built before keep theirs.
+    """
+    import repro.exact.chain
+    import repro.simulation.base
+
+    monkeypatch.setattr(repro.simulation.base, "compile_from_states", _refuse_compilation)
+    monkeypatch.setattr(repro.exact.chain, "compile_from_states", _refuse_compilation)

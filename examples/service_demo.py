@@ -119,7 +119,7 @@ def main() -> None:
                 status = json.loads(response.read())
             print(f"HTTP sweep : {cached}/{len(sweep)} envelopes served from cache")
             print(f"/status    : hit rate {status['cache']['hit_rate']:.0%}, "
-                  f"{status['cache']['stored']} records stored")
+                  f"{status['cache']['loaded']} records loaded")
         finally:
             httpd.shutdown()
             httpd.server_close()

@@ -18,9 +18,9 @@ The most common entry points are re-exported here:
   :func:`get_engine`); the batched engine is the fast path for large
   populations, and the analytical ``"exact"`` engine (:mod:`repro.exact`)
   solves the small-``n`` Markov chain instead of sampling it.  The
-  configuration-level engines run on *compiled* transition tables by
-  default (:func:`compile_protocol`, :mod:`repro.compile`);
-  ``compiled=False`` forces Python dispatch.
+  configuration-level engines run on *compiled* transition tables
+  (:func:`compile_protocol`, :mod:`repro.compile`) whenever the protocol's
+  δ-closure fits the compile cap, and on Python dispatch past it.
 * :class:`RunSpec` / :class:`SweepSpec` / :func:`run_sweep` — the
   declarative sweep layer (:mod:`repro.api`): describe runs and grids as
   plain data (every axis by registry name), execute them serially or over a
@@ -39,7 +39,7 @@ The most common entry points are re-exported here:
 * :mod:`repro.chemistry` — the reaction-network view: a Gillespie SSA on the
   compiled δ-table and the energy-minimization trajectories.
 * :mod:`repro.experiments` — the E1–E8 experiment harness behind
-  EXPERIMENTS.md.
+  ``python -m repro.experiments.report`` (README, *Experiments*).
 
 Quickstart
 ----------

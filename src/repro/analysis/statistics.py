@@ -2,7 +2,8 @@
 
 Dependency-free summaries (mean, standard deviation, quantiles, normal-
 approximation confidence intervals) used when aggregating repeated protocol
-runs into the rows of EXPERIMENTS.md.
+runs into the rows of the experiment report
+(``python -m repro.experiments.report``).
 """
 
 from __future__ import annotations

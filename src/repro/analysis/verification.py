@@ -31,7 +31,7 @@ Global fairness implies weak fairness for the schedules it admits, so this
 check is a strong mechanical corroboration rather than a literal proof of the
 weak-fairness theorem; the adversarial-scheduler simulations in experiment E3
 cover the weak-fairness side empirically (the paper's own proof covers it
-exactly).  The distinction is documented here and in EXPERIMENTS.md.
+exactly).  The distinction is documented here.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from repro.api.spec import RunSpec, SweepCell, SweepSpec, canonical_json, derive
 from repro.api.stopping import StopDecision, StoppingRule
 from repro.core.potential import configuration_energy
 from repro.protocols.base import PopulationProtocol
-from repro.protocols.registry import get_protocol
+from repro.protocols.registry import DEFAULT_REGISTRY, get_protocol
 from repro.scheduling.adversarial import GreedyStallScheduler, IsolationScheduler
 from repro.scheduling.base import Scheduler
 from repro.scheduling.permutation import RandomPermutationScheduler
@@ -54,6 +54,7 @@ from repro.simulation.convergence import (
     SilentConfiguration,
     StableCircles,
 )
+from repro.simulation.observers import OBSERVERS
 from repro.simulation.registry import ENGINES
 from repro.simulation.runner import (
     _input_energy,
@@ -174,6 +175,41 @@ def get_runner(name: str) -> RunnerFn:
         raise unknown_name_error("runner", name, _RUNNERS) from None
 
 
+def check_names(submission: RunSpec | SweepSpec) -> None:
+    """Resolve every registry name a run or sweep carries, building nothing.
+
+    A sweep's axes are read as they are, without expanding it.  The sweep
+    service calls this before it answers, so an unknown name is a bad
+    request instead of a run that fails at execution, after its retries.
+
+    Raises:
+        KeyError: for the first unknown name, listing the available ones
+            (the shared registry error contract of :mod:`repro.utils.errors`).
+    """
+    if isinstance(submission, SweepSpec):
+        protocols = [name for name, _ in submission.protocols]
+        workloads = [name for name, _ in submission.workloads]
+        engines = submission.engines
+        schedulers = [name for name, _ in submission.schedulers]
+    else:
+        protocols, workloads = [submission.protocol], [submission.workload]
+        engines, schedulers = [submission.engine], [submission.scheduler]
+    criteria = [] if submission.criterion is None else [submission.criterion]
+    checks = (
+        ("protocol", protocols, DEFAULT_REGISTRY),
+        ("workload", workloads, DEFAULT_WORKLOADS),
+        ("engine", engines, ENGINES),
+        ("scheduler", [name for name in schedulers if name is not None], SCHEDULERS),
+        ("criterion", criteria, CRITERIA),
+        ("observer", [name for name, _ in submission.observers], OBSERVERS),
+    )
+    for kind, names, registry in checks:
+        for name in names:
+            if not isinstance(name, str) or name not in registry:
+                raise unknown_name_error(kind, name, registry)
+    get_runner(submission.runner)
+
+
 def resolve_workload(spec: RunSpec) -> list[int]:
     """Generate the input colors a spec describes."""
     return DEFAULT_WORKLOADS.generate(
@@ -263,7 +299,6 @@ def _protocol_runner(spec: RunSpec) -> RunRecord:
         max_steps=spec.max_steps,
         seed=spec.seed,
         engine=spec.engine,
-        compiled=spec.compiled,
         observers=spec.observers,
     )
     extras: dict[str, object] = {}
@@ -446,9 +481,7 @@ def execute_replicate_group(specs: Sequence[RunSpec]) -> list[RunRecord]:
     budget = spec.max_steps
     if budget is None:
         budget = default_max_steps(len(colors), protocol.num_colors)
-    group = VectorReplicateSimulation.replicate_group_from_colors(
-        protocol, colors, seeds, compiled=spec.compiled
-    )
+    group = VectorReplicateSimulation.replicate_group_from_colors(protocol, colors, seeds)
     outcomes = group.run(budget, criterion=criterion)
     majority = _true_majority(colors)
     initial_energy = _input_energy(protocol, colors)

@@ -139,11 +139,10 @@ class RunSpec:
     #: analytical ``"exact"`` engine — small n only; its
     #: DistributionResult lands in the record's ``extras["exact"]``).
     engine: str = "agent"
-    #: Whether the engine runs on compiled transition tables
-    #: (:mod:`repro.compile`).  ``None`` keeps each engine's default — the
-    #: configuration-level engines compile transparently, the agent engine
-    #: does not; ``False`` forces the uncompiled path (benchmark baselines).
-    compiled: bool | None = None
+    #: Always ``None``, kept so that every stored spec hashes as before.
+    #: The compile cap alone decides whether an engine runs on compiled
+    #: tables; :meth:`from_dict` rejects any other value.
+    compiled: None = field(default=None, init=False)
     scheduler: str | None = None
     scheduler_params: Mapping[str, Any] = field(default_factory=dict)
     criterion: str | None = None
@@ -191,8 +190,8 @@ class RunSpec:
     def sha(self) -> str:
         """The spec's content address: SHA-256 of its canonical JSON form.
 
-        Covers *every* field — protocol, workload, engine, seeds, observers,
-        the ``compiled`` knob — so two specs share a SHA exactly when they
+        Covers *every* field — protocol, workload, engine, seeds, observers
+        — so two specs share a SHA exactly when they
         describe the same deterministic run.  Execution is a pure function of
         the spec, so this is a sound cache key: the sweep service's
         :class:`~repro.service.store.ResultStore` serves a stored
@@ -246,8 +245,19 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> RunSpec:
-        """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON)."""
-        return cls(**dict(data))
+        """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON).
+
+        Raises:
+            ValueError: when ``compiled`` is set to anything but ``None``.
+        """
+        data = dict(data)
+        compiled = data.pop("compiled", None)
+        if compiled is not None:
+            raise ValueError(
+                f"compiled must be null, got {compiled!r}: the compile cap "
+                "decides whether an engine runs on compiled tables"
+            )
+        return cls(**data)
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)

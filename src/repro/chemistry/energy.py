@@ -9,8 +9,8 @@ under the uniform random scheduler and records the relaxation curve through
 an :class:`~repro.simulation.observers.EnergyObserver`, on **any** engine:
 
 * ``engine="agent"`` (default) — one energy sample per interaction
-  (including non-changing ones), the classic dense curve EXPERIMENTS.md
-  reports;
+  (including non-changing ones), the classic dense curve the experiment
+  report (``python -m repro.experiments.report``) shows;
 * ``engine="batch"`` — one sample per changed interaction below the kernel
   gate, and one per changed pair-type aggregate per kernel round from
   ``n = 4096``, which is what makes relaxation curves at ``n = 10^5``

@@ -23,7 +23,7 @@ from typing import Generic, TypeVar
 from weakref import WeakKeyDictionary
 
 from repro.compile.state_space import StateSpaceCapExceeded, enumerate_states
-from repro.protocols.base import PopulationProtocol, TransitionResult
+from repro.protocols.base import PopulationProtocol
 from repro.utils.multiset import Multiset
 
 State = TypeVar("State", bound=Hashable)
@@ -131,13 +131,6 @@ class CompiledProtocol(Generic[State]):
         code = p * d + q
         a, b = divmod(self.table[code], d)
         return a, b, bool(self.changed[code])
-
-    def transition_states(
-        self, initiator: State, responder: State
-    ) -> TransitionResult[State]:
-        """``δ`` evaluated through the table, on decoded states."""
-        a, b, changed = self.transition_codes(self.index[initiator], self.index[responder])
-        return TransitionResult(self.states[a], self.states[b], changed)
 
     def output_of(self, code: int) -> int:
         """The output color of an encoded state."""

@@ -11,7 +11,7 @@ operations:
    their output to ``i``.
 
 The module also exposes :class:`CirclesVariant`, a set of ablation switches
-used by experiment E5's ablation benches (DESIGN.md §5): an alternative
+used by experiment E5's ablation benches: an alternative
 exchange rule (decrease of the *sum* of weights instead of the minimum) and an
 alternative output-propagation rule (epidemic copying instead of
 diagonal-broadcast).  The paper's protocol corresponds to the default

@@ -116,7 +116,7 @@ class ConfigurationChain(Generic[State]):
             interaction changes at least one agent's state (judged by the
             states δ returns, regardless of whether the multiset moves).
         compiled: the compiled δ-tables the codes come from, or ``None``
-            when the closure exceeded the compile cap (or ``compiled=False``).
+            when the closure exceeded the compile cap.
         solved_visits: the linear systems solved on this chain by
             :mod:`repro.exact.absorption`, keyed by ``(system indices, start)``:
             the expected visits ``π`` and their expected-interaction sums.
@@ -133,7 +133,6 @@ class ConfigurationChain(Generic[State]):
         *,
         arithmetic: str = "float",
         max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
-        compiled: bool | None = None,
     ) -> None:
         self.protocol = protocol
         self.arithmetic = _validate_arithmetic(arithmetic)
@@ -141,12 +140,11 @@ class ConfigurationChain(Generic[State]):
         if len(configuration) < 2:
             raise ValueError("a population needs at least two agents")
         self.num_agents = len(configuration)
-        self.compiled: CompiledProtocol[State] | None = None
-        if compiled is None or compiled:
-            try:
-                self.compiled = compile_from_states(protocol, configuration.support())
-            except StateSpaceCapExceeded:
-                self.compiled = None
+        self.compiled: CompiledProtocol[State] | None
+        try:
+            self.compiled = compile_from_states(protocol, configuration.support())
+        except StateSpaceCapExceeded:
+            self.compiled = None
         self.states: Sequence[State] = []
         self._codes: dict[State, int] = {}
         #: Codes in ``repr`` order of their states: the order the BFS expands.

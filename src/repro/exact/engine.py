@@ -79,12 +79,12 @@ def criterion_predicate(
     """The criterion's verdict on a chain index, answered on count tuples first.
 
     Mirrors :meth:`repro.simulation.base.ConfigurationEngine._evaluate`:
-    incremental silence is "no interaction changes anything", which is
-    exactly ``change_probability == 0``; other criteria try their
+    silence is "no interaction changes anything", which is exactly
+    ``change_probability == 0``; other criteria try their
     count-level fast path over the compiled codes and fall back to the
     decoded multiset.
     """
-    if isinstance(criterion, SilentConfiguration) and criterion.incremental:
+    if isinstance(criterion, SilentConfiguration):
         return lambda index: not chain.change_probability[index]
     protocol = chain.protocol
     compiled = chain.compiled
@@ -114,7 +114,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
         protocol: PopulationProtocol[State],
         initial: Iterable[State] | Multiset[State],
         seed: RngLike = None,
-        compiled: bool | None = None,
         arithmetic: str = "float",
         max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
         quotient: bool = True,
@@ -125,7 +124,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
             raise ValueError("a population needs at least two agents")
         self._initial = configuration.copy()
         self._num_agents = len(configuration)
-        self._compiled_flag = compiled
         self.arithmetic = arithmetic
         self.max_configurations = max_configurations
         #: Fold the chain by the input's color-symmetry stabilizer
@@ -150,7 +148,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
         protocol: PopulationProtocol[State],
         colors: Iterable[int],
         seed: RngLike = None,
-        compiled: bool | None = None,
         **kwargs: object,
     ) -> "ExactMarkovEngine[State]":
         """Create the initial configuration from input colors."""
@@ -158,7 +155,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
             protocol,
             (protocol.initial_state(color) for color in colors),
             seed,
-            compiled=compiled,
             **kwargs,
         )
 
@@ -194,7 +190,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
                 self._initial,
                 arithmetic=self.arithmetic,
                 max_configurations=self.max_configurations,
-                compiled=self._compiled_flag,
             )
         return self._chain
 
@@ -221,7 +216,6 @@ class ExactMarkovEngine(SimulationEngine[State]):
                     self._initial,
                     arithmetic=self.arithmetic,
                     max_configurations=self.max_configurations,
-                    compiled=self._compiled_flag,
                 )
             return self._plain_chain
         return chain

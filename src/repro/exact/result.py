@@ -136,10 +136,6 @@ class DistributionResult:
             return None
         return self.correctness_probability >= 1.0 - 1e-12
 
-    def class_probability(self, index: int) -> float:
-        """Absorption probability of one class by index."""
-        return self.classes[index].probability
-
     def to_dict(self) -> dict[str, Any]:
         """A JSON-ready dictionary (inverse of :meth:`from_dict`)."""
         return asdict(self)

@@ -1,13 +1,14 @@
-"""The experiment harness: one module per experiment of DESIGN.md §4.
+"""The experiment harness: one module per experiment E1–E8.
 
 Each ``eN_*`` module exposes a ``run(...)`` function with laptop-scale default
 parameters that returns an :class:`repro.experiments.harness.ExperimentResult`
-— the table/series that EXPERIMENTS.md records.  The benchmark suite under
+— the table/series that ``python -m repro.experiments.report`` renders
+(README, *Experiment reports*).  The benchmark suite under
 ``benchmarks/`` wraps these same functions with pytest-benchmark so the paper
 reproduction and the performance tracking share one code path.
 
-Importing this package registers every experiment under its DESIGN.md
-identifier, so ``get_experiment("E3")()`` runs the correctness experiment.
+Importing this package registers every experiment under its identifier
+("E1" … "E8"), so ``get_experiment("E3")()`` runs the correctness experiment.
 """
 
 from repro.experiments.harness import (

@@ -46,7 +46,6 @@ from repro.simulation.observers import KetExchangeObserver, PotentialObserver
 from repro.simulation.population import Population
 from repro.simulation.registry import get_engine
 from repro.utils.rng import make_rng
-from repro.workloads.distributions import planted_majority
 
 
 def _measure_on_colors(
@@ -99,29 +98,6 @@ def _measure_on_colors(
         "correct": majority is not None and all(output == majority for output in outputs),
         "unanimous": len(set(outputs)) == 1,
     }
-
-
-def measure_stabilization(
-    num_agents: int,
-    num_colors: int,
-    seed: int,
-    max_steps: int | None = None,
-    engine: str = "agent",
-) -> dict[str, object]:
-    """Run one Circles execution and measure exchange/stabilization statistics.
-
-    Standalone entry point (the spec-driven sweep goes through
-    :func:`_stabilization_runner` instead): derives the workload and the
-    engine seed from one master seed, as the pre-sweep-API harness did.
-    """
-    rng = make_rng(seed)
-    colors = planted_majority(num_agents, num_colors, seed=rng.getrandbits(32))
-    budget = max_steps if max_steps is not None else 80 * num_agents * num_agents
-    stats = _measure_on_colors(
-        colors, num_colors, engine_seed=rng.getrandbits(32), budget=budget, engine=engine
-    )
-    return {key: stats[key] for key in
-            ("n", "k", "ket_exchanges", "steps_to_stable", "potential_strictly_decreased")}
 
 
 def _stabilization_runner(spec: RunSpec) -> RunRecord:

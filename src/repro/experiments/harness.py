@@ -2,8 +2,9 @@
 
 An experiment produces an :class:`ExperimentResult`: a named table (headers +
 rows) plus free-form notes.  Results render to aligned text (for the console)
-and Markdown (for EXPERIMENTS.md).  A tiny registry lets examples and scripts
-run experiments by their DESIGN.md identifier ("E1", "E2", ...).
+and Markdown (for ``python -m repro.experiments.report``).  A tiny registry
+lets examples and scripts run experiments by their identifier ("E1", "E2",
+...).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class ExperimentResult:
         return "\n".join(parts)
 
     def to_markdown(self) -> str:
-        """Render as a Markdown section for EXPERIMENTS.md."""
+        """Render as a Markdown section of the experiment report."""
         parts = [f"### {self.experiment_id} — {self.title}", ""]
         parts.append(format_markdown_table(self.headers, self.rows))
         if self.notes:
@@ -77,7 +78,7 @@ _EXPERIMENTS: dict[str, ExperimentFn] = {}
 
 
 def register_experiment(experiment_id: str, fn: ExperimentFn) -> None:
-    """Register an experiment runner under its DESIGN.md identifier."""
+    """Register an experiment runner under its identifier ("E1", "E2", ...)."""
     _EXPERIMENTS[experiment_id.upper()] = fn
 
 

@@ -8,8 +8,8 @@ Usage::
     python -m repro.experiments.report out.md          # legacy: positional .md path
 
 The report runs every registered experiment with its default (laptop-scale)
-parameters and renders each result section in the same format EXPERIMENTS.md
-uses, so regenerating the measured numbers after a code change is a single
+parameters and renders each result section as a Markdown table (the README's
+*Experiment reports* section lists the commands), so regenerating the measured numbers after a code change is a single
 command.
 """
 

@@ -14,8 +14,8 @@ bound on the label growth; this reproduction uses labels in ``[0, k-1]`` with
 increments modulo ``k``, which keeps the declared state count at ``2k^2``
 (color × leader bit × label) and converges almost surely under randomized
 fair schedulers.  The deviation (modular increments instead of whatever the
-full version does) is documented in DESIGN.md §2 and its empirical behaviour
-is measured in experiment E7 rather than claimed as a theorem.
+full version does) is this reproduction's own choice, and its empirical
+behaviour is measured in experiment E7 rather than claimed as a theorem.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ forever.
 
 *State complexity*: ``k · 2^(k-1) · 3^(k(k-1)/2)`` declared states — already
 astronomically larger than ``k^3`` for small ``k``, which is exactly the
-comparison axis of experiment E1 (EXPERIMENTS.md additionally quotes the
+comparison axis of experiment E1 (whose table additionally quotes the
 published ``O(k^7)`` bound as the literature's best prior upper bound).
 """
 

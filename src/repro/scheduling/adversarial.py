@@ -117,18 +117,13 @@ class IsolationScheduler(Scheduler):
         self, num_agents: int, isolated: Set[int] | Sequence[int], seed: RngLike = None
     ) -> None:
         super().__init__(num_agents, seed)
-        self._isolated = frozenset(isolated)
-        for index in self._isolated:
+        isolated = frozenset(isolated)
+        for index in isolated:
             if not 0 <= index < num_agents:
                 raise ValueError(f"isolated agent index {index} out of range")
-        self._active = [index for index in range(num_agents) if index not in self._isolated]
+        self._active = [index for index in range(num_agents) if index not in isolated]
         if len(self._active) < 2:
             raise ValueError("isolation must leave at least two agents able to interact")
-
-    @property
-    def isolated_agents(self) -> frozenset[int]:
-        """The agent indices that never interact."""
-        return self._isolated
 
     def next_pair(self, step: int, states: Sequence[Any]) -> tuple[int, int]:
         first, second = choose_distinct_pair(self._rng, len(self._active))

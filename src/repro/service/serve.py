@@ -32,6 +32,11 @@ alone (``http.server`` + the ``asyncio`` executor — no new dependencies):
 * ``GET /status`` — queue depth (runs accepted but not yet finished), cache
   hit rate, and per-sweep progress for active and stored sweeps.
 
+A POST body that does not parse as its spec, names an unknown protocol,
+workload, engine, scheduler, criterion, runner or observer, or sets a
+``RunSpec``'s ``compiled`` field is answered 400 before any run starts;
+failures past that point arrive in-band, as an ``{"error": …}`` line.
+
 Streaming uses HTTP/1.0 close-delimited bodies: the response has no
 ``Content-Length`` and the connection closes when the sweep does, which every
 stdlib client (``urllib``) and ``curl`` consumes incrementally.
@@ -48,11 +53,10 @@ from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.api.executor import SweepRunner, build_executor
+from repro.api.executor import SweepRunner, build_executor, check_names
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec, SweepSpec
 from repro.service.store import ResultStore
-from repro.simulation.registry import get_engine
 
 
 #: How many records' JSON texts a service keeps for their envelopes (about
@@ -281,12 +285,9 @@ def make_handler(service: SweepService) -> type[BaseHTTPRequestHandler]:
                 payload = json.loads(self._read_body().decode("utf-8"))
                 if path == "/sweep":
                     submission = SweepSpec.from_dict(payload)
-                    engines = submission.engines
                 else:
                     submission = RunSpec.from_dict(payload)
-                    engines = (submission.engine,)
-                for engine in engines:
-                    get_engine(engine)
+                check_names(submission)
             except (json.JSONDecodeError, TypeError, KeyError, ValueError) as error:
                 self._send_error_json(400, f"bad spec: {error}")
                 return

@@ -278,8 +278,10 @@ class ResultStore:
     # -- introspection -----------------------------------------------------------
 
     @property
-    def stored(self) -> int:
-        """Distinct records currently indexed (loaded shards only)."""
+    def loaded(self) -> int:
+        """Distinct records in memory: those of the shards loaded so far and
+        those put since.  Records on disk in shards not yet loaded are not
+        counted, so a fresh store reads 0."""
         with self._lock:
             return sum(len(index) for index in self._shards.values())
 
@@ -297,6 +299,6 @@ class ResultStore:
             "misses": self.misses,
             "corrupt": self.corrupt,
             "stale": self.stale,
-            "stored": self.stored,
+            "loaded": self.loaded,
             "hit_rate": self.hit_rate,
         }

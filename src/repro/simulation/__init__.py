@@ -26,12 +26,12 @@ behind the shared :class:`repro.simulation.base.SimulationEngine` interface:
   the looped batch engine under the same seed.  The sweep runner
   (:mod:`repro.api.executor`) routes whole replicate groups through it.
 
-The configuration-level engines run on *compiled* transition tables by
-default (:mod:`repro.compile`): the configuration is an integer count vector
-over the protocol's reachable state space and every transition is a flat
-table lookup; the batch engine's kernel rounds are vectorized when numpy is
-available.  ``compiled=False`` (on the constructors, ``run_protocol`` /
-``run_circles`` or ``RunSpec``) forces the original uncompiled paths.
+The configuration-level engines run on *compiled* transition tables
+(:mod:`repro.compile`) whenever the protocol's δ-closure fits the compile
+cap: the configuration is an integer count vector over the protocol's
+reachable state space and every transition is a flat table lookup; the
+batch engine's kernel rounds are vectorized when numpy is available.  Past
+the cap they fall back to a multiset of states and Python dispatch.
 
 A fourth registry entry, ``engine="exact"``
 (:class:`repro.exact.engine.ExactMarkovEngine`), is not a sampler at all: it

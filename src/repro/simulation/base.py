@@ -18,13 +18,13 @@ analytically); this module holds what they share:
   replicate engine): construction and validation, delta emission for
   applied transitions, configuration bookkeeping, count-weighted output
   tallies.  It also owns the *compiled* representation
-  (:mod:`repro.compile`): by default the configuration lives in an
+  (:mod:`repro.compile`): the configuration lives in an
   integer-indexed count vector over the protocol's reachable state space
   and transitions are flat-table lookups, with a transparent fallback to
   the multiset representation for protocols whose δ-closure exceeds the
-  compile cap (or with ``compiled=False``).  On the compiled path,
-  quiescence checks (:class:`~repro.simulation.convergence.SilentConfiguration`)
-  are answered by an incrementally maintained
+  compile cap.  On the compiled path, quiescence checks
+  (:class:`~repro.simulation.convergence.SilentConfiguration`) are answered
+  by an incrementally maintained
   :class:`~repro.simulation.convergence.ActivePairTracker` instead of a
   periodic ``O(d²)`` rescan.
 * :func:`default_check_interval` — the single default policy for how often
@@ -261,8 +261,9 @@ class SimulationEngine(abc.ABC, Generic[State]):
     def compiled_protocol(self) -> CompiledProtocol | None:
         """The compiled transition tables backing this engine, if any.
 
-        ``None`` means the engine runs on its uncompiled path (either by
-        request or because the protocol's δ-closure exceeded the compile cap).
+        ``None`` means no compiled tables back the engine: the agent engine
+        never uses them, and the configuration-level engines run without
+        them when the protocol's δ-closure exceeds the compile cap.
         """
         return getattr(self, "_compiled", None)
 
@@ -293,13 +294,12 @@ class ConfigurationEngine(SimulationEngine[State]):
     Compilation
     -----------
 
-    By default (``compiled`` left at ``None`` or True) the engine compiles
-    the protocol's δ-closure into flat integer tables
+    The engine compiles the protocol's δ-closure into flat integer tables
     (:class:`repro.compile.CompiledProtocol`) and tracks the configuration as
     an index-aligned **count vector** instead of a hashable-state multiset —
     every transition becomes index arithmetic on that vector.  When the
-    closure exceeds the compile cap, or with ``compiled=False``, the engine
-    falls back to the multiset representation and per-pair Python dispatch.
+    closure exceeds the compile cap, the engine falls back to the multiset
+    representation and per-pair Python dispatch.
     Exactly one of ``_counts`` (compiled) and ``_configuration`` (uncompiled)
     is live at any time.
     """
@@ -309,7 +309,6 @@ class ConfigurationEngine(SimulationEngine[State]):
         protocol: PopulationProtocol[State],
         initial: Iterable[State] | Multiset[State],
         seed: RngLike = None,
-        compiled: bool | None = None,
     ) -> None:
         self.protocol = protocol
         configuration = initial if isinstance(initial, Multiset) else Multiset(initial)
@@ -326,8 +325,7 @@ class ConfigurationEngine(SimulationEngine[State]):
         self._active_pairs: ActivePairTracker | None = None
         #: ``(criterion, interactions_changed, verdict)`` of the last check.
         self._verdict: tuple | None = None
-        if compiled is None or compiled:
-            self._try_compile()
+        self._try_compile()
         #: The attached observers, split by what they consume on the compiled
         #: path: ``(code, count)`` hooks, or decoded :class:`CountDelta`\ s.
         self._code_hooks: list[Callable[[int, int], None]] = []
@@ -359,10 +357,9 @@ class ConfigurationEngine(SimulationEngine[State]):
         protocol: PopulationProtocol[State],
         colors: Iterable[int],
         seed: RngLike = None,
-        compiled: bool | None = None,
     ):
         """Create the initial configuration from input colors."""
-        return cls(protocol, initial_configuration(protocol, colors), seed, compiled=compiled)
+        return cls(protocol, initial_configuration(protocol, colors), seed)
 
     def _apply_changed_transition(
         self,
@@ -457,7 +454,7 @@ class ConfigurationEngine(SimulationEngine[State]):
     def _evaluate(self, criterion: ConvergenceCriterion[State]) -> bool:
         compiled = self._compiled
         if compiled is not None:
-            if isinstance(criterion, SilentConfiguration) and criterion.incremental:
+            if isinstance(criterion, SilentConfiguration):
                 return self._quiescence().is_silent()
             verdict = criterion.is_converged_counts(self.protocol, compiled, self._counts)
             if verdict is not None:

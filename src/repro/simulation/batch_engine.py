@@ -61,10 +61,10 @@ population-protocol simulators of Berenbrink et al.:
   on a silent configuration), with their regime decisions and cached
   convergence checks, and leaves the first draw that lands an event as
   the skip the next :meth:`_run_sparse` call starts from.
-- Uncompiled engines (``compiled=False`` or a δ-closure over the compile
-  cap) run the same dense step over a pool of decoded states, with the
-  transition memoized per ordered state pair and judged by the states it
-  returns, not by its ``changed`` flag.
+- Uncompiled engines (a δ-closure over the compile cap) run the same dense
+  step over a pool of decoded states, with the transition memoized per
+  ordered state pair and judged by the states it returns, not by its
+  ``changed`` flag.
 
 The induced Markov chain over configurations is *identical* to the agent
 engine's under the uniform random scheduler on every path;
@@ -243,9 +243,8 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         protocol: PopulationProtocol[State],
         initial: Iterable[State] | Multiset[State],
         seed: RngLike = None,
-        compiled: bool | None = None,
     ) -> None:
-        super().__init__(protocol, initial, seed, compiled=compiled)
+        super().__init__(protocol, initial, seed)
         self._transition_cache: dict[tuple[State, State], TransitionResult[State]] = {}
         self._kernel = None
         self._pool: list | None = None

@@ -18,8 +18,6 @@ when to stop.  Three criteria are provided:
   :class:`ActivePairTracker` — the count of δ-active ordered pairs among
   present states, maintained in ``O(affected states)`` per applied delta from
   the compiled ``changed`` bitmask, so each periodic check is ``O(1)``.
-  ``SilentConfiguration(incremental=False)`` opts back into the from-scratch
-  rescan (the benchmark baseline).
 * :class:`StableCircles` — the Circles-specific criterion from the paper's
   proof: no ket exchange is possible (Theorem 3.4's stabilization) and all
   agents agree on an output that matches a diagonal agent's color
@@ -156,17 +154,14 @@ class SilentConfiguration(ConvergenceCriterion[State]):
     """No interaction between any two present states changes anything.
 
     On a compiled engine the check is answered by the engine's
-    :class:`ActivePairTracker` in ``O(1)`` per check unless ``incremental``
-    is False, which forces the classic from-scratch ``O(d²)`` rescan through
-    ``protocol.transition`` (the baseline the incremental-detection benchmark
-    measures against; also the path taken by uncompiled engines).  The rescan
-    judges a pair by the states δ returns, not by its ``changed`` flag.
+    :class:`ActivePairTracker` in ``O(1)`` per check.  Uncompiled engines
+    call :meth:`is_converged_configuration`, the classic from-scratch
+    ``O(d²)`` rescan through ``protocol.transition`` (also the baseline the
+    incremental-detection benchmark measures against).  The rescan judges a
+    pair by the states δ returns, not by its ``changed`` flag.
     """
 
     name = "silent"
-
-    def __init__(self, incremental: bool = True) -> None:
-        self.incremental = incremental
 
     def is_converged(
         self, protocol: PopulationProtocol[State], states: Sequence[State]

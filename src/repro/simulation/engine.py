@@ -13,7 +13,6 @@ from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Generic, TypeVar
 
-from repro.compile import StateSpaceCapExceeded, compile_from_states
 from repro.protocols.base import PopulationProtocol
 from repro.scheduling.base import Scheduler
 from repro.simulation.base import SimulationEngine
@@ -58,7 +57,6 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         scheduler: Scheduler,
         trace: Trace | None = None,
         metrics: Mapping[str, MetricFn] | None = None,
-        compiled: bool = False,
     ) -> None:
         """Create the simulation.
 
@@ -72,12 +70,6 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
                 attaching a :class:`~repro.simulation.observers.TraceObserver`).
             metrics: optional named metric functions evaluated on the state
                 list at every recorded step.
-            compiled: when True, evaluate ``δ`` through the protocol's
-                compiled transition table (:mod:`repro.compile`) instead of
-                Python dispatch.  Off by default — the agent engine exists
-                for arbitrary schedulers and per-step instrumentation, where
-                compilation matters less — and silently disabled when the
-                protocol's δ-closure exceeds the compile cap.
         """
         self.protocol = protocol
         self.population = (
@@ -93,14 +85,6 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         self.metrics = dict(metrics or {})
         self.steps_taken = 0
         self.interactions_changed = 0
-        self._compiled = None
-        if compiled:
-            try:
-                self._compiled = compile_from_states(
-                    protocol, set(self.population.states())
-                )
-            except StateSpaceCapExceeded:
-                self._compiled = None
         self._init_observers()
         if trace is not None:
             self.add_observer(TraceObserver(trace=trace, metrics=self.metrics))
@@ -114,7 +98,6 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         scheduler: Scheduler | None = None,
         trace: Trace | None = None,
         metrics: Mapping[str, MetricFn] | None = None,
-        compiled: bool = False,
     ) -> "AgentSimulation[State]":
         """Create the initial population from input colors.
 
@@ -134,7 +117,6 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
             scheduler,
             trace=trace,
             metrics=metrics,
-            compiled=compiled,
         )
 
     # -- stepping ---------------------------------------------------------------
@@ -145,10 +127,7 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         pair = self.scheduler.next_pair(self.steps_taken, states)
         initiator_index, responder_index = pair
         before = (states[initiator_index], states[responder_index])
-        if self._compiled is not None:
-            result = self._compiled.transition_states(*before)
-        else:
-            result = self.protocol.transition(*before).judged_from(*before)
+        result = self.protocol.transition(*before).judged_from(*before)
         after = result.as_pair()
         if result.changed:
             states[initiator_index] = result.initiator

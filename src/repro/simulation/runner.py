@@ -200,28 +200,19 @@ def _build_simulation(
     seed: RngLike,
     record_trace: bool,
     observers: Sequence[Observer] = (),
-    compiled: bool | None = None,
 ) -> tuple[SimulationEngine[State], Trace | None, str]:
     """Construct the selected engine; returns (simulation, trace, scheduler name).
 
-    ``compiled=None`` leaves each engine on its own default: the
-    configuration-level engines compile transparently, the agent engine does
-    not (it exists for arbitrary schedulers and per-step instrumentation).
     ``observers`` are attached in order, after construction.
     """
     if issubclass(engine_cls, AgentSimulation):
         trace = Trace() if record_trace else None
         simulation = engine_cls.from_colors(
-            protocol,
-            colors,
-            seed=seed,
-            scheduler=scheduler,
-            trace=trace,
-            compiled=bool(compiled),
+            protocol, colors, seed=seed, scheduler=scheduler, trace=trace
         )
         scheduler_name = simulation.scheduler.name
     else:
-        simulation = engine_cls.from_colors(protocol, colors, seed=seed, compiled=compiled)
+        simulation = engine_cls.from_colors(protocol, colors, seed=seed)
         trace, scheduler_name = None, "uniform-random"
     for observer in observers:
         simulation.add_observer(observer)
@@ -246,7 +237,6 @@ def run_protocol(
     record_trace: bool = False,
     check_interval: int | None = None,
     engine: str = "agent",
-    compiled: bool | None = None,
     observers: Sequence[Observer | str | tuple] | None = None,
 ) -> RunResult:
     """Run any population protocol on an input color assignment.
@@ -269,10 +259,6 @@ def run_protocol(
         engine: engine registry name — ``"agent"``, ``"batch"``,
             ``"vector"``, or the analytical ``"exact"`` (see the module
             docstring for its distribution-level result semantics).
-        compiled: whether the engine runs on compiled transition tables
-            (:mod:`repro.compile`).  ``None`` keeps each engine's default
-            (configuration-level engines compile, the agent engine does not);
-            ``False`` forces the uncompiled path, e.g. for benchmarks.
         observers: observers to attach for the run
             (:mod:`repro.simulation.observers`): instances, registry names,
             or ``(name, params)`` pairs.  Their ``summary()`` dictionaries
@@ -302,7 +288,6 @@ def run_protocol(
     simulation, trace, scheduler_name = _build_simulation(
         engine_cls, protocol, colors, scheduler, seed, record_trace,
         observers=[exchange_counter, *resolved] if exchange_counter else resolved,
-        compiled=compiled,
     )
     converged = simulation.run(budget, criterion=criterion, check_interval=check_interval)
     final_states = tuple(simulation.states())
@@ -351,7 +336,6 @@ def run_circles(
     record_trace: bool = False,
     check_interval: int | None = None,
     engine: str = "agent",
-    compiled: bool | None = None,
     observers: Sequence[Observer | str | tuple] | None = None,
 ) -> RunResult:
     """Run the Circles protocol on an input color assignment.
@@ -364,7 +348,7 @@ def run_circles(
         num_colors: the protocol's ``k``; defaults to ``max(colors) + 1``.
         variant: ablation switches; defaults to the paper's protocol.
         scheduler / max_steps / seed / record_trace / check_interval /
-            engine / compiled / observers: as in :func:`run_protocol`.
+            engine / observers: as in :func:`run_protocol`.
     """
     colors = tuple(colors)
     _validate_input_colors(colors)
@@ -378,6 +362,5 @@ def run_circles(
         record_trace=record_trace,
         check_interval=check_interval,
         engine=engine,
-        compiled=compiled,
         observers=observers,
     )

@@ -100,10 +100,9 @@ class VectorReplicateSimulation(BatchConfigurationSimulation[State], Generic[Sta
         protocol: PopulationProtocol[State],
         initial: Iterable[State] | Multiset[State],
         seeds: Sequence[object],
-        compiled: bool | None = None,
     ) -> ReplicateGroup[State]:
         """``len(seeds)`` replicates of one initial configuration, in lockstep."""
-        return ReplicateGroup(protocol, initial, seeds, compiled=compiled)
+        return ReplicateGroup(protocol, initial, seeds)
 
     @classmethod
     def replicate_group_from_colors(
@@ -111,12 +110,9 @@ class VectorReplicateSimulation(BatchConfigurationSimulation[State], Generic[Sta
         protocol: PopulationProtocol[State],
         colors: Iterable[int],
         seeds: Sequence[object],
-        compiled: bool | None = None,
     ) -> ReplicateGroup[State]:
         """Like :meth:`replicate_group`, starting from input colors."""
-        return cls.replicate_group(
-            protocol, initial_configuration(protocol, colors), seeds, compiled=compiled
-        )
+        return cls.replicate_group(protocol, initial_configuration(protocol, colors), seeds)
 
 
 class ReplicateGroup(Generic[State]):
@@ -137,7 +133,6 @@ class ReplicateGroup(Generic[State]):
         protocol: PopulationProtocol[State],
         initial: Iterable[State] | Multiset[State],
         seeds: Sequence[object],
-        compiled: bool | None = None,
     ) -> None:
         seeds = list(seeds)
         if not seeds:
@@ -147,7 +142,7 @@ class ReplicateGroup(Generic[State]):
         # would (validation, compilation, the numpy population gate); on the
         # fallback path it is kept as the first row.
         probe: BatchConfigurationSimulation[State] = BatchConfigurationSimulation(
-            protocol, configuration, seed=seeds[0], compiled=compiled
+            protocol, configuration, seed=seeds[0]
         )
         self.protocol = protocol
         self.num_agents = probe.num_agents
@@ -158,7 +153,7 @@ class ReplicateGroup(Generic[State]):
         if probe._kernel is None:
             rows = [probe]
             rows.extend(
-                BatchConfigurationSimulation(protocol, configuration, seed=seed, compiled=compiled)
+                BatchConfigurationSimulation(protocol, configuration, seed=seed)
                 for seed in seeds[1:]
             )
             self._rows: list[BatchConfigurationSimulation[State]] | None = rows
@@ -243,7 +238,7 @@ class ReplicateGroup(Generic[State]):
         )
         tracker = (
             RowwiseActivePairTracker(self._compiled, self.num_rows)
-            if isinstance(criterion, SilentConfiguration) and criterion.incremental
+            if isinstance(criterion, SilentConfiguration)
             else None
         )
         active = list(range(self.num_rows))

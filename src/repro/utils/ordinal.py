@@ -15,7 +15,6 @@ fragment: construction from coefficients, lexicographic comparison and the
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from typing import Any
 
 
 class Ordinal:
@@ -167,7 +166,3 @@ class Ordinal:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def to_sortable(self) -> Any:
-        """A plain tuple usable as a sort key in numpy-free code paths."""
-        return self._key()

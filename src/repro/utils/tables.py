@@ -1,6 +1,7 @@
 """Plain-text and Markdown table rendering for experiment reports.
 
-The benchmark harness prints the rows/series that EXPERIMENTS.md records;
+The benchmark harness prints the rows/series of the experiment report
+(``python -m repro.experiments.report``);
 these helpers keep that formatting in one place so every experiment report
 looks the same.
 """

@@ -241,37 +241,43 @@ class TestProtocolRunner:
             )
 
 
-class TestCompiledKnob:
-    """The RunSpec `compiled` knob travels through the executor (satellite)."""
+class TestCompiledField:
+    """``RunSpec.compiled`` stays for stored SHAs; the compile cap picks the path."""
 
-    def test_compiled_defaults_to_engine_default(self):
+    def test_compiled_is_none(self):
         spec = RunSpec(protocol="circles", n=10, k=2, engine="batch", seed=3,
                        max_steps=2_000)
         assert spec.compiled is None
         record = execute_run(spec)
         assert record.steps <= 2_000
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_any_other_value_is_rejected(self, value):
+        data = RunSpec(protocol="circles", n=10, k=2, engine="batch", seed=7).to_dict()
+        with pytest.raises(ValueError, match="compiled must be null"):
+            RunSpec.from_dict({**data, "compiled": value})
+        with pytest.raises(TypeError):
+            RunSpec(protocol="circles", n=10, k=2, compiled=value)
+
     @pytest.mark.parametrize("engine", ["agent", "batch"])
-    def test_compiled_false_still_produces_a_correct_record(self, engine):
+    def test_uncompiled_path_still_produces_a_correct_record(self, engine, force_uncompiled):
         spec = RunSpec(protocol="circles", n=10, k=2, engine=engine, seed=7,
-                       max_steps=50_000, compiled=False)
+                       max_steps=50_000)
         record = execute_run(spec)
         assert record.correct
 
-    def test_compiled_runs_match_uncompiled_runs_in_outcome(self):
-        base = RunSpec(protocol="exact-majority", n=12, k=2, engine="batch",
+    def test_compiled_runs_match_uncompiled_runs_in_outcome(self, request):
+        spec = RunSpec(protocol="exact-majority", n=12, k=2, engine="batch",
                        seed=5, criterion="output-consensus", max_steps=50_000)
-        compiled_record = execute_run(base)
-        uncompiled_record = execute_run(
-            RunSpec(**{**base.to_dict(), "compiled": False})
-        )
+        compiled_record = execute_run(spec)
+        request.getfixturevalue("force_uncompiled")
+        uncompiled_record = execute_run(spec)
         assert compiled_record.correct and uncompiled_record.correct
         assert compiled_record.num_agents == uncompiled_record.num_agents
 
     def test_compiled_roundtrips_through_json(self):
-        spec = RunSpec(protocol="circles", n=8, k=2, compiled=False)
-        assert RunSpec.from_json(spec.to_json()).compiled is False
         spec = RunSpec(protocol="circles", n=8, k=2)
+        assert spec.to_dict()["compiled"] is None
         assert RunSpec.from_json(spec.to_json()).compiled is None
 
     def test_old_specs_without_the_field_still_load(self):

@@ -214,4 +214,4 @@ class TestMixedUnits:
         assert result.records == reference.records
         assert result.extras == reference.extras
         if stored:
-            assert store.stored == len(reference.records)
+            assert store.loaded == len(reference.records)

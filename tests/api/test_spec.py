@@ -205,15 +205,6 @@ GOLDEN_SPECS = {
         workload_seed=5,
         observers=("energy", ("trace", {"every": 4})),
     ),
-    "uncompiled": RunSpec(
-        protocol="tournament-plurality",
-        n=16,
-        k=3,
-        engine="batch",
-        compiled=False,
-        seed=3,
-        max_steps=2000,
-    ),
     "scheduler": RunSpec(
         protocol="circles",
         n=10,
@@ -228,7 +219,6 @@ GOLDEN_SPECS = {
 GOLDEN_SHAS = {
     "defaults": "2557981c266df903eb1d34b59dcc9c1122e43f9e7612c403f482f3bda4651b69",
     "params": "7701e5d64cd66a99552d4192a8b86d1eea3d2a150867dda2e23db2bec50c1622",
-    "uncompiled": "920cbd5e4c326f34b5f9c88ebfca0af2e7dc8420d9e8b41a9f3c876c05fee6bd",
     "scheduler": "ec19eff0f8512cb7d84c0456f97b919bac0dbb4f875c19bc404021400885602d",
 }
 
@@ -259,6 +249,17 @@ class TestContentAddressGoldens:
 
     def test_sweep_spec_sha_is_pinned(self):
         assert GOLDEN_SWEEP.sha() == GOLDEN_SWEEP_SHA
+
+    def test_a_stored_uncompiled_spec_is_rejected(self):
+        """The spec that pinned SHA ``920cbd5e…`` forced ``compiled=False``;
+        the compile cap alone picks the path now, so it no longer loads."""
+        data = RunSpec(
+            protocol="tournament-plurality", n=16, k=3, engine="batch", seed=3, max_steps=2000
+        ).to_dict()
+        data["compiled"] = False
+        assert sha_of(data) == "920cbd5e4c326f34b5f9c88ebfca0af2e7dc8420d9e8b41a9f3c876c05fee6bd"
+        with pytest.raises(ValueError, match="compiled must be null"):
+            RunSpec.from_dict(data)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
     def test_to_dict_equals_asdict(self, name):

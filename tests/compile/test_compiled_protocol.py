@@ -78,17 +78,6 @@ class TestEveryRegisteredProtocol:
             for code, packed in enumerate(compiled.table):
                 assert bool(compiled.changed[code]) == (packed != code), name
 
-    def test_transition_states_matches_delta(self, compiled_protocols):
-        rng = random.Random(7)
-        for name, protocol, compiled in compiled_protocols:
-            for _ in range(50):
-                initiator = rng.choice(compiled.states)
-                responder = rng.choice(compiled.states)
-                expected = protocol.transition(initiator, responder)
-                result = compiled.transition_states(initiator, responder)
-                assert result.as_pair() == expected.as_pair(), name
-                assert result.changed == expected.changed, name
-
     def test_outputs_match_the_output_map(self, compiled_protocols):
         for name, protocol, compiled in compiled_protocols:
             for code, state in enumerate(compiled.states):
@@ -158,6 +147,7 @@ class DeltaRecorder(Observer):
         self.deltas.append(delta)
 
 
+@pytest.mark.usefixtures("force_uncompiled")
 class TestUncompiledPathsJudgeByStates:
     """Without a table, engines, the silent check, the chain and the
     greedy-stall adversary judge a transition by the states δ returns."""
@@ -173,7 +163,7 @@ class TestUncompiledPathsJudgeByStates:
 
     def test_batch_engine_moves(self):
         simulation = BatchConfigurationSimulation.from_colors(
-            MisflaggedSpread(2), self.COLORS, seed=11, compiled=False
+            MisflaggedSpread(2), self.COLORS, seed=11
         )
         simulation.run(2_000)
         self.assert_moved(simulation)
@@ -182,7 +172,7 @@ class TestUncompiledPathsJudgeByStates:
     def test_engines_report_the_move_to_observers(self, engine):
         if engine == "batch":
             simulation = BatchConfigurationSimulation.from_colors(
-                MisflaggedSpread(2), self.COLORS, seed=11, compiled=False
+                MisflaggedSpread(2), self.COLORS, seed=11
             )
         else:
             simulation = AgentSimulation.from_colors(MisflaggedSpread(2), self.COLORS, seed=11)
@@ -197,13 +187,12 @@ class TestUncompiledPathsJudgeByStates:
         protocol = MisflaggedSpread(2)
         assert not silent.is_converged_configuration(protocol, Multiset([0, 1]))
         assert silent.is_converged_configuration(protocol, Multiset([1, 1]))
-        simulation = BatchConfigurationSimulation.from_colors(
-            protocol, [0, 1], seed=1, compiled=False
-        )
-        assert not simulation.run(0, criterion=SilentConfiguration(incremental=False))
+        simulation = BatchConfigurationSimulation.from_colors(protocol, [0, 1], seed=1)
+        assert simulation.compiled_protocol is None
+        assert not simulation.run(0, criterion=silent)
 
     def test_chain_moves(self):
-        chain = ConfigurationChain.from_colors(MisflaggedSpread(2), [0, 1], compiled=False)
+        chain = ConfigurationChain.from_colors(MisflaggedSpread(2), [0, 1])
         assert chain.compiled is None
         assert len(chain.counts) == 2
         assert chain.change_probability[0] == 0.5

@@ -121,29 +121,33 @@ def make_registry_protocol():
     return _registry_protocol
 
 
-def _pin_batch_path(monkeypatch, name: str) -> tuple[str, dict]:
-    """``(engine name, from_colors keywords)`` for an engine name or a batch path.
+def _pin_batch_path(request, name: str) -> str:
+    """The registry engine name for an engine name or a batch path.
 
     ``batch-dense`` and ``batch-sparse`` hold the batch engine in one pool
     regime for the whole run; ``batch-uncompiled`` runs its pool of decoded
-    states.  Any other name is a registry engine name, passed through.
+    states through ``force_uncompiled``, so every engine and chain built
+    after the call is uncompiled.  Any other name is a registry engine name,
+    passed through.
     """
     import repro.simulation.batch_engine as batch_engine
 
     if name in ("batch-dense", "batch-sparse"):
+        monkeypatch = request.getfixturevalue("monkeypatch")
         load = -1.0 if name == "batch-dense" else float("inf")
         monkeypatch.setattr(batch_engine, "SPARSE_ENTER_LOAD", load)
         monkeypatch.setattr(batch_engine, "SPARSE_LEAVE_LOAD", load)
-        return "batch", {}
+        return "batch"
     if name == "batch-uncompiled":
-        return "batch", {"compiled": False}
-    return name, {}
+        request.getfixturevalue("force_uncompiled")
+        return "batch"
+    return name
 
 
 @pytest.fixture
-def pin_batch_path(monkeypatch):
-    """``name -> (engine name, from_colors keywords)``, pinning a batch path."""
-    return lambda name: _pin_batch_path(monkeypatch, name)
+def pin_batch_path(request):
+    """``name -> registry engine name``, pinning a batch path."""
+    return lambda name: _pin_batch_path(request, name)
 
 
 def _per_spec_sweep(sweep):

@@ -26,10 +26,9 @@ class TestKeys:
         assert chain.states == chain.compiled.states
         assert all(len(counts) == chain.compiled.num_states for counts in chain.counts)
 
-    def test_uncompiled_counts_carry_no_trailing_zeros(self):
-        chain = ConfigurationChain.from_colors(
-            CirclesProtocol(2), (0, 0, 0, 1, 1), compiled=False
-        )
+    def test_uncompiled_counts_carry_no_trailing_zeros(self, force_uncompiled):
+        chain = ConfigurationChain.from_colors(CirclesProtocol(2), (0, 0, 0, 1, 1))
+        assert chain.compiled is None
         assert all(counts[-1] for counts in chain.counts)
         assert set(chain.states) == {
             state for key in chain.keys for state, _ in key
@@ -68,11 +67,10 @@ class TestConstruction:
             for target in exact_row:
                 assert math.isclose(float(exact_row[target]), float_row[target])
 
-    def test_uncompiled_fallback_builds_the_same_chain(self):
+    def test_uncompiled_fallback_builds_the_same_chain(self, request):
         compiled = ConfigurationChain.from_colors(CirclesProtocol(2), (0, 0, 0, 1, 1))
-        fallback = ConfigurationChain.from_colors(
-            CirclesProtocol(2), (0, 0, 0, 1, 1), compiled=False
-        )
+        request.getfixturevalue("force_uncompiled")
+        fallback = ConfigurationChain.from_colors(CirclesProtocol(2), (0, 0, 0, 1, 1))
         assert fallback.compiled is None and compiled.compiled is not None
         assert compiled.keys == fallback.keys
         assert compiled.rows == fallback.rows

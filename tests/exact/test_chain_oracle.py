@@ -96,21 +96,22 @@ def assert_matches_reference(chain: ConfigurationChain, protocol, colors) -> Non
 @pytest.mark.parametrize(
     "name,k,colors", [*GOLDEN_CASES, TIED_K3], ids=lambda value: str(value)
 )
-def test_registry_inputs_match_the_reference(name, k, colors, compiled):
+def test_registry_inputs_match_the_reference(name, k, colors, compiled, request):
+    if not compiled:
+        request.getfixturevalue("force_uncompiled")
     protocol = get_protocol(name, k)
-    chain = ConfigurationChain.from_colors(
-        protocol, colors, arithmetic="exact", compiled=compiled
-    )
+    chain = ConfigurationChain.from_colors(protocol, colors, arithmetic="exact")
     assert (chain.compiled is not None) == compiled
     assert_matches_reference(chain, protocol, colors)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "uncompiled"])
 @pytest.mark.parametrize("protocol,colors", list(random_cases()))
-def test_random_tables_match_the_reference(protocol, colors, compiled):
-    chain = ConfigurationChain.from_colors(
-        protocol, colors, arithmetic="exact", compiled=compiled
-    )
+def test_random_tables_match_the_reference(protocol, colors, compiled, request):
+    if not compiled:
+        request.getfixturevalue("force_uncompiled")
+    chain = ConfigurationChain.from_colors(protocol, colors, arithmetic="exact")
+    assert (chain.compiled is not None) == compiled
     assert_matches_reference(chain, protocol, colors)
 
 

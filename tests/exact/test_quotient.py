@@ -51,11 +51,10 @@ class TestSuccessors:
         chain = ConfigurationChain.from_colors(CirclesProtocol(2), (1, 1, 1))
         assert chain.successors(chain.counts[0]) == set()
 
-    def test_compiled_and_dispatch_paths_agree(self):
+    def test_compiled_and_dispatch_paths_agree(self, request):
         chain = ConfigurationChain.from_colors(CirclesProtocol(3), (0, 0, 1, 2))
-        fallback = ConfigurationChain.from_colors(
-            CirclesProtocol(3), (0, 0, 1, 2), compiled=False
-        )
+        request.getfixturevalue("force_uncompiled")
+        fallback = ConfigurationChain.from_colors(CirclesProtocol(3), (0, 0, 1, 2))
         assert chain.compiled is not None and fallback.compiled is None
         assert chain.keys == fallback.keys
         position = {counts: index for index, counts in enumerate(chain.counts)}
@@ -103,11 +102,12 @@ class TestStabilizer:
         chain = QuotientChain.from_colors(CirclesProtocol(3), (0, 0, 1, 1, 2, 2))
         assert chain.stabilizer_order == 3
 
-    def test_uncompiled_chain_degrades_to_the_trivial_group(self):
-        chain = QuotientChain.from_colors(CirclesProtocol(2), TIED, compiled=False)
+    def test_uncompiled_chain_degrades_to_the_trivial_group(self, force_uncompiled):
+        chain = QuotientChain.from_colors(CirclesProtocol(2), TIED)
         assert chain.compiled is None
         assert chain.stabilizer_order == 1
-        plain = ConfigurationChain.from_colors(CirclesProtocol(2), TIED, compiled=False)
+        plain = ConfigurationChain.from_colors(CirclesProtocol(2), TIED)
+        assert plain.compiled is None
         assert chain.keys == plain.keys
 
 

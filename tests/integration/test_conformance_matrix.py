@@ -66,12 +66,19 @@ def make_colors(protocol, num_agents):
     return [0] * (num_agents - len(minority)) + minority
 
 
-def build_engine(engine_cls, protocol, colors, seed, **options):
-    """Construct any registry engine on the uniform random scheduler chain."""
+def build_engine(engine_cls, protocol, colors, seed, engine_name=None):
+    """Construct any registry engine on the uniform random scheduler chain.
+
+    ``engine_name`` is the matrix cell's name, if any; a ``batch-uncompiled``
+    cell must really run uncompiled.
+    """
     if issubclass(engine_cls, AgentSimulation):
         scheduler = UniformRandomScheduler(len(colors), seed=seed)
         return engine_cls.from_colors(protocol, colors, seed=seed, scheduler=scheduler)
-    return engine_cls.from_colors(protocol, colors, seed=seed, **options)
+    simulation = engine_cls.from_colors(protocol, colors, seed=seed)
+    if engine_name == "batch-uncompiled":
+        assert simulation.compiled_protocol is None
+    return simulation
 
 
 @pytest.mark.parametrize("protocol_name,engine_name", MATRIX)
@@ -81,8 +88,10 @@ class TestConformanceCell:
     ):
         protocol = make_registry_protocol(protocol_name)
         colors = make_colors(protocol, 12)
-        engine, options = pin_batch_path(engine_name)
-        simulation = build_engine(ENGINES[engine], protocol, colors, seed=11, **options)
+        engine = pin_batch_path(engine_name)
+        simulation = build_engine(
+            ENGINES[engine], protocol, colors, seed=11, engine_name=engine_name
+        )
         simulation.run(400)
         if engine_name in ("batch-dense", "batch-sparse"):
             assert f"batch-{simulation.regime}" == engine_name
@@ -97,8 +106,10 @@ class TestConformanceCell:
         protocol = make_registry_protocol(protocol_name)
         colors = make_colors(protocol, 18)
         allowed = compile_protocol(protocol, colors).output_colors()
-        engine_name, options = pin_batch_path(engine_name)
-        simulation = build_engine(ENGINES[engine_name], protocol, colors, seed=13, **options)
+        engine = pin_batch_path(engine_name)
+        simulation = build_engine(
+            ENGINES[engine], protocol, colors, seed=13, engine_name=engine_name
+        )
         simulation.run(2_000)
         outputs = simulation.outputs()
         assert len(outputs) == 18
@@ -110,8 +121,10 @@ class TestConformanceCell:
     ):
         protocol = make_registry_protocol(protocol_name)
         colors = make_colors(protocol, 8)
-        engine_name, options = pin_batch_path(engine_name)
-        simulation = build_engine(ENGINES[engine_name], protocol, colors, seed=17, **options)
+        engine = pin_batch_path(engine_name)
+        simulation = build_engine(
+            ENGINES[engine], protocol, colors, seed=17, engine_name=engine_name
+        )
         converged = simulation.run(
             20_000, criterion=SilentConfiguration(), check_interval=64
         )

@@ -61,12 +61,12 @@ def make_colors(protocol, num_agents):
     return [0] * (num_agents - len(minority)) + minority
 
 
-def build_engine(engine_cls, protocol, colors, seed, **options):
+def build_engine(engine_cls, protocol, colors, seed):
     """Construct a stochastic engine on the uniform random scheduler chain."""
     if issubclass(engine_cls, AgentSimulation):
         scheduler = UniformRandomScheduler(len(colors), seed=seed)
         return engine_cls.from_colors(protocol, colors, seed=seed, scheduler=scheduler)
-    return engine_cls.from_colors(protocol, colors, seed=seed, **options)
+    return engine_cls.from_colors(protocol, colors, seed=seed)
 
 
 @pytest.mark.parametrize("protocol_name,engine_name", MATRIX)
@@ -74,18 +74,18 @@ def test_engine_matches_the_exact_distribution(
     protocol_name, engine_name, make_registry_protocol, one_sample_chi_squared, pin_batch_path
 ):
     """Empirical output histograms match the exactly computed distribution."""
-    sampler, options = pin_batch_path(engine_name)
     protocol = make_registry_protocol(protocol_name)
     colors = make_colors(protocol, NUM_AGENTS)
     chain = ConfigurationChain.from_colors(protocol, colors)
     exact = chain.output_distribution_after(HORIZON)
     assert math.isclose(sum(exact.values()), 1.0, abs_tol=1e-9)
 
+    sampler = pin_batch_path(engine_name)
     observed: dict = {}
     for trial in range(TRIALS):
-        simulation = build_engine(
-            ENGINES[sampler], protocol, colors, seed=70_000 + trial, **options
-        )
+        simulation = build_engine(ENGINES[sampler], protocol, colors, seed=70_000 + trial)
+        if engine_name == "batch-uncompiled":
+            assert simulation.compiled_protocol is None
         simulation.run(HORIZON)
         key = tuple(sorted(simulation.output_counts().items()))
         observed[key] = observed.get(key, 0) + 1
@@ -113,18 +113,18 @@ def test_engines_match_the_quotiented_exact_distribution(
     from :class:`QuotientChain` on a tied input — conformance coverage for
     the orbit lift itself, not just the lumped chain.
     """
-    sampler, options = pin_batch_path(engine_name)
     protocol = make_registry_protocol("circles")
     chain = QuotientChain.from_colors(protocol, TIE_COLORS)
     assert chain.is_quotiented
     exact = chain.output_distribution_after(HORIZON)
     assert math.isclose(sum(exact.values()), 1.0, abs_tol=1e-9)
 
+    sampler = pin_batch_path(engine_name)
     observed: dict = {}
     for trial in range(TRIALS):
-        simulation = build_engine(
-            ENGINES[sampler], protocol, TIE_COLORS, seed=90_000 + trial, **options
-        )
+        simulation = build_engine(ENGINES[sampler], protocol, TIE_COLORS, seed=90_000 + trial)
+        if engine_name == "batch-uncompiled":
+            assert simulation.compiled_protocol is None
         simulation.run(HORIZON)
         key = tuple(sorted(simulation.output_counts().items()))
         observed[key] = observed.get(key, 0) + 1

@@ -124,7 +124,7 @@ class TestKillAndResume:
         runner = SweepRunner(store=store, executor=KillAfter(survive=0))
         with pytest.raises(KeyboardInterrupt):
             runner.run(sweep)
-        assert store.stored == 0
+        assert store.loaded == 0
 
         resumed = SweepRunner(store=ResultStore(tmp_path)).run(sweep)
         assert resumed.records == SweepRunner().run(sweep).records
@@ -193,7 +193,7 @@ class TestAdaptiveKillAndResume:
         killed = SweepRunner(store=store, executor=KillAfter(survive=1))
         with pytest.raises(KeyboardInterrupt):
             killed.run(sweep)
-        assert store.stored == 2
+        assert store.loaded == 2
 
         store2 = ResultStore(tmp_path)
         counting = CountingExecutor()

@@ -99,7 +99,7 @@ class TestSweepStreaming:
         assert status["active_sweeps"] == {}
         assert status["completed_sweeps"] == 1
         assert status["completed_runs"] == len(sweep)
-        assert status["cache"]["stored"] == len(sweep)
+        assert status["cache"]["loaded"] == len(sweep)
         [progress] = status["sweeps"]
         assert progress["done"] == progress["total"] == len(sweep)
 
@@ -296,6 +296,47 @@ class TestErrorHandling:
         status = service.status()
         assert status["cache"]["misses"] == 0 and status["sweeps"] == []
 
+    @pytest.mark.parametrize(
+        "field, name",
+        [
+            ("protocol", "no-such-protocol"),
+            ("workload", "no-such-workload"),
+            ("scheduler", "no-such-scheduler"),
+            ("criterion", "no-such-criterion"),
+            ("runner", "no-such-runner"),
+            ("observers", "no-such-observer"),
+        ],
+    )
+    @pytest.mark.parametrize("route", ["/sweep", "/run"])
+    def test_unknown_names_are_a_400_before_the_stream(
+        self, server, service, route, field, name
+    ):
+        """Every registry name a submission carries resolves before the stream."""
+        if route == "/sweep":
+            payload = small_sweep().to_dict()
+            axis = field if field in ("criterion", "runner", "observers") else field + "s"
+        else:
+            payload = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3).to_dict()
+            axis = field
+        payload[axis] = [name] if axis.endswith("s") else name
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_lines(server, route, payload)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
+        assert error.startswith("bad spec") and repr(name) in error
+        status = service.status()
+        assert status["cache"]["misses"] == 0 and status["sweeps"] == []
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_a_set_compiled_field_is_a_400(self, server, service, compiled):
+        payload = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3).to_dict()
+        payload["compiled"] = compiled
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_lines(server, "/run", payload)
+        assert excinfo.value.code == 400
+        assert "compiled must be null" in json.loads(excinfo.value.read().decode("utf-8"))["error"]
+        assert service.status()["cache"]["misses"] == 0
+
     def test_unknown_routes_are_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(server, "/nope")
@@ -316,9 +357,10 @@ class TestErrorHandling:
         assert b"Content-Length must be non-negative" in body
 
     def test_runtime_failure_is_reported_in_band(self, server):
-        """An unknown protocol passes spec parsing but fails at execution;
-        the error arrives as a JSON line inside the 200 stream."""
-        spec = RunSpec(protocol="no-such-protocol", n=8, k=2, seed=3)
+        """Protocol parameters the factory rejects pass spec parsing and name
+        resolution but fail at execution; the error arrives as a JSON line
+        inside the 200 stream."""
+        spec = RunSpec(protocol="circles", n=8, k=2, seed=3, protocol_params={"no_such": 1})
         lines = post_lines(server, "/run", spec.to_dict())
         assert any("error" in line for line in lines)
 
@@ -406,7 +448,7 @@ class TestSubmitCLI:
         assert envelope["sha"] == spec.sha()
 
     def test_in_stream_error_exits_nonzero(self, server, tmp_path, capsys):
-        spec = RunSpec(protocol="no-such-protocol", n=8, k=2, seed=3)
+        spec = RunSpec(protocol="circles", n=8, k=2, seed=3, protocol_params={"no_such": 1})
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(spec.to_json())
         assert submit_main([str(spec_path), "--run", "--url", server]) == 1

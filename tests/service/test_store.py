@@ -57,7 +57,7 @@ class TestContentAddressing:
             {"seed": 999},
             {"workload_seed": 999},
             {"observers": ("energy",)},
-            {"compiled": False},
+            {"criterion": "silent"},
             {"engine": "batch"},
             {"n": 10},
             {"max_steps": 123},
@@ -104,7 +104,7 @@ class TestCacheHits:
         base = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3, max_steps=2_000)
         store.put(base, execute_run(base))
         assert store.get(base) is not None
-        for variation in ({"seed": 4}, {"observers": ("energy",)}, {"compiled": False}):
+        for variation in ({"seed": 4}, {"observers": ("energy",)}, {"criterion": "silent"}):
             assert store.get(replace(base, **variation)) is None
 
     def test_get_returns_equal_record_not_same_object(self, tmp_path):
@@ -284,7 +284,7 @@ class TestCorruptionDetection:
         with pytest.raises(ValueError, match="cannot be stored"):
             store.put(replace(spec, seed=4), record)
         assert list((tmp_path / "shards").glob("*.jsonl")) == []
-        assert store.stored == 0
+        assert store.loaded == 0
 
     def test_garbage_shard_lines_are_counted_and_ignored(self, tmp_path):
         spec, record = self._store_one(tmp_path)
@@ -305,7 +305,7 @@ class TestStoreStats:
         store.put(spec, execute_run(spec))
         assert store.get(spec) is not None
         stats = store.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1 and stats["stored"] == 1
+        assert stats["hits"] == 1 and stats["misses"] == 1 and stats["loaded"] == 1
         assert stats["hit_rate"] == 0.5
         assert spec in store
 

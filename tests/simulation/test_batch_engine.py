@@ -41,10 +41,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="a population needs at least two agents"):
             BatchConfigurationSimulation.from_colors(CirclesProtocol(2), [1])
 
-    def test_from_colors_keeps_first_appearance_order_uncompiled(self):
+    def test_from_colors_keeps_first_appearance_order_uncompiled(self, force_uncompiled):
         protocol = CirclesProtocol(4)
         colors = [2, 3, 2, 0, 1, 3]
-        simulation = BatchConfigurationSimulation.from_colors(protocol, colors, compiled=False)
+        simulation = BatchConfigurationSimulation.from_colors(protocol, colors)
+        assert simulation.compiled_protocol is None
         expected = Multiset(initial_states(protocol, colors))
         assert list(simulation.configuration().items()) == list(expected.items())
 
@@ -92,10 +93,13 @@ class TestWindowMachinery:
             assert braket_invariant_holds(simulation.states())
 
     @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "uncompiled"])
-    def test_braket_invariant_holds_after_every_interaction(self, compiled):
+    def test_braket_invariant_holds_after_every_interaction(self, compiled, request):
+        if not compiled:
+            request.getfixturevalue("force_uncompiled")
         simulation = BatchConfigurationSimulation.from_colors(
-            CirclesProtocol(4), [0, 0, 1, 2, 3, 3], seed=5, compiled=compiled
+            CirclesProtocol(4), [0, 0, 1, 2, 3, 3], seed=5
         )
+        assert (simulation.compiled_protocol is not None) == compiled
         for _ in range(300):
             simulation.run(1)
             assert braket_invariant_holds(simulation.states())
@@ -110,12 +114,13 @@ class TestWindowMachinery:
         assert 0 < simulation.interactions_changed <= 50
 
     @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "uncompiled"])
-    def test_small_populations_keep_budget_and_pool(self, compiled):
+    def test_small_populations_keep_budget_and_pool(self, compiled, request):
         """A window is at most n interactions; any budget is met exactly."""
+        if not compiled:
+            request.getfixturevalue("force_uncompiled")
         colors = [0, 0, 1] * 4  # n = 12
-        simulation = BatchConfigurationSimulation.from_colors(
-            CirclesProtocol(2), colors, seed=7, compiled=compiled
-        )
+        simulation = BatchConfigurationSimulation.from_colors(CirclesProtocol(2), colors, seed=7)
+        assert (simulation.compiled_protocol is not None) == compiled
         assert simulation.run_burst() == len(colors)
         assert simulation.run_burst(5) == 5
         simulation.run(500)

@@ -156,15 +156,17 @@ class TestDistributionalAgreementWithThePoolPath:
         histogram = {}
         for trial in range(self.TRIALS):
             simulation = BatchConfigurationSimulation.from_colors(
-                protocol, colors, seed=seed_base + trial, compiled=compiled
+                protocol, colors, seed=seed_base + trial
             )
+            assert (simulation.compiled_protocol is not None) == compiled
             simulation.run(self.HORIZON)
             count = simulation.output_counts().get(0, 0)
             histogram[count] = histogram.get(count, 0) + 1
         return histogram
 
-    def test_output_count_distributions_agree(self, two_sample_chi_squared):
+    def test_output_count_distributions_agree(self, two_sample_chi_squared, request):
         vectorized = self._histogram(True, 60_000)
+        request.getfixturevalue("force_uncompiled")
         pool = self._histogram(False, 75_000)
         statistic, critical = two_sample_chi_squared(vectorized, pool)
         assert statistic < critical, (

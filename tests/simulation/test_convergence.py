@@ -137,8 +137,7 @@ class TestCountLevelFastPaths:
 
     def test_silent_configuration_has_no_counts_fast_path(self):
         # Silence is answered by the engine's incremental tracker instead;
-        # the criterion itself defers so `incremental=False` stays a true
-        # from-scratch baseline.
+        # the criterion itself defers to the from-scratch rescan.
         protocol = CirclesProtocol(2)
         states = [CirclesState(0, 0, 0)] * 2
         compiled, counts = self._compiled_counts(protocol, states)

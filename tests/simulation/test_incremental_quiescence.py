@@ -17,12 +17,29 @@ from repro.simulation import (
     ActivePairTracker,
     AgentSimulation,
     BatchConfigurationSimulation,
+    Observer,
     OutputConsensus,
     SilentConfiguration,
 )
 from repro.workloads.distributions import planted_majority
 
 ENGINE_CLASSES = (AgentSimulation, BatchConfigurationSimulation)
+
+
+class RescanAtChecks(Observer):
+    """The from-scratch silence rescan's verdict at every check boundary."""
+
+    name = "rescan-at-checks"
+
+    def __init__(self) -> None:
+        self.verdicts: list[bool] = []
+
+    def on_check(self, engine) -> None:
+        self.verdicts.append(
+            SilentConfiguration().is_converged_configuration(
+                engine.protocol, engine.configuration()
+            )
+        )
 
 
 class TestActivePairTracker:
@@ -71,32 +88,32 @@ class TestIncrementalMatchesRescanOverTheRegistry:
         simulation = BatchConfigurationSimulation.from_colors(protocol, colors, seed=7)
         if simulation.compiled_protocol is None:
             pytest.skip(f"{name} exceeds the compile cap at k={protocol.num_colors}")
-        incremental = SilentConfiguration()
-        rescan = SilentConfiguration(incremental=False)
+        silent = SilentConfiguration()
+
+        def agree() -> bool:
+            rescan = silent.is_converged_configuration(protocol, simulation.configuration())
+            return simulation._converged(silent) == rescan
+
         for _ in range(60):
-            assert simulation._converged(incremental) == simulation._converged(rescan)
+            assert agree()
             simulation.run(25)
-        assert simulation._converged(incremental) == simulation._converged(rescan)
+        assert agree()
 
     def test_detection_of_reached_silence(self):
-        # A skewed input converges to silence; both strategies stop the run
-        # at the same interaction on the same seeded chain.
+        # A skewed input converges to silence; the run stops at the first
+        # check boundary where the rescan sees silence too.
         protocol = get_protocol("exact-majority", 2)
         colors = [0] * 30 + [1] * 10
-        outcomes = []
-        for criterion in (SilentConfiguration(), SilentConfiguration(incremental=False)):
-            simulation = BatchConfigurationSimulation.from_colors(protocol, colors, seed=5)
-            converged = simulation.run(100_000, criterion=criterion, check_interval=40)
-            outcomes.append((converged, simulation.steps_taken))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0], "the skewed exact-majority run should go silent"
+        simulation = BatchConfigurationSimulation.from_colors(protocol, colors, seed=5)
+        rescans = simulation.add_observer(RescanAtChecks())
+        converged = simulation.run(100_000, criterion=SilentConfiguration(), check_interval=40)
+        assert converged, "the skewed exact-majority run should go silent"
+        assert rescans.verdicts[-1] and not any(rescans.verdicts[:-1])
 
-    def test_uncompiled_engines_fall_back_to_the_rescan(self):
+    def test_uncompiled_engines_fall_back_to_the_rescan(self, force_uncompiled):
         protocol = CirclesProtocol(3)
         colors = [0] * 6 + [1] * 3
-        simulation = BatchConfigurationSimulation.from_colors(
-            protocol, colors, seed=5, compiled=False
-        )
+        simulation = BatchConfigurationSimulation.from_colors(protocol, colors, seed=5)
         assert simulation.compiled_protocol is None
         converged = simulation.run(50_000, criterion=SilentConfiguration())
         assert converged

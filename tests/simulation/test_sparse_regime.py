@@ -87,7 +87,7 @@ class TestAgainstTheExactChain:
 
     @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "uncompiled"])
     def test_dense_regime_matches_at_sixteen_agents(
-        self, monkeypatch, one_sample_chi_squared, compiled
+        self, monkeypatch, one_sample_chi_squared, compiled, request
     ):
         """Always dense at n = 16, over a horizon that ends inside a window."""
         force(monkeypatch, NEVER, NEVER)
@@ -95,11 +95,14 @@ class TestAgainstTheExactChain:
         colors = [0] * 10 + [1] * 6
         horizon = 72
         exact = self.exact_distribution(protocol, colors, horizon)
+        if not compiled:
+            request.getfixturevalue("force_uncompiled")
         observed: dict = {}
         for trial in range(self.TRIALS):
             simulation = BatchConfigurationSimulation.from_colors(
-                protocol, colors, seed=40_000 + trial, compiled=compiled
+                protocol, colors, seed=40_000 + trial
             )
+            assert (simulation.compiled_protocol is not None) == compiled
             simulation.run(horizon)
             assert simulation.regime == "dense"
             key = configuration_key(simulation.configuration())
