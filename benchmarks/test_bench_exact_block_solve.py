@@ -64,12 +64,12 @@ def _suite_time(cases=CASES) -> float:
 
 
 def _tied_systems(monkeypatch):
-    """Every ``(rows, transient, start, visits)`` the tied input solves."""
+    """Every ``(weights, transient, start, denominator, visits)`` the tied input solves."""
     systems = []
 
-    def recording(rows, transient, start, **kwargs):
-        visits = solve_transient_systems(rows, transient, start, **kwargs)
-        systems.append((rows, transient, start, visits))
+    def recording(weights, transient, start, **kwargs):
+        visits = solve_transient_systems(weights, transient, start, **kwargs)
+        systems.append((weights, transient, start, kwargs["denominator"], visits))
         return visits
 
     monkeypatch.setattr(absorption, "solve_transient_systems", recording)
@@ -80,16 +80,17 @@ def _tied_systems(monkeypatch):
 
 def test_block_solve_matches_the_whole_matrix_solve(monkeypatch, whole_matrix_solve):
     """Smoke (default suite): identical Fractions on every system of the tied input."""
-    for rows, transient, start, visits in _tied_systems(monkeypatch):
+    for weights, transient, start, denominator, visits in _tied_systems(monkeypatch):
         assert all(isinstance(value, Fraction) for value in visits)
-        assert visits == whole_matrix_solve(rows, transient, start, exact=True)
+        assert visits == whole_matrix_solve(weights, transient, start, denominator=denominator)
 
 
 def test_float_block_solve_matches_the_rational_solve(monkeypatch):
     """Smoke (default suite): float block solve ≈ rationals on every tied system."""
-    for rows, transient, start, visits in _tied_systems(monkeypatch):
-        float_rows = [{target: float(p) for target, p in row.items()} for row in rows]
-        floats = solve_transient_systems(float_rows, transient, start, exact=False)
+    for weights, transient, start, denominator, visits in _tied_systems(monkeypatch):
+        floats = solve_transient_systems(
+            weights, transient, start, denominator=denominator, exact=False
+        )
         for a, b in zip(floats, visits, strict=True):
             assert math.isclose(a, float(b), rel_tol=1e-12, abs_tol=1e-15), (a, b)
 

@@ -112,8 +112,11 @@ def _fraction_gaussian_solve(matrix, rhs):
     return x
 
 
-def _whole_matrix_solve(rows, transient, start, *, exact=True):
-    """``solve_transient_systems`` as one rational elimination over ``(I - Q)ᵀ``."""
+def _whole_matrix_solve(weights, transient, start, *, denominator, exact=True):
+    """``solve_transient_systems`` as one rational elimination over ``(I - Q)ᵀ``.
+
+    ``Q`` is built entry by entry as ``Fraction(weight, denominator)``.
+    """
     assert exact
     local = {index: i for i, index in enumerate(transient)}
     size = len(transient)
@@ -121,9 +124,9 @@ def _whole_matrix_solve(rows, transient, start, *, exact=True):
     for index in transient:
         i = local[index]
         matrix[i][i] += 1
-        for target, probability in rows[index].items():
+        for target, weight in weights[index].items():
             if target in local:
-                matrix[local[target]][i] -= probability
+                matrix[local[target]][i] -= Fraction(weight, denominator)
     unit = [Fraction(0)] * size
     unit[local[start]] = Fraction(1)
     return _fraction_gaussian_solve(matrix, unit)

@@ -105,7 +105,7 @@ def verify_always_correct(
     correct = ((majority, chain.num_agents),)
     class_correct = [
         [chain.output_key(member) == correct for member in members]
-        for members in closed_classes(chain.rows)
+        for members in closed_classes(chain.weights)
     ]
     return VerificationResult(
         protocol_name=protocol.name,

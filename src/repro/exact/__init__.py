@@ -6,9 +6,10 @@ Markov chain over configurations, and this package materializes and solves
 it —
 
 * :class:`ConfigurationChain` — the sparse transition matrix over the
-  reachable configuration space, with exact rational
-  (``fractions.Fraction``) or float64 probabilities, plus exact
-  distributions after ``t`` interactions;
+  reachable configuration space, as integer weights over the one
+  denominator ``n·(n-1)`` with exact rational (``fractions.Fraction``) or
+  float64 probability views, plus exact distributions after ``t``
+  interactions;
 * :func:`analyze_absorption` / :func:`hitting_analysis` — stable (closed)
   classes, absorption probabilities, and exact expected interactions to
   convergence, all read off one row of the fundamental matrix (the expected

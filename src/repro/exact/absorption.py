@@ -21,21 +21,31 @@ module computes, exactly:
 
 Each analysis solves one system, for the expected visits ``π`` to every
 transient configuration from the initial one (the block-triangular solve of
-:mod:`repro.exact.solve`), and reads every quantity off it as a π-weighted
-sum: ``Σπ`` interactions, ``Σπ·change`` changed interactions, ``Σπ·Q(→c)``
-for the probability of entering class (or target) ``c``.  A chain keeps the
-systems solved on it (:attr:`~repro.exact.chain.ConfigurationChain.solved_visits`),
-so a hitting analysis whose system is the absorption analysis's transient
-set — a criterion that holds exactly on the stable classes — pays no second
-solve.  All quantities come back in the chain's arithmetic: exact
-``Fraction`` in ``"exact"`` mode, float64 otherwise.
+:mod:`repro.exact.solve`, on the chain's integer weights), and reads every
+quantity off it as a π-weighted sum: ``Σπ`` interactions, ``Σπ·change``
+changed interactions, ``Σπ·w(→c)/D`` for the probability of entering class
+(or target) ``c``, where ``w`` are the chain's integer weights over its
+denominator ``D = n·(n-1)``.  A chain keeps the systems solved on it
+(:attr:`~repro.exact.chain.ConfigurationChain.solved_visits`), so a hitting
+analysis whose system is the absorption analysis's transient set — a
+criterion that holds exactly on the stable classes — pays no second solve.
+
+All quantities come back in the chain's arithmetic.  In ``"exact"`` mode
+each sum is taken on integers — visit numerators times weights, gathered
+per visit denominator and brought to one denominator by one ``lcm`` — and
+becomes one ``Fraction``; structure (which transitions exist) is read off
+the weights directly, so no analysis builds the chain's rational rows.  In
+``"float"`` mode each term is ``π·(w / D)``, the float64 product the
+probability rows would give.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import cast
 
 from repro.exact.chain import ConfigurationChain
 from repro.exact.solve import (
@@ -45,12 +55,14 @@ from repro.exact.solve import (
 )
 
 
-def closed_classes(rows: Sequence[dict[int, Number]]) -> list[list[int]]:
+def closed_classes(rows: Sequence[Mapping[int, object]]) -> list[list[int]]:
     """The closed (recurrent) communicating classes of the chain.
 
-    A strongly connected component is closed when no member has an edge
-    leaving the component; classes come back sorted by their smallest
-    configuration index, so class numbering is deterministic.
+    Reads only which entries each sparse row has, so the chain's integer
+    :attr:`~repro.exact.chain.ConfigurationChain.weights` serve as well as
+    probability rows.  A strongly connected component is closed when no
+    member has an edge leaving the component; classes come back sorted by
+    their smallest configuration index, so class numbering is deterministic.
     """
     closed: list[list[int]] = []
     for component in strongly_connected_components(rows):
@@ -61,6 +73,55 @@ def closed_classes(rows: Sequence[dict[int, Number]]) -> list[list[int]]:
     return closed
 
 
+def _gather(groups: dict[int, int], visit: Fraction, weight: int) -> None:
+    """Add ``visit·weight`` to integer numerators grouped by the visit's denominator."""
+    den = visit.denominator
+    groups[den] = groups.get(den, 0) + visit.numerator * weight
+
+
+def _total(groups: dict[int, int], denominator: int = 1) -> Fraction:
+    """``Σ numerator/den`` of ``groups``, divided by ``denominator``, as one ``Fraction``."""
+    common = lcm(*groups)
+    return Fraction(
+        sum(numerator * (common // den) for den, numerator in groups.items()),
+        common * denominator,
+    )
+
+
+def _mass_into(
+    chain: ConfigurationChain,
+    system: Sequence[int],
+    visits: Sequence[Number],
+    targets: Callable[[int], int | None],
+    count: int,
+) -> list[Number]:
+    """``Σπ·w(→t)/D`` per target ``t < count``; ``targets`` maps an index to its target.
+
+    The probability that the chain, from its initial configuration, leaves
+    the system into each target.
+    """
+    denominator = chain.denominator
+    weights = chain.weights
+    if chain.arithmetic == "exact":
+        groups: list[dict[int, int]] = [{} for _ in range(count)]
+        for index, visit in zip(system, cast("Sequence[Fraction]", visits)):
+            if visit:
+                for successor, weight in weights[index].items():
+                    target = targets(successor)
+                    if target is not None:
+                        _gather(groups[target], visit, weight)
+        return [_total(group, denominator) for group in groups]
+    zero: Number = 0.0
+    masses = [zero] * count
+    for index, visit in zip(system, visits):
+        if visit:
+            for successor, weight in weights[index].items():
+                target = targets(successor)
+                if target is not None:
+                    masses[target] += visit * (weight / denominator)
+    return masses
+
+
 def _solved_visits(
     chain: ConfigurationChain, system: list[int]
 ) -> tuple[list[Number], Number, Number]:
@@ -68,7 +129,7 @@ def _solved_visits(
 
     Solved once per chain and system: the result is kept in the chain's
     :attr:`~repro.exact.chain.ConfigurationChain.solved_visits` (a chain-like
-    object without that dict solves every time).  The sums skip zero
+    object without that dict solves every time).  The float sums skip zero
     visits, in ``system`` order, so they are the same floats whichever
     analysis asks first.
     """
@@ -78,12 +139,28 @@ def _solved_visits(
     solved = memo.get(key)
     if solved is None:
         exact = chain.arithmetic == "exact"
-        expected = expected_changed = Fraction(0) if exact else 0.0
-        visits = solve_transient_systems(chain.rows, system, start, exact=exact)
-        for index, visit in zip(system, visits):
-            if visit:
-                expected += visit
-                expected_changed += visit * chain.change_probability[index]
+        denominator = chain.denominator
+        changes = chain.change_weights
+        visits = solve_transient_systems(
+            chain.weights, system, start, denominator=denominator, exact=exact
+        )
+        expected: Number
+        expected_changed: Number
+        if exact:
+            interactions: dict[int, int] = {}
+            changed: dict[int, int] = {}
+            for index, visit in zip(system, cast("list[Fraction]", visits)):
+                if visit:
+                    _gather(interactions, visit, 1)
+                    _gather(changed, visit, changes[index])
+            expected = _total(interactions)
+            expected_changed = _total(changed, denominator)
+        else:
+            expected = expected_changed = 0.0
+            for index, visit in zip(system, visits):
+                if visit:
+                    expected += visit
+                    expected_changed += visit * (changes[index] / denominator)
         solved = memo[key] = (visits, expected, expected_changed)
     return solved
 
@@ -132,7 +209,7 @@ def analyze_absorption(chain: ConfigurationChain) -> AbsorptionAnalysis:
     exact = chain.arithmetic == "exact"
     zero: Number = Fraction(0) if exact else 0.0
     one: Number = Fraction(1) if exact else 1.0
-    classes = closed_classes(chain.rows)
+    classes = closed_classes(chain.weights)
     in_class: dict[int, int] = {}
     for class_index, members in enumerate(classes):
         for member in members:
@@ -152,14 +229,7 @@ def analyze_absorption(chain: ConfigurationChain) -> AbsorptionAnalysis:
             expected_changed_interactions=zero,
         )
     visits, expected, expected_changed = _solved_visits(chain, transient)
-    probabilities = [zero] * len(classes)
-    for index, visit in zip(transient, visits):
-        if not visit:
-            continue
-        for target, probability in chain.rows[index].items():
-            class_index = in_class.get(target)
-            if class_index is not None:
-                probabilities[class_index] += visit * probability
+    probabilities = _mass_into(chain, transient, visits, in_class.get, len(classes))
     return AbsorptionAnalysis(
         classes=classes,
         transient=transient,
@@ -246,7 +316,7 @@ def hitting_analysis(
     # target (reverse BFS); from them, leaving the restricted set is almost
     # sure, so (I - Q) is nonsingular.
     predecessors: dict[int, list[int]] = {}
-    for index, row in enumerate(chain.rows):
+    for index, row in enumerate(chain.weights):
         for successor in row:
             predecessors.setdefault(successor, []).append(index)
     can_reach: set[int] = set()
@@ -275,7 +345,7 @@ def hitting_analysis(
     walk = [chain.initial_index]
     while walk and almost_sure:
         node = walk.pop()
-        for successor in chain.rows[node]:
+        for successor in chain.weights[node]:
             if successor in target_set or successor in walked:
                 continue
             if successor not in can_reach:
@@ -301,13 +371,9 @@ def hitting_analysis(
             expected_interactions=expected,
             expected_changed_interactions=expected_changed,
         )
-    probability = zero
-    for index, visit in zip(system, visits):
-        if not visit:
-            continue
-        for successor, q in chain.rows[index].items():
-            if successor in target_set:
-                probability += visit * q
+    [probability] = _mass_into(
+        chain, system, visits, lambda index: 0 if index in target_set else None, 1
+    )
     return HittingAnalysis(
         target=target,
         almost_sure=False,

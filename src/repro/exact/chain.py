@@ -8,7 +8,7 @@ drawn uniformly among the ``n·(n-1)`` ordered pairs, so the pair of *states*
 ``C(p)·(C(p)-1) / (n·(n-1))`` for ``p = q``), after which ``δ`` rewrites the
 pair.  :class:`ConfigurationChain` materializes that chain exactly for one
 input: it enumerates every configuration reachable from the initial one
-(breadth-first) and stores one sparse row of transition probabilities per
+(breadth-first) and stores one sparse row of transition weights per
 configuration.  It is the repository's one configuration graph: the exact
 engine, the E3 model checker (:mod:`repro.analysis.verification`) and the
 verifier's lint probes all query it.
@@ -25,14 +25,22 @@ only at the API edge: :meth:`~ConfigurationChain.configuration` /
 :meth:`~ConfigurationChain.decode` and the ``frozenset`` views ``keys`` /
 ``index``; class lifting and ranking stay on count tuples.
 
-Probabilities are either exact rationals (``fractions.Fraction``,
-``arithmetic="exact"``) or float64 (``arithmetic="float"``, the default — it
-is what the golden conformance suite and the experiment columns use; the
-rational mode generates the golden files).
+Every transition probability is an integer count of ordered agent pairs
+over the one denominator ``n·(n-1)``, so a row is stored as those integers:
+:attr:`~ConfigurationChain.weights` and
+:attr:`~ConfigurationChain.change_weights` over
+:attr:`~ConfigurationChain.denominator`.  The probabilities are views built
+from them on first use — exact rationals ``Fraction(w, n·(n-1))`` in
+``arithmetic="exact"`` mode, float64 ``w / (n·(n-1))`` in
+``arithmetic="float"`` mode (the default: it is what the golden conformance
+suite and the experiment columns use; the rational mode generates the golden
+files).  The analyses read the integers: structure (which entries exist)
+straight off the weights, and rational values through integer solves and
+sums that build one ``Fraction`` per reported value.
 
-The chain itself only knows probabilities; the derived quantities
-(absorption into stable classes, expected interactions to convergence,
-correctness probability) live in :mod:`repro.exact.absorption`.
+The chain itself only knows transitions; the derived quantities (absorption
+into stable classes, expected interactions to convergence, correctness
+probability) live in :mod:`repro.exact.absorption`.
 """
 
 from __future__ import annotations
@@ -101,18 +109,23 @@ class ConfigurationChain(Generic[State]):
 
     Attributes:
         protocol: the protocol whose dynamics the chain encodes.
-        arithmetic: ``"exact"`` (``Fraction``) or ``"float"`` (float64).
+        arithmetic: ``"exact"`` (``Fraction``) or ``"float"`` (float64): the
+            representation of :attr:`rows`, :attr:`change_probability` and
+            every analysis result.
         num_agents: the (conserved) population size ``n``.
+        denominator: ``n·(n-1)``, the number of ordered agent pairs; every
+            transition probability is an integer weight over it.
         states: code -> state; ``compiled.states`` when compiled, else the
             states in the order the BFS first met them.
         counts: index -> configuration as a :data:`Counts` tuple, in BFS
             discovery order; index 0 is the initial configuration.  Without
             a compiled table the tuples carry no trailing zeros.
-        rows: per configuration, the sparse transition row
-            ``{successor index: probability}``.  Rows sum to one; the
-            self-loop entry collects both no-op pairs and changing pairs that
-            leave the multiset unchanged (e.g. swaps).
-        change_probability: per configuration, the probability that one
+        weights: per configuration, the sparse transition row
+            ``{successor index: ordered agent pairs}``.  Rows sum to
+            :attr:`denominator`; the self-loop entry collects both no-op
+            pairs and changing pairs that leave the multiset unchanged
+            (e.g. swaps).
+        change_weights: per configuration, the ordered agent pairs whose
             interaction changes at least one agent's state (judged by the
             states δ returns, regardless of whether the multiset moves).
         compiled: the compiled δ-tables the codes come from, or ``None``
@@ -140,6 +153,7 @@ class ConfigurationChain(Generic[State]):
         if len(configuration) < 2:
             raise ValueError("a population needs at least two agents")
         self.num_agents = len(configuration)
+        self.denominator = self.num_agents * (self.num_agents - 1)
         self.compiled: CompiledProtocol[State] | None
         try:
             self.compiled = compile_from_states(protocol, configuration.support())
@@ -159,8 +173,8 @@ class ConfigurationChain(Generic[State]):
         initial_counts = tuple(configuration.count(state) for state in self.states)
         self.counts: list[Counts] = []
         self._lookup: dict[Counts, int] = {}
-        self.rows: list[dict[int, Fraction | float]] = []
-        self.change_probability: list[Fraction | float] = []
+        self.weights: list[dict[int, int]] = []
+        self.change_weights: list[int] = []
         self.solved_visits: dict[
             tuple[tuple[int, ...], int],
             tuple[list[Fraction | float], Fraction | float, Fraction | float],
@@ -275,10 +289,7 @@ class ConfigurationChain(Generic[State]):
         return index
 
     def _explore(self, initial: Counts, cap: int) -> None:
-        """BFS over reachable configurations, building one exact row each."""
-        n = self.num_agents
-        denominator = n * (n - 1)
-        exact = self.arithmetic == "exact"
+        """BFS over reachable configurations, building one weight row each."""
         canonical = self._canonical()
         lookup = self._lookup
         configurations = self.counts
@@ -303,18 +314,38 @@ class ConfigurationChain(Generic[State]):
                 weights[target] = weights.get(target, 0) + weight
             if self_weight:
                 weights[current] = weights.get(current, 0) + self_weight
-            if exact:
-                row: dict[int, Fraction | float] = {
-                    target: Fraction(weight, denominator)
-                    for target, weight in weights.items()
-                }
-                change: Fraction | float = Fraction(change_weight, denominator)
-            else:
-                row = {target: weight / denominator for target, weight in weights.items()}
-                change = change_weight / denominator
-            self.rows.append(row)
-            self.change_probability.append(change)
+            self.weights.append(weights)
+            self.change_weights.append(change_weight)
             current += 1
+
+    # -- probabilities ----------------------------------------------------------
+
+    def _probability(self) -> Callable[[int], Fraction | float]:
+        """The map from a weight to its probability in the chain's arithmetic."""
+        denominator = self.denominator
+        if self.arithmetic == "exact":
+            return lambda weight: Fraction(weight, denominator)
+        return lambda weight: weight / denominator
+
+    @cached_property
+    def rows(self) -> list[dict[int, Fraction | float]]:
+        """Per configuration, the sparse transition row ``{successor index: probability}``.
+
+        Built from :attr:`weights` on first use, in the chain's arithmetic.
+        """
+        probability = self._probability()
+        return [
+            {target: probability(weight) for target, weight in row.items()}
+            for row in self.weights
+        ]
+
+    @cached_property
+    def change_probability(self) -> list[Fraction | float]:
+        """Per configuration, the probability that one interaction changes a state.
+
+        Built from :attr:`change_weights` on first use, in the chain's arithmetic.
+        """
+        return list(map(self._probability(), self.change_weights))
 
     # -- inspection -----------------------------------------------------------
 

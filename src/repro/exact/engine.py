@@ -43,6 +43,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import ClassVar, TypeVar
 
+from repro.compile import CompiledProtocol
 from repro.core.greedy_sets import has_unique_majority, predicted_majority
 from repro.exact.absorption import (
     AbsorptionAnalysis,
@@ -80,12 +81,12 @@ def criterion_predicate(
 
     Mirrors :meth:`repro.simulation.base.ConfigurationEngine._evaluate`:
     silence is "no interaction changes anything", which is exactly
-    ``change_probability == 0``; other criteria try their
+    ``change_weights == 0``; other criteria try their
     count-level fast path over the compiled codes and fall back to the
     decoded multiset.
     """
     if isinstance(criterion, SilentConfiguration):
-        return lambda index: not chain.change_probability[index]
+        return lambda index: not chain.change_weights[index]
     protocol = chain.protocol
     compiled = chain.compiled
 
@@ -174,6 +175,16 @@ class ExactMarkovEngine(SimulationEngine[State]):
         """A copy of the configuration :meth:`states` reports."""
         source = self._final if self._final is not None else self._initial
         return source.copy()
+
+    @property
+    def compiled_protocol(self) -> CompiledProtocol | None:
+        """The compiled tables the engine's chain enumerates with, if any.
+
+        ``None`` before a chain is built (the first ``run`` or :attr:`chain`
+        builds it) and when the protocol's δ-closure exceeds the compile cap.
+        """
+        chain = self._chain if self._chain is not None else self._plain_chain
+        return None if chain is None else chain.compiled
 
     @property
     def chain(self) -> ConfigurationChain[State]:

@@ -15,7 +15,7 @@ independent of the representative ``C``.
 
 :class:`QuotientChain` materializes that lumped chain: during the BFS every
 discovered configuration is canonicalized to the smallest count tuple of its
-orbit, and transition mass is aggregated per orbit.  Each stabilizer element
+orbit, and transition weights (ordered agent pairs) are summed per orbit.  Each stabilizer element
 acts as one permutation of the compiled state codes, computed once per chain
 and applied to count tuples — no state is decoded while folding.  The group
 it folds by is the **stabilizer** of the initial configuration — the subgroup whose elements
@@ -77,8 +77,9 @@ State = TypeVar("State", bound=Hashable)
 class QuotientChain(ConfigurationChain[State], Generic[State]):
     """The configuration chain folded by the input's color-symmetry stabilizer.
 
-    A drop-in :class:`~repro.exact.chain.ConfigurationChain`: ``rows`` /
-    ``change_probability`` / ``counts`` describe the lumped chain over orbit
+    A drop-in :class:`~repro.exact.chain.ConfigurationChain`: ``weights`` /
+    ``change_weights`` / ``counts`` (and the probability views ``rows`` /
+    ``change_probability``) describe the lumped chain over orbit
     representatives, and every derived analysis
     (:func:`repro.exact.absorption.analyze_absorption`,
     :func:`repro.exact.absorption.hitting_analysis`) runs on it unchanged.

@@ -9,29 +9,42 @@ visits to each configuration before the chain leaves the system (Kemeny &
 Snell, *Finite Markov Chains*).  So one linear system is solved per
 analysis, whatever the number of closed classes.
 
-One algorithm solves it, in both arithmetics: a block-triangular solve over
-the strongly connected components of ``Q``.  Every state-changing Circles
-interaction strictly lowers the energy (Theorem 3.4), so the transient chain
-is nearly acyclic: its components are the small energy-neutral plateaus.
-Components are solved sources first, each block transposed, with the mass
-its predecessors pushed into it as the right-hand side; components the
-initial configuration cannot reach carry no mass and are skipped.  The cost
-is cubic only in the largest component (11 states on the tied circles
-``k = 3`` input, against 156 in the system) and memory is linear in the
-nonzeros of ``Q`` plus one dense block.
+The system arrives as the chain's integer weights over its one denominator
+``D = n·(n-1)`` (``Q = W / D``), and one algorithm solves it in both
+arithmetics: a block-triangular solve over the strongly connected
+components of ``Q``.  Every state-changing Circles interaction strictly
+lowers the energy (Theorem 3.4), so the transient chain is nearly acyclic:
+its components are the small energy-neutral plateaus.  Components are
+solved sources first, each block transposed, with the mass its predecessors
+pushed into it as the right-hand side; components the initial configuration
+cannot reach carry no mass and are skipped.  The cost is cubic only in the
+largest component (11 states on the tied circles ``k = 3`` input, against
+156 in the system) and memory is linear in the nonzeros of ``Q`` plus one
+dense block.
 
-Two block kernels:
+Float mode divides each weight by ``D`` once and runs on float64:
 
-* a **singleton** is one division by ``1 - q_ii``, in either arithmetic;
-* a **larger block** goes through ``numpy.linalg.solve`` in float mode when
-  numpy is importable, and through :func:`gaussian_solve` otherwise — always
-  in rational mode.  Float elimination pivots on the max-magnitude column
-  entry (partial pivoting — near-singular blocks amplify roundoff under
-  naive pivoting).  Rational elimination is fraction-free (Bareiss): the
-  block is scaled to integers, eliminated with exact integer divisions on
-  the first nonzero pivot, and turned back into one ``Fraction`` per
-  unknown, so golden results are exact without a ``Fraction`` per
-  arithmetic step.
+* a **singleton** is one division by ``1 - q_ii``;
+* a **larger block** goes through ``numpy.linalg.solve`` when numpy is
+  importable and through :func:`gaussian_solve` otherwise, which pivots on
+  the max-magnitude column entry (partial pivoting — near-singular blocks
+  amplify roundoff under naive pivoting).
+
+Rational mode never leaves the integers until the end.  A component's
+visits are integer numerators over one common denominator; the mass it
+pushes forward is summed on integers per source component, and a target
+component brings its incoming mass to one denominator with one ``lcm``.
+Scaled by ``D``, the block is the integer matrix ``D·I - Wᵀ``:
+
+* a **singleton** divides by ``D - w_ii``;
+* a **larger block** goes through fraction-free (Bareiss) elimination with
+  exact integer divisions, which yields the visits as integers over the
+  block's determinant.
+
+Each component's numerators and denominator are reduced by a single
+``gcd``, and one ``Fraction`` per transient configuration is built from
+them — so the golden results are exact without a ``Fraction`` per edge or
+per arithmetic step.
 
 One cap: the solve refuses, with :class:`SolveTooLarge`, any system whose
 largest component exceeds :data:`NUMPY_MAX_COMPONENT` (float mode with
@@ -45,9 +58,9 @@ already bounds the system.  A protocol whose whole system is one component
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 #: The largest component a float solve takes on with numpy: one LAPACK
 #: factorization of a block this size runs in a fraction of a second.
@@ -77,37 +90,19 @@ def _numpy():
     return numpy
 
 
-def gaussian_solve(
-    matrix: list[list[Fraction | float]],
-    rhs: list[Fraction | float],
-    *,
-    exact: bool = False,
-) -> list[Fraction | float]:
-    """Solve ``matrix · x = rhs``.
+def gaussian_solve(matrix: list[list[Number]], rhs: list[Number]) -> list[Number]:
+    """Solve ``matrix · x = rhs`` by Gaussian elimination with partial pivoting.
 
-    Float mode (``exact=False``): Gaussian elimination in place on copies,
-    pivoting on the max-magnitude entry of each column — partial pivoting,
+    In place on copies, pivoting on the max-magnitude entry of each column,
     which keeps near-singular transient blocks from amplifying roundoff.
-
-    Rational mode (``exact=True``): fraction-free elimination on integers
-    (Bareiss 1968).  The matrix is scaled by the lcm of its entry
-    denominators (on chain rows they all divide ``n(n-1)``) and the
-    right-hand side by the lcm of its own; each column takes the first
-    nonzero pivot, swapping rows when needed, and every update
-    ``(head·a_ij - a_ik·a_kj) / previous head`` divides exactly (Sylvester's
-    identity), so every entry stays an integer: a minor of the scaled block.
-    Back-substitution runs on the solution scaled by the determinant (an
-    integer vector, by Cramer's rule), and one ``Fraction`` per unknown is
-    built at the end.  The result equals rational Gaussian elimination's,
-    without a gcd per arithmetic step.
+    The float block kernel when numpy is not importable; rational blocks
+    are eliminated on integers (:func:`_bareiss`).
 
     Raises:
         ZeroDivisionError: when the matrix is singular (callers prevent this
             structurally: every transient configuration leaves the transient
             set with positive probability).
     """
-    if exact:
-        return _bareiss_solve(matrix, rhs)  # type: ignore[arg-type]  # no floats in rational mode
     size = len(matrix)
     a = [list(row) for row in matrix]
     x = list(rhs)
@@ -135,19 +130,21 @@ def gaussian_solve(
     return x
 
 
-def _bareiss_solve(
-    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> list[Fraction | float]:
-    """The rational branch of :func:`gaussian_solve`: fraction-free elimination."""
-    size = len(matrix)
-    scale = lcm(*(value.denominator for row in matrix for value in row))
-    rhs_scale = lcm(*(value.denominator for value in rhs))
-    # Augmented rows: the scaled right-hand side is column ``size``.
-    a = [
-        [value.numerator * (scale // value.denominator) for value in row]
-        + [value.numerator * (rhs_scale // value.denominator)]
-        for row, value in zip(matrix, rhs)
-    ]
+def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free elimination of an augmented integer system, in place (Bareiss 1968).
+
+    ``a`` holds the rows of ``[A | b]``.  Each column takes the first
+    nonzero pivot, swapping rows when needed, and every update
+    ``(head·a_ij - a_ik·a_kj) / previous head`` divides exactly (Sylvester's
+    identity), so every entry stays an integer: a minor of ``A``.  Returns
+    ``(det·x, det)``: the solution of ``A·x = b`` scaled by the determinant
+    of the row-swapped ``A`` (an integer vector, by Cramer's rule, found by
+    back-substitution) and that determinant.
+
+    Raises:
+        ZeroDivisionError: when ``A`` is singular.
+    """
+    size = len(a)
     previous = 1
     for k in range(size):
         pivot = next((r for r in range(k, size) if a[r][k]), None)
@@ -167,8 +164,6 @@ def _bareiss_solve(
             else:
                 row[k + 1 :] = [head * value // previous for value in row[k + 1 :]]
         previous = head
-    # ``previous`` is now the determinant of the row-swapped scaled matrix;
-    # ``scaled[i]`` is the determinant times unknown i, an integer.
     determinant = previous
     scaled = [0] * size
     for i in range(size - 1, -1, -1):
@@ -177,8 +172,7 @@ def _bareiss_solve(
         for j in range(i + 1, size):
             total -= row[j] * scaled[j]
         scaled[i] = total // row[i]
-    denominator = rhs_scale * determinant
-    return [Fraction(scale * value, denominator) for value in scaled]
+    return scaled, determinant
 
 
 def rational_rref(
@@ -255,7 +249,7 @@ def rational_nullspace(
 
 
 def strongly_connected_components(
-    rows: Sequence[dict[int, Number]],
+    rows: Sequence[Mapping[int, object]],
 ) -> list[list[int]]:
     """Tarjan's SCC algorithm, iteratively (chains can be deep), over sparse rows.
 
@@ -312,10 +306,11 @@ def strongly_connected_components(
 
 
 def solve_transient_systems(
-    rows: Sequence[dict[int, Number]],
+    weights: Sequence[Mapping[int, int]],
     transient: Sequence[int],
     start: int,
     *,
+    denominator: int,
     exact: bool,
 ) -> list[Number]:
     """The expected visits ``π = e_startᵀ (I - Q)⁻¹`` to each ``transient`` index.
@@ -331,11 +326,14 @@ def solve_transient_systems(
     the edges leaving it.  Components that receive no mass are skipped.
 
     Args:
-        rows: the chain's sparse transition rows (global indices).
+        weights: the chain's sparse integer transition rows (global indices),
+            each entry a probability times ``denominator``.
         transient: the global indices forming the system, in order; ``Q`` is
-            ``rows`` restricted to ``transient × transient``.
+            ``weights / denominator`` restricted to ``transient × transient``.
         start: the global index the chain starts from; one of ``transient``.
-        exact: True for ``Fraction`` arithmetic, False for float64.
+        denominator: the common denominator of every row.
+        exact: True for exact rationals (integer arithmetic, one ``Fraction``
+            per visit), False for float64.
 
     Returns:
         The expected visits, indexed like ``transient``.
@@ -344,17 +342,15 @@ def solve_transient_systems(
         SolveTooLarge: when the largest component exceeds the cap of the
             kernel that would eliminate it (see the module docstring).
     """
-    zero: Number = Fraction(0) if exact else 0.0
-    one: Number = Fraction(1) if exact else 1.0
     numpy = None if exact else _numpy()
     local = {global_index: i for i, global_index in enumerate(transient)}
-    restricted: list[dict[int, Number]] = []
+    restricted: list[dict[int, int]] = []
     for global_index in transient:
-        row: dict[int, Number] = {}
-        for target, probability in rows[global_index].items():
+        row: dict[int, int] = {}
+        for target, weight in weights[global_index].items():
             j = local.get(target)
             if j is not None:
-                row[j] = probability
+                row[j] = weight
         restricted.append(row)
     components = strongly_connected_components(restricted)
     cap = PURE_PYTHON_MAX_COMPONENT if numpy is None else NUMPY_MAX_COMPONENT
@@ -364,10 +360,24 @@ def solve_transient_systems(
             f"a strongly connected component of {largest} states (system of "
             f"{len(transient)}) exceeds the solve cap of {cap}"
         )
+    if exact:
+        return _rational_sweep(restricted, components, local[start], denominator)
+    return _float_sweep(restricted, components, local[start], denominator, numpy)
+
+
+def _float_sweep(
+    restricted: list[dict[int, int]],
+    components: list[list[int]],
+    start: int,
+    denominator: int,
+    numpy,
+) -> list[Number]:
+    """The component sweep on float64, each probability ``weight / denominator``."""
+    zero: Number = 0.0
     # Starts as the incoming mass (e_start plus what was pushed forward) and
     # is overwritten with π component by component.
-    visits: list[Number] = [zero] * len(transient)
-    visits[local[start]] = one
+    visits = [zero] * len(restricted)
+    visits[start] = 1.0
     for component in reversed(components):
         incoming = [visits[member] for member in component]
         if not any(incoming):
@@ -376,13 +386,14 @@ def solve_transient_systems(
         position = {member: p for p, member in enumerate(component)}
         # (row, column, q) for every transition inside the component.
         inside = [
-            (i, position[j], probability)
+            (i, position[j], weight / denominator)
             for i, member in enumerate(component)
-            for j, probability in restricted[member].items()
+            for j, weight in restricted[member].items()
             if j in position
         ]
+        solved: list[Number]
         if size == 1:
-            diagonal = one - inside[0][2] if inside else one
+            diagonal = 1.0 - inside[0][2] if inside else 1.0
             solved = [incoming[0] / diagonal]
         elif numpy is not None:
             # Filled in place, transposed: a block near the cap is millions
@@ -394,13 +405,71 @@ def solve_transient_systems(
         else:
             matrix = [[zero] * size for _ in range(size)]
             for i in range(size):
-                matrix[i][i] = one
+                matrix[i][i] = 1.0
             for i, p, probability in inside:
                 matrix[p][i] -= probability
-            solved = gaussian_solve(matrix, incoming, exact=exact)
+            solved = gaussian_solve(matrix, incoming)
         for member, value in zip(component, solved):
             visits[member] = value
-            for j, probability in restricted[member].items():
+            for j, weight in restricted[member].items():
                 if j not in position:
-                    visits[j] += value * probability
+                    visits[j] += value * (weight / denominator)
+    return visits
+
+
+def _rational_sweep(
+    restricted: list[dict[int, int]],
+    components: list[list[int]],
+    start: int,
+    denominator: int,
+) -> list[Number]:
+    """The component sweep on integer weights: one ``Fraction`` per visit, built last.
+
+    ``incoming[j]`` holds ``D·(mass pushed into j)`` as integer numerators
+    keyed by the denominator of the component that pushed them; the start
+    receives ``D`` over 1.
+    """
+    zero: Number = Fraction(0)
+    visits = [zero] * len(restricted)
+    incoming: list[dict[int, int]] = [{} for _ in restricted]
+    incoming[start][1] = denominator
+    for component in reversed(components):
+        sources = [incoming[member] for member in component]
+        if not any(sources):
+            continue
+        common = lcm(*{den for source in sources for den in source})
+        numerators = [
+            sum(numerator * (common // den) for den, numerator in source.items())
+            for source in sources
+        ]
+        position = {member: p for p, member in enumerate(component)}
+        if len(component) == 1:
+            [member] = component
+            divisor = common * (denominator - restricted[member].get(member, 0))
+        else:
+            # Augmented rows of D·I - Wᵀ (the block transposed) and the
+            # right-hand side.
+            size = len(component)
+            block = [[0] * size + [value] for value in numerators]
+            for i, member in enumerate(component):
+                block[i][i] += denominator
+                for j, weight in restricted[member].items():
+                    p = position.get(j)
+                    if p is not None:
+                        block[p][i] -= weight
+            numerators, determinant = _bareiss(block)
+            divisor = common * determinant
+        reduce = gcd(divisor, *numerators)
+        if divisor < 0:
+            reduce = -reduce
+        divisor //= reduce
+        for member, numerator in zip(component, numerators):
+            if not numerator:
+                continue
+            numerator //= reduce
+            visits[member] = Fraction(numerator, divisor)
+            for j, weight in restricted[member].items():
+                if j not in position:
+                    pushed = incoming[j]
+                    pushed[divisor] = pushed.get(divisor, 0) + numerator * weight
     return visits

@@ -234,7 +234,7 @@ def stable_class_summary(
     under the uniform scheduler this certifies almost-sure correctness on
     this input.
     """
-    classes = closed_classes(chain.rows)
+    classes = closed_classes(chain.weights)
     population = sum(count for _, count in chain.output_key(0))
     class_sizes = [len(members) for members in classes]
     consistent: list[bool] = []

@@ -61,13 +61,10 @@ class TestSolvers:
 
     def test_pure_python_and_numpy_backends_agree(self):
         pytest.importorskip("numpy")
-        rows = [{0: 0.25, 1: 0.5, 2: 0.25}, {1: 0.1, 2: 0.9}, {2: 1.0}]
-        exact_rows = [
-            {key: Fraction(value).limit_denominator() for key, value in row.items()}
-            for row in rows
-        ]
-        via_numpy = solve_transient_systems(rows, [0, 1], 0, exact=False)
-        via_python = solve_transient_systems(exact_rows, [0, 1], 0, exact=True)
+        # Probabilities (1/4, 1/2, 1/4), (1/10, 9/10) and 1 over 20.
+        weights = [{0: 5, 1: 10, 2: 5}, {1: 2, 2: 18}, {2: 20}]
+        via_numpy = solve_transient_systems(weights, [0, 1], 0, denominator=20, exact=False)
+        via_python = solve_transient_systems(weights, [0, 1], 0, denominator=20, exact=True)
         for a, b in zip(via_numpy, via_python, strict=True):
             assert math.isclose(a, float(b), rel_tol=1e-12)
 
@@ -75,14 +72,18 @@ class TestSolvers:
         monkeypatch.setattr(solve_module, "NUMPY_MAX_COMPONENT", 1)
         monkeypatch.setattr(solve_module, "PURE_PYTHON_MAX_COMPONENT", 1)
         # States 0 and 1 form one two-state component.
-        rows = [{1: 0.5, 2: 0.5}, {0: 0.5, 2: 0.5}, {2: 1.0}]
+        weights = [{1: 1, 2: 1}, {0: 1, 2: 1}, {2: 2}]
         with pytest.raises(SolveTooLarge):
-            solve_transient_systems(rows, [0, 1], 0, exact=False)
+            solve_transient_systems(weights, [0, 1], 0, denominator=2, exact=False)
 
     def test_components_without_mass_are_zero(self):
         # State 1 leads into state 0 but is never reached from it.
-        rows = [{0: 0.5, 2: 0.5}, {0: 0.5, 1: 0.25, 2: 0.25}, {2: 1.0}]
-        assert solve_transient_systems(rows, [0, 1], 0, exact=False) == [2.0, 0.0]
+        weights = [{0: 2, 2: 2}, {0: 2, 1: 1, 2: 1}, {2: 4}]
+        assert solve_transient_systems(weights, [0, 1], 0, denominator=4, exact=False) == [
+            2.0,
+            0.0,
+        ]
+        assert solve_transient_systems(weights, [0, 1], 0, denominator=4, exact=True) == [2, 0]
 
 
 class TestAbsorption:
@@ -92,17 +93,13 @@ class TestAbsorption:
         # Hand-built chain: 0 -> {0 w.p. 1/2, absorbing 1 w.p. 1/4, absorbing 2 w.p. 1/4}
         from repro.exact.chain import ConfigurationChain  # noqa: F401  (type only)
 
-        rows = [
-            {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)},
-            {1: Fraction(1)},
-            {2: Fraction(1)},
-        ]
-        classes = closed_classes(rows)
+        weights = [{0: 2, 1: 1, 2: 1}, {1: 4}, {2: 4}]  # over 4
+        classes = closed_classes(weights)
         assert classes == [[1], [2]]
-        [visits] = solve_transient_systems(rows, [0], 0, exact=True)
+        [visits] = solve_transient_systems(weights, [0], 0, denominator=4, exact=True)
         assert visits == 2  # E[steps] = 1 / (1/2)
-        assert visits * rows[0][1] == Fraction(1, 2)
-        assert visits * rows[0][2] == Fraction(1, 2)
+        assert visits * Fraction(weights[0][1], 4) == Fraction(1, 2)
+        assert visits * Fraction(weights[0][2], 4) == Fraction(1, 2)
 
     def test_circles_absorbs_almost_surely_into_one_correct_class(self):
         chain = ConfigurationChain.from_colors(

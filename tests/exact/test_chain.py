@@ -2,13 +2,17 @@
 
 import math
 from fractions import Fraction
+from operator import truediv
 
 import pytest
 
+import repro  # noqa: F401  (populates the protocol registry)
 from repro.core.circles import CirclesProtocol
 from repro.core.greedy_sets import predicted_stable_brakets
 from repro.core.invariants import braket_invariant_holds
-from repro.exact import ChainTooLarge, ConfigurationChain
+from repro.exact import ChainTooLarge, ConfigurationChain, ExactMarkovEngine
+from repro.exact.golden import GOLDEN_CASES
+from repro.protocols.registry import get_protocol
 from repro.protocols.exact_majority import ExactMajorityProtocol
 from repro.utils.multiset import Multiset
 
@@ -188,3 +192,21 @@ class TestDistributions:
                 color = protocol.output(state)
                 histogram[color] = histogram.get(color, 0) + 1
             assert chain.output_key(index) == tuple(sorted(histogram.items()))
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda case: f"{case[0]}-{case[1]}-{case[2]}")
+def test_probability_views_are_the_weights_over_the_denominator(case):
+    """``rows`` / ``change_probability`` are ``Fraction(w, D)`` or ``w / D``, entry for entry."""
+    name, k, colors = case
+    n = len(colors)
+    for arithmetic, view, kind in (("exact", Fraction, Fraction), ("float", truediv, float)):
+        chain = ExactMarkovEngine.from_colors(
+            get_protocol(name, k), colors, arithmetic=arithmetic
+        ).chain
+        denominator = chain.denominator
+        assert denominator == n * (n - 1)
+        for row, weights in zip(chain.rows, chain.weights, strict=True):
+            assert sum(weights.values()) == denominator
+            assert row == {target: view(w, denominator) for target, w in weights.items()}
+            assert all(type(value) is kind for value in row.values())
+        assert chain.change_probability == [view(w, denominator) for w in chain.change_weights]

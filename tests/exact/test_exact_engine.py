@@ -98,6 +98,28 @@ class TestEngineSurface:
         with pytest.raises(ValueError, match="two agents"):
             ExactMarkovEngine.from_colors(CirclesProtocol(2), (0,))
 
+    def test_compiled_protocol_is_the_chains_table(self):
+        engine = ExactMarkovEngine.from_colors(CirclesProtocol(2), (0, 0, 1))
+        assert engine.compiled_protocol is None  # no chain built yet
+        engine.run(0)
+        assert engine.compiled_protocol is not None
+        assert engine.compiled_protocol is engine.chain.compiled
+
+    def test_compiled_protocol_past_the_compile_cap_is_none(self, force_uncompiled):
+        engine = ExactMarkovEngine.from_colors(CirclesProtocol(2), (0, 0, 1))
+        engine.run(0)
+        assert engine.chain.compiled is None
+        assert engine.compiled_protocol is None
+
+    @pytest.mark.parametrize("colors", [(0, 0, 0, 1, 1), (0, 0, 1, 1)])
+    def test_rational_analysis_reads_the_integer_weights(self, colors):
+        """An exact run never builds the chain's ``Fraction`` probability views."""
+        engine = ExactMarkovEngine.from_colors(CirclesProtocol(2), colors, arithmetic="exact")
+        engine.run(0, criterion=StableCircles())
+        assert engine.distribution_result.expected_interactions > 0
+        assert "rows" not in vars(engine.chain)
+        assert "change_probability" not in vars(engine.chain)
+
 
 class _Forgetful(dict):
     """A ``solved_visits`` memo that never keeps anything: every analysis solves."""

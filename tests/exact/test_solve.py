@@ -3,10 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core.circles import CirclesProtocol
+from repro.exact import QuotientChain
 from repro.exact import solve as solve_module
 from repro.exact.absorption import analyze_absorption, closed_classes, hitting_analysis
 from repro.exact.solve import (
@@ -46,21 +49,14 @@ class TestGaussianPivoting:
         for ours, theirs in zip(solution, reference):
             assert math.isclose(ours, float(theirs), rel_tol=1e-9, abs_tol=1e-12)
 
-    def test_exact_mode_swaps_through_a_zero_pivot(self):
-        # Rational elimination takes the first *nonzero* pivot: a zero head
-        # must trigger a row swap, not a ZeroDivisionError.
-        matrix = [[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]]
-        solution = gaussian_solve(matrix, [Fraction(3), Fraction(4)], exact=True)
-        assert solution == [Fraction(2), Fraction(3)]
-        assert all(isinstance(value, Fraction) for value in solution)
-
-    def test_exact_mode_stays_rational(self):
+    def test_fraction_entries_stay_exact(self):
         matrix = [
             [Fraction(2), Fraction(1)],
             [Fraction(1), Fraction(3)],
         ]
-        solution = gaussian_solve(matrix, [Fraction(1), Fraction(1)], exact=True)
+        solution = gaussian_solve(matrix, [Fraction(1), Fraction(1)])
         assert solution == [Fraction(2, 5), Fraction(1, 5)]
+        assert all(isinstance(value, Fraction) for value in solution)
 
     def test_singular_matrix_raises(self):
         matrix = [[1.0, 1.0], [1.0, 1.0]]
@@ -68,116 +64,120 @@ class TestGaussianPivoting:
             gaussian_solve(matrix, [1.0, 2.0])
 
 
-def _random_rational_system(rng, size, reference):
-    """A random nonsingular rational system: ``(matrix, rhs, reference solution)``.
+def _integer_solve(matrix, rhs):
+    """The integer kernel on ``matrix · x = rhs``, read back as one ``Fraction`` per unknown."""
+    scaled, determinant = solve_module._bareiss(
+        [list(row) + [value] for row, value in zip(matrix, rhs)]
+    )
+    return [Fraction(value, determinant) for value in scaled]
 
-    Entries are signed, with unrelated denominators and about a third zeros;
-    every other system has a zero leading pivot, and a zero diagonal entry
-    further down, so elimination must swap rows.  Singular draws (on which
-    ``reference`` raises) are redrawn.
+
+def _random_integer_system(rng, size, reference):
+    """A random nonsingular integer system: ``(matrix, rhs, reference solution)``.
+
+    Entries are signed, about a third zeros; every other system has a zero
+    leading pivot, and a zero diagonal entry further down, so elimination
+    must swap rows.  Singular draws (on which ``reference`` raises) are
+    redrawn.
     """
 
     def entry():
         if rng.random() < 0.3:
-            return Fraction(0)
-        return Fraction(rng.randint(-40, 40), rng.randint(1, 60))
+            return 0
+        return rng.randint(-40, 40)
 
     while True:
         matrix = [[entry() for _ in range(size)] for _ in range(size)]
         if rng.random() < 0.5:
-            matrix[0][0] = Fraction(0)
+            matrix[0][0] = 0
             if size > 2:
-                matrix[size // 2][size // 2] = Fraction(0)
+                matrix[size // 2][size // 2] = 0
         rhs = [entry() for _ in range(size)]
         try:
-            return matrix, rhs, reference(matrix, rhs)
+            return matrix, rhs, reference([[Fraction(v) for v in row] for row in matrix], rhs)
         except ZeroDivisionError:
             continue
 
 
 class TestIntegerElimination:
-    """Rational ``gaussian_solve`` (integer elimination) against the ``Fraction`` reference."""
+    """The fraction-free integer kernel (Bareiss) against the ``Fraction`` reference."""
 
     @pytest.mark.parametrize("size", range(1, 13))
     def test_equals_the_fraction_elimination(self, size, fraction_gaussian_solve):
         for seed in range(8):
             rng = random.Random(size * 100 + seed)
-            matrix, rhs, expected = _random_rational_system(rng, size, fraction_gaussian_solve)
-            solution = gaussian_solve(matrix, rhs, exact=True)
-            assert solution == expected
-            assert all(isinstance(value, Fraction) for value in solution)
+            matrix, rhs, expected = _random_integer_system(rng, size, fraction_gaussian_solve)
+            assert _integer_solve(matrix, rhs) == expected
 
     def test_random_systems_force_row_swaps(self, fraction_gaussian_solve):
         swaps = 0
         for size in range(2, 13):
             for seed in range(8):
                 rng = random.Random(size * 100 + seed)
-                matrix, _, _ = _random_rational_system(rng, size, fraction_gaussian_solve)
+                matrix, _, _ = _random_integer_system(rng, size, fraction_gaussian_solve)
                 swaps += not matrix[0][0]
         assert swaps >= 20
 
+    def test_swaps_through_a_zero_pivot(self):
+        # The kernel takes the first *nonzero* pivot: a zero head must
+        # trigger a row swap, not a ZeroDivisionError.
+        assert _integer_solve([[0, 1], [2, 0]], [3, 4]) == [2, 3]
+
     def test_integer_entries_and_zero_right_hand_side(self):
         matrix = [[0, 3, -1], [2, 0, 0], [1, 1, 1]]
-        assert gaussian_solve(matrix, [0, 0, 0], exact=True) == [0, 0, 0]
-        assert gaussian_solve(matrix, [1, 2, 3], exact=True) == [
+        assert _integer_solve(matrix, [0, 0, 0]) == [0, 0, 0]
+        assert _integer_solve(matrix, [1, 2, 3]) == [
             Fraction(1),
             Fraction(3, 4),
             Fraction(5, 4),
         ]
 
     def test_singular_matrix_raises(self):
-        matrix = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
         with pytest.raises(ZeroDivisionError):
-            gaussian_solve(matrix, [Fraction(1), Fraction(2)], exact=True)
+            _integer_solve([[3, 2], [9, 6]], [6, 12])
 
 
-#: A three-state absorbing chain with known visits: from state 0 the chain
-#: spends 2 steps in state 0 and 1 in state 1 before absorption (state 2),
-#: so the expected hitting time is exactly 3.0; from state 1 it spends 2
-#: steps in state 1.
-HITTING_ROWS = [
-    {0: 0.5, 1: 0.25, 2: 0.25},
-    {1: 0.5, 2: 0.5},
-    {2: 1.0},
+#: A three-state absorbing chain with known visits, as weights over 4: from
+#: state 0 the chain spends 2 steps in state 0 and 1 in state 1 before
+#: absorption (state 2), so the expected hitting time is exactly 3.0; from
+#: state 1 it spends 2 steps in state 1.
+HITTING_WEIGHTS = [
+    {0: 2, 1: 1, 2: 1},
+    {1: 2, 2: 2},
+    {2: 4},
 ]
 
 
 class TestTransientSystems:
     def test_float_visits_sum_to_the_analytic_hitting_time(self):
-        visits = solve_transient_systems(HITTING_ROWS, [0, 1], 0, exact=False)
+        visits = solve_transient_systems(HITTING_WEIGHTS, [0, 1], 0, denominator=4, exact=False)
         assert visits == [2.0, 1.0]
         assert math.isclose(sum(visits), 3.0, rel_tol=1e-12)
-        assert solve_transient_systems(HITTING_ROWS, [0, 1], 1, exact=False) == [
-            0.0,
-            2.0,
-        ]
+        assert solve_transient_systems(
+            HITTING_WEIGHTS, [0, 1], 1, denominator=4, exact=False
+        ) == [0.0, 2.0]
 
     def test_exact_visits_are_rational_and_match(self):
-        rows = [
-            {key: Fraction(value).limit_denominator() for key, value in row.items()}
-            for row in HITTING_ROWS
-        ]
-        visits = solve_transient_systems(rows, [1, 0], 0, exact=True)
+        visits = solve_transient_systems(HITTING_WEIGHTS, [1, 0], 0, denominator=4, exact=True)
         assert visits == [Fraction(1), Fraction(2)]
         assert all(isinstance(value, Fraction) for value in visits)
 
 
-def _cycles(cycle_sizes, exact=False):
-    """Transient cycles over one absorbing state: each cycle is one component.
+def _cycles(cycle_sizes):
+    """Transient cycles over one absorbing state, as weights over 2: each cycle is one component.
 
     Every state steps to the next state of its cycle (itself, in a cycle of
     one) with probability 1/2 and into the absorbing state otherwise.
     """
-    half = Fraction(1, 2) if exact else 0.5
     total = sum(cycle_sizes)
-    rows: list[dict] = []
+    weights: list[dict] = []
     start = 0
     for size in cycle_sizes:
         for offset in range(size):
-            rows.append({start + (offset + 1) % size: half, total: half})
+            weights.append({start + (offset + 1) % size: 1, total: 1})
         start += size
-    rows.append({total: 2 * half})
-    return rows, list(range(total))
+    weights.append({total: 2})
+    return weights, list(range(total))
 
 
 class TestComponentCap:
@@ -189,17 +189,19 @@ class TestComponentCap:
         monkeypatch.setattr(solve_module, "PURE_PYTHON_MAX_COMPONENT", 3)
 
     @staticmethod
-    def _solve(rows, system, mode, monkeypatch):
+    def _solve(weights, system, mode, monkeypatch):
         if mode == "numpy":
             if solve_module._numpy() is None:
                 pytest.skip("numpy not available")
         elif mode == "float":
             monkeypatch.setattr(solve_module, "_numpy", lambda: None)
-        return solve_transient_systems(rows, system, system[-1], exact=mode == "exact")
+        return solve_transient_systems(
+            weights, system, system[-1], denominator=2, exact=mode == "exact"
+        )
 
     @pytest.mark.parametrize("mode", ["numpy", "float", "exact"])
     def test_a_system_past_the_cap_of_small_components_solves(self, caps, monkeypatch, mode):
-        rows, system = _cycles([3, 1, 2, 3, 3, 3], exact=mode == "exact")
+        rows, system = _cycles([3, 1, 2, 3, 3, 3])
         visits = self._solve(rows, system, mode, monkeypatch)
         assert len(system) > 4
         # The start's 3-cycle holds all the mass: 8/7 visits to the start,
@@ -213,11 +215,11 @@ class TestComponentCap:
         "mode, cap", [("numpy", 4), ("float", 3), ("exact", 3)]
     )
     def test_one_component_past_the_cap_raises(self, caps, monkeypatch, mode, cap):
-        rows, system = _cycles([1, cap, 2], exact=mode == "exact")
+        rows, system = _cycles([1, cap, 2])
         self._solve(rows, system, mode, monkeypatch)
         # The oversized cycle is unreachable from the start: the cap covers
         # every component, checked before any elimination.
-        rows, system = _cycles([1, cap + 1, 2], exact=mode == "exact")
+        rows, system = _cycles([1, cap + 1, 2])
         with pytest.raises(SolveTooLarge, match=f"{cap + 1} states"):
             self._solve(rows, system, mode, monkeypatch)
 
@@ -226,13 +228,16 @@ class TestComponentCap:
 
 
 def _random_chain(rng, size):
-    """A random stochastic chain: transient states ``0..t-1``, absorbing the rest.
+    """A random stochastic chain: ``(weights, denominator, system)``.
 
-    Every transient state has at least one edge to a higher index, so the
-    largest member of any strongly connected component leaves it and
-    ``(I - Q)`` over the transient states is nonsingular.  On top of that:
-    self-loops, backward edges and planted cycles through several states,
-    which make multi-state components.
+    Transient states ``0..t-1``, absorbing the rest, as integer weights over
+    one common denominator.  Every transient state has at least one edge to
+    a higher index, so the largest member of any strongly connected
+    component leaves it and ``(I - Q)`` over the transient states is
+    nonsingular.  On top of that: self-loops, backward edges and planted
+    cycles through several states, which make multi-state components.  Each
+    row's weights are drawn with their own total, so the common denominator
+    is the lcm of the row totals.
     """
     num_transient = rng.randint(1, size - 1)
     edges = [dict() for _ in range(size)]
@@ -249,25 +254,40 @@ def _random_chain(rng, size):
             edges[source][target] = rng.randint(1, 9)
     for i in range(num_transient, size):
         edges[i][i] = 1
-    rows = []
-    for weights in edges:
-        total = sum(weights.values())
-        rows.append({target: Fraction(w, total) for target, w in weights.items()})
+    denominator = lcm(*(sum(row.values()) for row in edges))
+    weights = []
+    for row in edges:
+        scale = denominator // sum(row.values())
+        weights.append({target: w * scale for target, w in row.items()})
     system = list(range(num_transient))
     rng.shuffle(system)
-    return rows, system
+    return weights, denominator, system
+
+
+#: A multiple of every change-probability denominator the random analysis
+#: chains draw (5..9), so their change weights are integers.
+CHANGE_SCALE = lcm(*range(5, 10))
 
 
 def _random_analysis_chain(rng):
     """A random chain as the analyses read it, starting from a transient state."""
-    rows, system = _random_chain(rng, rng.randint(2, 40))
+    weights, denominator, system = _random_chain(rng, rng.randint(2, 40))
+    denominator *= CHANGE_SCALE
+    weights = [{target: w * CHANGE_SCALE for target, w in row.items()} for row in weights]
+    initial_index = rng.choice(system)
+    changes = [Fraction(rng.randint(0, 5), rng.randint(5, 9)) for _ in weights]
     return SimpleNamespace(
         arithmetic="exact",
-        rows=rows,
-        num_configurations=len(rows),
-        initial_index=rng.choice(system),
-        change_probability=[Fraction(rng.randint(0, 5), rng.randint(5, 9)) for _ in rows],
+        weights=weights,
+        denominator=denominator,
+        num_configurations=len(weights),
+        initial_index=initial_index,
+        change_weights=[int(change * denominator) for change in changes],
     )
+
+
+def _fraction_rows(weights, denominator):
+    return [{target: Fraction(w, denominator) for target, w in row.items()} for row in weights]
 
 
 def _multi_column_solve(rows, system, columns, start):
@@ -282,38 +302,44 @@ def _multi_column_solve(rows, system, columns, start):
             if target in local:
                 row[local[target]] -= probability
         matrix.append(row)
-    return [gaussian_solve(matrix, column, exact=True)[local[start]] for column in columns]
+    return [gaussian_solve(matrix, column)[local[start]] for column in columns]
 
 
-def _mass_into(chain, system, members):
+def _mass_into(rows, system, members):
     """Per system state, the one-step probability of entering ``members``."""
     return [
-        sum((q for target, q in chain.rows[index].items() if target in members), Fraction(0))
+        sum((q for target, q in rows[index].items() if target in members), Fraction(0))
         for index in system
     ]
 
 
+def _changes(chain, system):
+    return [Fraction(chain.change_weights[index], chain.denominator) for index in system]
+
+
 def _reference_absorption(chain):
     """``(E[interactions], E[changed], *class probabilities)``, one column each."""
-    classes = closed_classes(chain.rows)
+    rows = _fraction_rows(chain.weights, chain.denominator)
+    classes = closed_classes(rows)
     absorbing = {member for members in classes for member in members}
     transient = [i for i in range(chain.num_configurations) if i not in absorbing]
     columns = [
         [Fraction(1)] * len(transient),
-        [chain.change_probability[index] for index in transient],
-        *(_mass_into(chain, transient, set(members)) for members in classes),
+        _changes(chain, transient),
+        *(_mass_into(rows, transient, set(members)) for members in classes),
     ]
-    return _multi_column_solve(chain.rows, transient, columns, chain.initial_index)
+    return _multi_column_solve(rows, transient, columns, chain.initial_index)
 
 
 def _reference_hitting(chain, target):
     """``(P(hit), E[interactions], E[changed])`` over the non-target states that
     can reach ``target``, or None when the initial state cannot."""
+    rows = _fraction_rows(chain.weights, chain.denominator)
     can_reach = set()
     frontier = list(target)
     while frontier:
         node = frontier.pop()
-        for index, row in enumerate(chain.rows):
+        for index, row in enumerate(rows):
             if node in row and index not in target and index not in can_reach:
                 can_reach.add(index)
                 frontier.append(index)
@@ -321,11 +347,11 @@ def _reference_hitting(chain, target):
         return None
     system = sorted(can_reach)
     columns = [
-        _mass_into(chain, system, target),
+        _mass_into(rows, system, target),
         [Fraction(1)] * len(system),
-        [chain.change_probability[index] for index in system],
+        _changes(chain, system),
     ]
-    return _multi_column_solve(chain.rows, system, columns, chain.initial_index)
+    return _multi_column_solve(rows, system, columns, chain.initial_index)
 
 
 def _random_target(rng, chain):
@@ -344,10 +370,10 @@ class TestBlockTriangularSolve:
         largest = 0
         for seed in SEEDS:
             rng = random.Random(seed)
-            rows, system = _random_chain(rng, rng.randint(2, 40))
+            weights, _, system = _random_chain(rng, rng.randint(2, 40))
             restricted = [
-                {target: p for target, p in rows[index].items() if target in system}
-                for index in range(len(rows))
+                {target: w for target, w in weights[index].items() if target in system}
+                for index in range(len(weights))
             ]
             components = strongly_connected_components(restricted)
             largest = max(largest, *(len(c) for c in components if c[0] in system))
@@ -356,10 +382,12 @@ class TestBlockTriangularSolve:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_exact_visit_row_equals_the_whole_matrix_solve(self, seed, whole_matrix_solve):
         rng = random.Random(seed)
-        rows, system = _random_chain(rng, rng.randint(2, 40))
+        weights, denominator, system = _random_chain(rng, rng.randint(2, 40))
         start = rng.choice(system)
-        visits = solve_transient_systems(rows, system, start, exact=True)
-        assert visits == whole_matrix_solve(rows, system, start)
+        visits = solve_transient_systems(
+            weights, system, start, denominator=denominator, exact=True
+        )
+        assert visits == whole_matrix_solve(weights, system, start, denominator=denominator)
         assert all(isinstance(value, Fraction) for value in visits)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -370,11 +398,14 @@ class TestBlockTriangularSolve:
         if kernel == "pure":
             monkeypatch.setattr(solve_module, "_numpy", lambda: None)
         rng = random.Random(seed)
-        rows, system = _random_chain(rng, rng.randint(2, 40))
+        weights, denominator, system = _random_chain(rng, rng.randint(2, 40))
         start = rng.choice(system)
-        rational = solve_transient_systems(rows, system, start, exact=True)
-        float_rows = [{target: float(p) for target, p in row.items()} for row in rows]
-        floats = solve_transient_systems(float_rows, system, start, exact=False)
+        rational = solve_transient_systems(
+            weights, system, start, denominator=denominator, exact=True
+        )
+        floats = solve_transient_systems(
+            weights, system, start, denominator=denominator, exact=False
+        )
         # abs_tol: where the exact solution is 0, elimination leaves ~1e-18.
         for a, b in zip(floats, rational, strict=True):
             assert isinstance(a, float)
@@ -426,3 +457,71 @@ class TestAnalysesOnRandomChains:
             else:
                 verdicts.add(hitting_analysis(chain, target.__contains__).almost_sure)
         assert verdicts == {"unreachable", True, False}
+
+
+def _odd_primes(count):
+    primes: list[int] = []
+    candidate = 3
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 2
+    return primes
+
+
+def _prime_ladder(count):
+    """``(weights, denominator)``: ``count`` transient singletons over one absorbing state.
+
+    State ``i`` keeps ``D - p_i`` of its ``D = 2¹¹`` ordered pairs on itself,
+    with ``p_i`` the odd primes in descending order, so the singleton blocks
+    ``D - w_ii`` are pairwise coprime and the visit denominators multiply
+    down the ladder.  Each state steps to ``i + 1`` and ``i + 2``, so most
+    states receive mass from two components; every third forward weight is
+    the next block's prime, which the per-component gcd then cancels.
+    """
+    primes = sorted(_odd_primes(count), reverse=True)
+    denominator = 2**11
+    assert primes[0] < denominator
+    absorbing = count
+    weights = []
+    for i, prime in enumerate(primes):
+        row = {i: denominator - prime}
+        if i + 1 < count:
+            row[i + 1] = primes[i + 1] if i % 3 == 0 else 1
+        if i + 2 < count:
+            row[i + 2] = 1
+        leaving = prime - sum(w for target, w in row.items() if target != i)
+        assert leaving > 0
+        row[absorbing] = leaving
+        weights.append(row)
+    weights.append({absorbing: denominator})
+    return weights, denominator
+
+
+class TestIntegerSolveOracles:
+    """The integer sweep's visits equal the whole-matrix ``Fraction`` solve."""
+
+    def test_a_ladder_of_coprime_singletons(self, whole_matrix_solve):
+        weights, denominator = _prime_ladder(210)
+        system = list(range(210))
+        # Every state is its own component, the absorbing one included.
+        assert len(strongly_connected_components(weights)) == 211
+        visits = solve_transient_systems(weights, system, 0, denominator=denominator, exact=True)
+        assert visits == whole_matrix_solve(weights, system, 0, denominator=denominator)
+        assert all(isinstance(value, Fraction) and value > 0 for value in visits)
+        # The denominators grow to a product of most of the 210 primes.
+        assert visits[-1].denominator.bit_length() > 1000
+
+    def test_a_quotiented_chain(self, whole_matrix_solve):
+        chain = QuotientChain.from_colors(CirclesProtocol(2), (0, 0, 1, 1), arithmetic="exact")
+        assert chain.is_quotiented
+        absorbing = {member for members in closed_classes(chain.weights) for member in members}
+        system = [i for i in range(chain.num_configurations) if i not in absorbing]
+        start = chain.initial_index
+        visits = solve_transient_systems(
+            chain.weights, system, start, denominator=chain.denominator, exact=True
+        )
+        assert visits == whole_matrix_solve(
+            chain.weights, system, start, denominator=chain.denominator
+        )
+        assert visits[system.index(start)] >= 1
