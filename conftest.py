@@ -25,6 +25,11 @@ Fixtures
   block-triangular solve against it and the block-solve bench times it as
   the baseline.  Its elimination is its own (:func:`_fraction_gaussian_solve`),
   so the oracle shares no code with the integer kernel it checks.
+* ``bfs_lift`` — the reference lift of one quotient closed class: the
+  source classes of its whole preimage, each rebuilt by its own BFS over
+  the source transition relation.  ``QuotientChain.lift_class_counts``
+  walks one source class and takes its stabilizer images; the tests check
+  it against this walk.
 * ``force_uncompiled`` — every engine and exact chain built while the
   fixture is active runs its uncompiled path (a multiset of states and
   Python dispatch), exactly as for a protocol whose δ-closure exceeds the
@@ -112,10 +117,11 @@ def _fraction_gaussian_solve(matrix, rhs):
     return x
 
 
-def _whole_matrix_solve(weights, transient, start, *, denominator, exact=True):
+def _whole_matrix_solve(weights, transient, start, *, denominator, exact=True, components=None):
     """``solve_transient_systems`` as one rational elimination over ``(I - Q)ᵀ``.
 
-    ``Q`` is built entry by entry as ``Fraction(weight, denominator)``.
+    ``Q`` is built entry by entry as ``Fraction(weight, denominator)``; the
+    whole matrix is one block, so ``components`` is ignored.
     """
     assert exact
     local = {index: i for i, index in enumerate(transient)}
@@ -142,6 +148,34 @@ def fraction_gaussian_solve():
 def whole_matrix_solve():
     """The whole-matrix reference with ``solve_transient_systems``'s signature."""
     return _whole_matrix_solve
+
+
+def _bfs_lift(chain, members):
+    """The source classes covering a quotient closed class, by walking its whole preimage."""
+    pending = set()
+    for member in members:
+        pending.update(chain.orbit_keys(member))
+    classes = []
+    while pending:
+        seed = min(pending)
+        component = {seed}
+        frontier = [seed]
+        while frontier:
+            for successor in chain.successors(frontier.pop()):
+                if successor not in component:
+                    component.add(successor)
+                    frontier.append(successor)
+        assert component <= pending, "the walk left the preimage: not a closed class"
+        pending -= component
+        classes.append(sorted(component, key=chain.rank))
+    classes.sort(key=lambda conf_class: chain.rank(conf_class[0]))
+    return classes
+
+
+@pytest.fixture(scope="session")
+def bfs_lift():
+    """The whole-preimage BFS lift with ``lift_class_counts``'s signature (chain first)."""
+    return _bfs_lift
 
 
 def _refuse_compilation(protocol, seed_states, max_states=None):

@@ -34,7 +34,9 @@ the lockstep driver cannot reproduce, run through :func:`execute_run`.
 from __future__ import annotations
 
 import multiprocessing
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager, nullcontext
+from typing import TYPE_CHECKING
 
 from repro.api import aggregate as _aggregate
 from repro.api.records import RunRecord, SweepResult
@@ -56,16 +58,14 @@ from repro.simulation.convergence import (
 )
 from repro.simulation.observers import OBSERVERS
 from repro.simulation.registry import ENGINES
-from repro.simulation.runner import (
-    _input_energy,
-    _true_majority,
-    default_max_steps,
-    run_protocol,
-)
+from repro.simulation.runner import _count_input, default_max_steps, run_protocol
 from repro.simulation.vector_engine import ReplicateOutcome, VectorReplicateSimulation
 from repro.utils.errors import unknown_name_error
 from repro.utils.multiset import Multiset
 from repro.workloads.registry import DEFAULT_WORKLOADS
+
+if TYPE_CHECKING:  # pragma: no cover - the pool module is imported with the first pool
+    from multiprocessing.pool import Pool
 
 # --------------------------------------------------------------------------- #
 # criteria
@@ -481,10 +481,9 @@ def execute_replicate_group(specs: Sequence[RunSpec]) -> list[RunRecord]:
     budget = spec.max_steps
     if budget is None:
         budget = default_max_steps(len(colors), protocol.num_colors)
-    group = VectorReplicateSimulation.replicate_group_from_colors(protocol, colors, seeds)
+    configuration, majority, initial_energy = _count_input(protocol, colors)
+    group = VectorReplicateSimulation.replicate_group(protocol, configuration, seeds)
     outcomes = group.run(budget, criterion=criterion)
-    majority = _true_majority(colors)
-    initial_energy = _input_energy(protocol, colors)
     return [
         _record(row, protocol, majority, outcome, initial_energy)
         for row, outcome in zip(specs, outcomes)
@@ -511,6 +510,11 @@ class MultiprocessingExecutor:
     because :func:`execute_replicate_group` derives all randomness from the
     specs, the result is record-for-record identical to
     :class:`SerialExecutor`.
+
+    Each :meth:`map_groups` call runs on a pool of its own; the executor a
+    :meth:`session` yields runs all its calls on one pool.
+    :class:`SweepRunner` takes a session per sweep, so a store-backed
+    sweep's rounds share a pool.
     """
 
     def __init__(self, workers: int) -> None:
@@ -519,11 +523,49 @@ class MultiprocessingExecutor:
         self.workers = workers
 
     def map_groups(self, groups: Sequence[Sequence[RunSpec]]) -> list[list[RunRecord]]:
+        with self.session() as executor:
+            return executor.map_groups(groups)
+
+    @contextmanager
+    def session(self) -> Iterator[_PoolSession]:
+        """An executor whose calls share one pool, terminated and joined on exit.
+
+        Every session has its own pool, so concurrent sweeps on one executor
+        (the sweep service's request threads) never share or close another's
+        pool, and no child process outlives the block.
+        """
+        executor = _PoolSession(self.workers)
+        try:
+            yield executor
+        finally:
+            executor.close()
+
+
+class _PoolSession:
+    """``map_groups`` on one pool, started by the first call that needs workers.
+
+    The pool is sized for that call, ``min(workers, units)``: a sweep's first
+    round is its largest.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._pool: Pool | None = None
+
+    def map_groups(self, groups: Sequence[Sequence[RunSpec]]) -> list[list[RunRecord]]:
         if self.workers == 1 or len(groups) <= 1:
             return SerialExecutor().map_groups(groups)
-        context = multiprocessing.get_context()
-        with context.Pool(processes=min(self.workers, len(groups))) as pool:
-            return pool.map(execute_replicate_group, [list(group) for group in groups])
+        if self._pool is None:
+            context = multiprocessing.get_context()
+            self._pool = context.Pool(processes=min(self.workers, len(groups)))
+        return self._pool.map(execute_replicate_group, [list(group) for group in groups])
+
+    def close(self) -> None:
+        """Stop the workers; every map has returned, so no task is lost (as ``with Pool``)."""
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
 
 
 #: ``builder(workers, **params) -> executor`` (an object with
@@ -593,7 +635,8 @@ class SweepRunner:
     """Execute a :class:`SweepSpec` through a pluggable executor.
 
     ``workers=None`` (or 1) runs serially; ``workers=N`` uses a
-    ``multiprocessing`` pool of N processes.  Pass ``executor=`` to pick an
+    ``multiprocessing`` pool of N processes, one pool per sweep (see
+    :meth:`MultiprocessingExecutor.session`).  Pass ``executor=`` to pick an
     executor from the registry by name (``"serial"``, ``"multiprocessing"``,
     the service layer's ``"asyncio"``) or to supply any object with a
     ``map_groups(groups) -> list[list[RunRecord]]`` method directly.
@@ -683,17 +726,21 @@ class SweepRunner:
         the round in flight.  Adaptive sweeps yield the same shape per round
         of their stopping rule.
         """
-        if sweep.is_adaptive:
-            yield from self._iter_adaptive(sweep)
-        elif self.store is not None:
-            yield from self._iter_with_store(sweep)
-        else:
-            specs = sweep.expand()
-            yield from self._execute(specs, list(range(len(specs))))
+        # One executor session per sweep, when the executor offers one: the
+        # multiprocessing executor keeps one pool across the sweep's rounds.
+        session = getattr(self.executor, "session", None)
+        with session() if session is not None else nullcontext(self.executor) as executor:
+            if sweep.is_adaptive:
+                yield from self._iter_adaptive(sweep, executor)
+            elif self.store is not None:
+                yield from self._iter_with_store(sweep, executor)
+            else:
+                specs = sweep.expand()
+                yield from self._execute(executor, specs, list(range(len(specs))))
 
     # -- adaptive (trials="auto") execution ---------------------------------------
 
-    def _iter_adaptive(self, sweep: SweepSpec):
+    def _iter_adaptive(self, sweep: SweepSpec, executor):
         """Sequential sampling: run each cell in batches until its rule stops it.
 
         The schedule is deterministic — every cell is evaluated at the fixed
@@ -747,7 +794,7 @@ class SweepRunner:
                 self.store.save_manifest(manifest, [index for index, _r, _c in hits])
             if hits:
                 yield hits
-            for executed in self._execute(specs, pending, manifest):
+            for executed in self._execute(executor, specs, pending, manifest):
                 for index, record, _cached in executed:
                     self._note_metric(rule, cells, values, index, max_trials, record)
                 yield executed
@@ -824,8 +871,8 @@ class SweepRunner:
                 units.append(unit)
         return units
 
-    def _execute(self, specs: Sequence[RunSpec], pending: list[int], manifest=None):
-        """Execute the pending runs, yielding ``(index, record, False)`` lists.
+    def _execute(self, executor, specs: Sequence[RunSpec], pending: list[int], manifest=None):
+        """Execute the pending runs on ``executor``, yielding ``(index, record, False)`` lists.
 
         With a store, each executor round's records are put and the
         ``manifest`` saved before the round is yielded; without one, every
@@ -835,10 +882,10 @@ class SweepRunner:
         size = len(units) or 1
         if self.store is not None:
             # One executor round per checkpoint: every worker busy once.
-            size = getattr(self.executor, "workers", None) or 1
+            size = getattr(executor, "workers", None) or 1
         for start in range(0, len(units), size):
             chunk = units[start : start + size]
-            records = self.executor.map_groups([[specs[i] for i in unit] for unit in chunk])
+            records = executor.map_groups([[specs[i] for i in unit] for unit in chunk])
             executed = sorted(
                 (pair for unit, rows in zip(chunk, records) for pair in zip(unit, rows)),
                 key=lambda pair: pair[0],
@@ -849,7 +896,7 @@ class SweepRunner:
                 self.store.save_manifest(manifest, [index for index, _record in executed])
             yield [(index, record, False) for index, record in executed]
 
-    def _iter_with_store(self, sweep: SweepSpec):
+    def _iter_with_store(self, sweep: SweepSpec, executor):
         """Serve the stored runs by their SHAs, then execute the rest.
 
         A sweep whose manifest the store already holds is walked by the
@@ -870,7 +917,7 @@ class SweepRunner:
             return
         if specs is None:
             specs = sweep.expand()
-        yield from self._execute(specs, pending, manifest)
+        yield from self._execute(executor, specs, pending, manifest)
 
 
 def run_sweep(

@@ -24,7 +24,7 @@ against the proof's prediction.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.braket import BraKet
 from repro.utils.multiset import Multiset
@@ -99,13 +99,22 @@ def predicted_majority(colors: Iterable[int]) -> int:
     return winners[0]
 
 
+def unique_majority(counts: Mapping[int, int]) -> int | None:
+    """The unique relative-majority color of ``color -> agents`` counts, else ``None``.
+
+    ``None`` for no agents or a tied maximum; the counts-level form of
+    :func:`predicted_majority` for callers that already counted the input.
+    """
+    if not counts:
+        return None
+    best_count = max(counts.values())
+    winners = [color for color, count in counts.items() if count == best_count]
+    return winners[0] if len(winners) == 1 else None
+
+
 def has_unique_majority(colors: Iterable[int]) -> bool:
     """Whether the input has a unique relative-majority color."""
-    counts = color_counts(colors)
-    if not counts:
-        return False
-    best_count = max(counts.values())
-    return sum(1 for count in counts.values() if count == best_count) == 1
+    return unique_majority(color_counts(colors)) is not None
 
 
 def singleton_groups(colors: Iterable[int]) -> list[set[int]]:

@@ -9,7 +9,8 @@ class, and protocols whose stabilized configurations still shuffle internally
 module computes, exactly:
 
 * the closed classes of a :class:`~repro.exact.chain.ConfigurationChain`
-  (iterative Tarjan SCC over the sparse rows);
+  (one iterative Tarjan SCC pass over the sparse rows, whose other
+  components the absorption solve reuses);
 * the **absorption probability** into each class from the initial
   configuration;
 * the **expected number of interactions** until absorption, and the expected
@@ -55,22 +56,43 @@ from repro.exact.solve import (
 )
 
 
-def closed_classes(rows: Sequence[Mapping[int, object]]) -> list[list[int]]:
-    """The closed (recurrent) communicating classes of the chain.
+def communicating_classes(
+    rows: Sequence[Mapping[int, object]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """One SCC pass split into ``(closed classes, the other components)``.
 
     Reads only which entries each sparse row has, so the chain's integer
     :attr:`~repro.exact.chain.ConfigurationChain.weights` serve as well as
     probability rows.  A strongly connected component is closed when no
-    member has an edge leaving the component; classes come back sorted by
-    their smallest configuration index, so class numbering is deterministic.
+    member has an edge leaving the component.  Closed classes come back
+    sorted by their smallest configuration index, so class numbering is
+    deterministic.  The other components keep the reverse topological
+    order of :func:`~repro.exact.solve.strongly_connected_components`:
+    closed classes have no outgoing edges, so these are exactly the
+    components of the transient restriction, in the order a pass over that
+    restriction would find them — what
+    :func:`~repro.exact.solve.solve_transient_systems` takes as
+    ``components`` for the absorption system.
     """
     closed: list[list[int]] = []
+    transient: list[list[int]] = []
     for component in strongly_connected_components(rows):
         members = set(component)
         if all(target in members for node in component for target in rows[node]):
             closed.append(component)
+        else:
+            transient.append(component)
     closed.sort(key=lambda component: component[0])
-    return closed
+    return closed, transient
+
+
+def closed_classes(rows: Sequence[Mapping[int, object]]) -> list[list[int]]:
+    """The closed (recurrent) communicating classes of the chain.
+
+    The first half of :func:`communicating_classes`: sorted by smallest
+    configuration index.
+    """
+    return communicating_classes(rows)[0]
 
 
 def _gather(groups: dict[int, int], visit: Fraction, weight: int) -> None:
@@ -123,13 +145,17 @@ def _mass_into(
 
 
 def _solved_visits(
-    chain: ConfigurationChain, system: list[int]
+    chain: ConfigurationChain,
+    system: list[int],
+    components: list[list[int]] | None = None,
 ) -> tuple[list[Number], Number, Number]:
     """``(π, Σπ, Σπ·change)`` over ``system`` from the initial configuration.
 
     Solved once per chain and system: the result is kept in the chain's
     :attr:`~repro.exact.chain.ConfigurationChain.solved_visits` (a chain-like
-    object without that dict solves every time).  The float sums skip zero
+    object without that dict solves every time).  ``components``, when
+    known, are the system's strongly connected components for the solve
+    (see :func:`solve_transient_systems`).  The float sums skip zero
     visits, in ``system`` order, so they are the same floats whichever
     analysis asks first.
     """
@@ -142,7 +168,12 @@ def _solved_visits(
         denominator = chain.denominator
         changes = chain.change_weights
         visits = solve_transient_systems(
-            chain.weights, system, start, denominator=denominator, exact=exact
+            chain.weights,
+            system,
+            start,
+            denominator=denominator,
+            exact=exact,
+            components=components,
         )
         expected: Number
         expected_changed: Number
@@ -201,15 +232,17 @@ class AbsorptionAnalysis:
 def analyze_absorption(chain: ConfigurationChain) -> AbsorptionAnalysis:
     """Compute the full absorption picture of a chain.
 
-    One solve, for the expected visits ``π`` from the initial configuration;
-    one pass over the transient rows then sums expected interactions
-    (``Σπ``), expected changed interactions (``Σπ·change``) and the
-    absorption probability of each closed class (``Σπ·Q(→class)``).
+    One SCC pass over the chain (:func:`communicating_classes`) finds the
+    closed classes and hands the other components to the solve; one solve,
+    for the expected visits ``π`` from the initial configuration; one pass
+    over the transient rows then sums expected interactions (``Σπ``),
+    expected changed interactions (``Σπ·change``) and the absorption
+    probability of each closed class (``Σπ·Q(→class)``).
     """
     exact = chain.arithmetic == "exact"
     zero: Number = Fraction(0) if exact else 0.0
     one: Number = Fraction(1) if exact else 1.0
-    classes = closed_classes(chain.weights)
+    classes, components = communicating_classes(chain.weights)
     in_class: dict[int, int] = {}
     for class_index, members in enumerate(classes):
         for member in members:
@@ -228,7 +261,7 @@ def analyze_absorption(chain: ConfigurationChain) -> AbsorptionAnalysis:
             expected_interactions=zero,
             expected_changed_interactions=zero,
         )
-    visits, expected, expected_changed = _solved_visits(chain, transient)
+    visits, expected, expected_changed = _solved_visits(chain, transient, components)
     probabilities = _mass_into(chain, transient, visits, in_class.get, len(classes))
     return AbsorptionAnalysis(
         classes=classes,

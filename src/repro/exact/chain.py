@@ -17,8 +17,9 @@ Each configuration is stored as a :data:`Counts` tuple — agents per state
 code, index-aligned with :attr:`ConfigurationChain.states`.  The codes are
 the compiled δ-table's (:mod:`repro.compile`) whenever the protocol's closure
 fits the compile cap; otherwise the chain numbers states itself on first
-sight and memoizes ``δ`` per code pair through ``protocol.transition``.
-Either way the one BFS expands present codes in ``repr`` order of their
+sight and memoizes ``δ`` per code pair through ``protocol.transition``, in
+a memo packed like the compiled table.  Either way the one BFS reads ``δ``
+from one flat table, expands present codes in ``repr`` order of their
 states, so discovery order and rows do not depend on the path taken, and
 each successor costs four integer updates on a list.  Multisets are decoded
 only at the API edge: :meth:`~ConfigurationChain.configuration` /
@@ -45,11 +46,13 @@ probability) live in :mod:`repro.exact.absorption`.
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
-from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from operator import itemgetter
 from typing import Generic, TypeVar
 
 from repro.compile import CompiledProtocol, StateSpaceCapExceeded, compile_from_states
@@ -94,6 +97,35 @@ def _validate_arithmetic(arithmetic: str) -> str:
             f"unknown arithmetic {arithmetic!r}; expected one of {', '.join(ARITHMETICS)}"
         )
     return arithmetic
+
+
+#: The pair stride of :class:`_DeltaMemo`: above any code an uncompiled chain numbers.
+_UNCOMPILED_STRIDE = 1 << 32
+
+
+class _DeltaMemo(dict[int, int]):
+    """``δ`` of a chain without a compiled table, evaluated on first lookup.
+
+    Packed like :attr:`CompiledProtocol.table <repro.compile.CompiledProtocol>`
+    with the stride :data:`_UNCOMPILED_STRIDE`: ``memo[p·stride + q]`` is
+    ``a·stride + b`` for ``δ(p, q) = (a, b)``, so the chain reads one table
+    layout whether or not the protocol compiled.  States ``δ`` produces are
+    numbered on the way (:meth:`ConfigurationChain._code`).
+    """
+
+    def __init__(self, chain: "ConfigurationChain") -> None:
+        super().__init__()
+        self._chain = chain
+
+    def __missing__(self, pair: int) -> int:
+        chain = self._chain
+        p, q = divmod(pair, _UNCOMPILED_STRIDE)
+        result = chain.protocol.transition(chain.states[p], chain.states[q])
+        packed = chain._code(result.initiator) * _UNCOMPILED_STRIDE + chain._code(
+            result.responder
+        )
+        self[pair] = packed
+        return packed
 
 
 def _trim(counts: Counts) -> Counts:
@@ -166,8 +198,12 @@ class ConfigurationChain(Generic[State]):
         if self.compiled is not None:
             self.states, self._codes = self.compiled.states, self.compiled.index
             self._order = sorted(range(len(self.states)), key=lambda c: repr(self.states[c]))
-        #: ``δ`` per ordered code pair: the codes it rewrites the pair to, or ``()``.
-        self._moves: dict[tuple[int, int], tuple[int, ...]] = {}
+        #: ``δ`` as a flat packed table read by :meth:`_expand`, and its stride.
+        self._table: array[int] | _DeltaMemo
+        if self.compiled is not None:
+            self._table, self._stride = self.compiled.table, self.compiled.num_states
+        else:
+            self._table, self._stride = _DeltaMemo(self), _UNCOMPILED_STRIDE
         for state in configuration.support():
             self._code(state)
         initial_counts = tuple(configuration.count(state) for state in self.states)
@@ -223,42 +259,37 @@ class ConfigurationChain(Generic[State]):
             insort(self._order, code, key=lambda known: repr(states[known]))
         return code
 
-    def _move(self, p: int, q: int) -> tuple[int, ...]:
-        """``δ`` on a code pair, read from the compiled table or evaluated once."""
-        if self.compiled is not None:
-            a, b, changed = self.compiled.transition_codes(p, q)
-        else:
-            result = self.protocol.transition(self.states[p], self.states[q])
-            a, b = self._code(result.initiator), self._code(result.responder)
-            changed = (a, b) != (p, q)
-        move = self._moves[p, q] = (a, b) if changed else ()
-        return move
+    def _expand(self, counts: Counts) -> list[tuple[Counts, int]]:
+        """One configuration's changing pairs, as ``(successor, weight)`` in pair order.
 
-    def _pairs(self, counts: Counts) -> Iterator[tuple[int, Counts | None]]:
-        """``(weight, successor)`` per ordered pair of present codes, in repr order.
-
-        ``weight`` is the pair's number of ordered agent pairs; ``successor``
-        is ``None`` when ``δ`` leaves the pair unchanged.
+        Every ordered pair of present codes is visited in repr order and its
+        ``δ`` read from the flat table — the compiled ``table`` or, without
+        one, the chain's own memo with the same packing (see
+        :class:`_DeltaMemo`): ``table[p·stride + q]`` is ``a·stride + b``,
+        equal to ``p·stride + q`` exactly when ``δ`` changes neither agent.
+        A pair's weight is its number of ordered agent pairs; the pairs left
+        out change nothing and weigh :attr:`denominator` minus the total.
         """
-        moves = self._moves
+        table, stride = self._table, self._stride
         trim = self.compiled is None
         width = len(self.states)
         if len(counts) < width:
             counts += (0,) * (width - len(counts))
-        present = [code for code in self._order if counts[code]]
-        for p in present:
-            count_p = counts[p]
-            for q in present:
-                weight = count_p * (count_p - 1) if p == q else count_p * counts[q]
-                if not weight:
+        present = [(code, counts[code]) for code in self._order if counts[code]]
+        moves: list[tuple[Counts, int]] = []
+        append = moves.append
+        for p, count_p in present:
+            base = p * stride
+            for q, count_q in present:
+                if q == p:
+                    if count_p == 1:
+                        continue
+                    count_q -= 1
+                pair = base + q
+                packed = table[pair]
+                if packed == pair:
                     continue
-                move = moves.get((p, q))
-                if move is None:
-                    move = self._move(p, q)
-                if not move:
-                    yield weight, None
-                    continue
-                a, b = move
+                a, b = divmod(packed, stride)
                 successor = list(counts)
                 successor[p] -= 1
                 successor[q] -= 1
@@ -266,7 +297,11 @@ class ConfigurationChain(Generic[State]):
                     successor += [0] * (len(self.states) - width)
                 successor[a] += 1
                 successor[b] += 1
-                yield weight, _trim(tuple(successor)) if trim else tuple(successor)
+                key = tuple(successor)
+                if trim and not key[-1]:
+                    key = _trim(key)
+                append((key, count_p * count_q))
+        return moves
 
     def _intern(self, key: Counts, cap: int) -> int:
         # Cap-edge contract (pinned by tests/exact/test_chain.py): re-interning
@@ -293,6 +328,8 @@ class ConfigurationChain(Generic[State]):
         canonical = self._canonical()
         lookup = self._lookup
         configurations = self.counts
+        expand = self._expand
+        denominator = self.denominator
         self._intern(initial if canonical is None else canonical(initial), cap)
         # Each index is interned exactly once, in ascending order, so the BFS
         # processes index i exactly when building row i.
@@ -300,11 +337,7 @@ class ConfigurationChain(Generic[State]):
         while current < len(configurations):
             weights: dict[int, int] = {}
             change_weight = 0
-            self_weight = 0
-            for weight, successor in self._pairs(configurations[current]):
-                if successor is None:
-                    self_weight += weight
-                    continue
+            for successor, weight in expand(configurations[current]):
                 change_weight += weight
                 if canonical is not None:
                     successor = canonical(successor)
@@ -312,8 +345,8 @@ class ConfigurationChain(Generic[State]):
                 if target is None:
                     target = self._intern(successor, cap)
                 weights[target] = weights.get(target, 0) + weight
-            if self_weight:
-                weights[current] = weights.get(current, 0) + self_weight
+            if change_weight < denominator:
+                weights[current] = weights.get(current, 0) + denominator - change_weight
             self.weights.append(weights)
             self.change_weights.append(change_weight)
             current += 1
@@ -371,12 +404,27 @@ class ConfigurationChain(Generic[State]):
     def rank(self, counts: Counts) -> tuple[tuple[str, int], ...]:
         """A deterministic total order on configurations: sorted ``(repr, count)`` pairs.
 
-        The same repr convention as :func:`expand_multiset`.  Exact reports
-        sort stable classes by this rank (not by BFS discovery index, which a
-        quotiented chain cannot reproduce), so class numbering agrees between
-        quotiented and unquotiented analyses of the same input.
+        The same repr convention as :func:`expand_multiset`, read off the
+        codes in the chain's repr order (distinct states have distinct
+        reprs), so no call sorts.  Exact reports sort stable classes by this
+        rank (not by BFS discovery index, which a quotiented chain cannot
+        reproduce), so class numbering agrees between quotiented and
+        unquotiented analyses of the same input.
         """
-        return tuple(sorted(zip(compress(self.state_reprs, counts), filter(None, counts))))
+        gather, reprs = self._rank_order
+        if len(counts) < len(self.states):
+            counts += (0,) * (len(self.states) - len(counts))
+        ordered = gather(counts)
+        return tuple(zip(compress(reprs, ordered), filter(None, ordered)))
+
+    @cached_property
+    def _rank_order(self) -> tuple[Callable[[Counts], Sequence[int]], list[str]]:
+        """A gather of count tuples into repr order, and the reprs in that order."""
+        order = self._order
+        reprs = self.state_reprs
+        # A one-code itemgetter would return a bare count; a slice keeps the tuple.
+        gather = itemgetter(*order) if len(order) > 1 else itemgetter(slice(order[0], order[0] + 1))
+        return gather, [reprs[code] for code in order]
 
     @cached_property
     def keys(self) -> list[frozenset]:
@@ -391,11 +439,13 @@ class ConfigurationChain(Generic[State]):
     def successors(self, counts: Counts) -> set[Counts]:
         """Every configuration one changing interaction leads to from ``counts``.
 
-        The source transition relation :meth:`QuotientChain.lift_class_counts`
-        walks; swaps and other changes that keep the multiset map back to
+        The source transition relation, read by the same expansion the BFS
+        runs (:meth:`_expand`) but never folded by a quotient:
+        :meth:`QuotientChain.lift_class_counts` walks it to rebuild a source
+        class.  Swaps and other changes that keep the multiset map back to
         ``counts`` itself.
         """
-        return {successor for _, successor in self._pairs(counts) if successor is not None}
+        return {successor for successor, _ in self._expand(counts)}
 
     # -- lifting (identity here; the quotient chain overrides) -----------------
 
@@ -423,7 +473,10 @@ class ConfigurationChain(Generic[State]):
         every chain, so class summaries — example configuration included —
         are identical whether or not the chain was quotiented.
         """
-        return [sorted((self.counts[member] for member in members), key=self.rank)]
+        configurations = [self.counts[member] for member in members]
+        if len(configurations) > 1:
+            configurations.sort(key=self.rank)
+        return [configurations]
 
     def states_of(self, index: int) -> list[State]:
         """The configuration at ``index`` expanded to a deterministic state list."""

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
 from fractions import Fraction
-from itertools import compress
 from operator import itemgetter
 from typing import ClassVar, TypeVar
 
 from repro.compile import CompiledProtocol
-from repro.core.greedy_sets import has_unique_majority, predicted_majority
+from repro.core.greedy_sets import unique_majority
 from repro.exact.absorption import (
     AbsorptionAnalysis,
     HittingAnalysis,
@@ -72,6 +71,10 @@ from repro.utils.multiset import Multiset
 from repro.utils.rng import RngLike
 
 State = TypeVar("State", bound=Hashable)
+
+#: One source-chain stable class: the rank of its first member (see
+#: :meth:`ConfigurationChain.rank`), its probability and its configurations.
+LiftedClass = tuple[tuple[tuple[str, int], ...], Fraction | float, list[Counts]]
 
 
 def criterion_predicate(
@@ -297,8 +300,8 @@ class ExactMarkovEngine(SimulationEngine[State]):
 
     def _lifted_classes(
         self, chain: ConfigurationChain[State], absorption: AbsorptionAnalysis
-    ) -> list[tuple[Fraction | float, list[Counts]]]:
-        """``(probability, configurations)`` per *source-chain* stable class.
+    ) -> list[LiftedClass]:
+        """``(rank, probability, configurations)`` per *source-chain* stable class.
 
         On a quotiented chain each closed class stands for an orbit of
         source-chain classes, entered with equal probability (the stabilizer
@@ -307,30 +310,31 @@ class ExactMarkovEngine(SimulationEngine[State]):
         Classes come back in canonical rank order of their smallest member —
         an order both chains can produce (BFS discovery order cannot survive
         the quotient), so quotiented and unquotiented reports are identical
-        class for class, modal tie-breaks included.  Configurations stay
-        count tuples; only the modal outcome is decoded.
+        class for class, modal tie-breaks included.  ``rank`` is that
+        member's :meth:`~repro.exact.chain.ConfigurationChain.rank`, computed
+        once and reused as the class's example.  Configurations stay count
+        tuples; only the modal outcome is decoded.
         """
-        lifted: list[tuple[Fraction | float, list[Counts]]] = []
+        lifted: list[LiftedClass] = []
         for class_index, members in enumerate(absorption.classes):
             probability = absorption.class_probabilities[class_index]
             source_classes = chain.lift_class_counts(members)
-            share = probability / len(source_classes)
+            share = probability if len(source_classes) == 1 else probability / len(source_classes)
             for configurations in source_classes:
-                lifted.append((share, configurations))
-        lifted.sort(key=lambda entry: chain.rank(entry[1][0]))
+                lifted.append((chain.rank(configurations[0]), share, configurations))
+        lifted.sort(key=itemgetter(0))
         return lifted
 
     def _modal_outcome(
-        self,
-        chain: ConfigurationChain[State],
-        lifted: list[tuple[Fraction | float, list[Counts]]],
+        self, chain: ConfigurationChain[State], lifted: list[LiftedClass]
     ) -> Multiset[State]:
-        """A representative configuration of the most probable stable class."""
-        best = max(
-            range(len(lifted)),
-            key=lambda i: (lifted[i][0], -i),
-        )
-        return chain.decode(lifted[best][1][0])
+        """A representative configuration of the most probable stable class.
+
+        The first in rank order among equally probable classes.
+        """
+        probabilities = [probability for _rank, probability, _members in lifted]
+        best = probabilities.index(max(probabilities))
+        return chain.decode(lifted[best][2][0])
 
     def _build_result(
         self,
@@ -338,28 +342,19 @@ class ExactMarkovEngine(SimulationEngine[State]):
         absorption: AbsorptionAnalysis,
         hitting: HittingAnalysis | None,
         criterion: ConvergenceCriterion[State] | None,
-        lifted: list[tuple[Fraction | float, list[Counts]]],
+        lifted: list[LiftedClass],
     ) -> DistributionResult:
         protocol = self.protocol
-        colors = self._input_colors()
-        majority = (
-            predicted_majority(colors)
-            if colors is not None and has_unique_majority(colors)
-            else None
-        )
+        color_counts = self._input_color_counts()
+        majority = None if color_counts is None else unique_majority(color_counts)
         classes: list[StableClassSummary] = []
         correctness: Fraction | float | None = None
-        reprs = chain.state_reprs
         outputs = [protocol.output(state) for state in chain.states]
-        for class_index, (probability, configurations) in enumerate(lifted):
+        for class_index, (rank, probability, configurations) in enumerate(lifted):
             unanimous = _unanimous_output(outputs, configurations)
             correct = None if majority is None else unanimous == majority
             if correct:
                 correctness = probability if correctness is None else correctness + probability
-            counts = configurations[0]
-            example = sorted(
-                map(list, zip(compress(reprs, counts), filter(None, counts))), key=itemgetter(0)
-            )
             classes.append(
                 StableClassSummary(
                     index=class_index,
@@ -368,7 +363,7 @@ class ExactMarkovEngine(SimulationEngine[State]):
                     probability_exact=rational_string(probability),
                     unanimous_output=unanimous,
                     correct=correct,
-                    example=example,
+                    example=[list(pair) for pair in rank],
                 )
             )
         if majority is not None and correctness is None:
@@ -410,14 +405,14 @@ class ExactMarkovEngine(SimulationEngine[State]):
             classes=classes,
         )
 
-    def _input_colors(self) -> list[int] | None:
-        """Recover input colors when the initial states are initial states.
+    def _input_color_counts(self) -> dict[int, int] | None:
+        """Recover the input's ``color -> agents`` counts when the initial states are initial states.
 
         The correctness probability is defined relative to the input's
         unique majority; when the engine was constructed from arbitrary
         mid-run states (no color-preimage), majority-based fields are None.
         """
-        colors: list[int] = []
+        counts: dict[int, int] = {}
         initial_of: dict[State, int] = {}
         for color in range(self.protocol.num_colors):
             initial_of.setdefault(self.protocol.initial_state(color), color)
@@ -425,8 +420,8 @@ class ExactMarkovEngine(SimulationEngine[State]):
             color = initial_of.get(state)
             if color is None:
                 return None
-            colors.extend([color] * count)
-        return colors
+            counts[color] = counts.get(color, 0) + count
+        return counts
 
 
 def _unanimous_output(outputs: list[int], configurations: list[Counts]) -> int | None:

@@ -125,16 +125,20 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
         )
         actions = symmetry_actions(self.compiled, max_colors)
         self.symmetry = actions.certificate
+        identity = tuple(range(len(initial)))
+        gathers: set[tuple[int, ...]] = set()
         for action in actions.actions:
-            if action.is_identity:
-                continue
             # σ moves the agents of code c to σ(c), so the image tuple reads
             # position σ(c) from position c: a gather by the inverse map.
             inverse = [0] * len(action.state_map)
             for code, image in enumerate(action.state_map):
                 inverse[image] = code
-            apply = itemgetter(*inverse)
+            gather = tuple(inverse)
+            if gather == identity or gather in gathers:
+                continue
+            apply = itemgetter(*gather)
             if apply(initial) == initial:
+                gathers.add(gather)
                 self._stabilizer.append(apply)
 
     @property
@@ -173,8 +177,18 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
 
     @cached_property
     def _orbit_sizes(self) -> list[int]:
-        """index -> orbit size, computed once per chain on first use."""
-        return [len(self.orbit_keys(index)) for index in range(len(self.counts))]
+        """index -> orbit size, by orbit–stabilizer instead of building orbits.
+
+        An orbit has the group order over the number of elements fixing its
+        representative (the stabilizer's gathers are distinct permutations),
+        so each size costs one gather and one comparison per element.
+        """
+        stabilizer = self._stabilizer
+        order = len(stabilizer) + 1
+        return [
+            order // (1 + sum(1 for apply in stabilizer if apply(counts) == counts))
+            for counts in self.counts
+        ]
 
     def orbit_size(self, index: int) -> int:
         """How many source configurations a representative stands for."""
@@ -193,40 +207,54 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
     def lift_class_counts(self, members: list[int]) -> list[list[Counts]]:
         """Expand one quotient closed class into the source classes it covers.
 
-        The preimage of a quotient closed class is a stabilizer-orbit of
-        unquotiented closed classes.  Rather than reasoning group-theoretically
-        about how orbits split, the classes are reconstructed directly: the
-        source class containing a configuration is its forward-reachable set
-        under the *source* transition relation (:meth:`successors`; closed
-        classes are strongly connected and closed, so the BFS is confined).
-        Classes come back sorted by their minimal member's rank, members
-        ranked within each — deterministic, so golden files regenerate
-        identically.  With a trivial stabilizer every class is its own
-        preimage, so the base chain's lift applies as is.
+        The preimage of a quotient closed class is a union of source closed
+        classes that the stabilizer ``G`` permutes transitively, so it is
+        ``G·C₀`` for any one of them.  ``C₀`` is taken to be the class of the
+        smallest preimage member — the smallest representative, since a
+        representative is its orbit's minimum — rebuilt by one BFS under the
+        *source* transition relation (:meth:`successors`; a closed class is
+        strongly connected and closed, so the walk is confined).  The other
+        classes are its distinct images, one gather per group element; two
+        images are equal or disjoint, so an image is new exactly when no
+        class found so far holds the image of the seed.  Classes come back
+        sorted by their minimal member's rank, members ranked within each —
+        deterministic, so golden files regenerate identically.  With a
+        trivial stabilizer every class is its own preimage, so the base
+        chain's lift applies as is.
+
+        Raises:
+            ValueError: when ``members`` is not one closed class: the walk
+                leaves the preimage, or the images do not cover it.
         """
-        if not self._stabilizer:
+        stabilizer = self._stabilizer
+        if not stabilizer:
             return super().lift_class_counts(members)
-        pending: set[Counts] = set()
-        for member in members:
-            pending.update(self.orbit_keys(member))
-        classes: list[list[Counts]] = []
-        while pending:
-            seed = min(pending)
-            component = {seed}
-            frontier = [seed]
-            while frontier:
-                for successor in self.successors(frontier.pop()):
-                    if successor not in component:
-                        component.add(successor)
-                        frontier.append(successor)
-            missing = component - pending
-            if missing:  # pragma: no cover - guards lift misuse on non-closed input
-                raise ValueError(
-                    "lift_class_counts was given indices that do not form a closed class: "
-                    f"{len(missing)} reachable configurations fall outside the preimage"
-                )
-            pending -= component
-            classes.append(sorted(component, key=self.rank))
+        canonical = self._canonical()
+        assert canonical is not None
+        representatives = {self.counts[member] for member in members}
+        seed = min(representatives)
+        component = {seed}
+        frontier = [seed]
+        while frontier:
+            for successor in self.successors(frontier.pop()):
+                if successor not in component:
+                    if canonical(successor) not in representatives:
+                        raise ValueError(
+                            "lift_class_counts was given indices that do not form a closed "
+                            "class: a reachable configuration falls outside the preimage"
+                        )
+                    component.add(successor)
+                    frontier.append(successor)
+        found = [component]
+        for apply in stabilizer:
+            if not any(apply(seed) in known for known in found):
+                found.append(set(map(apply, component)))
+        if len(component) * len(found) != self.source_count(members):
+            raise ValueError(
+                "lift_class_counts was given indices that do not form a closed class: "
+                "the images of one source class do not cover the preimage"
+            )
+        classes = [sorted(conf_class, key=self.rank) for conf_class in found]
         classes.sort(key=lambda conf_class: self.rank(conf_class[0]))
         return classes
 

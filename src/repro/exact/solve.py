@@ -58,7 +58,7 @@ already bounds the system.  A protocol whose whole system is one component
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -267,41 +267,41 @@ def strongly_connected_components(
     for root in range(size):
         if index_of[root] != -1:
             continue
-        work: list[tuple[int, list[int], int]] = [(root, list(rows[root]), 0)]
+        index_of[root] = low_link[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        # (node, iterator over its successors): a node's iterator resumes
+        # where it stopped when the walk returns from a child.
+        work: list[tuple[int, Iterator[int]]] = [(root, iter(rows[root]))]
         while work:
-            node, successors, position = work.pop()
-            if position == 0:
-                index_of[node] = low_link[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            else:
-                # Returning from a child: fold its low-link into ours.
-                child = successors[position - 1]
-                low_link[node] = min(low_link[node], low_link[child])
-            advanced = False
-            while position < len(successors):
-                successor = successors[position]
-                position += 1
+            node, successors = work[-1]
+            for successor in successors:
                 if index_of[successor] == -1:
-                    work.append((node, successors, position))
-                    work.append((successor, list(rows[successor]), 0))
-                    advanced = True
+                    index_of[successor] = low_link[successor] = counter
+                    counter += 1
+                    stack.append(successor)
+                    on_stack[successor] = True
+                    work.append((successor, iter(rows[successor])))
                     break
-                if on_stack[successor]:
-                    low_link[node] = min(low_link[node], index_of[successor])
-            if advanced:
-                continue
-            if low_link[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                component.sort()
-                components.append(component)
+                if on_stack[successor] and index_of[successor] < low_link[node]:
+                    low_link[node] = index_of[successor]
+            else:
+                work.pop()
+                low = low_link[node]
+                if low == index_of[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component.append(member)
+                        if member == node:
+                            break
+                    component.sort()
+                    components.append(component)
+                elif low < low_link[work[-1][0]]:
+                    # Returning to the parent: fold our low-link into its own.
+                    low_link[work[-1][0]] = low
     return components
 
 
@@ -312,6 +312,7 @@ def solve_transient_systems(
     *,
     denominator: int,
     exact: bool,
+    components: Sequence[Sequence[int]] | None = None,
 ) -> list[Number]:
     """The expected visits ``π = e_startᵀ (I - Q)⁻¹`` to each ``transient`` index.
 
@@ -334,6 +335,15 @@ def solve_transient_systems(
         denominator: the common denominator of every row.
         exact: True for exact rationals (integer arithmetic, one ``Fraction``
             per visit), False for float64.
+        components: the strongly connected components of ``Q`` as global
+            indices, each ascending, in reverse topological order — for an
+            ascending ``transient``, the order
+            :func:`strongly_connected_components` finds them on the
+            restriction.  The absorption analysis passes the non-closed
+            components of its one SCC pass over the whole chain
+            (:func:`repro.exact.absorption.communicating_classes`), which are
+            exactly these, so the sweep adds in the same order either way.
+            ``None`` (any other system): computed here.
 
     Returns:
         The expected visits, indexed like ``transient``.
@@ -352,17 +362,20 @@ def solve_transient_systems(
             if j is not None:
                 row[j] = weight
         restricted.append(row)
-    components = strongly_connected_components(restricted)
+    if components is None:
+        local_components = strongly_connected_components(restricted)
+    else:
+        local_components = [[local[member] for member in component] for component in components]
     cap = PURE_PYTHON_MAX_COMPONENT if numpy is None else NUMPY_MAX_COMPONENT
-    largest = max(map(len, components), default=0)
+    largest = max(map(len, local_components), default=0)
     if largest > cap:
         raise SolveTooLarge(
             f"a strongly connected component of {largest} states (system of "
             f"{len(transient)}) exceeds the solve cap of {cap}"
         )
     if exact:
-        return _rational_sweep(restricted, components, local[start], denominator)
-    return _float_sweep(restricted, components, local[start], denominator, numpy)
+        return _rational_sweep(restricted, local_components, local[start], denominator)
+    return _float_sweep(restricted, local_components, local[start], denominator, numpy)
 
 
 def _float_sweep(

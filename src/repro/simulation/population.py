@@ -9,7 +9,7 @@ between the two views.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from typing import Generic, TypeVar
 
 from repro.protocols.base import PopulationProtocol
@@ -37,8 +37,15 @@ def initial_configuration(
     appearance, so the result equals ``Multiset(initial_states(...))`` item
     order included.  The engines that take it check the population size.
     """
+    return configuration_from_counts(protocol, Counter(colors))
+
+
+def configuration_from_counts(
+    protocol: PopulationProtocol[State], counts: Mapping[int, int]
+) -> Multiset[State]:
+    """The configuration of ``color -> agents`` counts, in their item order."""
     configuration: Multiset[State] = Multiset()
-    for color, count in Counter(colors).items():
+    for color, count in counts.items():
         configuration.add(protocol.initial_state(color), count)
     return configuration
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import TypeVar
 
 from repro.core.circles import CirclesProtocol, CirclesVariant
-from repro.core.greedy_sets import has_unique_majority, predicted_majority
+from repro.core.greedy_sets import color_counts, unique_majority
 from repro.core.potential import configuration_energy
 from repro.protocols.base import PopulationProtocol
 from repro.scheduling.base import Scheduler
@@ -57,9 +57,10 @@ from repro.simulation.observers import (
     build_observer,
     ket_exchange_occurred,
 )
-from repro.simulation.population import initial_configuration
+from repro.simulation.population import configuration_from_counts
 from repro.simulation.registry import get_engine
 from repro.simulation.trace import Trace
+from repro.utils.multiset import Multiset
 from repro.utils.rng import RngLike
 
 State = TypeVar("State", bound=Hashable)
@@ -169,10 +170,6 @@ class RunResult:
         }
 
 
-def _true_majority(colors: Sequence[int]) -> int | None:
-    return predicted_majority(colors) if has_unique_majority(colors) else None
-
-
 def _resolve_engine(
     engine: str, scheduler: Scheduler | None, record_trace: bool
 ) -> type[SimulationEngine]:
@@ -196,6 +193,7 @@ def _build_simulation(
     engine_cls: type[SimulationEngine],
     protocol: PopulationProtocol[State],
     colors: Sequence[int],
+    configuration: Multiset[State],
     scheduler: Scheduler | None,
     seed: RngLike,
     record_trace: bool,
@@ -203,7 +201,9 @@ def _build_simulation(
 ) -> tuple[SimulationEngine[State], Trace | None, str]:
     """Construct the selected engine; returns (simulation, trace, scheduler name).
 
-    ``observers`` are attached in order, after construction.
+    The agent engine places one agent per color; every other engine starts
+    from ``configuration``, the colors' initial configuration.  ``observers``
+    are attached in order, after construction.
     """
     if issubclass(engine_cls, AgentSimulation):
         trace = Trace() if record_trace else None
@@ -212,19 +212,33 @@ def _build_simulation(
         )
         scheduler_name = simulation.scheduler.name
     else:
-        simulation = engine_cls.from_colors(protocol, colors, seed=seed)
+        simulation = engine_cls(protocol, configuration, seed)
         trace, scheduler_name = None, "uniform-random"
     for observer in observers:
         simulation.add_observer(observer)
     return simulation, trace, scheduler_name
 
 
-def _input_energy(protocol: PopulationProtocol, colors: Sequence[int]) -> int | None:
-    """The input's energy on Circles runs (whose runs also count ket
-    exchanges), ``None`` for protocols whose states carry no bra-ket weights."""
-    if not isinstance(protocol, CirclesProtocol):
-        return None
-    return configuration_energy(initial_configuration(protocol, colors), protocol.num_colors)
+def _count_input(
+    protocol: PopulationProtocol[State], colors: Sequence[int]
+) -> tuple[Multiset[State], int | None, int | None]:
+    """Count the input colors once: ``(configuration, majority, energy)``.
+
+    ``configuration`` is the initial configuration (as
+    :func:`~repro.simulation.population.initial_configuration` builds it),
+    ``majority`` the unique relative-majority color or ``None``, and
+    ``energy`` the input's energy on Circles runs (whose runs also count
+    ket exchanges), ``None`` for protocols whose states carry no bra-ket
+    weights.
+    """
+    counts = color_counts(colors)
+    configuration = configuration_from_counts(protocol, counts)
+    energy = (
+        configuration_energy(configuration, protocol.num_colors)
+        if isinstance(protocol, CirclesProtocol)
+        else None
+    )
+    return configuration, unique_majority(counts), energy
 
 
 def run_protocol(
@@ -276,7 +290,7 @@ def run_protocol(
     k = protocol.num_colors
     budget = max_steps if max_steps is not None else default_max_steps(len(colors), k)
 
-    initial_energy = _input_energy(protocol, colors)
+    configuration, majority, initial_energy = _count_input(protocol, colors)
     # The analytical engine simulates no interactions, so a ket-exchange
     # counter would misreport 0; Circles runs on it report None instead.
     exchange_counter = (
@@ -286,13 +300,12 @@ def run_protocol(
     )
     resolved = _resolve_observers(observers)
     simulation, trace, scheduler_name = _build_simulation(
-        engine_cls, protocol, colors, scheduler, seed, record_trace,
+        engine_cls, protocol, colors, configuration, scheduler, seed, record_trace,
         observers=[exchange_counter, *resolved] if exchange_counter else resolved,
     )
     converged = simulation.run(budget, criterion=criterion, check_interval=check_interval)
     final_states = tuple(simulation.states())
     outputs = tuple(simulation.outputs())
-    majority = _true_majority(colors)
     correct = majority is not None and all(output == majority for output in outputs)
     exact_result = getattr(simulation, "distribution_result", None)
     if exact_result is not None:

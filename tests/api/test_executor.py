@@ -1,5 +1,7 @@
 """Tests for spec execution: determinism, parallel equivalence, registries."""
 
+import multiprocessing
+
 import pytest
 
 from repro.api.executor import (
@@ -20,6 +22,7 @@ from repro.api.executor import (
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec, SweepSpec
 from repro.core.circles import CirclesProtocol
+from repro.service.store import ResultStore
 from repro.simulation.convergence import OutputConsensus, StableCircles
 
 
@@ -95,6 +98,74 @@ class TestParallelEquivalence:
         with pytest.raises(ValueError):
             MultiprocessingExecutor(0)
         assert MultiprocessingExecutor(1).map_groups([]) == SerialExecutor().map_groups([])
+
+
+class TestPoolLifetime:
+    """A multiprocessing sweep keeps one pool across its rounds and closes it."""
+
+    @staticmethod
+    def _count_pools(monkeypatch):
+        pools = []
+        get_context = multiprocessing.get_context
+
+        class CountingContext:
+            def __init__(self, *args):
+                self._context = get_context(*args)
+
+            def Pool(self, *args, **kwargs):
+                pools.append(self._context.Pool(*args, **kwargs))
+                return pools[-1]
+
+        monkeypatch.setattr(multiprocessing, "get_context", CountingContext)
+        return pools
+
+    @staticmethod
+    def _sweep():
+        # Agent-engine runs are units of one, so 2 workers need several rounds.
+        return SweepSpec(protocols=("circles",), populations=(8, 10, 12, 14), ks=(2,),
+                         trials=2, seed=11, engines=("agent",), max_steps_quadratic=200)
+
+    def test_store_backed_sweep_starts_one_pool_and_leaves_no_child(
+        self, monkeypatch, tmp_path
+    ):
+        sweep = self._sweep()
+        serial = run_sweep(sweep)
+        pools = self._count_pools(monkeypatch)
+        store = ResultStore(tmp_path)
+        runner = SweepRunner(workers=2, store=store)
+        assert runner.executor.workers == 2
+        assert runner.run(sweep).records == serial.records
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        # Served wholly from the store: no pool at all.
+        assert SweepRunner(workers=2, store=store).run(sweep).records == serial.records
+        assert len(pools) == 1
+
+    def test_sessions_do_not_share_pools(self, monkeypatch):
+        # The sweep service runs concurrent sweeps on one executor: closing
+        # one sweep's session must leave the other's pool running.
+        pools = self._count_pools(monkeypatch)
+        specs = self._sweep().expand()[:4]
+        units = [[spec] for spec in specs]
+        expected = [[execute_run(spec)] for spec in specs]
+        executor = MultiprocessingExecutor(2)
+        with executor.session() as first:
+            with executor.session() as second:
+                assert first.map_groups(units) == expected
+                assert second.map_groups(units) == expected
+            assert first.map_groups(units) == expected
+        assert len(pools) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_calls_outside_a_session_close_their_own_pool(self, monkeypatch):
+        pools = self._count_pools(monkeypatch)
+        specs = self._sweep().expand()[:2]
+        executor = MultiprocessingExecutor(2)
+        assert executor.map_groups([[spec] for spec in specs]) == [
+            [execute_run(spec)] for spec in specs
+        ]
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestSweepRunnerValidation:

@@ -17,8 +17,11 @@ from repro.exact import (
 )
 import repro.exact.absorption as absorption_module
 from repro.exact import solve as solve_module
+from repro.exact.absorption import communicating_classes
+from repro.exact.golden import GOLDEN_CASES
 from repro.exact.solve import gaussian_solve, solve_transient_systems
 from repro.protocols.approximate_majority import ApproximateMajorityProtocol
+from repro.protocols.registry import get_protocol
 from repro.simulation.convergence import OutputConsensus, StableCircles
 
 
@@ -44,6 +47,45 @@ class TestGraphAlgorithms:
         rows = [{i + 1: 1.0} for i in range(size - 1)] + [{size - 1: 1.0}]
         components = strongly_connected_components(rows)
         assert len(components) == size
+
+
+class TestOneSccPass:
+    """An absorption analysis runs Tarjan once; its solve reuses the components."""
+
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    def test_one_tarjan_call_per_absorption_analysis(self, monkeypatch, arithmetic):
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return tarjan(rows)
+
+        tarjan = solve_module.strongly_connected_components
+        monkeypatch.setattr(solve_module, "strongly_connected_components", counting)
+        monkeypatch.setattr(absorption_module, "strongly_connected_components", counting)
+        for name, k, colors in GOLDEN_CASES:
+            chain = ConfigurationChain.from_colors(
+                get_protocol(name, k), colors, arithmetic=arithmetic
+            )
+            calls.clear()
+            absorbed = analyze_absorption(chain)
+            assert calls == [chain.num_configurations], (name, k, colors)
+            assert absorbed.transient, (name, k, colors)
+
+    def test_non_closed_components_are_the_transient_restrictions_components(self):
+        for name, k, colors in GOLDEN_CASES:
+            chain = ConfigurationChain.from_colors(get_protocol(name, k), colors)
+            classes, components = communicating_classes(chain.weights)
+            closed = {member for members in classes for member in members}
+            transient = [i for i in range(chain.num_configurations) if i not in closed]
+            local = {index: i for i, index in enumerate(transient)}
+            restricted = [
+                {local[j]: w for j, w in chain.weights[index].items() if j in local}
+                for index in transient
+            ]
+            assert strongly_connected_components(restricted) == [
+                [local[member] for member in component] for component in components
+            ]
 
 
 class TestSolvers:

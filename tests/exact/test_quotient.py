@@ -7,6 +7,7 @@ as the only trace that a quotient happened.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,11 @@ from repro.exact import (
     ExactMarkovEngine,
     QuotientChain,
     SolveTooLarge,
+    closed_classes,
     exact_expected_convergence,
 )
+from repro.exact.golden import GOLDEN_CASES
+from repro.protocols.base import PopulationProtocol, TransitionResult
 from repro.protocols.exact_majority import ExactMajorityProtocol
 from repro.protocols.registry import DEFAULT_REGISTRY, get_protocol
 from repro.simulation.convergence import OutputConsensus, StableCircles
@@ -343,3 +347,134 @@ class TestAbsorptionLift:
             for configuration in conf_class
         ]
         assert len(members) == len(source_absorbing)
+
+
+def _near_tied_inputs(count=12, seed=2024):
+    """Seeded inputs where colors tie, on protocols whose symmetries fix them.
+
+    Protocols symmetric under every color permutation get two tied colors
+    and a third that may differ; ordered Circles variants (cyclic symmetry)
+    get all colors tied.
+    """
+    rng = random.Random(seed)
+    permuting = ("cancellation-plurality", "per-color-leader-election", "tournament-plurality")
+    cyclic = ("circles", "circles-tie-report")
+    inputs = []
+    while len(inputs) < count:
+        name = rng.choice(permuting + cyclic)
+        k = rng.choice((2, 3))
+        tied = rng.randint(1, 2)
+        counts = [tied] * k
+        if name in permuting and k == 3:
+            counts[2] = rng.randint(1, 3)
+        colors = tuple(color for color, agents in enumerate(counts) for _ in range(agents))
+        if len(colors) >= 2:
+            inputs.append((name, k, colors))
+    return inputs
+
+
+class FlippingVoter(PopulationProtocol[tuple[int, int]]):
+    """Voter dynamics with a bit each agent flips when it meets its own color.
+
+    A responder of another color adopts the initiator's color; a same-color
+    initiator flips its bit.  Every closed class is one color's consensus
+    with every bit pattern — ``n + 1`` configurations, not a silent
+    singleton as in the registry protocols — and the protocol is symmetric
+    under every color permutation.
+    """
+
+    name = "flipping-voter"
+
+    def states(self):
+        return [(color, bit) for color in range(self.num_colors) for bit in (0, 1)]
+
+    def initial_state(self, color):
+        return (color, 0)
+
+    def output(self, state):
+        return state[0]
+
+    def transition(self, initiator, responder):
+        if initiator[0] != responder[0]:
+            a, b = initiator, (initiator[0], responder[1])
+        else:
+            a, b = (initiator[0], 1 - initiator[1]), responder
+        return TransitionResult(a, b, (a, b) != (initiator, responder))
+
+    def compile_signature(self):
+        return (type(self), self.num_colors)
+
+
+#: Inputs whose closed classes have several members, lifting to 1–3 source classes.
+VOTER_INPUTS = ((2, (0, 0, 1, 1)), (3, (0, 1, 2)), (3, (0, 0, 1, 1, 2)), (3, (0, 0, 1, 1, 2, 2)))
+
+
+def _quotiented_chains():
+    """Every quotiented golden case, the tied k=3 input, seeded near-tied inputs
+    and the voter inputs."""
+    cases = [(name, k, colors) for name, k, colors in GOLDEN_CASES]
+    cases.append(("circles", 3, TestScale.COLORS))
+    cases.extend(_near_tied_inputs())
+    chains = []
+    for name, k, colors in cases:
+        chain = QuotientChain.from_colors(get_protocol(name, k), colors, max_configurations=2000)
+        if chain.is_quotiented:
+            chains.append(((name, k, colors), chain))
+    for k, colors in VOTER_INPUTS:
+        chains.append(((FlippingVoter.name, k, colors), QuotientChain.from_colors(
+            FlippingVoter(k), colors
+        )))
+    return chains
+
+
+class TestLiftByImages:
+    """``lift_class_counts`` (one BFS plus stabilizer images) equals the whole-preimage walk."""
+
+    def test_matches_the_bfs_lift_on_every_quotiented_case(self, bfs_lift):
+        chains = _quotiented_chains()
+        golden = sum(1 for case, _chain in chains if case in GOLDEN_CASES)
+        assert golden >= 1 and len(chains) >= golden + 10
+        for case, chain in chains:
+            for members in closed_classes(chain.weights):
+                assert chain.lift_class_counts(members) == bfs_lift(chain, members), case
+
+    def test_voter_classes_have_several_members_and_images(self):
+        lifts = [
+            chain.lift_class_counts(members)
+            for case, chain in _quotiented_chains()
+            if case[0] == FlippingVoter.name
+            for members in closed_classes(chain.weights)
+        ]
+        assert {len(lift) for lift in lifts} == {1, 2, 3}
+        assert min(len(conf_class) for lift in lifts for conf_class in lift) >= 4
+
+    @pytest.mark.parametrize("k,colors", VOTER_INPUTS, ids=str)
+    def test_voter_results_are_bit_identical_across_the_quotient(self, k, colors):
+        results = []
+        for quotient in (True, False):
+            engine = ExactMarkovEngine.from_colors(
+                FlippingVoter(k), colors, arithmetic="exact", quotient=quotient
+            )
+            engine.run(0)
+            results.append(engine.distribution_result.to_dict())
+        quotiented, plain = results
+        assert quotiented.pop("num_orbits") is not None
+        assert plain.pop("num_orbits") is None
+        assert quotiented == plain
+
+    def test_orbit_sizes_equal_the_orbits(self):
+        for case, chain in _quotiented_chains():
+            sizes = [chain.orbit_size(index) for index in range(chain.num_configurations)]
+            assert sizes == [
+                len(chain.orbit_keys(index)) for index in range(chain.num_configurations)
+            ], case
+
+    def test_input_that_is_not_one_closed_class_is_refused(self):
+        chain = QuotientChain.from_colors(CirclesProtocol(3), TestScale.COLORS)
+        classes = closed_classes(chain.weights)
+        closed = {member for members in classes for member in members}
+        transient = [index for index in range(chain.num_configurations) if index not in closed]
+        with pytest.raises(ValueError, match="closed class"):
+            chain.lift_class_counts(transient[:1])
+        with pytest.raises(ValueError, match="closed class"):
+            chain.lift_class_counts(classes[0] + classes[1])

@@ -11,7 +11,12 @@ import pytest
 from repro.core.circles import CirclesProtocol
 from repro.exact import QuotientChain
 from repro.exact import solve as solve_module
-from repro.exact.absorption import analyze_absorption, closed_classes, hitting_analysis
+from repro.exact.absorption import (
+    analyze_absorption,
+    closed_classes,
+    communicating_classes,
+    hitting_analysis,
+)
 from repro.exact.solve import (
     NUMPY_MAX_COMPONENT,
     PURE_PYTHON_MAX_COMPONENT,
@@ -410,6 +415,34 @@ class TestBlockTriangularSolve:
         for a, b in zip(floats, rational, strict=True):
             assert isinstance(a, float)
             assert math.isclose(a, float(b), rel_tol=1e-12, abs_tol=1e-15), (a, b)
+
+
+class TestPassedComponents:
+    """A solve handed the whole chain's non-closed components equals one that finds its own."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("kernel", ["numpy", "pure", "rational"])
+    def test_visit_rows_are_identical(self, seed, kernel, monkeypatch):
+        if kernel == "numpy" and solve_module._numpy() is None:
+            pytest.skip("numpy not available")
+        if kernel == "pure":
+            monkeypatch.setattr(solve_module, "_numpy", lambda: None)
+        rng = random.Random(seed)
+        weights, denominator, system = _random_chain(rng, rng.randint(2, 40))
+        # The absorption system: every non-closed state, ascending.
+        system.sort()
+        start = rng.choice(system)
+        _classes, components = communicating_classes(weights)
+        assert sorted(member for component in components for member in component) == system
+        exact = kernel == "rational"
+        own = solve_transient_systems(
+            weights, system, start, denominator=denominator, exact=exact
+        )
+        passed = solve_transient_systems(
+            weights, system, start, denominator=denominator, exact=exact, components=components
+        )
+        assert passed == own
+        assert all(type(a) is type(b) for a, b in zip(passed, own, strict=True))
 
 
 class TestAnalysesOnRandomChains:

@@ -13,7 +13,7 @@ from repro.scheduling.round_robin import RoundRobinScheduler
 from repro.simulation.convergence import OutputConsensus, StableCircles
 from repro.simulation.runner import (
     RunResult,
-    _input_energy,
+    _count_input,
     default_max_steps,
     ket_exchange_occurred,
     run_circles,
@@ -214,7 +214,7 @@ class TestInputEnergy:
             per_agent = sum(
                 braket_weight(protocol.initial_state(color).braket, k) for color in colors
             )
-            assert _input_energy(protocol, colors) == per_agent
+            assert _count_input(protocol, colors)[2] == per_agent
 
     def test_none_for_protocols_without_braket_weights(self):
-        assert _input_energy(ExactMajorityProtocol(), [0, 1, 1]) is None
+        assert _count_input(ExactMajorityProtocol(), [0, 1, 1])[2] is None
