@@ -6,8 +6,8 @@ scheduler) at ``n = 10^5``:
 * the compiled batch engine (integer count vectors + flat transition tables,
   vectorized kernel rounds) simulates a fixed interaction budget at least
   **2× faster** than the uncompiled batch engine (the path past the compile
-  cap, forced here by the ``force_uncompiled`` fixture: hashable-state pool
-  + memoized transition dict).  The engines sample the
+  cap, forced here by the ``force_uncompiled`` fixture: a pool of lazily
+  interned codes + a per-pair δ memo).  The engines sample the
   *same* Markov chain, so equal budgets are equal work;
 * compilation itself is cheap and cached per ``(protocol, colors)`` pair.
 

@@ -8,8 +8,10 @@ Checks:
 
 * the rational-arithmetic analysis of the tied circles ``k = 3`` input
   (560 configurations, 192 orbits) is at least **4× faster** quotiented
-  than unquotiented (about 6× since the rational solve works block by block
-  over strongly connected components; chain enumeration now weighs as much);
+  than unquotiented.  The orbit ratio (560 / 192 ≈ 2.9) bounds what folding
+  can save once the solve works block by block over strongly connected
+  components; fastest-of-20 timings read about 1.9× on a 2-vCPU Xeon VM, so
+  this gate fails as it stands;
 * the golden-suite regeneration (every case in
   :data:`repro.exact.golden.GOLDEN_CASES`, exact rationals) is recorded
   quotiented vs. unquotiented so the perf log tracks the end-to-end cost of
@@ -17,7 +19,10 @@ Checks:
 
 Both timed comparisons run each variant once untimed first, so compilation,
 the symmetry search and interpreter warm-up are paid before either is timed
-(timed cold, the variant that ran first paid them alone).
+(timed cold, the variant that ran first paid them alone).  Each variant
+then takes :data:`REPEATS` timed runs, interleaved with the other's so both
+see the same host load, and the ratio compares the fastest of each: a single
+~10 ms analysis per variant measured the host more than the quotient.
 
 Wall-clock assertions carry the ``perf`` marker (opt-in via
 ``pytest --perf benchmarks/``); marker-free smoke tests keep the quotient
@@ -39,13 +44,32 @@ from repro.protocols.registry import get_protocol
 TIED_K3 = (0, 0, 1, 1, 2, 2)
 
 
-def _analysis_time(quotient: bool, arithmetic: str = "exact") -> float:
-    start = time.perf_counter()
+#: Timed runs per variant in each comparison (see the module docstring).
+REPEATS = 20
+
+
+def _fastest_times(run) -> tuple[float, float]:
+    """Fastest ``run(quotient)`` wall time of each variant: (quotiented, plain).
+
+    One untimed warm-up run per variant, then :data:`REPEATS` rounds that
+    time both variants back to back.
+    """
+    best = {True: float("inf"), False: float("inf")}
+    run(True)
+    run(False)
+    for _ in range(REPEATS):
+        for quotient in (True, False):
+            start = time.perf_counter()
+            run(quotient)
+            best[quotient] = min(best[quotient], time.perf_counter() - start)
+    return best[True], best[False]
+
+
+def _tied_analysis(quotient: bool) -> None:
     engine = ExactMarkovEngine.from_colors(
-        CirclesProtocol(3), TIED_K3, arithmetic=arithmetic, quotient=quotient
+        CirclesProtocol(3), TIED_K3, arithmetic="exact", quotient=quotient
     )
     engine.run(0)
-    return time.perf_counter() - start
 
 
 def test_quotient_chain_smoke():
@@ -69,13 +93,11 @@ def test_quotiented_engine_smoke():
 @pytest.mark.perf
 def test_quotient_speeds_up_the_tied_rational_analysis(record_perf):
     """≥4× on the tied circles k=3 rational solve (cubic in the orbit count)."""
-    _analysis_time(quotient=True)
-    _analysis_time(quotient=False)
-    quotient_time = _analysis_time(quotient=True)
-    plain_time = _analysis_time(quotient=False)
+    quotient_time, plain_time = _fastest_times(_tied_analysis)
     print(
-        f"\ntied circles k=3 exact analysis: quotient {quotient_time:.2f}s, "
-        f"unquotiented {plain_time:.2f}s, speedup {plain_time / quotient_time:.1f}x"
+        f"\ntied circles k=3 exact analysis (fastest of {REPEATS}): quotient "
+        f"{quotient_time * 1e3:.1f}ms, unquotiented {plain_time * 1e3:.1f}ms, "
+        f"speedup {plain_time / quotient_time:.2f}x"
     )
     record_perf(
         "exact-quotient-tied-k3",
@@ -100,8 +122,7 @@ def test_golden_suite_cost_is_recorded(record_perf):
     quotient on by default — the number that must not regress.
     """
 
-    def suite_time(quotient: bool) -> float:
-        start = time.perf_counter()
+    def suite(quotient: bool) -> None:
         for protocol_name, k, colors in GOLDEN_CASES:
             engine = ExactMarkovEngine.from_colors(
                 get_protocol(protocol_name, k),
@@ -110,15 +131,11 @@ def test_golden_suite_cost_is_recorded(record_perf):
                 quotient=quotient,
             )
             engine.run(0, criterion=case_criterion(protocol_name))
-        return time.perf_counter() - start
 
-    suite_time(True)
-    suite_time(False)
-    quotient_time = suite_time(True)
-    plain_time = suite_time(False)
+    quotient_time, plain_time = _fastest_times(suite)
     print(
-        f"\ngolden suite (exact rationals): quotient {quotient_time:.2f}s, "
-        f"unquotiented {plain_time:.2f}s"
+        f"\ngolden suite (exact rationals, fastest of {REPEATS}): quotient "
+        f"{quotient_time * 1e3:.1f}ms, unquotiented {plain_time * 1e3:.1f}ms"
     )
     record_perf(
         "exact-quotient-golden-suite",

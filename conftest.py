@@ -31,11 +31,11 @@ Fixtures
   walks one source class and takes its stabilizer images; the tests check
   it against this walk.
 * ``force_uncompiled`` — every engine and exact chain built while the
-  fixture is active runs its uncompiled path (a multiset of states and
-  Python dispatch), exactly as for a protocol whose δ-closure exceeds the
-  compile cap.  Tests and benches use it as the reference and baseline of
-  the compiled paths; it lives here so that both ``tests/`` and
-  ``benchmarks/`` see it.
+  fixture is active runs on a lazy interner (states numbered on first
+  sight, δ through Python dispatch once per code pair), exactly as for a
+  protocol whose δ-closure exceeds the compile cap.  Tests and benches use
+  it as the reference and baseline of the compiled paths; it lives here so
+  that both ``tests/`` and ``benchmarks/`` see it.
 """
 
 import sys
@@ -178,22 +178,21 @@ def bfs_lift():
     return _bfs_lift
 
 
-def _refuse_compilation(protocol, seed_states, max_states=None):
-    from repro.compile import StateSpaceCapExceeded
+def _intern_only(protocol, seed_states):
+    from repro.compile import LazyInterner
 
-    raise StateSpaceCapExceeded(f"compilation of {protocol.name!r} refused by force_uncompiled")
+    return LazyInterner(protocol, seed_states)
 
 
 @pytest.fixture
 def force_uncompiled(monkeypatch):
-    """Make the compile cap refuse every protocol for the rest of the test.
+    """Make the compile-or-intern decision intern every protocol for the rest of the test.
 
-    Engines and chains catch :class:`~repro.compile.StateSpaceCapExceeded`
-    and fall back to their uncompiled paths, so objects built after this
-    fixture is requested run those paths; objects built before keep theirs.
+    Engines and chains take their codes from
+    :func:`repro.compile.compile_or_intern`, so objects built after this
+    fixture is requested run on a :class:`~repro.compile.LazyInterner`;
+    objects built before keep their codes.
     """
-    import repro.exact.chain
-    import repro.simulation.base
+    import repro.compile
 
-    monkeypatch.setattr(repro.simulation.base, "compile_from_states", _refuse_compilation)
-    monkeypatch.setattr(repro.exact.chain, "compile_from_states", _refuse_compilation)
+    monkeypatch.setattr(repro.compile, "compile_or_intern", _intern_only)

@@ -343,10 +343,12 @@ def execute_run(spec: RunSpec) -> RunRecord:
 # exact anchors for adaptive stopping
 # --------------------------------------------------------------------------- #
 
-#: Configuration-space cap for stopping-rule anchors: bounds the BFS the
-#: anchor solve may attempt per cell, so an anchor lookup on a large
-#: population degrades to "no anchor" quickly instead of enumerating for
-#: minutes (mirrors E6's cap for its exact column).
+#: Configuration-space cap for exact table cells: the stopping-rule anchors
+#: here and E6's exact column (:mod:`repro.experiments.e6_convergence`).  It
+#: bounds the BFS one cell may attempt, so a large population degrades to "no
+#: anchor" or the infeasible sentinel quickly instead of enumerating for
+#: minutes.  With the symmetry quotient on by default it counts *orbit
+#: representatives*.
 EXACT_ANCHOR_MAX_CONFIGURATIONS = 4_000
 
 

@@ -18,7 +18,7 @@ color-facing entry point is :func:`compile_protocol`.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import Generic, TypeVar
 from weakref import WeakKeyDictionary
 
@@ -38,7 +38,44 @@ CodeLists = tuple[tuple[int, ...], ...]
 DEFAULT_MAX_COMPILED_STATES = 1024
 
 
-class CompiledProtocol(Generic[State]):
+class StateCodes(Generic[State]):
+    """The state codes engines and the exact chain keep count vectors over.
+
+    A :class:`CompiledProtocol` or, past the compile cap, a
+    :class:`~repro.compile.LazyInterner`; both pack ``δ`` as
+    ``table[p·stride + q] = a·stride + b`` for ``δ(p, q) = (a, b)``.
+    """
+
+    __slots__ = ()
+
+    states: Sequence[State]
+    outputs: Sequence[int]
+
+    def encode(self, state: State) -> int:
+        """The code of a state."""
+        raise NotImplementedError
+
+    def decode(self, code: int) -> State:
+        """The state at a code."""
+        return self.states[code]
+
+    def counts_to_multiset(self, counts: Iterable[int]) -> Multiset[State]:
+        """Decode a code-aligned count vector into a configuration multiset."""
+        states = self.states
+        return Multiset(
+            {states[code]: int(count) for code, count in enumerate(counts) if count}
+        )
+
+    def multiset_to_counts(self, configuration: Multiset[State]) -> list[int]:
+        """Encode a configuration multiset into a code-aligned count vector."""
+        codes = [(self.encode(state), count) for state, count in configuration.items()]
+        counts = [0] * len(self.states)
+        for code, count in codes:
+            counts[code] += count
+        return counts
+
+
+class CompiledProtocol(StateCodes[State]):
     """A protocol's reachable state space flattened into integer tables.
 
     Attributes:
@@ -115,10 +152,6 @@ class CompiledProtocol(Generic[State]):
         """The dense index of a state (KeyError outside the enumerated space)."""
         return self.index[state]
 
-    def decode(self, code: int) -> State:
-        """The state at a dense index."""
-        return self.states[code]
-
     def initial_index(self, color: int) -> int:
         """The encoded initial state for an input color."""
         return self.index[self.protocol.initial_state(color)]
@@ -136,26 +169,16 @@ class CompiledProtocol(Generic[State]):
         """The output color of an encoded state."""
         return self.outputs[code]
 
+    @property
+    def stride(self) -> int:
+        """The pair stride of :attr:`table`: the closure size ``d``."""
+        return self.num_states
+
     def output_colors(self) -> frozenset[int]:
         """Every color the output map can report over the enumerated space."""
         return frozenset(self.outputs)
 
     # -- conversions -----------------------------------------------------------
-
-    def counts_to_multiset(self, counts: Iterable[int]) -> Multiset[State]:
-        """Decode an index-aligned count vector into a configuration multiset."""
-        states = self.states
-        return Multiset(
-            {states[code]: int(count) for code, count in enumerate(counts) if count}
-        )
-
-    def multiset_to_counts(self, configuration: Multiset[State]) -> list[int]:
-        """Encode a configuration multiset into an index-aligned count vector."""
-        counts = [0] * self.num_states
-        index = self.index
-        for state, count in configuration.items():
-            counts[index[state]] += count
-        return counts
 
     def numpy_tables(self):
         """Cached numpy views ``(table, changed, outputs)``, or None without numpy."""

@@ -99,9 +99,7 @@ def exact_expected_convergence(
         ChainTooLarge / SolveTooLarge: when the input is too big for exact
             analysis (callers typically degrade to an empty table cell).
     """
-    quotient = quotient and (
-        criterion is None or getattr(criterion, "symmetry_invariant", True)
-    )
+    quotient = quotient and (criterion is None or criterion.symmetry_invariant)
     chain_cls = QuotientChain if quotient else ConfigurationChain
     chain = chain_cls.from_colors(
         protocol, colors, max_configurations=max_configurations

@@ -14,14 +14,15 @@ engine, the E3 model checker (:mod:`repro.analysis.verification`) and the
 verifier's lint probes all query it.
 
 Each configuration is stored as a :data:`Counts` tuple — agents per state
-code, index-aligned with :attr:`ConfigurationChain.states`.  The codes are
-the compiled δ-table's (:mod:`repro.compile`) whenever the protocol's closure
-fits the compile cap; otherwise the chain numbers states itself on first
-sight and memoizes ``δ`` per code pair through ``protocol.transition``, in
-a memo packed like the compiled table.  Either way the one BFS reads ``δ``
-from one flat table, expands present codes in ``repr`` order of their
-states, so discovery order and rows do not depend on the path taken, and
-each successor costs four integer updates on a list.  Multisets are decoded
+code, index-aligned with :attr:`ConfigurationChain.states`.  The codes come
+from :func:`repro.compile.compile_or_intern`: the compiled δ-table's whenever
+the protocol's closure fits the compile cap, otherwise those of a
+:class:`~repro.compile.LazyInterner` built for this chain, which numbers
+states on first sight and memoizes ``δ`` per code pair through
+``protocol.transition`` in the compiled table's packing.  Either way the
+one BFS reads ``δ`` from one flat table, expands present codes in ``repr``
+order of their states, so discovery order and rows do not depend on the
+path taken, and each successor costs four integer updates on a list.  Multisets are decoded
 only at the API edge: :meth:`~ConfigurationChain.configuration` /
 :meth:`~ConfigurationChain.decode` and the ``frozenset`` views ``keys`` /
 ``index``; class lifting and ranking stay on count tuples.
@@ -46,7 +47,6 @@ probability) live in :mod:`repro.exact.absorption`.
 
 from __future__ import annotations
 
-from array import array
 from bisect import insort
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from fractions import Fraction
@@ -55,7 +55,11 @@ from itertools import compress
 from operator import itemgetter
 from typing import Generic, TypeVar
 
-from repro.compile import CompiledProtocol, StateSpaceCapExceeded, compile_from_states
+import repro.compile
+
+# ``compile_from_states`` stays a name of this module because perfbench's
+# compile layer wraps it here; the codes come from ``compile_or_intern``.
+from repro.compile import CompiledProtocol, StateCodes, compile_from_states  # noqa: F401
 from repro.protocols.base import PopulationProtocol
 from repro.utils.multiset import Multiset
 
@@ -99,35 +103,6 @@ def _validate_arithmetic(arithmetic: str) -> str:
     return arithmetic
 
 
-#: The pair stride of :class:`_DeltaMemo`: above any code an uncompiled chain numbers.
-_UNCOMPILED_STRIDE = 1 << 32
-
-
-class _DeltaMemo(dict[int, int]):
-    """``δ`` of a chain without a compiled table, evaluated on first lookup.
-
-    Packed like :attr:`CompiledProtocol.table <repro.compile.CompiledProtocol>`
-    with the stride :data:`_UNCOMPILED_STRIDE`: ``memo[p·stride + q]`` is
-    ``a·stride + b`` for ``δ(p, q) = (a, b)``, so the chain reads one table
-    layout whether or not the protocol compiled.  States ``δ`` produces are
-    numbered on the way (:meth:`ConfigurationChain._code`).
-    """
-
-    def __init__(self, chain: "ConfigurationChain") -> None:
-        super().__init__()
-        self._chain = chain
-
-    def __missing__(self, pair: int) -> int:
-        chain = self._chain
-        p, q = divmod(pair, _UNCOMPILED_STRIDE)
-        result = chain.protocol.transition(chain.states[p], chain.states[q])
-        packed = chain._code(result.initiator) * _UNCOMPILED_STRIDE + chain._code(
-            result.responder
-        )
-        self[pair] = packed
-        return packed
-
-
 def _trim(counts: Counts) -> Counts:
     """Drop trailing zeros: the one form of a count tuple while codes are still being numbered."""
     end = len(counts)
@@ -147,8 +122,10 @@ class ConfigurationChain(Generic[State]):
         num_agents: the (conserved) population size ``n``.
         denominator: ``n·(n-1)``, the number of ordered agent pairs; every
             transition probability is an integer weight over it.
-        states: code -> state; ``compiled.states`` when compiled, else the
-            states in the order the BFS first met them.
+        codes: the chain's state codes: ``compiled``, or past the compile
+            cap the :class:`~repro.compile.LazyInterner` that numbers them.
+        states: code -> state, ``codes.states``: the compiled closure, or
+            the states in the order the BFS first met them.
         counts: index -> configuration as a :data:`Counts` tuple, in BFS
             discovery order; index 0 is the initial configuration.  Without
             a compiled table the tuples carry no trailing zeros.
@@ -186,26 +163,17 @@ class ConfigurationChain(Generic[State]):
             raise ValueError("a population needs at least two agents")
         self.num_agents = len(configuration)
         self.denominator = self.num_agents * (self.num_agents - 1)
-        self.compiled: CompiledProtocol[State] | None
-        try:
-            self.compiled = compile_from_states(protocol, configuration.support())
-        except StateSpaceCapExceeded:
-            self.compiled = None
-        self.states: Sequence[State] = []
-        self._codes: dict[State, int] = {}
-        #: Codes in ``repr`` order of their states: the order the BFS expands.
-        self._order: list[int] = []
-        if self.compiled is not None:
-            self.states, self._codes = self.compiled.states, self.compiled.index
-            self._order = sorted(range(len(self.states)), key=lambda c: repr(self.states[c]))
+        self.codes: StateCodes[State] = repro.compile.compile_or_intern(
+            protocol, configuration.support()
+        )
+        self.compiled: CompiledProtocol[State] | None = (
+            self.codes if isinstance(self.codes, CompiledProtocol) else None
+        )
+        self.states: Sequence[State] = self.codes.states
         #: ``δ`` as a flat packed table read by :meth:`_expand`, and its stride.
-        self._table: array[int] | _DeltaMemo
-        if self.compiled is not None:
-            self._table, self._stride = self.compiled.table, self.compiled.num_states
-        else:
-            self._table, self._stride = _DeltaMemo(self), _UNCOMPILED_STRIDE
-        for state in configuration.support():
-            self._code(state)
+        self._table, self._stride = self.codes.table, self.codes.stride
+        #: Codes in ``repr`` order of their states: the order the BFS expands.
+        self._order = sorted(range(len(self.states)), key=lambda c: repr(self.states[c]))
         initial_counts = tuple(configuration.count(state) for state in self.states)
         self.counts: list[Counts] = []
         self._lookup: dict[Counts, int] = {}
@@ -247,26 +215,20 @@ class ConfigurationChain(Generic[State]):
         """
         return None
 
-    def _code(self, state: State) -> int:
-        """The code of a state, numbering it on first sight when uncompiled."""
-        code = self._codes.get(state)
-        if code is None:
-            states = self.states
-            assert isinstance(states, list), "a compiled closure holds every state"
-            code = len(states)
-            self._codes[state] = code
-            states.append(state)
-            insort(self._order, code, key=lambda known: repr(states[known]))
-        return code
+    def _order_new_codes(self) -> None:
+        """Insert the codes the interner numbered since the last call into the repr order."""
+        states, order = self.states, self._order
+        for code in range(len(order), len(states)):
+            insort(order, code, key=lambda known: repr(states[known]))
 
     def _expand(self, counts: Counts) -> list[tuple[Counts, int]]:
         """One configuration's changing pairs, as ``(successor, weight)`` in pair order.
 
         Every ordered pair of present codes is visited in repr order and its
         ``δ`` read from the flat table — the compiled ``table`` or, without
-        one, the chain's own memo with the same packing (see
-        :class:`_DeltaMemo`): ``table[p·stride + q]`` is ``a·stride + b``,
-        equal to ``p·stride + q`` exactly when ``δ`` changes neither agent.
+        one, the memo of the :class:`~repro.compile.LazyInterner`, packed the
+        same way: ``table[p·stride + q]`` is ``a·stride + b``, equal to
+        ``p·stride + q`` exactly when ``δ`` changes neither agent.
         A pair's weight is its number of ordered agent pairs; the pairs left
         out change nothing and weigh :attr:`denominator` minus the total.
         """
@@ -294,6 +256,7 @@ class ConfigurationChain(Generic[State]):
                 successor[p] -= 1
                 successor[q] -= 1
                 if a >= width or b >= width:  # codes first met in this expansion
+                    self._order_new_codes()
                     successor += [0] * (len(self.states) - width)
                 successor[a] += 1
                 successor[b] += 1
@@ -389,8 +352,7 @@ class ConfigurationChain(Generic[State]):
 
     def decode(self, counts: Counts) -> Multiset[State]:
         """The configuration multiset a count tuple stands for."""
-        states = self.states
-        return Multiset({states[code]: count for code, count in enumerate(counts) if count})
+        return self.codes.counts_to_multiset(counts)
 
     def configuration(self, index: int) -> Multiset[State]:
         """The configuration multiset at a chain index."""
@@ -448,6 +410,9 @@ class ConfigurationChain(Generic[State]):
         return {successor for successor, _ in self._expand(counts)}
 
     # -- lifting (identity here; the quotient chain overrides) -----------------
+
+    #: Whether a nontrivial symmetry group is folded (only a quotient chain's can be).
+    is_quotiented = False
 
     @property
     def num_source_configurations(self) -> int:

@@ -84,23 +84,13 @@ def criterion_predicate(
 
     Mirrors :meth:`repro.simulation.base.ConfigurationEngine._evaluate`:
     silence is "no interaction changes anything", which is exactly
-    ``change_weights == 0``; other criteria try their
-    count-level fast path over the compiled codes and fall back to the
-    decoded multiset.
+    ``change_weights == 0``; other criteria judge the count tuple over the
+    chain's codes (:meth:`~repro.simulation.convergence.ConvergenceCriterion.is_converged_counts`).
     """
     if isinstance(criterion, SilentConfiguration):
         return lambda index: not chain.change_weights[index]
-    protocol = chain.protocol
-    compiled = chain.compiled
-
-    def holds(index: int) -> bool:
-        if compiled is not None:
-            verdict = criterion.is_converged_counts(protocol, compiled, chain.counts[index])
-            if verdict is not None:
-                return verdict
-        return criterion.is_converged_configuration(protocol, chain.configuration(index))
-
-    return holds
+    protocol, codes, counts = chain.protocol, chain.codes, chain.counts
+    return lambda index: criterion.is_converged_counts(protocol, codes, counts[index])
 
 
 class ExactMarkovEngine(SimulationEngine[State]):
@@ -139,8 +129,8 @@ class ExactMarkovEngine(SimulationEngine[State]):
         self.quotient = quotient
         self.steps_taken = 0
         self.interactions_changed = 0
-        self._chain: ConfigurationChain[State] | None = None
-        self._plain_chain: ConfigurationChain[State] | None = None
+        #: The chains built so far, keyed by whether they are quotiented.
+        self._chains: dict[bool, ConfigurationChain[State]] = {}
         self._final: Multiset[State] | None = None
         #: The :class:`DistributionResult` of the last ``run`` (None before).
         self.distribution_result: DistributionResult | None = None
@@ -186,7 +176,7 @@ class ExactMarkovEngine(SimulationEngine[State]):
         ``None`` before a chain is built (the first ``run`` or :attr:`chain`
         builds it) and when the protocol's δ-closure exceeds the compile cap.
         """
-        chain = self._chain if self._chain is not None else self._plain_chain
+        chain = next(iter(self._chains.values()), None)
         return None if chain is None else chain.compiled
 
     @property
@@ -197,42 +187,33 @@ class ExactMarkovEngine(SimulationEngine[State]):
         enabled; ``max_configurations`` then caps *orbit representatives*,
         which is what extends the engine's reach on symmetric inputs.
         """
-        if self._chain is None:
-            chain_cls = QuotientChain if self.quotient else ConfigurationChain
-            self._chain = chain_cls(
+        return self._build_chain(self.quotient)
+
+    def _build_chain(self, quotient: bool) -> ConfigurationChain[State]:
+        """The quotient or the plain chain of the input, built once each."""
+        chain = self._chains.get(quotient)
+        if chain is None:
+            chain_cls = QuotientChain if quotient else ConfigurationChain
+            chain = self._chains[quotient] = chain_cls(
                 self.protocol,
                 self._initial,
                 arithmetic=self.arithmetic,
                 max_configurations=self.max_configurations,
             )
-        return self._chain
+        return chain
 
     def _chain_for(
         self, criterion: ConvergenceCriterion[State] | None
     ) -> ConfigurationChain[State]:
-        """The chain a run with ``criterion`` must solve.
+        """The one chain a run with ``criterion`` solves.
 
         A criterion that can distinguish configurations within a symmetry
         orbit (``symmetry_invariant = False``) cannot be evaluated on orbit
-        representatives; such runs fall back to the unquotiented chain
-        (built lazily and cached separately, so criterion-free runs keep the
-        quotient's reach).
+        representatives, so such runs solve the unquotiented chain;
+        criterion-free runs and invariant criteria keep the quotient's reach.
         """
-        chain = self.chain
-        if (
-            criterion is not None
-            and not getattr(criterion, "symmetry_invariant", True)
-            and getattr(chain, "is_quotiented", False)
-        ):
-            if self._plain_chain is None:
-                self._plain_chain = ConfigurationChain(
-                    self.protocol,
-                    self._initial,
-                    arithmetic=self.arithmetic,
-                    max_configurations=self.max_configurations,
-                )
-            return self._plain_chain
-        return chain
+        invariant = criterion is None or criterion.symmetry_invariant
+        return self._build_chain(self.quotient and invariant)
 
     def _advance(self, max_interactions: int) -> int:  # pragma: no cover - unreachable
         raise RuntimeError(
@@ -374,7 +355,7 @@ class ExactMarkovEngine(SimulationEngine[State]):
             # correctness probability is exactly one — don't let float-mode
             # solver rounding (1 - O(ulp)) blur an almost-sure verdict.
             correctness = Fraction(1) if chain.arithmetic == "exact" else 1.0
-        quotiented = bool(getattr(chain, "is_quotiented", False))
+        quotiented = chain.is_quotiented
         return DistributionResult(
             protocol_name=protocol.name,
             num_agents=self._num_agents,

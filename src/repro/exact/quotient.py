@@ -95,15 +95,6 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
             unquotiented one.
     """
 
-    def __init__(
-        self,
-        *args: object,
-        max_symmetry_colors: int | None = None,
-        **kwargs: object,
-    ) -> None:
-        self._max_symmetry_colors = max_symmetry_colors
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-
     # -- group derivation ------------------------------------------------------
 
     def _prepare(self, initial: Counts) -> None:
@@ -116,14 +107,9 @@ class QuotientChain(ConfigurationChain[State], Generic[State]):
         # Imported lazily: repro.verify pulls the whole verifier package
         # (which itself imports repro.exact.chain); deferring keeps package
         # import order robust and costs one import per chain construction.
-        from repro.verify.symmetry import DEFAULT_MAX_SYMMETRY_COLORS, symmetry_actions
+        from repro.verify.symmetry import symmetry_actions
 
-        max_colors = (
-            DEFAULT_MAX_SYMMETRY_COLORS
-            if self._max_symmetry_colors is None
-            else self._max_symmetry_colors
-        )
-        actions = symmetry_actions(self.compiled, max_colors)
+        actions = symmetry_actions(self.compiled)
         self.symmetry = actions.certificate
         identity = tuple(range(len(initial)))
         gathers: set[tuple[int, ...]] = set()

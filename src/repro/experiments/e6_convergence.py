@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.api.executor import resolve_workload, run_sweep
+from repro.api.executor import EXACT_ANCHOR_MAX_CONFIGURATIONS, resolve_workload, run_sweep
 from repro.api.spec import SweepSpec, derive_seed
 from repro.api.stopping import StoppingRule
 from repro.exact import ChainTooLarge, SolveTooLarge, exact_expected_convergence
@@ -59,14 +59,6 @@ from repro.experiments.harness import (
     EXACT_NOT_ALMOST_SURE,
     ExperimentResult,
 )
-
-#: Configuration-space cap for the exact column (keeps the enumeration cheap
-#: even for protocols whose δ-closure does not compile, e.g. tournament at
-#: k ≥ 4 — those rows degrade to the infeasible sentinel).  With the
-#: symmetry quotient on by default the cap counts *orbit representatives*,
-#: so symmetric inputs reach populations their raw configuration count would
-#: have ruled out.
-EXACT_MAX_CONFIGURATIONS = 4_000
 
 
 def exact_expected_cell(protocol_name: str, k: int, colors: list[int]) -> str:
@@ -87,7 +79,7 @@ def exact_expected_cell(protocol_name: str, k: int, colors: list[int]) -> str:
             protocol,
             colors,
             protocol.default_criterion(),
-            max_configurations=EXACT_MAX_CONFIGURATIONS,
+            max_configurations=EXACT_ANCHOR_MAX_CONFIGURATIONS,
         )
     except (ChainTooLarge, SolveTooLarge):
         return EXACT_INFEASIBLE

@@ -17,12 +17,11 @@ analytically); this module holds what they share:
   engine (:mod:`repro.simulation.batch_engine`, and through it the vector
   replicate engine): construction and validation, delta emission for
   applied transitions, configuration bookkeeping, count-weighted output
-  tallies.  It also owns the *compiled* representation
-  (:mod:`repro.compile`): the configuration lives in an
-  integer-indexed count vector over the protocol's reachable state space
-  and transitions are flat-table lookups, with a transparent fallback to
-  the multiset representation for protocols whose δ-closure exceeds the
-  compile cap.  On the compiled path, quiescence checks
+  tallies.  The configuration lives in one integer-indexed count vector
+  over state codes from :func:`repro.compile.compile_or_intern`: the
+  compiled closure, whose transitions are flat-table lookups, or past the
+  compile cap a lazy interner that numbers states on first sight and
+  memoizes δ per code pair.  On the compiled path, quiescence checks
   (:class:`~repro.simulation.convergence.SilentConfiguration`) are answered
   by an incrementally maintained
   :class:`~repro.simulation.convergence.ActivePairTracker` instead of a
@@ -40,7 +39,11 @@ import abc
 from collections.abc import Callable, Hashable, Iterable
 from typing import ClassVar, Generic, TypeVar
 
-from repro.compile import CompiledProtocol, StateSpaceCapExceeded, compile_from_states
+import repro.compile
+
+# ``compile_from_states`` stays a name of this module because perfbench's
+# compile layer wraps it here; the codes come from ``compile_or_intern``.
+from repro.compile import CompiledProtocol, StateCodes, compile_from_states  # noqa: F401
 from repro.protocols.base import PopulationProtocol, TransitionResult
 from repro.simulation.convergence import (
     ActivePairTracker,
@@ -262,8 +265,8 @@ class SimulationEngine(abc.ABC, Generic[State]):
         """The compiled transition tables backing this engine, if any.
 
         ``None`` means no compiled tables back the engine: the agent engine
-        never uses them, and the configuration-level engines run without
-        them when the protocol's δ-closure exceeds the compile cap.
+        never uses them, and the configuration-level engines run on lazily
+        interned codes when the protocol's δ-closure exceeds the compile cap.
         """
         return getattr(self, "_compiled", None)
 
@@ -291,17 +294,18 @@ class ConfigurationEngine(SimulationEngine[State]):
     batch engine (:mod:`repro.simulation.batch_engine`) supplies the
     sampling strategy (:meth:`_advance`).
 
-    Compilation
+    State codes
     -----------
 
-    The engine compiles the protocol's δ-closure into flat integer tables
-    (:class:`repro.compile.CompiledProtocol`) and tracks the configuration as
-    an index-aligned **count vector** instead of a hashable-state multiset —
-    every transition becomes index arithmetic on that vector.  When the
-    closure exceeds the compile cap, the engine falls back to the multiset
-    representation and per-pair Python dispatch.
-    Exactly one of ``_counts`` (compiled) and ``_configuration`` (uncompiled)
-    is live at any time.
+    The configuration is one **count vector** over state codes on every
+    path, and every transition is index arithmetic on it.  The codes come
+    from :func:`repro.compile.compile_or_intern`: the compiled δ-closure
+    (:class:`repro.compile.CompiledProtocol`, whose flat tables also back the
+    sparse regime, the position kernel, the quiescence tracker and code
+    hooks), or, when the closure exceeds the compile cap, a
+    :class:`repro.compile.LazyInterner` that numbers states in the initial
+    configuration's order and then on first sight, and evaluates δ through
+    Python dispatch once per code pair.
     """
 
     def __init__(
@@ -314,18 +318,22 @@ class ConfigurationEngine(SimulationEngine[State]):
         configuration = initial if isinstance(initial, Multiset) else Multiset(initial)
         if len(configuration) < 2:
             raise ValueError("a population needs at least two agents")
-        self._configuration: Multiset[State] | None = configuration.copy()
         self._num_agents = len(configuration)
         self._rng = make_rng(seed)
         self.steps_taken = 0
         self.interactions_changed = 0
-        self._compiled: CompiledProtocol[State] | None = None
-        self._counts: list[int] | None = None
+        #: The state codes, and the compiled tables when they are those codes.
+        self._codes: StateCodes[State] = repro.compile.compile_or_intern(
+            protocol, configuration.counts()
+        )
+        self._compiled: CompiledProtocol[State] | None = (
+            self._codes if isinstance(self._codes, CompiledProtocol) else None
+        )
+        self._counts: list[int] = self._codes.multiset_to_counts(configuration)
         #: Lazily created incremental quiescence tracker (compiled path only).
         self._active_pairs: ActivePairTracker | None = None
         #: ``(criterion, interactions_changed, verdict)`` of the last check.
         self._verdict: tuple | None = None
-        self._try_compile()
         #: The attached observers, split by what they consume on the compiled
         #: path: ``(code, count)`` hooks, or decoded :class:`CountDelta`\ s.
         self._code_hooks: list[Callable[[int, int], None]] = []
@@ -341,16 +349,6 @@ class ConfigurationEngine(SimulationEngine[State]):
             self._code_hooks.append(hook)
         return observer
 
-    def _try_compile(self) -> None:
-        """Switch to the count-vector representation when compilation fits."""
-        try:
-            compiled = compile_from_states(self.protocol, self._configuration.support())
-        except StateSpaceCapExceeded:
-            return
-        self._compiled = compiled
-        self._counts = compiled.multiset_to_counts(self._configuration)
-        self._configuration = None
-
     @classmethod
     def from_colors(
         cls,
@@ -361,33 +359,8 @@ class ConfigurationEngine(SimulationEngine[State]):
         """Create the initial configuration from input colors."""
         return cls(protocol, initial_configuration(protocol, colors), seed)
 
-    def _apply_changed_transition(
-        self,
-        initiator: State,
-        responder: State,
-        result: TransitionResult[State],
-        count: int,
-    ) -> None:
-        """Book a changed transition: counters, configuration, observers."""
-        self.interactions_changed += count
-        configuration = self._configuration
-        configuration.remove(initiator, count)
-        configuration.remove(responder, count)
-        configuration.add(result.initiator, count)
-        configuration.add(result.responder, count)
-        if self._observers:
-            delta = CountDelta(
-                step=self.steps_taken,
-                initiator=initiator,
-                responder=responder,
-                result=result,
-                count=count,
-            )
-            for observer in self._observers:
-                observer.on_delta(delta)
-
     def _record_changed_codes(self, p: int, q: int, a: int, b: int, count: int) -> None:
-        """Book a changed compiled transition: counter, code hooks, decoded delta.
+        """Book a changed transition on codes: counter, code hooks, decoded delta.
 
         States are decoded only when an attached observer needs a
         :class:`CountDelta`.  Count-vector bookkeeping stays with the caller —
@@ -400,7 +373,7 @@ class ConfigurationEngine(SimulationEngine[State]):
             for hook in self._code_hooks:
                 hook(code, count)
         if self._delta_observers:
-            decode = self._compiled.decode
+            decode = self._codes.decode
             delta = CountDelta(
                 step=self.steps_taken,
                 initiator=decode(p),
@@ -412,7 +385,7 @@ class ConfigurationEngine(SimulationEngine[State]):
                 observer.on_delta(delta)
 
     def _book_changed_codes(self, p: int, q: int, a: int, b: int, count: int) -> None:
-        """Apply one changed compiled pair type to the count vector and book it."""
+        """Apply one changed pair type to the count vector and book it."""
         counts = self._counts
         counts[p] -= count
         counts[q] -= count
@@ -452,19 +425,9 @@ class ConfigurationEngine(SimulationEngine[State]):
         return verdict
 
     def _evaluate(self, criterion: ConvergenceCriterion[State]) -> bool:
-        compiled = self._compiled
-        if compiled is not None:
-            if isinstance(criterion, SilentConfiguration):
-                return self._quiescence().is_silent()
-            verdict = criterion.is_converged_counts(self.protocol, compiled, self._counts)
-            if verdict is not None:
-                return verdict
-        configuration = (
-            self._configuration
-            if compiled is None
-            else compiled.counts_to_multiset(self._counts)
-        )
-        return criterion.is_converged_configuration(self.protocol, configuration)
+        if self._compiled is not None and isinstance(criterion, SilentConfiguration):
+            return self._quiescence().is_silent()
+        return criterion.is_converged_counts(self.protocol, self._codes, self._counts)
 
     # -- inspection -------------------------------------------------------------
 
@@ -475,10 +438,8 @@ class ConfigurationEngine(SimulationEngine[State]):
 
     def states(self) -> list[State]:
         """The current agent states (anonymous, so order carries no meaning)."""
-        if self._compiled is None:
-            return list(self._configuration.elements())
         states: list[State] = []
-        decode = self._compiled.decode
+        decode = self._codes.decode
         for code, count in enumerate(self._counts):
             if count:
                 states.extend([decode(code)] * int(count))
@@ -486,32 +447,25 @@ class ConfigurationEngine(SimulationEngine[State]):
 
     def configuration(self) -> Multiset[State]:
         """A copy of the current configuration."""
-        if self._compiled is None:
-            return self._configuration.copy()
-        return self._compiled.counts_to_multiset(self._counts)
+        return self._codes.counts_to_multiset(self._counts)
 
     def count_vector(self):
-        """The live count vector, index-aligned with ``compiled_protocol.states``.
+        """The live count vector over the engine's state codes.
 
-        ``None`` on the uncompiled path.  The vector is the engine's working
-        state — treat it as read-only.
+        Index-aligned with ``compiled_protocol.states`` when the protocol
+        compiled.  The vector is the engine's working state — treat it as
+        read-only.
         """
         return self._counts
 
     def output_counts(self) -> dict[int, int]:
         """How many agents currently output each color."""
         counts: dict[int, int] = {}
-        if self._compiled is None:
-            output = self.protocol.output
-            for state, count in self._configuration.items():
-                color = output(state)
-                counts[color] = counts.get(color, 0) + count
-        else:
-            outputs = self._compiled.outputs
-            for code, count in enumerate(self._counts):
-                if count:
-                    color = outputs[code]
-                    counts[color] = counts.get(color, 0) + int(count)
+        outputs = self._codes.outputs
+        for code, count in enumerate(self._counts):
+            if count:
+                color = outputs[code]
+                counts[color] = counts.get(color, 0) + int(count)
         return counts
 
     def unanimous_output(self) -> int | None:

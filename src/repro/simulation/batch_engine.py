@@ -61,10 +61,12 @@ population-protocol simulators of Berenbrink et al.:
   on a silent configuration), with their regime decisions and cached
   convergence checks, and leaves the first draw that lands an event as
   the skip the next :meth:`_run_sparse` call starts from.
-- Uncompiled engines (a δ-closure over the compile cap) run the same dense
-  step over a pool of decoded states, with the transition memoized per
-  ordered state pair and judged by the states it returns, not by its
-  ``changed`` flag.
+- Past the compile cap the engine runs the same dense step over a pool of
+  codes from a :class:`~repro.compile.LazyInterner`, built in the initial
+  configuration's order, and books it on the count vector like the
+  compiled loop.  δ comes from the interner's per-pair memo, and a pair
+  changes exactly when its packed result differs from it, that is, when δ
+  returns different states, whatever its ``changed`` flag says.
 
 The induced Markov chain over configurations is *identical* to the agent
 engine's under the uniform random scheduler on every path;
@@ -92,7 +94,7 @@ from math import log, log1p
 from operator import itemgetter, mul
 from typing import Generic, TypeVar
 
-from repro.protocols.base import PopulationProtocol, TransitionResult
+from repro.protocols.base import PopulationProtocol
 from repro.simulation.base import ConfigurationEngine
 from repro.simulation.convergence import ConvergenceCriterion
 from repro.utils.multiset import Multiset
@@ -245,7 +247,6 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         seed: RngLike = None,
     ) -> None:
         super().__init__(protocol, initial, seed)
-        self._transition_cache: dict[tuple[State, State], TransitionResult[State]] = {}
         self._kernel = None
         self._pool: list | None = None
         #: The sparse regime's event chain over the count vector; None while dense.
@@ -276,30 +277,21 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
                 self._counts,
             )
             self._counts = self._kernel.counts[0]
-        elif self._compiled is not None:
-            #: Flat pool of encoded agent states, one entry per agent.
-            self._pool = self._pool_from_counts()
-            self._row_getters = self._compiled.derived("active-row-getters", _active_row_getters)
-            #: Step at which the regime is next re-decided (once per n),
-            #: ``(steps_taken, interactions_changed)`` at the last decision,
-            #: and the load it measured (None when it measured none).
-            self._next_decision = 0
-            self._last_decision = (0, 0)
-            self._load: float | None = None
         else:
-            #: Flat pool of decoded agent states, one entry per agent.
-            self._pool = list(self._configuration.elements())
-
-    # -- transition evaluation ---------------------------------------------------
-
-    def _transition(self, initiator: State, responder: State) -> TransitionResult[State]:
-        """Memoized Python-dispatch transition, judged by its states (uncompiled path only)."""
-        key = (initiator, responder)
-        result = self._transition_cache.get(key)
-        if result is None:
-            result = self.protocol.transition(initiator, responder).judged_from(*key)
-            self._transition_cache[key] = result
-        return result
+            #: Flat pool of agent codes, one entry per agent.
+            self._pool = self._pool_from_counts()
+            if self._compiled is not None:
+                self._row_getters = self._compiled.derived(
+                    "active-row-getters", _active_row_getters
+                )
+                #: Step at which the regime is next re-decided (once per n),
+                #: ``(steps_taken, interactions_changed)`` at the last
+                #: decision, and the load it measured (None when it measured
+                #: none).  Interned codes stay dense: the sparse regime reads
+                #: the compiled tables.
+                self._next_decision = 0
+                self._last_decision = (0, 0)
+                self._load: float | None = None
 
     # -- stepping ------------------------------------------------------------------
 
@@ -372,21 +364,27 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         start = self.steps_taken
         compiled = self._compiled
         if compiled is None:
-            transition = self._transition
-            book = self._apply_changed_transition
+            # Lazily interned codes: δ from the interner's memo, where a pair
+            # changes exactly when its packed result differs from it.  Codes
+            # first met extend the count vector before it is booked.
+            table, stride, states = self._codes.table, self._codes.stride, self._codes.states
+            counts = self._counts
+            book = self._book_changed_codes
             for step in range(start, start + window):
                 first = int(rng_random() * n)
                 second = int(rng_random() * others)
                 if second >= first:
                     second += 1
-                initiator = pool[first]
-                responder = pool[second]
-                result = transition(initiator, responder)
-                if result.changed:
-                    pool[first] = result.initiator
-                    pool[second] = result.responder
+                pair = pool[first] * stride + pool[second]
+                packed = table[pair]
+                if packed != pair:
+                    p, q = divmod(pair, stride)
+                    a, b = divmod(packed, stride)
+                    pool[first] = a
+                    pool[second] = b
+                    counts.extend([0] * (len(states) - len(counts)))
                     self.steps_taken = step
-                    book(initiator, responder, result, 1)
+                    book(p, q, a, b, 1)
             self.steps_taken = start + window
             return window
         d = compiled.num_states
@@ -610,7 +608,5 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         """The current agent states (anonymous, so order carries no meaning)."""
         if self._pool is None:
             return super().states()
-        if self._compiled is not None:
-            decode = self._compiled.decode
-            return [decode(code) for code in self._pool]
-        return list(self._pool)
+        decode = self._codes.decode
+        return [decode(code) for code in self._pool]

@@ -26,10 +26,10 @@ when to stop.  Three criteria are provided:
   of out-of-date agents, so this criterion converges earlier than silence
   while still being permanent.
 
-Criteria may additionally implement :meth:`ConvergenceCriterion.is_converged_counts`,
-a count-level fast path evaluated directly on a compiled engine's count
-vector (no multiset materialization); returning ``None`` falls back to the
-configuration-level check.
+Configuration-level consumers judge a criterion on a count vector over state
+codes (:meth:`ConvergenceCriterion.is_converged_counts`), which by default
+decodes the vector and judges the multiset; criteria may override it with a
+fast path that reads the codes' tables and decodes nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import abc
 from collections.abc import Hashable, Sequence
 from typing import Generic, TypeVar
 
+from repro.compile import CompiledProtocol, StateCodes
 from repro.core.circles import CirclesProtocol
 from repro.core.invariants import diagonal_colors, is_stable_configuration, outputs_agree
 from repro.core.state import CirclesState
@@ -80,24 +81,24 @@ class ConvergenceCriterion(abc.ABC, Generic[State]):
         return self.is_converged(protocol, list(configuration.elements()))
 
     def is_converged_counts(
-        self, protocol: PopulationProtocol[State], compiled, counts
-    ) -> bool | None:
-        """Count-level fast path over a compiled count vector.
+        self, protocol: PopulationProtocol[State], compiled: StateCodes[State], counts
+    ) -> bool:
+        """The verdict on a count vector over state codes.
 
-        ``counts`` is index-aligned with ``compiled.states``.  Return the
-        verdict, or ``None`` to defer to the configuration-level check (the
-        default).  Implementations must agree with
-        :meth:`is_converged_configuration` on the decoded configuration.
+        ``counts`` is index-aligned with ``compiled.states`` (the compiled
+        tables, or a lazy interner past the compile cap).  The default judges
+        the decoded configuration; overrides are fast paths and must agree
+        with :meth:`is_converged_configuration` on it.
         """
-        return None
+        return self.is_converged_configuration(protocol, compiled.counts_to_multiset(counts))
 
     def is_converged_rows(self, protocol: PopulationProtocol[State], compiled, counts):
-        """Row-wise fast path over an ``(R × d)`` numpy count matrix.
+        """One verdict per row of an ``(R × d)`` numpy count matrix.
 
-        Return a boolean vector with one verdict per row, or ``None`` to
-        defer to :meth:`is_converged_counts` row by row (the default).
+        Returns a sequence of booleans aligned with the rows; the default
+        judges each row through :meth:`is_converged_counts`.
         """
-        return None
+        return [bool(self.is_converged_counts(protocol, compiled, row)) for row in counts]
 
 
 class OutputConsensus(ConvergenceCriterion[State]):
@@ -134,8 +135,8 @@ class OutputConsensus(ConvergenceCriterion[State]):
         return next(iter(outputs)) == self.target
 
     def is_converged_counts(
-        self, protocol: PopulationProtocol[State], compiled, counts
-    ) -> bool | None:
+        self, protocol: PopulationProtocol[State], compiled: StateCodes[State], counts
+    ) -> bool:
         first: int | None = None
         outputs = compiled.outputs
         for code, count in enumerate(counts):
@@ -154,9 +155,10 @@ class SilentConfiguration(ConvergenceCriterion[State]):
     """No interaction between any two present states changes anything.
 
     On a compiled engine the check is answered by the engine's
-    :class:`ActivePairTracker` in ``O(1)`` per check.  Uncompiled engines
-    call :meth:`is_converged_configuration`, the classic from-scratch
-    ``O(d²)`` rescan through ``protocol.transition`` (also the baseline the
+    :class:`ActivePairTracker` in ``O(1)`` per check.  Past the compile cap
+    engines judge the decoded configuration through
+    :meth:`is_converged_configuration`, the classic from-scratch ``O(d²)``
+    rescan through ``protocol.transition`` (also the baseline the
     incremental-detection benchmark measures against).  The rescan judges a
     pair by the states δ returns, not by its ``changed`` flag.
     """
@@ -214,10 +216,18 @@ class StableCircles(ConvergenceCriterion[CirclesState]):
         return self._is_converged_support(protocol, list(configuration.support()))
 
     def is_converged_counts(
-        self, protocol: PopulationProtocol[CirclesState], compiled, counts
-    ) -> bool | None:
+        self,
+        protocol: PopulationProtocol[CirclesState],
+        compiled: StateCodes[CirclesState],
+        counts,
+    ) -> bool:
         """The criterion from the present codes alone, through the compiled
-        :func:`stable_circles_tables` (no state is decoded)."""
+        :func:`stable_circles_tables` (no state is decoded).
+
+        Lazily interned codes have no tables; they are judged decoded.
+        """
+        if not isinstance(compiled, CompiledProtocol):
+            return super().is_converged_counts(protocol, compiled, counts)
         _require_circles(protocol)
         unstable, outputs, diagonal = stable_circles_tables(compiled)
         present = [code for code, count in enumerate(counts) if count]

@@ -33,9 +33,9 @@ Two entry points:
   driver, returning a :class:`ReplicateGroup` whose :meth:`ReplicateGroup.run`
   mirrors the shared engine run loop row-wise (same check schedule, same
   criterion semantics, checks consume no randomness) and reports one
-  :class:`ReplicateOutcome` per row.  Without numpy (or uncompiled, or below
-  the kernel's population gate) the group falls back to looping batch
-  engines — trivially bit-identical, just not vectorized.
+  :class:`ReplicateOutcome` per row.  Without numpy (or past the compile
+  cap, or below the kernel's population gate) the group falls back to
+  looping batch engines — trivially bit-identical, just not vectorized.
 """
 
 from __future__ import annotations
@@ -256,21 +256,9 @@ class ReplicateGroup(Generic[State]):
         """Check every active row; mark and drop the rows whose criterion holds."""
         counts = self._kernel.counts[active]
         if tracker is not None:
-            verdicts = tracker.silent_rows(active, counts).tolist()
-        elif (
-            rows := criterion.is_converged_rows(self.protocol, self._compiled, counts)
-        ) is not None:
-            verdicts = rows.tolist()
+            verdicts = tracker.silent_rows(active, counts)
         else:
-            verdicts = []
-            for j in range(len(active)):
-                verdict = criterion.is_converged_counts(self.protocol, self._compiled, counts[j])
-                if verdict is None:
-                    verdict = criterion.is_converged_configuration(
-                        self.protocol,
-                        self._compiled.counts_to_multiset(counts[j].tolist()),
-                    )
-                verdicts.append(bool(verdict))
+            verdicts = criterion.is_converged_rows(self.protocol, self._compiled, counts)
         still_active = []
         for row, verdict in zip(active, verdicts):
             if verdict:

@@ -125,9 +125,9 @@ def _pin_batch_path(request, name: str) -> str:
     """The registry engine name for an engine name or a batch path.
 
     ``batch-dense`` and ``batch-sparse`` hold the batch engine in one pool
-    regime for the whole run; ``batch-uncompiled`` runs its pool of decoded
-    states through ``force_uncompiled``, so every engine and chain built
-    after the call is uncompiled.  Any other name is a registry engine name,
+    regime for the whole run; ``batch-uncompiled`` runs its pool of lazily
+    interned codes through ``force_uncompiled``, so every engine and chain
+    built after the call is uncompiled.  Any other name is a registry engine name,
     passed through.
     """
     import repro.simulation.batch_engine as batch_engine

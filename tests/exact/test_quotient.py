@@ -239,6 +239,28 @@ class TestCriterionFallback:
         targeted_probability = targeted.distribution_result.criterion_probability
         assert targeted_probability == blind_probability / 2
 
+    @pytest.mark.parametrize("colors", [TIED, (0, 0, 0, 1, 1)])
+    def test_color_naming_run_builds_one_chain(self, monkeypatch, colors):
+        # The chain is picked from the criterion up front: no quotient chain
+        # is built first and then set aside for the plain one.
+        built = []
+        explore = ConfigurationChain._explore
+
+        def counting_explore(chain, *args):
+            built.append(type(chain))
+            return explore(chain, *args)
+
+        monkeypatch.setattr(ConfigurationChain, "_explore", counting_explore)
+        engine = ExactMarkovEngine.from_colors(CirclesProtocol(2), colors, arithmetic="exact")
+        engine.run(0, criterion=OutputConsensus(target=0))
+        assert built == [ConfigurationChain]
+        plain = ExactMarkovEngine.from_colors(
+            CirclesProtocol(2), colors, arithmetic="exact", quotient=False
+        )
+        plain.run(0, criterion=OutputConsensus(target=0))
+        assert engine.distribution_result.to_dict() == plain.distribution_result.to_dict()
+        assert engine.distribution_result.num_orbits is None
+
     def test_convenience_function_gates_the_quotient_on_invariance(self):
         # A majority input: StableCircles is almost sure, so the expectation
         # exists and must agree across the quotiented and plain pipelines.

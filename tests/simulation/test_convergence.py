@@ -137,19 +137,57 @@ class TestCountLevelFastPaths:
 
     def test_silent_configuration_has_no_counts_fast_path(self):
         # Silence is answered by the engine's incremental tracker instead;
-        # the criterion itself defers to the from-scratch rescan.
+        # on counts the criterion judges the decoded configuration.
         protocol = CirclesProtocol(2)
-        states = [CirclesState(0, 0, 0)] * 2
-        compiled, counts = self._compiled_counts(protocol, states)
-        assert SilentConfiguration().is_converged_counts(protocol, compiled, counts) is None
+        silent = [CirclesState(0, 0, 0)] * 2
+        compiled, counts = self._compiled_counts(protocol, silent)
+        assert SilentConfiguration().is_converged_counts(protocol, compiled, counts) is True
+        noisy = [CirclesState(0, 0, 0), CirclesState(1, 1, 1), CirclesState(1, 1, 1)]
+        compiled, counts = self._compiled_counts(protocol, noisy)
+        assert SilentConfiguration().is_converged_counts(protocol, compiled, counts) is False
+        assert not SilentConfiguration().is_converged_configuration(protocol, Multiset(noisy))
 
     def test_base_criterion_default_defers(self):
-        assert (
-            OutputConsensus.__mro__[1].is_converged_counts(
-                OutputConsensus(), CirclesProtocol(2), None, []
-            )
-            is None
-        )
+        # The base class defers to the configuration-level check on the
+        # decoded counts, with no None escape.
+        protocol = CirclesProtocol(2)
+        states = [CirclesState(0, 1, 0), CirclesState(1, 0, 0)]
+        compiled, counts = self._compiled_counts(protocol, states)
+        base = OutputConsensus.__mro__[1].is_converged_counts
+        assert base(OutputConsensus(), protocol, compiled, counts) is True
+        assert base(OutputConsensus(target=1), protocol, compiled, counts) is False
+        assert base(OutputConsensus(), protocol, compiled, [0] * len(counts)) is False
+
+    @pytest.mark.parametrize(
+        "criterion", [OutputConsensus(), OutputConsensus(target=0), StableCircles()]
+    )
+    def test_interned_counts_match_the_configuration_variant(self, criterion):
+        from repro.compile import LazyInterner
+
+        protocol = CirclesProtocol(3)
+        cases = [
+            [CirclesState(0, 0, 0), CirclesState(0, 1, 0), CirclesState(1, 0, 0)],
+            [CirclesState(0, 1, 2), CirclesState(1, 0, 2), CirclesState(1, 0, 2)],
+            [CirclesState(2, 2, 2)] * 3,
+        ]
+        for states in cases:
+            configuration = Multiset(states)
+            interner = LazyInterner(protocol, configuration.counts())
+            counts = interner.multiset_to_counts(configuration)
+            assert criterion.is_converged_counts(
+                protocol, interner, counts
+            ) == criterion.is_converged_configuration(protocol, configuration)
+
+    def test_rows_default_judges_row_by_row(self):
+        protocol = CirclesProtocol(2)
+        states = [CirclesState(0, 0, 0), CirclesState(0, 1, 0), CirclesState(1, 0, 1)]
+        compiled, _ = self._compiled_counts(protocol, states)
+        rows = [[0] * compiled.num_states for _ in range(3)]
+        rows[0][compiled.encode(states[0])] = 2
+        rows[1][compiled.encode(states[1])] = 1
+        rows[1][compiled.encode(states[2])] = 1
+        verdicts = OutputConsensus().is_converged_rows(protocol, compiled, rows)
+        assert verdicts == [True, False, False]
 
 
 class TestCriterionEdgeCases:

@@ -26,7 +26,7 @@ class TestInitialStates:
 
 class TestInitialConfiguration:
     """Counts-first set-up must equal the per-agent multiset, item order included:
-    the uncompiled multiset path iterates the configuration in that order."""
+    past the compile cap the engines number their codes in that order."""
 
     @pytest.mark.parametrize(
         "name", ["circles", "circles-unordered", "exact-majority", "leader-election"]
