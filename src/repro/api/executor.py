@@ -12,9 +12,9 @@ here, through registries:
 * **runners** — named run strategies.  The default ``"protocol"`` runner
   resolves the protocol registry and calls
   :func:`~repro.simulation.runner.run_protocol`; a spec without a criterion
-  stops on the protocol's ``default_criterion()``.  Experiments with bespoke
-  instrumentation (e.g. E2's per-exchange potential check) register their own
-  runner so they stay spec-drivable.
+  stops on the protocol's ``default_criterion()``.  Every experiment runs on
+  it, instrumented through the spec's criterion and observers; the registry
+  takes custom strategies (such as fault injectors in tests).
 
 :func:`execute_run` is a module-level function of the spec alone — no shared
 state, no ambient RNG — which is what makes the multiprocessing executor's
@@ -159,16 +159,12 @@ def register_runner(name: str, runner: RunnerFn, *, overwrite: bool = False) -> 
 
 
 def get_runner(name: str) -> RunnerFn:
-    """Resolve a runner name; imports the experiment package once as a
-    fallback so specs naming experiment-registered runners (e.g.
-    ``"e2-stabilization"``) work from a cold process.
+    """Resolve a runner name.
 
     Raises:
         KeyError: for unknown names, listing the available ones (the shared
             registry error contract of :mod:`repro.utils.errors`).
     """
-    if name not in _RUNNERS:
-        import repro.experiments  # noqa: F401  (registers experiment runners)
     try:
         return _RUNNERS[name]
     except KeyError:
@@ -599,10 +595,9 @@ def available_executors() -> tuple[str, ...]:
 def _import_service_executors() -> None:
     """Import :mod:`repro.service` once so its executors self-register.
 
-    Mirrors :func:`get_runner`'s lazy experiment import: the service package
-    registers the ``"asyncio"`` work-stealing executor on import, and
-    importing it *here* (instead of at module top) keeps ``repro.api`` free
-    of a circular dependency on the service layer.
+    The service package registers the ``"asyncio"`` work-stealing executor
+    on import, and importing it *here* (instead of at module top) keeps
+    ``repro.api`` free of a circular dependency on the service layer.
     """
     if "asyncio" not in EXECUTORS:
         import repro.service  # noqa: F401  (registers service executors)

@@ -36,9 +36,11 @@ from repro.utils.atomic import atomic_write_text
 #: epoch 4), or that reports more of a run (Circles runs with an explicit
 #: criterion carry ket exchanges and energies, epoch 3) changes what
 #: :func:`~repro.api.executor.execute_run` returns for an unchanged spec.  The result store writes the epoch on every line and
-#: never serves a line of another epoch.  Bump it with every such change;
-#: spec SHAs and derived seeds stay as they are.
-RECORD_EPOCH = 5
+#: never serves a line of another epoch.  Bump it with every such change.
+#: Derived seeds never move; spec SHAs moved once, at epoch 6, when specs
+#: lost their inert ``compiled`` key, so older lines load as stale instead
+#: of as records no spec can reach.
+RECORD_EPOCH = 6
 
 
 @dataclass(frozen=True)

@@ -139,18 +139,14 @@ class RunSpec:
     #: analytical ``"exact"`` engine — small n only; its
     #: DistributionResult lands in the record's ``extras["exact"]``).
     engine: str = "agent"
-    #: Always ``None``, kept so that every stored spec hashes as before.
-    #: The compile cap alone decides whether an engine runs on compiled
-    #: tables; :meth:`from_dict` rejects any other value.
-    compiled: None = field(default=None, init=False)
     scheduler: str | None = None
     scheduler_params: Mapping[str, Any] = field(default_factory=dict)
     criterion: str | None = None
     max_steps: int | None = None
-    #: Named run strategy (see ``repro.api.executor.register_runner``); the
-    #: default resolves the protocol registry and calls ``run_protocol``,
-    #: which stops on the protocol's ``default_criterion()`` when
-    #: ``criterion`` is unset.
+    #: Named run strategy (see ``repro.api.executor.register_runner``).  The
+    #: default, which every experiment uses, resolves the protocol registry
+    #: and calls ``run_protocol``, which stops on the protocol's
+    #: ``default_criterion()`` when ``criterion`` is unset.
     runner: str = "protocol"
     #: Seed for the engine (and the scheduler, on the agent engine).
     seed: int | None = None
@@ -232,7 +228,6 @@ class RunSpec:
             "protocol_params": _copy_params(self.protocol_params),
             "workload_params": _copy_params(self.workload_params),
             "engine": self.engine,
-            "compiled": self.compiled,
             "scheduler": self.scheduler,
             "scheduler_params": _copy_params(self.scheduler_params),
             "criterion": self.criterion,
@@ -248,15 +243,9 @@ class RunSpec:
         """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON).
 
         Raises:
-            ValueError: when ``compiled`` is set to anything but ``None``.
+            TypeError: for a key that is not a field, such as the
+                ``compiled`` switch of earlier versions.
         """
-        data = dict(data)
-        compiled = data.pop("compiled", None)
-        if compiled is not None:
-            raise ValueError(
-                f"compiled must be null, got {compiled!r}: the compile cap "
-                "decides whether an engine runs on compiled tables"
-            )
         return cls(**data)
 
     def to_json(self, indent: int | None = None) -> str:

@@ -7,17 +7,19 @@ measured number of ket exchanges, the number of interactions until the
 Circles stability criterion holds, and whether the ordinal potential was
 strictly decreasing at every observed exchange (it must always be).
 
-The sweep is described declaratively: :func:`run` builds a
-:class:`~repro.api.spec.SweepSpec` over (n, k) and executes it through the
-custom ``"e2-stabilization"`` runner registered below, keeping E2 runs
-persistable and parallelizable like any other spec.  The instrumentation
-itself is the observer pipeline (:mod:`repro.simulation.observers`): a
-:class:`~repro.simulation.observers.KetExchangeObserver` counts exchanges and
-a :class:`~repro.simulation.observers.PotentialObserver` verifies the strict
+The sweep is described declaratively: :func:`sweep_spec` builds a
+:class:`~repro.api.spec.SweepSpec` over (n, k) that runs the default
+``"protocol"`` runner under the ``stable-circles`` criterion with the
+``potential`` observer, so E2 runs are persistable and parallelizable like
+any other spec.  The runner counts ket exchanges for every Circles run; the
+:class:`~repro.simulation.observers.PotentialObserver` verifies the strict
 potential decrease — identically on *every* engine, at each engine's exact
 delta granularity (per interaction on the agent engine, per kernel-round
-aggregate on the batched engine from ``n = 4096``), which is what scales the
-measurement to large ``n``.
+aggregate on the batched engine from ``n = 4096``; a composition of strictly
+decreasing exchanges, so strictness carries over), which is what scales the
+measurement to large ``n``.  On the agent engine the sweep names the
+uniform random scheduler, the law the paper's analysis assumes and the one
+the configuration-level engines sample.
 
 The sweep defaults to adaptive sequential sampling (``trials="auto"``,
 :mod:`repro.api.stopping`): each (n, k) cell repeats its instrumented run
@@ -29,109 +31,13 @@ the statistic needed rather than a single draw.  Pass a fixed integer
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro.analysis.statistics import mean
-from repro.api.executor import register_runner, resolve_workload, run_sweep
-from repro.api.records import RunRecord
-from repro.api.spec import RunSpec, SweepSpec, derive_seed
+from repro.api.executor import run_sweep
+from repro.api.spec import SweepSpec, derive_seed
 from repro.api.stopping import StoppingRule
-from repro.core.circles import CirclesProtocol
-from repro.core.greedy_sets import has_unique_majority, predicted_majority
 from repro.experiments.harness import ExperimentResult
-from repro.scheduling.random_uniform import UniformRandomScheduler
-from repro.simulation.convergence import StableCircles
-from repro.simulation.engine import AgentSimulation
-from repro.simulation.observers import KetExchangeObserver, PotentialObserver
-from repro.simulation.population import Population
-from repro.simulation.registry import get_engine
-from repro.utils.rng import make_rng
-
-
-def _measure_on_colors(
-    colors: Sequence[int],
-    num_colors: int,
-    engine_seed: int,
-    budget: int,
-    engine: str,
-) -> dict[str, object]:
-    """The instrumented Circles run behind both entry points.
-
-    One path for every engine: the engine runs under the shared
-    budget/convergence loop with the :class:`StableCircles` criterion, a
-    :class:`KetExchangeObserver` counts exchanges exactly, and a
-    :class:`PotentialObserver` checks that the ordinal potential strictly
-    decreases at every delta that moves weight — per ket exchange on the
-    agent engine, per exact kernel-round aggregate on the batched engine's
-    position kernel (a composition of strictly decreasing exchanges, so
-    strictness carries over), which is the per-exchange claim of Theorem 3.4
-    at each engine's native granularity.
-    """
-    num_agents = len(colors)
-    protocol = CirclesProtocol(num_colors)
-    rng = make_rng(engine_seed)
-
-    if engine == "agent":
-        population = Population.from_colors(protocol, colors)
-        scheduler = UniformRandomScheduler(num_agents, seed=rng.getrandbits(32))
-        simulation = AgentSimulation(protocol, population, scheduler)
-    else:
-        engine_cls = get_engine(engine)
-        simulation = engine_cls.from_colors(protocol, colors, seed=rng.getrandbits(32))
-    exchanges = simulation.add_observer(KetExchangeObserver())
-    potential = simulation.add_observer(PotentialObserver())
-
-    converged = simulation.run(budget, criterion=StableCircles())
-    steps_to_stable = simulation.steps_taken if converged else None
-
-    majority = predicted_majority(colors) if has_unique_majority(colors) else None
-    outputs = simulation.outputs()
-    return {
-        "n": num_agents,
-        "k": num_colors,
-        "ket_exchanges": exchanges.exchanges,
-        "steps_to_stable": steps_to_stable,
-        "potential_strictly_decreased": potential.strictly_decreasing,
-        "interactions_changed": simulation.interactions_changed,
-        "steps_taken": simulation.steps_taken,
-        "majority": majority,
-        "correct": majority is not None and all(output == majority for output in outputs),
-        "unanimous": len(set(outputs)) == 1,
-    }
-
-
-def _stabilization_runner(spec: RunSpec) -> RunRecord:
-    """Named run strategy: spec -> instrumented Circles run -> record."""
-    colors = resolve_workload(spec)
-    budget = spec.max_steps if spec.max_steps is not None else 80 * spec.n * spec.n
-    engine_seed = spec.seed if spec.seed is not None else 0
-    stats = _measure_on_colors(
-        colors, spec.k, engine_seed=engine_seed, budget=budget, engine=spec.engine
-    )
-    steps_to_stable = stats["steps_to_stable"]
-    return RunRecord(
-        spec=spec,
-        seed=spec.seed,
-        protocol_name="circles",
-        num_agents=spec.n,
-        num_colors=spec.k,
-        engine=spec.engine,
-        scheduler_name="uniform-random",
-        converged=steps_to_stable is not None,
-        correct=bool(stats["correct"]),
-        steps=int(stats["steps_taken"]),
-        interactions_changed=int(stats["interactions_changed"]),
-        majority=stats["majority"],
-        unanimous=bool(stats["unanimous"]),
-        ket_exchanges=int(stats["ket_exchanges"]),
-        extras={
-            "steps_to_stable": steps_to_stable,
-            "potential_strictly_decreased": bool(stats["potential_strictly_decreased"]),
-        },
-    )
-
-
-register_runner("e2-stabilization", _stabilization_runner)
 
 
 #: The default stopping rule for E2's adaptive sweep: repeat a cell until the
@@ -160,13 +66,17 @@ def sweep_spec(
 ) -> SweepSpec:
     """The declarative description of the E2 sweep."""
     return SweepSpec(
-        name="e2-stabilization",
+        name="e2-stability",
         protocols=("circles",),
         populations=tuple(populations),
         ks=tuple(ks),
         workloads=("planted-majority",),
         engines=(engine,),
-        runner="e2-stabilization",
+        # Configuration-level engines sample the uniform random scheduler
+        # and reject a named one.
+        schedulers=("uniform-random",) if engine == "agent" else (None,),
+        criterion="stable-circles",
+        observers=(("potential", {}),),
         max_steps_quadratic=80,
         trials=trials,
         stopping=(stopping or E2_STOPPING) if trials == "auto" else None,
@@ -187,8 +97,8 @@ def run(
 ) -> ExperimentResult:
     """Build the E2 stabilization table from the declarative sweep.
 
-    ``engine`` selects the simulation engine for every sweep point (see
-    :func:`_measure_on_colors` for how the potential check coarsens under the
+    ``engine`` selects the simulation engine for every sweep point (see the
+    module docstring for how the potential check coarsens under the
     configuration-level engines); ``workers`` fans the sweep out over a
     process pool.  ``store`` (a :class:`repro.service.store.ResultStore`)
     makes table regeneration incremental: rows whose runs are already stored
@@ -216,13 +126,16 @@ def run(
         store=store,
     )
     for (n, k), records in sweep_result.groupby("n", "k").items():
-        steps_to_stable = [record.extras["steps_to_stable"] for record in records]
+        steps_to_stable = [record.steps if record.converged else None for record in records]
         result.add_row(
             n,
             k,
             mean([record.ket_exchanges for record in records]),
             None if any(steps is None for steps in steps_to_stable) else mean(steps_to_stable),
-            all(record.extras["potential_strictly_decreased"] for record in records),
+            all(
+                record.extras["observers"]["potential"]["potential_strictly_decreased"]
+                for record in records
+            ),
             len(records),
         )
     stopping_diag = sweep_result.extras.get("stopping")

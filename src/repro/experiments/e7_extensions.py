@@ -29,9 +29,18 @@ from repro.protocols.circles_unordered import UnorderedCirclesProtocol
 from repro.protocols.ordering import ColorOrderingProtocol, is_valid_ordering
 from repro.scheduling.random_uniform import UniformRandomScheduler
 from repro.simulation.engine import AgentSimulation
-from repro.simulation.population import Population
 from repro.utils.rng import make_rng
 from repro.workloads.distributions import exact_tie, planted_majority
+
+
+def _run_agents(protocol, colors, budget_per_n2: int, rng) -> AgentSimulation:
+    """Run ``protocol`` on ``colors`` for ``budget_per_n2 · n²`` interactions
+    under a uniform random scheduler seeded from ``rng``."""
+    n = len(colors)
+    scheduler = UniformRandomScheduler(n, seed=rng.getrandbits(32))
+    simulation = AgentSimulation.from_colors(protocol, colors, scheduler=scheduler)
+    simulation.run(budget_per_n2 * n * n)
+    return simulation
 
 
 def tie_report_unique_majority_rate(n: int, k: int, trials: int, rng) -> float:
@@ -40,11 +49,7 @@ def tie_report_unique_majority_rate(n: int, k: int, trials: int, rng) -> float:
     for _ in range(trials):
         colors = planted_majority(n, k, seed=rng.getrandbits(32))
         majority = predicted_majority(colors)
-        protocol = TieReportCircles(k)
-        population = Population.from_colors(protocol, colors)
-        scheduler = UniformRandomScheduler(n, seed=rng.getrandbits(32))
-        simulation = AgentSimulation(protocol, population, scheduler)
-        simulation.run(120 * n * n)
+        simulation = _run_agents(TieReportCircles(k), colors, 120, rng)
         if all(output == majority for output in simulation.outputs()):
             successes += 1
     return successes / trials
@@ -56,11 +61,7 @@ def tie_report_tie_detection_rate(n: int, k: int, trials: int, rng) -> float:
     for _ in range(trials):
         colors = exact_tie(n, k, seed=rng.getrandbits(32))
         protocol = TieReportCircles(k)
-        population = Population.from_colors(protocol, colors)
-        scheduler = UniformRandomScheduler(len(colors), seed=rng.getrandbits(32))
-        simulation = AgentSimulation(protocol, population, scheduler)
-        simulation.run(120 * len(colors) * len(colors))
-        outputs = simulation.outputs()
+        outputs = _run_agents(protocol, colors, 120, rng).outputs()
         fractions.append(sum(1 for output in outputs if output == protocol.tie_output) / len(outputs))
     return sum(fractions) / len(fractions)
 
@@ -70,11 +71,7 @@ def ordering_validity_rate(n: int, k: int, trials: int, rng) -> float:
     successes = 0
     for _ in range(trials):
         colors = planted_majority(n, k, seed=rng.getrandbits(32))
-        protocol = ColorOrderingProtocol(k)
-        population = Population.from_colors(protocol, colors)
-        scheduler = UniformRandomScheduler(n, seed=rng.getrandbits(32))
-        simulation = AgentSimulation(protocol, population, scheduler)
-        simulation.run(150 * n * n)
+        simulation = _run_agents(ColorOrderingProtocol(k), colors, 150, rng)
         if is_valid_ordering(simulation.states(), k):
             successes += 1
     return successes / trials
@@ -86,11 +83,7 @@ def unordered_correctness_rate(n: int, k: int, trials: int, rng) -> float:
     for _ in range(trials):
         colors = planted_majority(n, k, seed=rng.getrandbits(32))
         majority = predicted_majority(colors)
-        protocol = UnorderedCirclesProtocol(k)
-        population = Population.from_colors(protocol, colors)
-        scheduler = UniformRandomScheduler(n, seed=rng.getrandbits(32))
-        simulation = AgentSimulation(protocol, population, scheduler)
-        simulation.run(200 * n * n)
+        simulation = _run_agents(UnorderedCirclesProtocol(k), colors, 200, rng)
         if all(output == majority for output in simulation.outputs()):
             successes += 1
     return successes / trials

@@ -32,9 +32,9 @@ alone (``http.server`` + the ``asyncio`` executor — no new dependencies):
 * ``GET /status`` — queue depth (runs accepted but not yet finished), cache
   hit rate, and per-sweep progress for active and stored sweeps.
 
-A POST body that does not parse as its spec, names an unknown protocol,
-workload, engine, scheduler, criterion, runner or observer, or sets a
-``RunSpec``'s ``compiled`` field is answered 400 before any run starts;
+A POST body that does not parse as its spec (a missing or unknown field
+included) or names an unknown protocol, workload, engine, scheduler,
+criterion, runner or observer is answered 400 before any run starts;
 failures past that point arrive in-band, as an ``{"error": …}`` line.
 
 Streaming uses HTTP/1.0 close-delimited bodies: the response has no

@@ -5,8 +5,8 @@ randomness flows from the spec's seeds), so a completed
 :class:`~repro.api.records.RunRecord` can be keyed by the spec's content
 address (:meth:`~repro.api.spec.RunSpec.sha` — SHA-256 of the canonical spec
 JSON) and served to every later request for the same spec without
-re-simulating.  Any field difference — seed, observers, the ``compiled``
-knob — changes the SHA and misses the cache, which is exactly the soundness
+re-simulating.  Any field difference — seed, observers, the criterion —
+changes the SHA and misses the cache, which is exactly the soundness
 condition.
 
 Layout (all paths under the store root)::

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.api.executor import SweepRunner, exact_anchor_value, run_sweep
+from repro.api.executor import SweepRunner, exact_anchor_value, register_runner, run_sweep
 from repro.api.records import SweepResult
 from repro.api.spec import RunSpec, SweepSpec
 from repro.api.stopping import STOP_REASONS, StopDecision, StoppingRule
@@ -257,7 +257,11 @@ class TestExactAnchor:
         # Metrics without an analytical counterpart never anchor.
         assert exact_anchor_value(spec, "ket_exchanges") is None
         # Nor do custom runners or non-uniform schedulers.
-        custom = dataclasses.replace(spec, runner="e2-stabilization")
+        def toy_runner(spec: RunSpec):
+            raise AssertionError("an anchor never executes a run")
+
+        register_runner("anchor-toy", toy_runner, overwrite=True)
+        custom = dataclasses.replace(spec, runner="anchor-toy")
         assert exact_anchor_value(custom, "correct") is None
         scheduled = dataclasses.replace(spec, engine="agent", scheduler="round-robin")
         assert exact_anchor_value(scheduled, "correct") is None

@@ -1,6 +1,9 @@
 """Tests for spec execution: determinism, parallel equivalence, registries."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -272,10 +275,25 @@ class TestRegistries:
             register_runner("toy-runner", toy_runner)
         register_runner("toy-runner", toy_runner, overwrite=True)
 
-    def test_experiment_runners_resolve_lazily(self):
-        # Experiment modules register their bespoke runners on import; the
-        # executor imports the package as a fallback for cold processes.
-        assert get_runner("e2-stabilization") is not None
+    def test_runner_lookup_imports_no_experiment(self):
+        """Experiments run on the default runner and register none, so a
+        cold lookup neither imports them nor finds a runner of theirs."""
+        code = (
+            "import sys\n"
+            "from repro.api.executor import get_runner\n"
+            "try:\n"
+            "    get_runner('e2-stabilization')\n"
+            "except KeyError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('resolved')\n"
+            "assert 'repro.experiments' not in sys.modules\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
 
 
 class TestProtocolRunner:
@@ -312,23 +330,8 @@ class TestProtocolRunner:
             )
 
 
-class TestCompiledField:
-    """``RunSpec.compiled`` stays for stored SHAs; the compile cap picks the path."""
-
-    def test_compiled_is_none(self):
-        spec = RunSpec(protocol="circles", n=10, k=2, engine="batch", seed=3,
-                       max_steps=2_000)
-        assert spec.compiled is None
-        record = execute_run(spec)
-        assert record.steps <= 2_000
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_any_other_value_is_rejected(self, value):
-        data = RunSpec(protocol="circles", n=10, k=2, engine="batch", seed=7).to_dict()
-        with pytest.raises(ValueError, match="compiled must be null"):
-            RunSpec.from_dict({**data, "compiled": value})
-        with pytest.raises(TypeError):
-            RunSpec(protocol="circles", n=10, k=2, compiled=value)
+class TestCompileCap:
+    """The compile cap alone picks the compiled or the interned path."""
 
     @pytest.mark.parametrize("engine", ["agent", "batch"])
     def test_uncompiled_path_still_produces_a_correct_record(self, engine, force_uncompiled):
@@ -345,16 +348,6 @@ class TestCompiledField:
         uncompiled_record = execute_run(spec)
         assert compiled_record.correct and uncompiled_record.correct
         assert compiled_record.num_agents == uncompiled_record.num_agents
-
-    def test_compiled_roundtrips_through_json(self):
-        spec = RunSpec(protocol="circles", n=8, k=2)
-        assert spec.to_dict()["compiled"] is None
-        assert RunSpec.from_json(spec.to_json()).compiled is None
-
-    def test_old_specs_without_the_field_still_load(self):
-        data = RunSpec(protocol="circles", n=8, k=2).to_dict()
-        del data["compiled"]
-        assert RunSpec.from_dict(data).compiled is None
 
 
 class TestObserverSummaries:

@@ -121,25 +121,27 @@ def grid_records(grid: str) -> list:
 #: record epoch 5 for the re-measured regime thresholds.  ``variant`` was
 #: re-pinned when the configuration engine was deleted: it is the digest of
 #: the same grid's remaining records, computed on the code before the
-#: deletion.  Only the kernel grid
+#: deletion.  At record epoch 6 every pin here was re-pinned to the digest
+#: of the epoch-5 records with the spec's dropped ``compiled`` key popped;
+#: no draw moved.  Only the kernel grid
 #: depends on numpy: without it the batch engine and the replicate groups
 #: sample through pure Python.
 DIGESTS = {
-    "agent": "cfca281f04e46de42ddf859f8470a9137d58830b39b726b6f11c12bd46dc6a80",
-    "batch": "588b5c7567d1b3d8821b33872820c7fc88dd330110be4d4c235620e61385fd9c",
-    "vector": "621dbd6cc7b0430677fa3dca6efbac99d56bed8fc9ae6b81a4c0f1458f4de204",
-    "exact": "d69179a0c48bdbff6fea8472db05b04805d8dd63bad02d9d5801fefd6ddc61c6",
-    "variant": "c34409cf68ce44ca46b1138b9f72c9a0c2ec55bd2818cbee0de2450c87d84a65",
+    "agent": "575eaf8581d97f7731f97f36d51697cf18358b11de4d99adc04569f2a459a8e7",
+    "batch": "746b2191ac52b8488e8c11eedfceb7e383fd9844b8ff062ed948e80567fbaed4",
+    "vector": "f1f690f807cac3521796ce28c4a1ead7c45728a262a2f2a04645e7894ee985b1",
+    "exact": "225b998900f19007e4b405fff6d79bab15fa37880d7c3e26ca8c15e85d24c5b4",
+    "variant": "fcb29521057f7b2d19464232738f741034a8fa3b15099e1d9d91109b0f847476",
 }
 #: Without numpy the kernel grid runs the pool regimes, so its digest was
 #: re-pinned with ``batch`` and ``vector`` at record epoch 5.
 KERNEL_DIGESTS = {
-    True: "00b6af052d7fa103679e3a959b3e1606b2e748be8f2a48cb9f5dcc3c4aeee3db",
-    False: "693e5a11ce3f5bcf2d6c5ea66f37cee97b9eedc536545558b73ce1873be5bfd9",
+    True: "374555866d2aaa1e6f7b55e6bfd4e1a0ea1bb7bfdc691e8800ff84d1e1d9db14",
+    False: "6cf257d0321ab27a472e2af2b25121c8ece942ad200a19310c69a213da2ebe4c",
 }
-#: The record of ``test_float_exact_record_is_pinned``, pinned at record epoch 4
-#: and unchanged at 5.
-FLOAT_EXACT_DIGEST = "4ecabc0e2a3380b83ff25c03050fdf86c771a01c9ff147219c78a264f3c6a57e"
+#: The record of ``test_float_exact_record_is_pinned``, pinned at record epoch 4,
+#: unchanged at 5, and re-pinned at 6 only for the dropped ``compiled`` key.
+FLOAT_EXACT_DIGEST = "8b35bb88bad8ca89e41396e75f831e9853c0f24bc4ee819ee89e4d24b78c2e87"
 
 
 @pytest.mark.parametrize("grid", GRIDS)

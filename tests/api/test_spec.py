@@ -216,10 +216,12 @@ GOLDEN_SPECS = {
     ),
 }
 
+#: Re-pinned at record epoch 6 to the earlier SHAs with the dropped
+#: ``compiled`` key popped.
 GOLDEN_SHAS = {
-    "defaults": "2557981c266df903eb1d34b59dcc9c1122e43f9e7612c403f482f3bda4651b69",
-    "params": "7701e5d64cd66a99552d4192a8b86d1eea3d2a150867dda2e23db2bec50c1622",
-    "scheduler": "ec19eff0f8512cb7d84c0456f97b919bac0dbb4f875c19bc404021400885602d",
+    "defaults": "406b75ebc97bc116c55cb2db461d389f0f3f3070ac9ec394888b4544e18908e4",
+    "params": "331cc47d0f1619de5deb4a94f1ce371956e6aba8178fb473469eba873166a253",
+    "scheduler": "913c2ebcbb83ff75417842f3e6396623185c3ce977881d9eb1036c3e4a611597",
 }
 
 GOLDEN_SWEEP = SweepSpec(
@@ -250,15 +252,22 @@ class TestContentAddressGoldens:
     def test_sweep_spec_sha_is_pinned(self):
         assert GOLDEN_SWEEP.sha() == GOLDEN_SWEEP_SHA
 
-    def test_a_stored_uncompiled_spec_is_rejected(self):
-        """The spec that pinned SHA ``920cbd5e…`` forced ``compiled=False``;
-        the compile cap alone picks the path now, so it no longer loads."""
+    @pytest.mark.parametrize("compiled", [None, False, True])
+    def test_a_compiled_key_is_rejected(self, compiled):
+        """Specs have no ``compiled`` field: the compile cap alone picks the
+        path.  A stored spec that carries the key, ``null`` included (such as
+        the one that pinned SHA ``920cbd5e…`` with ``compiled=False``), no
+        longer loads."""
         data = RunSpec(
             protocol="tournament-plurality", n=16, k=3, engine="batch", seed=3, max_steps=2000
         ).to_dict()
-        data["compiled"] = False
-        assert sha_of(data) == "920cbd5e4c326f34b5f9c88ebfca0af2e7dc8420d9e8b41a9f3c876c05fee6bd"
-        with pytest.raises(ValueError, match="compiled must be null"):
+        assert "compiled" not in data
+        data["compiled"] = compiled
+        if compiled is False:
+            assert sha_of(data) == (
+                "920cbd5e4c326f34b5f9c88ebfca0af2e7dc8420d9e8b41a9f3c876c05fee6bd"
+            )
+        with pytest.raises(TypeError, match="compiled"):
             RunSpec.from_dict(data)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))

@@ -38,6 +38,27 @@ class TestE2:
         assert all(result.column("g(C) strictly decreasing"))
         assert all(value is not None for value in result.column("interactions to stability"))
 
+    def test_sweep_runs_on_the_protocol_runner(self):
+        """E2 is a plain spec: the default runner, the Circles stability
+        criterion and the potential observer; the uniform random scheduler is
+        named on the agent engine only."""
+        for engine in ("agent", "batch"):
+            specs = e2_stabilization.sweep_spec(
+                populations=(6,), ks=(3,), seed=5, engine=engine, trials=1
+            ).expand()
+            assert specs
+            for spec in specs:
+                assert spec.runner == "protocol"
+                assert spec.criterion == "stable-circles"
+                assert spec.observers == (("potential", {}),)
+                assert spec.scheduler == ("uniform-random" if engine == "agent" else None)
+        records = run_sweep(
+            e2_stabilization.sweep_spec(populations=(6,), ks=(3,), seed=5, trials=2)
+        ).records
+        assert {record.scheduler_name for record in records} == {"uniform-random"}
+        for record in records:
+            assert "potential_strictly_decreased" in record.extras["observers"]["potential"]
+
 
 class TestE3:
     def test_all_checks_pass(self):
@@ -60,10 +81,12 @@ class TestE3:
         )
 
     def test_greedy_stall_records_are_pinned(self):
+        """Re-pinned at record epoch 6 to the earlier records with the spec's
+        dropped ``compiled`` key popped; no draw moved."""
         records = run_sweep(e3_correctness.empirical_sweep(("greedy-stall",), 18, 4, 2, 11))
         payload = canonical_json([record.to_dict() for record in records.records])
         assert hashlib.sha256(payload.encode()).hexdigest() == (
-            "26b0e202ab1b14430872dcc090d22ab11ade231a608dab0843403664ae6ea48d"
+            "93de26e2b5058f5dcbbc9d005f866a56261e593cf446ce6c22c1a5f7ba184701"
         )
 
     def test_exact_correctness_column_is_one_on_model_checked_inputs(self):
@@ -157,6 +180,14 @@ class TestE7:
         assert result.column("ordering states (2k^2)") == [18]
         assert result.column("unordered states (2k^4)") == [162]
         assert result.column("tie-report correct (unique majority)") == [1.0]
+
+    def test_table_is_pinned(self):
+        """The four rate estimators share one run helper; each trial still
+        draws its colors first and its scheduler seed second."""
+        text = e7_extensions.run(ks=(3,), num_agents=8, trials=2).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "05de1a8f53ddb52be4634dcb0f80d50931c8c6a752a28a56a19725979db96b52"
+        )
 
 
 class TestE8:

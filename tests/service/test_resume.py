@@ -3,11 +3,12 @@ restarted from its manifest finishes only the remainder, and the merged
 result is record-identical to an uninterrupted run."""
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.api.executor import SerialExecutor, SweepRunner
-from repro.api.spec import SweepSpec
+from repro.api.spec import SweepSpec, sha_of
 from repro.api.stopping import StoppingRule
 from repro.service.store import ResultStore
 
@@ -174,6 +175,44 @@ class TestKillAndResume:
         assert store.held_manifest(sweep).complete
         records = {index: record for batch in batches for index, record, _ in batch}
         assert [records[i] for i in range(len(sweep))] == SweepRunner().run(sweep).records
+
+
+class TestEpochFiveStore:
+    def test_a_store_written_before_epoch_six_is_recomputed(self, tmp_path):
+        """Epoch-5 lines carried a ``compiled: null`` key in every spec and
+        were filed under that spec's SHA.  A restart on such a store finds
+        its manifest, counts every line stale (none corrupt), serves none
+        and recomputes the whole sweep."""
+        sweep = sweep_spec()
+        reference = SweepRunner().run(sweep)
+        SweepRunner(store=ResultStore(tmp_path)).run(sweep)
+        shards = tmp_path / "shards"
+        old_shas = []
+        for shard in list(shards.glob("*.jsonl")):
+            lines = shard.read_text(encoding="utf-8").splitlines()
+            shard.unlink()
+            for line in lines:
+                record = json.loads(line)["record"]
+                record["spec"]["compiled"] = None
+                sha = sha_of(record["spec"])
+                old_shas.append(sha)
+                entry = {
+                    "sha": sha,
+                    "epoch": 5,
+                    "checksum": ResultStore.record_checksum(record),
+                    "record": record,
+                }
+                with open(shards / f"{sha[:2]}.jsonl", "a", encoding="utf-8") as handle:
+                    handle.write(json.dumps(entry) + "\n")
+        assert len(old_shas) == len(sweep)
+
+        store = ResultStore(tmp_path)
+        counting = CountingExecutor()
+        resumed = SweepRunner(store=store, executor=counting).run(sweep)
+        assert counting.executed == len(sweep)
+        assert resumed.records == reference.records
+        assert all(store.get(sha) is None for sha in old_shas)
+        assert (store.hits, store.stale, store.corrupt) == (0, len(sweep), 0)
 
 
 class TestAdaptiveKillAndResume:

@@ -327,14 +327,17 @@ class TestErrorHandling:
         status = service.status()
         assert status["cache"]["misses"] == 0 and status["sweeps"] == []
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_a_set_compiled_field_is_a_400(self, server, service, compiled):
+    @pytest.mark.parametrize("compiled", [None, True, False])
+    def test_a_compiled_key_is_a_400(self, server, service, compiled):
+        """Specs have no ``compiled`` field; a body carrying one, ``null``
+        included, is an unknown-field 400."""
         payload = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3).to_dict()
         payload["compiled"] = compiled
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post_lines(server, "/run", payload)
         assert excinfo.value.code == 400
-        assert "compiled must be null" in json.loads(excinfo.value.read().decode("utf-8"))["error"]
+        error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
+        assert error.startswith("bad spec") and "'compiled'" in error
         assert service.status()["cache"]["misses"] == 0
 
     def test_unknown_routes_are_404(self, server):
