@@ -7,9 +7,9 @@ active ones (:mod:`repro.simulation.batch_engine`).  The perf test pins the
 claim on a convergence workload: circles k=3 at ``n = 256``, run to
 ``StableCircles`` over 8 seeds, must finish at least **2× faster** than the
 same engine with the sparse regime held off, which draws every interaction
-from the dense pool.  Ten runs on a 2-vCPU Xeon VM measured 3.1–4.6×
-(sparse 0.03–0.06 s, dense 0.14–0.22 s), so the bound sits about a third
-below the slowest of them.  The smoke test keeps the replicate-group record identity
+from the dense pool.  Ten runs on a 2-vCPU Xeon VM measured 3.5–4.9×
+(sparse 0.019–0.024 s, dense 0.082–0.096 s) with the geometric skip carried
+across windows, so the bound sits well below the slowest of them.  The smoke test keeps the replicate-group record identity
 exercised across a regime switch in the default suite.
 
 Wall-clock assertions are opt-in via ``pytest --perf benchmarks/``; timings

@@ -39,8 +39,10 @@ from repro.utils.atomic import atomic_write_text
 #: never serves a line of another epoch.  Bump it with every such change.
 #: Derived seeds never move; spec SHAs moved once, at epoch 6, when specs
 #: lost their inert ``compiled`` key, so older lines load as stale instead
-#: of as records no spec can reach.
-RECORD_EPOCH = 6
+#: of as records no spec can reach.  Epoch 7 carries the sparse regime's
+#: geometric skip across check windows: batch and vector runs that go
+#: sparse take one skip draw per event instead of one per window.
+RECORD_EPOCH = 7
 
 
 @dataclass(frozen=True)

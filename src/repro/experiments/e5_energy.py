@@ -27,6 +27,8 @@ from repro.core.circles import CirclesProtocol, CirclesVariant, ExchangeRule
 from repro.core.greedy_sets import predicted_stable_brakets
 from repro.core.potential import configuration_energy, minimum_energy
 from repro.experiments.harness import ExperimentResult
+from repro.simulation.convergence import SilentConfiguration
+from repro.simulation.runner import run_protocol
 from repro.utils.multiset import Multiset
 from repro.utils.rng import make_rng
 from repro.workloads.distributions import planted_majority
@@ -94,15 +96,13 @@ def run(
             )
             # Does the ablation's final braket multiset match the Lemma 3.6 prediction?
             ablation_protocol = CirclesProtocol(k, variant=ablation_variant)
-            from repro.simulation.runner import run_protocol  # local import avoids a cycle
-            from repro.simulation.convergence import SilentConfiguration
-
             ablation_outcome = run_protocol(
                 ablation_protocol,
                 colors,
                 criterion=SilentConfiguration(),
                 max_steps=budget,
                 seed=rng.getrandbits(32),
+                engine=engine,
             )
             ablation_brakets = Multiset(
                 BraKet(state.bra, state.ket) for state in ablation_outcome.final_states

@@ -202,37 +202,12 @@ class SimulationEngine(abc.ABC, Generic[State]):
                 return self._finish(True)
         executed = 0
         while executed < max_steps:
-            # Windows end at multiples of the interval and at the budget.
-            executed += self._run_idle_windows(executed, max_steps, interval, criterion)
-            if executed == max_steps:
-                break
-            end = min(executed - executed % interval + interval, max_steps)
+            end = min(executed + interval, max_steps)
             while executed < end:
                 executed += self._advance(end - executed)
             if criterion is not None and self._check(criterion):
                 return self._finish(True)
         return self._finish(False)
-
-    def _run_idle_windows(
-        self,
-        executed: int,
-        max_steps: int,
-        interval: int,
-        criterion: ConvergenceCriterion[State] | None,
-    ) -> int:
-        """Hook of :meth:`run`: advance through windows that change no state.
-
-        Called right after a check boundary (or at the start of a run),
-        ``executed`` interactions into a budget of ``max_steps`` whose
-        windows end at multiples of ``interval``.  An engine that can prove
-        the coming interactions change nothing may execute them here, firing
-        the checks at the boundaries it crosses; those verdicts repeat the
-        last one, because the configuration has not moved.  Returns how many
-        interactions it executed, and may stop inside a window, which
-        :meth:`run` then completes through :meth:`_advance`.  The default
-        executes none.
-        """
-        return 0
 
     @staticmethod
     def _validate_run_arguments(max_steps: int, check_interval: int | None) -> None:

@@ -55,12 +55,12 @@ population-protocol simulators of Berenbrink et al.:
   from the present codes' active columns; going dense rebuilds the pool
   from the counts in ``O(n)``.
 
-  Most sparse windows of a stabilization tail draw no event at all.  The
-  shared run loop hands them to :meth:`_run_idle_windows`, which runs
-  consecutive idle windows back to back at one uniform draw each (none
-  on a silent configuration), with their regime decisions and cached
-  convergence checks, and leaves the first draw that lands an event as
-  the skip the next :meth:`_run_sparse` call starts from.
+  A sparse engine carries its skip: the null interactions left before the
+  next event.  A skip that overruns a window keeps its remainder for the
+  next window, across convergence checks and regime decisions, so a run
+  takes one geometric draw per event however short its check windows are.
+  This is exact because the geometric law is memoryless and ``W`` moves
+  only at events; an event or a switch to dense drops the skip.
 - Past the compile cap the engine runs the same dense step over a pool of
   codes from a :class:`~repro.compile.LazyInterner`, built in the initial
   configuration's order, and books it on the count vector like the
@@ -96,7 +96,6 @@ from typing import Generic, TypeVar
 
 from repro.protocols.base import PopulationProtocol
 from repro.simulation.base import ConfigurationEngine
-from repro.simulation.convergence import ConvergenceCriterion
 from repro.utils.multiset import Multiset
 from repro.utils.rng import RngLike
 
@@ -251,10 +250,10 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         self._pool: list | None = None
         #: The sparse regime's event chain over the count vector; None while dense.
         self._event_chain: ActivePairMass | None = None
-        #: A geometric skip drawn by :meth:`_run_idle_windows` for a window it
-        #: found an event in; the next :meth:`_run_sparse` call uses it as
-        #: its first skip instead of drawing one.
-        self._pending_skip: int | None = None
+        #: The null interactions left before the next sparse event, carried
+        #: across windows; None when the next call of :meth:`_run_sparse`
+        #: draws them.
+        self._skip: int | None = None
         self._next_decision: int | None = None
         use_numpy = (
             self._compiled is not None
@@ -454,6 +453,7 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
                 return
         if sparse and load > SPARSE_LEAVE_LOAD:
             self._event_chain = None
+            self._skip = None
             self._pool = self._pool_from_counts()
         elif not sparse and load < SPARSE_ENTER_LOAD:
             self._event_chain = ActivePairMass(self._compiled, self._counts)
@@ -501,12 +501,12 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
 
         The number of null interactions before the next active one is
         Geometric(``W / n(n-1)``), and the active pair is ``(p, q)`` with
-        probability ``c_p·(c_q - [p=q]) / W``.  A skip that overruns the
-        window consumes it and is redrawn on the next call, which is exact
-        because the geometric distribution is memoryless.  The first skip is
-        the pending one when :meth:`_run_idle_windows` drew it for this
-        window.  A silent configuration (``W = 0``) consumes the whole cap
-        without a draw.
+        probability ``c_p·(c_q - [p=q]) / W``.  A skip is drawn only when
+        none is carried; one that overruns the window carries its remainder
+        to the next call, which is exact because the geometric law is
+        memoryless and ``W`` moves only at events.  An event drops it.  A
+        silent configuration (``W = 0``) consumes the whole cap without a
+        draw.
         """
         n = self._num_agents
         cap = n if max_interactions is None else max_interactions
@@ -517,83 +517,26 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         total = n * (n - 1)
         rng_random = self._rng.random
         chain = self._event_chain
+        skip = self._skip
+        self._skip = None
         while True:
-            mass = chain.sums()[-1]
-            if mass == 0:
-                self.steps_taken += left + cap - window
-                return cap
-            skip = self._pending_skip
-            if skip is not None:
-                self._pending_skip = None
-            elif mass < total:
-                skip = int(log(1.0 - rng_random()) / log1p(-mass / total))
-            else:
-                skip = 0
+            if skip is None:
+                mass = chain.sums()[-1]
+                if mass == 0:
+                    self.steps_taken += left + cap - window
+                    return cap
+                skip = int(log(1.0 - rng_random()) / log1p(-mass / total)) if mass < total else 0
             if skip >= left:
+                self._skip = skip - left
                 break
             self.steps_taken += skip
             left -= skip + 1
             p, q, a, b = chain.draw(rng_random())
             self._book_changed_codes(p, q, a, b, 1)
             self.steps_taken += 1
+            skip = None
         self.steps_taken += left
         return window
-
-    def _run_idle_windows(
-        self,
-        executed: int,
-        max_steps: int,
-        interval: int,
-        criterion: ConvergenceCriterion[State] | None,
-    ) -> int:
-        """Run consecutive sparse windows that draw no event, one draw each.
-
-        Each window is the ``min(left, n)`` interactions a :meth:`_run_sparse`
-        call would take at this point of the run, with the regime decisions
-        that fall due between them.  A window is idle when its one uniform
-        draw gives a geometric skip that overruns it, exactly the test of
-        :meth:`_run_sparse`; a silent configuration makes every window idle
-        without a draw.  The first draw that lands an event inside its
-        window is kept as the pending skip, and :meth:`run` then runs that
-        window through :meth:`_run_sparse`.  Checks at the boundaries crossed
-        find the configuration unchanged, so their verdicts come from the
-        cache, and observers see ``on_check`` at the same steps as before.
-        """
-        if self._next_decision is None:
-            return 0
-        if self.steps_taken >= self._next_decision:
-            self._decide_regime()
-        if self._event_chain is None:
-            return 0
-        n = self._num_agents
-        total = n * (n - 1)
-        mass = self._event_chain.sums()[-1]
-        if mass >= total:
-            return 0
-        null_rate = log1p(-mass / total)
-        rng_random = self._rng.random
-        start = executed
-        while True:
-            end = min(executed - executed % interval + interval, max_steps)
-            if mass:
-                window = min(end - executed, n)
-                skip = int(log(1.0 - rng_random()) / null_rate)
-                if skip < window:
-                    self._pending_skip = skip
-                    break
-            else:
-                window = end - executed
-            self.steps_taken += window
-            executed += window
-            if executed == end and criterion is not None:
-                self._check(criterion)
-            if executed == max_steps:
-                break
-            if self.steps_taken >= self._next_decision:
-                self._decide_regime()
-                if self._event_chain is None:
-                    break
-        return executed - start
 
     # -- inspection -------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ from repro.api.spec import canonical_json
 from repro.experiments import e1_state_complexity, e2_stabilization, e3_correctness
 from repro.experiments import e4_stable_structure, e5_energy, e6_convergence
 from repro.experiments import e7_extensions, e8_scheduler_sensitivity
+from repro.simulation.engine import AgentSimulation
 
 
 class TestE1:
@@ -135,6 +136,20 @@ class TestE5:
         assert finals == minima
         assert all(result.column("monotone"))
         assert result.column("final (Gillespie SSA)") == minima
+
+    def test_batch_engine_runs_every_discrete_column(self, monkeypatch):
+        """The ablation structure column follows ``engine`` like the other runs."""
+        constructed = []
+        agent_init = AgentSimulation.__init__
+
+        def counted_init(self, *args, **kwargs):
+            constructed.append(self)
+            agent_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AgentSimulation, "__init__", counted_init)
+        result = e5_energy.run(populations=(8,), ks=(4,), engine="batch")
+        assert len(result.rows) == 1
+        assert constructed == []
 
 
 class TestE6:

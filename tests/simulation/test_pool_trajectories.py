@@ -1,9 +1,9 @@
 """Pinned trajectories of the batch engine's pool regimes below the kernel gate.
 
-The dense and sparse regimes, their regime decisions and the run loop's
-handling of event-free sparse windows are bookkeeping around one fixed RNG
-stream: none of them may move a draw, a regime switch, a check boundary or a
-record.  Each case runs one seeded engine through three ``run`` calls:
+The dense and sparse regimes and their regime decisions are bookkeeping
+around one fixed RNG stream: none of them may move a draw, a regime switch, a
+check boundary or a record.  Each case runs one seeded engine through three
+``run`` calls:
 
 1. a budget that ends inside a check window, under a criterion that never
    holds (so every boundary is checked and the budget is used up);
@@ -17,9 +17,11 @@ The case's digest covers, at every check boundary, the step, the regime, the
 changed-interaction count and the count vector; the return value and the
 counters of every run; the Circles ket-exchange count and its
 ``EnergyObserver(record="check")`` series; and ``_rng.getstate()`` at the
-end.  The digests were computed on the engine that drew every sparse window
-through ``_run_sparse`` and re-summed the active mass at every regime
-decision.
+end.  The digests were re-pinned at record epoch 7, when the sparse regime
+began to carry its geometric skip across windows.  Every moved case agreed
+draw for draw with the engine before it up to the end of its first sparse
+window whose skip overran the window, where that engine drew again and this
+one carries the remainder.
 """
 
 import hashlib
@@ -120,246 +122,246 @@ def trajectory(protocol_name: str, n: int, interval_name: str, force=None) -> st
 
 PINNED = {
     "circles/n=16/interval=1": (
-        "31ed1c0481d743da46c3b8594b0c7334"
-        "5b5344aee03602e49de4ce467bbe4d9f"
+        "e379f8fe5d2bfc7f2b53b13cfa18ef50"
+        "143b6629f3b5b8a0d96e66e543ee445b"
     ),
     "circles/n=16/interval=7": (
-        "f09255801fdd87efd8e6b4aae9a1bfd8"
-        "d6b023c211628f6ec9910a5d2b3d8741"
+        "5402add8b0603928880bd6ca7f52da17"
+        "4f40a839229c26c7ad29de5cc074a6c0"
     ),
     "circles/n=16/interval=n-1": (
-        "06fa6fa0ccbce53330735c73240d56b6"
-        "cb5baa05d8268571b7da73e3a66443c0"
+        "f0e48ee62057ab8f4d79b022ed135b70"
+        "8c7873db3f70beeb97178fd460f0162b"
     ),
     "circles/n=16/interval=n": (
-        "113281d18dd244d193b0d6348e198632"
-        "f4d3cbd97d52efe3739a3ac93d95bc96"
+        "a3fc0c6a76f115ca1f74aae83f2d7e77"
+        "ed2bee61219973aa2ed58b216b4a7802"
     ),
     "circles/n=16/interval=n+1": (
-        "685ca5f652d073da684701a7db453a7e"
-        "cf1bfe2d32f16e3d6b47afdda1a71ab7"
+        "7efa1b1c0e43c693c6f8853c87f74a93"
+        "dcbc2e623481a7b7279e33516e23a10b"
     ),
     "circles/n=16/interval=3n": (
-        "e1bdbc0d7b93a232df460bf1a2be9a8c"
-        "303bb703965adb262077cb55897ce5e3"
+        "9eef9f99394afe77fcba6f8ba8451afb"
+        "00f020101feb58301142b73af87a5a38"
     ),
     "circles/n=64/interval=1": (
-        "cfd6cecc668d1428f9c94e10a5768c82"
-        "c2d3347760e62043083e618715f2b9bf"
+        "4a6c6f0f76acc1e917cec3745f8245cd"
+        "00a2210af4a8e79cac6b654fb477d97a"
     ),
     "circles/n=64/interval=7": (
-        "259bfad21f7462d75e914707f889f31c"
-        "bad1a2b680487ced4b4ec246948a23e4"
+        "d1d0911bbf347371f4f0282b475817fd"
+        "2753fdd66e145adf788593edca02d49c"
     ),
     "circles/n=64/interval=n-1": (
-        "7cb8be143df1530b53f98a382468b56b"
-        "2cd3048e64337802de204e2f2edfd06a"
+        "9f210557c2a1f64e6931b98ca25f9c64"
+        "277da8246606c5fb1623686e32b7b44a"
     ),
     "circles/n=64/interval=n": (
-        "deac1ccb64a46ca350b94a443c47695c"
-        "579b3afa38bea4fe5fba925cd48f6743"
+        "f6b9b51e0877bb5d60d90819d47b641a"
+        "253fc33e108e75e5b5e309f9abb09049"
     ),
     "circles/n=64/interval=n+1": (
-        "660e422c5741e2d00ff4c49af3fe3dec"
-        "fb9aede6d0cae8b57ba44ea240aacc6f"
+        "3b3a235563c97df8c85d48b4eaab5b3f"
+        "f1c411792ae24ccb55527ffad706aa3f"
     ),
     "circles/n=64/interval=3n": (
-        "b5c7ff32c4eef567bc5d669392d003b3"
-        "af2ba8c44d90c06e83c1cbc95decc26b"
+        "14375e6154420e2fdd035e6afc1b3cd0"
+        "64be6cb4f0dd6a99b936f95e4029622f"
     ),
     "circles/n=300/interval=1": (
-        "51534170dbdd7345c42e9d58f3311092"
-        "62d1abb461346987227a8721d609cccb"
+        "7c8cd7860a93b05f701cb6ea333c4528"
+        "f1de23ce7bf76256004a3bc102039d8d"
     ),
     "circles/n=300/interval=7": (
-        "f79ba4964542b0850f08c0be1a96ec1f"
-        "0944b8eed0896402badf1adfc46956cb"
+        "cfd34f5cb31d2239e4986d0179d24119"
+        "80691f7d9f9faa0a8fa85781f3b8ff29"
     ),
     "circles/n=300/interval=n-1": (
-        "b643918dc14aba7c1593e0426a337af7"
-        "34136b61099aefa787e5cb3a1fdd492c"
+        "cacd09ccbf97eb483b808ccd9cf578fd"
+        "f8848f86cea48796319d52f3914f3d7d"
     ),
     "circles/n=300/interval=n": (
-        "bf99729e8c175ffb86dbfcc8a37f0a0d"
-        "b9f981e4d8721b013da55ae52142ce5c"
+        "fa1319f8a4e46538e45dbaa59affcc5e"
+        "4e1f5839b72115373856497b96a431f0"
     ),
     "circles/n=300/interval=n+1": (
-        "d4b525b6e6df1cfff2c957a0a68ec120"
-        "e9c8189d10498a1ffaf2fec2e9a02f48"
+        "6857892a299704cfd2789a21c54b0c8d"
+        "970a3c73f6f30023cb306fddaee566e4"
     ),
     "circles/n=300/interval=3n": (
-        "8b09d38478323ff87e8fe1a784ecd5fc"
-        "801aae1f728a2375adc585cc0d321dcd"
+        "919853c381468e4a64e75e18b231c7c1"
+        "277020e4ddbe0ca1129a578b87dfccbd"
     ),
     "tournament-plurality/n=16/interval=1": (
         "58307ba05dc6f1d1dfb3e6860bcf43e8"
         "f1006264eae1cc680d09e4e5ece479c9"
     ),
     "tournament-plurality/n=16/interval=7": (
-        "ed0881325c29e85d3347d4dd29a7c2e0"
-        "da69f5667635f53e8ed238d489acada3"
+        "ce75f9372c9b43a458d25428aff6d5b5"
+        "b84b7a4013364f78210e655d0386f833"
     ),
     "tournament-plurality/n=16/interval=n-1": (
-        "2c5b31b7b22a57baa5674012abf99fc7"
-        "d383e97edaa2c0e3a542251cc3089b1c"
+        "af034171294d33d6c72b22271deabdff"
+        "0f2b2cdc7f7819a1f2be88afd59d7d58"
     ),
     "tournament-plurality/n=16/interval=n": (
-        "d8ae8784c7956e05250079ec9c8d5eb7"
-        "6d9897f87df0231c4ec45039c97d577b"
+        "e8146ee3dde925d11589da00643368c4"
+        "a3abcf501faadfd3eb002b781f7df609"
     ),
     "tournament-plurality/n=16/interval=n+1": (
-        "5dac510b0a3278894af6ca373b41c0a9"
-        "d62d1aed31a66618c4e249c7df06df57"
+        "44f163fcded6734404fa3eef66badfe8"
+        "b0654bd0786fa01261dbfd90d17de37d"
     ),
     "tournament-plurality/n=16/interval=3n": (
-        "c7e6cf8f8e67344360875bab3948f83a"
-        "b1648c922ac080a95013fa20f1b6b729"
+        "e2ad59592ff1c4982cdfaf2e178915bd"
+        "3c4afcaf50954b5071222ff9806eac76"
     ),
     "tournament-plurality/n=64/interval=1": (
-        "2d87a0382adf54034b05ca591f16cff2"
-        "854fe4f39e9c7911bf3b7c618cfa90be"
+        "47052fb416e4e4d68502bce6791b03e4"
+        "520f4b0187fda5d067d83246034548c7"
     ),
     "tournament-plurality/n=64/interval=7": (
-        "805ed72ae79220449eb73969d709a8b0"
-        "bf26949ac25974919efd6adc22e793a2"
+        "8f47bc146f62b2b3806b36b4fd0ee75a"
+        "55b07de0f9d3b619e966ad28d2f71fe5"
     ),
     "tournament-plurality/n=64/interval=n-1": (
-        "88721c9090252cd36632a1fb19a0074e"
-        "f37b0024e0e6b3ad503b3721bc6fb454"
+        "049595272956d225a75601e72bc99628"
+        "cb7a40abaacbd8beca24e2bc46ba1998"
     ),
     "tournament-plurality/n=64/interval=n": (
-        "cd23323d3a39eccad3365e550ae6899a"
-        "581a10a29db25b55f8292f3e6bed9095"
+        "676004c0deeeff50c580e4ba3e82055b"
+        "d04d10ba45ab33bbf7d808e89c8578cb"
     ),
     "tournament-plurality/n=64/interval=n+1": (
-        "4150e4a94fb9743d77877d53e7a1326c"
-        "986d16264f3f6fc45236cb2b612ce916"
+        "abf87aeaa2edc6edd68ab5255043d592"
+        "9b2401650b496e6d0e32fbb7c81a4105"
     ),
     "tournament-plurality/n=64/interval=3n": (
-        "4a42a1691f46a1dd74521aa623d9021a"
-        "40cfd54e21df6e54173d9c7f0e4b75b2"
+        "51de907499fb56f08e9a213f792ff9e6"
+        "6fb7edb8c3dda646c4737cb649222d5a"
     ),
     "tournament-plurality/n=300/interval=1": (
-        "5f9316e970c86a48d4d75e49ec1fdce8"
-        "ed777f8700844a55872ac6f650f4785a"
+        "9e6b29ce44acc32aba3939fa9df5bc67"
+        "2a989ddd9725683d527d8549c2b1b78c"
     ),
     "tournament-plurality/n=300/interval=7": (
-        "c2c7a9f35ee24266f0368860b2a8aa06"
-        "5244e08ec520f5f8d84b8653693f3895"
+        "48d1c6e511d40d0f32de70be60738b9c"
+        "c7b7367ba171a196fba9030a7aaad5ad"
     ),
     "tournament-plurality/n=300/interval=n-1": (
-        "49656586009db01755972ec893f98ed4"
-        "1459187dc5af9fca402ef848a7e6f02f"
+        "406d94495688c9bbf7dce866cfc383a7"
+        "6260cc9a5f0c61f363e8972f5f3710fe"
     ),
     "tournament-plurality/n=300/interval=n": (
-        "44aa2882b13e8e5118546de57999f250"
-        "ba58ce635777f077afebfc7015d6c686"
+        "74fc0ff4fd0a057df9fe8002a6ddc34a"
+        "b0e8660d0ad1493d5c03ca22a14e45dd"
     ),
     "tournament-plurality/n=300/interval=n+1": (
-        "ca0b9e3555cf6755931343e1f0677f8a"
-        "660cb5a9c3882e79a8cae03fa327a84b"
+        "0be6f98b2acdc0e26067f182f49fb817"
+        "39bf8e71fd6a5ef887b52c3679d979f0"
     ),
     "tournament-plurality/n=300/interval=3n": (
-        "2989f443859a69d56374188574945baa"
-        "1b2f53eb032bcbe7a1a3fed5e89e121a"
+        "57defca800d3302ccb5079dc52adeaf9"
+        "016d6887a11728a2ea39c1c4ad2d4d96"
     ),
 }
 PINNED_ROUND_TRIPS = {
     "circles/n=16/interval=1": (
-        "1ac8cac9067647cd9708b1f34393894a"
-        "8a77a8aa82be204c68af07f98e48a0d4"
+        "d4e3f08074955451c535c1ba3732bcec"
+        "efd43e8191ac39e7c7885cfa178ebfa4"
     ),
     "circles/n=16/interval=7": (
-        "3ed84714cd1ea2e1bc86758ad589f55f"
-        "99a78d36c2899514f3d8a8d287b445f2"
+        "78ba9820602455202a2ed00040cb3482"
+        "629ebca70f29f10957a5a0b5d6d7729c"
     ),
     "circles/n=16/interval=n-1": (
-        "9958132e9d2ccbd21fd9ce4c6a599c7b"
-        "1570b8c3f43c29c4c34b0cf2ddf0c699"
+        "c3dd98a8d7130e62d7ba8df27fe63b81"
+        "d33a15812ff101de8293533bede5c70a"
     ),
     "circles/n=16/interval=n": (
-        "c5d4cce0e25f3388f3148d1d5df51076"
-        "7bcc84e7d99722614a602b28d18b32f1"
+        "bba5625b7c1e947c414d734a7a2a3ef0"
+        "744c627372f44906edc54f47326bcf7d"
     ),
     "circles/n=16/interval=n+1": (
-        "c9f4f471eeb3229bbc939b3d80a67b76"
-        "892c377379842c3dda97146e172e4941"
+        "e9b03800e75be3eee886ce6ae3125aff"
+        "63b7eb731a5adb2e9f7d5e20bdd01585"
     ),
     "circles/n=16/interval=3n": (
-        "29edde80789e982c47272ce53b056273"
-        "622a237c3ec50abf6834560349f3d5c5"
+        "cb15f3d7e831986b44589703d92756dd"
+        "ec2a010ba008c237b28535b4b086239a"
     ),
     "circles/n=64/interval=1": (
-        "ce97acb85056c011909fa006100f9216"
-        "9af3c61a899748e87b82c34258437254"
+        "d8c6efe938ecd50dc6698eab5aa97d72"
+        "b669375a60548ee8783d79835846b419"
     ),
     "circles/n=64/interval=7": (
-        "ce04be58118b0c230df734e7a32eabe5"
-        "70dd86227c00349f4190bb5277321e0d"
+        "c4f54d6a7d79c1018375f27a04b64636"
+        "b965b3bed10ae4f873d56c59cb2a3ddd"
     ),
     "circles/n=64/interval=n-1": (
-        "d9fe3d1c6619cde55b5cac0afcce97a4"
-        "05b43957262e506d8f17e9af31a9b2c6"
+        "b57b57e9e299284dd7435874c436eb15"
+        "f9769c0b7daf217699bcf055f3996932"
     ),
     "circles/n=64/interval=n": (
-        "8c6862a0dc530fd2c97cd84bf199cb9a"
-        "c10627407fb02c74c49ba888f82bf711"
+        "4ca0fc7241f5ccea605b4f977686a98c"
+        "2824bbed89abbcd822d3ffd89922976d"
     ),
     "circles/n=64/interval=n+1": (
-        "2d776ec08874b5c00f5ef438f415a92a"
-        "530578b10b757ba11ffeb33ddd4a13e7"
+        "dd3e974e6254758d152e6a52cc8762c9"
+        "3d5a1e55d8b43e4e8ab319025508e138"
     ),
     "circles/n=64/interval=3n": (
-        "55874ced77db89588f717c11d1231f54"
-        "ba19fa807900ae80c2253e109a23422c"
+        "3fc56690d4cf829fe966996819b04668"
+        "194b5d5ae07ecdf7749f33763ee5c501"
     ),
     "tournament-plurality/n=16/interval=1": (
-        "89bd9c5d72b4c6ca58cefbca1832a062"
-        "2c4effc2c30f17d2e6992bf5a6c240a9"
+        "b81f890251a289fd90ea77383de2414c"
+        "148479ac865548bce45b836b4ebd0a38"
     ),
     "tournament-plurality/n=16/interval=7": (
-        "8f938d722d573d5b75a111d55c58612f"
-        "970c4514df13fcd973ebc00818fa4c98"
+        "753686f8f0622f3b0f9e6c100b9311f7"
+        "b979f2d86c82055d9dae218a74d711f3"
     ),
     "tournament-plurality/n=16/interval=n-1": (
-        "5592aee4663dca6f1aa013ab70aa7938"
-        "a294f268b267322bbd80c32e1a133a47"
+        "0ad4142201af884ac383182f19f5e82d"
+        "ccd4208a7b74b1cedb1f03d531fccc49"
     ),
     "tournament-plurality/n=16/interval=n": (
-        "71c32c2a5fa5dfa8dbf96d6ac67d0eb9"
-        "d950426bcad5897f551a3e60e626890b"
+        "85a173e262e2c9097e061370ae923490"
+        "fb8f11eda77f81e053292987c7cca546"
     ),
     "tournament-plurality/n=16/interval=n+1": (
-        "39fe88edb3a06b166f5b090bc1d828c0"
-        "daeeede88ce27cf77a8ab12e6e3f2ca1"
+        "b469b94acf50165cf8f5e7ebc57915e0"
+        "6e9fcf88f6f70e53c72882999bbbed10"
     ),
     "tournament-plurality/n=16/interval=3n": (
-        "83bb50004261c3070c63e8009bf381dc"
-        "2daa1cff18d6b4d2aea852ce6a3da86d"
+        "470269918802daec307f39e3adf6335b"
+        "654ed2c6090c55e03b623d537f417645"
     ),
     "tournament-plurality/n=64/interval=1": (
-        "eaf144c37596c8d832048eacd6231425"
-        "f1ab06f8b5fac36748acc458fe7f3526"
+        "c5b90a1dc62f17d64a342d423eb23300"
+        "b033396e3da9ac84a6e1b457b4d67a1a"
     ),
     "tournament-plurality/n=64/interval=7": (
-        "a1b377c640642c0bf95299b9b29e7019"
-        "4e73163081723fc598fb0a692feffc7e"
+        "3d05ea50dfd6dc7e444f5aa425fc497e"
+        "6fac3a543b49df23c2b36702a3870864"
     ),
     "tournament-plurality/n=64/interval=n-1": (
-        "8d68cf3942280d1cb03917feaef529f2"
-        "c45c67926f7965603c1dc9c37d425ea6"
+        "8af242e28a9a444360413adcf49367b2"
+        "e642cb22f39a198e741dceaf63a81b34"
     ),
     "tournament-plurality/n=64/interval=n": (
-        "08535b4ba00b9e99ee08fb79532ef2ac"
-        "4164383127049058b76aa6a714b59ef2"
+        "6c36a51019a167f35b0215b035296c50"
+        "05d532e1f8d35c8dcdcd55f7e55faf50"
     ),
     "tournament-plurality/n=64/interval=n+1": (
-        "8026ea319e2290c60e74840da442f7f2"
-        "f31838c8ef11f2337afdc34367eb5593"
+        "7d6d35ca474750933247c342ec304475"
+        "66e42a8693725bd96ed28cc5037b9452"
     ),
     "tournament-plurality/n=64/interval=3n": (
-        "d2bf9b1430cf6d4479aacc76e13ec39a"
-        "acfbf28dc472f7eaafbb9b0da8f97108"
+        "bee9024ab8c61b99675a8aeb3b6c1a65"
+        "964da3b3caf09726eb056fe7689f25bb"
     ),
 }
 

@@ -7,6 +7,9 @@ sample the same chain as the sequential process.  These tests check them
 against the exact chain, across forced regime switches, on a silent
 configuration, and check that convergence verdicts are re-evaluated only
 after a changed interaction while ``on_check`` still fires at every boundary.
+The geometric skip is carried across check windows: the mean time to
+``StableCircles`` under one-interaction windows matches the exact chain's,
+and a run takes one skip draw per event, not per window.
 """
 
 import math
@@ -15,7 +18,7 @@ import pytest
 
 import repro.simulation.batch_engine as batch_engine
 from repro.core.circles import CirclesProtocol
-from repro.exact import ConfigurationChain
+from repro.exact import ConfigurationChain, exact_expected_convergence
 from repro.simulation.batch_engine import BatchConfigurationSimulation
 from repro.simulation.convergence import OutputConsensus, StableCircles
 from repro.simulation.observers import Observer
@@ -168,6 +171,53 @@ class TestRegimeSwitches:
         assert seen == {"dense", "sparse"}
         assert simulation.unanimous_output() == 0
         assert Multiset(simulation.states()) == simulation.configuration()
+
+
+class TestCarriedSkip:
+    """One geometric skip per event, carried across one-interaction windows."""
+
+    COLORS = [0, 0, 0, 1, 1, 2]
+    TRIALS = 3_000
+    BUDGET = 10_000
+
+    def test_mean_time_to_stable_circles_matches_the_exact_chain(self, monkeypatch):
+        """A stale, short or uncut carried skip moves the mean by many standard errors."""
+        force(monkeypatch, ALWAYS, ALWAYS)
+        protocol = CirclesProtocol(3)
+        expected = exact_expected_convergence(protocol, self.COLORS, StableCircles())
+        assert expected == pytest.approx(35.741, abs=1e-3)
+        times = []
+        for trial in range(self.TRIALS):
+            simulation = BatchConfigurationSimulation.from_colors(
+                protocol, self.COLORS, seed=50_000 + trial
+            )
+            assert simulation.run(self.BUDGET, criterion=StableCircles(), check_interval=1)
+            times.append(simulation.steps_taken)
+        mean = sum(times) / self.TRIALS
+        variance = sum((time - mean) ** 2 for time in times) / (self.TRIALS - 1)
+        z = (mean - expected) / math.sqrt(variance / self.TRIALS)
+        assert abs(z) < 4, f"mean {mean:.3f} against exact {expected:.3f} (z = {z:.2f})"
+
+    @pytest.mark.parametrize("n", [8, 64, 300])
+    def test_one_skip_draw_per_event(self, monkeypatch, n):
+        """A skip and a pair draw per changed interaction, plus the last skip."""
+        force(monkeypatch, ALWAYS, ALWAYS)
+        first = n // 3 + 2
+        second = n // 3
+        colors = [0] * first + [1] * second + [2] * (n - first - second)
+        simulation = BatchConfigurationSimulation.from_colors(CirclesProtocol(3), colors, seed=1)
+        draws = 0
+        uniform = simulation._rng.random
+
+        def counted() -> float:
+            nonlocal draws
+            draws += 1
+            return uniform()
+
+        simulation._rng.random = counted
+        assert simulation.run(400 * n * n, criterion=StableCircles(), check_interval=1)
+        assert simulation.regime == "sparse"
+        assert draws <= 2 * simulation.interactions_changed + 1
 
 
 class CountingConsensus(OutputConsensus):
