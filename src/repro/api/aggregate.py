@@ -13,6 +13,8 @@ import statistics
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
+from repro.analysis.statistics import quantile
+
 #: Record field aliases: table-friendly names -> attribute look-up chain.
 _ALIASES = {
     "protocol": "protocol_name",
@@ -57,7 +59,7 @@ def _reduce(values: list[float], stat: str) -> float | list[float]:
     if stat == "mean":
         return statistics.fmean(values)
     if stat == "median":
-        return statistics.median(values)
+        return quantile(values, 0.5)
     if stat == "min":
         return min(values)
     if stat == "max":
@@ -66,14 +68,11 @@ def _reduce(values: list[float], stat: str) -> float | list[float]:
         return sum(values)
     if stat == "count":
         return len(values)
-    if stat.startswith("q"):  # "q25", "q90", ... via inclusive quantiles
+    if stat.startswith("q"):  # "q25", "q90", ... interpolated like summarize()'s
         percent = int(stat[1:])
         if not 0 < percent < 100:
             raise ValueError(f"quantile {stat!r} must be strictly between q0 and q100")
-        if len(values) == 1:
-            return values[0]
-        cuts = statistics.quantiles(values, n=100, method="inclusive")
-        return cuts[percent - 1]
+        return quantile(values, percent / 100)
     raise ValueError(
         f"unknown statistic {stat!r}; use mean/median/min/max/sum/count or qNN"
     )
@@ -94,7 +93,8 @@ def aggregate_records(
         by: grouping axes (default: one row per (protocol, n, k)).
         stats: reductions of ``value`` per group — ``"mean"``, ``"median"``,
             ``"min"``, ``"max"``, ``"sum"``, ``"count"`` or ``"qNN"`` for the
-            NN-th percentile (inclusive method).
+            NN-th percentile, both quantiles through
+            :func:`repro.analysis.statistics.quantile`.
 
     Returns:
         Rows in first-seen group order; each row also carries ``trials`` (the

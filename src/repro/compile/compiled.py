@@ -86,9 +86,7 @@ class CompiledProtocol(StateCodes[State]):
         table: flat ``array('l')`` of ``d²`` entries; ``table[p·d + q]`` is
             the packed result ``a·d + b`` of ``δ`` on the pair ``(p, q)``.
         changed: ``bytes`` bitmask parallel to ``table``, set where the
-            ordered pair moves a state (``table[p·d + q] != p·d + q``).  It
-            is read off the table, not off ``TransitionResult.changed``, so
-            every engine applies the same δ whatever a protocol reports.
+            ordered pair moves a state (``table[p·d + q] != p·d + q``).
         outputs: ``array('l')`` mapping state index -> output color.
     """
 

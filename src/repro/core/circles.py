@@ -163,8 +163,7 @@ class CirclesProtocol(PopulationProtocol[CirclesState]):
         elif self.variant.output_rule is OutputRule.EPIDEMIC:
             new_responder = new_responder.with_out(new_initiator.out)
 
-        changed = new_initiator != initiator or new_responder != responder
-        return TransitionResult(new_initiator, new_responder, changed)
+        return TransitionResult(new_initiator, new_responder)
 
     # -- convenience -----------------------------------------------------------------
 

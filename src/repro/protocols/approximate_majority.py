@@ -73,5 +73,4 @@ class ApproximateMajorityProtocol(PopulationProtocol[OpinionState]):
             new_responder = OpinionState(initiator.opinion)
         elif initiator.is_blank() and not responder.is_blank():
             new_initiator = OpinionState(responder.opinion)
-        changed = (new_initiator, new_responder) != (initiator, responder)
-        return TransitionResult(new_initiator, new_responder, changed)
+        return TransitionResult(new_initiator, new_responder)

@@ -29,35 +29,23 @@ State = TypeVar("State", bound=Hashable)
 
 @dataclass(frozen=True)
 class TransitionResult(Generic[State]):
-    """The outcome of one interaction.
+    """The outcome of one interaction: the two new states, nothing else.
+
+    Whether an interaction changed anything is read off the states by every
+    consumer (``result.as_pair() != (initiator, responder)``), so a protocol
+    states each fact once.
 
     Attributes:
         initiator: the new state of the interaction's initiator (first agent).
         responder: the new state of the responder (second agent).
-        changed: whether either state differs from before; engines use this to
-            detect quiescence cheaply.
     """
 
     initiator: State
     responder: State
-    changed: bool
 
     def as_pair(self) -> tuple[State, State]:
         """The ``(initiator, responder)`` state pair."""
         return (self.initiator, self.responder)
-
-    def judged_from(self, initiator: State, responder: State) -> "TransitionResult[State]":
-        """This result with ``changed`` read off the states, not off the flag.
-
-        ``initiator`` and ``responder`` are the states before the
-        interaction.  Engines apply δ through this, so a protocol that
-        misreports its flag still moves exactly as its states say, the way
-        the compiled tables do.
-        """
-        changed = self.initiator != initiator or self.responder != responder
-        if changed == self.changed:
-            return self
-        return TransitionResult(self.initiator, self.responder, changed)
 
 
 class PopulationProtocol(abc.ABC, Generic[State]):
@@ -103,7 +91,12 @@ class PopulationProtocol(abc.ABC, Generic[State]):
 
     @abc.abstractmethod
     def transition(self, initiator: State, responder: State) -> TransitionResult[State]:
-        """The transition function ``δ`` applied to one ordered interaction."""
+        """The transition function ``δ`` applied to one ordered interaction.
+
+        Returns the two new states only.  An interaction counts as changed
+        exactly when they differ from ``(initiator, responder)``; equal
+        fresh objects count as unchanged.
+        """
 
     # -- run defaults ------------------------------------------------------------
 

@@ -67,5 +67,4 @@ class CancellationPluralityProtocol(PopulationProtocol[PluralityState]):
             new_responder = PluralityState(initiator.color, active=False)
         elif responder.active and not initiator.active:
             new_initiator = PluralityState(responder.color, active=False)
-        changed = (new_initiator, new_responder) != (initiator, responder)
-        return TransitionResult(new_initiator, new_responder, changed)
+        return TransitionResult(new_initiator, new_responder)

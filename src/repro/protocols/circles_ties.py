@@ -129,8 +129,7 @@ class TieReportCircles(PopulationProtocol[TieAwareState]):
             new_initiator = TieAwareState(new_initiator.bra, new_initiator.ket, broadcast, True)
             new_responder = TieAwareState(new_responder.bra, new_responder.ket, broadcast, True)
 
-        changed = (new_initiator, new_responder) != (initiator, responder)
-        return TransitionResult(new_initiator, new_responder, changed)
+        return TransitionResult(new_initiator, new_responder)
 
     def is_symmetric(self) -> bool:
         return True

@@ -168,8 +168,7 @@ class UnorderedCirclesProtocol(PopulationProtocol[UnorderedState]):
     ) -> TransitionResult[UnorderedState]:
         after_ordering = self._ordering_layer(initiator, responder)
         new_initiator, new_responder = self._circles_layer(*after_ordering)
-        changed = (new_initiator, new_responder) != (initiator, responder)
-        return TransitionResult(new_initiator, new_responder, changed)
+        return TransitionResult(new_initiator, new_responder)
 
     def is_symmetric(self) -> bool:
         return False

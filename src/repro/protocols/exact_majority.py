@@ -73,5 +73,4 @@ class ExactMajorityProtocol(PopulationProtocol[MajorityState]):
             new_responder = MajorityState(initiator.opinion, strong=False)
         elif responder.strong and not initiator.strong:
             new_initiator = MajorityState(responder.opinion, strong=False)
-        changed = (new_initiator, new_responder) != (initiator, responder)
-        return TransitionResult(new_initiator, new_responder, changed)
+        return TransitionResult(new_initiator, new_responder)

@@ -57,8 +57,8 @@ class LeaderElectionProtocol(PopulationProtocol[LeaderState]):
         self, initiator: LeaderState, responder: LeaderState
     ) -> TransitionResult[LeaderState]:
         if initiator.leader and responder.leader:
-            return TransitionResult(initiator, LeaderState(False), True)
-        return TransitionResult(initiator, responder, False)
+            return TransitionResult(initiator, LeaderState(False))
+        return TransitionResult(initiator, responder)
 
     def is_symmetric(self) -> bool:
         """Leader election inherently uses the initiator/responder asymmetry."""
@@ -105,8 +105,8 @@ class PerColorLeaderElection(PopulationProtocol[ColorLeaderState]):
             and responder.leader
             and initiator.color == responder.color
         ):
-            return TransitionResult(initiator, ColorLeaderState(responder.color, False), True)
-        return TransitionResult(initiator, responder, False)
+            return TransitionResult(initiator, ColorLeaderState(responder.color, False))
+        return TransitionResult(initiator, responder)
 
     def is_symmetric(self) -> bool:
         return False

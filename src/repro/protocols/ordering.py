@@ -91,8 +91,7 @@ class ColorOrderingProtocol(PopulationProtocol[OrderingState]):
                 new_responder = OrderingState(
                     responder.color, True, (responder.label + 1) % self.num_colors
                 )
-        changed = (new_initiator, new_responder) != (initiator, responder)
-        return TransitionResult(new_initiator, new_responder, changed)
+        return TransitionResult(new_initiator, new_responder)
 
     def is_symmetric(self) -> bool:
         return False

@@ -170,8 +170,7 @@ class TournamentPluralityProtocol(PopulationProtocol[TournamentState]):
         new_responder = TournamentState(
             responder.color, frozenset(resp_tokens), apply(responder.beliefs)
         )
-        changed = (new_initiator, new_responder) != (initiator, responder)
-        return TransitionResult(new_initiator, new_responder, changed)
+        return TransitionResult(new_initiator, new_responder)
 
     def is_symmetric(self) -> bool:
         """The tournament rules never use the initiator/responder asymmetry."""

@@ -353,7 +353,7 @@ class ConfigurationEngine(SimulationEngine[State]):
                 step=self.steps_taken,
                 initiator=decode(p),
                 responder=decode(q),
-                result=TransitionResult(decode(a), decode(b), True),
+                result=TransitionResult(decode(a), decode(b)),
                 count=count,
             )
             for observer in self._delta_observers:

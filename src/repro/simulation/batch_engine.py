@@ -66,7 +66,7 @@ population-protocol simulators of Berenbrink et al.:
   configuration's order, and books it on the count vector like the
   compiled loop.  δ comes from the interner's per-pair memo, and a pair
   changes exactly when its packed result differs from it, that is, when δ
-  returns different states, whatever its ``changed`` flag says.
+  returns different states.
 
 The induced Markov chain over configurations is *identical* to the agent
 engine's under the uniform random scheduler on every path;

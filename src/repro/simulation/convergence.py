@@ -26,7 +26,9 @@ when to stop.  Three criteria are provided:
   of out-of-date agents, so this criterion converges earlier than silence
   while still being permanent.
 
-Configuration-level consumers judge a criterion on a count vector over state
+Every criterion has one judge, :meth:`ConvergenceCriterion.is_converged_configuration`,
+on the multiset of agent states; the agent engine passes its population's
+multiset.  Configuration-level consumers judge a count vector over state
 codes (:meth:`ConvergenceCriterion.is_converged_counts`), which by default
 decodes the vector and judges the multiset; criteria may override it with a
 fast path that reads the codes' tables and decodes nothing.
@@ -35,7 +37,7 @@ fast path that reads the codes' tables and decodes nothing.
 from __future__ import annotations
 
 import abc
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable
 from typing import Generic, TypeVar
 
 from repro.compile import CompiledProtocol, StateCodes
@@ -69,16 +71,10 @@ class ConvergenceCriterion(abc.ABC, Generic[State]):
     symmetry_invariant: bool = True
 
     @abc.abstractmethod
-    def is_converged(
-        self, protocol: PopulationProtocol[State], states: Sequence[State]
-    ) -> bool:
-        """Whether the indexed population ``states`` has converged."""
-
     def is_converged_configuration(
         self, protocol: PopulationProtocol[State], configuration: Multiset[State]
     ) -> bool:
-        """Configuration-level variant; defaults to expanding the multiset."""
-        return self.is_converged(protocol, list(configuration.elements()))
+        """Whether ``configuration`` (the multiset of agent states) has converged."""
 
     def is_converged_counts(
         self, protocol: PopulationProtocol[State], compiled: StateCodes[State], counts
@@ -111,18 +107,6 @@ class OutputConsensus(ConvergenceCriterion[State]):
         # Naming a color breaks orbit-invariance: σ can map a target-colored
         # consensus to a consensus on another color.
         self.symmetry_invariant = target is None
-
-    def is_converged(
-        self, protocol: PopulationProtocol[State], states: Sequence[State]
-    ) -> bool:
-        if not states:
-            return False
-        outputs = {protocol.output(state) for state in states}
-        if len(outputs) != 1:
-            return False
-        if self.target is None:
-            return True
-        return next(iter(outputs)) == self.target
 
     def is_converged_configuration(
         self, protocol: PopulationProtocol[State], configuration: Multiset[State]
@@ -159,16 +143,10 @@ class SilentConfiguration(ConvergenceCriterion[State]):
     engines judge the decoded configuration through
     :meth:`is_converged_configuration`, the classic from-scratch ``O(d²)``
     rescan through ``protocol.transition`` (also the baseline the
-    incremental-detection benchmark measures against).  The rescan judges a
-    pair by the states δ returns, not by its ``changed`` flag.
+    incremental-detection benchmark measures against).
     """
 
     name = "silent"
-
-    def is_converged(
-        self, protocol: PopulationProtocol[State], states: Sequence[State]
-    ) -> bool:
-        return self.is_converged_configuration(protocol, Multiset(states))
 
     def is_converged_configuration(
         self, protocol: PopulationProtocol[State], configuration: Multiset[State]
@@ -195,20 +173,6 @@ class StableCircles(ConvergenceCriterion[CirclesState]):
     """
 
     name = "stable-circles"
-
-    def is_converged(
-        self, protocol: PopulationProtocol[CirclesState], states: Sequence[CirclesState]
-    ) -> bool:
-        if not isinstance(protocol, CirclesProtocol):
-            raise TypeError("StableCircles only applies to CirclesProtocol runs")
-        if not states:
-            return False
-        if not is_stable_configuration(protocol, states):
-            return False
-        agreed = outputs_agree(states)
-        if agreed is None:
-            return False
-        return agreed in diagonal_colors(states)
 
     def is_converged_configuration(
         self, protocol: PopulationProtocol[CirclesState], configuration: Multiset[CirclesState]
@@ -262,10 +226,8 @@ class StableCircles(ConvergenceCriterion[CirclesState]):
             return False
         if not is_stable_configuration(protocol, support):
             return False
-        outputs = {state.out for state in support}
-        if len(outputs) != 1:
-            return False
-        return next(iter(outputs)) in diagonal_colors(support)
+        agreed = outputs_agree(support)
+        return agreed is not None and agreed in diagonal_colors(support)
 
 
 def _require_circles(protocol) -> None:

@@ -9,7 +9,7 @@ adaptive adversaries) — at the cost of O(1) work per interaction plus the
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Generic, TypeVar
 
@@ -17,15 +17,11 @@ from repro.protocols.base import PopulationProtocol
 from repro.scheduling.base import Scheduler
 from repro.simulation.base import SimulationEngine
 from repro.simulation.convergence import ConvergenceCriterion
-from repro.simulation.observers import CountDelta, TraceObserver
+from repro.simulation.observers import CountDelta
 from repro.simulation.population import Population
-from repro.simulation.trace import Trace
 from repro.utils.rng import RngLike
 
 State = TypeVar("State", bound=Hashable)
-
-#: A per-step metric: receives the current list of agent states.
-MetricFn = Callable[[Sequence[State]], object]
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,6 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         protocol: PopulationProtocol[State],
         population: Population[State] | Sequence[State],
         scheduler: Scheduler,
-        trace: Trace | None = None,
-        metrics: Mapping[str, MetricFn] | None = None,
     ) -> None:
         """Create the simulation.
 
@@ -65,11 +59,9 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
             population: initial agent states (a :class:`Population` or a
                 plain sequence).
             scheduler: decides which pair interacts at each step.
-            trace: optional trace recorder; when given, every step is
-                recorded together with the metric values (sugar for
-                attaching a :class:`~repro.simulation.observers.TraceObserver`).
-            metrics: optional named metric functions evaluated on the state
-                list at every recorded step.
+
+        A trace is recorded by attaching a
+        :class:`~repro.simulation.observers.TraceObserver`.
         """
         self.protocol = protocol
         self.population = (
@@ -81,13 +73,9 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
                 f"{len(self.population)}"
             )
         self.scheduler = scheduler
-        self.trace = trace
-        self.metrics = dict(metrics or {})
         self.steps_taken = 0
         self.interactions_changed = 0
         self._init_observers()
-        if trace is not None:
-            self.add_observer(TraceObserver(trace=trace, metrics=self.metrics))
 
     @classmethod
     def from_colors(
@@ -96,8 +84,6 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         colors: Iterable[int],
         seed: RngLike = None,
         scheduler: Scheduler | None = None,
-        trace: Trace | None = None,
-        metrics: Mapping[str, MetricFn] | None = None,
     ) -> "AgentSimulation[State]":
         """Create the initial population from input colors.
 
@@ -111,13 +97,7 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         population = Population.from_colors(protocol, colors)
         if scheduler is None:
             scheduler = RandomPermutationScheduler(len(population), seed=seed)
-        return cls(
-            protocol,
-            population,
-            scheduler,
-            trace=trace,
-            metrics=metrics,
-        )
+        return cls(protocol, population, scheduler)
 
     # -- stepping ---------------------------------------------------------------
 
@@ -127,9 +107,10 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         pair = self.scheduler.next_pair(self.steps_taken, states)
         initiator_index, responder_index = pair
         before = (states[initiator_index], states[responder_index])
-        result = self.protocol.transition(*before).judged_from(*before)
+        result = self.protocol.transition(*before)
         after = result.as_pair()
-        if result.changed:
+        changed = after != before
+        if changed:
             states[initiator_index] = result.initiator
             states[responder_index] = result.responder
             self.interactions_changed += 1
@@ -140,7 +121,7 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
             before=before,
             after=after,
         )
-        if self._observers and (result.changed or self._wants_unchanged):
+        if self._observers and (changed or self._wants_unchanged):
             delta = CountDelta(
                 step=record.step,
                 initiator=before[0],
@@ -151,7 +132,7 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
                 responder_index=responder_index,
             )
             for observer in self._observers:
-                if result.changed or observer.wants_unchanged:
+                if changed or observer.wants_unchanged:
                     observer.on_delta(delta)
         self.steps_taken += 1
         return record
@@ -162,7 +143,7 @@ class AgentSimulation(SimulationEngine[State], Generic[State]):
         return max_interactions
 
     def _converged(self, criterion: ConvergenceCriterion[State]) -> bool:
-        return criterion.is_converged(self.protocol, self.population.states())
+        return criterion.is_converged_configuration(self.protocol, self.population.configuration())
 
     # -- inspection ----------------------------------------------------------------
 

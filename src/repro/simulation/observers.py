@@ -85,8 +85,9 @@ class CountDelta(Generic[State]):
 
     @property
     def changed(self) -> bool:
-        """Whether the covered interactions changed any state."""
-        return self.result.changed
+        """Whether the covered interactions changed any state, read off the states."""
+        result = self.result
+        return result.initiator != self.initiator or result.responder != self.responder
 
 
 class Observer(Generic[State]):
@@ -149,7 +150,7 @@ class CallbackObserver(Observer[State]):
         self.fn = fn
 
     def on_delta(self, delta: CountDelta[State]) -> None:
-        if delta.result.changed:
+        if delta.changed:
             self.fn(delta.initiator, delta.responder, delta.result, delta.count)
 
 
@@ -158,8 +159,7 @@ class TraceObserver(Observer[State]):
 
     Needs per-agent indices and per-interaction granularity, so it attaches
     to the agent engine only.  Optional ``metrics`` are evaluated on the
-    post-interaction state list at every recorded step, matching the
-    pre-pipeline ``AgentSimulation(trace=..., metrics=...)`` behavior.
+    post-interaction state list at every recorded step.
     """
 
     name = "trace"
@@ -187,7 +187,7 @@ class TraceObserver(Observer[State]):
                 step=delta.step,
                 initiator=delta.initiator_index,
                 responder=delta.responder_index,
-                changed=delta.result.changed,
+                changed=delta.changed,
                 metrics=metric_values,
             )
         )
@@ -261,7 +261,7 @@ class KetExchangeObserver(Observer[CirclesState]):
 
     def on_delta(self, delta: CountDelta[CirclesState]) -> None:
         result = delta.result
-        if result.changed and ket_exchange_occurred(
+        if ket_exchange_occurred(
             (delta.initiator, delta.responder), (result.initiator, result.responder)
         ):
             self.exchanges += delta.count
@@ -368,8 +368,8 @@ class EnergyObserver(_WeightedObserver):
         self.samples.append((engine.steps_taken, self.energy))
 
     def on_delta(self, delta: CountDelta[CirclesState]) -> None:
-        result = delta.result
-        if result.changed:
+        if delta.changed:
+            result = delta.result
             weight = self._weight
             self.energy += delta.count * (
                 weight(result.initiator)
@@ -441,9 +441,9 @@ class PotentialObserver(_WeightedObserver):
         self.histogram = histogram
 
     def on_delta(self, delta: CountDelta[CirclesState]) -> None:
-        result = delta.result
-        if not result.changed:
+        if not delta.changed:
             return
+        result = delta.result
         weight = self._weight
         before = (weight(delta.initiator), weight(delta.responder))
         after = (weight(result.initiator), weight(result.responder))

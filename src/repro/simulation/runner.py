@@ -18,7 +18,7 @@ Both entry points accept ``engine=`` with a registry name from
 
 * ``"agent"`` (default) — per-agent simulation; the only engine that
   supports custom schedulers (``scheduler=``) and trace recording
-  (``record_trace=True``).
+  (``observers=[TraceObserver()]``).
 * ``"batch"`` — the configuration-level engine: exact sampling of the
   uniform random scheduler in windows; the fast path for large populations
   (E6-scale convergence sweeps).  ``"vector"`` is the batch engine plus a
@@ -59,7 +59,6 @@ from repro.simulation.observers import (
 )
 from repro.simulation.population import configuration_from_counts
 from repro.simulation.registry import get_engine
-from repro.simulation.trace import Trace
 from repro.utils.multiset import Multiset
 from repro.utils.rng import RngLike
 
@@ -146,7 +145,6 @@ class RunResult:
     #: analytical result (absorption probabilities, exact expected
     #: interactions, correctness probability); ``None`` for sampled runs.
     exact: dict | None = None
-    trace: Trace | None = field(default=None, repr=False)
 
     @property
     def unanimous(self) -> bool:
@@ -170,22 +168,14 @@ class RunResult:
         }
 
 
-def _resolve_engine(
-    engine: str, scheduler: Scheduler | None, record_trace: bool
-) -> type[SimulationEngine]:
-    """Look up the engine and reject options it cannot honor."""
+def _resolve_engine(engine: str, scheduler: Scheduler | None) -> type[SimulationEngine]:
+    """Look up the engine and reject a scheduler it cannot honor."""
     engine_cls = get_engine(engine)
-    if not issubclass(engine_cls, AgentSimulation):
-        if scheduler is not None:
-            raise ValueError(
-                f"engine {engine!r} simulates the uniform random scheduler directly; "
-                "pass engine='agent' to use a custom scheduler"
-            )
-        if record_trace:
-            raise ValueError(
-                f"engine {engine!r} does not track individual agents; "
-                "pass engine='agent' to record an interaction trace"
-            )
+    if scheduler is not None and not issubclass(engine_cls, AgentSimulation):
+        raise ValueError(
+            f"engine {engine!r} simulates the uniform random scheduler directly; "
+            "pass engine='agent' to use a custom scheduler"
+        )
     return engine_cls
 
 
@@ -196,27 +186,23 @@ def _build_simulation(
     configuration: Multiset[State],
     scheduler: Scheduler | None,
     seed: RngLike,
-    record_trace: bool,
     observers: Sequence[Observer] = (),
-) -> tuple[SimulationEngine[State], Trace | None, str]:
-    """Construct the selected engine; returns (simulation, trace, scheduler name).
+) -> tuple[SimulationEngine[State], str]:
+    """Construct the selected engine; returns (simulation, scheduler name).
 
     The agent engine places one agent per color; every other engine starts
     from ``configuration``, the colors' initial configuration.  ``observers``
     are attached in order, after construction.
     """
     if issubclass(engine_cls, AgentSimulation):
-        trace = Trace() if record_trace else None
-        simulation = engine_cls.from_colors(
-            protocol, colors, seed=seed, scheduler=scheduler, trace=trace
-        )
+        simulation = engine_cls.from_colors(protocol, colors, seed=seed, scheduler=scheduler)
         scheduler_name = simulation.scheduler.name
     else:
         simulation = engine_cls(protocol, configuration, seed)
-        trace, scheduler_name = None, "uniform-random"
+        scheduler_name = "uniform-random"
     for observer in observers:
         simulation.add_observer(observer)
-    return simulation, trace, scheduler_name
+    return simulation, scheduler_name
 
 
 def _count_input(
@@ -248,7 +234,6 @@ def run_protocol(
     criterion: ConvergenceCriterion[State] | None = None,
     max_steps: int | None = None,
     seed: RngLike = None,
-    record_trace: bool = False,
     check_interval: int | None = None,
     engine: str = "agent",
     observers: Sequence[Observer | str | tuple] | None = None,
@@ -266,8 +251,6 @@ def run_protocol(
             :func:`default_max_steps`.
         seed: seed for the default scheduler (``"agent"`` engine) or the
             engine's sampler (configuration-level engines).
-        record_trace: record a full interaction trace on the result
-            (``"agent"`` engine only).
         check_interval: how often (in interactions) the criterion is checked;
             defaults to :func:`~repro.simulation.base.default_check_interval`.
         engine: engine registry name — ``"agent"``, ``"batch"``,
@@ -276,7 +259,10 @@ def run_protocol(
         observers: observers to attach for the run
             (:mod:`repro.simulation.observers`): instances, registry names,
             or ``(name, params)`` pairs.  Their ``summary()`` dictionaries
-            are reported as ``RunResult.observer_summaries``.
+            are reported as ``RunResult.observer_summaries``.  An observer
+            that needs agent indices, such as
+            :class:`~repro.simulation.observers.TraceObserver`, needs
+            ``engine="agent"``.
 
     Returns:
         A :class:`RunResult`; ``correct`` is True when the input has a unique
@@ -284,7 +270,7 @@ def run_protocol(
     """
     colors = tuple(colors)
     _validate_input_colors(colors)
-    engine_cls = _resolve_engine(engine, scheduler, record_trace)
+    engine_cls = _resolve_engine(engine, scheduler)
     if criterion is None:
         criterion = protocol.default_criterion()
     k = protocol.num_colors
@@ -299,8 +285,8 @@ def run_protocol(
         else None
     )
     resolved = _resolve_observers(observers)
-    simulation, trace, scheduler_name = _build_simulation(
-        engine_cls, protocol, colors, configuration, scheduler, seed, record_trace,
+    simulation, scheduler_name = _build_simulation(
+        engine_cls, protocol, colors, configuration, scheduler, seed,
         observers=[exchange_counter, *resolved] if exchange_counter else resolved,
     )
     converged = simulation.run(budget, criterion=criterion, check_interval=check_interval)
@@ -335,7 +321,6 @@ def run_protocol(
         seed=seed if isinstance(seed, int) else None,
         observer_summaries={obs.name: obs.summary() for obs in resolved},
         exact=exact_result.to_dict() if exact_result is not None else None,
-        trace=trace,
     )
 
 
@@ -346,7 +331,6 @@ def run_circles(
     variant: CirclesVariant | None = None,
     max_steps: int | None = None,
     seed: RngLike = None,
-    record_trace: bool = False,
     check_interval: int | None = None,
     engine: str = "agent",
     observers: Sequence[Observer | str | tuple] | None = None,
@@ -360,8 +344,8 @@ def run_circles(
         colors: one input color per agent (at least two agents).
         num_colors: the protocol's ``k``; defaults to ``max(colors) + 1``.
         variant: ablation switches; defaults to the paper's protocol.
-        scheduler / max_steps / seed / record_trace / check_interval /
-            engine / observers: as in :func:`run_protocol`.
+        scheduler / max_steps / seed / check_interval / engine /
+            observers: as in :func:`run_protocol`.
     """
     colors = tuple(colors)
     _validate_input_colors(colors)
@@ -372,7 +356,6 @@ def run_circles(
         scheduler=scheduler,
         max_steps=max_steps,
         seed=seed,
-        record_trace=record_trace,
         check_interval=check_interval,
         engine=engine,
         observers=observers,

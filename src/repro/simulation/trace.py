@@ -6,18 +6,17 @@ Traces power the examples' plots-as-text output and post-mortem debugging of
 adversarial runs.  Recording is opt-in because a full trace of a long run is
 large.
 
-Recording is fed by the observer pipeline: the ``trace=`` parameter of
-:class:`~repro.simulation.engine.AgentSimulation` (and ``record_trace=True``
-on the high-level run API) attaches a
-:class:`~repro.simulation.observers.TraceObserver`, which needs per-agent
-indices and therefore exists on the agent engine only; the
-configuration-level engines expose their executions through count-level
-observers instead.
+Recording is fed by the observer pipeline: attach a
+:class:`~repro.simulation.observers.TraceObserver` to an
+:class:`~repro.simulation.engine.AgentSimulation` (or pass it in
+``observers=`` to the high-level run API).  It needs per-agent indices and
+therefore exists on the agent engine only; the configuration-level engines
+expose their executions through count-level observers instead.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -77,5 +76,3 @@ class Trace:
         """All events satisfying ``predicate``."""
         return [event for event in self._events if predicate(event)]
 
-
-MetricFn = Callable[[Sequence[Any]], Any]

@@ -122,8 +122,8 @@ class PairCodeKernel:
         base_row = np.repeat(np.arange(d, dtype=np.int16), counts)
         self._states = np.tile(base_row, (rows, 1))
         #: The booking, read-only outside the kernel: per row its count vector,
-        #: its interactions that moved a state (a truthful δ's ``changed``
-        #: flag) and its hits on the per-pair-code ``tally`` mask, if any.
+        #: its interactions that moved a state and its hits on the
+        #: per-pair-code ``tally`` mask, if any.
         self.counts = np.tile(counts, (rows, 1))
         self.changed = np.zeros(rows, dtype=np.int64)
         self.tallies = None if tally is None else np.zeros(rows, dtype=np.int64)

@@ -44,7 +44,7 @@ class TransitionEffect:
     def is_zero(self) -> bool:
         """True for changed transitions that preserve the count vector.
 
-        A pair swap ``δ(p, q) = (q, p)`` with ``changed=True`` alters the
+        A pair swap ``δ(p, q) = (q, p)`` with ``p ≠ q`` alters the
         two agents' states but not the configuration multiset; no linear
         function of counts can strictly decrease on it.
         """

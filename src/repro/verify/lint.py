@@ -3,12 +3,10 @@
 Each check returns :class:`Diagnostic` values at one of three severities:
 
 * **ERROR** — the protocol violates a soundness contract the engines rely
-  on (a non-deterministic ``transition``, or ``changed=False`` on a pair
-  that actually changes states, which makes the uncompiled engines skip
-  real work; compiled tables read the flag off the result states).
-  ``protolint`` exits non-zero on these.
-* **WARNING** — suspicious but not unsound: ``changed=True`` on an identity
-  pair (uncompiled silence detection can never fire), a stable class whose members
+  on: a non-deterministic ``transition``.  ``protolint`` exits non-zero on
+  these.  (Whether a pair changes anything is read off the states δ
+  returns, so there is no separate flag to contradict them.)
+* **WARNING** — suspicious but not unsound: a stable class whose members
   disagree on outputs, a missing ``compile_signature`` override (per-instance
   compile caches silently defeat registry-driven sweeps).
 * **INFO** — observations: transitions never enabled from the probed
@@ -76,47 +74,6 @@ def max_severity(diagnostics: Sequence[Diagnostic]) -> Severity | None:
 
 
 # -- table-level checks -----------------------------------------------------
-
-
-def lint_changed_flags(compiled: "CompiledProtocol") -> list[Diagnostic]:
-    """Cross-check each reported ``changed`` flag against its result states.
-
-    The compiled ``changed`` mask is read off the table, so this evaluates
-    the protocol's own ``transition`` once per pair.
-    """
-    diagnostics: list[Diagnostic] = []
-    transition = compiled.protocol.transition
-    unsound: list[list[str]] = []
-    spurious: list[list[str]] = []
-    for initiator in compiled.states:
-        for responder in compiled.states:
-            result = transition(initiator, responder)
-            identical = result.initiator == initiator and result.responder == responder
-            if result.changed and identical:
-                spurious.append([str(initiator), str(responder)])
-            elif not result.changed and not identical:
-                unsound.append([str(initiator), str(responder)])
-    if unsound:
-        diagnostics.append(
-            Diagnostic(
-                Severity.ERROR,
-                "unsound-unchanged-flag",
-                f"{len(unsound)} pair(s) report changed=False but alter states; "
-                "uncompiled engines would skip applying them",
-                {"count": len(unsound), "examples": unsound[:5]},
-            )
-        )
-    if spurious:
-        diagnostics.append(
-            Diagnostic(
-                Severity.WARNING,
-                "spurious-changed-flag",
-                f"{len(spurious)} identity pair(s) report changed=True; "
-                "uncompiled silence detection can never fire",
-                {"count": len(spurious), "examples": spurious[:5]},
-            )
-        )
-    return diagnostics
 
 
 def lint_determinism(

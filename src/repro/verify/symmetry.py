@@ -5,7 +5,7 @@ some bijection ``σ`` of the compiled state space satisfies
 
 * ``σ(initial(c)) = initial(π(c))`` for every color ``c``,
 * ``δ(σp, σq) = (σa, σb)`` whenever ``δ(p, q) = (a, b)`` (with matching
-  ``changed`` flags), and
+  compiled ``changed`` bits), and
 * ``output(σs) = π(output(s))``, where ``π`` acts as the identity on output
   values outside ``[0, k)`` (sentinels like the tie-report's ``k``).
 

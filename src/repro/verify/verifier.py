@@ -4,8 +4,8 @@
 δ-table — conservation-law discovery, candidate-invariant certification
 (population size, Lemma 3.3's bra/ket counts), lexicographic ranking
 synthesis (Theorem 3.4 as a one-shot certificate), color-symmetry detection,
-and the lint passes (determinism, changed-flag soundness, dead transitions,
-stable-class output consistency, almost-sure correctness on small probes).
+and the lint passes (determinism, dead transitions, stable-class output
+consistency, almost-sure correctness on small probes).
 No pass simulates: everything is a statement about the finite transition
 table or the exact configuration chain.
 
@@ -38,7 +38,6 @@ from repro.verify.lint import (
     Diagnostic,
     Severity,
     enabled_pairs,
-    lint_changed_flags,
     lint_compile_signature,
     lint_dead_transitions,
     lint_determinism,
@@ -163,7 +162,6 @@ def verify_protocol(
     # Determinism first: its re-evaluation must be the first call after the
     # table's, or a δ that alternates between calls could match it again.
     diagnostics.extend(lint_determinism(protocol, compiled))
-    diagnostics.extend(lint_changed_flags(compiled))
 
     effects = transition_effects(compiled)
     num_changed_pairs = sum(len(effect.pairs) for effect in effects)

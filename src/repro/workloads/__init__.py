@@ -18,7 +18,6 @@ from repro.workloads.distributions import (
     uniform_random_colors,
     zipf_colors,
 )
-from repro.workloads.generators import WorkloadSpec, generate_workload, workload_catalog
 from repro.workloads.registry import (
     DEFAULT_WORKLOADS,
     WorkloadRegistry,
@@ -36,9 +35,6 @@ __all__ = [
     "adversarial_two_block",
     "decisive_isolation",
     "decisive_isolation_set",
-    "WorkloadSpec",
-    "generate_workload",
-    "workload_catalog",
     "DEFAULT_WORKLOADS",
     "WorkloadRegistry",
     "get_workload",

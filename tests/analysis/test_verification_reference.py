@@ -66,7 +66,7 @@ def _successors(protocol, key: frozenset) -> set[frozenset]:
             if initiator == responder and configuration.count(initiator) < 2:
                 continue
             result = protocol.transition(initiator, responder)
-            if not result.changed:
+            if result.as_pair() == (initiator, responder):
                 continue
             successor = configuration.copy()
             successor.remove(initiator)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.statistics import summarize
 from repro.api.aggregate import aggregate_records, group_records, record_value
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec
@@ -72,6 +73,16 @@ class TestAggregateRecords:
         row = aggregate_records(records, by=("protocol", "n", "k"), stats=("count",))[0]
         assert row["correct"] == 2
         assert row["count_steps"] == 3
+
+    def test_quantiles_match_summarize(self):
+        """One quantile implementation: a row's median and q90 are summarize()'s."""
+        steps = (913, 17, 404, 58, 2_711, 120, 333)
+        records = [_record(steps=s) for s in steps] + [_record(protocol="other", steps=5)]
+        row = aggregate_records(records, by=("protocol",), stats=("median", "q90"))[0]
+        stats = summarize([float(s) for s in steps])
+        assert row["trials"] == len(steps)
+        assert row["median_steps"] == stats.median
+        assert row["q90_steps"] == stats.p90
 
     def test_single_value_quantile(self):
         row = aggregate_records([_record(steps=42)], by=("protocol",), stats=("q90",))[0]

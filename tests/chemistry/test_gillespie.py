@@ -41,7 +41,7 @@ class Annihilation(PopulationProtocol[str]):
 
     def transition(self, initiator: str, responder: str) -> TransitionResult[str]:
         a, b = self.TABLE.get((initiator, responder), (initiator, responder))
-        return TransitionResult(a, b, (a, b) != (initiator, responder))
+        return TransitionResult(a, b)
 
 
 class Pairing(PopulationProtocol[object]):
@@ -62,7 +62,7 @@ class Pairing(PopulationProtocol[object]):
         return 0
 
     def transition(self, initiator, responder) -> TransitionResult:
-        return TransitionResult((initiator, responder), (responder, initiator), True)
+        return TransitionResult((initiator, responder), (responder, initiator))
 
 
 ANNIHILATION = Annihilation()

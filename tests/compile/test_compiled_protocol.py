@@ -65,11 +65,12 @@ class TestEveryRegisteredProtocol:
             for _ in range(FUZZ_PAIRS):
                 p = rng.randrange(d)
                 q = rng.randrange(d)
-                expected = protocol.transition(compiled.decode(p), compiled.decode(q))
+                before = (compiled.decode(p), compiled.decode(q))
+                expected = protocol.transition(*before)
                 a, b, changed = compiled.transition_codes(p, q)
                 assert compiled.decode(a) == expected.initiator, name
                 assert compiled.decode(b) == expected.responder, name
-                assert changed == expected.changed, name
+                assert changed == (expected.as_pair() != before), name
 
     def test_changed_flag_means_a_state_moved(self, compiled_protocols):
         """The position kernel counts an interaction as changed when it moves
@@ -93,10 +94,10 @@ class TestEveryRegisteredProtocol:
                 assert compiled.decode(index) == protocol.initial_state(color), name
 
 
-class MisflaggedSpread(PopulationProtocol[int]):
-    """``(0, 1) → (1, 1)``, but δ reports every interaction as unchanged."""
+class Spread(PopulationProtocol[int]):
+    """``(0, 1) → (1, 1)``: a one-way spread, the only pair that moves."""
 
-    name = "misflagged-spread"
+    name = "spread"
 
     def states(self):
         return [0, 1]
@@ -109,26 +110,27 @@ class MisflaggedSpread(PopulationProtocol[int]):
 
     def transition(self, a: int, b: int) -> TransitionResult[int]:
         if (a, b) == (0, 1):
-            return TransitionResult(1, 1, changed=False)
-        return TransitionResult(a, b, changed=False)
+            return TransitionResult(1, 1)
+        return TransitionResult(a, b)
 
 
 class TestChangedFlagComesFromTheTable:
-    """A wrong ``TransitionResult.changed`` cannot split the engines' chains."""
+    """The compiled ``changed`` mask is read off the table's entries."""
 
     def test_flag_is_read_off_the_table(self):
-        compiled = compile_protocol(MisflaggedSpread(2))
+        compiled = compile_protocol(Spread(2))
         zero, one = compiled.encode(0), compiled.encode(1)
         assert compiled.transition_codes(zero, one) == (one, one, True)
         assert compiled.transition_codes(one, zero)[2] is False
 
-    # Regression: the pool regimes below the kernel gate trusted the flag
-    # and never moved, while the kernel at the gate applied δ to every pair.
+    # Regression: the pool regimes below the kernel gate once trusted a
+    # protocol-reported flag and never moved, while the kernel at the gate
+    # applied δ to every pair.
     @pytest.mark.parametrize("n", [NUMPY_BURST_THRESHOLD - 2, NUMPY_BURST_THRESHOLD])
     def test_both_sides_of_the_kernel_gate_move(self, n):
         colors = [0] * (n // 2) + [1] * (n // 2)
         simulation = BatchConfigurationSimulation.from_colors(
-            MisflaggedSpread(2), colors, seed=11
+            Spread(2), colors, seed=11
         )
         simulation.run(20_000)
         counts = simulation.output_counts()
@@ -163,7 +165,7 @@ class TestUncompiledPathsJudgeByStates:
 
     def test_batch_engine_moves(self):
         simulation = BatchConfigurationSimulation.from_colors(
-            MisflaggedSpread(2), self.COLORS, seed=11
+            Spread(2), self.COLORS, seed=11
         )
         simulation.run(2_000)
         self.assert_moved(simulation)
@@ -172,19 +174,19 @@ class TestUncompiledPathsJudgeByStates:
     def test_engines_report_the_move_to_observers(self, engine):
         if engine == "batch":
             simulation = BatchConfigurationSimulation.from_colors(
-                MisflaggedSpread(2), self.COLORS, seed=11
+                Spread(2), self.COLORS, seed=11
             )
         else:
-            simulation = AgentSimulation.from_colors(MisflaggedSpread(2), self.COLORS, seed=11)
+            simulation = AgentSimulation.from_colors(Spread(2), self.COLORS, seed=11)
         recorder = simulation.add_observer(DeltaRecorder())
         simulation.run(2_000)
         self.assert_moved(simulation)
         assert len(recorder.deltas) == simulation.interactions_changed
-        assert all(delta.result.changed for delta in recorder.deltas)
+        assert all(delta.changed for delta in recorder.deltas)
 
     def test_silent_check_sees_the_move(self):
         silent = SilentConfiguration()
-        protocol = MisflaggedSpread(2)
+        protocol = Spread(2)
         assert not silent.is_converged_configuration(protocol, Multiset([0, 1]))
         assert silent.is_converged_configuration(protocol, Multiset([1, 1]))
         simulation = BatchConfigurationSimulation.from_colors(protocol, [0, 1], seed=1)
@@ -192,13 +194,13 @@ class TestUncompiledPathsJudgeByStates:
         assert not simulation.run(0, criterion=silent)
 
     def test_chain_moves(self):
-        chain = ConfigurationChain.from_colors(MisflaggedSpread(2), [0, 1])
+        chain = ConfigurationChain.from_colors(Spread(2), [0, 1])
         assert chain.compiled is None
         assert len(chain.counts) == 2
         assert chain.change_probability[0] == 0.5
 
     def test_greedy_stall_adversary_avoids_the_move(self):
-        scheduler = build_scheduler("greedy-stall", 2, seed=0, protocol=MisflaggedSpread(2))
+        scheduler = build_scheduler("greedy-stall", 2, seed=0, protocol=Spread(2))
         # (0, 1) moves a state, so every stalling step must pick (1, 0).
         assert [scheduler.next_pair(step, [0, 1]) for step in range(8)] == [(1, 0)] * 8
 

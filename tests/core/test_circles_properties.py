@@ -89,10 +89,10 @@ def test_stable_criterion_is_permanent(colors, seed):
     scheduler = RandomPermutationScheduler(len(population), seed=seed ^ 0xABCDEF)
     simulation = AgentSimulation(protocol, population, scheduler)
     criterion = StableCircles()
-    assert criterion.is_converged(protocol, simulation.states())
+    assert criterion.is_converged_configuration(protocol, population.configuration())
     for _ in range(6 * len(colors)):
         simulation.step()
-        assert criterion.is_converged(protocol, simulation.states())
+        assert criterion.is_converged_configuration(protocol, population.configuration())
         assert is_stable_configuration(protocol, simulation.states())
 
 

@@ -40,7 +40,6 @@ class TestExchangeStep:
     def test_two_different_diagonals_exchange(self):
         protocol = CirclesProtocol(3)
         result = protocol.transition(CirclesState(0, 0, 0), CirclesState(1, 1, 1))
-        assert result.changed
         assert result.initiator.braket == BraKet(0, 1)
         assert result.responder.braket == BraKet(1, 0)
 

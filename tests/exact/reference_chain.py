@@ -41,7 +41,7 @@ def reference_chain(protocol, initial: Multiset):
                 if weight == 0:
                     continue
                 result = protocol.transition(initiator, responder)
-                if not result.changed:
+                if result.as_pair() == (initiator, responder):
                     weights[current] = weights.get(current, 0) + weight
                     continue
                 change_weight += weight

@@ -64,7 +64,7 @@ class RandomTableProtocol(PopulationProtocol[int]):
 
     def transition(self, initiator: int, responder: int) -> TransitionResult[int]:
         a, b = self.table[initiator, responder]
-        return TransitionResult(a, b, (a, b) != (initiator, responder))
+        return TransitionResult(a, b)
 
     def compile_signature(self) -> Hashable | None:
         return (type(self), self.d, self.num_colors, tuple(sorted(self.table.items())))

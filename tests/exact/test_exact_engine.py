@@ -16,7 +16,7 @@ from repro.exact.golden import case_criterion
 from repro.protocols.approximate_majority import ApproximateMajorityProtocol
 from repro.simulation import get_engine
 from repro.simulation.convergence import StableCircles
-from repro.simulation.observers import Observer
+from repro.simulation.observers import Observer, TraceObserver
 
 
 class TestEngineSurface:
@@ -210,7 +210,7 @@ class TestRunnerIntegration:
                 scheduler=RoundRobinScheduler(3),
             )
         with pytest.raises(ValueError, match="trace"):
-            run_protocol(CirclesProtocol(2), [0, 0, 1], engine="exact", record_trace=True)
+            run_protocol(CirclesProtocol(2), [0, 0, 1], engine="exact", observers=[TraceObserver()])
 
 
 class TestSpecIntegration:

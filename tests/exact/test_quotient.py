@@ -421,7 +421,7 @@ class FlippingVoter(PopulationProtocol[tuple[int, int]]):
             a, b = initiator, (initiator[0], responder[1])
         else:
             a, b = (initiator[0], 1 - initiator[1]), responder
-        return TransitionResult(a, b, (a, b) != (initiator, responder))
+        return TransitionResult(a, b)
 
     def compile_signature(self):
         return (type(self), self.num_colors)

@@ -12,7 +12,7 @@ from repro.scheduling.adversarial import GreedyStallScheduler
 from repro.scheduling.round_robin import RoundRobinScheduler
 from repro.simulation.convergence import OutputConsensus
 from repro.utils.multiset import Multiset
-from repro.workloads.generators import generate_workload
+from repro.workloads.registry import DEFAULT_WORKLOADS
 
 
 class TestPublicApi:
@@ -25,7 +25,7 @@ class TestPublicApi:
 
     def test_registry_and_runner_compose(self):
         protocol = get_protocol("circles", 4)
-        colors = generate_workload("planted-majority", 14, 4, seed=2)
+        colors = DEFAULT_WORKLOADS.generate("planted-majority", 14, 4, seed=2)
         outcome = run_protocol(protocol, colors, criterion=OutputConsensus(), seed=3)
         assert outcome.converged
         assert outcome.correct
@@ -33,7 +33,7 @@ class TestPublicApi:
     def test_workload_to_prediction_to_simulation_pipeline(self):
         from repro.core.greedy_sets import has_unique_majority
 
-        colors = generate_workload("zipf", 16, 4, seed=4)
+        colors = DEFAULT_WORKLOADS.generate("zipf", 16, 4, seed=4)
         if has_unique_majority(colors):  # zipf occasionally ties; skip silently
             outcome = run_circles(colors, num_colors=4, seed=5)
             final = Multiset(state.braket for state in outcome.final_states)
@@ -42,11 +42,11 @@ class TestPublicApi:
 
 class TestAdversarialEndToEnd:
     def test_circles_survives_the_stalling_adversary(self):
-        colors = generate_workload("near-tie", 10, 3, seed=6)
+        colors = DEFAULT_WORKLOADS.generate("near-tie", 10, 3, seed=6)
         protocol = CirclesProtocol(3)
         scheduler = GreedyStallScheduler(
             len(colors),
-            transition_changes=lambda a, b: protocol.transition(a, b).changed,
+            transition_changes=lambda a, b: protocol.transition(a, b).as_pair() != (a, b),
             seed=7,
             patience=5,
         )
@@ -55,7 +55,7 @@ class TestAdversarialEndToEnd:
         assert outcome.correct
 
     def test_round_robin_worst_case_still_correct(self):
-        colors = generate_workload("adversarial-two-block", 13, 4, seed=8)
+        colors = DEFAULT_WORKLOADS.generate("adversarial-two-block", 13, 4, seed=8)
         outcome = run_circles(colors, num_colors=4, scheduler=RoundRobinScheduler(13))
         assert outcome.converged
         assert outcome.correct

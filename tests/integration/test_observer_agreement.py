@@ -67,7 +67,7 @@ class ReplayObserver(Observer):
         self.configuration = Multiset(initial)
 
     def on_delta(self, delta):
-        if not delta.result.changed:
+        if not delta.changed:
             return
         self.configuration.remove(delta.initiator, delta.count)
         self.configuration.remove(delta.responder, delta.count)

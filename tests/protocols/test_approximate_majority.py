@@ -33,11 +33,13 @@ class TestTransitions:
 
     def test_two_blanks_change_nothing(self):
         protocol = ApproximateMajorityProtocol()
-        assert not protocol.transition(OpinionState(None), OpinionState(None)).changed
+        pair = (OpinionState(None), OpinionState(None))
+        assert protocol.transition(*pair).as_pair() == pair
 
     def test_agreeing_supporters_change_nothing(self):
         protocol = ApproximateMajorityProtocol()
-        assert not protocol.transition(OpinionState(0), OpinionState(0)).changed
+        pair = (OpinionState(0), OpinionState(0))
+        assert protocol.transition(*pair).as_pair() == pair
 
 
 class TestBehaviour:

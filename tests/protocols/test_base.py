@@ -8,11 +8,11 @@ from repro.protocols.base import PopulationProtocol, TransitionResult
 
 class TestTransitionResult:
     def test_as_pair(self):
-        result = TransitionResult("a", "b", True)
+        result = TransitionResult("a", "b")
         assert result.as_pair() == ("a", "b")
 
     def test_is_frozen(self):
-        result = TransitionResult(1, 2, False)
+        result = TransitionResult(1, 2)
         with pytest.raises(AttributeError):
             result.initiator = 3  # type: ignore[misc]
 
@@ -35,7 +35,7 @@ class _CountingProtocol(PopulationProtocol[int]):
     def transition(self, initiator: int, responder: int) -> TransitionResult[int]:
         # The responder adopts the larger value: a simple max-computing protocol.
         new_responder = max(initiator, responder)
-        return TransitionResult(initiator, new_responder, new_responder != responder)
+        return TransitionResult(initiator, new_responder)
 
 
 class TestBaseHelpers:

@@ -31,11 +31,13 @@ class TestTransitions:
 
     def test_two_passives_change_nothing(self):
         protocol = CancellationPluralityProtocol(3)
-        assert not protocol.transition(PluralityState(1, False), PluralityState(0, False)).changed
+        pair = (PluralityState(1, False), PluralityState(0, False))
+        assert protocol.transition(*pair).as_pair() == pair
 
     def test_same_color_actives_change_nothing(self):
         protocol = CancellationPluralityProtocol(3)
-        assert not protocol.transition(PluralityState(1, True), PluralityState(1, True)).changed
+        pair = (PluralityState(1, True), PluralityState(1, True))
+        assert protocol.transition(*pair).as_pair() == pair
 
 
 class TestBehaviour:

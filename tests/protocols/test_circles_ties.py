@@ -51,10 +51,8 @@ class TestTransitions:
 
     def test_non_diagonal_meeting_changes_nothing(self):
         protocol = TieReportCircles(4)
-        result = protocol.transition(
-            TieAwareState(0, 1, 0, True), TieAwareState(2, 3, 2, True)
-        )
-        assert not result.changed
+        pair = (TieAwareState(0, 1, 0, True), TieAwareState(2, 3, 2, True))
+        assert protocol.transition(*pair).as_pair() == pair
 
 
 @settings(max_examples=15, deadline=None)

@@ -41,12 +41,13 @@ class TestTransitions:
 
     def test_weak_pair_changes_nothing(self):
         protocol = ExactMajorityProtocol()
-        result = protocol.transition(MajorityState(0, False), MajorityState(1, False))
-        assert not result.changed
+        pair = (MajorityState(0, False), MajorityState(1, False))
+        assert protocol.transition(*pair).as_pair() == pair
 
     def test_same_opinion_strong_pair_changes_nothing(self):
         protocol = ExactMajorityProtocol()
-        assert not protocol.transition(MajorityState(1, True), MajorityState(1, True)).changed
+        pair = (MajorityState(1, True), MajorityState(1, True))
+        assert protocol.transition(*pair).as_pair() == pair
 
     def test_strong_count_difference_is_invariant(self):
         protocol = ExactMajorityProtocol()

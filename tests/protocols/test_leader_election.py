@@ -26,8 +26,10 @@ class TestGlobalLeaderElection:
 
     def test_follower_pairs_change_nothing(self):
         protocol = LeaderElectionProtocol()
-        assert not protocol.transition(LeaderState(False), LeaderState(False)).changed
-        assert not protocol.transition(LeaderState(True), LeaderState(False)).changed
+        pair = (LeaderState(False), LeaderState(False))
+        assert protocol.transition(*pair).as_pair() == pair
+        pair = (LeaderState(True), LeaderState(False))
+        assert protocol.transition(*pair).as_pair() == pair
 
     def test_protocol_is_asymmetric(self):
         assert not LeaderElectionProtocol().is_symmetric()
@@ -51,8 +53,8 @@ class TestPerColorLeaderElection:
         protocol = PerColorLeaderElection(3)
         same = protocol.transition(ColorLeaderState(1, True), ColorLeaderState(1, True))
         assert not same.responder.leader
-        different = protocol.transition(ColorLeaderState(1, True), ColorLeaderState(2, True))
-        assert not different.changed
+        different = (ColorLeaderState(1, True), ColorLeaderState(2, True))
+        assert protocol.transition(*different).as_pair() == different
 
     def test_output_is_color(self):
         assert PerColorLeaderElection(3).output(ColorLeaderState(2, False)) == 2

@@ -53,9 +53,8 @@ class TestTransitions:
 
     def test_distinct_labels_do_not_interact(self):
         protocol = ColorOrderingProtocol(3)
-        assert not protocol.transition(
-            OrderingState(0, True, 1), OrderingState(2, True, 0)
-        ).changed
+        pair = (OrderingState(0, True, 1), OrderingState(2, True, 0))
+        assert protocol.transition(*pair).as_pair() == pair
 
 
 class TestHelpers:

@@ -17,7 +17,7 @@ class TestGreedyStall:
         protocol = CirclesProtocol(3)
         return GreedyStallScheduler(
             n,
-            transition_changes=lambda a, b: protocol.transition(a, b).changed,
+            transition_changes=lambda a, b: protocol.transition(a, b).as_pair() != (a, b),
             seed=seed,
             patience=patience,
         )
@@ -33,7 +33,8 @@ class TestGreedyStall:
         pair = scheduler.next_pair(0, population.states())
         a, b = pair
         # With patience available, the adversary picks a pair whose interaction is a no-op.
-        assert not protocol.transition(population[a], population[b]).changed
+        pair = (population[a], population[b])
+        assert protocol.transition(*pair).as_pair() == pair
 
     def test_backlog_forces_progress_after_patience(self):
         protocol = CirclesProtocol(3)
@@ -55,7 +56,7 @@ class TestGreedyStall:
 
         def changes(a, b):
             calls.append((a, b))
-            return protocol.transition(a, b).changed
+            return protocol.transition(a, b).as_pair() != (a, b)
 
         scheduler = GreedyStallScheduler(6, transition_changes=changes, seed=1, patience=3)
         states = Population.from_colors(protocol, [0, 0, 0, 1, 1, 2]).states()

@@ -85,7 +85,7 @@ class TestCountsVectorPath:
         def observe(initiator, responder, result, count):
             nonlocal observed
             observed += count
-            assert result.changed
+            assert result.as_pair() != (initiator, responder)
 
         simulation = BatchConfigurationSimulation.from_colors(CirclesProtocol(K), _colors(), seed=13)
         simulation.add_observer(CallbackObserver(observe))

@@ -8,15 +8,16 @@ from repro.scheduling.adversarial import SingleColorScheduler
 from repro.scheduling.round_robin import RoundRobinScheduler
 from repro.simulation.convergence import OutputConsensus, StableCircles
 from repro.simulation.engine import AgentSimulation
+from repro.simulation.observers import TraceObserver
 from repro.simulation.population import Population
 from repro.simulation.trace import Trace
 
 
-def _simulation(colors, scheduler=None, **kwargs):
+def _simulation(colors, scheduler=None):
     protocol = CirclesProtocol(max(colors) + 1)
     population = Population.from_colors(protocol, colors)
     scheduler = scheduler or RoundRobinScheduler(len(population))
-    return AgentSimulation(protocol, population, scheduler, **kwargs), protocol
+    return AgentSimulation(protocol, population, scheduler), protocol
 
 
 class TestStep:
@@ -56,7 +57,9 @@ class TestRun:
         converged = simulation.run(10_000, criterion=StableCircles(), check_interval=4)
         assert converged
         assert simulation.steps_taken < 10_000
-        assert StableCircles().is_converged(protocol, simulation.states())
+        assert StableCircles().is_converged_configuration(
+            protocol, simulation.population.configuration()
+        )
 
     def test_run_returns_false_when_budget_too_small(self):
         simulation, _ = _simulation([0, 0, 1, 1, 2])
@@ -78,12 +81,9 @@ class TestTraceAndMetrics:
         protocol = CirclesProtocol(3)
         population = Population.from_colors(protocol, [0, 1, 2])
         trace = Trace()
-        simulation = AgentSimulation(
-            protocol,
-            population,
-            RoundRobinScheduler(3),
-            trace=trace,
-            metrics={"energy": lambda states: configuration_energy(states, 3)},
+        simulation = AgentSimulation(protocol, population, RoundRobinScheduler(3))
+        simulation.add_observer(
+            TraceObserver(trace, metrics={"energy": lambda states: configuration_energy(states, 3)})
         )
         for _ in range(7):
             simulation.step()

@@ -117,7 +117,9 @@ class TestIncrementalMatchesRescanOverTheRegistry:
         assert simulation.compiled_protocol is None
         converged = simulation.run(50_000, criterion=SilentConfiguration())
         assert converged
-        assert SilentConfiguration().is_converged(protocol, simulation.states())
+        assert SilentConfiguration().is_converged_configuration(
+            protocol, simulation.configuration()
+        )
 
 
 class TestCheckIntervalValidation:

@@ -62,7 +62,7 @@ class TestHooks:
         simulation.run(4_000)
         assert recording.started == 1
         assert sum(delta.count for delta in recording.deltas) == simulation.interactions_changed
-        assert all(delta.result.changed for delta in recording.deltas)
+        assert all(delta.changed for delta in recording.deltas)
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     def test_check_and_finish_fire_in_run(self, engine_cls):
@@ -91,7 +91,7 @@ class TestHooks:
         assert len(everything.deltas) == 500  # one delta per interaction
         assert all(delta.initiator_index is not None for delta in everything.deltas)
         assert len(changed_only.deltas) == sum(
-            1 for delta in everything.deltas if delta.result.changed
+            1 for delta in everything.deltas if delta.changed
         )
 
     def test_anonymous_engines_reject_index_observers(self):
@@ -101,12 +101,10 @@ class TestHooks:
 
 
 class TestTraceObserver:
-    def test_trace_param_records_identically_to_pre_pipeline_contract(self):
+    def test_records_every_interaction_with_its_metrics(self):
         trace = Trace()
-        simulation = AgentSimulation.from_colors(
-            CirclesProtocol(3), COLORS, seed=5, trace=trace,
-            metrics={"agents": len},
-        )
+        simulation = AgentSimulation.from_colors(CirclesProtocol(3), COLORS, seed=5)
+        simulation.add_observer(TraceObserver(trace, metrics={"agents": len}))
         simulation.run(200)
         assert len(trace) == 200
         assert [event.step for event in trace] == list(range(200))
@@ -115,9 +113,8 @@ class TestTraceObserver:
         assert len(changed) == simulation.interactions_changed
 
     def test_summary_is_json_native(self):
-        trace = Trace()
-        simulation = AgentSimulation.from_colors(CirclesProtocol(3), COLORS, seed=5, trace=trace)
-        observer = next(obs for obs in simulation.observers if obs.name == "trace")
+        simulation = AgentSimulation.from_colors(CirclesProtocol(3), COLORS, seed=5)
+        observer = simulation.add_observer(TraceObserver())
         simulation.run(100)
         summary = observer.summary()
         assert summary["events"] == 100

@@ -124,7 +124,7 @@ class DeltaRecorder(Observer):
                 repr(delta.responder),
                 repr(result.initiator),
                 repr(result.responder),
-                result.changed,
+                delta.changed,
                 delta.count,
             )
         )

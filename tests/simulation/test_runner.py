@@ -11,6 +11,7 @@ from repro.core.state import CirclesState
 from repro.protocols.exact_majority import ExactMajorityProtocol
 from repro.scheduling.round_robin import RoundRobinScheduler
 from repro.simulation.convergence import OutputConsensus, StableCircles
+from repro.simulation.observers import TraceObserver
 from repro.simulation.runner import (
     RunResult,
     _count_input,
@@ -74,9 +75,9 @@ class TestRunCircles:
         assert outcome.converged is False or outcome.converged is True
 
     def test_record_trace(self):
-        outcome = run_circles([0, 0, 1], seed=1, record_trace=True)
-        assert outcome.trace is not None
-        assert len(outcome.trace) == outcome.steps
+        tracer = TraceObserver()
+        outcome = run_circles([0, 0, 1], seed=1, observers=[tracer])
+        assert len(tracer.trace) == outcome.steps
 
     def test_summary_keys(self):
         outcome = run_circles([0, 0, 1], seed=1)
@@ -131,8 +132,9 @@ class TestRunProtocol:
             )
 
     def test_trace_recording(self):
-        outcome = run_protocol(CirclesProtocol(2), [0, 1], seed=1, record_trace=True, max_steps=10)
-        assert outcome.trace is not None
+        tracer = TraceObserver()
+        outcome = run_protocol(CirclesProtocol(2), [0, 1], seed=1, observers=[tracer], max_steps=10)
+        assert len(tracer.trace) == outcome.steps
 
     def test_empty_and_single_agent_inputs_rejected(self):
         with pytest.raises(ValueError, match="at least two input colors"):
@@ -201,7 +203,7 @@ class TestEngineSelection:
 
     def test_trace_requires_agent_engine(self):
         with pytest.raises(ValueError, match="trace"):
-            run_protocol(CirclesProtocol(2), [0, 1], record_trace=True, engine="batch")
+            run_protocol(CirclesProtocol(2), [0, 1], observers=[TraceObserver()], engine="batch")
 
 
 class TestInputEnergy:

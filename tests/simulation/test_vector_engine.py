@@ -46,7 +46,7 @@ class MinEpidemic(PopulationProtocol[int]):
 
     def transition(self, a: int, b: int) -> TransitionResult[int]:
         low = min(a, b)
-        return TransitionResult(low, low, changed=low != a or low != b)
+        return TransitionResult(low, low)
 
 
 def serial_batch_rows(

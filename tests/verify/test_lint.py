@@ -13,7 +13,6 @@ from repro.protocols.base import PopulationProtocol, TransitionResult
 from repro.protocols.registry import DEFAULT_REGISTRY
 from repro.verify.lint import (
     Severity,
-    lint_changed_flags,
     lint_compile_signature,
     lint_determinism,
 )
@@ -43,22 +42,11 @@ class _TwoStateBase(PopulationProtocol):
         return state.value
 
 
-class _UnsoundUnchangedFlag(_TwoStateBase):
-    """Changes states but reports changed=False: engines would skip it."""
+class _Identity(_TwoStateBase):
+    """δ is the identity: sound, but without a compile signature."""
 
     def transition(self, initiator, responder) -> TransitionResult:
-        if initiator.value == 1 and responder.value == 0:
-            return TransitionResult(_Bit(1), _Bit(1), False)
-        return TransitionResult(initiator, responder, False)
-
-
-class _SpuriousChangedFlag(_TwoStateBase):
-    """Reports changed=True on an identity pair: silence can never fire."""
-
-    def transition(self, initiator, responder) -> TransitionResult:
-        if initiator.value == responder.value == 0:
-            return TransitionResult(initiator, responder, True)
-        return TransitionResult(initiator, responder, False)
+        return TransitionResult(initiator, responder)
 
 
 class _Nondeterministic(_TwoStateBase):
@@ -77,24 +65,8 @@ class _Nondeterministic(_TwoStateBase):
         key = (initiator, responder)
         flipped = self._toggle[key] = not self._toggle.get(key, False)
         if flipped and initiator.value != responder.value:
-            return TransitionResult(_Bit(0), _Bit(0), True)
-        return TransitionResult(initiator, responder, False)
-
-
-def test_unsound_unchanged_flag_is_an_error():
-    compiled = compile_protocol(_UnsoundUnchangedFlag(2))
-    diagnostics = lint_changed_flags(compiled)
-    assert [d.code for d in diagnostics] == ["unsound-unchanged-flag"]
-    assert diagnostics[0].severity is Severity.ERROR
-    report = verify_protocol(_UnsoundUnchangedFlag(2))
-    assert report.has_errors()
-
-
-def test_spurious_changed_flag_is_a_warning():
-    compiled = compile_protocol(_SpuriousChangedFlag(2))
-    diagnostics = lint_changed_flags(compiled)
-    assert [d.code for d in diagnostics] == ["spurious-changed-flag"]
-    assert diagnostics[0].severity is Severity.WARNING
+            return TransitionResult(_Bit(0), _Bit(0))
+        return TransitionResult(initiator, responder)
 
 
 def test_nondeterministic_delta_is_an_error():
@@ -106,13 +78,13 @@ def test_nondeterministic_delta_is_an_error():
 
 
 def test_nondeterministic_delta_is_an_error_in_the_full_report():
-    """The flag lint re-evaluates δ too; it must not hide an alternating δ."""
+    """Later passes re-evaluate δ too; they must not hide an alternating δ."""
     report = verify_protocol(_Nondeterministic())
     assert "nondeterministic-delta" in {d.code for d in report.diagnostics}
 
 
 def test_missing_compile_signature_is_a_warning():
-    protocol = _SpuriousChangedFlag(2)
+    protocol = _Identity(2)
     diagnostics = lint_compile_signature(protocol)
     assert [d.code for d in diagnostics] == ["missing-compile-signature"]
     assert diagnostics[0].severity is Severity.WARNING

@@ -86,8 +86,9 @@ def test_cli_out_writes_certificates(tmp_path, capsys):
     assert "regenerate" in payload
 
 
-def _make_broken_protocol(name, *, unsound):
-    """A two-state protocol that is either ERROR- or WARNING-broken."""
+def _make_broken_protocol(name, *, nondeterministic):
+    """A two-state protocol without a compile signature (a WARNING); with
+    ``nondeterministic`` its δ also alternates between calls (an ERROR)."""
     from collections.abc import Iterator
     from typing import NamedTuple
 
@@ -97,6 +98,10 @@ def _make_broken_protocol(name, *, unsound):
         value: int
 
     class Broken(PopulationProtocol):
+        def __init__(self, num_colors: int) -> None:
+            super().__init__(num_colors)
+            self._toggle: dict = {}
+
         def states(self) -> Iterator:
             yield Bit(0)
             yield Bit(1)
@@ -109,22 +114,26 @@ def _make_broken_protocol(name, *, unsound):
             return state.value
 
         def transition(self, initiator, responder) -> TransitionResult:
-            if unsound and initiator.value == 1 and responder.value == 0:
-                # Changes states but reports changed=False: an ERROR.
-                return TransitionResult(Bit(1), Bit(1), False)
-            if not unsound and initiator.value == responder.value == 0:
-                # changed=True on an identity pair: a WARNING.
-                return TransitionResult(initiator, responder, True)
-            return TransitionResult(initiator, responder, False)
+            key = (initiator, responder)
+            flipped = self._toggle[key] = not self._toggle.get(key, False)
+            if nondeterministic and flipped and initiator.value != responder.value:
+                return TransitionResult(Bit(0), Bit(0))
+            return TransitionResult(initiator, responder)
 
     Broken.name = name
     return Broken
 
 
+def _codes(protocol) -> dict[str, Severity]:
+    return {d.code: d.severity for d in verify_protocol(protocol).diagnostics}
+
+
 def test_cli_fails_on_error_diagnostics(capsys):
     """Register a broken protocol, lint it, and expect a non-zero exit."""
     name = "lint-scaffold-broken"
-    DEFAULT_REGISTRY.register(name, _make_broken_protocol(name, unsound=True))
+    factory = _make_broken_protocol(name, nondeterministic=True)
+    assert _codes(factory(2))["nondeterministic-delta"] is Severity.ERROR
+    DEFAULT_REGISTRY.register(name, factory)
     try:
         assert protolint_main([name]) == 1
         err = capsys.readouterr().err
@@ -136,7 +145,11 @@ def test_cli_fails_on_error_diagnostics(capsys):
 
 def test_fail_on_warning_tightens_the_threshold(capsys):
     name = "lint-scaffold-warning"
-    DEFAULT_REGISTRY.register(name, _make_broken_protocol(name, unsound=False))
+    factory = _make_broken_protocol(name, nondeterministic=False)
+    codes = _codes(factory(2))
+    assert codes["missing-compile-signature"] is Severity.WARNING
+    assert Severity.ERROR not in codes.values()
+    DEFAULT_REGISTRY.register(name, factory)
     try:
         assert protolint_main([name]) == 0
         assert protolint_main([name, "--fail-on", "warning"]) == 1

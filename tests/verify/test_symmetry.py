@@ -147,9 +147,8 @@ class _SentinelProtocol(PopulationProtocol):
             return TransitionResult(
                 _SentinelOutputs(initiator.color, False),
                 _SentinelOutputs(responder.color, False),
-                True,
             )
-        return TransitionResult(initiator, responder, False)
+        return TransitionResult(initiator, responder)
 
 
 def test_sentinel_outputs_stay_fixed_under_permutations():
