@@ -36,6 +36,13 @@ class TestDefaultRegistry:
         assert len(colors) == 12
         assert colors.count(2) == max(colors.count(c) for c in range(3))
 
+    @pytest.mark.parametrize("name", workload_names())
+    def test_generate_by_name_is_reproducible(self, name):
+        colors = DEFAULT_WORKLOADS.generate(name, 20, 3, seed=3)
+        assert len(colors) == 20
+        assert set(colors) <= {0, 1, 2}
+        assert DEFAULT_WORKLOADS.generate(name, 20, 3, seed=3) == colors
+
     def test_unknown_name_lists_available(self):
         with pytest.raises(KeyError, match="available"):
             get_workload("nope")
