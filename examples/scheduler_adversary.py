@@ -38,7 +38,7 @@ def build_schedulers(protocol: CirclesProtocol):
         "round robin": RoundRobinScheduler(NUM_AGENTS, seed=SEED, shuffle_once=True),
         "greedy stall (fair adversary)": GreedyStallScheduler(
             NUM_AGENTS,
-            transition_changes=lambda a, b: protocol.transition(a, b).as_pair() != (a, b),
+            protocol=protocol,
             seed=SEED,
             patience=6,
         ),

@@ -109,7 +109,7 @@ SCHEDULERS: dict[str, SchedulerBuilder] = {
     ),
     GreedyStallScheduler.name: lambda n, seed, protocol, **params: GreedyStallScheduler(
         n,
-        transition_changes=lambda a, b: protocol.transition(a, b).as_pair() != (a, b),
+        protocol=protocol,
         seed=seed,
         **params,
     ),

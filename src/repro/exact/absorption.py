@@ -348,15 +348,12 @@ def hitting_analysis(
     # Restrict to the non-target configurations that can still reach the
     # target (reverse BFS); from them, leaving the restricted set is almost
     # sure, so (I - Q) is nonsingular.
-    predecessors: dict[int, list[int]] = {}
-    for index, row in enumerate(chain.weights):
-        for successor in row:
-            predecessors.setdefault(successor, []).append(index)
+    predecessors = chain.predecessors
     can_reach: set[int] = set()
     frontier = list(target)
     while frontier:
         node = frontier.pop()
-        for predecessor in predecessors.get(node, ()):
+        for predecessor in predecessors[node]:
             if predecessor not in target_set and predecessor not in can_reach:
                 can_reach.add(predecessor)
                 frontier.append(predecessor)

@@ -343,6 +343,19 @@ class ConfigurationChain(Generic[State]):
         """
         return list(map(self._probability(), self.change_weights))
 
+    @cached_property
+    def predecessors(self) -> list[list[int]]:
+        """Per configuration, the ascending indices whose rows step into it.
+
+        The reverse of :attr:`weights` (self-loops included), built on first
+        use and shared by every hitting analysis of the chain.
+        """
+        predecessors: list[list[int]] = [[] for _ in self.weights]
+        for index, row in enumerate(self.weights):
+            for successor in row:
+                predecessors[successor].append(index)
+        return predecessors
+
     # -- inspection -----------------------------------------------------------
 
     @property

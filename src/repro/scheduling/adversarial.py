@@ -18,9 +18,10 @@ kinds of adversaries are useful experimentally:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence, Set
+from collections.abc import Sequence, Set
 from typing import Any
 
+from repro.protocols.base import PopulationProtocol
 from repro.scheduling.base import Scheduler, all_ordered_pairs
 from repro.utils.rng import RngLike, choose_distinct_pair
 
@@ -41,7 +42,7 @@ class GreedyStallScheduler(Scheduler):
     def __init__(
         self,
         num_agents: int,
-        transition_changes: Callable[[Any, Any], bool],
+        protocol: PopulationProtocol,
         seed: RngLike = None,
         patience: int = 8,
     ) -> None:
@@ -49,12 +50,10 @@ class GreedyStallScheduler(Scheduler):
 
         Args:
             num_agents: population size.
-            transition_changes: a callable ``(state_a, state_b) -> bool`` that
-                tells the adversary whether the interaction would change
-                anything.  It must be deterministic: the adversary calls it
-                once per distinct ordered pair of states and remembers the
-                answer.  For Circles this is derived from
-                :meth:`CirclesProtocol.transition`.
+            protocol: the protocol being scheduled.  An interaction changes
+                something when δ returns states other than the pair it was
+                given; δ is deterministic, so the adversary applies it once
+                per distinct ordered pair of states and remembers the answer.
             seed: RNG seed used to pick among stalling pairs.
             patience: how many stalling steps are allowed between two forced
                 backlog interactions; must be positive.
@@ -62,8 +61,8 @@ class GreedyStallScheduler(Scheduler):
         super().__init__(num_agents, seed)
         if patience < 1:
             raise ValueError(f"patience must be positive, got {patience}")
-        self._transition_changes = transition_changes
-        #: ``transition_changes`` per ordered state pair seen so far.
+        self._protocol = protocol
+        #: Whether δ changes the pair, per ordered state pair seen so far.
         self._changes: dict[tuple[Any, Any], bool] = {}
         self._patience = patience
         self._backlog = all_ordered_pairs(num_agents)
@@ -89,7 +88,8 @@ class GreedyStallScheduler(Scheduler):
                 pair = (first, states[responder])
                 changed = changes.get(pair)
                 if changed is None:
-                    changed = changes[pair] = self._transition_changes(*pair)
+                    changed = self._protocol.transition(*pair).as_pair() != pair
+                    changes[pair] = changed
                 if not changed:
                     candidates.append((initiator, responder))
         if candidates:

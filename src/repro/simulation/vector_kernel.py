@@ -13,7 +13,9 @@ that is sequential-equivalent by construction:
    the trajectory a pure function of the row's uniform stream: it depends
    neither on how many interactions are drawn per call
    (``numpy.random.Generator.integers`` is call-split invariant) nor on how
-   many replicate rows advance together.  ``tests/simulation/test_vector_kernel``
+   many replicate rows advance together.  So each row draws its codes once
+   per :data:`DRAW_CHUNK` into one ``(rows × chunk)`` buffer per block, and
+   every round decodes a slice of it.  ``tests/simulation/test_vector_kernel``
    pins both invariances.
 2. **Round application.**  A round of ``T`` interactions gathers the
    pre-states of all drawn positions at once, applies the compiled δ-table to
@@ -30,23 +32,28 @@ that is sequential-equivalent by construction:
    their post-states, and shrinks the pending set to the rest — reproducing
    the sequential order exactly.  Chain heads, whose gathered pre-states are
    already exact, never enter the level loop.
-4. **Rows in parallel.**  :meth:`PairCodeKernel.advance` splits its rows into
-   blocks of at most :data:`BLOCK_ROWS` — at least one block per CPU when
-   there are enough rows — and runs the blocks on one worker thread per CPU
-   (``os.sched_getaffinity``), each thread with its own ``n``-entry int32
-   scratch.  NumPy releases the interpreter lock inside the draws, gathers
-   and scatters, so the threads overlap.  Last occurrences are found row by
-   row on that scratch, which stays cache-resident (400 KB at ``n = 10⁵``)
-   where a ``(rows × n)`` one would not.  Blocks own disjoint rows,
-   generators and output slices, so no thread reads what another writes
-   and the records do not change.  A single block runs in the calling
-   thread with no pool at all — the batch engine's one-row kernel included.
+4. **Rows in parallel, in bytes.**  :meth:`PairCodeKernel.advance` splits
+   its rows into blocks of at most :data:`BLOCK_ROWS` — at least one block
+   per CPU when there are enough rows — and runs the blocks on one worker
+   thread per CPU (``os.sched_getaffinity``), each thread with its own
+   ``n``-entry int16 scratch.  NumPy releases the interpreter lock inside
+   the draws, gathers and scatters, so the threads overlap.  Last
+   occurrences are found row by row on that scratch, which stays
+   cache-resident (200 KB at ``n = 10⁵``) where a ``(rows × n)`` one would
+   not.  State rows and the split δ-tables are uint8 up to 256 states and
+   int16 above, so the ``(R, n)`` matrix takes one byte per agent.  Blocks
+   own disjoint rows, generators and output slices, so no thread reads what
+   another writes and the records do not change.  A single block runs in
+   the calling thread with no pool at all — the batch engine's one-row
+   kernel included.
 5. **Booking in the workers, one handoff per call.**  The worker that owns
    a row books its count vector (the moved slots' pre- and post-states
    telescope through chains), changed interactions and tally hits (Circles:
    ket exchanges) right after each round's scatter.  So
    :meth:`PairCodeKernel.advance` runs a whole check window in one
    submit/wait, and corrected pair codes leave it only on request (``out``).
+   Draw chunks end with the call, so a row that retires at a check has
+   drawn nothing past its window.
 
 Because a row's trajectory depends only on the row's own generator stream,
 row ``r`` of an ``R``-row kernel is bit-identical to a single-row kernel
@@ -64,12 +71,20 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 #: Interactions simulated per vectorized round: long enough to amortize the
-#: kernel's fixed per-call overhead, short enough that chained positions stay
-#: sparse and the per-round working set stays cache-resident.
+#: kernel's fixed per-round overhead, short enough that chained positions
+#: stay sparse and the per-round working set stays cache-resident.
 DEFAULT_ROUND = 2048
 
+#: Interactions whose pair codes a row draws in one ``Generator.integers``
+#: call.  Drawing per round made the two worker threads of a 2-vCPU Xeon
+#: queue for the interpreter lock; at R = 64, n = 10⁵ the kernel took
+#: 0.37 s per 200 000 interactions with one round per draw, 0.31 s with two,
+#: 0.285 s with four and no less with eight or sixteen.
+DRAW_CHUNK = 4 * DEFAULT_ROUND
+
 #: Replicate rows advanced per block; bounds a block's per-round temporaries
-#: independently of the replicate count.
+#: and its ``BLOCK_ROWS × DRAW_CHUNK`` int64 draw buffer (2 MB) independently
+#: of the replicate count.
 BLOCK_ROWS = 32
 
 
@@ -109,8 +124,9 @@ class PairCodeKernel:
         d = int(num_states)
         n = int(num_agents)
         packed = np.asarray(table, dtype=np.int64)
-        self._ta = (packed // d).astype(np.int16)
-        self._tb = (packed % d).astype(np.int16)
+        dtype = np.uint8 if d <= 256 else np.int16
+        self._ta = (packed // d).astype(dtype)
+        self._tb = (packed % d).astype(dtype)
         self._tally = None if tally is None else np.asarray(tally, dtype=bool)
         self.num_states = d
         self.num_agents = n
@@ -119,7 +135,7 @@ class PairCodeKernel:
         counts = np.asarray(initial_counts, dtype=np.int64)
         if int(counts.sum()) != n:
             raise ValueError(f"initial counts sum to {int(counts.sum())}, expected {n} agents")
-        base_row = np.repeat(np.arange(d, dtype=np.int16), counts)
+        base_row = np.repeat(np.arange(d, dtype=dtype), counts)
         self._states = np.tile(base_row, (rows, 1))
         #: The booking, read-only outside the kernel: per row its count vector,
         #: its interactions that moved a state and its hits on the
@@ -127,8 +143,8 @@ class PairCodeKernel:
         self.counts = np.tile(counts, (rows, 1))
         self.changed = np.zeros(rows, dtype=np.int64)
         self.tallies = None if tally is None else np.zeros(rows, dtype=np.int64)
-        block = min(rows, BLOCK_ROWS)
-        self._slot_ids = np.arange(block * 2 * DEFAULT_ROUND, dtype=np.int32)
+        #: Slot ids within a row's round: fewer than 2·DEFAULT_ROUND, so int16.
+        self._slot_ids = np.arange(2 * DEFAULT_ROUND, dtype=np.int16)
         self._cpus = available_cpus()
         #: One ``n``-entry last-occurrence scratch per worker, made on demand.
         self._scratches: list[np.ndarray] = []
@@ -158,7 +174,7 @@ class PairCodeKernel:
         spans = list(zip(bounds[:-1], bounds[1:]))
         workers = min(self._cpus, blocks)
         while len(self._scratches) < workers:
-            self._scratches.append(np.empty(self.num_agents, dtype=np.int32))
+            self._scratches.append(np.empty(self.num_agents, dtype=np.int16))
         if workers == 1:
             self._advance_spans(rows, spans, length, out, self._scratches[0])
             return
@@ -181,34 +197,46 @@ class PairCodeKernel:
             self._pool = None
 
     def _advance_spans(self, rows, spans, length, out, scratch) -> None:
-        """Advance the row blocks ``rows[start:stop]`` of ``spans`` in rounds."""
-        for begin in range(0, length, DEFAULT_ROUND):
-            end = min(begin + DEFAULT_ROUND, length)
-            for start, stop in spans:
-                codes = self._advance_block(rows[start:stop], end - begin, scratch)
-                if out is not None:
-                    out[start:stop, begin:end] = codes
+        """Advance the row blocks ``rows[start:stop]`` of ``spans``, one block at a time.
 
-    def _advance_block(self, rows: list[int], length: int, scratch: np.ndarray) -> np.ndarray:
+        A block's state rows are gathered once per call (a view when the rows
+        are contiguous) and its pair codes are drawn once per
+        :data:`DRAW_CHUNK`; each round then works on a slice of those draws.
+        """
+        span = self.num_agents * (self.num_agents - 1)
+        for start, stop in spans:
+            block = rows[start:stop]
+            generators = [self._generators[row] for row in block]
+            contiguous = block == list(range(block[0], block[0] + len(block)))
+            index = slice(block[0], block[0] + len(block)) if contiguous else block
+            states = self._states[index]
+            for chunk in range(0, length, DRAW_CHUNK):
+                draws = np.empty((len(block), min(DRAW_CHUNK, length - chunk)), dtype=np.int64)
+                for j, generator in enumerate(generators):
+                    draws[j] = generator.integers(0, span, draws.shape[1], dtype=np.int64)
+                for begin in range(0, draws.shape[1], DEFAULT_ROUND):
+                    codes = self._advance_round(
+                        index, states, draws[:, begin : begin + DEFAULT_ROUND], scratch
+                    )
+                    if out is not None:
+                        offset = chunk + begin
+                        out[start:stop, offset : offset + codes.shape[1]] = codes
+            if not contiguous:
+                self._states[block] = states
+
+    def _advance_round(self, index, states, draws, scratch) -> np.ndarray:
+        """Apply one round of pair codes ``draws`` to the block ``states``, booked at ``index``."""
         n = self.num_agents
         d = self.num_states
-        nb = len(rows)
-        contiguous = rows == list(range(rows[0], rows[0] + nb))
-        index = slice(rows[0], rows[0] + nb) if contiguous else rows
-        sblock = self._states[index]
-        sflat = sblock.reshape(-1)
+        nb, length = draws.shape
+        sflat = states.reshape(-1)
 
-        # One pair code per interaction, decoded in place to ordered distinct
-        # positions.  Interleaving initiator and responder slots keeps the
-        # slot index in time order.
+        # Each pair code decoded to ordered distinct positions.  Interleaving
+        # initiator and responder slots keeps the slot index in time order.
         positions = np.empty((nb, 2 * length), dtype=np.int64)
         i = positions[:, 0::2]
         r = positions[:, 1::2]
-        span = n * (n - 1)
-        for j, row in enumerate(rows):
-            r[j] = self._generators[row].integers(0, span, length, dtype=np.int64)
-        np.floor_divide(r, n - 1, out=i)
-        r -= i * (n - 1)
+        np.divmod(draws, n - 1, out=(i, r))
         r += r >= i
         # Last-occurrence detection, row by row: scatter each in-row slot id
         # to its position (duplicates resolve last-write-wins), gather back,
@@ -216,26 +244,24 @@ class PairCodeKernel:
         # Stale scratch entries are never read — every gathered position was
         # just written.
         ids = self._slot_ids[: 2 * length]
-        last = np.empty((nb, 2 * length), dtype=np.int32)
+        last = np.empty((nb, 2 * length), dtype=np.int16)
         for j in range(nb):
             scratch[positions[j]] = ids
             np.take(scratch, positions[j], out=last[j])
-        last += np.arange(0, nb * 2 * length, 2 * length, dtype=np.int32)[:, None]
-        last = last.reshape(-1)
+        chained = (last != ids).reshape(-1)
+        nonlast = np.flatnonzero(chained)
+        # Add each recurring position's final slot, offset to its row.
+        chained[nonlast - nonlast % (2 * length) + last.reshape(-1)[nonlast]] = True
+        del last  # freed before the booking's temporaries
         # Offset positions into the block-flat state vector.
         positions += np.arange(0, nb * n, n, dtype=np.int64)[:, None]
         fp = positions.reshape(-1)
 
         pre = np.take(sflat, fp)
-        slots = self._slot_ids[: fp.size]
         codes = pre[0::2].astype(np.int32) * d + pre[1::2]
         post = np.empty_like(pre)
         post[0::2] = np.take(self._ta, codes)
         post[1::2] = np.take(self._tb, codes)
-        chained = last != slots
-        nonlast = np.flatnonzero(chained)
-        chained[last[nonlast]] = True  # add each recurring position's final slot
-        del last  # freed before the booking's temporaries
         if nonlast.size:
             self._resolve_chains(fp, pre, post, codes, np.flatnonzero(chained))
 
@@ -246,8 +272,6 @@ class PairCodeKernel:
         moved = pre != post
         moves = np.flatnonzero(moved)
         sflat[fp[moves]] = post[moves]
-        if not contiguous:
-            self._states[rows] = sblock
         keys = moves // (2 * length)
         keys *= d
         delta = np.bincount(keys + post[moves], minlength=nb * d)

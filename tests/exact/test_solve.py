@@ -288,6 +288,10 @@ def _random_analysis_chain(rng):
         num_configurations=len(weights),
         initial_index=initial_index,
         change_weights=[int(change * denominator) for change in changes],
+        predecessors=[
+            [index for index, row in enumerate(weights) if target in row]
+            for target in range(len(weights))
+        ],
     )
 
 

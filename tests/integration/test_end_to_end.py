@@ -46,7 +46,7 @@ class TestAdversarialEndToEnd:
         protocol = CirclesProtocol(3)
         scheduler = GreedyStallScheduler(
             len(colors),
-            transition_changes=lambda a, b: protocol.transition(a, b).as_pair() != (a, b),
+            protocol=protocol,
             seed=7,
             patience=5,
         )

@@ -17,7 +17,7 @@ class TestGreedyStall:
         protocol = CirclesProtocol(3)
         return GreedyStallScheduler(
             n,
-            transition_changes=lambda a, b: protocol.transition(a, b).as_pair() != (a, b),
+            protocol=protocol,
             seed=seed,
             patience=patience,
         )
@@ -50,15 +50,16 @@ class TestGreedyStall:
         pairs = collect_pairs(scheduler, 200, states=[CirclesProtocol(3).initial_state(0)] * 4)
         assert covers_all_pairs(pairs, 4)
 
-    def test_predicate_runs_once_per_ordered_state_pair(self):
-        protocol = CirclesProtocol(3)
+    def test_delta_runs_once_per_ordered_state_pair(self):
         calls = []
 
-        def changes(a, b):
-            calls.append((a, b))
-            return protocol.transition(a, b).as_pair() != (a, b)
+        class CountingCircles(CirclesProtocol):
+            def transition(self, a, b):
+                calls.append((a, b))
+                return super().transition(a, b)
 
-        scheduler = GreedyStallScheduler(6, transition_changes=changes, seed=1, patience=3)
+        protocol = CountingCircles(3)
+        scheduler = GreedyStallScheduler(6, protocol=protocol, seed=1, patience=3)
         states = Population.from_colors(protocol, [0, 0, 0, 1, 1, 2]).states()
         for step in range(40):
             scheduler.next_pair(step, states)

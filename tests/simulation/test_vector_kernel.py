@@ -22,6 +22,7 @@ from repro.simulation import vector_kernel  # noqa: E402
 from repro.simulation.vector_kernel import (  # noqa: E402
     BLOCK_ROWS,
     DEFAULT_ROUND,
+    DRAW_CHUNK,
     PairCodeKernel,
 )
 
@@ -35,20 +36,23 @@ def mixing_table(d: int) -> np.ndarray:
     return table
 
 
-def random_table(d: int, seed: int) -> np.ndarray:
+def random_table(d: int, seed: int, absorbing: bool = True) -> np.ndarray:
     """A seeded random δ-table with self-loop entries and an absorbing state.
 
     State ``d - 1`` absorbs: any interaction with it sends both agents there.
     About a quarter of the remaining entries are self-loops (no change).
+    With ``absorbing=False`` there is no such state, so a long run keeps
+    every state in play instead of ending in the sink.
     """
     rng = np.random.default_rng(seed)
     table = rng.integers(0, d * d, d * d, dtype=np.int64)
     codes = np.arange(d * d, dtype=np.int64)
     loops = rng.random(d * d) < 0.25
     table[loops] = codes[loops]
-    sink = d - 1
-    touches_sink = (codes // d == sink) | (codes % d == sink)
-    table[touches_sink] = sink * d + sink
+    if absorbing:
+        sink = d - 1
+        touches_sink = (codes // d == sink) | (codes % d == sink)
+        table[touches_sink] = sink * d + sink
     return table
 
 
@@ -170,6 +174,22 @@ class TestSequentialEquivalence:
         assert np.array_equal(codes, ref_codes)
         assert np.array_equal(kernel.counts[0], np.bincount(ref_states, minlength=d))
 
+    def test_two_byte_states_match_reference(self):
+        """d = 300 states do not fit a byte: the int16 rows follow the reference."""
+        d, n, length = 300, 600, 3000
+        table = random_table(d, seed=300, absorbing=False)
+        kernel = make_kernel(d, n, seeds=[13], table=table)
+        codes = advance(kernel, [0], length)[0]
+        ref_states, ref_codes = sequential_reference(d, n, 13, length, table)
+        assert np.array_equal(codes, ref_codes)
+        assert np.array_equal(kernel.counts[0], np.bincount(ref_states, minlength=d))
+
+    @pytest.mark.parametrize("d,dtype", [(2, np.uint8), (256, np.uint8), (257, np.int16)])
+    def test_state_rows_are_as_narrow_as_the_codes(self, d, dtype):
+        kernel = make_kernel(d, 2 * d, seeds=[1], table=random_table(d, seed=d))
+        assert kernel._states.dtype == dtype
+        assert kernel._ta.dtype == kernel._tb.dtype == dtype
+
     def test_non_contiguous_subset_of_many_rows_matches_reference(self):
         """Rows picked across block boundaries each follow their own reference."""
         d, n, length = 6, 30, 700
@@ -255,7 +275,7 @@ class TestSequentialEquivalence:
         the same codes, states and booking."""
         d, n = 5, 256
         seeds = list(range(BLOCK_ROWS + 1))
-        table = random_table(d, seed=23)
+        table = random_table(d, seed=23, absorbing=False)
         whole = make_kernel(d, n, seeds=seeds, table=table)
         codes_whole = advance(whole, rows, sum(sizes))
         split = make_kernel(d, n, seeds=seeds, table=table)
@@ -265,6 +285,32 @@ class TestSequentialEquivalence:
         assert np.array_equal(whole.counts, split.counts)
         assert np.array_equal(whole.changed, split.changed)
         assert np.array_equal(whole.tallies, split.tallies)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_advances_across_draw_chunks(self, monkeypatch, cpus):
+        """Calls that end inside, just past and several chunks beyond a draw
+        chunk equal one call and equal one-row kernels, on a non-contiguous
+        row subset, with one worker and with many."""
+        monkeypatch.setattr(vector_kernel, "available_cpus", lambda: cpus)
+        d, n = 5, 256
+        sizes = (DRAW_CHUNK - 1, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 5)
+        seeds = [700 + row for row in range(BLOCK_ROWS + 3)]
+        rows = [0, 2, 3, 7, BLOCK_ROWS, BLOCK_ROWS + 2]
+        table = random_table(d, seed=29, absorbing=False)  # no sink before the chunk ends
+        whole = make_kernel(d, n, seeds=seeds, table=table)
+        codes_whole = advance(whole, rows, sum(sizes))
+        split = make_kernel(d, n, seeds=seeds, table=table)
+        codes_split = np.concatenate([advance(split, rows, size) for size in sizes], axis=1)
+        assert np.array_equal(codes_whole, codes_split)
+        assert np.array_equal(whole._states, split._states)
+        for j, row in enumerate(rows):
+            solo = make_kernel(d, n, seeds=[seeds[row]], table=table)
+            solo_codes = np.concatenate([advance(solo, [0], size)[0] for size in sizes])
+            assert np.array_equal(codes_whole[j], solo_codes)
+            assert np.array_equal(whole._states[row], solo._states[0])
+        ref_states, ref_codes = sequential_reference(d, n, seeds[0], sum(sizes), table)
+        assert np.array_equal(codes_whole[0], ref_codes)
+        assert np.array_equal(whole.counts[0], np.bincount(ref_states, minlength=d))
 
     def test_more_rows_than_block_size(self):
         """Advancing crosses block boundaries without mixing row streams."""
