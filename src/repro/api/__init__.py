@@ -49,9 +49,7 @@ from repro.api.executor import (
     build_scheduler,
     exact_anchor_value,
     execute_run,
-    get_runner,
     register_executor,
-    register_runner,
     resolve_workload,
     run_sweep,
 )
@@ -74,8 +72,6 @@ __all__ = [
     "MultiprocessingExecutor",
     "run_sweep",
     "execute_run",
-    "register_runner",
-    "get_runner",
     "register_executor",
     "build_executor",
     "available_executors",

@@ -27,14 +27,13 @@ _ALIASES = {
 def record_value(record: Any, key: str) -> Any:
     """Resolve ``key`` on a :class:`~repro.api.records.RunRecord`.
 
-    Accepts summary aliases (``"protocol"``, ``"n"``, ``"k"``, ...), the
-    spec-level axes (``"workload"``, ``"runner"``), record attributes, and
-    runner extras — in that order.
+    Accepts summary aliases (``"protocol"``, ``"n"``, ``"k"``, ...), record
+    attributes, spec fields (``"workload"``, ...) and extras — in that order.
     """
     attr = _ALIASES.get(key, key)
     if hasattr(record, attr):
         return getattr(record, attr)
-    if key in ("workload", "runner") or hasattr(record.spec, key):
+    if hasattr(record.spec, key):
         return getattr(record.spec, key)
     extras = getattr(record, "extras", {})
     if key in extras:

@@ -8,17 +8,15 @@ here, through registries:
 * **schedulers** — built by name with the population size, a derived seed
   and (for the adaptive adversaries) the protocol instance in hand, which is
   why scheduler construction is a registry of *builders* rather than bare
-  classes;
-* **runners** — named run strategies.  The default ``"protocol"`` runner
-  resolves the protocol registry and calls
-  :func:`~repro.simulation.runner.run_protocol`; a spec without a criterion
-  stops on the protocol's ``default_criterion()``.  Every experiment runs on
-  it, instrumented through the spec's criterion and observers; the registry
-  takes custom strategies (such as fault injectors in tests).
+  classes.
 
-:func:`execute_run` is a module-level function of the spec alone — no shared
-state, no ambient RNG — which is what makes the multiprocessing executor's
-results identical to the serial executor's, record for record.
+Every spec runs one way: :func:`execute_run` resolves the protocol registry
+and calls :func:`~repro.simulation.runner.run_protocol`, instrumented
+through the spec's criterion and observers; a spec without a criterion
+stops on the protocol's ``default_criterion()``.  It is a module-level
+function of the spec alone — no shared state, no ambient RNG — which is
+what makes the multiprocessing executor's results identical to the serial
+executor's, record for record.
 
 :func:`execute_replicate_group` is the many-replicate analogue: a pure
 function of a *list* of specs that are identical up to the run seed (a
@@ -141,36 +139,6 @@ def build_scheduler(
     return builder(num_agents, seed, protocol, **params)
 
 
-# --------------------------------------------------------------------------- #
-# runners
-# --------------------------------------------------------------------------- #
-
-#: ``runner(spec) -> RunRecord``; must be a pure function of the spec.
-RunnerFn = Callable[[RunSpec], RunRecord]
-
-_RUNNERS: dict[str, RunnerFn] = {}
-
-
-def register_runner(name: str, runner: RunnerFn, *, overwrite: bool = False) -> None:
-    """Register a named run strategy usable as ``RunSpec.runner``."""
-    if not overwrite and name in _RUNNERS:
-        raise ValueError(f"runner name {name!r} is already registered")
-    _RUNNERS[name] = runner
-
-
-def get_runner(name: str) -> RunnerFn:
-    """Resolve a runner name.
-
-    Raises:
-        KeyError: for unknown names, listing the available ones (the shared
-            registry error contract of :mod:`repro.utils.errors`).
-    """
-    try:
-        return _RUNNERS[name]
-    except KeyError:
-        raise unknown_name_error("runner", name, _RUNNERS) from None
-
-
 def check_names(submission: RunSpec | SweepSpec) -> None:
     """Resolve every registry name a run or sweep carries, building nothing.
 
@@ -203,7 +171,6 @@ def check_names(submission: RunSpec | SweepSpec) -> None:
         for name in names:
             if not isinstance(name, str) or name not in registry:
                 raise unknown_name_error(kind, name, registry)
-    get_runner(submission.runner)
 
 
 def resolve_workload(spec: RunSpec) -> list[int]:
@@ -219,7 +186,7 @@ def resolve_workload(spec: RunSpec) -> list[int]:
 
 def _plan(spec: RunSpec) -> tuple[list[int], PopulationProtocol, ConvergenceCriterion]:
     """The colors, registry protocol and criterion (the spec's own, else the
-    protocol's ``default_criterion()``) every ``"protocol"``-runner path uses."""
+    protocol's ``default_criterion()``) every run path uses."""
     colors = resolve_workload(spec)
     protocol = get_protocol(spec.protocol, spec.k, **dict(spec.protocol_params))
     criterion = (
@@ -240,8 +207,8 @@ def _record(
     correct: bool | None = None,
     extras: dict | None = None,
 ) -> RunRecord:
-    """The one :class:`RunRecord` assembler of the ``"protocol"`` runner and
-    of replicate groups, ``O(d)`` from the final configuration's counts.
+    """The one :class:`RunRecord` assembler of :func:`execute_run` and of
+    replicate groups, ``O(d)`` from the final configuration's counts.
 
     ``correct`` overrides the verdict read off the final outputs: the exact
     engine judges correctness on the whole distribution, not its modal outcome.
@@ -251,11 +218,8 @@ def _record(
         correct = majority is not None and support_outputs == {majority}
     return RunRecord(
         spec=spec,
-        seed=spec.seed,
         protocol_name=protocol.name,
-        num_agents=spec.n,
         num_colors=protocol.num_colors,
-        engine=spec.engine,
         scheduler_name=scheduler_name,
         converged=outcome.converged,
         correct=correct,
@@ -274,8 +238,12 @@ def _record(
     )
 
 
-def _protocol_runner(spec: RunSpec) -> RunRecord:
-    """The default strategy: the spec's run plan through ``run_protocol``."""
+def execute_run(spec: RunSpec) -> RunRecord:
+    """Execute one spec and return its record.
+
+    A pure function of the spec (all randomness flows from the spec's seeds),
+    so it can run in any process in any order.
+    """
     colors, protocol, criterion = _plan(spec)
     scheduler = None
     if spec.scheduler is not None:
@@ -323,18 +291,6 @@ def _protocol_runner(spec: RunSpec) -> RunRecord:
     )
 
 
-register_runner("protocol", _protocol_runner)
-
-
-def execute_run(spec: RunSpec) -> RunRecord:
-    """Execute one spec and return its record.
-
-    A pure function of the spec (all randomness flows from the spec's seeds),
-    so it can run in any process in any order.
-    """
-    return get_runner(spec.runner)(spec)
-
-
 # --------------------------------------------------------------------------- #
 # exact anchors for adaptive stopping
 # --------------------------------------------------------------------------- #
@@ -360,9 +316,9 @@ def exact_anchor_value(spec: RunSpec, metric: str) -> float | None:
 
     Returns ``None`` — "no anchor; stop on the half-width rule alone" —
     whenever the analytical value does not exist or does not describe what
-    the empirical runs sample: other metrics, custom runners, non-uniform
-    schedulers, inputs without a unique majority, criteria not almost surely
-    reached, and chains past the exact-analysis caps.
+    the empirical runs sample: other metrics, non-uniform schedulers, inputs
+    without a unique majority, criteria not almost surely reached, and chains
+    past the exact-analysis caps.
 
     The exact pipeline quotients the chain by the input's color symmetries
     by default, so the configuration cap counts *orbit representatives*:
@@ -371,7 +327,7 @@ def exact_anchor_value(spec: RunSpec, metric: str) -> float | None:
     """
     if metric not in ("correct", "steps"):
         return None
-    if spec.runner != "protocol" or spec.scheduler not in (None, "uniform-random"):
+    if spec.scheduler not in (None, "uniform-random"):
         return None
     from repro.exact import (
         ChainTooLarge,
@@ -419,17 +375,15 @@ def _replicate_groupable(spec: RunSpec) -> bool:
     """Whether a spec may be executed as a row of a replicate group.
 
     The gate mirrors what the lockstep driver can reproduce bit-for-bit:
-    the default ``"protocol"`` runner under the uniform random scheduler
-    (configuration-level engines simulate it directly), no observers, a
-    concrete run seed, and a pinned workload seed (without one the input
-    colors would vary with the run seed, so the rows would not share a
-    configuration).  The engine itself opts in via the
+    the uniform random scheduler (configuration-level engines simulate it
+    directly), no observers, a concrete run seed, and a pinned workload seed
+    (without one the input colors would vary with the run seed, so the rows
+    would not share a configuration).  The engine itself opts in via the
     ``supports_replicates`` class flag.
     """
     engine_cls = ENGINES.get(spec.engine)
     return (
-        spec.runner == "protocol"
-        and spec.scheduler is None
+        spec.scheduler is None
         and not spec.observers
         and spec.seed is not None
         and spec.workload_seed is not None
@@ -833,7 +787,7 @@ class SweepRunner:
             raise ValueError(
                 f"stopping metric {rule.metric!r} is None on a record of cell "
                 f"{cells[cell_index].describe()}; pick a metric the cell's "
-                "runner actually measures"
+                "runs actually measure"
             )
         values[cell_index][trial] = float(value)
 

@@ -1,8 +1,8 @@
 """Persistable run records.
 
 A :class:`RunRecord` is what a sweep keeps of one run: the originating
-:class:`~repro.api.spec.RunSpec`, the derived seed, and a flat, JSON-native
-snapshot of the :class:`~repro.simulation.runner.RunResult`.  Unlike the live
+:class:`~repro.api.spec.RunSpec` and a flat, JSON-native snapshot of the
+:class:`~repro.simulation.runner.RunResult`.  Unlike the live
 ``RunResult`` it deliberately drops the non-serializable payload (final
 states, traces), so the round trip ``RunRecord.from_dict(record.to_dict())``
 is *lossless by construction* — dataclass equality holds across JSON — and a
@@ -37,24 +37,27 @@ from repro.utils.atomic import atomic_write_text
 #: criterion carry ket exchanges and energies, epoch 3) changes what
 #: :func:`~repro.api.executor.execute_run` returns for an unchanged spec.  The result store writes the epoch on every line and
 #: never serves a line of another epoch.  Bump it with every such change.
-#: Derived seeds never move; spec SHAs moved once, at epoch 6, when specs
+#: Derived seeds never move; spec SHAs moved at epoch 6, when specs
 #: lost their inert ``compiled`` key, so older lines load as stale instead
 #: of as records no spec can reach.  Epoch 7 carries the sparse regime's
 #: geometric skip across check windows: batch and vector runs that go
-#: sparse take one skip draw per event instead of one per window.
-RECORD_EPOCH = 7
+#: sparse take one skip draw per event instead of one per window.  Epoch 8
+#: changes the shape only and moves no draw: specs lost their one-valued
+#: ``runner`` key (every spec SHA moved again) and records their copies of
+#: the spec's ``seed``, ``n`` and ``engine``.
+RECORD_EPOCH = 8
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One executed run: spec + derived seed + serializable outcome."""
+    """One executed run: its spec and a serializable outcome.
+
+    The run's seed, population size and engine are read off the spec.
+    """
 
     spec: RunSpec
-    seed: int | None
     protocol_name: str
-    num_agents: int
     num_colors: int
-    engine: str
     scheduler_name: str
     converged: bool
     correct: bool
@@ -65,11 +68,24 @@ class RunRecord:
     ket_exchanges: int | None = None
     initial_energy: int | None = None
     final_energy: int | None = None
-    #: Runner-specific measurements (JSON-native values only).
+    #: Measurements beyond the fixed fields (JSON-native values only):
+    #: observer summaries and the exact engine's distribution.
     extras: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "extras", own_params(self.extras))
+
+    @property
+    def seed(self) -> int | None:
+        return self.spec.seed
+
+    @property
+    def num_agents(self) -> int:
+        return self.spec.n
+
+    @property
+    def engine(self) -> str:
+        return self.spec.engine
 
     def exact_result(self):
         """The analytical :class:`~repro.exact.result.DistributionResult`.
@@ -105,13 +121,10 @@ class RunRecord:
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-ready dictionary (inverse of :meth:`from_dict`)."""
-        data = {
+        return {
             "spec": self.spec.to_dict(),
-            "seed": self.seed,
             "protocol_name": self.protocol_name,
-            "num_agents": self.num_agents,
             "num_colors": self.num_colors,
-            "engine": self.engine,
             "scheduler_name": self.scheduler_name,
             "converged": self.converged,
             "correct": self.correct,
@@ -124,7 +137,6 @@ class RunRecord:
             "final_energy": self.final_energy,
             "extras": dict(self.extras),
         }
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> RunRecord:

@@ -141,13 +141,11 @@ class RunSpec:
     engine: str = "agent"
     scheduler: str | None = None
     scheduler_params: Mapping[str, Any] = field(default_factory=dict)
+    #: Criterion registry name; ``None`` stops on the protocol's
+    #: ``default_criterion()``.
     criterion: str | None = None
+    #: Interaction budget; ``None`` defers to ``run_protocol``'s default.
     max_steps: int | None = None
-    #: Named run strategy (see ``repro.api.executor.register_runner``).  The
-    #: default, which every experiment uses, resolves the protocol registry
-    #: and calls ``run_protocol``, which stops on the protocol's
-    #: ``default_criterion()`` when ``criterion`` is unset.
-    runner: str = "protocol"
     #: Seed for the engine (and the scheduler, on the agent engine).
     seed: int | None = None
     #: Seed for the input workload; defaults to ``seed`` when unset.
@@ -232,7 +230,6 @@ class RunSpec:
             "scheduler_params": _copy_params(self.scheduler_params),
             "criterion": self.criterion,
             "max_steps": self.max_steps,
-            "runner": self.runner,
             "seed": self.seed,
             "workload_seed": self.workload_seed,
             "observers": tuple((name, _copy_params(params)) for name, params in self.observers),
@@ -244,7 +241,7 @@ class RunSpec:
 
         Raises:
             TypeError: for a key that is not a field, such as the
-                ``compiled`` switch of earlier versions.
+                ``compiled`` switch or the ``runner`` name of earlier versions.
         """
         return cls(**data)
 
@@ -269,20 +266,9 @@ class SweepCell:
     sweep_seed: int
     #: The cell's position in the trial-free expansion order.
     index: int
-    protocol: str
-    protocol_params: Mapping[str, Any]
-    n: int
-    k: int
-    workload: str
-    workload_params: Mapping[str, Any]
-    engine: str
-    scheduler: str | None
-    scheduler_params: Mapping[str, Any]
-    criterion: str | None
-    max_steps: int | None
-    runner: str
-    workload_seed: int
-    observers: Sequence[object]
+    #: The cell's run with its ``seed`` unset; every trial differs from it
+    #: in the run seed alone.
+    base: RunSpec
 
     def trial_seed(self, trial: int) -> int:
         """The run seed of this cell's ``trial``-th run (trial-count independent)."""
@@ -292,33 +278,18 @@ class SweepCell:
 
     def spec(self, trial: int) -> RunSpec:
         """The ``trial``-th run of this cell, as a plain :class:`RunSpec`."""
-        return RunSpec(
-            protocol=self.protocol,
-            n=self.n,
-            k=self.k,
-            workload=self.workload,
-            protocol_params=self.protocol_params,
-            workload_params=self.workload_params,
-            engine=self.engine,
-            scheduler=self.scheduler,
-            scheduler_params=self.scheduler_params,
-            criterion=self.criterion,
-            max_steps=self.max_steps,
-            runner=self.runner,
-            seed=self.trial_seed(trial),
-            workload_seed=self.workload_seed,
-            observers=self.observers,
-        )
+        return self.base.with_seed(self.trial_seed(trial))
 
     def describe(self) -> dict[str, Any]:
         """The cell's grid coordinates (the key of per-cell diagnostics)."""
+        base = self.base
         return {
-            "protocol": self.protocol,
-            "workload": self.workload,
-            "n": self.n,
-            "k": self.k,
-            "engine": self.engine,
-            "scheduler": self.scheduler,
+            "protocol": base.protocol,
+            "workload": base.workload,
+            "n": base.n,
+            "k": base.k,
+            "engine": base.engine,
+            "scheduler": base.scheduler,
         }
 
 
@@ -347,7 +318,7 @@ class SweepSpec:
     schedulers: Sequence[object] = (None,)
     criterion: str | None = None
     #: Absolute interaction budget per run; ``None`` defers to
-    #: ``max_steps_quadratic`` and then to the runner default.
+    #: ``max_steps_quadratic`` and then to ``run_protocol``'s default.
     max_steps: int | None = None
     #: Quadratic budget coefficient ``c``: each run gets ``c · n²`` steps.
     max_steps_quadratic: int | None = None
@@ -359,7 +330,6 @@ class SweepSpec:
     #: rule.  Only meaningful on adaptive sweeps.
     stopping: StoppingRule | Mapping[str, Any] | None = None
     seed: int = 0
-    runner: str = "protocol"
     #: Default worker-process count for executors (``None``/1 = serial).
     workers: int | None = None
     #: Observers attached to every run of the sweep (not an expansion axis):
@@ -443,26 +413,22 @@ class SweepSpec:
                     for engine in self.engines:
                         for scheduler_name, scheduler_params in self.schedulers:
                             for protocol_name, protocol_params in self.protocols:
-                                cells.append(
-                                    SweepCell(
-                                        sweep_seed=self.seed,
-                                        index=index,
-                                        protocol=protocol_name,
-                                        protocol_params=protocol_params,
-                                        n=n,
-                                        k=k,
-                                        workload=workload_name,
-                                        workload_params=workload_params,
-                                        engine=engine,
-                                        scheduler=scheduler_name,
-                                        scheduler_params=scheduler_params,
-                                        criterion=self.criterion,
-                                        max_steps=self._budget(n),
-                                        runner=self.runner,
-                                        workload_seed=point_seed,
-                                        observers=self.observers,
-                                    )
+                                base = RunSpec(
+                                    protocol=protocol_name,
+                                    n=n,
+                                    k=k,
+                                    workload=workload_name,
+                                    protocol_params=protocol_params,
+                                    workload_params=workload_params,
+                                    engine=engine,
+                                    scheduler=scheduler_name,
+                                    scheduler_params=scheduler_params,
+                                    criterion=self.criterion,
+                                    max_steps=self._budget(n),
+                                    workload_seed=point_seed,
+                                    observers=self.observers,
                                 )
+                                cells.append(SweepCell(self.seed, index, base))
                                 index += 1
         return cells
 
@@ -519,7 +485,6 @@ class SweepSpec:
             "trials": self.trials,
             "stopping": None if self.stopping_rule is None else self.stopping_rule.to_dict(),
             "seed": self.seed,
-            "runner": self.runner,
             "workers": self.workers,
             "observers": [[name, params] for name, params in self.observers],
         }

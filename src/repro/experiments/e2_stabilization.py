@@ -8,10 +8,10 @@ Circles stability criterion holds, and whether the ordinal potential was
 strictly decreasing at every observed exchange (it must always be).
 
 The sweep is described declaratively: :func:`sweep_spec` builds a
-:class:`~repro.api.spec.SweepSpec` over (n, k) that runs the default
-``"protocol"`` runner under the ``stable-circles`` criterion with the
-``potential`` observer, so E2 runs are persistable and parallelizable like
-any other spec.  The runner counts ket exchanges for every Circles run; the
+:class:`~repro.api.spec.SweepSpec` over (n, k) that runs under the
+``stable-circles`` criterion with the ``potential`` observer, so E2 runs
+are persistable and parallelizable like any other spec.  Every Circles run
+counts its ket exchanges; the
 :class:`~repro.simulation.observers.PotentialObserver` verifies the strict
 potential decrease — identically on *every* engine, at each engine's exact
 delta granularity (per interaction on the agent engine, per kernel-round

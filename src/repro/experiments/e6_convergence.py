@@ -194,10 +194,6 @@ def run(
             "exact E[interactions]" column (the expected first-hitting time
             of the stopping criterion in the exact configuration chain,
             :mod:`repro.exact`); larger rows show the infeasible sentinel.
-            The default of 12 relies on the engine's symmetry quotient:
-            the chain is built over orbit representatives, so symmetric
-            inputs stay inside the configuration cap well past the old
-            unquotiented ceiling of 8.
         store: optional :class:`repro.service.store.ResultStore` — table
             regeneration becomes incremental, re-simulating only the sweep
             points not already in the store.

@@ -32,10 +32,10 @@ alone (``http.server`` + the ``asyncio`` executor — no new dependencies):
 * ``GET /status`` — queue depth (runs accepted but not yet finished), cache
   hit rate, and per-sweep progress for active and stored sweeps.
 
-A POST body that does not parse as its spec (a missing or unknown field
-included) or names an unknown protocol, workload, engine, scheduler,
-criterion, runner or observer is answered 400 before any run starts;
-failures past that point arrive in-band, as an ``{"error": …}`` line.
+A POST body that does not parse as its spec (a missing or unknown field,
+such as ``runner``, included) or names an unknown protocol, workload,
+engine, scheduler, criterion or observer is answered 400 before any run
+starts; failures past that point arrive in-band, as an ``{"error": …}`` line.
 
 Streaming uses HTTP/1.0 close-delimited bodies: the response has no
 ``Content-Length`` and the connection closes when the sweep does, which every

@@ -28,7 +28,7 @@ gives all of them one streaming contract:
   :class:`KetExchangeObserver` counts this way through
   :func:`ket_exchange_mask`.
 * a **registry** (:func:`register_observer` / :func:`build_observer`)
-  mirroring the protocol, engine, workload and runner registries, so
+  mirroring the protocol, engine and workload registries, so
   observers travel through declarative specs by name.
 
 Built-in observers: :class:`TraceObserver` (the :class:`~repro.simulation.trace.Trace`

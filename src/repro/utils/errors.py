@@ -1,8 +1,8 @@
 """Shared error construction for the name registries.
 
-Four registries resolve plain-string names — protocols, simulation engines,
-workloads and runners — and historically each phrased its unknown-name error
-differently (two raised ``ValueError``, two ``KeyError``, with four message
+The registries resolve plain-string names — protocols, simulation engines,
+workloads, executors — and historically each phrased its unknown-name error
+differently (some raised ``ValueError``, some ``KeyError``, with four message
 formats).  Every registry now raises the :func:`unknown_name_error` ``KeyError``
 so callers and tests can rely on one contract: the exception names the kind,
 repeats the offending name, and lists every valid name in sorted order.

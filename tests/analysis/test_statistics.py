@@ -169,3 +169,24 @@ def test_summary_is_internally_consistent(values):
     assert stats.minimum <= stats.median <= stats.maximum
     assert stats.minimum - slack <= stats.mean <= stats.maximum + slack
     assert stats.std >= 0
+
+
+class TestChiSquaredHelpers:
+    """The agreement tests' critical values stop at their table's end."""
+
+    @staticmethod
+    def uniform(bins: int) -> tuple[dict, dict]:
+        """``bins`` outcomes seen 10 times each, and their exact law."""
+        return {key: 10 for key in range(bins)}, {key: 1 / bins for key in range(bins)}
+
+    def test_the_table_runs_through_df_30(self, one_sample_chi_squared, two_sample_chi_squared):
+        observed, exact = self.uniform(31)
+        assert one_sample_chi_squared(observed, exact, 310)[1] == 59.70
+        assert two_sample_chi_squared(observed, dict(observed))[1] == 59.70
+
+    def test_df_above_the_table_raises(self, one_sample_chi_squared, two_sample_chi_squared):
+        observed, exact = self.uniform(32)
+        with pytest.raises(KeyError, match="df=31"):
+            one_sample_chi_squared(observed, exact, 320)
+        with pytest.raises(KeyError, match="df=31"):
+            two_sample_chi_squared(observed, dict(observed))

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.api.executor import SweepRunner, exact_anchor_value, register_runner, run_sweep
+from repro.api.executor import SweepRunner, exact_anchor_value, run_sweep
 from repro.api.records import SweepResult
 from repro.api.spec import RunSpec, SweepSpec
 from repro.api.stopping import STOP_REASONS, StopDecision, StoppingRule
@@ -256,13 +256,7 @@ class TestExactAnchor:
         assert probability is not None and 0.0 <= probability <= 1.0
         # Metrics without an analytical counterpart never anchor.
         assert exact_anchor_value(spec, "ket_exchanges") is None
-        # Nor do custom runners or non-uniform schedulers.
-        def toy_runner(spec: RunSpec):
-            raise AssertionError("an anchor never executes a run")
-
-        register_runner("anchor-toy", toy_runner, overwrite=True)
-        custom = dataclasses.replace(spec, runner="anchor-toy")
-        assert exact_anchor_value(custom, "correct") is None
+        # Nor do non-uniform schedulers.
         scheduled = dataclasses.replace(spec, engine="agent", scheduler="round-robin")
         assert exact_anchor_value(scheduled, "correct") is None
 
@@ -284,7 +278,7 @@ class TestExactAnchor:
         from repro.simulation.convergence import OutputConsensus
 
         [sweep] = sweep_specs(populations=(64,), ks=(2,))
-        [cell] = [c for c in sweep.expand_cells() if c.protocol == "approximate-majority"]
+        [cell] = [c for c in sweep.expand_cells() if c.base.protocol == "approximate-majority"]
         spec = cell.spec(0)
         assert exact_anchor_value(spec, "correct") is None
         assert exact_anchor_value(spec, "steps") is None

@@ -11,11 +11,8 @@ from repro.api.spec import RunSpec
 def _record(protocol="circles", n=8, k=2, steps=100, correct=True, extras=None):
     return RunRecord(
         spec=RunSpec(protocol=protocol, n=n, k=k, seed=1),
-        seed=1,
         protocol_name=protocol,
-        num_agents=n,
         num_colors=k,
-        engine="agent",
         scheduler_name="uniform-random",
         converged=True,
         correct=correct,

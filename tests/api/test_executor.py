@@ -1,9 +1,6 @@
 """Tests for spec execution: determinism, parallel equivalence, registries."""
 
 import multiprocessing
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -16,9 +13,7 @@ from repro.api.executor import (
     build_executor,
     build_scheduler,
     execute_run,
-    get_runner,
     register_executor,
-    register_runner,
     resolve_workload,
     run_sweep,
 )
@@ -243,8 +238,6 @@ class TestRegistries:
             build_criterion("nope")
         with pytest.raises(ValueError, match="unknown scheduler"):
             build_scheduler("nope", 8)
-        with pytest.raises(KeyError, match="unknown runner"):
-            get_runner("nope")
         with pytest.raises(KeyError, match="unknown workload"):
             execute_run(RunSpec(protocol="circles", n=8, k=2, workload="nope"))
 
@@ -258,42 +251,6 @@ class TestRegistries:
         assert scheduler.is_weakly_fair
         isolated = build_scheduler("isolation", 8, seed=1, isolated=[0, 1])
         assert not isolated.is_weakly_fair
-
-    def test_custom_runner_round_trip(self):
-        def toy_runner(spec: RunSpec) -> RunRecord:
-            return RunRecord(
-                spec=spec, seed=spec.seed, protocol_name=spec.protocol,
-                num_agents=spec.n, num_colors=spec.k, engine=spec.engine,
-                scheduler_name="none", converged=True, correct=True, steps=0,
-                interactions_changed=0, extras={"toy": True},
-            )
-
-        register_runner("toy-runner", toy_runner)
-        record = execute_run(RunSpec(protocol="circles", n=8, k=2, runner="toy-runner"))
-        assert record.extras == {"toy": True}
-        with pytest.raises(ValueError, match="already registered"):
-            register_runner("toy-runner", toy_runner)
-        register_runner("toy-runner", toy_runner, overwrite=True)
-
-    def test_runner_lookup_imports_no_experiment(self):
-        """Experiments run on the default runner and register none, so a
-        cold lookup neither imports them nor finds a runner of theirs."""
-        code = (
-            "import sys\n"
-            "from repro.api.executor import get_runner\n"
-            "try:\n"
-            "    get_runner('e2-stabilization')\n"
-            "except KeyError:\n"
-            "    pass\n"
-            "else:\n"
-            "    raise SystemExit('resolved')\n"
-            "assert 'repro.experiments' not in sys.modules\n"
-        )
-        subprocess.run(
-            [sys.executable, "-c", code],
-            check=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
 
 
 class TestProtocolRunner:

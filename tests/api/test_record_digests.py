@@ -126,25 +126,30 @@ def grid_records(grid: str) -> list:
 #: no draw moved.  At record epoch 7 ``batch`` and ``vector`` were re-pinned
 #: for the sparse skip carried across windows: their runs agree draw for
 #: draw with epoch 6 up to the end of each engine's first sparse window
-#: whose skip overran it.  Only the kernel grid
-#: depends on numpy: without it the batch engine and the replicate groups
-#: sample through pure Python.
+#: whose skip overran it.  At record epoch 8 every pin here was re-pinned to
+#: the same records without the spec's ``runner`` key and the record's
+#: copies of ``seed``, ``num_agents`` and ``engine``; ``tests/pin_evidence.py``
+#: reported each payload as differing only by those keys, so no draw moved.
+#: Only the kernel grid depends on numpy: without it the batch engine and
+#: the replicate groups sample through pure Python.
 DIGESTS = {
-    "agent": "575eaf8581d97f7731f97f36d51697cf18358b11de4d99adc04569f2a459a8e7",
-    "batch": "cd91f0b06fe4adf52364a4ae8009cc68f17a239ffc80f039f1cf3340a549e121",
-    "vector": "ed8e5d25e2f590a73e95a6a1f784a46e16329b37bc34ae6e049a7d1a4d480250",
-    "exact": "225b998900f19007e4b405fff6d79bab15fa37880d7c3e26ca8c15e85d24c5b4",
-    "variant": "fcb29521057f7b2d19464232738f741034a8fa3b15099e1d9d91109b0f847476",
+    "agent": "fa91f42491f312d45c6ad3bea389de968264d19d58f5cc1134cb08831215af03",
+    "batch": "0ee6bd6f2b9152dcc6ec180b0c98dfbcfb8c64893330a3f987fc80db08afff0e",
+    "vector": "1a0ea5595b22071785e24a322182d93a52e3e4c2838bc322a24311f8aaee2d08",
+    "exact": "7e7bc61a394ee0a8a0507c87146a32c8edf9211cac33774bdbea59f332466cab",
+    "variant": "518b5ffe3e1f7779898e1f14cb5b639c82af752c88e55d1167ac72596b9702d4",
 }
 #: Without numpy the kernel grid runs the pool regimes, so its digest was
-#: re-pinned with ``batch`` and ``vector`` at record epoch 5.
+#: re-pinned with ``batch`` and ``vector`` at record epoch 5.  Both were
+#: re-pinned at epoch 8 like :data:`DIGESTS`.
 KERNEL_DIGESTS = {
-    True: "374555866d2aaa1e6f7b55e6bfd4e1a0ea1bb7bfdc691e8800ff84d1e1d9db14",
-    False: "6cf257d0321ab27a472e2af2b25121c8ece942ad200a19310c69a213da2ebe4c",
+    True: "9b5c212ba0eb4edb1e577a6272c90602214d69c6d1e8c983a3402622a4b2e7a4",
+    False: "7391d8ad7df26988c483171f985b30d36816ceb826e6096a3f3ce9d895cb8e27",
 }
 #: The record of ``test_float_exact_record_is_pinned``, pinned at record epoch 4,
-#: unchanged at 5, and re-pinned at 6 only for the dropped ``compiled`` key.
-FLOAT_EXACT_DIGEST = "8b35bb88bad8ca89e41396e75f831e9853c0f24bc4ee819ee89e4d24b78c2e87"
+#: unchanged at 5, and re-pinned at 6 only for the dropped ``compiled`` key
+#: and at 8 only for the dropped ``runner`` key and record copies.
+FLOAT_EXACT_DIGEST = "3884a14d1f348066d51d43cc342b690687d0ec81f2a7c73aef5b9679a590792a"
 
 
 @pytest.mark.parametrize("grid", GRIDS)

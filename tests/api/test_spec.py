@@ -26,7 +26,6 @@ class TestRunSpec:
         assert spec.workload == "planted-majority"
         assert spec.engine == "agent"
         assert spec.scheduler is None
-        assert spec.runner == "protocol"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -217,11 +216,12 @@ GOLDEN_SPECS = {
 }
 
 #: Re-pinned at record epoch 6 to the earlier SHAs with the dropped
-#: ``compiled`` key popped.
+#: ``compiled`` key popped, and at epoch 8 with the dropped ``runner`` key
+#: popped.
 GOLDEN_SHAS = {
-    "defaults": "406b75ebc97bc116c55cb2db461d389f0f3f3070ac9ec394888b4544e18908e4",
-    "params": "331cc47d0f1619de5deb4a94f1ce371956e6aba8178fb473469eba873166a253",
-    "scheduler": "913c2ebcbb83ff75417842f3e6396623185c3ce977881d9eb1036c3e4a611597",
+    "defaults": "18e33387da4dc3091aa2252f9de1e2a0157b199ed99a0229540d0af190c2f4d1",
+    "params": "107f1b15586a5afd50f06e1abf28403377d06c84e07ea231b1cef91c35558400",
+    "scheduler": "56e0c9d31d526874fafb824e434584fe92830ccffe14d0ce7fd324b376f0313a",
 }
 
 GOLDEN_SWEEP = SweepSpec(
@@ -235,7 +235,7 @@ GOLDEN_SWEEP = SweepSpec(
     max_steps_quadratic=200,
     observers=("energy",),
 )
-GOLDEN_SWEEP_SHA = "eb2fdef5990d537f70fb1598e79dbdc43fb7d51b61376d87ad63357087682610"
+GOLDEN_SWEEP_SHA = "2735cc65730d824e87c35a5a5a67440b3daecd3032f3d89e5dcd5a6973915fc7"
 
 
 class TestContentAddressGoldens:
@@ -264,11 +264,26 @@ class TestContentAddressGoldens:
         assert "compiled" not in data
         data["compiled"] = compiled
         if compiled is False:
-            assert sha_of(data) == (
+            # That spec also carried the ``runner`` key of its day.
+            assert sha_of({**data, "runner": "protocol"}) == (
                 "920cbd5e4c326f34b5f9c88ebfca0af2e7dc8420d9e8b41a9f3c876c05fee6bd"
             )
         with pytest.raises(TypeError, match="compiled"):
             RunSpec.from_dict(data)
+
+    def test_a_runner_key_is_rejected(self):
+        """Every run goes one way, so neither specs nor sweeps have a
+        ``runner`` field; the old default value no longer loads either."""
+        with pytest.raises(TypeError, match="runner"):
+            RunSpec(protocol="circles", n=8, k=2, runner="protocol")
+        data = RunSpec(protocol="circles", n=8, k=2).to_dict()
+        assert "runner" not in data
+        with pytest.raises(TypeError, match="runner"):
+            RunSpec.from_dict({**data, "runner": "protocol"})
+        sweep = GOLDEN_SWEEP.to_dict()
+        assert "runner" not in sweep
+        with pytest.raises(TypeError, match="runner"):
+            SweepSpec.from_dict({**sweep, "runner": "protocol"})
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
     def test_to_dict_equals_asdict(self, name):

@@ -8,15 +8,32 @@ from hypothesis import strategies as st
 from repro.core.braket import BraKet
 from repro.core.circles import CirclesProtocol
 
-# 99.9th percentiles of the chi-squared distribution by degrees of freedom;
-# generous so seeded distributional-agreement tests are meaningful but not
-# knife-edged.
+# 99.9th percentiles of the chi-squared distribution by degrees of freedom
+# (the NIST/SEMATECH e-Handbook table of upper critical values, to two
+# decimals); generous so seeded distributional-agreement tests are
+# meaningful but not knife-edged.
 _CHI2_999 = {
     1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 5: 20.52, 6: 22.46, 7: 24.32,
     8: 26.12, 9: 27.88, 10: 29.59, 11: 31.26, 12: 32.91, 13: 34.53,
     14: 36.12, 15: 37.70, 16: 39.25, 17: 40.79, 18: 42.31, 19: 43.82,
-    20: 45.31,
+    20: 45.31, 21: 46.80, 22: 48.27, 23: 49.73, 24: 51.18, 25: 52.62,
+    26: 54.05, 27: 55.48, 28: 56.89, 29: 58.30, 30: 59.70,
 }
+
+
+def _chi2_critical(df: int) -> float:
+    """The 99.9% point at ``df`` degrees of freedom.
+
+    Raises:
+        KeyError: above the table, instead of reading a smaller df's point.
+    """
+    try:
+        return _CHI2_999[df]
+    except KeyError:
+        raise KeyError(
+            f"no 99.9% chi-squared point for df={df}; the table stops at "
+            f"df={max(_CHI2_999)}"
+        ) from None
 
 
 def _chi_squared(first: dict, second: dict) -> tuple[float, float]:
@@ -51,7 +68,7 @@ def _chi_squared(first: dict, second: dict) -> tuple[float, float]:
         statistic += (count_first - expected_first) ** 2 / expected_first
         statistic += (count_second - expected_second) ** 2 / expected_second
     df = max(1, len(bins) - 1)
-    return statistic, _CHI2_999[min(df, max(_CHI2_999))]
+    return statistic, _chi2_critical(df)
 
 
 @pytest.fixture(scope="session")
@@ -94,7 +111,7 @@ def _chi_squared_against_exact(
         (count - expected) ** 2 / expected for count, expected in bins if expected
     )
     df = max(1, len(bins) - 1)
-    return statistic, _CHI2_999[min(df, max(_CHI2_999))]
+    return statistic, _chi2_critical(df)
 
 
 @pytest.fixture(scope="session")

@@ -39,17 +39,16 @@ class TestE2:
         assert all(result.column("g(C) strictly decreasing"))
         assert all(value is not None for value in result.column("interactions to stability"))
 
-    def test_sweep_runs_on_the_protocol_runner(self):
-        """E2 is a plain spec: the default runner, the Circles stability
-        criterion and the potential observer; the uniform random scheduler is
-        named on the agent engine only."""
+    def test_sweep_is_a_plain_spec(self):
+        """E2 is a plain spec: the Circles stability criterion and the
+        potential observer; the uniform random scheduler is named on the
+        agent engine only."""
         for engine in ("agent", "batch"):
             specs = e2_stabilization.sweep_spec(
                 populations=(6,), ks=(3,), seed=5, engine=engine, trials=1
             ).expand()
             assert specs
             for spec in specs:
-                assert spec.runner == "protocol"
                 assert spec.criterion == "stable-circles"
                 assert spec.observers == (("potential", {}),)
                 assert spec.scheduler == ("uniform-random" if engine == "agent" else None)
@@ -83,11 +82,12 @@ class TestE3:
 
     def test_greedy_stall_records_are_pinned(self):
         """Re-pinned at record epoch 6 to the earlier records with the spec's
-        dropped ``compiled`` key popped; no draw moved."""
+        dropped ``compiled`` key popped, and at epoch 8 without the spec's
+        ``runner`` key and the record's copies of spec fields; no draw moved."""
         records = run_sweep(e3_correctness.empirical_sweep(("greedy-stall",), 18, 4, 2, 11))
         payload = canonical_json([record.to_dict() for record in records.records])
         assert hashlib.sha256(payload.encode()).hexdigest() == (
-            "93de26e2b5058f5dcbbc9d005f866a56261e593cf446ce6c22c1a5f7ba184701"
+            "50b39e2d466ac59033a0312e0849fdb3458ce68a6a63f78b43a3f15dddf7c8e8"
         )
 
     def test_exact_correctness_column_is_one_on_model_checked_inputs(self):

@@ -5,17 +5,18 @@ import time
 
 import pytest
 
+import repro.api.executor as executor_module
 from repro.api.executor import (
     SerialExecutor,
     SweepRunner,
     available_executors,
     build_executor,
     execute_run,
-    register_runner,
 )
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec, SweepSpec
 from repro.api.stopping import StoppingRule
+from repro.service import queue
 from repro.service.queue import AsyncExecutor, RunFailed
 from repro.service.store import ResultStore
 from repro.simulation.batch_engine import NUMPY_BURST_THRESHOLD
@@ -23,17 +24,17 @@ from repro.simulation.batch_engine import NUMPY_BURST_THRESHOLD
 
 def toy_record(spec: RunSpec) -> RunRecord:
     return RunRecord(
-        spec=spec, seed=spec.seed, protocol_name=spec.protocol, num_agents=spec.n,
-        num_colors=spec.k, engine=spec.engine, scheduler_name="none", converged=True,
-        correct=True, steps=0, interactions_changed=0,
+        spec=spec, protocol_name=spec.protocol, num_colors=spec.k,
+        scheduler_name="none", converged=True, correct=True, steps=0,
+        interactions_changed=0,
     )
 
 
-#: Shared state for the flaky/sleepy runners (threads share the process).
+#: Shared state for the flaky/sleepy faults (threads share the process).
 _FLAKY = {"failures_left": 0, "attempts": 0, "lock": threading.Lock()}
 
 
-def _flaky_runner(spec: RunSpec) -> RunRecord:
+def _flaky_run(spec: RunSpec) -> RunRecord:
     with _FLAKY["lock"]:
         _FLAKY["attempts"] += 1
         if _FLAKY["failures_left"] > 0:
@@ -42,31 +43,48 @@ def _flaky_runner(spec: RunSpec) -> RunRecord:
     return toy_record(spec)
 
 
-def _sleepy_runner(spec: RunSpec) -> RunRecord:
+def _sleepy_run(spec: RunSpec) -> RunRecord:
     time.sleep(0.4)
     return toy_record(spec)
 
 
-#: Rows the napping runner has started (groups of it run row by row).
+#: Rows the napping fault has started (groups of it run row by row).
 _NAPS = {"started": 0, "lock": threading.Lock()}
 
 
-def _napping_runner(spec: RunSpec) -> RunRecord:
+def _napping_run(spec: RunSpec) -> RunRecord:
     with _NAPS["lock"]:
         _NAPS["started"] += 1
     time.sleep(0.2)
     return toy_record(spec)
 
 
-register_runner("service-test-flaky", _flaky_runner, overwrite=True)
-register_runner("service-test-sleepy", _sleepy_runner, overwrite=True)
-register_runner("service-test-napping", _napping_runner, overwrite=True)
+#: A spec whose protocol is named here runs its fault instead of a simulation.
+FAULTS = {"fault-flaky": _flaky_run, "fault-sleepy": _sleepy_run, "fault-napping": _napping_run}
 
 
-def runner_group(runner: str, rows: int, first_seed: int = 1) -> list[RunSpec]:
-    """A group of specs a test runner executes one by one (not groupable)."""
-    return [RunSpec(protocol="circles", n=8, k=2, seed=first_seed + row, runner=runner)
-            for row in range(rows)]
+@pytest.fixture(autouse=True)
+def inject_faults(monkeypatch):
+    """Patch ``execute_run`` where the queue calls it: its own name for units
+    of one, the executor module's for the rows of a group that cannot run in
+    lockstep.  Specs of real protocols run as before."""
+    real = executor_module.execute_run
+
+    def execute(spec: RunSpec) -> RunRecord:
+        fault = FAULTS.get(spec.protocol)
+        return real(spec) if fault is None else fault(spec)
+
+    monkeypatch.setattr(executor_module, "execute_run", execute)
+    monkeypatch.setattr(queue, "execute_run", execute)
+
+
+def fault_spec(fault: str, seed: int) -> RunSpec:
+    return RunSpec(protocol=fault, n=8, k=2, seed=seed)
+
+
+def fault_group(fault: str, rows: int, first_seed: int = 1) -> list[RunSpec]:
+    """A group of fault specs, executed one by one (agent specs never run in lockstep)."""
+    return [fault_spec(fault, first_seed + row) for row in range(rows)]
 
 
 class TestRecordIdentity:
@@ -111,8 +129,6 @@ class TestRecordIdentity:
 
     def test_a_unit_of_one_runs_through_execute_run(self, monkeypatch):
         """The benchmark's attempt span wraps this module's ``execute_run``."""
-        from repro.service import queue
-
         seen = []
         monkeypatch.setattr(queue, "execute_run", lambda spec: seen.append(spec) or "record")
         spec = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3)
@@ -181,8 +197,8 @@ class TestReplicateGroups:
         assert result.extras == reference.extras
 
     def test_failing_group_is_retried_then_cancels_its_siblings(self):
-        bad = runner_group("service-test-flaky", 3)
-        slow = [runner_group("service-test-napping", 2, first_seed=10 * i)
+        bad = fault_group("fault-flaky", 3)
+        slow = [fault_group("fault-napping", 2, first_seed=10 * i)
                 for i in range(1, 5)]
         with _FLAKY["lock"]:
             _FLAKY["failures_left"] = 10**9
@@ -205,7 +221,7 @@ class TestReplicateGroups:
         assert _NAPS["started"] == 2
 
     def test_transient_group_failure_is_retried(self):
-        group = runner_group("service-test-flaky", 3)
+        group = fault_group("fault-flaky", 3)
         with _FLAKY["lock"]:
             _FLAKY["failures_left"] = 2
             _FLAKY["attempts"] = 0
@@ -215,7 +231,7 @@ class TestReplicateGroups:
 
     def test_group_timeout_scales_with_its_rows(self):
         """Three 0.2 s rows: a 0.3 s per-run timeout gives the group 0.9 s."""
-        group = runner_group("service-test-napping", 3)
+        group = fault_group("fault-napping", 3)
         [records] = AsyncExecutor(1, timeout=0.3, retries=0).map_groups([group])
         assert [record.spec for record in records] == group
         with pytest.raises(RunFailed) as excinfo:
@@ -226,8 +242,7 @@ class TestReplicateGroups:
 
 class TestRetryAndBackoff:
     def test_transient_failures_are_retried(self):
-        specs = [RunSpec(protocol="circles", n=8, k=2, seed=i,
-                         runner="service-test-flaky") for i in range(4)]
+        specs = [fault_spec("fault-flaky", i) for i in range(4)]
         with _FLAKY["lock"]:
             _FLAKY["failures_left"] = 3
             _FLAKY["attempts"] = 0
@@ -238,7 +253,7 @@ class TestRetryAndBackoff:
         assert _FLAKY["attempts"] == len(specs) + 3  # each failure retried
 
     def test_retry_budget_is_bounded(self):
-        spec = RunSpec(protocol="circles", n=8, k=2, seed=1, runner="service-test-flaky")
+        spec = fault_spec("fault-flaky", 1)
         with _FLAKY["lock"]:
             _FLAKY["failures_left"] = 10**9
             _FLAKY["attempts"] = 0
@@ -252,9 +267,8 @@ class TestRetryAndBackoff:
 
     def test_failure_cancels_the_rest_gracefully(self):
         """A terminal failure surfaces promptly; map_groups never hangs."""
-        bad = RunSpec(protocol="circles", n=8, k=2, seed=1, runner="service-test-flaky")
-        slow = [RunSpec(protocol="circles", n=8, k=2, seed=i,
-                        runner="service-test-sleepy") for i in range(2, 6)]
+        bad = fault_spec("fault-flaky", 1)
+        slow = [fault_spec("fault-sleepy", i) for i in range(2, 6)]
         with _FLAKY["lock"]:
             _FLAKY["failures_left"] = 10**9
         try:
@@ -267,7 +281,7 @@ class TestRetryAndBackoff:
 
 class TestTimeout:
     def test_run_exceeding_timeout_fails_after_retries(self):
-        spec = RunSpec(protocol="circles", n=8, k=2, seed=1, runner="service-test-sleepy")
+        spec = fault_spec("fault-sleepy", 1)
         start = time.perf_counter()
         with pytest.raises(RunFailed) as excinfo:
             AsyncExecutor(1, timeout=0.05, retries=1, backoff=0.001).map_groups([[spec]])

@@ -215,6 +215,53 @@ class TestEpochFiveStore:
         assert (store.hits, store.stale, store.corrupt) == (0, len(sweep), 0)
 
 
+class TestEpochSevenStore:
+    def test_a_store_written_before_epoch_eight_is_recomputed(self, tmp_path):
+        """Epoch-7 lines carried a ``runner`` key in every spec, were filed
+        under that spec's SHA, and restated the spec's seed, population size
+        and engine in the record.  A restart on such a store counts every
+        line stale (none corrupt), serves none and recomputes records equal
+        to a storeless run.  Were the epoch still 7, the lines would pass the
+        epoch check and fail to decode, as corrupt."""
+        sweep = sweep_spec()
+        reference = SweepRunner().run(sweep)
+        SweepRunner(store=ResultStore(tmp_path)).run(sweep)
+        shards = tmp_path / "shards"
+        old_shas = []
+        for shard in list(shards.glob("*.jsonl")):
+            lines = shard.read_text(encoding="utf-8").splitlines()
+            shard.unlink()
+            for line in lines:
+                record = json.loads(line)["record"]
+                spec = {**record["spec"], "runner": "protocol"}
+                record = {
+                    **record,
+                    "spec": spec,
+                    "seed": spec["seed"],
+                    "num_agents": spec["n"],
+                    "engine": spec["engine"],
+                }
+                sha = sha_of(spec)
+                old_shas.append(sha)
+                entry = {
+                    "sha": sha,
+                    "epoch": 7,
+                    "checksum": ResultStore.record_checksum(record),
+                    "record": record,
+                }
+                with open(shards / f"{sha[:2]}.jsonl", "a", encoding="utf-8") as handle:
+                    handle.write(json.dumps(entry) + "\n")
+        assert len(old_shas) == len(sweep)
+
+        store = ResultStore(tmp_path)
+        counting = CountingExecutor()
+        resumed = SweepRunner(store=store, executor=counting).run(sweep)
+        assert counting.executed == len(sweep)
+        assert resumed.records == reference.records
+        assert all(store.get(sha) is None for sha in old_shas)
+        assert (store.hits, store.stale, store.corrupt) == (0, len(sweep), 0)
+
+
 class TestAdaptiveKillAndResume:
     """The sequential-sampling layer composes with the store/manifest
     checkpointing: a killed adaptive sweep resumes from the checkpointed

@@ -303,7 +303,6 @@ class TestErrorHandling:
             ("workload", "no-such-workload"),
             ("scheduler", "no-such-scheduler"),
             ("criterion", "no-such-criterion"),
-            ("runner", "no-such-runner"),
             ("observers", "no-such-observer"),
         ],
     )
@@ -314,7 +313,7 @@ class TestErrorHandling:
         """Every registry name a submission carries resolves before the stream."""
         if route == "/sweep":
             payload = small_sweep().to_dict()
-            axis = field if field in ("criterion", "runner", "observers") else field + "s"
+            axis = field if field in ("criterion", "observers") else field + "s"
         else:
             payload = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3).to_dict()
             axis = field
@@ -338,6 +337,23 @@ class TestErrorHandling:
         assert excinfo.value.code == 400
         error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
         assert error.startswith("bad spec") and "'compiled'" in error
+        assert service.status()["cache"]["misses"] == 0
+
+    @pytest.mark.parametrize("route", ["/sweep", "/run"])
+    def test_a_runner_key_is_a_400(self, server, service, route):
+        """Every run goes one way, so no submission names a runner; a body
+        carrying ``runner``, the old default value included, is an
+        unknown-field 400."""
+        if route == "/sweep":
+            payload = small_sweep().to_dict()
+        else:
+            payload = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3).to_dict()
+        payload["runner"] = "protocol"
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_lines(server, route, payload)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
+        assert error.startswith("bad spec") and "'runner'" in error
         assert service.status()["cache"]["misses"] == 0
 
     def test_unknown_routes_are_404(self, server):

@@ -5,7 +5,8 @@ codes (:class:`~repro.compile.LazyInterner`).  These digests were computed
 on the engines that kept such runs as a multiset of states with a per-pair
 transition memo; the interned codes must reproduce every draw.  The record
 and group pins were re-pinned at record epoch 6 to the same records with
-the spec's dropped ``compiled`` key popped.
+the spec's dropped ``compiled`` key popped, and at epoch 8 without the
+spec's ``runner`` key and the record's copies of its seed, ``n`` and engine.
 
 Each engine case runs the batch and the vector engine (one row) from the
 same seed to the protocol's default criterion and then through a
@@ -72,33 +73,33 @@ ENGINE_PINS = {
 }
 
 RECORD_PINS = {
-    ('circles', 3, 8, 'batch'): '48dfc5303403fabd',
-    ('circles', 3, 8, 'vector'): 'f757a886d8d39a88',
-    ('circles', 3, 16, 'batch'): '1d7d3c91093a803c',
-    ('circles', 3, 16, 'vector'): '151225b41aa77d2d',
-    ('circles-unordered', 5, 8, 'batch'): '0e1320da15834bd6',
-    ('circles-unordered', 5, 8, 'vector'): '50e25363704488ee',
-    ('circles-unordered', 5, 16, 'batch'): '760f4545a3693b5f',
-    ('circles-unordered', 5, 16, 'vector'): '14df475d1dd0f73f',
-    ('tournament-plurality', 3, 8, 'batch'): '64d358dfb85c777c',
-    ('tournament-plurality', 3, 8, 'vector'): '5677ac88421c9dd5',
-    ('tournament-plurality', 3, 16, 'batch'): 'a019e00ff3276383',
-    ('tournament-plurality', 3, 16, 'vector'): 'c364b736246443df',
-    ('tournament-plurality', 4, 8, 'batch'): '24cafc6f428407fc',
-    ('tournament-plurality', 4, 8, 'vector'): '53a55e5d93638b0e',
-    ('tournament-plurality', 4, 16, 'batch'): '88910ecc77b1be0c',
-    ('tournament-plurality', 4, 16, 'vector'): 'd304aafb1e4759bc',
+    ('circles', 3, 8, 'batch'): '9b85110c75a87c83',
+    ('circles', 3, 8, 'vector'): '08af246bc377ec2b',
+    ('circles', 3, 16, 'batch'): '8ce6e08ec1ef51cf',
+    ('circles', 3, 16, 'vector'): '2cd1336fc77f917b',
+    ('circles-unordered', 5, 8, 'batch'): 'b40080e1113fe848',
+    ('circles-unordered', 5, 8, 'vector'): '5ddd6d34dc64e23f',
+    ('circles-unordered', 5, 16, 'batch'): '1326366cdefb8ba2',
+    ('circles-unordered', 5, 16, 'vector'): 'c757415856d5e2b9',
+    ('tournament-plurality', 3, 8, 'batch'): '82e387a520f54a29',
+    ('tournament-plurality', 3, 8, 'vector'): '7d6727138dfd7789',
+    ('tournament-plurality', 3, 16, 'batch'): '28b6ea6717d1ce49',
+    ('tournament-plurality', 3, 16, 'vector'): 'ea227d546b146753',
+    ('tournament-plurality', 4, 8, 'batch'): '1ee87db495b58649',
+    ('tournament-plurality', 4, 8, 'vector'): 'd3be095a3ef22a92',
+    ('tournament-plurality', 4, 16, 'batch'): 'd2cb01fe7b9e83b7',
+    ('tournament-plurality', 4, 16, 'vector'): 'f3da77a2e8776dc8',
 }
 
 GROUP_PINS = {
-    ('circles', 3, 8): 'a7b7f3110ef479b0',
-    ('circles', 3, 16): 'c3bd2ab5176cc58e',
-    ('circles-unordered', 5, 8): 'a79935d1902c6463',
-    ('circles-unordered', 5, 16): '0322dc7715ac3e71',
-    ('tournament-plurality', 3, 8): '80c639b9d0100306',
-    ('tournament-plurality', 3, 16): '0b804075cde38480',
-    ('tournament-plurality', 4, 8): '883e02756a690ebf',
-    ('tournament-plurality', 4, 16): 'd7d4172ba0bbb1a1',
+    ('circles', 3, 8): 'b8fa098f8f111a86',
+    ('circles', 3, 16): 'cd5b161793a4046b',
+    ('circles-unordered', 5, 8): '0847a0e7760d401f',
+    ('circles-unordered', 5, 16): 'cf428b3951ff8a49',
+    ('tournament-plurality', 3, 8): '56340a49cf4283e3',
+    ('tournament-plurality', 3, 16): '0bf8ae416ae8a57f',
+    ('tournament-plurality', 4, 8): '1589ef3e444a68d5',
+    ('tournament-plurality', 4, 16): '6fdecdfd55f3bcbc',
 }
 
 CHAIN_PINS = {

@@ -1,6 +1,6 @@
-"""The shared unknown-name contract of the four name registries.
+"""The shared unknown-name contract of the name registries.
 
-Protocols, engines, workloads and runners all resolve plain-string names;
+Protocols, engines and workloads all resolve plain-string names;
 historically each phrased its unknown-name error differently (two raised
 ``ValueError``).  They now share :func:`repro.utils.errors.unknown_name_error`:
 a ``KeyError`` that names the kind, repeats the offending name, and lists the
@@ -10,7 +10,6 @@ valid names in sorted order.
 import pytest
 
 import repro  # noqa: F401  (populates the default registries)
-from repro.api.executor import get_runner
 from repro.protocols.registry import get_protocol
 from repro.simulation.registry import available_engines, get_engine
 from repro.utils.errors import unknown_name_error
@@ -33,9 +32,8 @@ class TestHelper:
         (get_protocol, "protocol", lambda: get_protocol("circles", 2)),
         (get_engine, "engine", lambda: get_engine("batch")),
         (get_workload, "workload", lambda: get_workload("uniform")),
-        (get_runner, "runner", lambda: get_runner("protocol")),
     ],
-    ids=["protocol", "engine", "workload", "runner"],
+    ids=["protocol", "engine", "workload"],
 )
 class TestEveryRegistry:
     def test_unknown_name_raises_keyerror_with_sorted_listing(self, resolve, kind, known):
