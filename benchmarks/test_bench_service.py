@@ -13,13 +13,15 @@ the repository benchmark's ``service-cache`` workload: one client POSTs a
 sweep cold, then the identical sweep warm.  The smoke checks that every warm
 envelope is served from the cache and carries the cold record byte for byte;
 the ``--perf`` test records the median warm POST as ``service-warm-post``.
-A warm POST of a sweep the store has seen neither expands nor hashes it: it
-walks the run SHAs of the manifest the store holds, takes each record from
-the index by SHA, and copies the JSON text the service kept for that record
-(the last 512 served records keep theirs) into its envelope — one write and
-one flush for all of them.  The manifest file is neither
-re-read nor, unchanged, rewritten.  A third smoke sends two identical POSTs
-at once, cold and then warm, through the shared held manifest.
+The POST that leaves the sweep complete in the store keeps the sweep's
+all-cached body, built from the record texts it encoded; a warm POST is
+those bytes in one write, with a ``Content-Length``.  It neither expands the
+sweep nor looks up its runs, and the manifest file is neither re-read nor,
+unchanged, rewritten.  A sweep whose body is not kept (kept bodies hold 512
+runs together) walks the run SHAs of the manifest the store holds instead,
+taking each record from the index by SHA.  A third smoke sends two identical
+POSTs at once, cold and then warm, through the shared held manifest, and a
+third POST served from the kept body.
 
 Marker-free smoke tests keep the store path exercised — correct and
 importable — in the default suite and in the CI bench-smoke job.
@@ -186,7 +188,9 @@ class MeetingStore(ResultStore):
 def test_service_overlapping_posts_smoke(tmp_path):
     """Smoke (default suite): two identical POSTs in flight at once, cold and
     then warm, each stream every run once, byte-identical to the cold pass,
-    while sharing the store's held manifest."""
+    while sharing the store's held manifest; a third POST is the kept body,
+    which looks up no run (a cache scan would wait at the barrier) but
+    counts every run as a hit."""
     sweep = SweepSpec(**{**WARM_SWEEP.to_dict(), "populations": (8,), "trials": 4})
     store = MeetingStore(tmp_path)
     with running_service(store) as address:
@@ -207,8 +211,9 @@ def test_service_overlapping_posts_smoke(tmp_path):
                 assert len(lines) == len(records) == len(sweep)
                 reference = reference or records
                 assert records == reference
+        assert envelopes(post_sweep(address, sweep), cached=True) == reference
     assert store.corrupt == 0
-    assert store.hits == 2 * len(sweep)
+    assert store.hits == 3 * len(sweep)
     assert store.held_manifest(sweep).complete
 
 

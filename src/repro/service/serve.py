@@ -21,10 +21,12 @@ alone (``http.server`` + the ``asyncio`` executor — no new dependencies):
   pure cache, and resubmitting after a crash finishes only the remainder.
   Without a store the whole sweep is one executor call, streamed when it
   finishes.  Each batch of ready envelopes (the cached runs, then each
-  executed round) goes out in one write and one flush.  The service keeps
-  the JSON texts of the records it served last
-  (:meth:`SweepService.record_json`), so a hot sweep's envelopes copy text
-  instead of encoding each record again.  Adaptive
+  executed round) goes out in one write and one flush.  When a response
+  leaves a fixed sweep complete in the store, the service keeps that
+  sweep's all-cached body, built from the record texts the response just
+  encoded; a later POST of the sweep is those bytes in one write, with a
+  ``Content-Length`` (:meth:`SweepService.kept_body`).  Kept bodies share a
+  budget of :data:`KEPT_RUNS` runs, least recently served out first.  Adaptive
   sweeps (``trials="auto"``) additionally stream one trailing envelope
   ``{"stopping": [...]}`` with the per-cell stopping diagnostics; fixed
   sweeps stream record envelopes only.
@@ -39,7 +41,9 @@ starts; failures past that point arrive in-band, as an ``{"error": …}`` line.
 
 Streaming uses HTTP/1.0 close-delimited bodies: the response has no
 ``Content-Length`` and the connection closes when the sweep does, which every
-stdlib client (``urllib``) and ``curl`` consumes incrementally.
+stdlib client (``urllib``) and ``curl`` consumes incrementally.  A kept body
+is the one response of a sweep that carries a ``Content-Length``; its
+connection closes after it all the same.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import json
 import sys
 import threading
 from collections import OrderedDict
+from collections.abc import Iterator
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -59,9 +64,9 @@ from repro.api.spec import RunSpec, SweepSpec
 from repro.service.store import ResultStore
 
 
-#: How many records' JSON texts a service keeps for their envelopes (about
-#: 0.7 KB each for a circles run).
-KEPT_TEXTS = 512
+#: How many runs the kept sweep bodies may hold together (about 0.7 KB of
+#: envelope each for a circles run); a larger sweep is never kept.
+KEPT_RUNS = 512
 
 
 class SweepService:
@@ -96,8 +101,9 @@ class SweepService:
         self._submissions = itertools.count()
         self._completed_sweeps = 0
         self._completed_runs = 0
-        #: spec sha -> (record, its JSON text), least recently served first.
-        self._texts: OrderedDict[str, tuple[RunRecord, str]] = OrderedDict()
+        #: sweep sha -> (its all-cached NDJSON body, its run count), least
+        #: recently served first.
+        self._bodies: OrderedDict[str, tuple[bytes, int]] = OrderedDict()
 
     # -- submissions -------------------------------------------------------------
 
@@ -114,7 +120,7 @@ class SweepService:
         ``max_trials`` upper bound (cells that stop early never ship their
         remaining trials), and the per-cell stopping diagnostics are appended
         to the caller-supplied ``diagnostics`` list once the sweep finishes —
-        the handler turns them into a trailing ``{"stopping": [...]}``
+        :meth:`sweep_body` turns them into a trailing ``{"stopping": [...]}``
         envelope on the NDJSON stream.
         """
         runner = SweepRunner(executor=self.executor, store=self.store)
@@ -157,27 +163,68 @@ class SweepService:
             self._completed_runs += 1
         return record, False
 
-    def record_json(self, record: RunRecord) -> str:
-        """``record.to_json()``, kept for the most recently served records.
+    def sweep_body(self, sweep: SweepSpec) -> Iterator[bytes]:
+        """Execute ``sweep``, yielding its NDJSON body one batch at a time.
 
-        A hot sweep is posted again and again; its records come from the
-        store as the same objects each time, so their texts are encoded
-        once, not once per request.  Only the last :data:`KEPT_TEXTS`
-        records keep theirs, which bounds the memory the texts take.
+        Each batch of :meth:`stream_batches` is one chunk of envelopes; an
+        adaptive sweep ends with its ``{"stopping": [...]}`` line.  When the
+        body leaves a fixed sweep complete in the store, the sweep's
+        all-cached body is built from the record texts encoded here and kept
+        for :meth:`kept_body`.
         """
-        sha = record.spec.sha()
+        # The store a kept body would be served beside, if this sweep can be kept.
+        keeper = self.store if not sweep.is_adaptive and len(sweep) <= KEPT_RUNS else None
+        texts: dict[int, tuple[str, str]] = {}
+        diagnostics: list[dict[str, Any]] = []
+        for batch in self.stream_batches(sweep, diagnostics):
+            lines = []
+            for index, record, cached in batch:
+                sha, text = record.spec.sha(), record.to_json()
+                if keeper is not None:
+                    texts[index] = (sha, text)
+                lines.append(envelope_line(index, cached, sha, text))
+            yield "".join(lines).encode("utf-8")
+        if diagnostics:
+            yield (json.dumps({"stopping": diagnostics}) + "\n").encode("utf-8")
+        if keeper is not None:
+            manifest = keeper.held_manifest(sweep)
+            if manifest is not None and manifest.complete and len(texts) == manifest.total:
+                body = "".join(
+                    envelope_line(index, True, *texts[index]) for index in range(len(texts))
+                )
+                with self._lock:
+                    self._bodies[sweep.sha()] = (body.encode("utf-8"), len(texts))
+                    self._bodies.move_to_end(sweep.sha())
+                    while sum(runs for _body, runs in self._bodies.values()) > KEPT_RUNS:
+                        self._bodies.popitem(last=False)
+
+    def kept_body(self, sweep: SweepSpec) -> bytes | None:
+        """The kept all-cached body of ``sweep``, served, or ``None``.
+
+        Only a sweep whose held manifest is complete is served this way.
+        Serving it does what a streamed warm response does besides: the
+        manifest is checkpointed, every run counts as a store hit, and the
+        sweep and its runs count as completed.
+        """
+        if self.store is None:
+            return None
+        sweep_sha = sweep.sha()
         with self._lock:
-            kept = self._texts.get(sha)
-            if kept is not None and kept[0] is record:
-                self._texts.move_to_end(sha)
-                return kept[1]
-        text = record.to_json()
+            kept = self._bodies.get(sweep_sha)
+        if kept is None:
+            return None
+        manifest = self.store.held_manifest(sweep)
+        if manifest is None or not manifest.complete:
+            return None
+        body, runs = kept
+        self.store.save_manifest(manifest)
+        self.store.count_hits(runs)
         with self._lock:
-            self._texts[sha] = (record, text)
-            self._texts.move_to_end(sha)
-            if len(self._texts) > KEPT_TEXTS:
-                self._texts.popitem(last=False)
-        return text
+            if sweep_sha in self._bodies:
+                self._bodies.move_to_end(sweep_sha)
+            self._completed_runs += runs
+            self._completed_sweeps += 1
+        return body
 
     # -- status ------------------------------------------------------------------
 
@@ -259,15 +306,6 @@ def make_handler(service: SweepService) -> type[BaseHTTPRequestHandler]:
         def _send_error_json(self, status: int, message: str) -> None:
             self._send_json({"error": message}, status=status)
 
-        def _write_envelopes(self, batch: list[tuple[int, RunRecord, bool]]) -> None:
-            """Write a batch of envelopes with one write and one flush."""
-            text = "".join(
-                envelope_line(index, cached, record.spec.sha(), service.record_json(record))
-                for index, record, cached in batch
-            )
-            self.wfile.write(text.encode("utf-8"))
-            self.wfile.flush()
-
         # -- routes --------------------------------------------------------------
 
         def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler contract
@@ -291,21 +329,23 @@ def make_handler(service: SweepService) -> type[BaseHTTPRequestHandler]:
             except (json.JSONDecodeError, TypeError, KeyError, ValueError) as error:
                 self._send_error_json(400, f"bad spec: {error}")
                 return
+            kept = service.kept_body(submission) if isinstance(submission, SweepSpec) else None
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
+            if kept is not None:
+                self.send_header("Content-Length", str(len(kept)))
             self.end_headers()
             try:
-                if isinstance(submission, SweepSpec):
-                    diagnostics: list[dict[str, Any]] = []
-                    for batch in service.stream_batches(submission, diagnostics):
-                        self._write_envelopes(batch)
-                    if diagnostics:
-                        line = json.dumps({"stopping": diagnostics}) + "\n"
-                        self.wfile.write(line.encode("utf-8"))
+                if kept is not None:
+                    self.wfile.write(kept)
+                elif isinstance(submission, SweepSpec):
+                    for chunk in service.sweep_body(submission):
+                        self.wfile.write(chunk)
                         self.wfile.flush()
                 else:
                     record, cached = service.execute_single(submission)
-                    self._write_envelopes([(0, record, cached)])
+                    line = envelope_line(0, cached, record.spec.sha(), record.to_json())
+                    self.wfile.write(line.encode("utf-8"))
             except BrokenPipeError:
                 pass  # client went away mid-stream; the store keeps the progress
             except Exception as error:  # noqa: BLE001 - headers already sent

@@ -23,7 +23,10 @@ checksum, is counted as corrupt and treated as a miss, so corruption is
 *recomputed, never served*.  A line whose ``epoch`` is missing or differs
 from :data:`~repro.api.records.RECORD_EPOCH` was written by engines that
 sampled differently; it is counted as ``stale`` (not corrupt), treated as a
-miss and recomputed.
+miss and recomputed.  The first ``put`` into a shard that held stale lines
+rewrites the shard atomically without them before it appends, so a restart
+parses each stale line once, not on every load; a store that is only read
+is never written.
 
 The in-memory index maps a spec SHA to a decoded
 :class:`~repro.api.records.RunRecord`: each line is decoded once, when its
@@ -57,6 +60,7 @@ from typing import Any
 from repro.api.records import RECORD_EPOCH, RunRecord
 from repro.api.spec import RunSpec, SweepSpec, sha_of
 from repro.service.manifest import SweepManifest
+from repro.utils.atomic import atomic_write_text
 
 #: Hex digits of the spec SHA used as the shard name.
 _SHARD_PREFIX = 2
@@ -80,6 +84,9 @@ class ResultStore:
         self._lock = threading.RLock()
         #: shard prefix -> {spec sha -> decoded record}, loaded lazily per shard.
         self._shards: dict[str, dict[str, RunRecord]] = {}
+        #: shard prefix -> its lines other than the stale ones, for a loaded
+        #: shard that held stale lines and has not been rewritten yet.
+        self._stale_shards: dict[str, list[str]] = {}
         #: sweep sha -> the manifest this store opened for it (held manifests).
         self._manifests: dict[str, SweepManifest] = {}
         self.hits = 0
@@ -101,14 +108,17 @@ class ResultStore:
 
     def _load_shard(self, prefix: str) -> dict[str, RunRecord]:
         """Parse and decode one shard file, dropping (and counting) corrupt
-        and stale lines."""
+        and stale lines; a shard with stale lines is noted for rewriting."""
         index: dict[str, RunRecord] = {}
         path = self.shards_dir / f"{prefix}.jsonl"
         if not path.exists():
             return index
+        stale = self.stale
+        current: list[str] = []
         for line in path.read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue
+            current.append(line)
             try:
                 entry = json.loads(line)
                 sha, epoch, checksum = entry["sha"], entry.get("epoch"), entry["checksum"]
@@ -118,6 +128,7 @@ class ResultStore:
                 continue
             if epoch != RECORD_EPOCH:
                 self.stale += 1
+                current.pop()
                 continue
             if self.record_checksum(record_dict) != checksum:
                 self.corrupt += 1
@@ -132,6 +143,8 @@ class ResultStore:
                 self.corrupt += 1
                 continue
             index[sha] = record
+        if self.stale != stale:
+            self._stale_shards[prefix] = current
         return index
 
     def _shard_index(self, sha: str) -> dict[str, RunRecord]:
@@ -183,11 +196,19 @@ class ResultStore:
         )
         with self._lock:
             index = self._shard_index(sha)
+            current = self._stale_shards.pop(sha[:_SHARD_PREFIX], None)
+            if current is not None:
+                atomic_write_text(self._shard_path(sha), "".join(f"{kept}\n" for kept in current))
             with open(self._shard_path(sha), "a", encoding="utf-8") as handle:
                 handle.write(line + "\n")
                 handle.flush()
             index[sha] = record
         return sha
+
+    def count_hits(self, count: int) -> None:
+        """Count ``count`` lookups served without :meth:`get` as hits."""
+        with self._lock:
+            self.hits += count
 
     def __contains__(self, spec: RunSpec) -> bool:
         sha = spec.sha()

@@ -151,6 +151,16 @@ class TestE5:
         assert len(result.rows) == 1
         assert constructed == []
 
+    def test_table_is_pinned(self):
+        """Two populations at k=4: the energy trajectories, the SSA column
+        and the ablation runs all draw from the table's seed.  The default
+        table (``tests/pin_evidence.py`` compares it between trees) takes
+        several times as long."""
+        text = e5_energy.run(populations=(10, 20), ks=(4,)).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fb1b62282ddc50061761aba3120f684382a6efe7a27e7fe7aa40e35716a621ad"
+        )
+
 
 class TestE6:
     def test_circles_always_correct_in_comparison(self):

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.api.executor import SerialExecutor, SweepRunner
+from repro.api.records import RECORD_EPOCH
 from repro.api.spec import SweepSpec, sha_of
 from repro.api.stopping import StoppingRule
 from repro.service.store import ResultStore
@@ -260,6 +261,58 @@ class TestEpochSevenStore:
         assert resumed.records == reference.records
         assert all(store.get(sha) is None for sha in old_shas)
         assert (store.hits, store.stale, store.corrupt) == (0, len(sweep), 0)
+
+
+class TestStaleLinesAreDropped:
+    """A shard's stale lines are parsed by one restart, not by every one."""
+
+    @staticmethod
+    def age_store(root) -> None:
+        """File every stored line under the previous record epoch."""
+        for shard in (root / "shards").glob("*.jsonl"):
+            lines = [json.loads(line) for line in shard.read_text(encoding="utf-8").splitlines()]
+            shard.write_text(
+                "".join(json.dumps({**entry, "epoch": RECORD_EPOCH - 1}) + "\n" for entry in lines),
+                encoding="utf-8",
+            )
+
+    def test_the_first_put_rewrites_a_stale_shard_without_its_stale_lines(self, tmp_path):
+        sweep = sweep_spec()
+        SweepRunner(store=ResultStore(tmp_path)).run(sweep)
+        self.age_store(tmp_path)
+
+        store = ResultStore(tmp_path)
+        counting = CountingExecutor()
+        SweepRunner(store=store, executor=counting).run(sweep)
+        assert (counting.executed, store.stale) == (len(sweep), len(sweep))
+        lines = [
+            json.loads(line)
+            for shard in (tmp_path / "shards").glob("*.jsonl")
+            for line in shard.read_text(encoding="utf-8").splitlines()
+        ]
+        assert len(lines) == len(sweep)
+        assert {entry["epoch"] for entry in lines} == {RECORD_EPOCH}
+
+        restarted = ResultStore(tmp_path)
+        counting = CountingExecutor()
+        SweepRunner(store=restarted, executor=counting).run(sweep)
+        assert counting.executed == 0
+        assert (restarted.hits, restarted.stale, restarted.corrupt) == (len(sweep), 0, 0)
+
+    def test_a_store_that_is_only_read_is_not_rewritten(self, tmp_path):
+        sweep = sweep_spec()
+        SweepRunner(store=ResultStore(tmp_path)).run(sweep)
+        self.age_store(tmp_path)
+        before = {
+            shard.name: shard.read_bytes() for shard in (tmp_path / "shards").glob("*.jsonl")
+        }
+        store = ResultStore(tmp_path)
+        assert all(store.get(spec) is None for spec in sweep.expand())
+        assert store.stale == len(sweep)
+        after = {
+            shard.name: shard.read_bytes() for shard in (tmp_path / "shards").glob("*.jsonl")
+        }
+        assert after == before
 
 
 class TestAdaptiveKillAndResume:

@@ -18,6 +18,7 @@ import pytest
 from repro.api.executor import execute_run
 from repro.api.records import RunRecord
 from repro.api.spec import RunSpec, SweepSpec
+from repro.api.stopping import StoppingRule
 from repro.service import serve as serve_module
 from repro.service.serve import SweepService, envelope_line, serve
 from repro.service.store import ResultStore
@@ -226,37 +227,7 @@ class TestConcurrentSubmissions:
 
 
 class TestRecordTexts:
-    """The service keeps the JSON texts of the records it served last."""
-
-    @staticmethod
-    def records(count: int) -> list[RunRecord]:
-        return [
-            execute_run(RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=seed,
-                                max_steps=2_000))
-            for seed in range(count)
-        ]
-
-    def test_a_served_record_is_encoded_once(self):
-        service = SweepService(None, executor="serial")
-        [record] = self.records(1)
-        text = service.record_json(record)
-        assert text == record.to_json() == json.dumps(record.to_dict())
-        assert service.record_json(record) is text
-        # Another record object of the same spec gets its own text.
-        twin = RunRecord.from_dict(record.to_dict())
-        assert service.record_json(twin) == text
-        assert service.record_json(twin) is service.record_json(twin)
-        assert service.record_json(record) is not text
-
-    def test_kept_texts_are_bounded_least_recently_served_first(self, monkeypatch):
-        monkeypatch.setattr(serve_module, "KEPT_TEXTS", 2)
-        service = SweepService(None, executor="serial")
-        first, second, third = self.records(3)
-        kept = {id(record): service.record_json(record) for record in (first, second)}
-        assert service.record_json(first) is kept[id(first)]
-        service.record_json(third)  # evicts second, the least recently served
-        assert service.record_json(first) is kept[id(first)]
-        assert service.record_json(second) is not kept[id(second)]
+    """A warm POST serves the body the cold POST kept: no record is encoded."""
 
     def test_warm_post_encodes_no_record(self, server, service, monkeypatch):
         sweep = small_sweep()
@@ -271,6 +242,151 @@ class TestRecordTexts:
         assert sorted((e["index"], e["record"]) for e in warm) == sorted(
             (e["index"], e["record"]) for e in cold
         )
+
+
+def post_raw(url: str, route: str, payload: dict) -> tuple[str | None, bytes]:
+    """One POST round trip: ``(Content-Length header or None, body bytes)``."""
+    request = urllib.request.Request(
+        url + route,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with urllib.request.urlopen(request) as response:
+        return response.headers.get("Content-Length"), response.read()
+
+
+def seeded_sweep(seed: int) -> SweepSpec:
+    return dataclasses.replace(small_sweep(), seed=seed)
+
+
+class TestKeptBodies:
+    """A POST that leaves a fixed sweep complete keeps its all-cached body;
+    later POSTs of the sweep get those bytes in one write."""
+
+    def test_kept_body_is_the_streamed_warm_body_byte_for_byte(self, server, service):
+        sweep = small_sweep()
+        length, cold = post_raw(server, "/sweep", sweep.to_dict())
+        assert length is None
+        length, kept = post_raw(server, "/sweep", sweep.to_dict())
+        assert length == str(len(kept))
+        streamed = b"".join(service.sweep_body(sweep))
+        assert kept == streamed
+        by_index = sorted(cold.splitlines(keepends=True), key=lambda line: json.loads(line)["index"])
+        flipped = b"".join(
+            line.replace(b'"cached": false', b'"cached": true', 1) for line in by_index
+        )
+        assert kept == flipped
+
+    def test_counters_read_as_on_the_streaming_path(self, server, service, tmp_path, monkeypatch):
+        """Cold + 3 warm POSTs count the same hits, misses and completions
+        whether the warm POSTs are kept bodies or streams."""
+        sweep = small_sweep()
+
+        def counters(target: SweepService) -> tuple:
+            status = target.status()
+            return (target.store.hits, target.store.misses,
+                    status["completed_runs"], status["completed_sweeps"])
+
+        lengths = [post_raw(server, "/sweep", sweep.to_dict())[0] for _ in range(4)]
+        assert lengths[0] is None and None not in lengths[1:]
+        kept = counters(service)
+
+        monkeypatch.setattr(serve_module, "KEPT_RUNS", 0)
+        streaming = SweepService(ResultStore(tmp_path / "streaming"), workers=2, retries=1)
+        for _ in range(4):
+            assert sum(len(chunk) for chunk in streaming.sweep_body(sweep))
+        assert kept == counters(streaming) == (3 * len(sweep), len(sweep), 4 * len(sweep), 4)
+        assert get_json(server, "/status")["cache"]["hit_rate"] == 0.75
+
+    def test_a_response_that_leaves_the_sweep_incomplete_keeps_nothing(self, server, service):
+        """Three replicate groups run in two executor rounds on two workers.
+        The second round fails: the first round's four runs are stored,
+        nothing is kept, and the next POST finishes the sweep and keeps it."""
+        sweep = dataclasses.replace(small_sweep(), populations=(8, 10, 12))
+        map_groups = service.executor.map_groups
+        rounds = []
+
+        def failing_second_round(groups):
+            rounds.append(groups)
+            if len(rounds) == 2:
+                raise RuntimeError("lost worker")
+            return map_groups(groups)
+
+        service.executor.map_groups = failing_second_round
+        lines = post_lines(server, "/sweep", sweep.to_dict())
+        assert "lost worker" in lines[-1]["error"]
+        assert not service.store.held_manifest(sweep).complete
+        assert service.kept_body(sweep) is None
+
+        service.executor.map_groups = map_groups
+        length, body = post_raw(server, "/sweep", sweep.to_dict())
+        assert length is None
+        assert sorted(json.loads(line)["cached"] for line in body.splitlines()) == [
+            False, False, True, True, True, True
+        ]
+        length, kept = post_raw(server, "/sweep", sweep.to_dict())
+        assert length == str(len(kept))
+
+    def test_a_closed_stream_keeps_nothing(self, service):
+        sweep = small_sweep()
+        chunks = service.sweep_body(sweep)
+        next(chunks)
+        chunks.close()
+        assert service.kept_body(sweep) is None
+
+    def test_a_sweep_over_the_budget_is_never_kept(self, server, service, monkeypatch):
+        sweep = small_sweep()
+        monkeypatch.setattr(serve_module, "KEPT_RUNS", len(sweep) - 1)
+        for cached in (False, True, True):
+            length, body = post_raw(server, "/sweep", sweep.to_dict())
+            assert length is None
+            assert {json.loads(line)["cached"] for line in body.splitlines()} == {cached}
+        assert service.kept_body(sweep) is None
+
+    def test_kept_bodies_go_least_recently_served_first(self, server, service, monkeypatch):
+        first, second, third = (seeded_sweep(seed) for seed in (1, 2, 3))
+        monkeypatch.setattr(serve_module, "KEPT_RUNS", 2 * len(first))
+
+        def kept(sweep: SweepSpec) -> bool:
+            return post_raw(server, "/sweep", sweep.to_dict())[0] is not None
+
+        assert not kept(first) and not kept(second)
+        assert kept(first)  # first is now the most recently served
+        assert not kept(third)  # keeps third, evicts second
+        assert kept(first) and kept(third)
+        assert not kept(second)  # keeps second, evicts first
+        assert kept(third) and kept(second)
+        assert not kept(first)
+
+    def test_adaptive_sweeps_still_stream(self, server, service):
+        sweep = SweepSpec(
+            protocols=("circles",),
+            populations=(8,),
+            ks=(2,),
+            engines=("batch",),
+            trials="auto",
+            stopping=StoppingRule(
+                metric="correct", proportion=True, target_half_width=0.3,
+                min_trials=2, batch_size=2, max_trials=8,
+            ),
+            seed=23,
+            max_steps_quadratic=200,
+        )
+        for cached in (False, True):
+            length, body = post_raw(server, "/sweep", sweep.to_dict())
+            assert length is None
+            *records, stopping = [json.loads(line) for line in body.splitlines()]
+            assert records and all(e["cached"] is cached for e in records)
+            assert "stopping" in stopping
+        assert service.kept_body(sweep) is None
+
+    def test_single_runs_still_stream(self, server):
+        spec = RunSpec(protocol="circles", n=8, k=2, engine="batch", seed=3, max_steps=2_000)
+        for cached in (False, True):
+            length, body = post_raw(server, "/run", spec.to_dict())
+            assert length is None
+            assert json.loads(body)["cached"] is cached
 
 
 class TestErrorHandling:
@@ -484,3 +600,9 @@ class TestServiceWithoutStore:
         status = service.status()
         assert status["cache"] is None
         assert status["completed_runs"] == len(sweep)
+
+    def test_storeless_service_keeps_no_body(self):
+        service = SweepService(None, workers=1, executor="serial")
+        sweep = small_sweep()
+        assert len(b"".join(service.sweep_body(sweep)).splitlines()) == len(sweep)
+        assert service.kept_body(sweep) is None
