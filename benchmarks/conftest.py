@@ -100,9 +100,10 @@ def record_perf(request):
     Only ``--perf`` runs record (the wall-clock comparisons are skipped
     otherwise, so the fixture is effectively perf-gated); each entry carries
     the bench name, the population size, the engine, the measured seconds,
-    the speedup over the bench's own baseline and enough provenance (python
-    version, timestamp, commit, CPU and numpy/scipy versions) to chart the
-    perf trajectory across PRs.
+    the speedup over the bench's own baseline, the peak RSS in MB when the
+    bench measures one, and enough provenance (python version, timestamp,
+    commit, CPU and numpy/scipy versions) to chart the perf trajectory
+    across PRs.
     """
 
     def _record(
@@ -113,6 +114,7 @@ def record_perf(request):
         seconds: float,
         speedup: float | None = None,
         baseline_seconds: float | None = None,
+        peak_rss_mb: float | None = None,
     ) -> None:
         if not request.config.getoption("--perf"):
             return
@@ -125,6 +127,7 @@ def record_perf(request):
             "baseline_seconds": (
                 None if baseline_seconds is None else round(baseline_seconds, 4)
             ),
+            **({} if peak_rss_mb is None else {"peak_rss_mb": round(peak_rss_mb, 2)}),
             "python": platform.python_version(),
             "timestamp": int(time.time()),
             "provenance": perf_provenance(),

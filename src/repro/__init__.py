@@ -29,7 +29,10 @@ The most common entry points are re-exported here:
   (:mod:`repro.service`): pass ``store=`` to :func:`run_sweep` and identical
   specs are served from disk instead of re-simulated, with checkpoint/resume
   for interrupted sweeps and an HTTP front end
-  (``python -m repro.service.serve``).
+  (``python -m repro.service.serve``).  It and the other service exports
+  (:class:`AsyncExecutor`, :class:`SweepManifest`) are re-exported lazily:
+  ``import repro`` does not load the service stack (``asyncio``,
+  ``http.server``) until one of them, or ``repro.service``, is first used.
 * :func:`predicted_majority`, :func:`predicted_stable_brakets` — the
   combinatorial predictions from the paper's proofs.
 * :mod:`repro.protocols` — baselines and the §4 extensions.
@@ -51,6 +54,8 @@ True
 >>> sorted(set(result.outputs))
 [0]
 """
+
+import importlib
 
 from repro.compile import (
     CompiledProtocol,
@@ -86,7 +91,6 @@ from repro.exact import (
 )
 from repro.workloads.registry import get_workload, register_workload, workload_names
 from repro.api import RunRecord, RunSpec, SweepResult, SweepSpec, run_sweep
-from repro.service import AsyncExecutor, ResultStore, SweepManifest
 
 __version__ = "1.1.0"
 
@@ -138,6 +142,24 @@ __all__ = [
     "ResultStore",
     "SweepManifest",
 ]
+
+#: Served by :func:`__getattr__` from :mod:`repro.service` on first access.
+_SERVICE_EXPORTS = frozenset({"AsyncExecutor", "ResultStore", "SweepManifest"})
+
+
+def __getattr__(name: str):
+    """Import :mod:`repro.service` on the first use of it or of its exports."""
+    if name != "service" and name not in _SERVICE_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    service = importlib.import_module("repro.service")
+    if name == "service":
+        return service
+    value = globals()[name] = getattr(service, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "service", *_SERVICE_EXPORTS})
 
 
 def _register_builtin_protocols() -> None:

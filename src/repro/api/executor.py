@@ -574,7 +574,8 @@ def build_executor(name: str, workers: int | None = None, **params: object):
         ValueError: for a non-positive ``workers``, whatever the executor.
     """
     _check_workers(workers)
-    _import_service_executors()
+    if name not in EXECUTORS:
+        _import_service_executors()
     try:
         builder = EXECUTORS[name]
     except KeyError:

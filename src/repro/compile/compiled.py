@@ -25,6 +25,7 @@ from weakref import WeakKeyDictionary
 from repro.compile.state_space import StateSpaceCapExceeded, enumerate_states
 from repro.protocols.base import PopulationProtocol
 from repro.utils.multiset import Multiset
+from repro.utils.optional import numpy_module
 
 State = TypeVar("State", bound=Hashable)
 T = TypeVar("T")
@@ -181,9 +182,8 @@ class CompiledProtocol(StateCodes[State]):
     def numpy_tables(self):
         """Cached numpy views ``(table, changed, outputs)``, or None without numpy."""
         if self._numpy_tables is None:
-            try:
-                import numpy
-            except ImportError:  # pragma: no cover - numpy is an optional accelerator
+            numpy = numpy_module()
+            if numpy is None:
                 self._numpy_tables = ()
             else:
                 self._numpy_tables = (

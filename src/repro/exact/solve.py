@@ -62,6 +62,8 @@ from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
+from repro.utils.optional import numpy_module
+
 #: The largest component a float solve takes on with numpy: one LAPACK
 #: factorization of a block this size runs in a fraction of a second.
 NUMPY_MAX_COMPONENT = 1500
@@ -82,12 +84,9 @@ class SolveTooLarge(RuntimeError):
     """The system's largest strongly connected component exceeded the solve cap."""
 
 
-def _numpy():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised on numpy-less CI only
-        return None
-    return numpy
+#: The float block kernel's numpy, imported on the first float solve (a
+#: module attribute, so tests can stand in a numpy-free install).
+_numpy = numpy_module
 
 
 def gaussian_solve(matrix: list[list[Number]], rhs: list[Number]) -> list[Number]:

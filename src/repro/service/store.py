@@ -17,16 +17,17 @@ Layout (all paths under the store root)::
 Records are appended to JSONL shards named by the first two hex digits of
 the spec SHA (256 shards max, so no directory ever holds millions of files).
 Appends are single ``write`` calls of one line; a crash can at worst tear
-the final line, and every line carries a SHA-256 checksum of its canonical
-record JSON — a torn or bit-rotted line fails to parse or fails its
-checksum, is counted as corrupt and treated as a miss, so corruption is
-*recomputed, never served*.  A line whose ``epoch`` is missing or differs
-from :data:`~repro.api.records.RECORD_EPOCH` was written by engines that
-sampled differently; it is counted as ``stale`` (not corrupt), treated as a
-miss and recomputed.  The first ``put`` into a shard that held stale lines
-rewrites the shard atomically without them before it appends, so a restart
-parses each stale line once, not on every load; a store that is only read
-is never written.
+the final line, and the next append into that shard starts a line of its
+own, so the tear never takes a later record with it.  Every line carries a
+SHA-256 checksum of its canonical record JSON — a torn or bit-rotted line
+fails to parse or fails its checksum, is counted as corrupt and treated as
+a miss, so corruption is *recomputed, never served*.  A line whose
+``epoch`` is missing or differs from :data:`~repro.api.records.RECORD_EPOCH`
+was written by engines that sampled differently; it is counted as ``stale``
+(not corrupt), treated as a miss and recomputed.  The first ``put`` into a
+shard that held stale lines rewrites the shard atomically without them
+before it appends, so a restart parses each stale line once, not on every
+load; a store that is only read is never written.
 
 The in-memory index maps a spec SHA to a decoded
 :class:`~repro.api.records.RunRecord`: each line is decoded once, when its
@@ -87,6 +88,9 @@ class ResultStore:
         #: shard prefix -> its lines other than the stale ones, for a loaded
         #: shard that held stale lines and has not been rewritten yet.
         self._stale_shards: dict[str, list[str]] = {}
+        #: prefixes of loaded shards whose last line has no newline (a torn
+        #: append) and that have not been written since.
+        self._torn_shards: set[str] = set()
         #: sweep sha -> the manifest this store opened for it (held manifests).
         self._manifests: dict[str, SweepManifest] = {}
         self.hits = 0
@@ -108,14 +112,18 @@ class ResultStore:
 
     def _load_shard(self, prefix: str) -> dict[str, RunRecord]:
         """Parse and decode one shard file, dropping (and counting) corrupt
-        and stale lines; a shard with stale lines is noted for rewriting."""
+        and stale lines; a shard with stale lines is noted for rewriting,
+        and one whose text does not end in a newline as torn."""
         index: dict[str, RunRecord] = {}
         path = self.shards_dir / f"{prefix}.jsonl"
         if not path.exists():
             return index
         stale = self.stale
         current: list[str] = []
-        for line in path.read_text(encoding="utf-8").splitlines():
+        text = path.read_text(encoding="utf-8")
+        if text and not text.endswith("\n"):
+            self._torn_shards.add(prefix)
+        for line in text.splitlines():
             if not line.strip():
                 continue
             current.append(line)
@@ -196,11 +204,17 @@ class ResultStore:
         )
         with self._lock:
             index = self._shard_index(sha)
-            current = self._stale_shards.pop(sha[:_SHARD_PREFIX], None)
+            prefix = sha[:_SHARD_PREFIX]
+            # A torn final line is ended first, so the new line stays whole;
+            # a rewrite ends every line it keeps.
+            torn = prefix in self._torn_shards
+            self._torn_shards.discard(prefix)
+            current = self._stale_shards.pop(prefix, None)
             if current is not None:
                 atomic_write_text(self._shard_path(sha), "".join(f"{kept}\n" for kept in current))
+                torn = False
             with open(self._shard_path(sha), "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+                handle.write(("\n" if torn else "") + line + "\n")
                 handle.flush()
             index[sha] = record
         return sha

@@ -17,7 +17,9 @@ population-protocol simulators of Berenbrink et al.:
   (:mod:`repro.simulation.vector_engine`) reproduce batch runs bit-for-bit
   row by row.  The engine's count vector and changed-interaction count are
   the kernel row's own booking; corrected pair codes are drawn out of the
-  kernel only for attached observers.
+  kernel only for attached observers.  numpy is imported on first use
+  (:func:`~repro.utils.optional.numpy_module`), when an engine first
+  passes the gate, so runs below it never load it.
 - Below that population size (or without numpy) the compiled engine runs in
   one of two regimes over its count vector:
 
@@ -97,12 +99,8 @@ from typing import Generic, TypeVar
 from repro.protocols.base import PopulationProtocol
 from repro.simulation.base import ConfigurationEngine
 from repro.utils.multiset import Multiset
+from repro.utils.optional import numpy_module
 from repro.utils.rng import RngLike
-
-try:  # numpy runs the position kernel; everything works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    _np = None
 
 State = TypeVar("State", bound=Hashable)
 
@@ -255,13 +253,12 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         #: draws them.
         self._skip: int | None = None
         self._next_decision: int | None = None
-        use_numpy = (
+        use_kernel = (
             self._compiled is not None
-            and _np is not None
             and self._num_agents >= NUMPY_BURST_THRESHOLD
             and self._compiled.numpy_tables() is not None
         )
-        if use_numpy:
+        if use_kernel:
             # Position-kernel representation: the kernel owns a (1 × n) state
             # row and books its count vector, which the engine shares, so no
             # agent pool is materialized at all.
@@ -272,7 +269,7 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
                 table_np,
                 self._compiled.num_states,
                 self._num_agents,
-                [_np.random.default_rng(self._rng.getrandbits(63))],
+                [numpy_module().random.default_rng(self._rng.getrandbits(63))],
                 self._counts,
             )
             self._counts = self._kernel.counts[0]
@@ -319,7 +316,8 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             return 0
         length = min(cap, DEFAULT_ROUND)
         kernel = self._kernel
-        codes = _np.empty((1, length), dtype=_np.int32) if self._observers else None
+        np = numpy_module()
+        codes = np.empty((1, length), dtype=np.int32) if self._observers else None
         kernel.advance((0,), length, out=codes)
         changed = int(kernel.changed[0])
         tracker = self._active_pairs
@@ -328,15 +326,15 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             # classification against the live vector in one vectorized pass
             # and reclassify only the codes whose class actually moved
             # (usually none on a near-quiescent run).
-            classes = _np.frombuffer(tracker.classes_view(), dtype=_np.uint8)
-            stale = _np.nonzero(_np.minimum(self._counts, 2) != classes)[0]
+            classes = np.frombuffer(tracker.classes_view(), dtype=np.uint8)
+            stale = np.nonzero(np.minimum(self._counts, 2) != classes)[0]
             if stale.size:
                 tracker.update_codes(stale.tolist())
         if codes is not None:
             # Observers get one booking per changed pair type per round.
             d = self._compiled.num_states
             table_np, changed_np, _ = self._compiled.numpy_tables()
-            unique, pair_counts = _np.unique(codes[changed_np[codes]], return_counts=True)
+            unique, pair_counts = np.unique(codes[changed_np[codes]], return_counts=True)
             for code, count in zip(unique.tolist(), pair_counts.tolist()):
                 p, q = divmod(code, d)
                 a, b = divmod(int(table_np[code]), d)

@@ -32,6 +32,12 @@ multiset.  Configuration-level consumers judge a count vector over state
 codes (:meth:`ConvergenceCriterion.is_converged_counts`), which by default
 decodes the vector and judges the multiset; criteria may override it with a
 fast path that reads the codes' tables and decodes nothing.
+
+The row-wise judges of the vector replicate engine
+(:meth:`ConvergenceCriterion.is_converged_rows` overrides and
+:class:`RowwiseActivePairTracker`) work on numpy count matrices; they import
+numpy on first use (:func:`~repro.utils.optional.numpy_module`), so a
+process that never reaches the kernel never loads it.
 """
 
 from __future__ import annotations
@@ -46,11 +52,7 @@ from repro.core.invariants import diagonal_colors, is_stable_configuration, outp
 from repro.core.state import CirclesState
 from repro.protocols.base import PopulationProtocol
 from repro.utils.multiset import Multiset
-
-try:  # numpy backs the row-wise tracker of the vector replicate engine only.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    _np = None
+from repro.utils.optional import numpy_module
 
 State = TypeVar("State", bound=Hashable)
 
@@ -210,11 +212,12 @@ class StableCircles(ConvergenceCriterion[CirclesState]):
     def is_converged_rows(self, protocol, compiled, counts):
         _require_circles(protocol)
         unstable, outputs, diagonal = compiled.derived("stable-circles-numpy", _numpy_circles_tables)
+        np = numpy_module()
         present = counts > 0
-        color = _np.where(present, outputs, _np.iinfo(_np.int64).max).min(axis=1)
-        agreed = present.any(axis=1) & (_np.where(present, outputs, -1).max(axis=1) == color)
+        color = np.where(present, outputs, np.iinfo(np.int64).max).min(axis=1)
+        agreed = present.any(axis=1) & (np.where(present, outputs, -1).max(axis=1) == color)
         on_diagonal = (present & (diagonal == color[:, None])).any(axis=1)
-        exchanging = ((present.astype(_np.int32) @ unstable > 0) & present).any(axis=1)
+        exchanging = ((present.astype(np.int32) @ unstable > 0) & present).any(axis=1)
         return agreed & on_diagonal & ~exchanging
 
     def _is_converged_support(
@@ -275,10 +278,11 @@ def _stable_circles_tables(compiled) -> tuple[list[int], list[int], list[int]]:
 def _numpy_circles_tables(compiled):
     unstable, outputs, diagonal = stable_circles_tables(compiled)
     d = compiled.num_states
-    matrix = _np.array(
-        [[(row >> code) & 1 for code in range(d)] for row in unstable], dtype=_np.int32
+    np = numpy_module()
+    matrix = np.array(
+        [[(row >> code) & 1 for code in range(d)] for row in unstable], dtype=np.int32
     )
-    return matrix, _np.array(outputs, dtype=_np.int64), _np.array(diagonal, dtype=_np.int64)
+    return matrix, np.array(outputs, dtype=np.int64), np.array(diagonal, dtype=np.int64)
 
 
 class ActivePairTracker:
@@ -390,16 +394,17 @@ class RowwiseActivePairTracker:
     __slots__ = ("_offdiag", "_diag", "_classes", "_silent")
 
     def __init__(self, compiled, num_rows: int) -> None:
-        if _np is None:  # pragma: no cover - the vector kernel path needs numpy anyway
+        np = numpy_module()
+        if np is None:  # pragma: no cover - the vector kernel path needs numpy anyway
             raise RuntimeError("RowwiseActivePairTracker requires numpy")
         d = compiled.num_states
-        changed = _np.frombuffer(compiled.changed, dtype=_np.uint8).reshape(d, d) != 0
+        changed = np.frombuffer(compiled.changed, dtype=np.uint8).reshape(d, d) != 0
         self._diag = changed.diagonal().copy()
         offdiag = changed.copy()
-        _np.fill_diagonal(offdiag, False)
-        self._offdiag = (offdiag | offdiag.T).astype(_np.int32)
-        self._classes = _np.full((num_rows, d), -1, dtype=_np.int8)
-        self._silent = _np.zeros(num_rows, dtype=bool)
+        np.fill_diagonal(offdiag, False)
+        self._offdiag = (offdiag | offdiag.T).astype(np.int32)
+        self._classes = np.full((num_rows, d), -1, dtype=np.int8)
+        self._silent = np.zeros(num_rows, dtype=bool)
 
     def silent_rows(self, rows, counts):
         """Silence verdicts for ``rows``, given their current count matrix.
@@ -407,13 +412,14 @@ class RowwiseActivePairTracker:
         ``counts`` is the ``(len(rows), d)`` count matrix of exactly those
         rows; the returned boolean vector is aligned with ``rows``.
         """
-        classes = _np.minimum(counts, 2).astype(_np.int8)
-        rows = _np.asarray(rows)
-        stale = _np.nonzero((classes != self._classes[rows]).any(axis=1))[0]
+        np = numpy_module()
+        classes = np.minimum(counts, 2).astype(np.int8)
+        rows = np.asarray(rows)
+        stale = np.nonzero((classes != self._classes[rows]).any(axis=1))[0]
         if stale.size:
             sub = classes[stale]
             present = sub > 0
-            hits = present.astype(_np.int32) @ self._offdiag
+            hits = present.astype(np.int32) @ self._offdiag
             active = ((hits > 0) & present).any(axis=1)
             active |= ((sub == 2) & self._diag).any(axis=1)
             self._silent[rows[stale]] = ~active

@@ -36,6 +36,10 @@ Two entry points:
   :class:`ReplicateOutcome` per row.  Without numpy (or past the compile
   cap, or below the kernel's population gate) the group falls back to
   looping batch engines — trivially bit-identical, just not vectorized.
+
+numpy is imported on first use (:func:`~repro.utils.optional.numpy_module`),
+by the probe row that passes the kernel gate, so groups and single runs
+below it never load it.
 """
 
 from __future__ import annotations
@@ -56,12 +60,8 @@ from repro.simulation.convergence import (
 from repro.simulation.observers import KetExchangeObserver, ket_exchange_mask
 from repro.simulation.population import initial_configuration
 from repro.utils.multiset import Multiset
+from repro.utils.optional import numpy_module
 from repro.utils.rng import make_rng
-
-try:  # numpy powers the kernel path; the fallback loops batch engines.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    _np = None
 
 State = TypeVar("State", bound=Hashable)
 
@@ -166,6 +166,7 @@ class ReplicateGroup(Generic[State]):
         else:
             from repro.simulation.vector_kernel import PairCodeKernel
 
+            np = numpy_module()
             self._rows = None
             self._observers = None
             compiled_protocol = probe._compiled
@@ -173,7 +174,7 @@ class ReplicateGroup(Generic[State]):
             # Per-row generators derived exactly like the batch engine's:
             # seed -> random.Random -> getrandbits(63) -> default_rng.
             generators = [
-                _np.random.default_rng(make_rng(seed).getrandbits(63)) for seed in seeds
+                np.random.default_rng(make_rng(seed).getrandbits(63)) for seed in seeds
             ]
             self._kernel = PairCodeKernel(
                 table_np,
@@ -183,7 +184,7 @@ class ReplicateGroup(Generic[State]):
                 probe._counts,
                 tally=ket_exchange_mask(compiled_protocol) if count_ket else None,
             )
-            self._row_steps = _np.zeros(self.num_rows, dtype=_np.int64)
+            self._row_steps = np.zeros(self.num_rows, dtype=np.int64)
 
     def run(
         self,

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.api.executor import SerialExecutor, SweepRunner
+from repro.api.executor import SerialExecutor, SweepRunner, execute_run
 from repro.api.records import RECORD_EPOCH
 from repro.api.spec import SweepSpec, sha_of
 from repro.api.stopping import StoppingRule
@@ -313,6 +313,38 @@ class TestStaleLinesAreDropped:
             shard.name: shard.read_bytes() for shard in (tmp_path / "shards").glob("*.jsonl")
         }
         assert after == before
+
+
+class TestTornFinalLine:
+    """A put into a shard whose last line was torn starts a line of its own."""
+
+    @staticmethod
+    def prefix_twins():
+        """The first two runs of a sweep whose spec SHAs share a shard."""
+        seen = {}
+        for spec in dataclasses.replace(sweep_spec(), trials=24).expand():
+            prefix = spec.sha()[:2]
+            if prefix in seen:
+                return seen[prefix], spec
+            seen[prefix] = spec
+        raise AssertionError("no two runs share a shard")
+
+    def test_a_put_after_a_torn_line_survives_a_restart(self, tmp_path):
+        first, second = self.prefix_twins()
+        ResultStore(tmp_path).put(first, execute_run(first))
+        shard = tmp_path / "shards" / f"{first.sha()[:2]}.jsonl"
+        text = shard.read_text(encoding="utf-8")
+        shard.write_text(text[: len(text) // 2], encoding="utf-8")
+
+        restarted = ResultStore(tmp_path)
+        assert restarted.get(first) is None
+        record = execute_run(second)
+        restarted.put(second, record)
+
+        again = ResultStore(tmp_path)
+        assert again.get(second) == record
+        assert (again.hits, again.corrupt) == (1, 1)
+        assert len(shard.read_text(encoding="utf-8").splitlines()) == 2
 
 
 class TestAdaptiveKillAndResume:
